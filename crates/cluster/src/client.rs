@@ -174,12 +174,16 @@ fn send_request(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let body = body.unwrap_or("");
-    write!(
-        stream,
+    // One write for the whole request: `write!` on an unbuffered stream
+    // issues a syscall (and on loopback a segment) per formatted piece,
+    // and a peer that answers after its first read would then close on
+    // unread bytes and reset the connection.
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: ukc\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
+    );
+    stream.write_all(request.as_bytes())?;
     stream.flush()
 }
 

@@ -100,6 +100,13 @@ pub trait ContinuousSpace<P>: Send + Sync {
     /// centers.
     fn lower_bound(&self, set: &UncertainSet<P>, k: usize) -> f64;
 
+    /// [`ContinuousSpace::lower_bound`] plus the distance evaluations it
+    /// made outside [`ContinuousSpace::metric`], for
+    /// [`crate::DistanceEvals::lower_bound`]. The default counts none.
+    fn lower_bound_counted(&self, set: &UncertainSet<P>, k: usize) -> (f64, u64) {
+        (self.lower_bound(set, k), 0)
+    }
+
     /// The raw coordinates of a point, when the space is backed by
     /// finite-dimensional real coordinates under the Euclidean metric.
     ///
@@ -111,8 +118,10 @@ pub trait ContinuousSpace<P>: Send + Sync {
     /// [`Metric::dist`] calls. Only override this when
     /// [`ContinuousSpace::metric`] is the Euclidean metric on those
     /// coordinates and the expected-point assignment is
-    /// nearest-center-to-`P̄` — the fast path assumes both. The default
-    /// (`None`) keeps the space on the pointwise path.
+    /// nearest-center-to-`P̄` — the fast path assumes both, and computes
+    /// the certified lower bound as the Euclidean bound on those
+    /// coordinates. The default (`None`) keeps the space on the pointwise
+    /// path.
     fn coords_of<'a>(&self, p: &'a P) -> Option<&'a [f64]> {
         let _ = p;
         None
@@ -161,6 +170,10 @@ impl ContinuousSpace<Point> for EuclideanSpace {
 
     fn lower_bound(&self, set: &UncertainSet<Point>, k: usize) -> f64 {
         crate::bounds::lower_bound_euclidean(set, k)
+    }
+
+    fn lower_bound_counted(&self, set: &UncertainSet<Point>, k: usize) -> (f64, u64) {
+        crate::bounds::lower_bound_euclidean_counted(set, k)
     }
 
     fn coords_of<'a>(&self, p: &'a Point) -> Option<&'a [f64]> {
@@ -468,7 +481,7 @@ fn finish_pipeline<P: Clone>(
     reps: Vec<P>,
     certain: KCenterSolution<P>,
     assignment: Vec<usize>,
-    lower_bound: impl FnOnce() -> f64,
+    lower_bound: impl FnOnce() -> (f64, u64),
     mut report: Report,
     t_assigned: Instant,
 ) -> Solution<P> {
@@ -483,9 +496,10 @@ fn finish_pipeline<P: Clone>(
     if config.computes_lower_bound() {
         let evals_before = counting.count();
         let t_bound = Instant::now();
-        report.lower_bound = Some(lower_bound());
+        let (bound, uncounted) = lower_bound();
+        report.lower_bound = Some(bound);
         report.timings.lower_bound = t_bound.elapsed();
-        report.distance_evals.lower_bound = counting.since(evals_before);
+        report.distance_evals.lower_bound = counting.since(evals_before) + uncounted;
     }
 
     Solution {
@@ -625,7 +639,7 @@ pub(crate) fn solve_continuous<P: Clone>(
         reps,
         certain,
         assignment,
-        || space.lower_bound(set, k),
+        || space.lower_bound_counted(set, k),
         report,
         t,
     );
@@ -863,14 +877,45 @@ fn solve_continuous_store<P: Clone>(
     report.timings.cost = t_cost.elapsed();
     report.distance_evals.cost = counter.since(evals_before_cost);
 
-    // Optional stage 5: the certified lower bound (space-internal
-    // arithmetic, uncounted — as in the pointwise pipeline).
+    // Optional stage 5: the certified Euclidean lower bound. Its certain
+    // half is the plain Gonzalez radius on `P̄` under this solve's kernel:
+    // the certain stage's own radius when that stage was exactly this
+    // sweep, else a rerun through an uncounted oracle, so the bound is a
+    // pure function of (instance, k, kernel) on every path. The count is
+    // the per-point half's own coordinate passes.
     if config.computes_lower_bound() {
-        let evals_before = counter.count();
         let t_bound = Instant::now();
-        report.lower_bound = Some(space.lower_bound(set, k));
+        let plain_gonzalez_on_pbar = rule != AssignmentRule::OneCenter
+            && config.strategy() == CertainStrategy::Gonzalez
+            && !weighted;
+        // The OC representatives are `P̃`, so `P̄` gets its own store.
+        let mut pbar_storage = None;
+        if rule == AssignmentRule::OneCenter {
+            let mut pbar = PointStore::with_capacity(dim, set.n());
+            for up in set.iter() {
+                let p = space.expected_point(up);
+                match space.coords_of(&p).map(|c| pbar.try_push(c)) {
+                    Some(Ok(_)) => {}
+                    _ => return Ok(None),
+                }
+            }
+            let ids = pbar.ids();
+            pbar_storage = Some((pbar, ids));
+        }
+        let (pbar_store, pbar_ids) = match &pbar_storage {
+            Some((pbar, ids)) => (pbar, ids.as_slice()),
+            None => (&store, rep_ids.as_slice()),
+        };
+        let certain_half = if plain_gonzalez_on_pbar {
+            certain.radius / 2.0
+        } else {
+            crate::bounds::certain_half_store(pbar_store, pbar_ids, k, kernel, exec)
+        };
+        let (bound, evals) =
+            crate::bounds::per_point_store(&store, &set_ids, pbar_store, pbar_ids, certain_half);
+        report.lower_bound = Some(bound);
         report.timings.lower_bound = t_bound.elapsed();
-        report.distance_evals.lower_bound = counter.since(evals_before);
+        report.distance_evals.lower_bound = evals;
     }
 
     report.timings.total = t_total.elapsed();
@@ -999,7 +1044,12 @@ pub(crate) fn solve_discrete<P: Clone>(
         reps,
         certain,
         assignment,
-        || crate::bounds::lower_bound_metric(set, k, candidates, &counting),
+        || {
+            (
+                crate::bounds::lower_bound_metric(set, k, candidates, &counting),
+                0,
+            )
+        },
         report,
         t,
     );

@@ -43,7 +43,11 @@ pub struct DistanceEvals {
     pub assignment: u64,
     /// During the exact cost sweep.
     pub cost: u64,
-    /// During lower-bound certification.
+    /// During lower-bound certification. In Euclidean space this is the
+    /// per-point half's own work — `z` per point for its `f(P̄ᵢ)` pass
+    /// plus `z` per refinement iterate (see [`crate::bounds`]); the
+    /// certain half's Gonzalez radius is the certain stage's (or an
+    /// uncounted rerun of that sweep) and is not counted again.
     pub lower_bound: u64,
 }
 
@@ -89,7 +93,8 @@ pub struct Report {
     /// Wall-clock per stage.
     pub timings: StageTimings,
     /// Metric-distance evaluations per stage. Counts calls through the
-    /// problem's metric object; solver-internal coordinate arithmetic
+    /// problem's metric object, plus the Euclidean lower bound's own
+    /// coordinate passes; other solver-internal coordinate arithmetic
     /// (e.g. inside the Euclidean grid solver) is not included.
     pub distance_evals: DistanceEvals,
     /// The certified lower bound on the optimum expected cost, when the

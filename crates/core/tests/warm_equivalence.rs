@@ -7,7 +7,10 @@
 //! counts and kernels, and leave-one-out variants agree exactly with `n`
 //! independent cold solves of the reduced instances.
 
-use ukc_core::{solve_loo, AssignmentRule, Problem, Solution, SolverConfig};
+use ukc_core::{
+    solve_batch_threads, solve_loo, AssignmentMode, AssignmentRule, CertainStrategy, Problem,
+    Solution, SolverConfig,
+};
 use ukc_metric::Kernel;
 use ukc_metric::Point;
 use ukc_uncertain::generators::{clustered, ProbModel};
@@ -218,6 +221,78 @@ fn warm_results_are_bit_identical_across_threads_and_count_stable_across_kernels
     }
     // Kernels change arithmetic, never which pairs are evaluated.
     assert!(eval_counts.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
+fn lower_bound_is_bit_identical_on_every_path_at_d8() {
+    // d = 8 and n > 2048 put Blocked and Tiled on their own arithmetic
+    // (smaller sweeps, and d = 2, fall back to the scalar path), so the
+    // certain half's Gonzalez radius must come from the same kernel sweep
+    // on every path.
+    let full = clustered(71, 2600, 2, 8, 6, 60.0, 0.8, ProbModel::Random);
+    let base = UncertainSet::new(full.points()[..2500].to_vec());
+    let grown = Problem::euclidean(full.clone(), 6).unwrap();
+    for kernel in [Kernel::Tiled, Kernel::Blocked] {
+        let config = |threads: usize| {
+            SolverConfig::builder()
+                .kernel(kernel)
+                .threads(threads)
+                .build()
+                .unwrap()
+        };
+        let cold = grown.solve(&config(1)).unwrap();
+        let lb = cold.report.lower_bound.unwrap();
+        assert!(lb <= cold.ecost);
+        let evals = cold.report.distance_evals.lower_bound;
+        assert!(evals >= full.total_locations() as u64, "{kernel:?}");
+        let prior = Problem::euclidean(base.clone(), 6)
+            .unwrap()
+            .solve(&config(1))
+            .unwrap();
+        for threads in [1usize, 4] {
+            let warm = Solution::warm_start(&grown, &config(threads), &prior).unwrap();
+            assert_eq!(warm_of(&warm).fallback, None, "{kernel:?}");
+            assert_eq!(
+                warm.report.lower_bound.unwrap().to_bits(),
+                lb.to_bits(),
+                "warm vs cold under {kernel:?}, {threads} threads"
+            );
+            assert_eq!(warm.report.distance_evals.lower_bound, evals);
+            let again = grown.solve(&config(threads)).unwrap();
+            assert_eq!(
+                again.report.lower_bound.unwrap().to_bits(),
+                lb.to_bits(),
+                "cold under {kernel:?}, {threads} threads"
+            );
+        }
+        let batch = solve_batch_threads(&[grown.clone(), grown.clone()], &config(1), 2);
+        for solution in batch {
+            assert_eq!(
+                solution.unwrap().report.lower_bound.unwrap().to_bits(),
+                lb.to_bits(),
+                "batch under {kernel:?}"
+            );
+        }
+        // Every rule, strategy and assignment mode reports the same bound
+        // (local search reruns Gonzalez exactly like grid; it is left out
+        // because its n² swap search is slow at this size).
+        let variants = [
+            SolverConfig::builder().rule(AssignmentRule::ExpectedDistance),
+            SolverConfig::builder().rule(AssignmentRule::OneCenter),
+            SolverConfig::builder().strategy(CertainStrategy::Grid),
+            SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted),
+        ];
+        for builder in variants {
+            let config = builder.kernel(kernel).build().unwrap();
+            let solution = grown.solve(&config).unwrap();
+            assert_eq!(
+                solution.report.lower_bound.unwrap().to_bits(),
+                lb.to_bits(),
+                "{} under {kernel:?}",
+                solution.report.method
+            );
+        }
+    }
 }
 
 /// The cold reference for one leave-one-out variant: an independent

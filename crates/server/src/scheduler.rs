@@ -292,15 +292,13 @@ fn dispatch_loop(
                 Err(_) => break,
             }
         }
-        let answered = jobs.len();
-        run_wave(jobs, workers, &metrics);
-        depth.fetch_sub(answered, Ordering::Relaxed);
+        run_wave(jobs, workers, &metrics, &depth);
     }
 }
 
 /// Executes one wave: group by config, dedupe by digest, batch-solve,
 /// fan results back out.
-fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics) {
+fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsize) {
     metrics
         .waves
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -383,6 +381,9 @@ fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics) {
             }
         }
         for (&i, &u) in idxs.iter().zip(&job_to_unique) {
+            // Release the job's queue slot before answering it: a caller
+            // holding its answer must never still count in `depth`.
+            depth.fetch_sub(1, Ordering::Relaxed);
             // A dead reply channel just means the client hung up.
             let _ = jobs[i].reply.send(results[u].clone());
         }
