@@ -1,8 +1,8 @@
 //! Criterion version of the EXPERIMENTS.md scaling studies S1/S2: the
 //! O(z) expected point and the O(nz + nk) pipeline, plus the
-//! `kernel_comparison` group pitting the scalar, blocked, and tiled
-//! distance kernels (the latter also with the opt-in f32 storage
-//! mirror) against each other on two workloads — Gonzalez sweeps and
+//! `kernel_comparison` group pitting the scalar and tiled distance
+//! kernels (the latter also with the opt-in f32 storage mirror) against
+//! each other on two workloads — Gonzalez sweeps and
 //! fused nearest-center assignment — the numbers behind
 //! `BENCH_kernel.json`.
 
@@ -121,10 +121,9 @@ fn assign_store(
 
 /// The kernel variants of the comparison grid: every kernel over f64
 /// storage, plus the tiled kernel over the opt-in f32 mirror.
-fn kernel_variants() -> [(&'static str, Kernel, &'static str); 4] {
+fn kernel_variants() -> [(&'static str, Kernel, &'static str); 3] {
     [
         ("scalar", Kernel::Scalar, "f64"),
-        ("blocked", Kernel::Blocked, "f64"),
         ("tiled", Kernel::Tiled, "f64"),
         ("tiled", Kernel::Tiled, "f32"),
     ]

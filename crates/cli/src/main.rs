@@ -6,7 +6,7 @@
 //! ukc solve    --instance inst.json --k 3 --rule ep --solver gonzalez --out sol.json
 //! ukc solve    --instance inst.json --k=3 --format json        # machine-readable report
 //! ukc solve    --instance inst.json --k 3 --threads 4          # intra-solve pool lanes
-//! ukc solve    --instance inst.json --k 3 --kernel tiled       # distance kernel (scalar|blocked|tiled)
+//! ukc solve    --instance inst.json --k 3 --kernel scalar      # distance kernel (scalar|tiled)
 //! ukc solve    --instance inst.json --k 3 --assignment weighted # additively-weighted (Apollonius) mode
 //! ukc solve    --instance grown.json --k 3 --base prior.json   # warm start from a prior solution
 //! ukc loo      --instance inst.json --k 3                      # batch leave-one-out sweep
@@ -178,8 +178,9 @@ fn solver_config_with_seed_default(
         .strategy(strategy)
         .eps(a.parse_or("eps", 0.25f64)?)
         .seed(a.parse_or("seed", default_seed)?);
-    // --kernel picks the batched distance kernel (scalar|blocked|tiled);
-    // absent keeps the config default (blocked).
+    // --kernel picks the batched distance kernel (scalar|tiled; the
+    // retired "blocked" parses as tiled); absent keeps the config default
+    // (tiled).
     if let Some(kernel) = kernel_flag(a)? {
         builder = builder.kernel(kernel);
     }
@@ -206,7 +207,7 @@ fn solver_config_with_seed_default(
     Ok(builder.build()?)
 }
 
-/// Parses the shared `--kernel scalar|blocked|tiled` flag. Absent means
+/// Parses the shared `--kernel scalar|tiled` flag. Absent means
 /// `None` (the caller keeps its default); an unrecognized name is the
 /// typed [`args::ArgError::BadValue`] usage error.
 fn kernel_flag(a: &Args) -> Result<Option<Kernel>, args::ArgError> {

@@ -241,7 +241,7 @@ impl SolverConfig {
     }
 
     /// The distance kernel evaluating batched sweeps
-    /// ([`Kernel::Blocked`] by default; [`Kernel::Scalar`] reproduces the
+    /// ([`Kernel::Tiled`] by default; [`Kernel::Scalar`] reproduces the
     /// pointwise summation order bit-for-bit).
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -356,16 +356,14 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Picks the distance kernel. [`Kernel::Blocked`] (the default) wins
-    /// at moderate-to-high dimension (see `BENCH_kernel.json`; at `d ≤ 2`
-    /// the two are within a few percent of each other);
-    /// [`Kernel::Tiled`] adds the register-tiled mini-GEMM sweeps, the
-    /// fastest option on large fused assignment/cost workloads (it
-    /// auto-falls back to scalar below the dispatch cutoffs, so it is
-    /// safe to select unconditionally);
+    /// Picks the distance kernel. [`Kernel::Tiled`] (the default) runs the
+    /// register-tiled mini-GEMM sweeps, the fast option at moderate-to-high
+    /// dimension and on large fused assignment/cost workloads (see
+    /// `BENCH_kernel.json`; it falls back to scalar below the dispatch
+    /// cutoffs, so it is safe to select unconditionally);
     /// [`Kernel::Scalar`] preserves the historical per-pair f64 summation
     /// order exactly, which the golden-equivalence suite pins.
-    /// All kernels evaluate — and count — identical distance pairs.
+    /// Both kernels evaluate — and count — identical distance pairs.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.config.kernel = kernel;
         self

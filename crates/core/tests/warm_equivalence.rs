@@ -225,14 +225,13 @@ fn warm_results_are_bit_identical_across_threads_and_count_stable_across_kernels
 
 #[test]
 fn lower_bound_is_bit_identical_on_every_path_at_d8() {
-    // d = 8 and n > 2048 put Blocked and Tiled on their own arithmetic
-    // (smaller sweeps, and d = 2, fall back to the scalar path), so the
-    // certain half's Gonzalez radius must come from the same kernel sweep
-    // on every path.
+    // d = 8 and n > 2048 put Tiled on its own arithmetic (smaller sweeps,
+    // and d = 2, fall back to the scalar path), so the certain half's
+    // Gonzalez radius must come from the same kernel sweep on every path.
     let full = clustered(71, 2600, 2, 8, 6, 60.0, 0.8, ProbModel::Random);
     let base = UncertainSet::new(full.points()[..2500].to_vec());
     let grown = Problem::euclidean(full.clone(), 6).unwrap();
-    for kernel in [Kernel::Tiled, Kernel::Blocked] {
+    for kernel in Kernel::ALL {
         let config = |threads: usize| {
             SolverConfig::builder()
                 .kernel(kernel)

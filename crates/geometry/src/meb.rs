@@ -9,7 +9,7 @@
 //!   a (1+ε)-approximation in `O(n·d/ε²)` that is independent of the
 //!   combinatorial structure and therefore robust for large `d`.
 
-use ukc_metric::batch::{dist_sq_blocked, dist_sq_scalar, dot_blocked};
+use ukc_metric::batch::{dist_sq_scalar, dist_sq_tiled, tile};
 use ukc_metric::{Kernel, Point, PointId, PointStore};
 
 /// A ball `{x : ‖x − center‖ ≤ radius}`.
@@ -196,7 +196,7 @@ pub fn min_enclosing_ball_approx(points: &[Point], eps: f64) -> Option<Ball> {
 }
 
 /// [`min_enclosing_ball_approx`] over an already-built [`PointStore`],
-/// with an explicit distance kernel: every round is one blocked
+/// with an explicit distance kernel: every round is one
 /// farthest-point sweep over the contiguous coordinate buffer instead of
 /// `n` boxed-point distance calls.
 ///
@@ -219,17 +219,17 @@ pub fn min_enclosing_ball_approx_store(
     // kernel (the center itself is not a store member, so its squared
     // norm is refreshed per round).
     let sweep = |center: &[f64]| -> (usize, f64) {
-        let center_norm_sq = dot_blocked(center, center);
+        let center_norm_sq = tile::dot_seq(center, center);
         let mut far = (0usize, f64::NEG_INFINITY);
         for i in 0..store.len() {
             let id = PointId(i);
             let d_sq = match kernel {
                 Kernel::Scalar => dist_sq_scalar(store.coords(id), center),
                 // The moving center is synthesized (not a store row), so
-                // the tiled storage/norm caches don't apply; blocked
-                // arithmetic shares its tolerance contract.
-                Kernel::Blocked | Kernel::Tiled => {
-                    dist_sq_blocked(store.coords(id), store.norm_sq(id), center, center_norm_sq)
+                // its norm is accumulated here, in the canonical per-pair
+                // order the store's norms use.
+                Kernel::Tiled => {
+                    dist_sq_tiled(store.coords(id), store.norm_sq(id), center, center_norm_sq)
                 }
             };
             if d_sq > far.1 {

@@ -132,15 +132,15 @@ pub fn grid_kcenter_exec(
     }
     let keep_radius = r_hat + delta * sqrt_d;
     let near_input = |store: &PointStore, coords: &[f64]| -> bool {
-        let cand_norm_sq = batch::dot_blocked(coords, coords);
+        let cand_norm_sq = batch::tile::dot_seq(coords, coords);
         point_ids.iter().any(|&p| {
             let d_sq = match opts.kernel {
                 Kernel::Scalar => batch::dist_sq_scalar(store.coords(p), coords),
                 // Grid vertices are synthesized coordinates, not store
-                // rows, so the tiled caches don't apply; blocked
-                // arithmetic shares its tolerance contract.
-                Kernel::Blocked | Kernel::Tiled => {
-                    batch::dist_sq_blocked(store.coords(p), store.norm_sq(p), coords, cand_norm_sq)
+                // rows, so their norm is accumulated here, in the
+                // canonical per-pair order the store's norms use.
+                Kernel::Tiled => {
+                    batch::dist_sq_tiled(store.coords(p), store.norm_sq(p), coords, cand_norm_sq)
                 }
             };
             d_sq.sqrt() <= keep_radius

@@ -1,18 +1,13 @@
 //! Batched Euclidean distance kernels over a [`PointStore`].
 //!
-//! Three interchangeable kernels compute every routine:
+//! Two interchangeable kernels compute every routine:
 //!
 //! * [`Kernel::Scalar`] — per-pair difference-and-square with sequential
 //!   summation, the exact arithmetic of [`crate::Point::dist`]. Results
 //!   are bit-identical to the pointwise [`crate::Euclidean`] metric; this
 //!   is the reference path the golden-equivalence suites pin against.
-//! * [`Kernel::Blocked`] — the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` form over
-//!   8-wide unrolled dot products, using the store's cached squared
-//!   norms. Faster (independent accumulators expose instruction-level
-//!   parallelism and vectorize), but the different f64 summation order
-//!   perturbs results by a few ulps; callers needing bit-stability pick
-//!   `Scalar`.
-//! * [`Kernel::Tiled`] — the same norm factorization restructured as a
+//! * [`Kernel::Tiled`], the default — the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`
+//!   factorization over the store's cached squared norms, structured as a
 //!   register-tiled mini-GEMM (see [`tile`]): multi-center sweeps
 //!   ([`dists_to_centers_min`], [`nearest_center_each`]) pack
 //!   [`tile::TILE_CENTERS`] centers into a column-major panel that stays
@@ -20,11 +15,13 @@
 //!   [`tile::TILE_POINTS`] rows per block, with the d-loop as the only
 //!   real loop around a fully unrolled 4×4 block of
 //!   `[f64; TILE_CENTERS]` lane accumulators the autovectorizer keeps in
-//!   vector registers. When the store carries the opt-in f32 mirror
-//!   ([`PointStore::try_enable_f32`]), the tiled kernel streams the
-//!   half-width coordinates and widens each element to f64 before any
-//!   arithmetic, halving memory traffic in bandwidth-bound regimes while
-//!   keeping f64 accumulation tolerances.
+//!   vector registers. The different f64 summation order perturbs results
+//!   by a few ulps against `Scalar`; callers needing bit-stability against
+//!   [`crate::Point::dist`] pick `Scalar`. When the store carries the
+//!   opt-in f32 mirror ([`PointStore::try_enable_f32`]), the tiled kernel
+//!   streams the half-width coordinates and widens each element to f64
+//!   before any arithmetic, halving memory traffic in bandwidth-bound
+//!   regimes while keeping f64 accumulation tolerances.
 //!
 //! Every tiled dot product — single pair, single-center sweep, or panel
 //! block — accumulates in one canonical order (ascending dimension, one
@@ -34,20 +31,32 @@
 //! the stored coordinates: block membership, chunk boundaries, and lane
 //! counts never perturb a result bit.
 //!
-//! The factorized kernels lose to the scalar loop on tiny sweeps (the
+//! Each of the four sweep families — single-center min-update
+//! ([`dists_to_set_min`]), single-query argmin ([`nearest_center`]),
+//! fused multi-center min ([`dists_to_centers_min`]) and fused assignment
+//! ([`nearest_center_each`]) — is one generic body over a per-candidate
+//! update rule: the plain Euclidean distance, or additive center weights
+//! for the additively weighted (Apollonius) distance `d(p, cᵢ) − wᵢ`
+//! behind the `*_weighted` entry points. The body owns kernel dispatch,
+//! the f64/f32 storage choice, panel packing and weight padding, 4-row
+//! blocking, and [`PAR_CHUNK`] parallelism; the rule owns only how one
+//! candidate's distance updates the running result.
+//!
+//! The factorized kernel loses to the scalar loop on tiny sweeps (the
 //! norm lookups and reduction trees cost more than they save), so the
 //! public entry points re-dispatch through [`Kernel::dispatch`]: below a
-//! measured work cutoff `Blocked` and `Tiled` fall back to the scalar
-//! loop. The decision depends only on the sweep size and dimension —
-//! never on thread count or chunking — so it preserves the
-//! execution-layer determinism contract.
+//! measured work cutoff `Tiled` falls back to the scalar loop. The
+//! decision depends only on the sweep size and dimension — never on
+//! thread count or chunking — so it preserves the execution-layer
+//! determinism contract.
 //!
-//! All kernels perform — and [`DistCounter`]-instrumented callers count —
+//! Both kernels perform — and [`DistCounter`]-instrumented callers count —
 //! exactly one distance evaluation per point-pair, so switching kernels
 //! never changes instrumentation.
 
 use crate::store::{PointId, PointStore};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ukc_pool::Exec;
 
@@ -64,13 +73,19 @@ pub const PAR_MIN_POINTS: usize = 4096;
 
 /// Below this dimension the norm factorization never pays: the cached
 /// norm lookups and reduction machinery cost more than the one or two
-/// multiplies they save (BENCH_kernel.json `d = 2` rows lose at every
-/// `n`), so [`Kernel::dispatch`] demotes factorized kernels to scalar.
+/// multiplies they save, so [`Kernel::dispatch`] demotes the factorized
+/// kernel to scalar (the `d = 2` rows of BENCH_kernel.json therefore time
+/// the scalar loop whatever kernel they name).
 pub const FACTORIZED_MIN_DIM: usize = 3;
 
-/// Minimum `pair_evals · dim` (total multiply-add work) before a
-/// factorized kernel beats the scalar loop (measured: blocked loses at
-/// `n = 1k, d = 8` — 8k work — and wins from `n = 1k, d = 32` — 32k).
+/// Minimum `pair_evals · dim` (total multiply-add work) before a sweep
+/// runs factorized. The cutoff comes from measurements of the
+/// norm-factorized form against the scalar loop: it lost at
+/// `n = 1k, d = 8` (8k work) and won from `n = 1k, d = 32` (32k).
+///
+/// Which sweeps run factorized decides their result bits, so this cutoff
+/// and [`FACTORIZED_MIN_DIM`] are part of the determinism contract: they
+/// are not retuned when the factorized kernel gets faster.
 pub const FACTORIZED_MIN_WORK: usize = 16_384;
 
 /// Which distance kernel evaluates batched routines.
@@ -79,40 +94,41 @@ pub enum Kernel {
     /// Per-pair difference-and-square, sequential summation over
     /// dimensions: bit-identical to [`crate::Point::dist`].
     Scalar,
-    /// Norm-factorized form over 8-wide unrolled dot products; fast,
-    /// with last-ulp deviations from the scalar path.
+    /// Norm-factorized register-tiled mini-GEMM over packed center panels
+    /// (see [`tile`]); fast, with last-ulp deviations from the scalar
+    /// path, and the only kernel that reads the store's opt-in f32
+    /// mirror.
     #[default]
-    Blocked,
-    /// Register-tiled mini-GEMM over packed center panels (see [`tile`]);
-    /// the fastest multi-center sweeps, and the only kernel that reads
-    /// the store's opt-in f32 mirror. Same tolerance contract as
-    /// `Blocked`.
     Tiled,
 }
 
 impl Kernel {
     /// Every kernel, in definition order — for CLI/test matrices.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Blocked, Kernel::Tiled];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Tiled];
 
     /// Short name for reports and config keys.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Blocked => "blocked",
             Kernel::Tiled => "tiled",
         }
     }
 
     /// Parses a [`Kernel::name`] back to the kernel (`None` for anything
     /// else) — the single source of truth for CLI and API kernel fields.
+    /// `"blocked"`, the name of a retired kernel, still parses (to
+    /// `Tiled`), so old requests, flags and WAL records keep working.
     pub fn parse(s: &str) -> Option<Kernel> {
+        if s == "blocked" {
+            return Some(Kernel::Tiled);
+        }
         Kernel::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// The kernel a sweep of `pair_evals` point-pairs in dimension `dim`
-    /// should actually run: factorized kernels fall back to the scalar
+    /// should actually run: the factorized kernel falls back to the scalar
     /// loop below [`FACTORIZED_MIN_DIM`] / [`FACTORIZED_MIN_WORK`], where
-    /// BENCH_kernel.json shows them *losing* to it.
+    /// it loses to it.
     ///
     /// The decision is a pure function of the sweep size and dimension —
     /// never of thread count or chunk boundaries — and the batched entry
@@ -163,7 +179,7 @@ fn thread_shard() -> usize {
 ///
 /// The kernels' callers bump it by the number of point-pairs evaluated;
 /// `ukc-core` threads one through every solve so [`Kernel::Scalar`] and
-/// [`Kernel::Blocked`] report identical `distance_evals`. Internally the
+/// [`Kernel::Tiled`] report identical `distance_evals`. Internally the
 /// count is spread over cache-line-padded cells indexed by a per-thread
 /// shard, so the parallel sweeps (and per-pair counting from many pool
 /// lanes at once) never contend on one cache line; [`DistCounter::count`]
@@ -222,53 +238,25 @@ pub fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// One 8-lane block: products summed by the fixed reduction tree.
+/// Squared distance via `‖a‖² + ‖b‖² − 2a·b` with the dot product in the
+/// canonical [`tile::dot_seq`] order, clamped at zero (cancellation can
+/// produce a tiny negative) — the per-pair arithmetic of
+/// [`Kernel::Tiled`]. With norms accumulated in the same order, as
+/// [`PointStore::norm_sq`] is, it is exactly zero for `a == b`.
+#[inline]
+pub fn dist_sq_tiled<A: tile::Coord, B: tile::Coord>(
+    a: &[A],
+    a_norm_sq: f64,
+    b: &[B],
+    b_norm_sq: f64,
+) -> f64 {
+    factored(a_norm_sq, b_norm_sq, tile::dot_seq(a, b))
+}
+
+/// `‖a‖² + ‖b‖² − 2a·b` from a precomputed dot, clamped at zero.
 #[inline(always)]
-fn dot8(xs: &[f64; 8], ys: &[f64; 8]) -> f64 {
-    ((xs[0] * ys[0] + xs[4] * ys[4]) + (xs[1] * ys[1] + xs[5] * ys[5]))
-        + ((xs[2] * ys[2] + xs[6] * ys[6]) + (xs[3] * ys[3] + xs[7] * ys[7]))
-}
-
-/// Dot product with eight independent accumulators (8-wide unroll).
-///
-/// The independent partial sums break the sequential-add dependency
-/// chain, which is what lets the compiler vectorize and the CPU overlap
-/// the multiply-adds.
-#[inline]
-pub fn dot_blocked(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    // The d == 8 case (one exact block) is the kernel-comparison sweet
-    // spot; dispatching to the fixed-size form skips all iterator and
-    // remainder machinery. The summation tree is identical to the general
-    // path's, so both produce the same value for the same input.
-    if let (Ok(xs), Ok(ys)) = (<&[f64; 8]>::try_from(a), <&[f64; 8]>::try_from(b)) {
-        return dot8(xs, ys);
-    }
-    let n = a.len().min(b.len());
-    let mut ca = a[..n].chunks_exact(8);
-    let mut cb = b[..n].chunks_exact(8);
-    let mut acc = [0.0f64; 8];
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        // Fixed-size views let the compiler drop every bounds check and
-        // keep the 8 lanes in vector registers.
-        let xs: &[f64; 8] = xs.try_into().expect("chunks_exact(8)");
-        let ys: &[f64; 8] = ys.try_into().expect("chunks_exact(8)");
-        for lane in 0..8 {
-            acc[lane] += xs[lane] * ys[lane];
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
-}
-
-/// Squared distance via `‖a‖² + ‖b‖² − 2a·b` with precomputed norms,
-/// clamped at zero (cancellation can produce a tiny negative).
-#[inline]
-pub fn dist_sq_blocked(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> f64 {
-    ((a_norm_sq + b_norm_sq) - 2.0 * dot_blocked(a, b)).max(0.0)
+fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
+    ((a_norm_sq + b_norm_sq) - 2.0 * dot).max(0.0)
 }
 
 /// Register-tiled mini-GEMM primitives behind [`Kernel::Tiled`].
@@ -287,8 +275,7 @@ pub fn dist_sq_blocked(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> 
 /// **Determinism contract.** Every per-pair dot product in this module —
 /// [`dot_seq`](tile::dot_seq), each row of
 /// [`dots_x4_one`](tile::dots_x4_one), and each `(row, center)` cell of
-/// [`dots_x4_panel`](tile::dots_x4_panel) /
-/// [`dot_panel`](tile::dot_panel) — performs the identical
+/// [`dots_x4_panel`](tile::dots_x4_panel) — performs the identical
 /// floating-point operation sequence: one f64 accumulator, ascending
 /// dimension, `acc + x·y` per step. [`PointStore`]
 /// caches squared norms accumulated in the same order, so the
@@ -477,28 +464,206 @@ pub mod tile {
         }
         acc
     }
+}
 
-    /// Single-row form of [`dots_x4_panel`] for the block remainder —
-    /// identical per-pair accumulation order.
+/// How a sweep folds one candidate center into its running result — the
+/// only part of a sweep family that differs between the plain Euclidean
+/// distance ([`Plain`]) and the additively weighted one ([`Additive`]).
+/// A candidate arrives with its weight `w` ([`Rule::weight`], or a
+/// padded panel slot's), which [`Plain`] ignores.
+///
+/// Scalar sweeps decide in linear space on [`Rule::shift`]ed distances.
+/// Tiled sweeps stay in squared space as far as the rule allows: a
+/// min-update is [`Rule::seed`], one [`Rule::fold`] per center, then
+/// [`Rule::settle`]; an argmin starts from key `+∞` at index 0, offers
+/// every candidate in ascending index order to [`Rule::improve`], and
+/// maps the winning key back with [`Rule::dist`].
+trait Rule: Copy + Send + Sync {
+    /// The rule over centers `r` of the list (one chunk of a sweep).
+    fn slice(self, r: Range<usize>) -> Self;
+    /// The weights re-laid to `panels`' slots (see [`pad_weights`]).
+    fn pad(self, panels: &tile::CenterPanels) -> Vec<f64>;
+    /// The weight of center `c` of the list.
+    fn weight(self, c: usize) -> f64;
+    /// The value a scalar sweep compares for a center of weight `w` at
+    /// Euclidean distance `d`.
+    fn shift(self, d: f64, w: f64) -> f64;
+    /// A fused-min accumulator for a point whose running minimum is `m`.
+    fn seed(self, m: f64) -> f64;
+    /// Folds a center of weight `w`, at squared distance `nd_sq`, into
+    /// `acc`.
+    fn fold(self, acc: &mut f64, nd_sq: f64, w: f64);
+    /// Writes a folded accumulator back into the running minimum `m`.
+    fn settle(self, acc: f64, m: &mut f64);
+    /// Replaces the argmin key `best` with that of a center of weight
+    /// `w` at squared distance `nd_sq` when it strictly improves on it;
+    /// says whether it did.
+    fn improve(self, best: &mut f64, nd_sq: f64, w: f64) -> bool;
+    /// The distance a winning argmin key stands for.
+    fn dist(self, key: f64) -> f64;
+
+    /// The single-center min-update: `seed`, one `fold`, `settle`.
+    fn tighten(self, m: &mut f64, nd_sq: f64, w: f64) {
+        let mut acc = self.seed(*m);
+        self.fold(&mut acc, nd_sq, w);
+        self.settle(acc, m);
+    }
+}
+
+/// The plain Euclidean distance: squared-space minima and argmins with
+/// one `sqrt` at the end.
+#[derive(Clone, Copy)]
+struct Plain;
+
+impl Rule for Plain {
+    fn slice(self, _: Range<usize>) -> Self {
+        self
+    }
+
+    fn pad(self, panels: &tile::CenterPanels) -> Vec<f64> {
+        pad_weights(&[], panels)
+    }
+
+    fn weight(self, _: usize) -> f64 {
+        0.0
+    }
+
+    fn shift(self, d: f64, _: f64) -> f64 {
+        d
+    }
+
+    fn seed(self, _: f64) -> f64 {
+        f64::INFINITY
+    }
+
+    fn fold(self, acc: &mut f64, nd_sq: f64, _: f64) {
+        if nd_sq < *acc {
+            *acc = nd_sq;
+        }
+    }
+
+    /// Compares in squared space and takes the square root only on an
+    /// actual improvement: in a min-update sweep most pairs do not tighten
+    /// the minimum, so most `sqrt`s are skipped.
+    fn settle(self, acc: f64, m: &mut f64) {
+        if acc < *m * *m {
+            *m = acc.sqrt();
+        }
+    }
+
+    fn tighten(self, m: &mut f64, nd_sq: f64, _: f64) {
+        self.settle(nd_sq, m);
+    }
+
+    fn improve(self, best: &mut f64, nd_sq: f64, _: f64) -> bool {
+        let better = nd_sq < *best;
+        if better {
+            *best = nd_sq;
+        }
+        better
+    }
+
+    fn dist(self, key: f64) -> f64 {
+        key.sqrt()
+    }
+}
+
+/// Additive center weights: center `c` is at `d(p, c) − w[c]`, which
+/// turns nearest-center cells from a Voronoi into an Apollonius diagram.
+/// Running values are weighted distances (negative once a weight exceeds
+/// a distance); the squared-space tests go through the threshold
+/// `t = m + w`:
+///
+/// ```text
+/// d − w < m   ⟺   d < m + w   ⟺   d² < (m + w)²   when  m + w > 0,
+/// ```
+///
+/// and a (non-negative) distance never undercuts a non-positive
+/// threshold, so the min-update guard `t > 0 && nd_sq < t·t` is exact.
+/// The argmin screen is conservative (`<=`) and the decision is the
+/// strict `<` on the weighted distance itself: `(d − w) + w` can round
+/// above `d`, so a strict squared test could re-take an exactly tied
+/// center and break lowest-index tie-breaking. At `w = 0` the threshold
+/// is the running value itself and every comparison and write
+/// degenerates to the [`Plain`] one, which `tests/weighted_equivalence.rs`
+/// pins bit for bit for both kernels and storage modes.
+#[derive(Clone, Copy)]
+struct Additive<'w>(&'w [f64]);
+
+impl<'w> Additive<'w> {
+    /// The rule for `centers` carrying `weights`.
     ///
     /// # Panics
-    /// Panics when `row` is shorter than the panel's dimension.
-    #[inline]
-    pub fn dot_panel<T: Coord>(row: &[T], panel: &[f64]) -> [f64; TILE_CENTERS] {
-        let d = panel.len() / TILE_CENTERS;
-        assert!(row.len() >= d, "row shorter than panel dimension");
-        let mut acc = [0.0f64; TILE_CENTERS];
-        for t in 0..d {
-            let cv: &[f64; TILE_CENTERS] = panel[t * TILE_CENTERS..(t + 1) * TILE_CENTERS]
-                .try_into()
-                .expect("panel stride");
-            let x = row[t].widen();
-            for c in 0..TILE_CENTERS {
-                acc[c] += x * cv[c];
+    /// Panics when `weights` and `centers` differ in length.
+    fn of(centers: &[PointId], weights: &'w [f64]) -> Self {
+        assert_eq!(
+            centers.len(),
+            weights.len(),
+            "one weight per center required"
+        );
+        Additive(weights)
+    }
+}
+
+impl Rule for Additive<'_> {
+    fn slice(self, r: Range<usize>) -> Self {
+        Additive(&self.0[r])
+    }
+
+    fn pad(self, panels: &tile::CenterPanels) -> Vec<f64> {
+        pad_weights(self.0, panels)
+    }
+
+    fn weight(self, c: usize) -> f64 {
+        self.0[c]
+    }
+
+    fn shift(self, d: f64, w: f64) -> f64 {
+        d - w
+    }
+
+    fn seed(self, m: f64) -> f64 {
+        m
+    }
+
+    /// The threshold update: the `sqrt` runs only on an actual
+    /// improvement, exactly like the plain sweep.
+    fn fold(self, acc: &mut f64, nd_sq: f64, w: f64) {
+        let t = *acc + w;
+        if t > 0.0 && nd_sq < t * t {
+            *acc = nd_sq.sqrt() - w;
+        }
+    }
+
+    fn settle(self, acc: f64, m: &mut f64) {
+        *m = acc;
+    }
+
+    /// Conservative squared-space screen, exact linear-space decision.
+    fn improve(self, best: &mut f64, nd_sq: f64, w: f64) -> bool {
+        let t = *best + w;
+        if t > 0.0 && nd_sq <= t * t {
+            let nd = nd_sq.sqrt() - w;
+            if nd < *best {
+                *best = nd;
+                return true;
             }
         }
-        acc
+        false
     }
+
+    fn dist(self, key: f64) -> f64 {
+        key
+    }
+}
+
+/// Weights re-laid to panel slots: pad columns get `0.0`, which is
+/// harmless — their `+∞` norms already make every padded `nd_sq` `+∞`,
+/// and `+∞` never passes a threshold test.
+fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
+    let mut padded = vec![0.0; panels.n_panels() * tile::TILE_CENTERS];
+    padded[..weights.len()].copy_from_slice(weights);
+    padded
 }
 
 /// A typed view of the storage the tiled kernel streams: the f32 mirror
@@ -520,22 +685,41 @@ impl<'a, T: tile::Coord> TiledView<'a, T> {
     fn norm_sq(&self, id: PointId) -> f64 {
         self.norms_sq[id.0]
     }
+
+    #[inline]
+    fn rows(&self, blk: &[PointId]) -> [&'a [T]; tile::TILE_POINTS] {
+        std::array::from_fn(|p| self.row(blk[p]))
+    }
 }
 
 fn tiled_view_f64(store: &PointStore) -> TiledView<'_, f64> {
     TiledView {
         coords: store.raw_coords(),
-        norms_sq: store.raw_norms_sq_seq(),
+        norms_sq: store.raw_norms_sq(),
         dim: store.dim(),
     }
 }
 
-fn tiled_view_f32(store: &PointStore) -> Option<TiledView<'_, f32>> {
-    store.f32_view().map(|(coords, norms_sq)| TiledView {
-        coords,
-        norms_sq,
-        dim: store.dim(),
-    })
+/// Evaluates `$body` with `$v` bound to the store's [`TiledView`]: over
+/// the f32 mirror when the store carries one, else over the f64
+/// coordinates (the body is instantiated for both).
+macro_rules! with_tiled_view {
+    ($store:expr, |$v:ident| $body:expr) => {
+        match $store.f32_view() {
+            Some((coords, norms_sq)) => {
+                let $v = TiledView {
+                    coords,
+                    norms_sq,
+                    dim: $store.dim(),
+                };
+                $body
+            }
+            None => {
+                let $v = tiled_view_f64($store);
+                $body
+            }
+        }
+    };
 }
 
 /// Packs `centers` into [`tile::CenterPanels`], widening coordinates and
@@ -549,6 +733,70 @@ fn pack_panels<T: tile::Coord>(v: &TiledView<'_, T>, centers: &[PointId]) -> til
     )
 }
 
+/// Runs `f(start, rows)` over `out`: in [`PAR_CHUNK`]-row slices on the
+/// pool when `exec` is parallel and the sweep has at least
+/// [`PAR_MIN_POINTS`] rows, else once over the whole slice. Every row's
+/// value depends only on its own pairs, so the split never moves a bit.
+fn for_rows<O: Send>(exec: Exec<'_>, out: &mut [O], f: impl Fn(usize, &mut [O]) + Sync) {
+    if !exec.is_parallel() || out.len() < PAR_MIN_POINTS {
+        f(0, out);
+    } else {
+        ukc_pool::for_each_slice(exec, out, PAR_CHUNK, f);
+    }
+}
+
+/// Streams `points` past every panel, [`tile::TILE_POINTS`] rows per
+/// block: row `i`'s running value starts as `start(&out[i])`, takes
+/// `step(&mut value, nd_sq, w)` for every panel slot in ascending slot
+/// order — `w` is the slot's entry in the padded weights `wpad`, and the
+/// last slot for which `step` says it improved is the row's argmin — and
+/// ends as `end(&mut out[i], value, argmin)`. Padded slots are stepped
+/// too; their `+∞` norms make their `nd_sq` `+∞`. A short last block
+/// repeats its last row to fill the micro-kernel, which gives every pair
+/// the same bits as a full block would; only its real rows are written.
+/// Values and argmins live in per-block `[_; TILE_POINTS]` arrays and
+/// panel weights in a `[f64; TILE_CENTERS]`, which keeps the update loop
+/// free of bounds checks and vectorizable across rows.
+#[allow(clippy::too_many_arguments)]
+fn stream_panels<T: tile::Coord, O>(
+    v: &TiledView<'_, T>,
+    points: &[PointId],
+    panels: &tile::CenterPanels,
+    wpad: &[f64],
+    out: &mut [O],
+    start: impl Fn(&O) -> f64,
+    step: impl Fn(&mut f64, f64, f64) -> bool,
+    end: impl Fn(&mut O, f64, usize),
+) {
+    let outs = out[..points.len()].chunks_mut(tile::TILE_POINTS);
+    for (blk, out) in points.chunks(tile::TILE_POINTS).zip(outs) {
+        let ids: [PointId; tile::TILE_POINTS] = std::array::from_fn(|p| blk[p.min(blk.len() - 1)]);
+        let rows = v.rows(&ids);
+        let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| v.norm_sq(ids[p]));
+        let mut value: [f64; tile::TILE_POINTS] =
+            std::array::from_fn(|p| start(&out[p.min(out.len() - 1)]));
+        let mut argmin = [0usize; tile::TILE_POINTS];
+        for g in 0..panels.n_panels() {
+            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
+            let cn = panels.panel_norms_sq(g);
+            let cw: [f64; tile::TILE_CENTERS] = wpad
+                [g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS]
+                .try_into()
+                .expect("weights padded to whole panels");
+            for p in 0..tile::TILE_POINTS {
+                for c in 0..tile::TILE_CENTERS {
+                    if step(&mut value[p], factored(norms[p], cn[c], dots[p][c]), cw[c]) {
+                        argmin[p] = g * tile::TILE_CENTERS + c;
+                    }
+                }
+            }
+        }
+        for (p, o) in out.iter_mut().enumerate() {
+            end(o, value[p], argmin[p]);
+        }
+    }
+}
+
 /// Distance between two stored points under `kernel`'s arithmetic — the
 /// single-pair form behind [`crate::Metric::dist`] on a
 /// [`crate::StoreOracle`]. The tiled kernel reads the f32 mirror when the
@@ -557,34 +805,16 @@ fn pack_panels<T: tile::Coord>(v: &TiledView<'_, T>, centers: &[PointId]) -> til
 pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> f64 {
     match kernel {
         Kernel::Scalar => dist_sq_scalar(store.coords(a), store.coords(b)).sqrt(),
-        Kernel::Blocked => dist_sq_blocked(
-            store.coords(a),
-            store.norm_sq(a),
-            store.coords(b),
-            store.norm_sq(b),
-        )
-        .sqrt(),
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                pair_dist_tiled(&v, a, b)
-            } else {
-                pair_dist_tiled(&tiled_view_f64(store), a, b)
-            }
-        }
+        Kernel::Tiled => with_tiled_view!(store, |v| {
+            dist_sq_tiled(v.row(a), v.norm_sq(a), v.row(b), v.norm_sq(b)).sqrt()
+        }),
     }
-}
-
-#[inline]
-fn pair_dist_tiled<T: tile::Coord>(v: &TiledView<'_, T>, a: PointId, b: PointId) -> f64 {
-    ((v.norm_sq(a) + v.norm_sq(b)) - 2.0 * tile::dot_seq(v.row(a), v.row(b)))
-        .max(0.0)
-        .sqrt()
 }
 
 /// Fills `out[i] = d(points[i], q)`.
 ///
 /// Re-dispatches through [`Kernel::dispatch`] on the sweep size, so tiny
-/// sweeps run the scalar loop even under a factorized kernel.
+/// sweeps run the scalar loop even under the factorized kernel.
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`.
@@ -595,249 +825,7 @@ pub fn dists_to_one(
     kernel: Kernel,
     out: &mut [f64],
 ) {
-    assert!(out.len() >= points.len(), "output buffer too small");
-    dists_to_one_resolved(
-        store,
-        points,
-        q,
-        kernel.dispatch(points.len(), store.dim()),
-        out,
-    );
-}
-
-/// [`dists_to_one`] after dispatch: `kernel` is run as-is. The parallel
-/// entry resolves once on the full sweep and calls this per chunk, so
-/// chunk sizes can never flip the dispatch decision.
-fn dists_to_one_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-    out: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            for (p, o) in points.iter().zip(out.iter_mut()) {
-                *o = dist_sq_scalar(store.coords(*p), qc).sqrt();
-            }
-        }
-        Kernel::Blocked => {
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            for (p, o) in points.iter().zip(out.iter_mut()) {
-                *o = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), qc, qn).sqrt();
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_one_tiled(&v, points, q, out);
-            } else {
-                dists_to_one_tiled(&tiled_view_f64(store), points, q, out);
-            }
-        }
-    }
-}
-
-fn dists_to_one_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    q: PointId,
-    out: &mut [f64],
-) {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, qr);
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = ((v.norm_sq(blk[p]) + qn) - 2.0 * dots[p]).max(0.0).sqrt();
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let dot = tile::dot_seq(v.row(id), qr);
-        out[i] = ((v.norm_sq(id) + qn) - 2.0 * dot).max(0.0).sqrt();
-        i += 1;
-    }
-}
-
-/// Tightens a running minimum-distance array against a new center:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the exact
-/// inner loop of Gonzalez's farthest-point sweep.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    dists_to_set_min_resolved(
-        store,
-        points,
-        center,
-        kernel.dispatch(points.len(), store.dim()),
-        min_dist,
-    );
-}
-
-/// [`dists_to_set_min`] after dispatch (see [`dists_to_one_resolved`]).
-fn dists_to_set_min_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let cc = store.coords(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd = dist_sq_scalar(store.coords(*p), cc).sqrt();
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        }
-        Kernel::Blocked => {
-            // Compare in squared space and take the square root only on an
-            // actual improvement: in a min-update sweep most pairs do not
-            // tighten the minimum, so most `sqrt`s are skipped. (sqrt is
-            // monotone, so the comparison is equivalent up to rounding —
-            // within the blocked kernel's tolerance contract.)
-            let cc = store.coords(center);
-            let cn = store.norm_sq(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd_sq = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), cc, cn);
-                if nd_sq < *d * *d {
-                    *d = nd_sq.sqrt();
-                }
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_set_min_tiled(&v, points, center, min_dist);
-            } else {
-                dists_to_set_min_tiled(&tiled_view_f64(store), points, center, min_dist);
-            }
-        }
-    }
-}
-
-fn dists_to_set_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    center: PointId,
-    min_dist: &mut [f64],
-) {
-    let cc = v.row(center);
-    let cn = v.norm_sq(center);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, cc);
-        for p in 0..tile::TILE_POINTS {
-            let nd_sq = ((v.norm_sq(blk[p]) + cn) - 2.0 * dots[p]).max(0.0);
-            let d = &mut min_dist[i + p];
-            if nd_sq < *d * *d {
-                *d = nd_sq.sqrt();
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let nd_sq = ((v.norm_sq(id) + cn) - 2.0 * tile::dot_seq(v.row(id), cc)).max(0.0);
-        let d = &mut min_dist[i];
-        if nd_sq < *d * *d {
-            *d = nd_sq.sqrt();
-        }
-        i += 1;
-    }
-}
-
-/// Index (into `centers`) and distance of the center nearest to `q`,
-/// ties broken toward the lower index; `None` for an empty center set.
-pub fn nearest_center(
-    store: &PointStore,
-    centers: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    nearest_center_resolved(
-        store,
-        centers,
-        q,
-        kernel.dispatch(centers.len(), store.dim()),
-    )
-}
-
-/// [`nearest_center`] after dispatch (see [`dists_to_one_resolved`]).
-fn nearest_center_resolved(
-    store: &PointStore,
-    centers: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d = dist_sq_scalar(store.coords(*c), qc).sqrt();
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            best
-        }
-        Kernel::Blocked => {
-            // Squared-space argmin, one sqrt at the end.
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d_sq = dist_sq_blocked(store.coords(*c), store.norm_sq(*c), qc, qn);
-                if best.is_none_or(|(_, bd)| d_sq < bd) {
-                    best = Some((i, d_sq));
-                }
-            }
-            best.map(|(i, d_sq)| (i, d_sq.sqrt()))
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                nearest_center_tiled(&v, centers, q)
-            } else {
-                nearest_center_tiled(&tiled_view_f64(store), centers, q)
-            }
-        }
-    }
-}
-
-/// Squared-space argmin over the centers with the canonical per-pair dot;
-/// bitwise-identical distances (and thus the same argmin) as the fused
-/// [`nearest_center_each`] panel path.
-fn nearest_center_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    centers: &[PointId],
-    q: PointId,
-) -> Option<(usize, f64)> {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in centers.iter().enumerate() {
-        let d_sq = ((v.norm_sq(*c) + qn) - 2.0 * tile::dot_seq(v.row(*c), qr)).max(0.0);
-        if best.is_none_or(|(_, bd)| d_sq < bd) {
-            best = Some((i, d_sq));
-        }
-    }
-    best.map(|(i, d_sq)| (i, d_sq.sqrt()))
+    par_dists_to_one(store, points, q, kernel, Exec::sequential(), out);
 }
 
 /// Parallel [`dists_to_one`]: splits `points` into [`PAR_CHUNK`]-row
@@ -856,16 +844,27 @@ pub fn par_dists_to_one(
     out: &mut [f64],
 ) {
     assert!(out.len() >= points.len(), "output buffer too small");
-    // Resolve dispatch once on the full sweep size: chunks must never
-    // re-dispatch, or the (smaller) final chunk could pick a different
-    // kernel than the sequential whole-array path.
-    let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_one_resolved(store, points, q, kernel, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        dists_to_one_resolved(store, &points[start..start + slice.len()], q, kernel, slice);
-    });
+    // A distance is the min-update of +∞: every pair tightens it (or, at
+    // +∞ itself, leaves the identical bits), so the set-min body fills
+    // `out` with each kernel's exact distances.
+    out[..points.len()].fill(f64::INFINITY);
+    set_min(store, points, q, Plain, kernel, exec, out);
+}
+
+/// Tightens a running minimum-distance array against a new center:
+/// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the exact
+/// inner loop of Gonzalez's farthest-point sweep.
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn dists_to_set_min(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    kernel: Kernel,
+    min_dist: &mut [f64],
+) {
+    par_dists_to_set_min(store, points, center, kernel, Exec::sequential(), min_dist);
 }
 
 /// Parallel min-update sweep ([`dists_to_set_min`]): block-parallel over
@@ -883,25 +882,121 @@ pub fn par_dists_to_set_min(
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
+    set_min(store, points, center, Plain, kernel, exec, min_dist);
+}
+
+/// Tightens a running *weighted* minimum against a new center carrying
+/// additive weight `w`:
+/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
+/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
+/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
+/// may be negative once a weight exceeds a distance).
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn dists_to_set_min_weighted(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: f64,
+    kernel: Kernel,
+    min_dist: &mut [f64],
+) {
+    par_dists_to_set_min_weighted(
+        store,
+        points,
+        center,
+        w,
+        kernel,
+        Exec::sequential(),
+        min_dist,
+    );
+}
+
+/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
+/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
+/// so bit-identical across every [`Exec`].
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn par_dists_to_set_min_weighted(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: f64,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) {
+    let rule = Additive(std::slice::from_ref(&w));
+    set_min(store, points, center, rule, kernel, exec, min_dist);
+}
+
+/// The set-min family: `center` is candidate 0 of `rule`.
+fn set_min<R: Rule>(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    rule: R,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) {
     assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
     let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_set_min_resolved(store, points, center, kernel, min_dist);
+    for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
+        let points = &points[start..start + min_dist.len()];
+        match kernel {
+            Kernel::Scalar => {
+                let (cc, w) = (store.coords(center), rule.weight(0));
+                for (p, m) in points.iter().zip(min_dist) {
+                    let nd = rule.shift(dist_sq_scalar(store.coords(*p), cc).sqrt(), w);
+                    if nd < *m {
+                        *m = nd;
+                    }
+                }
+            }
+            Kernel::Tiled => {
+                with_tiled_view!(store, |v| set_min_tiled(&v, points, center, rule, min_dist))
+            }
+        }
+    });
+}
+
+/// The tiled set-min sweep: point rows stream past the center
+/// [`tile::TILE_POINTS`] at a time, each pair in the canonical per-pair
+/// order.
+fn set_min_tiled<T: tile::Coord, R: Rule>(
+    v: &TiledView<'_, T>,
+    points: &[PointId],
+    center: PointId,
+    rule: R,
+    min_dist: &mut [f64],
+) {
+    let (cr, cn, w) = (v.row(center), v.norm_sq(center), rule.weight(0));
+    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
+    let mut mins = min_dist[..points.len()].chunks_exact_mut(tile::TILE_POINTS);
+    for (blk, mins) in (&mut blocks).zip(&mut mins) {
+        let dots = tile::dots_x4_one(v.rows(blk), cr);
+        for p in 0..tile::TILE_POINTS {
+            rule.tighten(&mut mins[p], factored(v.norm_sq(blk[p]), cn, dots[p]), w);
+        }
     }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_set_min_resolved(
-                store,
-                &points[start..start + slice.len()],
-                center,
-                kernel,
-                slice,
-            );
-        },
-    );
+    for (&id, m) in blocks.remainder().iter().zip(mins.into_remainder()) {
+        rule.tighten(m, dist_sq_tiled(v.row(id), v.norm_sq(id), cr, cn), w);
+    }
+}
+
+/// Index (into `centers`) and distance of the center nearest to `q`,
+/// ties broken toward the lower index; `None` for an empty center set.
+pub fn nearest_center(
+    store: &PointStore,
+    centers: &[PointId],
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
+    let kernel = kernel.dispatch(centers.len(), store.dim());
+    nearest_resolved(store, centers, Plain, q, kernel)
 }
 
 /// Parallel [`nearest_center`] over a large center set: per-chunk argmins
@@ -912,7 +1007,7 @@ pub fn par_dists_to_set_min(
 /// Chunking engages purely by size (`centers.len() >= PAR_MIN_POINTS`),
 /// never by [`Exec`]: a sequential `Exec` folds the *same* chunks in the
 /// same order, so `threads = 1` and `threads = N` agree bit for bit even
-/// in the blocked kernel's rounding corners.
+/// in the factorized kernel's rounding corners.
 pub fn par_nearest_center(
     store: &PointStore,
     centers: &[PointId],
@@ -920,12 +1015,63 @@ pub fn par_nearest_center(
     kernel: Kernel,
     exec: Exec<'_>,
 ) -> Option<(usize, f64)> {
+    nearest(store, centers, Plain, q, kernel, exec)
+}
+
+/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
+/// weighted-nearest center, ties broken toward the lower index; `None`
+/// for an empty center set.
+///
+/// # Panics
+/// Panics when `weights` and `centers` differ in length.
+pub fn nearest_center_weighted(
+    store: &PointStore,
+    centers: &[PointId],
+    weights: &[f64],
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
+    let rule = Additive::of(centers, weights);
+    let kernel = kernel.dispatch(centers.len(), store.dim());
+    nearest_resolved(store, centers, rule, q, kernel)
+}
+
+/// Parallel [`nearest_center_weighted`]: chunked and folded exactly like
+/// [`par_nearest_center`], with the strict `<` on the weighted distance.
+///
+/// # Panics
+/// Panics when `weights` and `centers` differ in length.
+pub fn par_nearest_center_weighted(
+    store: &PointStore,
+    centers: &[PointId],
+    weights: &[f64],
+    q: PointId,
+    kernel: Kernel,
+    exec: Exec<'_>,
+) -> Option<(usize, f64)> {
+    let rule = Additive::of(centers, weights);
+    nearest(store, centers, rule, q, kernel, exec)
+}
+
+/// The nearest family, chunked by size (see [`par_nearest_center`]).
+/// Always inlined, like [`nearest_resolved`]: the scalar assignment sweep
+/// calls it once per query, and over a handful of centers a call costs
+/// as much as the argmin itself.
+#[inline(always)]
+fn nearest<R: Rule>(
+    store: &PointStore,
+    centers: &[PointId],
+    rule: R,
+    q: PointId,
+    kernel: Kernel,
+    exec: Exec<'_>,
+) -> Option<(usize, f64)> {
     let kernel = kernel.dispatch(centers.len(), store.dim());
     if centers.len() < PAR_MIN_POINTS {
-        return nearest_center_resolved(store, centers, q, kernel);
+        return nearest_resolved(store, centers, rule, q, kernel);
     }
     let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
-        nearest_center_resolved(store, &centers[r.clone()], q, kernel)
+        nearest_resolved(store, &centers[r.clone()], rule.slice(r.clone()), q, kernel)
             .map(|(i, d)| (i + r.start, d))
     });
     let mut best: Option<(usize, f64)> = None;
@@ -937,15 +1083,62 @@ pub fn par_nearest_center(
     best
 }
 
+/// One unchunked argmin under an already-dispatched `kernel`.
+#[inline(always)]
+fn nearest_resolved<R: Rule>(
+    store: &PointStore,
+    centers: &[PointId],
+    rule: R,
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
+    match kernel {
+        Kernel::Scalar => {
+            let qc = store.coords(q);
+            let mut best: Option<(usize, f64)> = None;
+            for (i, c) in centers.iter().enumerate() {
+                let d = dist_sq_scalar(store.coords(*c), qc).sqrt();
+                let d = rule.shift(d, rule.weight(i));
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i, d));
+                }
+            }
+            best
+        }
+        Kernel::Tiled => with_tiled_view!(store, |v| nearest_tiled(&v, centers, rule, q)),
+    }
+}
+
+/// The argmin over the centers with the canonical per-pair dot, offered
+/// in ascending index order exactly like the fused
+/// [`nearest_center_each`] panel path, so both pick the same center at
+/// the same bits.
+fn nearest_tiled<T: tile::Coord, R: Rule>(
+    v: &TiledView<'_, T>,
+    centers: &[PointId],
+    rule: R,
+    q: PointId,
+) -> Option<(usize, f64)> {
+    let (qr, qn) = (v.row(q), v.norm_sq(q));
+    let mut best = (0, f64::INFINITY);
+    for (i, c) in centers.iter().enumerate() {
+        let d_sq = dist_sq_tiled(v.row(*c), v.norm_sq(*c), qr, qn);
+        if rule.improve(&mut best.1, d_sq, rule.weight(i)) {
+            best.0 = i;
+        }
+    }
+    (!centers.is_empty()).then(|| (best.0, rule.dist(best.1)))
+}
+
 /// Tightens a running minimum against a whole center set:
 /// `min_dist[i] = min(min_dist[i], min_c d(points[i], centers[c]))` — the
 /// k-center cost sweep, fused across centers.
 ///
-/// For `Scalar`/`Blocked` this is exactly `centers.len()` passes of
-/// [`dists_to_set_min`] (unchanged arithmetic and results). The tiled
-/// kernel instead packs the centers into [`tile::CenterPanels`] once and
-/// streams each point row past all of them in a single pass — the
-/// compute-bound mini-GEMM this kernel exists for.
+/// Below the dispatch cutoff this is exactly `centers.len()` passes of
+/// [`dists_to_set_min`]. The tiled kernel instead packs the centers into
+/// [`tile::CenterPanels`] once and streams each point row past all of
+/// them in a single pass — the compute-bound mini-GEMM this kernel exists
+/// for — taking the squared-space minimum with one `sqrt` at the end.
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`.
@@ -974,587 +1167,7 @@ pub fn par_dists_to_centers_min(
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    // Dispatch on the sweep's total work (n·k pair evaluations). Only the
-    // tiled kernel has a fused path; everything else — including a tiled
-    // request demoted below the cutoff — runs the per-center passes,
-    // which re-dispatch per pass exactly like direct calls.
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_centers_min_tiled(&v, points, centers, exec, min_dist);
-            } else {
-                par_centers_min_tiled(&tiled_view_f64(store), points, centers, exec, min_dist);
-            }
-        }
-        _ => {
-            for c in centers {
-                par_dists_to_set_min(store, points, *c, kernel, exec, min_dist);
-            }
-        }
-    }
-}
-
-fn par_centers_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    let panels = pack_panels(v, centers);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_centers_min_tiled(v, points, &panels, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_centers_min_tiled(v, &points[start..start + slice.len()], &panels, slice);
-        },
-    );
-}
-
-fn dists_to_centers_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    min_dist: &mut [f64],
-) {
-    if panels.is_empty() {
-        return;
-    }
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best = [f64::INFINITY; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    // Padded columns carry +∞ norms, so their nd_sq is +∞
-                    // and the strict `<` can never select them.
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    if nd_sq < best[p] {
-                        best[p] = nd_sq;
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            let d = &mut min_dist[i + p];
-            if best[p] < *d * *d {
-                *d = best[p].sqrt();
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best = f64::INFINITY;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                if nd_sq < best {
-                    best = nd_sq;
-                }
-            }
-        }
-        let d = &mut min_dist[i];
-        if best < *d * *d {
-            *d = best.sqrt();
-        }
-        i += 1;
-    }
-}
-
-/// Fills `out[i]` with the index and distance of the center nearest
-/// `points[i]`, ties toward the lower index — the batched assignment
-/// sweep, fused across centers.
-///
-/// For `Scalar`/`Blocked` this runs one [`nearest_center`] per query (the
-/// arithmetic `nearest_each` always used). The tiled kernel packs the
-/// centers into panels and computes every query's argmin in one streaming
-/// pass — an `n × k` mini-GEMM. Tiled distances here are bit-identical to
-/// the per-query [`nearest_center`] tiled path (same canonical per-pair
-/// order, same ascending-index strict-`<` argmin).
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, or when `centers` is empty
-/// while `points` is not.
-pub fn nearest_center_each(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    kernel: Kernel,
-    out: &mut [(usize, f64)],
-) {
-    par_nearest_center_each(store, points, centers, kernel, Exec::sequential(), out);
-}
-
-/// Parallel [`nearest_center_each`]: chunks the queries; per-query work
-/// never crosses a chunk, so results are bit-identical for every
-/// [`Exec`].
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, or when `centers` is empty
-/// while `points` is not.
-pub fn par_nearest_center_each(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    assert!(out.len() >= points.len(), "output buffer too small");
-    if points.is_empty() {
-        // Trivially done, even with no centers (the trait contract).
-        return;
-    }
-    assert!(
-        !centers.is_empty(),
-        "nearest_center_each requires at least one center"
-    );
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_nearest_each_tiled(&v, points, centers, exec, out);
-            } else {
-                par_nearest_each_tiled(&tiled_view_f64(store), points, centers, exec, out);
-            }
-        }
-        _ => {
-            // One (size-chunked) nearest per query, consistent with
-            // `Metric::nearest`; chunk the queries across lanes.
-            let per_query = |start: usize, slice: &mut [(usize, f64)]| {
-                for (q, o) in points[start..start + slice.len()].iter().zip(slice) {
-                    *o = par_nearest_center(store, centers, *q, kernel, Exec::sequential())
-                        .expect("non-empty centers");
-                }
-            };
-            if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-                per_query(0, &mut out[..points.len()]);
-            } else {
-                ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, per_query);
-            }
-        }
-    }
-}
-
-fn par_nearest_each_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    let panels = pack_panels(v, centers);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return nearest_each_tiled(v, points, &panels, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        nearest_each_tiled(v, &points[start..start + slice.len()], &panels, slice);
-    });
-}
-
-fn nearest_each_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    out: &mut [(usize, f64)],
-) {
-    debug_assert!(!panels.is_empty());
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best_sq = [f64::INFINITY; tile::TILE_POINTS];
-        let mut best_idx = [0usize; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    // Strict `<` over ascending center index: first wins.
-                    if nd_sq < best_sq[p] {
-                        best_sq[p] = nd_sq;
-                        best_idx[p] = g * tile::TILE_CENTERS + c;
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = (best_idx[p], best_sq[p].sqrt());
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best_sq = f64::INFINITY;
-        let mut best_idx = 0usize;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                if nd_sq < best_sq {
-                    best_sq = nd_sq;
-                    best_idx = g * tile::TILE_CENTERS + c;
-                }
-            }
-        }
-        out[i] = (best_idx, best_sq.sqrt());
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Weighted (Apollonius) sweeps: additively-weighted nearest-center geometry.
-//
-// Every routine below is the `d(p, cᵢ) − wᵢ` form of its unweighted
-// sibling: each center carries an additive weight subtracted from the
-// Euclidean distance, which turns nearest-center cells from a Voronoi
-// into an Apollonius diagram. The factorized kernels stay in squared
-// space through the *threshold* comparison
-//
-//   d − w < m   ⟺   d < m + w   ⟺   d² < (m + w)²  when  m + w > 0,
-//
-// and a (non-negative) distance can never undercut a non-positive
-// threshold, so the guard `t > 0.0 && nd_sq < t·t` is exact. At `w = 0`
-// the threshold is the running minimum itself and every comparison and
-// write degenerates to the plain sweep's operation sequence — the
-// weighted path is bit-identical to the unweighted one, which
-// `tests/weighted_equivalence.rs` pins for all three kernels and both
-// storage modes. The same one-accumulator-ascending-dim per-pair dot,
-// +∞-padded panel columns (their `nd_sq` is +∞ and can never pass a
-// strict `<`), lowest-index tie-breaking, and one-eval-per-pair
-// instrumentation contract all carry over unchanged.
-// ---------------------------------------------------------------------------
-
-/// Tightens a running *weighted* minimum against a new center carrying
-/// additive weight `w`:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
-/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
-/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
-/// may be negative once a weight exceeds a distance).
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    dists_to_set_min_weighted_resolved(
-        store,
-        points,
-        center,
-        w,
-        kernel.dispatch(points.len(), store.dim()),
-        min_dist,
-    );
-}
-
-/// [`dists_to_set_min_weighted`] after dispatch (see
-/// [`dists_to_one_resolved`]).
-fn dists_to_set_min_weighted_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let cc = store.coords(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd = dist_sq_scalar(store.coords(*p), cc).sqrt() - w;
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        }
-        Kernel::Blocked => {
-            // Threshold comparison in squared space: the sqrt runs only on
-            // an actual improvement, exactly like the plain sweep.
-            let cc = store.coords(center);
-            let cn = store.norm_sq(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd_sq = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), cc, cn);
-                let t = *d + w;
-                if t > 0.0 && nd_sq < t * t {
-                    *d = nd_sq.sqrt() - w;
-                }
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_set_min_weighted_tiled(&v, points, center, w, min_dist);
-            } else {
-                dists_to_set_min_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    center,
-                    w,
-                    min_dist,
-                );
-            }
-        }
-    }
-}
-
-fn dists_to_set_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    min_dist: &mut [f64],
-) {
-    let cc = v.row(center);
-    let cn = v.norm_sq(center);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, cc);
-        for p in 0..tile::TILE_POINTS {
-            let nd_sq = ((v.norm_sq(blk[p]) + cn) - 2.0 * dots[p]).max(0.0);
-            let d = &mut min_dist[i + p];
-            let t = *d + w;
-            if t > 0.0 && nd_sq < t * t {
-                *d = nd_sq.sqrt() - w;
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let nd_sq = ((v.norm_sq(id) + cn) - 2.0 * tile::dot_seq(v.row(id), cc)).max(0.0);
-        let d = &mut min_dist[i];
-        let t = *d + w;
-        if t > 0.0 && nd_sq < t * t {
-            *d = nd_sq.sqrt() - w;
-        }
-        i += 1;
-    }
-}
-
-/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
-/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
-/// so bit-identical across every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_set_min_weighted_resolved(store, points, center, w, kernel, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_set_min_weighted_resolved(
-                store,
-                &points[start..start + slice.len()],
-                center,
-                w,
-                kernel,
-                slice,
-            );
-        },
-    );
-}
-
-/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
-/// weighted-nearest center, ties broken toward the lower index; `None`
-/// for an empty center set.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    nearest_center_weighted_resolved(
-        store,
-        centers,
-        weights,
-        q,
-        kernel.dispatch(centers.len(), store.dim()),
-    )
-}
-
-/// [`nearest_center_weighted`] after dispatch (see
-/// [`dists_to_one_resolved`]).
-fn nearest_center_weighted_resolved(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d = dist_sq_scalar(store.coords(*c), qc).sqrt() - weights[i];
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            best
-        }
-        Kernel::Blocked => {
-            // The running best is a weighted distance; candidates screen
-            // in squared space through the threshold `best + wᵢ`, paying
-            // a sqrt only past the screen. The screen is conservative
-            // (`<=`): `(d − w) + w` can round *above* `d`, so a strict
-            // squared test could re-take an exactly tied center and break
-            // lowest-index tie-breaking — the exact decision is the
-            // strict `<` on the weighted distance itself.
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d_sq = dist_sq_blocked(store.coords(*c), store.norm_sq(*c), qc, qn);
-                match best {
-                    None => best = Some((i, d_sq.sqrt() - weights[i])),
-                    Some((_, bd)) => {
-                        let t = bd + weights[i];
-                        if t > 0.0 && d_sq <= t * t {
-                            let nd = d_sq.sqrt() - weights[i];
-                            if nd < bd {
-                                best = Some((i, nd));
-                            }
-                        }
-                    }
-                }
-            }
-            best
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                nearest_center_weighted_tiled(&v, centers, weights, q)
-            } else {
-                nearest_center_weighted_tiled(&tiled_view_f64(store), centers, weights, q)
-            }
-        }
-    }
-}
-
-fn nearest_center_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-) -> Option<(usize, f64)> {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in centers.iter().enumerate() {
-        let d_sq = ((v.norm_sq(*c) + qn) - 2.0 * tile::dot_seq(v.row(*c), qr)).max(0.0);
-        match best {
-            None => best = Some((i, d_sq.sqrt() - weights[i])),
-            Some((_, bd)) => {
-                // Conservative squared-space screen, exact linear-space
-                // decision (see the Blocked arm of
-                // `nearest_center_weighted_resolved`).
-                let t = bd + weights[i];
-                if t > 0.0 && d_sq <= t * t {
-                    let nd = d_sq.sqrt() - weights[i];
-                    if nd < bd {
-                        best = Some((i, nd));
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Parallel [`nearest_center_weighted`] over a large center set:
-/// per-chunk winners fold **in chunk-index order** with a strict `<` on
-/// the weighted distance, preserving first-wins tie-breaking. Chunking
-/// engages purely by size, never by [`Exec`], so `threads = 1` and
-/// `threads = N` agree bit for bit.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn par_nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-    exec: Exec<'_>,
-) -> Option<(usize, f64)> {
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    let kernel = kernel.dispatch(centers.len(), store.dim());
-    if centers.len() < PAR_MIN_POINTS {
-        return nearest_center_weighted_resolved(store, centers, weights, q, kernel);
-    }
-    let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
-        nearest_center_weighted_resolved(store, &centers[r.clone()], &weights[r.clone()], q, kernel)
-            .map(|(i, d)| (i + r.start, d))
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for p in partials.into_iter().flatten() {
-        if best.is_none_or(|(_, bd)| p.1 < bd) {
-            best = Some(p);
-        }
-    }
-    best
+    centers_min(store, points, centers, Plain, kernel, exec, min_dist);
 }
 
 /// Weighted [`dists_to_centers_min`]:
@@ -1587,10 +1200,8 @@ pub fn dists_to_centers_min_weighted(
     );
 }
 
-/// Parallel [`dists_to_centers_min_weighted`]: the tiled path packs
-/// panels once and chunks the points; each point's center loop runs
-/// entirely inside one chunk, so results are bit-identical for every
-/// [`Exec`].
+/// Parallel [`dists_to_centers_min_weighted`], chunked like
+/// [`par_dists_to_centers_min`], so bit-identical for every [`Exec`].
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`, or when `weights`
@@ -1604,129 +1215,94 @@ pub fn par_dists_to_centers_min_weighted(
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_centers_min_weighted_tiled(&v, points, centers, weights, exec, min_dist);
-            } else {
-                par_centers_min_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    centers,
-                    weights,
-                    exec,
-                    min_dist,
-                );
-            }
-        }
-        kernel => {
-            for (c, w) in centers.iter().zip(weights) {
-                par_dists_to_set_min_weighted(store, points, *c, *w, kernel, exec, min_dist);
-            }
-        }
-    }
+    let rule = Additive::of(centers, weights);
+    centers_min(store, points, centers, rule, kernel, exec, min_dist);
 }
 
-/// Weights re-laid to panel slots: pad columns get `0.0`, which is
-/// harmless — their `+∞` norms already make every padded `nd_sq` `+∞`,
-/// and `+∞` never passes a strict `<` threshold test.
-fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
-    let mut padded = vec![0.0; panels.n_panels() * tile::TILE_CENTERS];
-    padded[..weights.len()].copy_from_slice(weights);
-    padded
-}
-
-fn par_centers_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
+/// The centers-min family.
+fn centers_min<R: Rule>(
+    store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
-    weights: &[f64],
+    rule: R,
+    kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    let panels = pack_panels(v, centers);
-    let wpad = pad_weights(weights, &panels);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_centers_min_weighted_tiled(v, points, &panels, &wpad, min_dist);
+    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
+    // Dispatch on the sweep's total work (n·k pair evaluations). Below
+    // the cutoff, the per-center passes re-dispatch per pass exactly like
+    // direct calls.
+    let work = points.len().saturating_mul(centers.len());
+    match kernel.dispatch(work, store.dim()) {
+        Kernel::Scalar => {
+            for (c, &center) in centers.iter().enumerate() {
+                let rule = rule.slice(c..c + 1);
+                set_min(store, points, center, rule, kernel, exec, min_dist);
+            }
+        }
+        Kernel::Tiled => with_tiled_view!(store, |v| {
+            let panels = pack_panels(&v, centers);
+            let wpad = rule.pad(&panels);
+            for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
+                stream_panels(
+                    &v,
+                    &points[start..start + min_dist.len()],
+                    &panels,
+                    &wpad,
+                    min_dist,
+                    |m| rule.seed(*m),
+                    |acc, nd_sq, w| {
+                        rule.fold(acc, nd_sq, w);
+                        false
+                    },
+                    |m, acc, _| rule.settle(acc, m),
+                );
+            });
+        }),
     }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_centers_min_weighted_tiled(
-                v,
-                &points[start..start + slice.len()],
-                &panels,
-                &wpad,
-                slice,
-            );
-        },
-    );
 }
 
-fn dists_to_centers_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
+/// Fills `out[i]` with the index and distance of the center nearest
+/// `points[i]`, ties toward the lower index — the batched assignment
+/// sweep, fused across centers.
+///
+/// Below the dispatch cutoff this runs one [`par_nearest_center`] per
+/// query (the arithmetic `nearest_each` always used). The tiled kernel
+/// packs the centers into panels and computes every query's argmin in
+/// one streaming pass — an `n × k` mini-GEMM. Tiled distances here are
+/// bit-identical to the per-query [`nearest_center`] tiled path (same
+/// canonical per-pair order, same ascending-index strict-`<` argmin).
+///
+/// # Panics
+/// Panics when `out` is shorter than `points`, or when `centers` is empty
+/// while `points` is not.
+pub fn nearest_center_each(
+    store: &PointStore,
     points: &[PointId],
-    panels: &tile::CenterPanels,
-    wpad: &[f64],
-    min_dist: &mut [f64],
+    centers: &[PointId],
+    kernel: Kernel,
+    out: &mut [(usize, f64)],
 ) {
-    if panels.is_empty() {
-        return;
-    }
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for p in 0..tile::TILE_POINTS {
-                let d = &mut min_dist[i + p];
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    let t = *d + cw[c];
-                    if t > 0.0 && nd_sq < t * t {
-                        *d = nd_sq.sqrt() - cw[c];
-                    }
-                }
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let d = &mut min_dist[i];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                let t = *d + cw[c];
-                if t > 0.0 && nd_sq < t * t {
-                    *d = nd_sq.sqrt() - cw[c];
-                }
-            }
-        }
-        i += 1;
-    }
+    par_nearest_center_each(store, points, centers, kernel, Exec::sequential(), out);
+}
+
+/// Parallel [`nearest_center_each`]: chunks the queries; per-query work
+/// never crosses a chunk, so results are bit-identical for every
+/// [`Exec`].
+///
+/// # Panics
+/// Panics when `out` is shorter than `points`, or when `centers` is empty
+/// while `points` is not.
+pub fn par_nearest_center_each(
+    store: &PointStore,
+    points: &[PointId],
+    centers: &[PointId],
+    kernel: Kernel,
+    exec: Exec<'_>,
+    out: &mut [(usize, f64)],
+) {
+    nearest_each(store, points, centers, Plain, kernel, exec, out);
 }
 
 /// Weighted [`nearest_center_each`]: fills `out[i]` with the index and
@@ -1756,9 +1332,8 @@ pub fn nearest_center_each_weighted(
     );
 }
 
-/// Parallel [`nearest_center_each_weighted`]: chunks the queries;
-/// per-query work never crosses a chunk, so results are bit-identical
-/// for every [`Exec`].
+/// Parallel [`nearest_center_each_weighted`]: chunks the queries like
+/// [`par_nearest_center_each`], so bit-identical for every [`Exec`].
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`, when `weights` and
@@ -1773,156 +1348,73 @@ pub fn par_nearest_center_each_weighted(
     exec: Exec<'_>,
     out: &mut [(usize, f64)],
 ) {
+    let rule = Additive::of(centers, weights);
+    nearest_each(store, points, centers, rule, kernel, exec, out);
+}
+
+/// The nearest-each family.
+fn nearest_each<R: Rule>(
+    store: &PointStore,
+    points: &[PointId],
+    centers: &[PointId],
+    rule: R,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    out: &mut [(usize, f64)],
+) {
     assert!(out.len() >= points.len(), "output buffer too small");
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
     if points.is_empty() {
+        // Trivially done, even with no centers (the trait contract).
         return;
     }
     assert!(
         !centers.is_empty(),
-        "nearest_center_each_weighted requires at least one center"
+        "nearest_center_each requires at least one center"
     );
+    let out = &mut out[..points.len()];
     let work = points.len().saturating_mul(centers.len());
     match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_nearest_each_weighted_tiled(&v, points, centers, weights, exec, out);
-            } else {
-                par_nearest_each_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    centers,
-                    weights,
-                    exec,
-                    out,
-                );
-            }
-        }
-        kernel => {
-            let per_query = |start: usize, slice: &mut [(usize, f64)]| {
-                for (q, o) in points[start..start + slice.len()].iter().zip(slice) {
-                    *o = par_nearest_center_weighted(
-                        store,
-                        centers,
-                        weights,
-                        *q,
-                        kernel,
-                        Exec::sequential(),
-                    )
+        // One (size-chunked) nearest per query, consistent with
+        // `Metric::nearest`; chunk the queries across lanes.
+        Kernel::Scalar => for_rows(exec, out, |start, out| {
+            for (q, o) in points[start..start + out.len()].iter().zip(out) {
+                *o = nearest(store, centers, rule, *q, kernel, Exec::sequential())
                     .expect("non-empty centers");
-                }
-            };
-            if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-                per_query(0, &mut out[..points.len()]);
-            } else {
-                ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, per_query);
             }
-        }
+        }),
+        Kernel::Tiled => with_tiled_view!(store, |v| {
+            let panels = pack_panels(&v, centers);
+            let wpad = rule.pad(&panels);
+            for_rows(exec, out, |start, out| {
+                let points = &points[start..start + out.len()];
+                nearest_each_tiled(&v, points, &panels, rule, &wpad, out);
+            });
+        }),
     }
 }
 
-fn par_nearest_each_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    let panels = pack_panels(v, centers);
-    let wpad = pad_weights(weights, &panels);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return nearest_each_weighted_tiled(v, points, &panels, &wpad, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        nearest_each_weighted_tiled(
-            v,
-            &points[start..start + slice.len()],
-            &panels,
-            &wpad,
-            slice,
-        );
-    });
-}
-
-fn nearest_each_weighted_tiled<T: tile::Coord>(
+/// The fused tiled argmin over panel slots weighted by `wpad`: strict
+/// improvement over ascending slot index, so the first of equally near
+/// centers wins, across panels too.
+fn nearest_each_tiled<T: tile::Coord, R: Rule>(
     v: &TiledView<'_, T>,
     points: &[PointId],
     panels: &tile::CenterPanels,
+    rule: R,
     wpad: &[f64],
     out: &mut [(usize, f64)],
 ) {
     debug_assert!(!panels.is_empty());
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best = [f64::INFINITY; tile::TILE_POINTS];
-        let mut best_idx = [0usize; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    // Conservative squared-space screen over ascending
-                    // center index, exact strict `<` on the weighted
-                    // distance itself: `(d − w) + w` can round above
-                    // `d`, so a purely squared test could re-take an
-                    // exactly tied center and break lowest-index
-                    // tie-breaking. Padded (+∞) columns never pass the
-                    // linear test.
-                    let t = best[p] + cw[c];
-                    if t > 0.0 && nd_sq <= t * t {
-                        let nd = nd_sq.sqrt() - cw[c];
-                        if nd < best[p] {
-                            best[p] = nd;
-                            best_idx[p] = g * tile::TILE_CENTERS + c;
-                        }
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = (best_idx[p], best[p]);
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best = f64::INFINITY;
-        let mut best_idx = 0usize;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                let t = best + cw[c];
-                if t > 0.0 && nd_sq <= t * t {
-                    let nd = nd_sq.sqrt() - cw[c];
-                    if nd < best {
-                        best = nd;
-                        best_idx = g * tile::TILE_CENTERS + c;
-                    }
-                }
-            }
-        }
-        out[i] = (best_idx, best);
-        i += 1;
-    }
+    stream_panels(
+        v,
+        points,
+        panels,
+        wpad,
+        out,
+        |_| f64::INFINITY,
+        |best, nd_sq, w| rule.improve(best, nd_sq, w),
+        |o, key, i| *o = (i, rule.dist(key)),
+    );
 }
 
 #[cfg(test)]
@@ -1945,26 +1437,15 @@ mod tests {
     }
 
     #[test]
-    fn dot_blocked_matches_sequential() {
-        for d in [1usize, 7, 8, 9, 24, 31] {
-            let s = store(d as u64, 2, d);
-            let a = s.coords(PointId(0));
-            let b = s.coords(PointId(1));
-            let sequential: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-            assert!((dot_blocked(a, b) - sequential).abs() < 1e-9 * (1.0 + sequential.abs()));
-        }
-    }
-
-    #[test]
     fn kernels_agree_on_batched_routines() {
         let s = store(11, 20, 9);
         let ids = s.ids();
         for q in [PointId(0), PointId(7), PointId(19)] {
             let mut scalar = vec![0.0; ids.len()];
-            let mut blocked = vec![0.0; ids.len()];
+            let mut tiled = vec![0.0; ids.len()];
             dists_to_one(&s, &ids, q, Kernel::Scalar, &mut scalar);
-            dists_to_one(&s, &ids, q, Kernel::Blocked, &mut blocked);
-            for (a, b) in scalar.iter().zip(blocked.iter()) {
+            dists_to_one(&s, &ids, q, Kernel::Tiled, &mut tiled);
+            for (a, b) in scalar.iter().zip(tiled.iter()) {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a));
             }
         }
@@ -1994,7 +1475,7 @@ mod tests {
         ];
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
-        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Blocked).unwrap();
+        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Tiled).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(d, 1.0);
         assert!(nearest_center(&s, &[], PointId(2), Kernel::Scalar).is_none());
@@ -2054,7 +1535,7 @@ mod tests {
 
     #[test]
     fn par_nearest_center_is_lane_count_independent() {
-        // d = 5 keeps the factorized kernels above the dispatch cutoff.
+        // d = 5 keeps the factorized kernel above the dispatch cutoff.
         let s = store(4, PAR_MIN_POINTS + 123, 5);
         let centers = s.ids();
         let pool = ukc_pool::Pool::new(4);
@@ -2082,10 +1563,8 @@ mod tests {
         // Scalar always passes through.
         assert_eq!(Kernel::Scalar.dispatch(1_000_000, 32), Kernel::Scalar);
         // Below the measured work cutoff (n=1k, d=8 loses): scalar.
-        assert_eq!(Kernel::Blocked.dispatch(1_000, 8), Kernel::Scalar);
         assert_eq!(Kernel::Tiled.dispatch(1_000, 8), Kernel::Scalar);
         // From the cutoff upward the requested kernel runs (n=1k, d=32).
-        assert_eq!(Kernel::Blocked.dispatch(1_000, 32), Kernel::Blocked);
         assert_eq!(Kernel::Tiled.dispatch(1_000, 32), Kernel::Tiled);
         // The boundary is inclusive: work == FACTORIZED_MIN_WORK engages.
         let evals = FACTORIZED_MIN_WORK / 4;
@@ -2098,6 +1577,9 @@ mod tests {
         for k in Kernel::ALL {
             assert_eq!(Kernel::parse(k.name()), Some(k));
         }
+        // The retired kernel's name stays a parse alias, never a name.
+        assert_eq!(Kernel::parse("blocked"), Some(Kernel::Tiled));
+        assert!(Kernel::ALL.iter().all(|k| k.name() != "blocked"));
         assert_eq!(Kernel::parse("simd"), None);
         assert_eq!(Kernel::parse(""), None);
     }
@@ -2158,10 +1640,10 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             // Reference: min over centers of the canonical tiled squared
             // distance, one sqrt at the end — the documented semantics.
-            let n = s.norm_sq_seq(*id);
+            let n = s.norm_sq(*id);
             let mut best = f64::INFINITY;
             for c in &centers {
-                let nd_sq = ((n + s.norm_sq_seq(*c))
+                let nd_sq = ((n + s.norm_sq(*c))
                     - 2.0 * tile::dot_seq(s.coords(*id), s.coords(*c)))
                 .max(0.0);
                 if nd_sq < best {
@@ -2203,7 +1685,7 @@ mod tests {
             // The per-query tiled path (bypassing dispatch: 7 centers is
             // far below the cutoff) must agree bit for bit — same
             // canonical per-pair order, same ascending strict-< argmin.
-            let (bi, bd) = nearest_center_resolved(&s, &centers, *id, Kernel::Tiled).unwrap();
+            let (bi, bd) = nearest_resolved(&s, &centers, Plain, *id, Kernel::Tiled).unwrap();
             assert_eq!(fused[i].0, bi, "point {i}");
             assert_eq!(fused[i].1.to_bits(), bd.to_bits(), "point {i}");
         }
@@ -2230,7 +1712,8 @@ mod tests {
         // dispatch cutoff on purpose (ties are a small-case hazard too).
         let v = tiled_view_f64(&s);
         let panels = pack_panels(&v, &centers);
-        nearest_each_tiled(&v, &queries, &panels, &mut out);
+        let wpad = pad_weights(&[], &panels);
+        nearest_each_tiled(&v, &queries, &panels, Plain, &wpad, &mut out);
         for (i, (idx, d)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} must tie-break to the lowest index");
             assert!(d.is_finite());
@@ -2246,7 +1729,7 @@ mod tests {
         assert_eq!(panels.len(), 5);
         assert_eq!(panels.n_panels(), 2);
         let tail = panels.panel_norms_sq(1);
-        assert_eq!(tail[0], s.norm_sq_seq(PointId(4)));
+        assert_eq!(tail[0], s.norm_sq(PointId(4)));
         assert!(tail[1..].iter().all(|n| n.is_infinite()));
         // Column-major layout: coordinate t of panel-local center j.
         for (c, id) in centers.iter().enumerate() {
@@ -2421,7 +1904,7 @@ mod tests {
         let wpad = pad_weights(&weights, &panels);
         assert_eq!(wpad.len(), 8);
         assert!(wpad[5..].iter().all(|w| *w == 0.0));
-        nearest_each_weighted_tiled(&v, &ids, &panels, &wpad, &mut each);
+        nearest_each_tiled(&v, &ids, &panels, Additive(&weights), &wpad, &mut each);
         for (i, (idx, d)) in each.iter().enumerate() {
             assert!(*idx < 5, "point {i} picked a pad column");
             assert!(d.is_finite() && *d < 0.0, "point {i}");

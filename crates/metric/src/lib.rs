@@ -100,7 +100,7 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
 /// [`Metric::dist`], in the exact order the scalar loops always used, so
 /// finite, graph, and tree metrics (and any custom [`Metric`]) participate
 /// unchanged by adding an empty `impl DistanceOracle<…> for …` block. The
-/// [`StoreOracle`] over a [`PointStore`] overrides them with the blocked
+/// [`StoreOracle`] over a [`PointStore`] overrides them with the batched
 /// kernels of [`batch`], which is where the structure-of-arrays layout and
 /// the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization pay off.
 ///
@@ -123,18 +123,13 @@ pub trait DistanceOracle<P>: Metric<P> {
 
     /// Tightens a running minimum-distance array against a new center:
     /// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the
-    /// Gonzalez inner loop.
+    /// Gonzalez inner loop. The default is the weighted sweep at weight 0
+    /// (`d − 0` is `d`, bit for bit).
     ///
     /// # Panics
     /// Panics when `min_dist` is shorter than `points`.
     fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
-        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-            let nd = self.dist(p, center);
-            if nd < *d {
-                *d = nd;
-            }
-        }
+        self.dists_to_set_min_weighted(points, center, 0.0, min_dist);
     }
 
     /// Tightens a running minimum-distance array against a whole center

@@ -6,7 +6,7 @@
 //! pointer-chases: each distance dereferences two heap allocations. A
 //! [`PointStore`] instead keeps *all* coordinates in one contiguous
 //! `Vec<f64>` (point `i` occupies `[i·d, (i+1)·d)`) and caches each
-//! point's squared norm, so the blocked kernels of [`crate::batch`] can
+//! point's squared norm, so the tiled kernel of [`crate::batch`] can
 //! stream coordinates and use the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`
 //! factorization.
 //!
@@ -72,24 +72,16 @@ impl F32Mirror {
             }
             self.coords.push(r);
         }
-        self.norms_sq.push(norm_sq_seq_of(&self.coords[start..]));
+        let row = &self.coords[start..];
+        self.norms_sq.push(batch::tile::dot_seq(row, row));
         Ok(())
     }
 }
 
-/// Squared norm accumulated in the canonical tiled order (ascending
-/// dimension, one f64 accumulator) — exactly
-/// [`batch::tile::dot_seq`]`(row, row)`, so the tiled `‖a‖²+‖b‖²−2a·b`
-/// cancels to zero for duplicate rows.
-fn norm_sq_seq_of<T: batch::tile::Coord>(row: &[T]) -> f64 {
-    batch::tile::dot_seq(row, row)
-}
-
 /// Contiguous structure-of-arrays storage for fixed-dimension Euclidean
-/// points: one flat coordinate buffer plus cached squared norms — one
-/// norm per kernel accumulation order (blocked 8-wide tree for
-/// [`Kernel::Blocked`], sequential for [`Kernel::Tiled`]), each matching
-/// its kernel's dot products so `‖a‖² + ‖b‖² − 2a·b` cancels exactly for
+/// points: one flat coordinate buffer plus cached squared norms,
+/// accumulated in the canonical tiled order ([`batch::tile::dot_seq`]) so
+/// [`Kernel::Tiled`]'s `‖a‖² + ‖b‖² − 2a·b` cancels exactly for
 /// `a == b`. [`PointStore::try_enable_f32`] additionally maintains a
 /// rounded f32 coordinate mirror for the tiled kernel's bandwidth-bound
 /// regimes.
@@ -98,7 +90,6 @@ pub struct PointStore {
     dim: usize,
     coords: Vec<f64>,
     norms_sq: Vec<f64>,
-    norms_sq_seq: Vec<f64>,
     f32_mirror: Option<F32Mirror>,
 }
 
@@ -113,7 +104,6 @@ impl PointStore {
             dim,
             coords: Vec::new(),
             norms_sq: Vec::new(),
-            norms_sq_seq: Vec::new(),
             f32_mirror: None,
         }
     }
@@ -169,12 +159,9 @@ impl PointStore {
         }
         let id = PointId(self.norms_sq.len());
         self.coords.extend_from_slice(coords);
-        // Each cached norm uses the same summation order as its kernel's
-        // dot products, so `‖a‖² + ‖b‖² − 2a·b` cancels exactly for a == b:
-        // the blocked tree for `Kernel::Blocked`, sequential for the
-        // canonical tiled order.
-        self.norms_sq.push(batch::dot_blocked(coords, coords));
-        self.norms_sq_seq.push(norm_sq_seq_of(coords));
+        // The cached norm uses the same summation order as the tiled dot
+        // products, so `‖a‖² + ‖b‖² − 2a·b` cancels exactly for a == b.
+        self.norms_sq.push(batch::tile::dot_seq(coords, coords));
         Ok(id)
     }
 
@@ -277,7 +264,9 @@ impl PointStore {
         &self.coords[id.0 * self.dim..(id.0 + 1) * self.dim]
     }
 
-    /// The cached squared norm `‖p‖²` of point `id`.
+    /// The cached squared norm `‖p‖²` of point `id`, accumulated in the
+    /// canonical tiled order (ascending dimension, one f64 accumulator) —
+    /// the norm cache [`Kernel::Tiled`] factorizes against.
     #[inline]
     pub fn norm_sq(&self, id: PointId) -> f64 {
         self.norms_sq[id.0]
@@ -293,20 +282,6 @@ impl PointStore {
     #[inline]
     pub fn raw_norms_sq(&self) -> &[f64] {
         &self.norms_sq
-    }
-
-    /// The squared norm of point `id` accumulated in the canonical tiled
-    /// order (ascending dimension, one f64 accumulator) — the norm cache
-    /// [`Kernel::Tiled`] factorizes against.
-    #[inline]
-    pub fn norm_sq_seq(&self, id: PointId) -> f64 {
-        self.norms_sq_seq[id.0]
-    }
-
-    /// All sequential-order squared norms, indexed by point.
-    #[inline]
-    pub fn raw_norms_sq_seq(&self) -> &[f64] {
-        &self.norms_sq_seq
     }
 
     /// Materializes point `id` as an owned [`Point`].
@@ -339,7 +314,6 @@ impl PointStore {
     pub fn truncate(&mut self, n: usize) {
         self.coords.truncate(n * self.dim);
         self.norms_sq.truncate(n);
-        self.norms_sq_seq.truncate(n);
         if let Some(m) = &mut self.f32_mirror {
             m.coords.truncate(n * self.dim);
             m.norms_sq.truncate(n);
@@ -353,7 +327,7 @@ impl PointStore {
 ///
 /// The oracle optionally shares a [`DistCounter`]; every evaluated
 /// point-pair bumps it by exactly one, whether computed by the scalar or
-/// the blocked kernel, so instrumentation counts are kernel-independent.
+/// the tiled kernel, so instrumentation counts are kernel-independent.
 ///
 /// [`StoreOracle::with_exec`] attaches an execution context: batched
 /// sweeps over at least [`batch::PAR_MIN_POINTS`] rows then run block-parallel
@@ -604,11 +578,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_oracle_matches_within_tolerance() {
+    fn tiled_oracle_matches_within_tolerance() {
         for d in [1usize, 2, 3, 7, 8, 9, 16, 33] {
             let pts = cloud(d as u64 + 1, 9, d);
             let store = PointStore::from_points(&pts);
-            let oracle = StoreOracle::new(&store, Kernel::Blocked);
+            let oracle = StoreOracle::new(&store, Kernel::Tiled);
             for i in 0..pts.len() {
                 for j in 0..pts.len() {
                     let reference = Euclidean.dist(&pts[i], &pts[j]);
@@ -623,10 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_distance_of_point_to_itself_is_exactly_zero() {
+    fn tiled_distance_of_point_to_itself_is_exactly_zero() {
         let pts = cloud(9, 5, 13);
         let store = PointStore::from_points(&pts);
-        let oracle = StoreOracle::new(&store, Kernel::Blocked);
+        let oracle = StoreOracle::new(&store, Kernel::Tiled);
         for i in 0..pts.len() {
             assert_eq!(oracle.dist(&PointId(i), &PointId(i)), 0.0);
         }
@@ -636,7 +610,7 @@ mod tests {
     fn nearest_each_accepts_empty_queries_like_the_default() {
         let pts = cloud(2, 4, 2);
         let store = PointStore::from_points(&pts);
-        let oracle = StoreOracle::new(&store, Kernel::Blocked);
+        let oracle = StoreOracle::new(&store, Kernel::Tiled);
         // Empty queries are trivially done, even with no centers — the
         // documented trait contract.
         oracle.nearest_each(&[], &[], &mut []);

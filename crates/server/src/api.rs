@@ -13,8 +13,9 @@
 //!   "eps": 0.25,             // grid only
 //!   "seed": 0,
 //!   "lower_bound": true,     // certify a lower bound in the report
-//!   "kernel": "tiled",       // scalar | blocked | tiled  (default: the
-//!                            // server's --kernel, "blocked" out of the box)
+//!   "kernel": "tiled",       // scalar | tiled  (default: the server's
+//!                            // --kernel, "tiled" out of the box; the
+//!                            // retired "blocked" is accepted as "tiled")
 //!   "assignment": "plain",   // plain | weighted (additively-weighted
 //!                            // Apollonius assignment; default "plain")
 //!   "cache": true            // false bypasses the solution cache
@@ -193,7 +194,7 @@ fn parse_solve_fields(doc: &Json, allowed: &[&str]) -> Result<SolveRequest, ApiE
                 ApiError::bad_request(
                     "bad_schema",
                     format!(
-                        "\"kernel\" must be \"scalar\", \"blocked\", or \"tiled\", got {}",
+                        "\"kernel\" must be \"scalar\" or \"tiled\", got {}",
                         raw.compact()
                     ),
                 )
@@ -383,6 +384,22 @@ mod tests {
             assert_eq!(e.status, 400, "{body}");
             assert!(e.message.contains(needle), "{body} -> {}", e.message);
         }
+    }
+
+    #[test]
+    fn stream_create_resolves_the_retired_blocked_kernel_to_tiled() {
+        // WAL-recovered stream create records may still carry "blocked".
+        let doc = Json::parse(r#"{"k": 3, "budget": 10, "kernel": "blocked"}"#).unwrap();
+        let (request, budget) = parse_stream_create(&doc).unwrap();
+        assert_eq!(request.config.kernel(), Kernel::Tiled);
+        assert!(request.explicit_kernel);
+        assert_eq!(budget, Some(10));
+        let e = parse(r#"{"k": 3, "kernel": "simd"}"#).unwrap_err();
+        assert!(
+            e.message.contains(r#""scalar" or "tiled""#),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

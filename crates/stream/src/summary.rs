@@ -468,7 +468,7 @@ impl StreamSummary {
     /// seen, threshold, and every kept `(center, weight)` in order.
     ///
     /// Bit-identical across pool lane counts and across the scalar and
-    /// blocked kernels (summary maintenance pins the scalar kernel), so
+    /// tiled kernels (summary maintenance pins the scalar kernel), so
     /// two replicas that consumed the same stream agree — the property
     /// the serving layer keys incremental re-solve caching on.
     pub fn digest(&self) -> u64 {

@@ -1,16 +1,15 @@
 //! Bit-identity and tolerance equivalence between the distance kernels.
 //!
-//! The solver pipeline evaluates every distance through one of three
+//! The solver pipeline evaluates every distance through one of two
 //! kernels (`SolverConfig::kernel`): `Scalar`, which preserves the
-//! historical per-pair f64 summation order, `Blocked`, the default
-//! norm-factorized 8-wide path, and `Tiled`, the register-tiled
-//! mini-GEMM over center panels. This suite pins the contract between
-//! them:
+//! historical per-pair f64 summation order, and `Tiled`, the default
+//! norm-factorized register-tiled mini-GEMM over center panels. This
+//! suite pins the contract between them:
 //!
 //! * `Scalar` is **bit-identical** to a hand-rolled reference pipeline
 //!   built from the pointwise `Euclidean` metric (exact-equality
 //!   goldens);
-//! * `Blocked` and `Tiled` agree with `Scalar` on centers and costs
+//! * `Tiled` agrees with `Scalar` on centers and costs
 //!   within `1e-9` and on assignments exactly (random instances have no
 //!   knife-edge ties at kernel rounding scale);
 //! * with the opt-in f32 storage mirror, `Tiled` agrees with `Scalar`
@@ -57,7 +56,7 @@ fn strategies() -> [CertainStrategy; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The factorized kernels (Blocked, Tiled) agree with Scalar on
+    /// The factorized kernel (Tiled) agrees with Scalar on
     /// random instances: same assignment, centers and costs within
     /// 1e-9, identical per-stage eval counts.
     #[test]
@@ -76,7 +75,7 @@ proptest! {
                     .unwrap()
                     .solve(&cfg(rule, strategy, Kernel::Scalar))
                     .unwrap();
-                for kernel in [Kernel::Blocked, Kernel::Tiled] {
+                for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
                     let other = Problem::euclidean(set.clone(), k)
                         .unwrap()
                         .solve(&cfg(rule, strategy, kernel))
@@ -187,9 +186,9 @@ proptest! {
 }
 
 /// A factorized kernel's distance of a point to itself is exactly zero
-/// (cached norms make `‖a‖² + ‖a‖² − 2a·a` cancel — the blocked kernel
-/// caches blocked-order norms, the tiled kernel sequential-order norms,
-/// each matching its own dot product), so duplicate-point degeneracies
+/// (cached norms make `‖a‖² + ‖a‖² − 2a·a` cancel — the store caches
+/// norms in the tiled kernel's sequential dot-product order), so
+/// duplicate-point degeneracies
 /// behave identically under every kernel.
 #[test]
 fn duplicate_points_collapse_identically() {

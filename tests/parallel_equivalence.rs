@@ -95,7 +95,7 @@ proptest! {
             AssignmentRule::ExpectedPoint,
             AssignmentRule::OneCenter,
         ] {
-            for kernel in [Kernel::Scalar, Kernel::Blocked] {
+            for kernel in [Kernel::Scalar, Kernel::Tiled] {
                 let strategy = CertainStrategy::Gonzalez;
                 let problem = Problem::euclidean(set.clone(), k).unwrap();
                 let digest = problem.instance_digest();
@@ -123,7 +123,7 @@ proptest! {
             CertainStrategy::GonzalezLocalSearch { rounds: 8 },
             CertainStrategy::ExactDiscrete,
         ] {
-            for kernel in [Kernel::Scalar, Kernel::Blocked] {
+            for kernel in [Kernel::Scalar, Kernel::Tiled] {
                 let problem = Problem::euclidean(set.clone(), 2).unwrap();
                 let baseline = problem
                     .solve(&cfg(AssignmentRule::ExpectedPoint, strategy, kernel, 1))
@@ -145,7 +145,7 @@ proptest! {
         let config = cfg(
             AssignmentRule::ExpectedPoint,
             CertainStrategy::Gonzalez,
-            Kernel::Blocked,
+            Kernel::Tiled,
             0, // auto lanes inside each solve, on the same pool
         );
         let problems: Vec<Problem<Point>> = (0..6)
@@ -177,7 +177,7 @@ fn large_instance_is_bitwise_identical_across_threads() {
         AssignmentRule::ExpectedPoint,
         AssignmentRule::ExpectedDistance,
     ] {
-        for kernel in [Kernel::Scalar, Kernel::Blocked] {
+        for kernel in [Kernel::Scalar, Kernel::Tiled] {
             let problem = Problem::euclidean(set.clone(), 6).unwrap();
             let baseline = problem
                 .solve(&cfg(rule, CertainStrategy::Gonzalez, kernel, 1))
@@ -210,7 +210,7 @@ fn large_uncertain_oc_solve_is_thread_invariant() {
         .solve(&cfg(
             AssignmentRule::OneCenter,
             CertainStrategy::Gonzalez,
-            Kernel::Blocked,
+            Kernel::Tiled,
             1,
         ))
         .unwrap();
@@ -219,7 +219,7 @@ fn large_uncertain_oc_solve_is_thread_invariant() {
             .solve(&cfg(
                 AssignmentRule::OneCenter,
                 CertainStrategy::Gonzalez,
-                Kernel::Blocked,
+                Kernel::Tiled,
                 threads,
             ))
             .unwrap();
@@ -242,7 +242,7 @@ fn cache_keys_and_digests_are_thread_blind() {
         &cfg(
             AssignmentRule::ExpectedPoint,
             CertainStrategy::Gonzalez,
-            Kernel::Blocked,
+            Kernel::Tiled,
             1,
         ),
     );
@@ -250,7 +250,7 @@ fn cache_keys_and_digests_are_thread_blind() {
         let config = cfg(
             AssignmentRule::ExpectedPoint,
             CertainStrategy::Gonzalez,
-            Kernel::Blocked,
+            Kernel::Tiled,
             threads,
         );
         assert_eq!(problem.instance_digest(), digest, "t{threads}");
@@ -265,7 +265,7 @@ fn cache_keys_and_digests_are_thread_blind() {
             .solve(&cfg(
                 AssignmentRule::ExpectedPoint,
                 CertainStrategy::Gonzalez,
-                Kernel::Blocked,
+                Kernel::Tiled,
                 1,
             ))
             .unwrap();

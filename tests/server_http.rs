@@ -387,6 +387,37 @@ fn repeated_solves_hit_the_cache_and_report_it() {
 }
 
 #[test]
+fn retired_blocked_kernel_name_shares_the_tiled_cache_entry() {
+    let (handle, addr) = start(ServerConfig::default());
+    let upload = parse(&post(addr, "/instances", &instance_body(5)));
+    let id = upload.get("id").and_then(Json::as_str).unwrap().to_string();
+    let path = format!("/instances/{id}/solve");
+
+    let blocked = post(addr, &path, r#"{"k": 3, "kernel": "blocked"}"#);
+    assert_eq!(blocked.status, 200, "{}", blocked.body);
+    let tiled = post(addr, &path, r#"{"k": 3, "kernel": "tiled"}"#);
+    assert_eq!(tiled.status, 200, "{}", tiled.body);
+    let cached = |r: &HttpResponse| parse(r).get("cached").and_then(Json::as_bool);
+    assert_eq!(
+        (cached(&blocked), cached(&tiled)),
+        (Some(false), Some(true))
+    );
+    assert_eq!(metric(addr, &["cache", "hits"]), 1.0);
+    // Apart from the "cached" flag, the hit is the miss byte for byte.
+    let hit = blocked
+        .body
+        .replacen("\"cached\": false", "\"cached\": true", 1);
+    assert_eq!(hit, tiled.body);
+    // The solve is counted under the kernel it ran, never under "blocked".
+    assert_eq!(
+        metric(addr, &["solves", "by_kernel", "tiled", "count"]),
+        1.0
+    );
+
+    handle.shutdown();
+}
+
+#[test]
 fn concurrent_solves_are_bit_identical_to_sequential() {
     let (handle, addr) = start(ServerConfig {
         workers: 2,

@@ -59,7 +59,7 @@ fn ep_cost(set: &UncertainSet<Point>, centers: &[Point]) -> f64 {
 #[test]
 fn streaming_100k_is_within_the_documented_factor_with_sublinear_memory() {
     let set = big_stream();
-    let cfg = config(0, Kernel::Blocked);
+    let cfg = config(0, Kernel::Tiled);
 
     // The batch reference: the paper's pipeline over the full instance.
     let batch = Problem::euclidean(set.clone(), K)
@@ -138,7 +138,7 @@ fn stream_digests_are_bit_identical_across_threads_kernels_and_chunkings() {
 
     // Chunking is ingestion plumbing, not state: any split of the same
     // stream evolves the same summary.
-    let cfg = config(0, Kernel::Blocked);
+    let cfg = config(0, Kernel::Tiled);
     let by_487: u64 = {
         let mut solver = StreamSolver::builder(K)
             .config(cfg.clone())

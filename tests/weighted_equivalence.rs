@@ -4,17 +4,17 @@
 //! Weighted assignment compares centers by `d(p, cᵢ) − wᵢ` instead of
 //! raw distance. This suite pins its contract against the plain mode:
 //!
-//! * **w = 0 is bit-identical to plain** — for every kernel (`Scalar`,
-//!   `Blocked`, `Tiled`) and both storage modes (the CI determinism
+//! * **w = 0 is bit-identical to plain** — for both kernels (`Scalar`,
+//!   `Tiled`) and both storage modes (the CI determinism
 //!   matrix re-runs this file with `UKC_TEST_STORAGE=f32`), a weighted
 //!   sweep with all-zero weights produces exactly the plain sweep's
 //!   bits, and an all-certain instance (every spread zero) solves to
 //!   exactly the plain solution;
-//! * weighted `Blocked` and `Tiled` agree with weighted `Scalar` within
+//! * weighted `Tiled` agrees with weighted `Scalar` within
 //!   `1e-9` on distances and exactly on argmin indices;
 //! * switching kernels never changes **which pairs are evaluated**: the
-//!   weighted sweeps report identical pair-evaluation counts across all
-//!   three kernels, equal to the plain sweeps' counts;
+//!   weighted sweeps report identical pair-evaluation counts across
+//!   both kernels, equal to the plain sweeps' counts;
 //! * weighted argmin ties break toward the lowest center index,
 //!   including exact Apollonius ties (`d₁ − w₁ == d₂ − w₂` with
 //!   different distances) and tied centers straddling tile panels;
@@ -108,7 +108,7 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
 
 /// The weighted sweeps evaluate exactly the same point–center pairs as
 /// the plain sweeps, under every kernel: the pair-evaluation tallies are
-/// identical across all three kernels and equal to the plain tallies.
+/// identical across both kernels and equal to the plain tallies.
 /// Weights must only change arithmetic, never coverage.
 #[test]
 fn weighted_pair_evaluation_counts_are_identical() {
@@ -139,12 +139,11 @@ fn weighted_pair_evaluation_counts_are_identical() {
             "weighted vs plain tally under {kernel:?}"
         );
     }
-    assert_eq!(counts[0], counts[1], "Scalar vs Blocked weighted tally");
-    assert_eq!(counts[0], counts[2], "Scalar vs Tiled weighted tally");
+    assert_eq!(counts[0], counts[1], "Scalar vs Tiled weighted tally");
     assert_eq!(counts[0], 2 * (points.len() as u64) * (k as u64));
 }
 
-/// Weighted `Blocked` and `Tiled` agree with weighted `Scalar` within
+/// Weighted `Tiled` agrees with weighted `Scalar` within
 /// `1e-9` on distances and exactly on argmin indices, with nonzero
 /// weights in play. This is an f64-arithmetic contract, so the store is
 /// built without the f32 mirror regardless of the CI storage matrix
@@ -166,7 +165,7 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
     scalar.dists_to_centers_min_weighted(&points, &centers, &w, &mut want_min);
     let mut want_nearest = vec![(0usize, 0.0f64); points.len()];
     scalar.nearest_each_weighted(&points, &centers, &w, &mut want_nearest);
-    for kernel in [Kernel::Blocked, Kernel::Tiled] {
+    for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
         let oracle = StoreOracle::new(&store, kernel);
         let mut got_min = vec![f64::INFINITY; points.len()];
         oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut got_min);
@@ -291,7 +290,7 @@ fn weighted_unsupported_combinations_reject_with_typed_errors() {
         let err = Problem::euclidean(set.clone(), 2)
             .unwrap()
             .solve(&cfg(
-                Kernel::Blocked,
+                Kernel::Tiled,
                 AssignmentMode::AdditivelyWeighted,
                 strategy,
             ))
@@ -321,7 +320,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On random uncertain instances, the weighted pipeline under the
-    /// factorized kernels agrees with weighted `Scalar`: same
+    /// tiled kernel agrees with weighted `Scalar`: same
     /// assignment, costs within 1e-9, and identical per-stage
     /// distance-evaluation counts (weights never change which pairs are
     /// evaluated, under any kernel).
@@ -343,7 +342,7 @@ proptest! {
                 CertainStrategy::Gonzalez,
             ))
             .unwrap();
-        for kernel in [Kernel::Blocked, Kernel::Tiled] {
+        for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
             let other = Problem::euclidean(set.clone(), k)
                 .unwrap()
                 .solve(&cfg(
