@@ -209,6 +209,12 @@ impl<P> Clone for Space<P> {
 /// vectors. Validation happens here, once — [`Problem::solve`] can then
 /// only fail on problem × config incompatibilities.
 ///
+/// The set is held behind an [`Arc`]: every constructor takes anything
+/// convertible into `Arc<UncertainSet<P>>` (an owned set, or an `Arc` a
+/// serving layer already keeps), and clones of a problem share the set
+/// instead of copying it, so handing a problem to another thread or
+/// queue costs a reference-count bump.
+///
 /// ```
 /// use ukc_core::{Problem, SolveError};
 /// use ukc_uncertain::generators::{clustered, ProbModel};
@@ -230,7 +236,7 @@ impl<P> Clone for Space<P> {
 /// ```
 #[derive(Clone)]
 pub struct Problem<P> {
-    set: UncertainSet<P>,
+    set: Arc<UncertainSet<P>>,
     k: usize,
     space: Space<P>,
 }
@@ -290,7 +296,11 @@ impl Problem<Point> {
     /// ([`SolveError::DimensionMismatch`] otherwise), so malformed input
     /// surfaces here as a typed error instead of a panic deep inside a
     /// solve.
-    pub fn euclidean(set: UncertainSet<Point>, k: usize) -> Result<Self, SolveError> {
+    pub fn euclidean(
+        set: impl Into<Arc<UncertainSet<Point>>>,
+        k: usize,
+    ) -> Result<Self, SolveError> {
+        let set = set.into();
         let expected = set.point(0).locations()[0].dim();
         for (i, up) in set.iter().enumerate() {
             for loc in up.locations() {
@@ -320,10 +330,11 @@ impl Problem<Point> {
 impl<P: Clone> Problem<P> {
     /// A problem in a custom [`ContinuousSpace`].
     pub fn continuous(
-        set: UncertainSet<P>,
+        set: impl Into<Arc<UncertainSet<P>>>,
         k: usize,
         space: impl ContinuousSpace<P> + 'static,
     ) -> Result<Self, SolveError> {
+        let set = set.into();
         validate_k(set.n(), k)?;
         Ok(Self {
             set,
@@ -335,7 +346,7 @@ impl<P: Clone> Problem<P> {
     /// A general-metric problem: centers and representatives are drawn
     /// from `pool` (the paper's Theorems 2.6 / 2.7 setting).
     pub fn in_metric(
-        set: UncertainSet<P>,
+        set: impl Into<Arc<UncertainSet<P>>>,
         k: usize,
         metric: impl Metric<P> + Send + Sync + 'static,
         pool: Vec<P>,
@@ -359,11 +370,12 @@ impl<P: Clone> Problem<P> {
     /// pool — the zero-copy constructor for batches of problems over one
     /// substrate (one road network, many queries).
     pub fn in_metric_shared(
-        set: UncertainSet<P>,
+        set: impl Into<Arc<UncertainSet<P>>>,
         k: usize,
         metric: Arc<dyn Metric<P> + Send + Sync>,
         pool: Arc<[P]>,
     ) -> Result<Self, SolveError> {
+        let set = set.into();
         validate_k(set.n(), k)?;
         if pool.is_empty() {
             return Err(SolveError::EmptyCandidates);
@@ -382,7 +394,7 @@ impl<P: Clone> Problem<P> {
     pub(crate) fn with_set(&self, set: UncertainSet<P>) -> Result<Self, SolveError> {
         validate_k(set.n(), self.k)?;
         Ok(Self {
-            set,
+            set: Arc::new(set),
             k: self.k,
             space: self.space.clone(),
         })
@@ -649,7 +661,8 @@ pub(crate) fn solve_continuous<P: Clone>(
 
 /// The structure-of-arrays fast path of the continuous pipeline: one
 /// [`PointStore`] per solve holds every realization coordinate, every
-/// representative, and (for the grid strategy) every synthesized center;
+/// representative, and (for the grid strategy) every synthesized center,
+/// in that order, so an id's range names the point it came from;
 /// all distance work then runs through the batched kernels of a
 /// [`StoreOracle`] under the configured [`crate::SolverConfig::kernel`].
 ///
@@ -703,15 +716,10 @@ fn solve_continuous_store<P: Clone>(
         ..Report::default()
     };
 
-    // id -> owning point, parallel to the store, for materializing output
-    // centers without a reverse coordinate conversion.
-    let mut registry: Vec<P> = Vec::with_capacity(set.total_locations() + set.n());
-    let mut store = PointStore::with_capacity(dim, set.total_locations() + set.n());
-    let push = |store: &mut PointStore, registry: &mut Vec<P>, p: &P| -> Option<PointId> {
-        let coords = space.coords_of(p)?;
-        let id = store.try_push(coords).ok()?;
-        registry.push(p.clone());
-        Some(id)
+    let locations = set.total_locations();
+    let mut store = PointStore::with_capacity(dim, locations + set.n());
+    let push = |store: &mut PointStore, p: &P| -> Option<PointId> {
+        store.try_push(space.coords_of(p)?).ok()
     };
     // The realization coordinates, point-major in support order (so the
     // flattened id order matches `UncertainSet::location_pool`).
@@ -719,7 +727,7 @@ fn solve_continuous_store<P: Clone>(
     for up in set.iter() {
         let mut ids = Vec::with_capacity(up.z());
         for loc in up.locations() {
-            match push(&mut store, &mut registry, loc) {
+            match push(&mut store, loc) {
                 Some(id) => ids.push(id),
                 None => return Ok(None),
             }
@@ -741,7 +749,7 @@ fn solve_continuous_store<P: Clone>(
     };
     let mut rep_ids = Vec::with_capacity(reps.len());
     for rep in &reps {
-        match push(&mut store, &mut registry, rep) {
+        match push(&mut store, rep) {
             Some(id) => rep_ids.push(id),
             None => return Ok(None),
         }
@@ -755,6 +763,7 @@ fn solve_continuous_store<P: Clone>(
     // runs the additively-weighted Gonzalez sweep; the chosen centers
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
+    let mut synthesized: Vec<P> = Vec::new();
     let evals_before = counter.count();
     let t = Instant::now();
     let certain: KCenterSolution<PointId> = match config.strategy() {
@@ -795,11 +804,12 @@ fn solve_continuous_store<P: Clone>(
                 Some(sol) => {
                     let mut ids = Vec::with_capacity(sol.centers.len());
                     for c in &sol.centers {
-                        match push(&mut store, &mut registry, c) {
+                        match push(&mut store, c) {
                             Some(id) => ids.push(id),
                             None => return Ok(None),
                         }
                     }
+                    synthesized = sol.centers;
                     KCenterSolution {
                         centers: ids,
                         center_indices: sol.center_indices,
@@ -919,12 +929,25 @@ fn solve_continuous_store<P: Clone>(
     }
 
     report.timings.total = t_total.elapsed();
+    // Each output center is cloned from the point its id was pushed for:
+    // a realization location, a representative, or a synthesized center.
+    let centers = certain
+        .centers
+        .iter()
+        .map(|id| match id.index() {
+            i if i < locations => {
+                // Location ids are contiguous per point, point-major.
+                let ids = set_ids.points();
+                let p = ids.partition_point(|up| up.locations()[0].index() <= i) - 1;
+                let first = ids[p].locations()[0].index();
+                set.point(p).locations()[i - first].clone()
+            }
+            i if i < locations + reps.len() => reps[i - locations].clone(),
+            i => synthesized[i - locations - reps.len()].clone(),
+        })
+        .collect();
     Ok(Some(Solution {
-        centers: certain
-            .centers
-            .iter()
-            .map(|id| registry[id.index()].clone())
-            .collect(),
+        centers,
         assignment,
         ecost,
         representatives: reps,
@@ -1103,4 +1126,18 @@ pub fn solve_batch_threads<P: Clone + Send + Sync>(
         .into_iter()
         .map(|slot| slot.expect("the pool executes every chunk exactly once"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ukc_uncertain::generators::{clustered, ProbModel};
+
+    #[test]
+    fn clones_share_the_set() {
+        let shared = Arc::new(clustered(3, 24, 3, 2, 3, 6.0, 1.0, ProbModel::Random));
+        let problem = Problem::euclidean(Arc::clone(&shared), 3).unwrap();
+        assert!(Arc::ptr_eq(&shared, &problem.set));
+        assert!(Arc::ptr_eq(&shared, &problem.clone().set));
+    }
 }

@@ -2,7 +2,9 @@
 //!
 //! The approximate-LOO lesson from the conformal literature applies
 //! directly: when many requests hit the same instance, the expensive part
-//! must be paid once and amortized. The cache key is the problem's
+//! must be paid once and amortized. That covers the response as well as
+//! the solve: a `CachedSolve` renders its hit body on the first hit and
+//! every later hit writes those bytes. The cache key is the problem's
 //! canonical content digest ([`ukc_core::Problem::instance_digest`],
 //! which covers the set, `k`, and the space) plus a canonical rendering
 //! of the [`SolverConfig`], so a hit is only possible when the solve
@@ -17,8 +19,10 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
 
-use ukc_core::{CandidatePolicy, CertainStrategy, SolverConfig};
+use ukc_core::{CandidatePolicy, CertainStrategy, Solution, SolverConfig};
+use ukc_metric::Point;
 
 /// A canonical cache key for one solve request.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -60,6 +64,31 @@ impl SolveKey {
     pub fn with_base(mut self, base: u64) -> Self {
         self.base = Some(base);
         self
+    }
+}
+
+/// One cached solve: the solution plus the response body a hit on its
+/// key answers with. A key fixes everything that body shows (solution,
+/// instance digest, warm base), so the body is rendered once, on the
+/// first hit, and shared by every later one.
+pub(crate) struct CachedSolve {
+    /// The cached solution; composite documents and warm priors read it.
+    pub(crate) solution: Arc<Solution<Point>>,
+    hit_body: OnceLock<Arc<str>>,
+}
+
+impl CachedSolve {
+    /// An entry whose hit body is not rendered yet.
+    pub(crate) fn new(solution: Arc<Solution<Point>>) -> Self {
+        CachedSolve {
+            solution,
+            hit_body: OnceLock::new(),
+        }
+    }
+
+    /// The hit body, produced by `render` on the first call only.
+    pub(crate) fn hit_body(&self, render: impl FnOnce(&Solution<Point>) -> String) -> Arc<str> {
+        Arc::clone(self.hit_body.get_or_init(|| render(&self.solution).into()))
     }
 }
 
@@ -267,6 +296,26 @@ mod tests {
         assert_eq!(cache.get(&cold), Some(&"cold"));
         assert_eq!(cache.get(&warm), Some(&"warm"));
         assert_eq!(cache.get(&other_prior), None);
+    }
+
+    #[test]
+    fn hit_body_renders_once() {
+        use ukc_core::Problem;
+        use ukc_uncertain::generators::{clustered, ProbModel};
+        let set = clustered(2, 10, 2, 2, 2, 4.0, 1.0, ProbModel::Random);
+        let solution = Problem::euclidean(set, 2)
+            .unwrap()
+            .solve(&SolverConfig::default())
+            .unwrap();
+        let entry = CachedSolve::new(Arc::new(solution));
+        let mut renders = 0;
+        let first = entry.hit_body(|s| {
+            renders += 1;
+            format!("{}", s.centers.len())
+        });
+        let second = entry.hit_body(|_| unreachable!("rendered on the first hit"));
+        assert_eq!((renders, &*first), (1, "2"));
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

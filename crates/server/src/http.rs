@@ -8,6 +8,7 @@
 //! rejected up front.
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Maximum bytes accepted for the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -264,18 +265,20 @@ fn read_line(
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Response body (always JSON in this service).
-    pub body: String,
+    /// Response body (always JSON in this service). Shared, so text a
+    /// handler already holds (a cache hit's stored body) is written
+    /// without a copy.
+    pub body: Arc<str>,
     /// Extra headers beyond the standard set (`Retry-After`, ...).
     pub headers: Vec<(&'static str, String)>,
 }
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
         Response {
             status,
-            body,
+            body: body.into(),
             headers: Vec::new(),
         }
     }
@@ -435,7 +438,7 @@ mod tests {
     #[test]
     fn response_serializes_with_length() {
         let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{}".into()), false).unwrap();
+        write_response(&mut out, &Response::json(200, "{}"), false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -446,7 +449,7 @@ mod tests {
     #[test]
     fn extra_headers_land_in_the_head() {
         let mut out = Vec::new();
-        let response = Response::json(503, "{}".into()).with_header("Retry-After", "1");
+        let response = Response::json(503, "{}").with_header("Retry-After", "1");
         write_response(&mut out, &response, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));

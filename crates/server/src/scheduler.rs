@@ -7,7 +7,10 @@
 //! [`SolverConfig`], deduplicates identical `(digest, config)` jobs, and
 //! runs each group through [`ukc_core::solve_batch_threads`] with the
 //! configured lane cap. Duplicates get clones of the one computed
-//! solution — N identical concurrent requests cost one solve.
+//! solution — N identical concurrent requests cost one solve — and the
+//! last job waiting on a result receives it by move, so an uncoalesced
+//! job is answered without a copy. A problem holds its set behind an
+//! `Arc`, so handing it to the wave is a reference-count bump too.
 //!
 //! Waves execute on the process-wide [`ukc_pool::global`] worker pool —
 //! the same pool each solve's intra-solve kernels draw on — so wave
@@ -368,24 +371,32 @@ fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsi
                 slots[u] = Some(Solution::warm_start(&jobs[i].problem, &config, prior));
             }
         }
-        let results: Vec<Result<Solution<Point>, SolveError>> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every unique job was solved"))
-            .collect();
-        for result in &results {
-            match result {
+        for slot in &slots {
+            match slot.as_ref().expect("every unique job was solved") {
                 Ok(solution) => {
                     metrics.record_solve(&solution.report, config.kernel(), config.assignment())
                 }
                 Err(_) => metrics.record_solve_error(),
             }
         }
-        for (&i, &u) in idxs.iter().zip(&job_to_unique) {
+        // The last job waiting on a result takes it; earlier duplicates
+        // get clones.
+        let mut last_waiter = vec![0usize; slots.len()];
+        for (pos, &u) in job_to_unique.iter().enumerate() {
+            last_waiter[u] = pos;
+        }
+        for (pos, (&i, &u)) in idxs.iter().zip(&job_to_unique).enumerate() {
+            let result = if last_waiter[u] == pos {
+                slots[u].take()
+            } else {
+                slots[u].clone()
+            }
+            .expect("a result is taken only by its last waiter");
             // Release the job's queue slot before answering it: a caller
             // holding its answer must never still count in `depth`.
             depth.fetch_sub(1, Ordering::Relaxed);
             // A dead reply channel just means the client hung up.
-            let _ = jobs[i].reply.send(results[u].clone());
+            let _ = jobs[i].reply.send(result);
         }
     }
     metrics
@@ -498,6 +509,34 @@ mod tests {
         // Depth settles back to zero once everything is answered.
         assert_eq!(scheduler.depth(), 0);
         assert_eq!(scheduler.solve_many(Vec::new()).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn every_duplicate_job_gets_the_one_result() {
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::new(2, usize::MAX, Arc::clone(&metrics));
+        let config = SolverConfig::default();
+        let seeds = [4u64, 5, 4, 4, 5];
+        let jobs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let p = problem(seed);
+                let digest = p.instance_digest();
+                (p, config.clone(), digest)
+            })
+            .collect();
+        let results = scheduler.solve_many(jobs).unwrap();
+        for (&seed, served) in seeds.iter().zip(&results) {
+            let direct = problem(seed).solve(&config).unwrap();
+            let served = served.as_ref().unwrap();
+            assert_eq!(served.ecost.to_bits(), direct.ecost.to_bits());
+            assert_eq!(served.assignment, direct.assignment);
+        }
+        // However the dispatcher split the batch into waves, at most the
+        // three repeats coalesced, and every job was answered.
+        assert!(metrics.coalesced_jobs.load(Ordering::Relaxed) <= 3);
+        assert_eq!(metrics.wave_jobs.load(Ordering::Relaxed), 5);
+        assert_eq!(scheduler.depth(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::api::{self, SolveRequest};
-use crate::cache::{LruCache, SolveKey};
+use crate::cache::{CachedSolve, LruCache, SolveKey};
 use crate::error::ApiError;
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::{Metrics, Route};
@@ -127,7 +127,7 @@ impl Default for ServerConfig {
 pub(crate) struct AppState {
     store: InstanceStore,
     streams: StreamStore,
-    cache: Mutex<LruCache<SolveKey, Arc<Solution<Point>>>>,
+    cache: Mutex<LruCache<SolveKey, Arc<CachedSolve>>>,
     /// The most recent solution per cold-shaped `(digest, config)` key —
     /// cold *or* warm. This is what `solve?base=` chains from: unlike
     /// the response cache (which must keep warm and cold results apart,
@@ -472,44 +472,44 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
     let method = request.method.as_str();
     let (route, outcome) = match segments.as_slice() {
         ["healthz"] => match method {
-            "GET" => (Route::Healthz, handle_healthz(state)),
+            "GET" => (Route::Healthz, doc(handle_healthz(state))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["metrics"] => match method {
-            "GET" => (Route::Metrics, handle_metrics(state)),
+            "GET" => (Route::Metrics, doc(handle_metrics(state))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["instances"] => match method {
             "POST" => (
                 Route::InstanceCreate,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::create(cluster, request),
                     None => handle_instance_create(state, request),
-                },
+                }),
             ),
             "GET" => (
                 Route::InstanceList,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::list(cluster),
                     None => handle_instance_list(state),
-                },
+                }),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["instances", id] => match method {
             "GET" => (
                 Route::InstanceGet,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::get(cluster, id),
                     None => handle_instance_get(state, id),
-                },
+                }),
             ),
             "DELETE" => (
                 Route::InstanceDelete,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::delete(cluster, id),
                     None => handle_instance_delete(state, id),
-                },
+                }),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
@@ -517,7 +517,7 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
             "POST" => (
                 Route::InstanceSolve,
                 match state.cluster() {
-                    Some(cluster) => crate::cluster::solve(cluster, id, request),
+                    Some(cluster) => doc(crate::cluster::solve(cluster, id, request)),
                     None => handle_instance_solve(state, id, request),
                 },
             ),
@@ -526,20 +526,20 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
         ["instances", id, "append"] => match method {
             "POST" => (
                 Route::InstanceAppend,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::append(cluster, id, request),
                     None => handle_instance_append(state, id, request),
-                },
+                }),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["instances", id, "solve_loo"] => match method {
             "POST" => (
                 Route::InstanceSolveLoo,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::solve_loo(cluster, id, request),
                     None => handle_instance_solve_loo(state, id, request),
-                },
+                }),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
@@ -547,7 +547,7 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
             "POST" => (
                 Route::OneShotSolve,
                 match state.cluster() {
-                    Some(cluster) => crate::cluster::oneshot(cluster, request),
+                    Some(cluster) => doc(crate::cluster::oneshot(cluster, request)),
                     None => handle_oneshot_solve(state, request),
                 },
             ),
@@ -556,51 +556,60 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
         ["solve_batch"] => match method {
             "POST" => (
                 Route::SolveBatch,
-                match state.cluster() {
+                doc(match state.cluster() {
                     Some(cluster) => crate::cluster::solve_batch(cluster, request),
                     None => handle_solve_batch(state, request),
-                },
+                }),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["replicate"] => match method {
-            "POST" => (Route::Replicate, handle_replicate(state, request)),
+            "POST" => (Route::Replicate, doc(handle_replicate(state, request))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["cluster", "status"] => match method {
-            "GET" => (Route::ClusterStatus, crate::cluster::status(state)),
+            "GET" => (Route::ClusterStatus, doc(crate::cluster::status(state))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["cluster", "nodes"] => match method {
             "POST" => (
                 Route::ClusterNodeAdd,
-                crate::cluster::node_add(state, request),
+                doc(crate::cluster::node_add(state, request)),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["cluster", "nodes", id] => match method {
             "DELETE" => (
                 Route::ClusterNodeRemove,
-                crate::cluster::node_remove(state, id),
+                doc(crate::cluster::node_remove(state, id)),
             ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["streams"] => match method {
-            "POST" => (Route::StreamCreate, handle_stream_create(state, request)),
-            "GET" => (Route::StreamList, handle_stream_list(state)),
+            "POST" => (
+                Route::StreamCreate,
+                doc(handle_stream_create(state, request)),
+            ),
+            "GET" => (Route::StreamList, doc(handle_stream_list(state))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["streams", id] => match method {
-            "GET" => (Route::StreamGet, handle_stream_get(state, id)),
-            "DELETE" => (Route::StreamDelete, handle_stream_delete(state, id)),
+            "GET" => (Route::StreamGet, doc(handle_stream_get(state, id))),
+            "DELETE" => (Route::StreamDelete, doc(handle_stream_delete(state, id))),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["streams", id, "push"] => match method {
-            "POST" => (Route::StreamPush, handle_stream_push(state, id, request)),
+            "POST" => (
+                Route::StreamPush,
+                doc(handle_stream_push(state, id, request)),
+            ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         ["streams", id, "solution"] => match method {
-            "GET" => (Route::StreamSolution, handle_stream_solution(state, id)),
+            "GET" => (
+                Route::StreamSolution,
+                doc(handle_stream_solution(state, id)),
+            ),
             _ => (Route::Unmatched, Err(method_err(request))),
         },
         _ => (
@@ -610,7 +619,8 @@ pub(crate) fn dispatch(state: &AppState, request: &Request) -> Response {
     };
     state.metrics.record_request(route);
     match outcome {
-        Ok((status, body)) => Response::json(status, body.pretty()),
+        Ok((status, Body::Doc(body))) => Response::json(status, body.pretty()),
+        Ok((status, Body::Rendered(text))) => Response::json(status, text),
         Err(e) => {
             let response = Response::json(e.status, e.to_json().pretty());
             if e.kind == "overloaded" || e.kind == "ingest_overloaded" {
@@ -629,6 +639,21 @@ fn method_err(request: &Request) -> ApiError {
 }
 
 pub(crate) type Handled = Result<(u16, Json), ApiError>;
+
+/// A response body as a route hands it to [`dispatch`]: a document to
+/// render, or text rendered earlier (a cache hit's stored body).
+pub(crate) enum Body {
+    Doc(Json),
+    Rendered(Arc<str>),
+}
+
+/// What a route produces; only the solve routes answer with
+/// [`Body::Rendered`].
+type Served = Result<(u16, Body), ApiError>;
+
+fn doc(handled: Handled) -> Served {
+    handled.map(|(status, json)| (status, Body::Doc(json)))
+}
 
 fn handle_healthz(state: &AppState) -> Handled {
     let mode = if state.durable.is_some() {
@@ -773,7 +798,7 @@ fn handle_instance_delete(state: &AppState, id: &str) -> Handled {
     }
 }
 
-fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Handled {
+fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Served {
     let doc = api::parse_body(&request.body)?;
     let solve = api::parse_solve_request(&doc, false)?.apply_default_kernel(state.default_kernel);
     let stored = state
@@ -783,12 +808,12 @@ fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Handl
     let warm = request
         .query_param("base")
         .map(|base| resolve_base(state, base, &solve));
-    // The set digest was computed at upload time; cloning the (possibly
-    // large) set is deferred to the cache-miss path.
-    run_solve(state, stored.digest, || (*stored.set).clone(), &solve, warm)
+    // The set digest was computed at upload time; a miss hands the
+    // solver the stored set itself.
+    run_solve(state, stored.digest, Arc::clone(&stored.set), &solve, warm)
 }
 
-fn handle_oneshot_solve(state: &AppState, request: &Request) -> Handled {
+fn handle_oneshot_solve(state: &AppState, request: &Request) -> Served {
     let doc = api::parse_body(&request.body)?;
     let (instance, solve) = api::parse_oneshot(&doc)?;
     let solve = solve.apply_default_kernel(state.default_kernel);
@@ -797,7 +822,7 @@ fn handle_oneshot_solve(state: &AppState, request: &Request) -> Handled {
     let warm = request
         .query_param("base")
         .map(|base| resolve_base(state, base, &solve));
-    run_solve(state, digest, move || set, &solve, warm)
+    run_solve(state, digest, Arc::new(set), &solve, warm)
 }
 
 /// `POST /instances/{id}/append`: grows a stored instance by the body's
@@ -857,8 +882,20 @@ fn handle_instance_append(state: &AppState, id: &str, request: &Request) -> Hand
         }
         .apply_default_kernel(state.default_kernel);
         let base = request.query_param("base").unwrap_or(id);
-        let warm = Some(resolve_base(state, base, &solve));
-        let (_, solution) = run_solve(state, grown.digest, || (*grown.set).clone(), &solve, warm)?;
+        let warm = resolve_base(state, base, &solve);
+        let solved = obtain_solution(
+            state,
+            grown.digest,
+            Arc::clone(&grown.set),
+            &solve,
+            Some(&warm),
+        )?;
+        let solution = solve_response(
+            solved.solution(),
+            grown.digest,
+            solved.cached(),
+            warm.base_digest(),
+        );
         if let Json::Obj(pairs) = &mut body {
             pairs.push(("solution".into(), solution));
         }
@@ -1121,30 +1158,24 @@ fn handle_stream_solution(state: &AppState, id: &str) -> Handled {
         .lock()
         .expect("stream solution slot poisoned")
         .clone();
-    let (solution, cached, base) = match slot {
-        Some((digest, prior)) if digest != report.digest => {
-            let warm = WarmBase::Prior {
-                base_digest: digest,
-                prior,
-            };
-            let (solution, cached) =
-                obtain_solution(state, report.digest, move || set, &solve, Some(&warm))?;
-            (solution, cached, Some(digest))
-        }
-        _ => {
-            let (solution, cached) =
-                obtain_solution(state, report.digest, move || set, &solve, None)?;
-            (solution, cached, None)
-        }
+    let warm = match slot {
+        Some((digest, prior)) if digest != report.digest => Some(WarmBase::Prior {
+            base_digest: digest,
+            prior,
+        }),
+        _ => None,
     };
+    let solved = obtain_solution(state, report.digest, Arc::new(set), &solve, warm.as_ref())?;
     *entry
         .last_solution
         .lock()
-        .expect("stream solution slot poisoned") = Some((report.digest, Arc::clone(&solution)));
-    let (status, mut body) = (200, solve_response(&solution, report.digest, cached));
-    if let (Json::Obj(pairs), Some(b)) = (&mut body, base) {
-        pairs.push(("base".into(), Json::from(digest_hex(b))));
-    }
+        .expect("stream solution slot poisoned") =
+        Some((report.digest, Arc::clone(solved.solution())));
+    let base = warm.as_ref().and_then(WarmBase::base_digest);
+    let (status, mut body) = (
+        200,
+        solve_response(solved.solution(), report.digest, solved.cached(), base),
+    );
     let certain_radius = body
         .get("certain_radius")
         .and_then(Json::as_f64)
@@ -1187,6 +1218,38 @@ enum WarmBase {
     Unresolved { reason: &'static str },
 }
 
+impl WarmBase {
+    /// The digest a response names under `"base"`: the prior's instance,
+    /// when one resolved.
+    fn base_digest(&self) -> Option<u64> {
+        match self {
+            WarmBase::Prior { base_digest, .. } => Some(*base_digest),
+            WarmBase::Unresolved { .. } => None,
+        }
+    }
+}
+
+/// How [`obtain_solution`] produced a solution.
+enum Obtained {
+    /// From the response cache; the entry holds the hit body.
+    Hit(Arc<CachedSolve>),
+    /// From a solve through the scheduler.
+    Miss(Arc<Solution<Point>>),
+}
+
+impl Obtained {
+    fn solution(&self) -> &Arc<Solution<Point>> {
+        match self {
+            Obtained::Hit(entry) => &entry.solution,
+            Obtained::Miss(solution) => solution,
+        }
+    }
+
+    fn cached(&self) -> bool {
+        matches!(self, Obtained::Hit(_))
+    }
+}
+
 /// Produces the warm prior for `base`: the freshest solution the server
 /// holds for it (the prior map, which warm results also land in), the
 /// response cache, or — both missing — a cold solve of the stored base
@@ -1212,7 +1275,7 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
                 .lock()
                 .expect("cache lock poisoned")
                 .get(&key)
-                .cloned()
+                .map(|entry| Arc::clone(&entry.solution))
         });
     if let Some(prior) = held {
         return WarmBase::Prior { base_digest, prior };
@@ -1222,7 +1285,7 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
             reason: "base_not_found",
         };
     };
-    let Ok(problem) = Problem::euclidean((*stored.set).clone(), solve.k) else {
+    let Ok(problem) = Problem::euclidean(Arc::clone(&stored.set), solve.k) else {
         return WarmBase::Unresolved {
             reason: "base_unsolvable",
         };
@@ -1246,41 +1309,42 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
     }
 }
 
+/// The single-solution response of `POST /instances/{id}/solve` and
+/// `POST /solve`. A miss renders its document at dispatch; a hit writes
+/// the body its cache entry rendered on the first hit. The entry's key
+/// fixes the solution, `set_digest` and the warm base, so those bytes
+/// equal a fresh render.
+fn run_solve(
+    state: &AppState,
+    set_digest: u64,
+    set: Arc<UncertainSet<Point>>,
+    solve: &SolveRequest,
+    warm: Option<WarmBase>,
+) -> Served {
+    let base = warm.as_ref().and_then(WarmBase::base_digest);
+    let body = match obtain_solution(state, set_digest, set, solve, warm.as_ref())? {
+        Obtained::Hit(entry) => Body::Rendered(
+            entry.hit_body(|solution| solve_response(solution, set_digest, true, base).pretty()),
+        ),
+        Obtained::Miss(solution) => Body::Doc(solve_response(&solution, set_digest, false, base)),
+    };
+    Ok((200, body))
+}
+
 /// The shared solve path: cache lookup by `(digest, config)` — extended
 /// by the base digest for warm requests, so warm and cold results never
 /// collide — then, on a miss only, problem construction, scheduler
 /// submission, and cache fill. `set_digest` is the instance's content
 /// digest (the store ID); the cache key extends it with `k` and the
 /// space so different requests against one instance cannot collide.
-fn run_solve(
-    state: &AppState,
-    set_digest: u64,
-    make_set: impl FnOnce() -> UncertainSet<Point>,
-    solve: &SolveRequest,
-    warm: Option<WarmBase>,
-) -> Handled {
-    let base_digest = match &warm {
-        Some(WarmBase::Prior { base_digest, .. }) => Some(*base_digest),
-        _ => None,
-    };
-    let (solution, cached) = obtain_solution(state, set_digest, make_set, solve, warm.as_ref())?;
-    let mut body = solve_response(&solution, set_digest, cached);
-    if let (Json::Obj(pairs), Some(b)) = (&mut body, base_digest) {
-        pairs.push(("base".into(), Json::from(digest_hex(b))));
-    }
-    Ok((200, body))
-}
-
-/// The solve machinery behind [`run_solve`] and the stream-solution
-/// route, returning the `Arc`'d solution so callers can keep it (the
-/// stream slot) instead of only its rendering.
+/// `set` reaches the solver by reference count, never by copy.
 fn obtain_solution(
     state: &AppState,
     set_digest: u64,
-    make_set: impl FnOnce() -> UncertainSet<Point>,
+    set: Arc<UncertainSet<Point>>,
     solve: &SolveRequest,
     warm: Option<&WarmBase>,
-) -> Result<(Arc<Solution<Point>>, bool), ApiError> {
+) -> Result<Obtained, ApiError> {
     let problem_digest = ukc_core::digest_problem("euclidean", solve.k, set_digest, None);
     let cold_key = SolveKey::new(problem_digest, set_digest, &solve.config);
     let key = match warm {
@@ -1299,13 +1363,13 @@ fn obtain_solution(
             .expect("cache lock poisoned")
             .get(&key)
             .cloned();
-        if let Some(solution) = cached {
+        if let Some(entry) = cached {
             state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((solution, true));
+            return Ok(Obtained::Hit(entry));
         }
     }
 
-    let problem = Problem::euclidean(make_set(), solve.k).map_err(|e| {
+    let problem = Problem::euclidean(set, solve.k).map_err(|e| {
         state.metrics.record_solve_error();
         ApiError::from(e)
     })?;
@@ -1346,9 +1410,9 @@ fn obtain_solution(
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .insert(key, Arc::clone(&solution));
+            .insert(key, Arc::new(CachedSolve::new(Arc::clone(&solution))));
     }
-    Ok((solution, false))
+    Ok(Obtained::Miss(solution))
 }
 
 /// `POST /instances/{id}/solve_loo`: batch leave-one-out over a stored
@@ -1363,7 +1427,7 @@ fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> H
         .store
         .get(id)
         .ok_or_else(|| ApiError::instance_not_found(id))?;
-    let problem = Problem::euclidean((*stored.set).clone(), solve.k).map_err(|e| {
+    let problem = Problem::euclidean(Arc::clone(&stored.set), solve.k).map_err(|e| {
         state.metrics.record_solve_error();
         ApiError::from(e)
     })?;
@@ -1389,7 +1453,10 @@ fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> H
         200,
         Json::obj([
             ("instance_digest", Json::from(digest_hex(stored.digest))),
-            ("base", solve_response(&loo.base, stored.digest, false)),
+            (
+                "base",
+                solve_response(&loo.base, stored.digest, false, None),
+            ),
             ("variants", variants),
             ("count", Json::from(loo.variants.len())),
             ("reused_variants", Json::from(loo.reused_variants)),
@@ -1440,13 +1507,13 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
                 .expect("cache lock poisoned")
                 .get(&key)
                 .cloned();
-            if let Some(solution) = cached {
+            if let Some(entry) = cached {
                 state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                slots[slot] = Some(solve_response(&solution, set_digest, true));
+                slots[slot] = Some(solve_response(&entry.solution, set_digest, true, None));
                 continue;
             }
         }
-        match Problem::euclidean((*stored.set).clone(), solve.k) {
+        match Problem::euclidean(Arc::clone(&stored.set), solve.k) {
             Ok(problem) => {
                 jobs.push((problem, solve.config.clone(), problem_digest));
                 job_slots.push((slot, key, set_digest));
@@ -1470,9 +1537,9 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
                             .cache
                             .lock()
                             .expect("cache lock poisoned")
-                            .insert(key, Arc::clone(&solution));
+                            .insert(key, Arc::new(CachedSolve::new(Arc::clone(&solution))));
                     }
-                    solve_response(&solution, set_digest, false)
+                    solve_response(&solution, set_digest, false, None)
                 }
                 Err(e) => ApiError::from(e).to_json(),
             });
@@ -1515,12 +1582,21 @@ fn handle_replicate(state: &AppState, request: &Request) -> Handled {
 
 /// The solve response: the shared solution document plus serving
 /// metadata (`instance_digest` — the same content digest `POST
-/// /instances` returns as the ID — and `cached`).
-fn solve_response(solution: &Solution<Point>, set_digest: u64, cached: bool) -> Json {
+/// /instances` returns as the ID — `cached`, and for a warm solve the
+/// prior's instance under `base`).
+fn solve_response(
+    solution: &Solution<Point>,
+    set_digest: u64,
+    cached: bool,
+    base: Option<u64>,
+) -> Json {
     let mut doc = solution_document(solution);
     if let Json::Obj(pairs) = &mut doc {
         pairs.push(("instance_digest".into(), Json::from(digest_hex(set_digest))));
         pairs.push(("cached".into(), Json::from(cached)));
+        if let Some(base) = base {
+            pairs.push(("base".into(), Json::from(digest_hex(base))));
+        }
     }
     doc
 }

@@ -417,6 +417,121 @@ fn retired_blocked_kernel_name_shares_the_tiled_cache_entry() {
     handle.shutdown();
 }
 
+fn upload(addr: SocketAddr, seed: u64) -> String {
+    let upload = parse(&post(addr, "/instances", &instance_body(seed)));
+    upload.get("id").and_then(Json::as_str).unwrap().to_string()
+}
+
+/// What every hit on a miss's key must answer: the miss's bytes with
+/// only `"cached"` flipped.
+fn as_hit(miss: &HttpResponse) -> String {
+    assert_eq!(miss.status, 200, "{}", miss.body);
+    assert_eq!(miss.body.matches("\"cached\": false").count(), 1);
+    miss.body
+        .replacen("\"cached\": false", "\"cached\": true", 1)
+}
+
+/// One miss, then three hits that must each be [`as_hit`] of it.
+fn miss_then_three_hits(addr: SocketAddr, path: &str, body: &str) -> String {
+    let expected = as_hit(&post(addr, path, body));
+    for round in 0..3 {
+        let hit = post(addr, path, body);
+        assert_eq!(hit.status, 200, "{}", hit.body);
+        assert_eq!(hit.body, expected, "hit {round} on {path}");
+    }
+    expected
+}
+
+#[test]
+fn cache_hits_repeat_the_miss_bytes_with_only_cached_flipped() {
+    let (handle, addr) = start(ServerConfig::default());
+    let id = upload(addr, 31);
+
+    let cold = miss_then_three_hits(addr, &format!("/instances/{id}/solve"), r#"{"k": 3}"#);
+    assert_eq!(metric(addr, &["cache", "hits"]), 3.0);
+
+    // A warm `?base=` key: the grown instance solved from its parent.
+    let grown = parse(&post(
+        addr,
+        &format!("/instances/{id}/append"),
+        &instance_body(32),
+    ));
+    let grown_id = grown.get("id").and_then(Json::as_str).unwrap();
+    let warm = miss_then_three_hits(
+        addr,
+        &format!("/instances/{grown_id}/solve?base={id}"),
+        r#"{"k": 3}"#,
+    );
+    let warm_doc = Json::parse(&warm).unwrap();
+    assert_eq!(
+        warm_doc.get("base").and_then(Json::as_str),
+        Some(id.as_str())
+    );
+
+    // `POST /solve`, cold and warm.
+    let oneshot = format!(r#"{{"k": 2, "instance": {}}}"#, instance_body(33));
+    miss_then_three_hits(addr, "/solve", &oneshot);
+    let oneshot_warm = format!(r#"{{"k": 3, "instance": {}}}"#, instance_body(34));
+    miss_then_three_hits(addr, &format!("/solve?base={id}"), &oneshot_warm);
+
+    // An inline copy of the stored instance shares its key, and so the
+    // body the instance route's hits answer with.
+    let inline = format!(r#"{{"k": 3, "instance": {}}}"#, instance_body(31));
+    assert_eq!(post(addr, "/solve", &inline).body, cold);
+
+    assert_eq!(metric(addr, &["cache", "misses"]), 4.0);
+    assert_eq!(metric(addr, &["cache", "hits"]), 13.0);
+    handle.shutdown();
+}
+
+/// A solve body without `report.timings_seconds`, the only bytes two
+/// solves of one key may differ in.
+fn without_timings(body: &str) -> String {
+    let mut doc = Json::parse(body).unwrap();
+    if let Json::Obj(pairs) = &mut doc {
+        for (key, value) in pairs {
+            if let (true, Json::Obj(report)) = (key == "report", value) {
+                report.retain(|(key, _)| key != "timings_seconds");
+            }
+        }
+    }
+    doc.pretty()
+}
+
+#[test]
+fn deleted_or_evicted_entries_miss_then_answer_the_same_bytes() {
+    let (handle, addr) = start(ServerConfig {
+        cache_cap: 1,
+        ..ServerConfig::default()
+    });
+    let id = upload(addr, 35);
+    let path = format!("/instances/{id}/solve");
+    let body = r#"{"k": 3}"#;
+    let first = without_timings(&miss_then_three_hits(addr, &path, body));
+
+    // Delete and re-upload: the entry went with the instance.
+    let deleted = client::request(addr, "DELETE", &format!("/instances/{id}"), None).unwrap();
+    assert_eq!(deleted.status, 200);
+    assert_eq!(upload(addr, 35), id);
+    let refilled = miss_then_three_hits(addr, &path, body);
+    assert_eq!(without_timings(&refilled), first);
+
+    // At capacity 1 another key evicts the entry, so the next request
+    // misses, and the new entry's hits render the same document.
+    assert_eq!(
+        parse(&post(addr, &path, r#"{"k": 2}"#))
+            .get("cached")
+            .and_then(Json::as_bool),
+        Some(false)
+    );
+    let rerendered = miss_then_three_hits(addr, &path, body);
+    assert_eq!(without_timings(&rerendered), first);
+
+    assert_eq!(metric(addr, &["cache", "misses"]), 4.0);
+    assert_eq!(metric(addr, &["cache", "hits"]), 9.0);
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_solves_are_bit_identical_to_sequential() {
     let (handle, addr) = start(ServerConfig {
