@@ -717,8 +717,9 @@ fn validate_data_dir(a: &Args) -> Result<Option<std::path::PathBuf>, args::ArgEr
 
 /// `ukc serve`: run the HTTP solver service on the calling thread.
 /// `--workers` and its alias `--threads` cap the pool lanes one solve
-/// wave may occupy (the pool is process-wide and shared with intra-solve
-/// parallelism); `--workers 0` means auto, `--threads 0` is rejected.
+/// wave may occupy and the number of waves in flight (the pool is
+/// process-wide and shared with intra-solve parallelism); `--workers 0`
+/// means auto, `--threads 0` is rejected.
 /// `--data-dir <path>` makes instances and streams durable (recovered on
 /// the next boot); `--snapshot-interval <n>` snapshots each stream every
 /// `n` pushed epochs (0 disables snapshots, recovery then replays the

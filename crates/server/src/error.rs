@@ -14,7 +14,8 @@
 //! request naming something that does not exist is `404`; a wrong method
 //! on a real route is `405`; an oversized body is `413`; a request that
 //! parses but is semantically invalid — every [`SolveError`] and every
-//! instance-validation failure — is `422`; scheduler shutdown is `503`.
+//! instance-validation failure — is `422`; scheduler shutdown is `503`;
+//! a solve wave that panicked answers its own jobs `500 internal`.
 
 use crate::http::HttpError;
 use ukc_core::SolveError;
@@ -84,6 +85,16 @@ impl ApiError {
             status: 503,
             kind: "shutting_down",
             message: "the solve scheduler is no longer accepting work".into(),
+        }
+    }
+
+    /// `500` when the server failed internally while handling a request
+    /// (a solve wave panicked). Other requests are unaffected.
+    pub fn internal(detail: impl Into<String>) -> Self {
+        ApiError {
+            status: 500,
+            kind: "internal",
+            message: detail.into(),
         }
     }
 

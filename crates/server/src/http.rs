@@ -90,10 +90,18 @@ impl std::error::Error for HttpError {}
 /// between reads — a per-read socket timeout alone does not bound a
 /// client trickling one byte per timeout window).
 ///
+/// A request carrying `Expect: 100-continue` whose declared body fits
+/// `max_body` gets the interim `HTTP/1.1 100 Continue` on `interim`
+/// before its body is read, so clients that wait for it (stock curl on
+/// large uploads) send at once instead of after their own timeout. An
+/// oversized declaration still fails with
+/// [`HttpError::PayloadTooLarge`] before any body byte is read.
+///
 /// Returns [`HttpError::Closed`] when the peer closed the connection
 /// between requests (the normal end of a keep-alive session).
 pub fn read_request(
     reader: &mut impl BufRead,
+    interim: &mut impl Write,
     max_body: usize,
     deadline: Option<std::time::Instant>,
 ) -> Result<Request, HttpError> {
@@ -173,6 +181,16 @@ pub fn read_request(
                 limit: max_body,
                 declared,
             });
+        }
+        let expects_continue = request
+            .header("expect")
+            .is_some_and(|e| e.eq_ignore_ascii_case("100-continue"));
+        // HTTP/1.0 clients never wait for it (RFC 7231 §5.1.1).
+        if expects_continue && declared > 0 && version == "HTTP/1.1" {
+            interim
+                .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+                .and_then(|()| interim.flush())
+                .map_err(|e| HttpError::Io(e.to_string()))?;
         }
         // Read the body in chunks so the deadline is enforced even
         // against a sender trickling bytes (read_exact would reset the
@@ -335,7 +353,12 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str, max_body: usize) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), max_body, None)
+        read_request(
+            &mut BufReader::new(raw.as_bytes()),
+            &mut io::sink(),
+            max_body,
+            None,
+        )
     }
 
     #[test]
@@ -420,10 +443,38 @@ mod tests {
         let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
         let result = read_request(
             &mut BufReader::new("GET / HTTP/1.1\r\n\r\n".as_bytes()),
+            &mut io::sink(),
             1024,
             Some(past),
         );
         assert!(matches!(result, Err(HttpError::Io(_))));
+    }
+
+    #[test]
+    fn expect_continue_is_answered_before_the_body_and_only_when_it_fits() {
+        let raw =
+            "POST /instances HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 4\r\n\r\nbody";
+        let mut interim = Vec::new();
+        let r = read_request(
+            &mut BufReader::new(raw.as_bytes()),
+            &mut interim,
+            1024,
+            None,
+        )
+        .unwrap();
+        assert_eq!(r.body, b"body");
+        assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+        // Oversized: the typed 413 error, and no interim line.
+        let mut interim = Vec::new();
+        let raw = "POST / HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 99\r\n\r\n";
+        let err = read_request(&mut BufReader::new(raw.as_bytes()), &mut interim, 10, None);
+        assert!(matches!(err, Err(HttpError::PayloadTooLarge { .. })));
+        assert!(interim.is_empty());
+        // No expectation, no interim line.
+        let mut interim = Vec::new();
+        let raw = "POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+        read_request(&mut BufReader::new(raw.as_bytes()), &mut interim, 10, None).unwrap();
+        assert!(interim.is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! shows where server time actually goes without re-profiling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use ukc_core::{AssignmentMode, Report};
 use ukc_json::Json;
@@ -109,6 +110,72 @@ fn assignment_slot(assignment: AssignmentMode) -> usize {
         .expect("every assignment mode has a slot")
 }
 
+/// Bucket count of a [`Log2Histogram`]: bucket 39 already starts at
+/// 2³⁸ (about three days in microseconds), so larger values share it.
+const LOG2_BUCKETS: usize = 40;
+
+/// A fixed log₂-bucket histogram of non-negative integers. Bucket `b`
+/// holds the values whose bit length is `b` — 0 alone, then 1, 2–3,
+/// 4–7, … — so recording is one `leading_zeros` and one relaxed add, and
+/// a quantile is read as the inclusive upper edge of its bucket: never
+/// below the true value and less than twice it.
+pub(crate) struct Log2Histogram {
+    buckets: [AtomicU64; LOG2_BUCKETS],
+}
+
+impl Default for Log2Histogram {
+    fn default() -> Self {
+        Log2Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Log2Histogram {
+    /// Counts one value.
+    pub fn record(&self, value: u64) {
+        let bucket = (u64::BITS - value.leading_zeros()) as usize;
+        add(&self.buckets[bucket.min(LOG2_BUCKETS - 1)], 1);
+    }
+
+    /// Values recorded so far.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(get).sum()
+    }
+
+    /// The upper edge of the bucket holding the `q`-quantile (`q` in
+    /// `[0, 1]`); 0 while the histogram is empty. Read racily, like every
+    /// counter here.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self.buckets.iter().map(get).collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0u64;
+        for (bucket, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return (1u64 << bucket) - 1;
+            }
+        }
+        unreachable!("the cumulative count reaches the total")
+    }
+
+    /// `{"count", "p50", "p95", "p99"}`, each quantile's upper edge
+    /// multiplied by `scale` (e.g. µs → ms).
+    fn to_json(&self, scale: f64) -> Json {
+        let q = |q: f64| Json::from(self.quantile(q) as f64 * scale);
+        Json::obj([
+            ("count", Json::from(self.count() as f64)),
+            ("p50", q(0.50)),
+            ("p95", q(0.95)),
+            ("p99", q(0.99)),
+        ])
+    }
+}
+
 /// All server counters.
 #[derive(Default)]
 pub struct Metrics {
@@ -131,6 +198,17 @@ pub struct Metrics {
     pub coalesced_jobs: AtomicU64,
     /// Submissions rejected because the bounded queue was full.
     pub overloaded: AtomicU64,
+    /// Jobs answered with an internal error because their wave panicked
+    /// while solving them.
+    pub panicked_jobs: AtomicU64,
+    /// Per-job queue wait, submit → wave start, in microseconds.
+    queue_wait_us: Log2Histogram,
+    /// Jobs per wave.
+    wave_size: Log2Histogram,
+    /// Waves executing right now (a gauge).
+    in_flight: AtomicU64,
+    /// The most waves ever executing at once.
+    in_flight_max: AtomicU64,
     solves_ok: AtomicU64,
     solves_err: AtomicU64,
     /// Solves that went through the warm-start path (whether the warm
@@ -180,6 +258,36 @@ impl Metrics {
     /// Fresh, all-zero counters.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Marks a wave as started: counts it, records its size and each
+    /// job's queue wait, and raises the in-flight gauge. Pair with
+    /// [`Metrics::wave_finished`].
+    pub fn wave_started(&self, waits: &[Duration]) {
+        add(&self.waves, 1);
+        add(&self.wave_jobs, waits.len() as u64);
+        self.wave_size.record(waits.len() as u64);
+        for wait in waits {
+            self.queue_wait_us
+                .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
+        }
+        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.in_flight_max.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Lowers the in-flight gauge when a wave has answered every job.
+    pub fn wave_finished(&self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Waves executing right now.
+    pub fn waves_in_flight(&self) -> u64 {
+        get(&self.in_flight)
+    }
+
+    /// The most waves that were ever executing at once.
+    pub fn waves_in_flight_max(&self) -> u64 {
+        get(&self.in_flight_max)
     }
 
     /// Counts a request against its route.
@@ -312,6 +420,11 @@ impl Metrics {
                         Json::from(get(&self.coalesced_jobs) as f64),
                     ),
                     ("overloaded", Json::from(get(&self.overloaded) as f64)),
+                    ("panicked_jobs", Json::from(get(&self.panicked_jobs) as f64)),
+                    ("in_flight", Json::from(get(&self.in_flight) as f64)),
+                    ("in_flight_max", Json::from(get(&self.in_flight_max) as f64)),
+                    ("queue_wait_ms", self.queue_wait_us.to_json(1e-3)),
+                    ("wave_size", self.wave_size.to_json(1.0)),
                 ]),
             ),
             (
@@ -457,6 +570,60 @@ mod tests {
         assert_eq!(pool.get("queued_chunks").and_then(Json::as_f64), Some(7.0));
         assert_eq!(pool.get("chunks").and_then(Json::as_f64), Some(400.0));
         assert_eq!(pool.get("waves").and_then(Json::as_f64), Some(0.0));
+    }
+
+    #[test]
+    fn log2_histogram_quantiles_are_bucket_upper_edges() {
+        let h = Log2Histogram::default();
+        assert_eq!((h.count(), h.quantile(0.5)), (0, 0));
+        for v in [0, 1, 2, 3, 900, 1000, 1023, 1024, u64::MAX] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 9);
+        // Ranks 1..9: 0 | 1 | 2 3 | 900 1000 1023 | 1024 | u64::MAX.
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(0.2), 1);
+        assert_eq!(h.quantile(0.4), 3);
+        assert_eq!(h.quantile(0.5), 1023);
+        assert_eq!(h.quantile(0.8), 2047);
+        // Values past the last bucket share it.
+        assert_eq!(h.quantile(1.0), (1 << (LOG2_BUCKETS - 1)) - 1);
+    }
+
+    #[test]
+    fn waves_feed_the_scheduler_histograms_and_gauges() {
+        let m = Metrics::new();
+        let ms = Duration::from_millis;
+        m.wave_started(&[ms(1), ms(3)]);
+        m.wave_started(&[ms(40)]);
+        assert_eq!((m.waves_in_flight(), m.waves_in_flight_max()), (2, 2));
+        m.wave_finished();
+        m.wave_finished();
+        m.wave_started(&[ms(2); 5]);
+        m.wave_finished();
+        assert_eq!((m.waves_in_flight(), m.waves_in_flight_max()), (0, 2));
+        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let sched = doc.get("scheduler").unwrap();
+        let num = |path: &[&str]| {
+            path.iter()
+                .try_fold(sched, |j, k| j.get(k))
+                .and_then(Json::as_f64)
+                .unwrap()
+        };
+        assert_eq!(num(&["waves"]), 3.0);
+        assert_eq!(num(&["wave_jobs"]), 8.0);
+        assert_eq!(num(&["in_flight"]), 0.0);
+        assert_eq!(num(&["in_flight_max"]), 2.0);
+        assert_eq!(num(&["panicked_jobs"]), 0.0);
+        // Waits 1, 2×5, 3, 40 ms: the median 2000 µs sits in the
+        // 1024–2047 µs bucket, the tail in 32768–65535 µs.
+        assert_eq!(num(&["queue_wait_ms", "count"]), 8.0);
+        assert_eq!(num(&["queue_wait_ms", "p50"]), 2.047);
+        assert_eq!(num(&["queue_wait_ms", "p99"]), 65.535);
+        // Wave sizes 2, 1, 5.
+        assert_eq!(num(&["wave_size", "count"]), 3.0);
+        assert_eq!(num(&["wave_size", "p50"]), 3.0);
+        assert_eq!(num(&["wave_size", "p99"]), 7.0);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! The solve scheduler: coalesces concurrent requests into batch waves.
+//! The solve scheduler: coalesces concurrent requests into batch waves
+//! and keeps up to `workers` waves in flight.
 //!
-//! Connection threads do no solving. They submit a `Job` over an
-//! `mpsc` channel and block on a reply channel; a single long-lived
-//! dispatcher thread drains the queue into a **wave** (everything
-//! currently pending, up to [`MAX_WAVE`]), groups the wave by
-//! [`SolverConfig`], deduplicates identical `(digest, config)` jobs, and
-//! runs each group through [`ukc_core::solve_batch_threads`] with the
-//! configured lane cap. Duplicates get clones of the one computed
-//! solution — N identical concurrent requests cost one solve — and the
+//! Connection threads do no solving. They submit a `Job` over one
+//! bounded `mpsc` queue and block on a reply channel. `workers`
+//! long-lived dispatcher threads share the queue's receiver: whichever
+//! dispatcher is idle drains everything pending into a **wave** (up to
+//! [`MAX_WAVE`] jobs), groups the wave by [`SolverConfig`], deduplicates
+//! identical `(digest, config)` jobs, and runs each group through
+//! [`ukc_core::solve_batch_threads`] with the configured lane cap. While
+//! one wave solves, the next idle dispatcher takes the next wave, so a
+//! miss no longer waits for an unrelated solve to finish; with
+//! `workers = 1` there is one dispatcher and waves run one at a time.
+//! Duplicates inside a wave get clones of the one computed solution —
+//! N identical concurrent requests in one wave cost one solve — and the
 //! last job waiting on a result receives it by move, so an uncoalesced
 //! job is answered without a copy. A problem holds its set behind an
 //! `Arc`, so handing it to the wave is a reference-count bump too.
@@ -15,9 +20,15 @@
 //! Waves execute on the process-wide [`ukc_pool::global`] worker pool —
 //! the same pool each solve's intra-solve kernels draw on — so wave
 //! fan-out and per-solve parallelism cooperate under one fixed worker
-//! set instead of oversubscribing the host. `workers` is therefore a
-//! *lane cap*, not a thread count: it bounds how many pool lanes one
-//! wave may occupy.
+//! set. `workers` is a *lane cap* per wave and the number of waves in
+//! flight; it spawns no pool threads. The runnable threads are therefore
+//! bounded by the pool's workers plus the in-flight waves, each wave's
+//! dispatcher being the submitting lane of its own pool tasks.
+//!
+//! Each config group of a wave solves under `catch_unwind`: a panic
+//! fails only that group's jobs, with [`SubmitError::Panicked`] (the
+//! server answers `500 internal`), releases their queue slots, and
+//! leaves the dispatcher serving.
 //!
 //! The queue has a **bounded depth** (`queue_cap`): a submission that
 //! would push the number of accepted-but-unanswered jobs past the cap is
@@ -27,14 +38,17 @@
 //! has no side effects and is always safe to retry.
 //!
 //! Determinism is load-bearing: `solve_batch_threads` is bit-identical
-//! to the sequential loop, so batching, coalescing, and pool scheduling
-//! can never leak into a response — a client observes exactly what
-//! `Problem::solve` would have returned.
+//! to the sequential loop and every result is a pure function of
+//! (instance, config, base), so batching, coalescing, concurrent waves
+//! and pool scheduling can never leak into a response — a client
+//! observes exactly what `Problem::solve` would have returned.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::metrics::Metrics;
 use ukc_core::{solve_batch_threads, Problem, Solution, SolveError, SolverConfig};
@@ -44,7 +58,7 @@ use ukc_metric::Point;
 /// next wave, they are never dropped).
 pub const MAX_WAVE: usize = 256;
 
-/// Why a submission was refused before it was enqueued.
+/// Why the scheduler produced no solve outcome for a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The scheduler has shut down (the server is stopping).
@@ -56,7 +70,15 @@ pub enum SubmitError {
         /// The configured queue capacity.
         cap: usize,
     },
+    /// The job's wave panicked while solving it. Its queue slot was
+    /// released; jobs in other waves and other config groups were not
+    /// affected.
+    Panicked,
 }
+
+/// What a job's reply channel carries: the solve's own outcome, or why
+/// there is none.
+type Reply = Result<Result<Solution<Point>, SolveError>, SubmitError>;
 
 /// One queued solve request.
 struct Job {
@@ -69,48 +91,61 @@ struct Job {
     /// result may legitimately differ from the cold solve of the same
     /// problem, so the two must never share one computation.
     warm: Option<(u64, Arc<Solution<Point>>)>,
-    reply: mpsc::Sender<Result<Solution<Point>, SolveError>>,
+    /// When the job was submitted (its queue wait ends at wave start).
+    queued_at: Instant,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// State every dispatcher shares.
+struct Shared {
+    rx: Mutex<mpsc::Receiver<Job>>,
+    workers: usize,
+    depth: AtomicUsize,
+    metrics: Arc<Metrics>,
 }
 
 /// The scheduler handle shared by all connection threads.
 pub struct Scheduler {
     tx: Mutex<Option<mpsc::Sender<Job>>>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
-    workers: usize,
+    dispatchers: Mutex<Vec<JoinHandle<()>>>,
     queue_cap: usize,
-    depth: Arc<AtomicUsize>,
-    metrics: Arc<Metrics>,
+    shared: Arc<Shared>,
 }
 
 impl Scheduler {
-    /// Starts the dispatcher. `workers` is the pool-lane cap handed to
-    /// [`solve_batch_threads`] per wave (0 and 1 both mean sequential);
-    /// `queue_cap` bounds accepted-but-unanswered jobs (`usize::MAX` is
-    /// unbounded — the historical behavior; `0` rejects every solve).
+    /// Starts `workers` dispatchers (at least one). `workers` is also the
+    /// pool-lane cap handed to [`solve_batch_threads`] per wave (0 and 1
+    /// both mean one wave at a time, each sequential); `queue_cap` bounds
+    /// accepted-but-unanswered jobs (`usize::MAX` is unbounded — the
+    /// historical behavior; `0` rejects every solve).
     pub fn new(workers: usize, queue_cap: usize, metrics: Arc<Metrics>) -> Self {
         let (tx, rx) = mpsc::channel::<Job>();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let dispatcher = {
-            let depth = Arc::clone(&depth);
-            let metrics = Arc::clone(&metrics);
-            std::thread::Builder::new()
-                .name("ukc-dispatch".into())
-                .spawn(move || dispatch_loop(rx, workers, depth, metrics))
-                .expect("spawning the dispatcher thread")
-        };
+        let shared = Arc::new(Shared {
+            rx: Mutex::new(rx),
+            workers,
+            depth: AtomicUsize::new(0),
+            metrics,
+        });
+        let dispatchers = (0..workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("ukc-dispatch-{i}"))
+                    .spawn(move || dispatch_loop(&shared))
+                    .expect("spawning a dispatcher thread")
+            })
+            .collect();
         Scheduler {
             tx: Mutex::new(Some(tx)),
-            dispatcher: Mutex::new(Some(dispatcher)),
-            workers,
+            dispatchers: Mutex::new(dispatchers),
             queue_cap,
-            depth,
-            metrics,
+            shared,
         }
     }
 
-    /// The per-wave worker count.
+    /// The per-wave lane cap, which is also the number of waves in flight.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.workers
     }
 
     /// The configured queue-depth bound.
@@ -120,12 +155,13 @@ impl Scheduler {
 
     /// Accepted-but-unanswered jobs right now (a racy monitoring gauge).
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.shared.depth.load(Ordering::Relaxed)
     }
 
     /// Atomically reserves `n` queue slots, or reports the overload.
     fn reserve(&self, n: usize) -> Result<(), SubmitError> {
         let outcome = self
+            .shared
             .depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
                 if d.saturating_add(n) > self.queue_cap {
@@ -137,7 +173,10 @@ impl Scheduler {
         match outcome {
             Ok(_) => Ok(()),
             Err(depth) => {
-                self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .metrics
+                    .overloaded
+                    .fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Overloaded {
                     depth,
                     cap: self.queue_cap,
@@ -146,14 +185,15 @@ impl Scheduler {
         }
     }
 
-    /// Releases reserved slots that will never reach the dispatcher.
+    /// Releases reserved slots that will never reach a dispatcher.
     fn release(&self, n: usize) {
-        self.depth.fetch_sub(n, Ordering::Relaxed);
+        self.shared.depth.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Submits one solve and blocks for its result. The outer error
-    /// means the job never ran (queue full or shutdown — the caller
-    /// should answer 503); the inner result is the solve's own outcome.
+    /// means the job produced no outcome (queue full or shutdown — the
+    /// caller should answer 503 — or its wave panicked, a 500); the
+    /// inner result is the solve's own outcome.
     pub fn solve(
         &self,
         problem: Problem<Point>,
@@ -184,11 +224,15 @@ impl Scheduler {
     }
 
     /// Submits a batch of solves and blocks for all results, in job
-    /// order. All jobs are enqueued before the first result is awaited,
-    /// so a batch submitted by one thread lands in one wave and fans out
-    /// across the pool — this is what `POST /solve_batch` rides on. The
-    /// whole batch is admitted or rejected atomically against the queue
-    /// bound.
+    /// order. All jobs are enqueued under one lock before the first
+    /// result is awaited, so an idle dispatcher usually drains the batch
+    /// into one wave that fans out across the pool — this is what
+    /// `POST /solve_batch` rides on. One wave is not guaranteed: a
+    /// dispatcher may take the head of the batch while the rest is still
+    /// being enqueued, and another dispatcher then runs the rest as a
+    /// second wave in flight. The whole batch is admitted or rejected
+    /// atomically against the queue bound, and fails as a whole if any
+    /// of its waves panicked.
     pub fn solve_many(
         &self,
         jobs: Vec<(Problem<Point>, SolverConfig, u64)>,
@@ -224,6 +268,7 @@ impl Scheduler {
                 return Err(SubmitError::ShuttingDown);
             };
             let total = jobs.len();
+            let queued_at = Instant::now();
             for (problem, config, digest, warm) in jobs {
                 let (reply_tx, reply_rx) = mpsc::channel();
                 if tx
@@ -232,12 +277,13 @@ impl Scheduler {
                         config,
                         digest,
                         warm,
+                        queued_at,
                         reply: reply_tx,
                     })
                     .is_err()
                 {
                     // Enqueued jobs are drained (and released) by the
-                    // dispatcher; only the unsent remainder is ours.
+                    // dispatchers; only the unsent remainder is ours.
                     self.release(total - replies.len());
                     return Err(SubmitError::ShuttingDown);
                 }
@@ -246,12 +292,12 @@ impl Scheduler {
         }
         replies
             .into_iter()
-            .map(|rx| rx.recv().map_err(|_| SubmitError::ShuttingDown))
+            .map(|rx| rx.recv().map_err(|_| SubmitError::ShuttingDown)?)
             .collect()
     }
 
-    /// Stops accepting work and joins the dispatcher after it drains the
-    /// queue. Idempotent.
+    /// Stops accepting work and joins every dispatcher after they drain
+    /// the queue. Idempotent.
     pub fn shutdown(&self) {
         drop(
             self.tx
@@ -259,12 +305,13 @@ impl Scheduler {
                 .expect("scheduler submit lock poisoned")
                 .take(),
         );
-        if let Some(handle) = self
-            .dispatcher
-            .lock()
-            .expect("scheduler join lock poisoned")
-            .take()
-        {
+        let dispatchers = std::mem::take(
+            &mut *self
+                .dispatchers
+                .lock()
+                .expect("scheduler join lock poisoned"),
+        );
+        for handle in dispatchers {
             let _ = handle.join();
         }
     }
@@ -276,38 +323,41 @@ impl Drop for Scheduler {
     }
 }
 
-fn dispatch_loop(
-    rx: mpsc::Receiver<Job>,
-    workers: usize,
-    depth: Arc<AtomicUsize>,
-    metrics: Arc<Metrics>,
-) {
+/// One dispatcher: take the receiver, block for a first job, drain what
+/// else is pending into a wave, let go of the receiver, run the wave.
+/// Every sender gone (and the queue drained) means shutdown.
+fn dispatch_loop(shared: &Shared) {
     loop {
-        // Block for the first job; every sender gone means shutdown.
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        let mut jobs = vec![first];
-        while jobs.len() < MAX_WAVE {
-            match rx.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(_) => break,
+        let jobs = {
+            // Nothing panics while holding the receiver, and a receiver
+            // has no state a panic could leave half-updated.
+            let rx = shared.rx.lock().unwrap_or_else(PoisonError::into_inner);
+            let Ok(first) = rx.recv() else {
+                return;
+            };
+            let mut jobs = vec![first];
+            while jobs.len() < MAX_WAVE {
+                match rx.try_recv() {
+                    Ok(job) => jobs.push(job),
+                    Err(_) => break,
+                }
             }
-        }
-        run_wave(jobs, workers, &metrics, &depth);
+            jobs
+        };
+        run_wave(jobs, shared);
     }
 }
 
-/// Executes one wave: group by config, dedupe by digest, batch-solve,
-/// fan results back out.
-fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsize) {
-    metrics
-        .waves
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    metrics
-        .wave_jobs
-        .fetch_add(jobs.len() as u64, std::sync::atomic::Ordering::Relaxed);
+/// Executes one wave: group by config, dedupe by digest, batch-solve
+/// each group under `catch_unwind`, fan results back out.
+fn run_wave(jobs: Vec<Job>, shared: &Shared) {
+    let metrics = &shared.metrics;
+    let started = Instant::now();
+    let waits: Vec<Duration> = jobs
+        .iter()
+        .map(|job| started.saturating_duration_since(job.queued_at))
+        .collect();
+    metrics.wave_started(&waits);
 
     // Group job indices by configuration (configs are small and few per
     // wave; linear scan keeps SolverConfig free of Hash requirements).
@@ -346,31 +396,50 @@ fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsi
                 }
             }
         }
-        // Cold uniques batch through the pool; warm uniques each chain
-        // from their own prior, so they solve individually.
-        let mut cold_slots: Vec<usize> = Vec::new();
-        let mut problems: Vec<Problem<Point>> = Vec::new();
-        for (u, &(_, _, i)) in unique.iter().enumerate() {
-            if jobs[i].warm.is_none() {
-                cold_slots.push(u);
-                problems.push(jobs[i].problem.clone());
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::inject_faults(&unique, &shared.metrics);
+            // Cold uniques batch through the pool; warm uniques each
+            // chain from their own prior, so they solve individually.
+            let mut cold_slots: Vec<usize> = Vec::new();
+            let mut problems: Vec<Problem<Point>> = Vec::new();
+            for (u, &(_, _, i)) in unique.iter().enumerate() {
+                if jobs[i].warm.is_none() {
+                    cold_slots.push(u);
+                    problems.push(jobs[i].problem.clone());
+                }
             }
-        }
-        // A group fans out on the pool only when more than one unique
-        // problem meets more than one lane *and* the pool has workers to
-        // claim chunks (a 0-worker pool degrades to the inline loop).
-        fanned_out |= workers > 1 && problems.len() > 1 && ukc_pool::global().workers() > 0;
-        let cold_results = solve_batch_threads(&problems, &config, workers);
-        let mut slots: Vec<Option<Result<Solution<Point>, SolveError>>> =
-            (0..unique.len()).map(|_| None).collect();
-        for (u, result) in cold_slots.into_iter().zip(cold_results) {
-            slots[u] = Some(result);
-        }
-        for (u, &(_, _, i)) in unique.iter().enumerate() {
-            if let Some((_, prior)) = &jobs[i].warm {
-                slots[u] = Some(Solution::warm_start(&jobs[i].problem, &config, prior));
+            // A group fans out on the pool only when more than one unique
+            // problem meets more than one lane *and* the pool has workers
+            // to claim chunks (a 0-worker pool degrades to the inline
+            // loop).
+            let workers = shared.workers;
+            fanned_out |= workers > 1 && problems.len() > 1 && ukc_pool::global().workers() > 0;
+            let cold_results = solve_batch_threads(&problems, &config, workers);
+            let mut slots: Vec<Option<Result<Solution<Point>, SolveError>>> =
+                (0..unique.len()).map(|_| None).collect();
+            for (u, result) in cold_slots.into_iter().zip(cold_results) {
+                slots[u] = Some(result);
             }
-        }
+            for (u, &(_, _, i)) in unique.iter().enumerate() {
+                if let Some((_, prior)) = &jobs[i].warm {
+                    slots[u] = Some(Solution::warm_start(&jobs[i].problem, &config, prior));
+                }
+            }
+            slots
+        }));
+        let Ok(mut slots) = solved else {
+            // Only this group's jobs fail; each still gives its queue
+            // slot back before it is answered.
+            metrics
+                .panicked_jobs
+                .fetch_add(idxs.len() as u64, Ordering::Relaxed);
+            for &i in &idxs {
+                shared.depth.fetch_sub(1, Ordering::Relaxed);
+                let _ = jobs[i].reply.send(Err(SubmitError::Panicked));
+            }
+            continue;
+        };
         for slot in &slots {
             match slot.as_ref().expect("every unique job was solved") {
                 Ok(solution) => {
@@ -394,9 +463,9 @@ fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsi
             .expect("a result is taken only by its last waiter");
             // Release the job's queue slot before answering it: a caller
             // holding its answer must never still count in `depth`.
-            depth.fetch_sub(1, Ordering::Relaxed);
+            shared.depth.fetch_sub(1, Ordering::Relaxed);
             // A dead reply channel just means the client hung up.
-            let _ = jobs[i].reply.send(result);
+            let _ = jobs[i].reply.send(Ok(result));
         }
     }
     metrics
@@ -409,6 +478,7 @@ fn run_wave(jobs: Vec<Job>, workers: usize, metrics: &Metrics, depth: &AtomicUsi
             .pool_waves
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
+    metrics.wave_finished();
 }
 
 #[cfg(test)]
@@ -421,31 +491,261 @@ mod tests {
         Problem::euclidean(set, 2).unwrap()
     }
 
-    #[test]
-    fn results_match_direct_solves_bit_for_bit() {
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Arc::new(Scheduler::new(2, usize::MAX, Arc::clone(&metrics)));
-        let config = SolverConfig::default();
-        let mut handles = Vec::new();
-        for seed in 0..8u64 {
-            let scheduler = Arc::clone(&scheduler);
-            let config = config.clone();
-            handles.push(std::thread::spawn(move || {
-                let p = problem(seed);
-                let digest = p.instance_digest();
-                (seed, scheduler.solve(p, config, digest).unwrap().unwrap())
-            }));
-        }
-        for handle in handles {
-            let (seed, served) = handle.join().unwrap();
-            let direct = problem(seed).solve(&config).unwrap();
-            assert_eq!(served.ecost.to_bits(), direct.ecost.to_bits());
-            assert_eq!(served.assignment, direct.assignment);
-            assert_eq!(served.centers.len(), direct.centers.len());
-            for (a, b) in served.centers.iter().zip(&direct.centers) {
-                assert_eq!(a.coords(), b.coords());
+    /// A job carrying this digest makes its group panic before solving.
+    pub(super) const PANIC_DIGEST: u64 = 0xDEAD_0000_0000_0001;
+    /// A job carrying this digest holds its wave open until another wave
+    /// starts (or [`HOLD_LIMIT`] passes), then solves normally.
+    pub(super) const HOLD_DIGEST: u64 = 0xDEAD_0000_0000_0002;
+    const HOLD_LIMIT: Duration = Duration::from_secs(2);
+
+    /// The test-only fault hooks a wave runs before solving a config
+    /// group's unique `(digest, base, job)` entries.
+    pub(super) fn inject_faults(unique: &[(u64, Option<u64>, usize)], metrics: &Metrics) {
+        let carries = |digest| unique.iter().any(|&(d, _, _)| d == digest);
+        if carries(HOLD_DIGEST) {
+            let until = Instant::now() + HOLD_LIMIT;
+            let waves = metrics.waves.load(Ordering::Relaxed);
+            while metrics.waves.load(Ordering::Relaxed) == waves && Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
+        if carries(PANIC_DIGEST) {
+            panic!("injected wave panic");
+        }
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within `secs` (a dead dispatcher would hang it forever).
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .expect("the scheduler answered in time")
+    }
+
+    /// Polls until `done` holds (a wave answers its jobs before it
+    /// lowers the in-flight gauge, so callers may see the gauge lag).
+    fn await_metric(metrics: &Metrics, what: &str, done: impl Fn(&Metrics) -> bool) {
+        let until = Instant::now() + Duration::from_secs(10);
+        while !done(metrics) {
+            assert!(Instant::now() < until, "never saw {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Submits a held solve of `problem(seed)` from its own thread and
+    /// returns once its wave has started. Call it with nothing else
+    /// queued, so the next wave to start is the held one.
+    fn submit_held(
+        scheduler: &Arc<Scheduler>,
+        metrics: &Metrics,
+        seed: u64,
+    ) -> std::thread::JoinHandle<Solution<Point>> {
+        let before = metrics.waves.load(Ordering::Relaxed);
+        let held = {
+            let scheduler = Arc::clone(scheduler);
+            std::thread::spawn(move || {
+                scheduler
+                    .solve(problem(seed), SolverConfig::default(), HOLD_DIGEST)
+                    .unwrap()
+                    .unwrap()
+            })
+        };
+        await_metric(metrics, "the held wave start", |m| {
+            m.waves.load(Ordering::Relaxed) > before
+        });
+        held
+    }
+
+    fn assert_same(served: &Solution<Point>, direct: &Solution<Point>) {
+        assert_eq!(served.ecost.to_bits(), direct.ecost.to_bits());
+        assert_eq!(served.assignment, direct.assignment);
+        assert_eq!(served.centers.len(), direct.centers.len());
+        for (a, b) in served.centers.iter().zip(&direct.centers) {
+            assert_eq!(a.coords(), b.coords());
+        }
+        assert_eq!(
+            served.report.warm.as_ref().map(|w| w.fallback),
+            direct.report.warm.as_ref().map(|w| w.fallback)
+        );
+    }
+
+    /// A base instance, its grown successor (same prefix), and the base's
+    /// cold solution to warm-start the successor from.
+    fn warm_pair(seed: u64) -> (Problem<Point>, u64, Arc<Solution<Point>>) {
+        let base_set = clustered(seed, 40, 3, 2, 3, 30.0, 1.0, ProbModel::Random);
+        let mut points = base_set.points().to_vec();
+        let extra = clustered(seed + 99, 4, 3, 2, 2, 30.0, 1.0, ProbModel::Random);
+        points.extend(extra.points().iter().cloned());
+        let base = Problem::euclidean(
+            ukc_uncertain::UncertainSet::new(base_set.points().to_vec()),
+            3,
+        )
+        .unwrap();
+        let grown = Problem::euclidean(ukc_uncertain::UncertainSet::new(points), 3).unwrap();
+        let prior = Arc::new(base.solve(&SolverConfig::default()).unwrap());
+        (grown, base.instance_digest(), prior)
+    }
+
+    #[test]
+    fn results_match_direct_solves_bit_for_bit() {
+        // Cold jobs, duplicate cold jobs, and warm jobs (plus their
+        // duplicates), submitted from many threads at once, under one,
+        // two and four waves in flight.
+        for workers in [1usize, 2, 4] {
+            let metrics = Arc::new(Metrics::new());
+            let scheduler = Arc::new(Scheduler::new(workers, usize::MAX, Arc::clone(&metrics)));
+            let config = SolverConfig::default();
+            let mut handles = Vec::new();
+            for (t, seed) in [0u64, 1, 2, 3, 4, 5, 6, 7, 0, 3, 3].into_iter().enumerate() {
+                let scheduler = Arc::clone(&scheduler);
+                let config = config.clone();
+                let warm = t % 3 == 1;
+                handles.push(std::thread::spawn(move || {
+                    if warm {
+                        let (grown, base_digest, prior) = warm_pair(seed);
+                        let digest = grown.instance_digest();
+                        let served = scheduler
+                            .solve_warm(
+                                grown.clone(),
+                                config.clone(),
+                                digest,
+                                base_digest,
+                                Arc::clone(&prior),
+                            )
+                            .unwrap()
+                            .unwrap();
+                        (
+                            served,
+                            Solution::warm_start(&grown, &config, &prior).unwrap(),
+                        )
+                    } else {
+                        let p = problem(seed);
+                        let digest = p.instance_digest();
+                        let served = scheduler.solve(p, config.clone(), digest).unwrap().unwrap();
+                        (served, problem(seed).solve(&config).unwrap())
+                    }
+                }));
+            }
+            for handle in handles {
+                let (served, direct) = handle.join().unwrap();
+                assert_same(&served, &direct);
+            }
+            assert_eq!(metrics.wave_jobs.load(Ordering::Relaxed), 11);
+            assert!(metrics.waves_in_flight_max() <= workers as u64);
+            assert_eq!(scheduler.depth(), 0);
+            await_metric(&metrics, "no wave in flight", |m| m.waves_in_flight() == 0);
+        }
+    }
+
+    /// Submits a held job from one thread and, once its wave is in
+    /// flight, a distinct job from another; returns both results.
+    fn overlapping_pair(
+        scheduler: &Arc<Scheduler>,
+        metrics: &Metrics,
+    ) -> (Solution<Point>, Solution<Point>) {
+        let held = submit_held(scheduler, metrics, 20);
+        let other = {
+            let scheduler = Arc::clone(scheduler);
+            std::thread::spawn(move || {
+                let p = problem(21);
+                let digest = p.instance_digest();
+                scheduler
+                    .solve(p, SolverConfig::default(), digest)
+                    .unwrap()
+                    .unwrap()
+            })
+        };
+        (held.join().unwrap(), other.join().unwrap())
+    }
+
+    #[test]
+    fn two_workers_overlap_two_waves_and_one_worker_never_does() {
+        let config = SolverConfig::default();
+        for (workers, expected_max) in [(2usize, 2u64), (1, 1)] {
+            let metrics = Arc::new(Metrics::new());
+            let scheduler = Arc::new(Scheduler::new(workers, usize::MAX, Arc::clone(&metrics)));
+            let (held, other) = overlapping_pair(&scheduler, &metrics);
+            assert_eq!(
+                metrics.waves_in_flight_max(),
+                expected_max,
+                "workers = {workers}"
+            );
+            assert_eq!(metrics.waves.load(Ordering::Relaxed), 2);
+            assert_same(&held, &problem(20).solve(&config).unwrap());
+            assert_same(&other, &problem(21).solve(&config).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_panicking_wave_fails_only_its_jobs_and_every_dispatcher_survives() {
+        let workers = 2;
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Arc::new(Scheduler::new(workers, usize::MAX, Arc::clone(&metrics)));
+        let config = SolverConfig::default();
+
+        // A held wave is in flight while another wave panics beside it:
+        // the held job still gets its bit-identical result.
+        let held = submit_held(&scheduler, &metrics, 30);
+        let err = scheduler
+            .solve(problem(31), config.clone(), PANIC_DIGEST)
+            .unwrap_err();
+        assert_eq!(err, SubmitError::Panicked);
+        assert_same(&held.join().unwrap(), &problem(30).solve(&config).unwrap());
+
+        // Panic once more than there are dispatchers: without isolation
+        // each panic would take one dispatcher down and the solves below
+        // would never be answered.
+        for _ in 0..=workers {
+            let scheduler = Arc::clone(&scheduler);
+            let err = within(30, move || {
+                scheduler
+                    .solve(problem(32), SolverConfig::default(), PANIC_DIGEST)
+                    .unwrap_err()
+            });
+            assert_eq!(err, SubmitError::Panicked);
+        }
+        assert_eq!(
+            metrics.panicked_jobs.load(Ordering::Relaxed),
+            workers as u64 + 2
+        );
+        assert_eq!(scheduler.depth(), 0);
+
+        // Unrelated jobs keep getting bit-identical results, and two
+        // waves still overlap, so both dispatchers are alive.
+        let results = {
+            let scheduler = Arc::clone(&scheduler);
+            let config = config.clone();
+            within(30, move || {
+                let jobs: Vec<_> = (0..4u64)
+                    .map(|seed| {
+                        let p = problem(seed);
+                        let digest = p.instance_digest();
+                        (p, config.clone(), digest)
+                    })
+                    .collect();
+                scheduler.solve_many(jobs).unwrap()
+            })
+        };
+        for (seed, served) in results.iter().enumerate() {
+            assert_same(
+                served.as_ref().unwrap(),
+                &problem(seed as u64).solve(&config).unwrap(),
+            );
+        }
+        // (With one dispatcher left, the held wave would run out its
+        // whole hold limit alone.)
+        let started = Instant::now();
+        let (held, other) = overlapping_pair(&scheduler, &metrics);
+        assert!(
+            started.elapsed() < HOLD_LIMIT,
+            "the held wave never overlapped"
+        );
+        assert_same(&held, &problem(20).solve(&config).unwrap());
+        assert_same(&other, &problem(21).solve(&config).unwrap());
+        assert_eq!(scheduler.depth(), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! One thread per connection (connections are cheap; solves are the
 //! expensive part and those are centralized in the
-//! [`crate::scheduler::Scheduler`], so a thousand idle keep-alive
-//! connections cannot oversubscribe the CPU). [`serve`] returns a
+//! [`crate::scheduler::Scheduler`], which keeps at most `workers` waves
+//! in flight, so a thousand idle keep-alive connections cannot
+//! oversubscribe the CPU). [`serve`] returns a
 //! [`ServerHandle`] for embedding (tests, benches, examples);
 //! [`serve_blocking`] runs the accept loop on the caller's thread for
 //! the CLI.
@@ -38,11 +39,13 @@ use ukc_uncertain::{UncertainPoint, UncertainSet};
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Pool-lane cap per solve wave (0 means one per available CPU /
-    /// `UKC_THREADS`). Waves run on the process-wide [`ukc_pool::global`]
-    /// pool, shared with each solve's intra-solve kernels, so this caps
-    /// how many of the pool's lanes one wave may occupy — it does not
-    /// spawn threads of its own.
+    /// Pool-lane cap per solve wave and the number of waves in flight
+    /// (0 means one per available CPU / `UKC_THREADS`). Waves run on the
+    /// process-wide [`ukc_pool::global`] pool, shared with each solve's
+    /// intra-solve kernels, so this caps how many of the pool's lanes one
+    /// wave may occupy; the scheduler runs this many dispatcher threads,
+    /// each the submitting lane of its own wave, and spawns no pool
+    /// threads.
     pub workers: usize,
     /// Solution-cache capacity in entries (0 disables the cache).
     pub cache_cap: usize,
@@ -431,7 +434,12 @@ fn handle_connection(stream: TcpStream, state: &AppState) {
     let mut writer = BufWriter::new(stream);
     loop {
         let deadline = Instant::now() + REQUEST_DEADLINE;
-        match read_request(&mut reader, state.max_body_bytes, Some(deadline)) {
+        match read_request(
+            &mut reader,
+            &mut writer,
+            state.max_body_bytes,
+            Some(deadline),
+        ) {
             Err(HttpError::Closed) => return,
             // Timeout, deadline, or socket failure: the peer is stalled
             // or gone, so there is no point writing a response — just
@@ -1471,6 +1479,9 @@ fn submit_err(e: crate::scheduler::SubmitError) -> ApiError {
         crate::scheduler::SubmitError::ShuttingDown => ApiError::unavailable(),
         crate::scheduler::SubmitError::Overloaded { depth, cap } => {
             ApiError::overloaded(depth, cap)
+        }
+        crate::scheduler::SubmitError::Panicked => {
+            ApiError::internal("the solve failed internally; other requests are unaffected")
         }
     }
 }

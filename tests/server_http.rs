@@ -609,12 +609,86 @@ fn concurrent_solves_are_bit_identical_to_sequential() {
         assert_eq!(assignment, expected.assignment);
     }
 
-    // The wave machinery actually ran.
-    assert!(metric(addr, &["scheduler", "waves"]) >= 1.0);
+    // The wave machinery actually ran, and its histograms saw every
+    // job and every wave; no more waves than workers were in flight.
+    let waves = metric(addr, &["scheduler", "waves"]);
+    assert!(waves >= 1.0);
     assert_eq!(
         metric(addr, &["scheduler", "wave_jobs"]),
         seeds.len() as f64
     );
+    assert_eq!(
+        metric(addr, &["scheduler", "queue_wait_ms", "count"]),
+        seeds.len() as f64
+    );
+    assert_eq!(metric(addr, &["scheduler", "wave_size", "count"]), waves);
+    for q in ["p50", "p95", "p99"] {
+        assert!(metric(addr, &["scheduler", "queue_wait_ms", q]) >= 0.0);
+        assert!(metric(addr, &["scheduler", "wave_size", q]) >= 1.0);
+    }
+    let in_flight_max = metric(addr, &["scheduler", "in_flight_max"]);
+    assert!((1.0..=2.0).contains(&in_flight_max), "{in_flight_max}");
+    assert_eq!(metric(addr, &["scheduler", "panicked_jobs"]), 0.0);
+    handle.shutdown();
+}
+
+/// Reads from a raw socket until `needle` has arrived; returns all of it.
+fn read_until(stream: &mut std::net::TcpStream, needle: &str) -> String {
+    use std::io::Read;
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !String::from_utf8_lossy(&seen).contains(needle) {
+        let n = stream.read(&mut buf).expect("read");
+        assert!(
+            n > 0,
+            "closed before {needle:?}: {}",
+            String::from_utf8_lossy(&seen)
+        );
+        seen.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8(seen).unwrap()
+}
+
+/// `Expect: 100-continue` gets the interim line once the headers are
+/// read and the declared length fits; the body is only sent after it.
+/// An oversized declaration gets the typed 413 without any body byte.
+#[test]
+fn expect_100_continue_is_answered_before_the_body() {
+    use std::io::Write;
+    let (handle, addr) = start(ServerConfig {
+        max_body_bytes: 4096,
+        ..ServerConfig::default()
+    });
+    let timeout = Some(std::time::Duration::from_secs(10));
+
+    let body = instance_body(3);
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(timeout).unwrap();
+    write!(
+        stream,
+        "POST /instances HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    let interim = read_until(&mut stream, "\r\n\r\n");
+    assert_eq!(interim, "HTTP/1.1 100 Continue\r\n\r\n");
+    stream.write_all(body.as_bytes()).unwrap();
+    let response = read_until(&mut stream, "\"created\"");
+    assert!(response.starts_with("HTTP/1.1 201 "), "{response}");
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(timeout).unwrap();
+    write!(
+        stream,
+        "POST /instances HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
+         Content-Length: 99999\r\n\r\n"
+    )
+    .unwrap();
+    let response = read_until(&mut stream, "payload_too_large");
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+    assert!(!response.contains("100 Continue"), "{response}");
+    drop(stream);
     handle.shutdown();
 }
 
