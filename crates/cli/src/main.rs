@@ -451,6 +451,7 @@ fn load_prior(
         representatives,
         certain_radius,
         report: ukc_core::Report::default(),
+        cost_distances: None,
     })
 }
 

@@ -1,8 +1,9 @@
 //! The incremental-solve layer: warm starts and batch leave-one-out.
 //!
 //! A cold [`Problem::solve`] spends `Θ(n·k)` distance evaluations in the
-//! certain k-center stage and the assignment sweep even when the instance
-//! barely changed. This module exploits two recurring delta shapes:
+//! certain k-center stage (whose passes also assign) plus one per
+//! realization location in the cost stage, even when the instance barely
+//! changed. This module exploits two recurring delta shapes:
 //!
 //! * **Append chains** ([`Solution::warm_start`]): a prior solution of a
 //!   prefix of the instance seeds the new solve. The prior centers and
@@ -51,20 +52,25 @@
 //! assert!(stats.fallback.is_none() || stats.reused_centers == 0);
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::assignments::AssignmentRule;
 use crate::config::{CertainStrategy, SolverConfig};
 use crate::error::SolveError;
-use crate::problem::{method_string, solve_batch_threads, validate_k, Problem, Solution};
+use crate::problem::{
+    method_string, solve_batch_threads, validate_k, CostDistances, Problem, Solution,
+};
 use crate::report::{Report, WarmStats};
-use ukc_kcenter::gonzalez;
+use ukc_kcenter::{cover_radius, gonzalez_nearest};
+use ukc_metric::batch::tracking_fuses;
 use ukc_metric::{
     mask_row, DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
-    ecost_assigned, ecost_assigned_exec, expected_max, expected_point, UncertainPoint, UncertainSet,
+    assigned_distances_exec, distance_vars, ecost_assigned, ecost_from_distances, expected_max,
+    expected_point, UncertainPoint, UncertainSet,
 };
 
 /// The warm fast path supports exactly the pipeline whose structure it
@@ -116,7 +122,9 @@ impl Solution<Point> {
     /// The warm fast path reuses the prior centers and the prior
     /// assignment verbatim, re-assigns only the appended rows via one
     /// fused `nearest_each` sweep, and recomputes the exact expected cost
-    /// — skipping the `Θ(n·k)` certain-solve stage entirely. It is taken
+    /// from the prior's recorded per-location distances for the prefix
+    /// (when it carries them for these locations under this kernel) —
+    /// skipping the `Θ(n·k)` certain-solve stage entirely. It is taken
     /// only when the *separation certificate* holds: with `δ` the minimum
     /// pairwise distance among the prior centers and `r` the covering
     /// radius of the representatives by those centers, `r ≤ δ` makes the
@@ -274,11 +282,28 @@ fn warm_attempt(
     report.distance_evals.assignment = counter.since(evals_before);
     report.timings.assignment = t.elapsed();
 
-    // Stage 4: the exact expected cost is never reused — it is what the
-    // caller is paying for.
+    // Stage 4: the exact expected cost is recomputed, but the prefix
+    // keeps its centers and assignment, so the prior's per-location
+    // distances stand in for its pairs when it recorded them for these
+    // very locations under this kernel; only the rest are evaluated.
     let evals_before = counter.count();
     let t = Instant::now();
-    let ecost = ecost_assigned_exec(&set_ids, &center_ids, &assignment, &oracle, exec);
+    let reused = prior
+        .cost_distances
+        .as_ref()
+        .and_then(|d| d.prefix(set, n_prior, config.kernel()));
+    let from = if reused.is_some() { n_prior } else { 0 };
+    let mut dists = reused.map_or_else(Vec::new, <[f64]>::to_vec);
+    dists.extend(assigned_distances_exec(
+        &set_ids.points()[from..],
+        &center_ids,
+        &assignment[from..],
+        &oracle,
+        exec,
+    ));
+    let ecost = ecost_from_distances(&set_ids, &dists);
+    let cost_distances =
+        CostDistances::new(Arc::clone(problem.shared_set()), config.kernel(), dists);
     report.distance_evals.cost = counter.since(evals_before);
     report.timings.cost = t.elapsed();
 
@@ -299,9 +324,17 @@ fn warm_attempt(
     }
 
     // What a cold EP/Gonzalez solve of this instance spends: n·k for the
-    // greedy sweep, n·k for its radius, n·k for assignment, plus one
-    // evaluation per realization location for the cost stage.
-    let cold_estimate = 3 * (n as u64) * (k as u64) + set.total_locations() as u64;
+    // greedy, whose tracked passes also yield the radius and the
+    // assignment unless the fusability rule sends them to a separate n·k
+    // sweep, plus one evaluation per realization location for the cost
+    // stage.
+    let nk = (n as u64) * (k as u64);
+    let sweeps = if tracking_fuses(n, k, reps[0].dim()) {
+        1
+    } else {
+        2
+    };
+    let cold_estimate = sweeps * nk + set.total_locations() as u64;
     report.warm = Some(WarmStats {
         reused_centers: k,
         evals_saved: cold_estimate.saturating_sub(counter.count()),
@@ -317,6 +350,7 @@ fn warm_attempt(
         representatives: reps,
         certain_radius: r_warm,
         report,
+        cost_distances: Some(cost_distances),
     })
 }
 
@@ -449,23 +483,29 @@ fn solve_loo_store(
         suffix_max[i] = suffix_max[i + 1].max(mindist[i]);
     }
 
-    // Shared sweep 2 (one eval per realization location): the cost
-    // variables of the base assignment. A reused variant's exact
-    // expected cost is then a float-only recombination.
-    let mut vars: Vec<Vec<(f64, f64)>> = Vec::with_capacity(n);
-    let mut dists = Vec::new();
-    for (j, up) in set_ids.iter().enumerate() {
-        let center = center_ids[base.assignment[j]];
-        dists.resize(up.z(), 0.0);
-        oracle.dists_to_one(up.locations(), &center, &mut dists[..up.z()]);
-        vars.push(
-            dists[..up.z()]
-                .iter()
-                .copied()
-                .zip(up.probs().iter().copied())
-                .collect(),
-        );
-    }
+    // Shared sweep 2 (one eval per realization location, none when the
+    // base solve recorded them): the cost variables of the base
+    // assignment. A reused variant's exact expected cost is then a
+    // float-only recombination.
+    let computed;
+    let dists = match base
+        .cost_distances
+        .as_ref()
+        .and_then(|d| d.prefix(set, n, config.kernel()))
+    {
+        Some(dists) => dists,
+        None => {
+            computed = assigned_distances_exec(
+                set_ids.points(),
+                &center_ids,
+                &base.assignment,
+                &oracle,
+                exec,
+            );
+            &computed
+        }
+    };
+    let vars = distance_vars(set_ids.points(), dists);
 
     // Fan the variants across the pool, one per lane chunk. Each slot is
     // an independent pure computation over shared read-only state, so
@@ -515,8 +555,9 @@ fn solve_loo_store(
 
 /// Re-solves the variant that removes row `i` (a center row, or a
 /// coordinate duplicate of one) on the shared store: mask the row out of
-/// the representative slice, run the greedy, re-assign, recombine the
-/// exact cost.
+/// the representative slice, run the greedy — whose tracked passes also
+/// assign, exactly as a cold EP solve's do — and recombine the exact
+/// cost.
 fn resolve_center_variant(
     store: &PointStore,
     kernel: Kernel,
@@ -528,10 +569,14 @@ fn resolve_center_variant(
     let counter = DistCounter::new();
     let oracle = StoreOracle::new(store, kernel).with_counter(&counter);
     let reduced_reps = mask_row(rep_ids, i);
-    let certain = gonzalez(&reduced_reps, k, &oracle, 0);
-    let mut nearest = vec![(0usize, 0.0f64); reduced_reps.len()];
-    oracle.nearest_each(&reduced_reps, &certain.centers, &mut nearest);
-    let assignment: Vec<usize> = nearest.into_iter().map(|(c, _)| c).collect();
+    let (idx, nearest) = gonzalez_nearest(&reduced_reps, k, &oracle, 0);
+    let centers: Vec<PointId> = idx.iter().map(|&j| reduced_reps[j]).collect();
+    let nearest = nearest.unwrap_or_else(|| {
+        let mut nearest = vec![(0usize, 0.0f64); reduced_reps.len()];
+        oracle.nearest_each(&reduced_reps, &centers, &mut nearest);
+        nearest
+    });
+    let assignment: Vec<usize> = nearest.iter().map(|&(c, _)| c).collect();
     let reduced_points: Vec<UncertainPoint<PointId>> = set_ids
         .iter()
         .enumerate()
@@ -539,11 +584,11 @@ fn resolve_center_variant(
         .map(|(_, up)| up.clone())
         .collect();
     let reduced_set = UncertainSet::new(reduced_points);
-    let ecost = ecost_assigned(&reduced_set, &certain.centers, &assignment, &oracle);
+    let ecost = ecost_assigned(&reduced_set, &centers, &assignment, &oracle);
     LooVariant {
         removed: i,
         ecost,
-        certain_radius: certain.radius,
+        certain_radius: cover_radius(&nearest),
         reused: false,
         distance_evals: counter.count(),
     }

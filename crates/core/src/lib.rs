@@ -93,8 +93,8 @@ pub use error::SolveError;
 pub use incremental::{solve_loo, LooReport, LooVariant};
 pub use one_center::{expected_point_one_center, reference_one_center};
 pub use problem::{
-    solve_batch, solve_batch_threads, validate_k, ContinuousSpace, EuclideanSpace, Problem,
-    Solution,
+    solve_batch, solve_batch_threads, validate_k, ContinuousSpace, CostDistances, EuclideanSpace,
+    Problem, Solution,
 };
 pub use report::{CountingMetric, DistanceEvals, Report, StageTimings, WarmStats};
 #[allow(deprecated)]

@@ -35,16 +35,16 @@ use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConf
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
 use ukc_kcenter::{
-    exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, grid_kcenter_exec,
-    kcenter_cost_weighted, local_search_kcenter, KCenterSolution,
+    cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, gonzalez_nearest,
+    grid_kcenter_exec, kcenter_cost_weighted, local_search_kcenter, KCenterSolution,
 };
 use ukc_metric::{
-    DistCounter, DistanceOracle, Euclidean, Metric, Point, PointId, PointStore, StoreOracle,
+    DistCounter, DistanceOracle, Euclidean, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
-    ecost_assigned, ecost_assigned_exec, expected_spreads_exec, one_center_discrete,
-    UncertainPoint, UncertainSet,
+    assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_spreads_exec,
+    one_center_discrete, UncertainPoint, UncertainSet,
 };
 
 /// A continuous space a [`Problem`] can live in: representative
@@ -405,6 +405,11 @@ impl<P: Clone> Problem<P> {
         &self.set
     }
 
+    /// The uncertain set's shared handle.
+    pub(crate) fn shared_set(&self) -> &Arc<UncertainSet<P>> {
+        &self.set
+    }
+
     /// The number of centers requested.
     pub fn k(&self) -> usize {
         self.k
@@ -468,6 +473,80 @@ pub struct Solution<P> {
     /// Per-stage timings, distance-evaluation counts, and the certified
     /// lower bound.
     pub report: Report,
+    /// The cost stage's per-location distances, kept so a warm re-solve
+    /// or a leave-one-out sweep can reuse them for an unchanged prefix
+    /// (`None` off the coordinate-store path, and for priors rebuilt from
+    /// a solution file). Costs 8 bytes per realization location.
+    pub cost_distances: Option<CostDistances<P>>,
+}
+
+/// The distances `d(Pᵢⱼ, c_{a(i)})` the cost stage measured, one per
+/// realization location in set order (point-major, support order),
+/// together with the set and kernel they were measured on.
+///
+/// Each value is a pure function of a location, its point's assigned
+/// center, and the kernel, so any solve sharing centers, assignment and
+/// kernel over the same leading points can take them instead of
+/// re-evaluating those pairs ([`CostDistances::prefix`]); the expected
+/// cost folded from them keeps its bits. The set is held by [`Arc`]: a
+/// solve of a shared set (every served instance) adds no copy.
+#[derive(Clone)]
+pub struct CostDistances<P> {
+    set: Arc<UncertainSet<P>>,
+    kernel: Kernel,
+    dists: Vec<f64>,
+}
+
+impl<P> CostDistances<P> {
+    /// Records `dists` (one per location of `set`, in set order) measured
+    /// under `kernel`.
+    ///
+    /// # Panics
+    /// Panics when `dists` does not hold one value per location.
+    pub(crate) fn new(set: Arc<UncertainSet<P>>, kernel: Kernel, dists: Vec<f64>) -> Self {
+        assert_eq!(
+            dists.len(),
+            set.total_locations(),
+            "one distance per location required"
+        );
+        Self { set, kernel, dists }
+    }
+
+    /// Every recorded distance, in set order.
+    pub fn all(&self) -> &[f64] {
+        &self.dists
+    }
+}
+
+impl<P: PartialEq> CostDistances<P> {
+    /// The distances of the first `n` points of `set`, when those points
+    /// carry exactly the locations (same values, same order) of the
+    /// first `n` points these were measured on, under the same `kernel`;
+    /// `None` otherwise. The caller vouches for the centers and the
+    /// assignment of those points.
+    pub fn prefix(&self, set: &UncertainSet<P>, n: usize, kernel: Kernel) -> Option<&[f64]> {
+        if kernel != self.kernel || n > self.set.n() || n > set.n() {
+            return None;
+        }
+        let ours = &self.set.points()[..n];
+        let same = std::ptr::eq(&*self.set, set)
+            || ours
+                .iter()
+                .zip(&set.points()[..n])
+                .all(|(a, b)| a.locations() == b.locations());
+        let len: usize = ours.iter().map(UncertainPoint::z).sum();
+        same.then(|| &self.dists[..len])
+    }
+}
+
+impl<P> std::fmt::Debug for CostDistances<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CostDistances")
+            .field("kernel", &self.kernel)
+            .field("points", &self.set.n())
+            .field("locations", &self.dists.len())
+            .finish()
+    }
 }
 
 pub(crate) fn method_string(
@@ -521,6 +600,7 @@ fn finish_pipeline<P: Clone>(
         representatives: reps,
         certain_radius: certain.radius,
         report,
+        cost_distances: None,
     }
 }
 
@@ -529,7 +609,7 @@ fn finish_pipeline<P: Clone>(
 /// `solve_euclidean` wrapper — the latter calls it directly, so the two
 /// paths are the same code and bit-identical by construction.
 pub(crate) fn solve_continuous<P: Clone>(
-    set: &UncertainSet<P>,
+    set: &Arc<UncertainSet<P>>,
     k: usize,
     space: &dyn ContinuousSpace<P>,
     config: &SolverConfig,
@@ -684,7 +764,7 @@ pub(crate) fn solve_continuous<P: Clone>(
 /// and digests are bit-identical for `threads = 1` and `threads = N`
 /// (pinned by `tests/parallel_equivalence.rs`).
 fn solve_continuous_store<P: Clone>(
-    set: &UncertainSet<P>,
+    set: &Arc<UncertainSet<P>>,
     k: usize,
     space: &dyn ContinuousSpace<P>,
     config: &SolverConfig,
@@ -764,9 +844,14 @@ fn solve_continuous_store<P: Clone>(
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
     let mut synthesized: Vec<P> = Vec::new();
+    // EP over plain Gonzalez: the greedy's tracked passes hand the
+    // assignment stage every representative's nearest center — or, when
+    // they cannot vouch for its bits, leave that sweep (and the radius)
+    // to it.
+    let mut ep_nearest: Option<Option<Vec<(usize, f64)>>> = None;
     let evals_before = counter.count();
     let t = Instant::now();
-    let certain: KCenterSolution<PointId> = match config.strategy() {
+    let mut certain: KCenterSolution<PointId> = match config.strategy() {
         CertainStrategy::Gonzalez if weighted => {
             let oracle = StoreOracle::new(&store, kernel)
                 .with_counter(&counter)
@@ -779,6 +864,19 @@ fn solve_continuous_store<P: Clone>(
             center_weights = Some(weights);
             KCenterSolution {
                 centers,
+                center_indices: idx,
+                radius,
+            }
+        }
+        CertainStrategy::Gonzalez if rule == AssignmentRule::ExpectedPoint => {
+            let oracle = StoreOracle::new(&store, kernel)
+                .with_counter(&counter)
+                .with_exec(exec);
+            let (idx, nearest) = gonzalez_nearest(&rep_ids, k, &oracle, 0);
+            let radius = nearest.as_deref().map_or(f64::NAN, cover_radius);
+            ep_nearest = Some(nearest);
+            KCenterSolution {
+                centers: idx.iter().map(|&i| rep_ids[i]).collect(),
                 center_indices: idx,
                 radius,
             }
@@ -864,8 +962,19 @@ fn solve_continuous_store<P: Clone>(
         // The weighted mode compares centers by `d(repᵢ, c) − w_c`
         // instead, through the same batched sweep shape.
         (AssignmentRule::ExpectedPoint, None) => {
-            let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
-            oracle.nearest_each(&rep_ids, &certain.centers, &mut nearest);
+            let nearest = match ep_nearest {
+                Some(Some(nearest)) => nearest,
+                _ => {
+                    let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
+                    oracle.nearest_each(&rep_ids, &certain.centers, &mut nearest);
+                    if ep_nearest.is_some() {
+                        // Bit-identical to a `kcenter_cost` sweep: both
+                        // dispatch on n·|C| pairs.
+                        certain.radius = cover_radius(&nearest);
+                    }
+                    nearest
+                }
+            };
             nearest.into_iter().map(|(i, _)| i).collect()
         }
         (AssignmentRule::ExpectedPoint, Some(w)) | (AssignmentRule::OneCenter, Some(w)) => {
@@ -881,9 +990,18 @@ fn solve_continuous_store<P: Clone>(
     let evals_before_cost = counter.count();
     report.timings.assignment = t.elapsed();
 
-    // Step 4: exact expected cost over the id-space mirror.
+    // Step 4: exact expected cost over the id-space mirror; its
+    // per-location distances stay with the solution for warm reuse.
     let t_cost = Instant::now();
-    let ecost = ecost_assigned_exec(&set_ids, &certain.centers, &assignment, &oracle, exec);
+    let dists = assigned_distances_exec(
+        set_ids.points(),
+        &certain.centers,
+        &assignment,
+        &oracle,
+        exec,
+    );
+    let ecost = ecost_from_distances(&set_ids, &dists);
+    let cost_distances = CostDistances::new(Arc::clone(set), kernel, dists);
     report.timings.cost = t_cost.elapsed();
     report.distance_evals.cost = counter.since(evals_before_cost);
 
@@ -953,6 +1071,7 @@ fn solve_continuous_store<P: Clone>(
         representatives: reps,
         certain_radius: certain.radius,
         report,
+        cost_distances: Some(cost_distances),
     }))
 }
 

@@ -154,8 +154,13 @@ pub fn solve_euclidean(
         CertainSolver::ExactDiscrete(opts) => (CertainStrategy::ExactDiscrete, None, Some(opts)),
     };
     let config = legacy_config(rule, strategy, grid, exact);
-    let sol = solve_continuous(set, k, &EuclideanSpace, &config)
-        .expect("the legacy Euclidean pipeline accepts every rule and strategy");
+    let sol = solve_continuous(
+        &std::sync::Arc::new(set.clone()),
+        k,
+        &EuclideanSpace,
+        &config,
+    )
+    .expect("the legacy Euclidean pipeline accepts every rule and strategy");
     EuclideanSolution {
         centers: sol.centers,
         assignment: sol.assignment,

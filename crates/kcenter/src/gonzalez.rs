@@ -7,7 +7,7 @@
 //! factor-4 table rows.
 
 use crate::kcenter_cost;
-use ukc_metric::DistanceOracle;
+use ukc_metric::{DistanceOracle, Tracked};
 
 /// A k-center solution over an explicit point slice.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,8 +112,66 @@ pub fn gonzalez_indices_weighted<P, M: DistanceOracle<P>>(
     centers
 }
 
+/// Gonzalez's greedy on tracked passes
+/// ([`DistanceOracle::dists_to_set_min_tracked`]): the chosen center
+/// indices into `points` — the same picks as [`gonzalez_indices`], since
+/// every row's running minimum tightens exactly as there — and every
+/// point's nearest chosen center `(index into the centers, distance)`
+/// when the oracle vouches that it is bit for bit what a separate
+/// [`DistanceOracle::nearest_each`] sweep over the centers would give
+/// ([`DistanceOracle::tracked_nearest`]); `None` when the caller must run
+/// that sweep.
+///
+/// `n·|C|` distance evaluations where the greedy, its radius and the
+/// nearest-center assignment used to take three such sweeps.
+///
+/// # Panics
+/// Panics if `points` is empty, `k == 0`, or `start` is out of range.
+pub fn gonzalez_nearest<P, M: DistanceOracle<P>>(
+    points: &[P],
+    k: usize,
+    metric: &M,
+    start: usize,
+) -> (Vec<usize>, Option<Vec<(usize, f64)>>) {
+    assert!(!points.is_empty(), "gonzalez requires at least one point");
+    assert!(k > 0, "gonzalez requires k >= 1");
+    assert!(start < points.len(), "start index out of range");
+    let n = points.len();
+    let k = k.min(n);
+    let mut centers = Vec::with_capacity(k);
+    let mut rows = vec![Tracked::START; n];
+    metric.dists_to_set_min_tracked(points, &points[start], 0, &mut rows);
+    centers.push(start);
+    while centers.len() < k {
+        let (far, far_d) = rows
+            .iter()
+            .map(|r| r.min)
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .expect("non-empty");
+        if far_d == 0.0 {
+            // Fewer than k distinct points: every point is already a center.
+            break;
+        }
+        metric.dists_to_set_min_tracked(points, &points[far], centers.len(), &mut rows);
+        centers.push(far);
+    }
+    let nearest = metric.tracked_nearest(&rows, centers.len());
+    (centers, nearest)
+}
+
+/// The covering radius `max_i d(pᵢ, C)` read off per-point nearest
+/// centers, folded exactly as [`kcenter_cost`] folds its sweep.
+pub fn cover_radius(nearest: &[(usize, f64)]) -> f64 {
+    nearest.iter().map(|&(_, d)| d).fold(0.0, f64::max)
+}
+
 /// Runs Gonzalez's greedy algorithm and materializes the full
 /// [`KCenterSolution`] (centers, their indices, and the resulting radius).
+///
+/// The radius comes out of the greedy's own tracked passes
+/// ([`gonzalez_nearest`]) when the oracle vouches for them, else from a
+/// [`kcenter_cost`] sweep; both give the same bits.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start` is out of range.
@@ -123,9 +181,12 @@ pub fn gonzalez<P: Clone, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> KCenterSolution<P> {
-    let idx = gonzalez_indices(points, k, metric, start);
+    let (idx, nearest) = gonzalez_nearest(points, k, metric, start);
     let centers: Vec<P> = idx.iter().map(|&i| points[i].clone()).collect();
-    let radius = kcenter_cost(points, &centers, metric);
+    let radius = match nearest {
+        Some(nearest) => cover_radius(&nearest),
+        None => kcenter_cost(points, &centers, metric),
+    };
     KCenterSolution {
         centers,
         center_indices: idx,

@@ -36,7 +36,10 @@ pub mod local_search;
 pub mod one_d;
 
 pub use exact::{exact_discrete_kcenter, ExactOptions};
-pub use gonzalez::{gonzalez, gonzalez_indices, gonzalez_indices_weighted, KCenterSolution};
+pub use gonzalez::{
+    cover_radius, gonzalez, gonzalez_indices, gonzalez_indices_weighted, gonzalez_nearest,
+    KCenterSolution,
+};
 pub use grid::{grid_kcenter, grid_kcenter_exec, GridOptions};
 pub use local_search::local_search_kcenter;
 pub use one_d::one_d_kcenter;

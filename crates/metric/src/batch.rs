@@ -42,6 +42,13 @@
 //! blocking, and [`PAR_CHUNK`] parallelism; the rule owns only how one
 //! candidate's distance updates the running result.
 //!
+//! The single-center min-update also comes in a *tracked* form
+//! ([`par_dists_to_set_min_tracked`]) that keeps each row's nearest
+//! center next to its running minimum, comparing exactly as
+//! [`nearest_center_each`] does; Gonzalez's greedy runs on it, so its
+//! radius and the nearest-center assignment need no further sweep
+//! ([`tracked_nearest`], [`tracking_fuses`]).
+//!
 //! The factorized kernel loses to the scalar loop on tiny sweeps (the
 //! norm lookups and reduction trees cost more than they save), so the
 //! public entry points re-dispatch through [`Kernel::dispatch`]: below a
@@ -943,48 +950,173 @@ fn set_min<R: Rule>(
     min_dist: &mut [f64],
 ) {
     assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    let kernel = kernel.dispatch(points.len(), store.dim());
-    for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
-        let points = &points[start..start + min_dist.len()];
-        match kernel {
-            Kernel::Scalar => {
-                let (cc, w) = (store.coords(center), rule.weight(0));
-                for (p, m) in points.iter().zip(min_dist) {
-                    let nd = rule.shift(dist_sq_scalar(store.coords(*p), cc).sqrt(), w);
-                    if nd < *m {
-                        *m = nd;
-                    }
-                }
+    let w = rule.weight(0);
+    one_center(
+        store,
+        points,
+        center,
+        kernel,
+        exec,
+        min_dist,
+        |m, d| {
+            let nd = rule.shift(d, w);
+            if nd < *m {
+                *m = nd;
             }
-            Kernel::Tiled => {
-                with_tiled_view!(store, |v| set_min_tiled(&v, points, center, rule, min_dist))
-            }
-        }
-    });
+        },
+        |m, nd_sq| rule.tighten(m, nd_sq, w),
+    );
 }
 
-/// The tiled set-min sweep: point rows stream past the center
-/// [`tile::TILE_POINTS`] at a time, each pair in the canonical per-pair
-/// order.
-fn set_min_tiled<T: tile::Coord, R: Rule>(
-    v: &TiledView<'_, T>,
+/// One row of Gonzalez's tracked min-update passes
+/// ([`crate::DistanceOracle::dists_to_set_min_tracked`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Tracked {
+    /// The running minimum distance, tightened exactly as
+    /// [`dists_to_set_min`] tightens its array.
+    pub min: f64,
+    /// The smallest comparison key seen: a squared distance under a
+    /// tiled pass, a distance under a scalar one.
+    pub key: f64,
+    /// The pass index of the first center that reached `key`.
+    pub nearest: usize,
+}
+
+impl Tracked {
+    /// A row no pass has touched yet.
+    pub const START: Tracked = Tracked {
+        min: f64::INFINITY,
+        key: f64::INFINITY,
+        nearest: 0,
+    };
+}
+
+/// [`dists_to_set_min`] that also tracks each row's nearest center: the
+/// running minimum tightens exactly as the plain sweep's does, and the
+/// row's key and nearest index take a strict-`<` improvement in the
+/// resolved kernel's comparison space — squared distances when tiled,
+/// distances when scalar — exactly the comparisons of
+/// [`nearest_center_each`]. Elementwise, so bit-identical across every
+/// [`Exec`].
+///
+/// # Panics
+/// Panics when `rows` is shorter than `points`.
+pub fn par_dists_to_set_min_tracked(
+    store: &PointStore,
     points: &[PointId],
     center: PointId,
-    rule: R,
-    min_dist: &mut [f64],
+    c: usize,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    rows: &mut [Tracked],
 ) {
-    let (cr, cn, w) = (v.row(center), v.norm_sq(center), rule.weight(0));
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut mins = min_dist[..points.len()].chunks_exact_mut(tile::TILE_POINTS);
-    for (blk, mins) in (&mut blocks).zip(&mut mins) {
-        let dots = tile::dots_x4_one(v.rows(blk), cr);
-        for p in 0..tile::TILE_POINTS {
-            rule.tighten(&mut mins[p], factored(v.norm_sq(blk[p]), cn, dots[p]), w);
+    assert!(rows.len() >= points.len(), "tracked buffer too small");
+    one_center(
+        store,
+        points,
+        center,
+        kernel,
+        exec,
+        rows,
+        |r, d| {
+            if d < r.min {
+                r.min = d;
+            }
+            if d < r.key {
+                r.key = d;
+                r.nearest = c;
+            }
+        },
+        |r, nd_sq| {
+            Plain.tighten(&mut r.min, nd_sq, 0.0);
+            if nd_sq < r.key {
+                r.key = nd_sq;
+                r.nearest = c;
+            }
+        },
+    );
+}
+
+/// The per-row nearest centers `(index, distance)` that tracked passes
+/// over `rows.len()` rows and `centers` centers left in `rows`, when they
+/// are bit for bit what [`nearest_center_each`] (and
+/// [`dists_to_centers_min`]) over those centers compute under `kernel`;
+/// `None` otherwise.
+///
+/// Each pass dispatches on the `n` rows, the fused sweeps on the `n·k`
+/// pairs; the pair values agree exactly when both resolve to the same
+/// kernel (tiled values are pure functions of the coordinates). The test
+/// uses [`Kernel::Tiled`] whatever `kernel` is, so whether a solve fuses —
+/// and with it every per-stage count — is a pure function of sizes,
+/// equal across kernels, lanes and storage.
+pub fn tracked_nearest(
+    store: &PointStore,
+    rows: &[Tracked],
+    centers: usize,
+    kernel: Kernel,
+) -> Option<Vec<(usize, f64)>> {
+    let (n, dim) = (rows.len(), store.dim());
+    if !tracking_fuses(n, centers, dim) {
+        return None;
+    }
+    let squared = kernel.dispatch(n, dim) == Kernel::Tiled;
+    Some(
+        rows.iter()
+            .map(|r| (r.nearest, if squared { r.key.sqrt() } else { r.key }))
+            .collect(),
+    )
+}
+
+/// Whether tracked passes over `n` rows and `centers` centers in
+/// dimension `dim` stand in for the fused sweeps over them
+/// ([`tracked_nearest`]): `Kernel::Tiled.dispatch(n, dim) ==
+/// Kernel::Tiled.dispatch(n·centers, dim)`, a pure function of sizes.
+pub fn tracking_fuses(n: usize, centers: usize, dim: usize) -> bool {
+    Kernel::Tiled.dispatch(n, dim) == Kernel::Tiled.dispatch(n.saturating_mul(centers), dim)
+}
+
+/// A single-center sweep dispatched on `points.len()`: every row's state
+/// in `out` takes `lin(state, d)` with the scalar distance `d`, or
+/// `sq(state, nd_sq)` with the tiled squared distance, point rows
+/// streaming past the center [`tile::TILE_POINTS`] at a time, each pair
+/// in the canonical per-pair order.
+#[allow(clippy::too_many_arguments)]
+fn one_center<O: Send>(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    out: &mut [O],
+    lin: impl Fn(&mut O, f64) + Sync,
+    sq: impl Fn(&mut O, f64) + Sync,
+) {
+    let kernel = kernel.dispatch(points.len(), store.dim());
+    for_rows(exec, &mut out[..points.len()], |start, out| {
+        let points = &points[start..start + out.len()];
+        match kernel {
+            Kernel::Scalar => {
+                let cc = store.coords(center);
+                for (p, o) in points.iter().zip(out) {
+                    lin(o, dist_sq_scalar(store.coords(*p), cc).sqrt());
+                }
+            }
+            Kernel::Tiled => with_tiled_view!(store, |v| {
+                let (cr, cn) = (v.row(center), v.norm_sq(center));
+                let mut blocks = points.chunks_exact(tile::TILE_POINTS);
+                let mut outs = out.chunks_exact_mut(tile::TILE_POINTS);
+                for (blk, outs) in (&mut blocks).zip(&mut outs) {
+                    let dots = tile::dots_x4_one(v.rows(blk), cr);
+                    for (p, o) in outs.iter_mut().enumerate() {
+                        sq(o, factored(v.norm_sq(blk[p]), cn, dots[p]));
+                    }
+                }
+                for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+                    sq(o, dist_sq_tiled(v.row(id), v.norm_sq(id), cr, cn));
+                }
+            }),
         }
-    }
-    for (&id, m) in blocks.remainder().iter().zip(mins.into_remainder()) {
-        rule.tighten(m, dist_sq_tiled(v.row(id), v.norm_sq(id), cr, cn), w);
-    }
+    });
 }
 
 /// Index (into `centers`) and distance of the center nearest to `q`,

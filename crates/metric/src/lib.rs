@@ -41,7 +41,7 @@ mod store;
 mod tree;
 pub mod validate;
 
-pub use batch::{DistCounter, Kernel, PAR_CHUNK, PAR_MIN_POINTS};
+pub use batch::{DistCounter, Kernel, Tracked, PAR_CHUNK, PAR_MIN_POINTS};
 pub use finite::{FiniteMetric, FiniteMetricError};
 pub use graph::{GraphError, WeightedGraph};
 pub use lp::{Chebyshev, Euclidean, Manhattan, Minkowski};
@@ -130,6 +130,50 @@ pub trait DistanceOracle<P>: Metric<P> {
     /// Panics when `min_dist` is shorter than `points`.
     fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
         self.dists_to_set_min_weighted(points, center, 0.0, min_dist);
+    }
+
+    /// [`dists_to_set_min`] that also tracks each row's nearest center
+    /// across passes: `rows[i].min` tightens exactly as `min_dist[i]`
+    /// would, while `rows[i].key` and `rows[i].nearest` keep the smallest
+    /// comparison key seen and the pass index `c` of the first center
+    /// that reached it — the strict `<` in center order of
+    /// [`nearest_each`]. Gonzalez's greedy runs on these passes, so its
+    /// radius and the nearest-center assignment come out of the same
+    /// sweep ([`DistanceOracle::tracked_nearest`]). The default compares
+    /// distances, exactly like the default [`nearest_each`].
+    ///
+    /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
+    /// [`nearest_each`]: DistanceOracle::nearest_each
+    ///
+    /// # Panics
+    /// Panics when `rows` is shorter than `points`.
+    fn dists_to_set_min_tracked(&self, points: &[P], center: &P, c: usize, rows: &mut [Tracked]) {
+        assert!(rows.len() >= points.len(), "tracked buffer too small");
+        for (p, r) in points.iter().zip(rows.iter_mut()) {
+            let d = self.dist(p, center);
+            if d < r.min {
+                r.min = d;
+            }
+            if d < r.key {
+                r.key = d;
+                r.nearest = c;
+            }
+        }
+    }
+
+    /// Each row's nearest center `(index, distance)` after tracked passes
+    /// over `centers` centers, when that is bit for bit what
+    /// [`nearest_each`] over those centers computes — and so what
+    /// [`dists_to_centers_min`] computes per row. `None` when the two may
+    /// round differently; the caller then runs the separate sweep. The
+    /// default passes compare exactly what the default sweeps compare, so
+    /// the default always answers.
+    ///
+    /// [`nearest_each`]: DistanceOracle::nearest_each
+    /// [`dists_to_centers_min`]: DistanceOracle::dists_to_centers_min
+    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
+        let _ = centers;
+        Some(rows.iter().map(|r| (r.nearest, r.key)).collect())
     }
 
     /// Tightens a running minimum-distance array against a whole center
@@ -289,6 +333,14 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
 
     fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
         (**self).dists_to_set_min(points, center, min_dist)
+    }
+
+    fn dists_to_set_min_tracked(&self, points: &[P], center: &P, c: usize, rows: &mut [Tracked]) {
+        (**self).dists_to_set_min_tracked(points, center, c, rows)
+    }
+
+    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
+        (**self).tracked_nearest(rows, centers)
     }
 
     fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {

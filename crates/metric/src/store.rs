@@ -17,7 +17,7 @@
 //! generic algorithm in the workspace runs unchanged — only faster — when
 //! handed ids instead of boxed points.
 
-use crate::batch::{self, DistCounter, Kernel};
+use crate::batch::{self, DistCounter, Kernel, Tracked};
 use crate::point::{Point, PointError};
 use crate::{DistanceOracle, Metric};
 use ukc_pool::Exec;
@@ -418,6 +418,29 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
             self.exec,
             min_dist,
         );
+    }
+
+    fn dists_to_set_min_tracked(
+        &self,
+        points: &[PointId],
+        center: &PointId,
+        c: usize,
+        rows: &mut [Tracked],
+    ) {
+        self.tally(points.len());
+        batch::par_dists_to_set_min_tracked(
+            self.store,
+            points,
+            *center,
+            c,
+            self.kernel,
+            self.exec,
+            rows,
+        );
+    }
+
+    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
+        batch::tracked_nearest(self.store, rows, centers, self.kernel)
     }
 
     fn dists_to_centers_min(&self, points: &[PointId], centers: &[PointId], min_dist: &mut [f64]) {

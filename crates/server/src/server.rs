@@ -221,7 +221,9 @@ impl AppState {
 pub(crate) struct PushJob {
     entry: Arc<crate::streams::StreamEntry>,
     chunk: UncertainSet<Point>,
-    body: Vec<u8>,
+    /// The request body, copied only on a durable server, whose WAL logs
+    /// it verbatim.
+    body: Option<Vec<u8>>,
     slot: Arc<ReplySlot>,
 }
 
@@ -268,7 +270,7 @@ fn ingest_worker(state: Arc<AppState>) {
         if !state.ingest_apply_delay.is_zero() {
             std::thread::sleep(state.ingest_apply_delay);
         }
-        let result = apply_stream_push(&state, &job.entry, job.chunk, &job.body);
+        let result = apply_stream_push(&state, &job.entry, job.chunk, job.body.as_deref());
         job.slot.fill(result);
         state.ingest.done(&stream);
     }
@@ -1021,7 +1023,7 @@ fn handle_stream_push(state: &AppState, id: &str, request: &Request) -> Handled 
     let job = PushJob {
         entry,
         chunk,
-        body: request.body.clone(),
+        body: state.durable.is_some().then(|| request.body.clone()),
         slot: Arc::clone(&slot),
     };
     match state.ingest.submit(id, job) {
@@ -1048,7 +1050,7 @@ fn apply_stream_push(
     state: &AppState,
     entry: &crate::streams::StreamEntry,
     chunk: UncertainSet<Point>,
-    body: &[u8],
+    body: Option<&[u8]>,
 ) -> Handled {
     let mut solver = entry.solver.lock().expect("stream solver lock poisoned");
     let epoch = solver.push_chunk(chunk.points()).map_err(ApiError::from)?;
@@ -1057,6 +1059,7 @@ fn apply_stream_push(
         // response leaves. On failure the client gets a retryable 503 and
         // no ack — the epoch may be lost on restart, which is exactly the
         // unacked-push contract.
+        let body = body.expect("durable pushes carry their body");
         durable.append_push(entry.seq, epoch.epoch, body)?;
         // Periodic snapshot so recovery replays only the WAL tail.
         // Best-effort: a failed snapshot costs recovery time, not data.

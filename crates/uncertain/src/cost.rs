@@ -7,7 +7,8 @@
 //! and Monte-Carlo versions exist to cross-validate that exactness and to
 //! support the sampling baseline.
 
-use crate::expected_max::{expected_max, expected_max_enumerate};
+use crate::expected_max::{expected_max, expected_max_enumerate, expected_max_split};
+use crate::point::UncertainPoint;
 use crate::realization::sample_realization;
 use crate::set::UncertainSet;
 use rand::Rng;
@@ -28,21 +29,110 @@ fn assigned_vars<P, M: DistanceOracle<P>>(
         set.n(),
         "assignment must name a center for every point"
     );
-    let mut dists = vec![0.0f64; set.max_z()];
-    set.iter()
-        .zip(assignment.iter())
-        .map(|(up, &a)| {
-            assert!(a < centers.len(), "assignment index out of range");
-            // One batched sweep per point: distances from every location
-            // to the assigned center, then zip in the probabilities.
-            metric.dists_to_one(up.locations(), &centers[a], &mut dists);
-            dists[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect()
-        })
+    let mut dists = Vec::with_capacity(set.total_locations());
+    push_assigned_distances(set.points(), centers, assignment, metric, &mut dists);
+    distance_vars(set.points(), &dists)
+}
+
+/// Appends `d(Pᵢⱼ, centers[assignment[i]])` for every location of
+/// `points` to `out`, point-major in support order: one batched sweep per
+/// point, from its locations to its assigned center.
+fn push_assigned_distances<P, M: DistanceOracle<P>>(
+    points: &[UncertainPoint<P>],
+    centers: &[P],
+    assignment: &[usize],
+    metric: &M,
+    out: &mut Vec<f64>,
+) {
+    for (up, &a) in points.iter().zip(assignment) {
+        assert!(a < centers.len(), "assignment index out of range");
+        let start = out.len();
+        out.resize(start + up.z(), 0.0);
+        metric.dists_to_one(up.locations(), &centers[a], &mut out[start..]);
+    }
+}
+
+/// The per-location distances of the assigned cost, flat in set order:
+/// `d(Pᵢⱼ, centers[assignment[i]])` point-major, in support order — the
+/// values the assigned cost folds, for callers that keep them
+/// ([`ecost_from_distances`] folds them). Points are swept in
+/// [`PAR_CHUNK`]-point blocks on the pool; every value is the sequential
+/// sweep's, so the vector is bit-identical for every [`Exec`].
+///
+/// # Panics
+/// Panics when `assignment` and `points` differ in length or an
+/// assignment index is out of range.
+pub fn assigned_distances_exec<P: Sync, M: DistanceOracle<P> + Sync>(
+    points: &[UncertainPoint<P>],
+    centers: &[P],
+    assignment: &[usize],
+    metric: &M,
+    exec: Exec<'_>,
+) -> Vec<f64> {
+    assert_eq!(
+        assignment.len(),
+        points.len(),
+        "assignment must name a center for every point"
+    );
+    let block = |r: std::ops::Range<usize>| {
+        let mut out = Vec::new();
+        push_assigned_distances(
+            &points[r.clone()],
+            centers,
+            &assignment[r],
+            metric,
+            &mut out,
+        );
+        out
+    };
+    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
+        return block(0..points.len());
+    }
+    ukc_pool::map_chunks(exec, points.len(), PAR_CHUNK, block).concat()
+}
+
+/// Pairs flat per-location distances (set order, as
+/// [`assigned_distances_exec`] lays them out) with the probabilities of
+/// `points`: point `i`'s distance variable.
+///
+/// # Panics
+/// Panics when `dists` does not hold exactly one value per location.
+pub fn distance_vars<P>(points: &[UncertainPoint<P>], dists: &[f64]) -> Vec<Vec<(f64, f64)>> {
+    per_point(points, dists)
+        .map(|(d, probs)| d.iter().copied().zip(probs.iter().copied()).collect())
         .collect()
+}
+
+/// Splits flat per-location values (set order) into each point's
+/// `(values, probabilities)`.
+///
+/// # Panics
+/// Panics when `dists` does not hold exactly one value per location.
+fn per_point<'a, P>(
+    points: &'a [UncertainPoint<P>],
+    dists: &'a [f64],
+) -> impl ExactSizeIterator<Item = (&'a [f64], &'a [f64])> {
+    assert_eq!(
+        dists.len(),
+        points.iter().map(UncertainPoint::z).sum::<usize>(),
+        "one distance per location required"
+    );
+    let mut rest = dists;
+    points.iter().map(move |up| {
+        let (d, tail) = rest.split_at(up.z());
+        rest = tail;
+        (d, up.probs())
+    })
+}
+
+/// Exact `EcostA` from the per-location distances of an assignment, in
+/// set order: bit-identical to [`ecost_assigned`] over the assignment
+/// the distances were measured for.
+///
+/// # Panics
+/// Panics when `dists` does not hold exactly one value per location.
+pub fn ecost_from_distances<P>(set: &UncertainSet<P>, dists: &[f64]) -> f64 {
+    expected_max_split(per_point(set.points(), dists))
 }
 
 /// Builds the per-point distance variables for the *unassigned* cost:
@@ -72,46 +162,8 @@ fn unassigned_vars<P, M: DistanceOracle<P>>(
         .collect()
 }
 
-/// Parallel [`assigned_vars`]: the per-point distance variables are
-/// independent, so points are built in [`PAR_CHUNK`]-sized blocks on pool
-/// lanes (each with its own scratch buffer). Every variable's arithmetic
-/// is identical to the sequential sweep's, so the vector — and the
-/// [`expected_max`] over it — is bit-identical for every [`Exec`].
-fn assigned_vars_exec<P: Sync, M: DistanceOracle<P> + Sync>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    assignment: &[usize],
-    metric: &M,
-    exec: Exec<'_>,
-) -> Vec<Vec<(f64, f64)>> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assigned_vars(set, centers, assignment, metric);
-    }
-    assert_eq!(
-        assignment.len(),
-        set.n(),
-        "assignment must name a center for every point"
-    );
-    let mut vars: Vec<Vec<(f64, f64)>> = vec![Vec::new(); set.n()];
-    ukc_pool::for_each_slice(exec, &mut vars, PAR_CHUNK, |start, slice| {
-        let mut dists = vec![0.0f64; set.max_z()];
-        for (j, slot) in slice.iter_mut().enumerate() {
-            let up = &set[start + j];
-            let a = assignment[start + j];
-            assert!(a < centers.len(), "assignment index out of range");
-            metric.dists_to_one(up.locations(), &centers[a], &mut dists);
-            *slot = dists[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect();
-        }
-    });
-    vars
-}
-
 /// Parallel [`unassigned_vars`], block-parallel over points like
-/// [`assigned_vars_exec`].
+/// [`assigned_distances_exec`].
 fn unassigned_vars_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: &[P],
@@ -152,19 +204,6 @@ pub fn ecost_assigned<P, M: DistanceOracle<P>>(
     expected_max(&assigned_vars(set, centers, assignment, metric))
 }
 
-/// [`ecost_assigned`] with an execution context: the per-point variable
-/// sweep runs block-parallel on the pool, the `E[max]` fold stays
-/// sequential. Bit-identical to [`ecost_assigned`] for every `exec`.
-pub fn ecost_assigned_exec<P: Sync, M: DistanceOracle<P> + Sync>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    assignment: &[usize],
-    metric: &M,
-    exec: Exec<'_>,
-) -> f64 {
-    expected_max(&assigned_vars_exec(set, centers, assignment, metric, exec))
-}
-
 /// Exact unassigned `Ecost(c₁..c_k) = Σ_R prob(R)·max_i d(P̂ᵢ, C)`.
 pub fn ecost_unassigned<P, M: DistanceOracle<P>>(
     set: &UncertainSet<P>,
@@ -174,8 +213,9 @@ pub fn ecost_unassigned<P, M: DistanceOracle<P>>(
     expected_max(&unassigned_vars(set, centers, metric))
 }
 
-/// [`ecost_unassigned`] with an execution context (see
-/// [`ecost_assigned_exec`]).
+/// [`ecost_unassigned`] with an execution context: the per-point variable
+/// sweep runs block-parallel on the pool, the `E[max]` fold stays
+/// sequential. Bit-identical to [`ecost_unassigned`] for every `exec`.
 pub fn ecost_unassigned_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: &[P],

@@ -87,11 +87,20 @@ impl std::error::Error for AtomsError {}
 
 /// Validates one variable's atom list, returning its probability sum.
 fn validate_var(index: usize, var: &[(f64, f64)]) -> Result<f64, AtomsError> {
-    if var.is_empty() {
+    validate_atoms(index, var.iter().copied())
+}
+
+/// [`validate_var`] over any atom iterator.
+fn validate_atoms(
+    index: usize,
+    atoms: impl Iterator<Item = (f64, f64)>,
+) -> Result<f64, AtomsError> {
+    let mut atoms = atoms.peekable();
+    if atoms.peek().is_none() {
         return Err(AtomsError::EmptyVariable { index });
     }
     let mut sum = 0.0;
-    for &(v, p) in var {
+    for (v, p) in atoms {
         if !v.is_finite() {
             return Err(AtomsError::NonFiniteValue { index, value: v });
         }
@@ -131,14 +140,36 @@ pub fn expected_max(vars: &[Vec<(f64, f64)>]) -> f64 {
 /// [`expected_max`] with malformed atom lists reported as a typed
 /// [`AtomsError`] instead of a panic.
 pub fn try_expected_max(vars: &[Vec<(f64, f64)>]) -> Result<f64, AtomsError> {
-    if vars.is_empty() {
+    try_expected_max_of(vars.iter().map(|var| var.iter().copied()))
+}
+
+/// [`expected_max`] of variables given as parallel value and probability
+/// slices — `(values, probs)` per variable — so callers holding values in
+/// one flat buffer build no per-variable atom lists. Bit-identical to
+/// [`expected_max`] over the zipped pairs.
+///
+/// # Panics
+/// Panics on invalid inputs, as [`expected_max`].
+pub fn expected_max_split<'a>(vars: impl ExactSizeIterator<Item = (&'a [f64], &'a [f64])>) -> f64 {
+    try_expected_max_of(
+        vars.map(|(values, probs)| values.iter().copied().zip(probs.iter().copied())),
+    )
+    .unwrap_or_else(|e| panic!("expected_max {e}"))
+}
+
+/// The `E[max]` sweep over variables given as atom iterators (each walked
+/// twice: validated, then collected).
+fn try_expected_max_of<V: Iterator<Item = (f64, f64)> + Clone>(
+    vars: impl ExactSizeIterator<Item = V>,
+) -> Result<f64, AtomsError> {
+    let n = vars.len();
+    if n == 0 {
         return Err(AtomsError::NoVariables);
     }
-    let n = vars.len();
     let mut atoms: Vec<(f64, usize, f64)> = Vec::new();
-    for (i, var) in vars.iter().enumerate() {
-        validate_var(i, var)?;
-        for &(v, p) in var {
+    for (i, var) in vars.enumerate() {
+        validate_atoms(i, var.clone())?;
+        for (v, p) in var {
             if p > 0.0 {
                 atoms.push((v, i, p));
             }
