@@ -1,16 +1,15 @@
 //! Benches for the future-work extensions: the uncertain k-median
-//! reduction, the k-means bias-variance pipeline, and streaming insertion
-//! throughput.
+//! reduction, the k-means bias-variance pipeline, and per-point stream
+//! pushes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use ukc_bench::workloads::euclidean;
 use ukc_core::{CertainStrategy, SolverConfig};
-#[allow(deprecated)] // the streaming bench pins the legacy wrapper's historical workload
-use ukc_extensions::{uncertain_kmeans, uncertain_kmedian, StreamingUncertainKCenter};
+use ukc_extensions::{uncertain_kmeans, uncertain_kmedian};
 use ukc_metric::Euclidean;
+use ukc_stream::StreamSolver;
 
-#[allow(deprecated)] // see the import note
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("extensions");
     g.sample_size(10);
@@ -37,13 +36,16 @@ fn bench(c: &mut Criterion) {
         });
     }
     let set = euclidean(1024, 4);
-    g.bench_function("streaming_insert_1024", |b| {
+    g.bench_function("stream_solver_push_1024", |b| {
         b.iter(|| {
-            let mut s = StreamingUncertainKCenter::new(8);
+            let mut s = StreamSolver::builder(8)
+                .budget(8)
+                .build()
+                .expect("valid stream config");
             for up in set.iter() {
-                s.insert(black_box(up.clone()));
+                s.push(black_box(up)).expect("one dimension");
             }
-            s.len()
+            s.digest()
         })
     });
     g.finish();

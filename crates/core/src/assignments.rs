@@ -18,8 +18,9 @@ use ukc_metric::{DistanceOracle, Point, PAR_CHUNK, PAR_MIN_POINTS};
 use ukc_pool::Exec;
 use ukc_uncertain::{expected_distance, expected_point, UncertainSet};
 
-/// Assignment rules available in Euclidean space (paper Theorems 2.2,
-/// 2.4, 2.5).
+/// The paper's assignment rules. ED and OC are defined in every metric
+/// space (Theorems 2.3, 2.6, 2.7); EP needs expected points, so it is
+/// Euclidean only (Theorems 2.2, 2.4, 2.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AssignmentRule {
     /// Assign to the center with the smallest expected distance.
@@ -31,32 +32,41 @@ pub enum AssignmentRule {
     OneCenter,
 }
 
-/// Assignment rules available in a general metric space (paper Theorems
-/// 2.3, 2.6, 2.7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricAssignmentRule {
-    /// Assign to the center with the smallest expected distance.
-    ExpectedDistance,
-    /// Assign to the center nearest the 1-center `P̃`.
-    OneCenter,
-}
-
-/// One point's ED argmin: `argmin_c E d(Pᵢ, c)`, ties to the lower index.
+/// One point's ED argmin: `argmin_c (E d(Pᵢ, c) − w_c)`, ties to the
+/// lower index. Without weights `w_c` is `0.0`, and `x − 0.0 == x`
+/// exactly, so the plain rule makes the same comparisons bit for bit.
 fn ed_argmin<P, M: DistanceOracle<P>>(
     up: &ukc_uncertain::UncertainPoint<P>,
     centers: &[P],
+    weights: Option<&[f64]>,
     metric: &M,
 ) -> usize {
     let mut best = 0usize;
     let mut best_v = f64::INFINITY;
     for (c, center) in centers.iter().enumerate() {
-        let v = expected_distance(up, center, metric);
+        let v = expected_distance(up, center, metric) - weights.map_or(0.0, |w| w[c]);
         if v < best_v {
             best_v = v;
             best = c;
         }
     }
     best
+}
+
+/// The sequential ED sweep behind every entry point below.
+fn assign_ed_seq<P, M: DistanceOracle<P>>(
+    set: &UncertainSet<P>,
+    centers: &[P],
+    weights: Option<&[f64]>,
+    metric: &M,
+) -> Vec<usize> {
+    assert!(!centers.is_empty(), "need at least one center");
+    if let Some(w) = weights {
+        assert_eq!(w.len(), centers.len(), "one weight per center");
+    }
+    set.iter()
+        .map(|up| ed_argmin(up, centers, weights, metric))
+        .collect()
 }
 
 /// Expected-distance assignment: each point goes to
@@ -69,57 +79,7 @@ pub fn assign_ed<P, M: DistanceOracle<P>>(
     centers: &[P],
     metric: &M,
 ) -> Vec<usize> {
-    assert!(!centers.is_empty(), "need at least one center");
-    set.iter()
-        .map(|up| ed_argmin(up, centers, metric))
-        .collect()
-}
-
-/// [`assign_ed`] with an execution context: points are assigned in
-/// block-parallel chunks on the pool. Each point's argmin is computed by
-/// the exact sequential arithmetic, so the assignment — and the
-/// distance-eval count — is identical for every `exec`.
-///
-/// # Panics
-/// Panics when `centers` is empty.
-pub fn assign_ed_exec<P: Sync, M: DistanceOracle<P> + Sync>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    metric: &M,
-    exec: Exec<'_>,
-) -> Vec<usize> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assign_ed(set, centers, metric);
-    }
-    assert!(!centers.is_empty(), "need at least one center");
-    let mut out = vec![0usize; set.n()];
-    ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
-        for (j, o) in slice.iter_mut().enumerate() {
-            *o = ed_argmin(&set[start + j], centers, metric);
-        }
-    });
-    out
-}
-
-/// One point's weighted ED argmin: `argmin_c (E d(Pᵢ, c) − w_c)`, ties
-/// to the lower index. With all-zero weights this is [`ed_argmin`]
-/// comparison for comparison (`x − 0.0 == x` exactly).
-fn ed_argmin_weighted<P, M: DistanceOracle<P>>(
-    up: &ukc_uncertain::UncertainPoint<P>,
-    centers: &[P],
-    weights: &[f64],
-    metric: &M,
-) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f64::INFINITY;
-    for (c, center) in centers.iter().enumerate() {
-        let v = expected_distance(up, center, metric) - weights[c];
-        if v < best_v {
-            best_v = v;
-            best = c;
-        }
-    }
-    best
+    assign_ed_seq(set, centers, None, metric)
 }
 
 /// Additively-weighted expected-distance assignment: each point goes to
@@ -134,34 +94,36 @@ pub fn assign_ed_weighted<P, M: DistanceOracle<P>>(
     weights: &[f64],
     metric: &M,
 ) -> Vec<usize> {
-    assert!(!centers.is_empty(), "need at least one center");
-    assert_eq!(weights.len(), centers.len(), "one weight per center");
-    set.iter()
-        .map(|up| ed_argmin_weighted(up, centers, weights, metric))
-        .collect()
+    assign_ed_seq(set, centers, Some(weights), metric)
 }
 
-/// [`assign_ed_weighted`] with an execution context; identical output and
-/// eval count for every `exec` (same contract as [`assign_ed_exec`]).
+/// [`assign_ed`] (`weights = None`) or [`assign_ed_weighted`] with an
+/// execution context: points are assigned in block-parallel chunks on
+/// the pool. Each point's argmin is computed by the exact sequential
+/// arithmetic, so the assignment — and the distance-eval count — is
+/// identical for every `exec`.
 ///
 /// # Panics
-/// Panics when `centers` is empty or `weights.len() != centers.len()`.
-pub fn assign_ed_weighted_exec<P: Sync, M: DistanceOracle<P> + Sync>(
+/// Panics when `centers` is empty or `weights` has a length other than
+/// `centers.len()`.
+pub fn assign_ed_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: &[P],
-    weights: &[f64],
+    weights: Option<&[f64]>,
     metric: &M,
     exec: Exec<'_>,
 ) -> Vec<usize> {
     if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assign_ed_weighted(set, centers, weights, metric);
+        return assign_ed_seq(set, centers, weights, metric);
     }
     assert!(!centers.is_empty(), "need at least one center");
-    assert_eq!(weights.len(), centers.len(), "one weight per center");
+    if let Some(w) = weights {
+        assert_eq!(w.len(), centers.len(), "one weight per center");
+    }
     let mut out = vec![0usize; set.n()];
     ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
         for (j, o) in slice.iter_mut().enumerate() {
-            *o = ed_argmin_weighted(&set[start + j], centers, weights, metric);
+            *o = ed_argmin(&set[start + j], centers, weights, metric);
         }
     });
     out
@@ -292,7 +254,7 @@ mod tests {
         );
         // Exec variant agrees on the sequential fallback path.
         assert_eq!(
-            assign_ed_weighted_exec(&s, &centers, &heavy, &Euclidean, Exec::sequential()),
+            assign_ed_exec(&s, &centers, Some(&heavy), &Euclidean, Exec::sequential()),
             vec![1, 1]
         );
     }

@@ -395,12 +395,6 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Skips validation — only for the deprecated legacy wrappers, which
-    /// forwarded caller options untouched.
-    pub(crate) fn build_unchecked(self) -> SolverConfig {
-        self.config
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<SolverConfig, SolveError> {
         let eps = self.config.eps;

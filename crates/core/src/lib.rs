@@ -61,10 +61,6 @@
 //! let results = solve_batch(&problems, &SolverConfig::default());
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! ```
-//!
-//! The pre-0.2 free functions `solve_euclidean` / `solve_metric` remain
-//! as `#[deprecated]` wrappers over the same internals (see [`solver`]
-//! for the migration table).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,11 +74,9 @@ pub mod incremental;
 pub mod one_center;
 pub mod problem;
 pub mod report;
-pub mod solver;
 
 pub use assignments::{
-    assign_ed, assign_ed_weighted, assign_ed_weighted_exec, assign_ep, assign_oc, AssignmentRule,
-    MetricAssignmentRule,
+    assign_ed, assign_ed_exec, assign_ed_weighted, assign_ep, assign_oc, AssignmentRule,
 };
 pub use bounds::{lower_bound_euclidean, lower_bound_metric, lower_bound_one_center};
 pub use config::{
@@ -97,8 +91,3 @@ pub use problem::{
     Problem, Solution,
 };
 pub use report::{CountingMetric, DistanceEvals, Report, StageTimings, WarmStats};
-#[allow(deprecated)]
-pub use solver::{
-    solve_euclidean, solve_metric, CertainSolver, EuclideanSolution, MetricCertainSolver,
-    MetricSolution,
-};

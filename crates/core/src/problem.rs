@@ -28,9 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::assignments::{
-    assign_ed, assign_ed_exec, assign_ed_weighted_exec, assign_oc, AssignmentRule,
-};
+use crate::assignments::{assign_ed, assign_ed_exec, assign_oc, AssignmentRule};
 use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConfig};
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
@@ -354,18 +352,6 @@ impl<P: Clone> Problem<P> {
         Self::in_metric_shared(set, k, Arc::new(metric), Arc::from(pool))
     }
 
-    /// Like [`Problem::in_metric`] from a raw point vector; an empty
-    /// vector yields [`SolveError::EmptySet`] instead of panicking.
-    pub fn in_metric_points(
-        points: Vec<UncertainPoint<P>>,
-        k: usize,
-        metric: impl Metric<P> + Send + Sync + 'static,
-        pool: Vec<P>,
-    ) -> Result<Self, SolveError> {
-        let set = UncertainSet::try_new(points).ok_or(SolveError::EmptySet)?;
-        Self::in_metric(set, k, metric, pool)
-    }
-
     /// A general-metric problem sharing an already-`Arc`ed metric and
     /// pool — the zero-copy constructor for batches of problems over one
     /// substrate (one road network, many queries).
@@ -605,10 +591,8 @@ fn finish_pipeline<P: Clone>(
 }
 
 /// The continuous pipeline (paper Theorems 2.2 / 2.4 / 2.5 for
-/// [`EuclideanSpace`]). Shared by [`Problem::solve`] and the deprecated
-/// `solve_euclidean` wrapper — the latter calls it directly, so the two
-/// paths are the same code and bit-identical by construction.
-pub(crate) fn solve_continuous<P: Clone>(
+/// [`EuclideanSpace`]) behind [`Problem::solve`].
+fn solve_continuous<P: Clone>(
     set: &Arc<UncertainSet<P>>,
     k: usize,
     space: &dyn ContinuousSpace<P>,
@@ -950,11 +934,8 @@ fn solve_continuous_store<P: Clone>(
     let evals_before = counter.count();
     let t = Instant::now();
     let assignment: Vec<usize> = match (rule, &center_weights) {
-        (AssignmentRule::ExpectedDistance, None) => {
-            assign_ed_exec(&set_ids, &certain.centers, &oracle, exec)
-        }
-        (AssignmentRule::ExpectedDistance, Some(w)) => {
-            assign_ed_weighted_exec(&set_ids, &certain.centers, w, &oracle, exec)
+        (AssignmentRule::ExpectedDistance, w) => {
+            assign_ed_exec(&set_ids, &certain.centers, w.as_deref(), &oracle, exec)
         }
         // For the EP rule the representatives *are* the expected points
         // `P̄ᵢ`, so the expected-point assignment is nearest-center per
@@ -1075,9 +1056,9 @@ fn solve_continuous_store<P: Clone>(
     }))
 }
 
-/// The general-metric pipeline (paper Theorems 2.6 / 2.7). Shared by
-/// [`Problem::solve`] and the deprecated `solve_metric` wrapper.
-pub(crate) fn solve_discrete<P: Clone>(
+/// The general-metric pipeline (paper Theorems 2.6 / 2.7) behind
+/// [`Problem::solve`].
+fn solve_discrete<P: Clone>(
     set: &UncertainSet<P>,
     k: usize,
     metric: &(dyn Metric<P> + '_),

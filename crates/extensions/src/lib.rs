@@ -18,15 +18,15 @@
 //!   points plus an irreducible variance floor. Lloyd's algorithm with
 //!   k-means++ seeding solves the reduced instance; the identity itself is
 //!   property-tested against enumeration.
-//! * **Streaming uncertain k-center** ([`streaming`]): the doubling
-//!   algorithm of Charikar et al. maintains an 8-approximate k-center
-//!   summary in one pass; feeding it the O(z)-computable expected points
-//!   extends the paper's pipeline to streams, the setting of the
-//!   Munteanu–Sohler–Feldman reference \[25\]. Streaming has since been
-//!   promoted to the dedicated `ukc-stream` crate (memory-bounded
-//!   working sets, epoch instrumentation, server + CLI integration);
-//!   the [`streaming::StreamingUncertainKCenter`] kept here is a
-//!   `#[deprecated]`, bit-identical wrapper over that subsystem.
+//! * **Streaming k-center** ([`streaming`]): the doubling algorithm of
+//!   Charikar et al. maintains an 8-approximate k-center summary in one
+//!   pass; feeding it the O(z)-computable expected points extends the
+//!   paper's pipeline to streams, the setting of the
+//!   Munteanu–Sohler–Feldman reference \[25\]. Uncertain streams are
+//!   served by the dedicated `ukc-stream` crate (memory-bounded working
+//!   sets, epoch instrumentation, server + CLI integration); the generic
+//!   [`StreamingKCenter`] kept here is the reference its summary is
+//!   pinned against bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +42,3 @@ pub use kmedian::{
     ecost_kmedian, uncertain_kmedian_exact, uncertain_kmedian_local_search, KMedianSolution,
 };
 pub use streaming::StreamingKCenter;
-#[allow(deprecated)]
-pub use streaming::StreamingUncertainKCenter;

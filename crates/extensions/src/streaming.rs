@@ -1,5 +1,4 @@
-//! Streaming k-center via the doubling algorithm, lifted to uncertain
-//! points.
+//! Streaming k-center via the doubling algorithm.
 //!
 //! The doubling algorithm (Charikar–Chekuri–Feder–Motwani) maintains at
 //! most `k` centers over a one-pass stream with an 8-approximation
@@ -9,14 +8,16 @@
 //! seen point is within `4τ` of a kept center. On overflow it doubles `τ`
 //! and merges centers closer than the new `τ`.
 //!
-//! [`StreamingUncertainKCenter`] feeds the O(z)-computable expected points
-//! `P̄` through the summary, extending the paper's replace-by-
-//! representative pipeline to streams (the setting of reference \[25\]):
-//! the certain-solver factor `1+ε` in Theorems 2.2/2.5 simply becomes the
-//! streaming factor 8.
+//! [`StreamingKCenter`] is the generic reference implementation over any
+//! [`DistanceOracle`]. Uncertain streams run through
+//! `ukc_stream::StreamSolver`, which feeds the O(z)-computable expected
+//! points `P̄` into `ukc_stream::StreamSummary` — a coordinate-store
+//! version of this summary pinned to it bit for bit at budget `k` — and
+//! so extends the paper's replace-by-representative pipeline to streams
+//! (the setting of reference \[25\]): the certain-solver factor `1+ε` in
+//! Theorems 2.2/2.5 becomes the streaming factor 8.
 
-use ukc_metric::{DistanceOracle, Point};
-use ukc_uncertain::{expected_point, UncertainPoint};
+use ukc_metric::DistanceOracle;
 
 /// One-pass k-center summary with the doubling invariant.
 #[derive(Clone, Debug)]
@@ -107,118 +108,11 @@ impl<P: Clone> StreamingKCenter<P> {
     }
 }
 
-/// Streaming uncertain k-center: expected points through the doubling
-/// summary, with the uncertain points retained for the final assignment
-/// and exact-cost evaluation.
-///
-/// Deprecated in favor of `ukc_stream::StreamSolver`, which keeps the
-/// working set bounded (this type retains every seen point for its
-/// offline finalization), reports per-epoch instrumentation, and is
-/// reachable from the server and CLI. This wrapper now runs on the same
-/// `ukc_stream::StreamSummary` state with a budget of exactly `k`; its
-/// center sequence is bit-identical to the historical implementation
-/// (pinned by the `wrapper_summary_is_bit_identical_to_the_legacy_path`
-/// golden test against the untouched [`StreamingKCenter`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ukc_stream::StreamSolver: memory-bounded, instrumented, and served over HTTP"
-)]
-#[derive(Clone, Debug)]
-pub struct StreamingUncertainKCenter {
-    summary: ukc_stream::StreamSummary,
-    seen: Vec<UncertainPoint<Point>>,
-    rule: ukc_core::AssignmentRule,
-}
-
-#[allow(deprecated)]
-impl StreamingUncertainKCenter {
-    /// Creates an empty streaming clusterer for `k` centers, finalizing
-    /// with the expected-distance rule.
-    ///
-    /// # Panics
-    /// Panics when `k == 0` (use [`Self::with_config`] for a typed
-    /// error).
-    pub fn new(k: usize) -> Self {
-        Self {
-            summary: ukc_stream::StreamSummary::new(k),
-            seen: Vec::new(),
-            rule: ukc_core::AssignmentRule::ExpectedDistance,
-        }
-    }
-
-    /// Creates a streaming clusterer whose finalization uses the
-    /// assignment rule of `config`; `k == 0` is a typed error instead of
-    /// a panic.
-    pub fn with_config(
-        k: usize,
-        config: &ukc_core::SolverConfig,
-    ) -> Result<Self, ukc_core::SolveError> {
-        if k == 0 {
-            return Err(ukc_core::SolveError::ZeroK);
-        }
-        Ok(Self {
-            summary: ukc_stream::StreamSummary::new(k),
-            seen: Vec::new(),
-            rule: config.rule(),
-        })
-    }
-
-    /// Processes one arriving uncertain point: O(z + k) — the expected
-    /// point costs O(z), the summary update O(k).
-    pub fn insert(&mut self, up: UncertainPoint<Point>) {
-        let pbar = expected_point(&up);
-        self.summary
-            .insert(pbar.coords())
-            .expect("locations of one instance share a dimension");
-        self.seen.push(up);
-    }
-
-    /// Number of uncertain points processed.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// `true` before the first insertion.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Finalizes: current centers, the configured-rule assignment of every
-    /// seen point (ED unless built via [`Self::with_config`]), and the
-    /// exact expected cost. (Finalization is offline — the stream summary
-    /// itself stays O(k).)
-    pub fn finalize(&self) -> Option<(Vec<Point>, Vec<usize>, f64)> {
-        if self.seen.is_empty() || self.summary.is_empty() {
-            return None;
-        }
-        let set = ukc_uncertain::UncertainSet::new(self.seen.clone());
-        let centers = self.summary.center_points();
-        let metric = ukc_metric::Euclidean;
-        let assignment = match self.rule {
-            ukc_core::AssignmentRule::ExpectedDistance => {
-                ukc_core::assign_ed(&set, &centers, &metric)
-            }
-            ukc_core::AssignmentRule::ExpectedPoint => ukc_core::assign_ep(&set, &centers, &metric),
-            ukc_core::AssignmentRule::OneCenter => {
-                let reps: Vec<Point> = set
-                    .iter()
-                    .map(ukc_uncertain::one_center_euclidean)
-                    .collect();
-                ukc_core::assign_oc(&set, &centers, &reps, &metric)
-            }
-        };
-        let cost = ukc_uncertain::ecost_assigned(&set, &centers, &assignment, &metric);
-        Some((centers, assignment, cost))
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use ukc_kcenter::{exact_discrete_kcenter, kcenter_cost, ExactOptions};
-    use ukc_metric::Euclidean;
-    use ukc_uncertain::generators::{clustered, ProbModel};
+    use ukc_metric::{Euclidean, Point};
 
     fn stream_points(seed: u64, n: usize) -> Vec<Point> {
         let mut s = seed | 1;
@@ -279,98 +173,35 @@ mod tests {
         assert_eq!(s.threshold(), 0.0);
     }
 
-    #[test]
-    fn uncertain_streaming_matches_offline_pipeline_scale() {
-        let set = clustered(5, 40, 3, 2, 3, 5.0, 1.0, ProbModel::Random);
-        let mut s = StreamingUncertainKCenter::new(3);
-        for up in set.iter() {
-            s.insert(up.clone());
-        }
-        assert_eq!(s.len(), 40);
-        let (centers, assignment, cost) = s.finalize().expect("non-empty");
-        assert!(centers.len() <= 3);
-        assert_eq!(assignment.len(), 40);
-        // Compare against the offline pipeline: streaming pays a constant
-        // factor; on these benign workloads it stays within ~8x.
-        let offline = ukc_core::Problem::euclidean(set.clone(), 3)
-            .unwrap()
-            .solve(
-                &ukc_core::SolverConfig::builder()
-                    .rule(ukc_core::AssignmentRule::ExpectedDistance)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(
-            cost <= 8.0 * offline.ecost + 1e-9,
-            "streaming {cost} vs offline {}",
-            offline.ecost
-        );
-        // Sound floor: the certified lower bound still holds.
-        let lb = ukc_core::lower_bound_euclidean(&set, 3);
-        assert!(lb <= cost + 1e-9);
-    }
-
-    /// The golden equivalence pin for the deprecation: the wrapper now
-    /// runs on `ukc_stream::StreamSummary`, and its kept-center sequence
-    /// must match the untouched generic [`StreamingKCenter`] (the
-    /// historical implementation) bit for bit, on streams that exercise
+    /// The reference pin for `ukc_stream::StreamSummary`: at budget `k`
+    /// its kept-center sequence and threshold must match the generic
+    /// [`StreamingKCenter`] bit for bit, on streams that exercise
     /// absorption, the initial threshold fix, repeated doubling, and
     /// duplicates.
     #[test]
-    fn wrapper_summary_is_bit_identical_to_the_legacy_path() {
+    fn stream_summary_is_bit_identical_to_streaming_kcenter() {
         for (seed, n, k) in [(1u64, 300usize, 3usize), (2, 500, 5), (9, 64, 2)] {
             let mut pts = stream_points(seed, n);
             // Salt in exact duplicates so the τ = 0 absorption path runs.
             let dup = pts[0].clone();
             pts.insert(n / 2, dup.clone());
             pts.push(dup);
-            let mut legacy = StreamingKCenter::new(k);
-            let mut new = ukc_stream::StreamSummary::new(k);
+            let mut reference = StreamingKCenter::new(k);
+            let mut summary = ukc_stream::StreamSummary::new(k);
             for p in &pts {
-                legacy.insert(p.clone(), &Euclidean);
-                new.insert(p.coords()).unwrap();
+                reference.insert(p.clone(), &Euclidean);
+                summary.insert(p.coords()).unwrap();
             }
-            assert_eq!(legacy.centers().len(), new.len(), "seed {seed}");
-            for (a, b) in legacy.centers().iter().zip(new.center_points()) {
+            assert_eq!(reference.centers().len(), summary.len(), "seed {seed}");
+            for (a, b) in reference.centers().iter().zip(summary.center_points()) {
                 assert_eq!(a.coords(), b.coords(), "seed {seed}");
             }
             assert_eq!(
-                legacy.threshold().to_bits(),
-                new.threshold().to_bits(),
+                reference.threshold().to_bits(),
+                summary.threshold().to_bits(),
                 "seed {seed}"
             );
         }
-    }
-
-    /// The uncertain wrapper end to end: same centers, assignment, and
-    /// cost as driving the legacy summary by hand.
-    #[test]
-    fn wrapper_finalize_matches_the_legacy_pipeline_bit_for_bit() {
-        let set = clustered(8, 60, 3, 2, 4, 6.0, 1.0, ProbModel::Random);
-        let mut wrapper = StreamingUncertainKCenter::new(3);
-        let mut legacy = StreamingKCenter::new(3);
-        for up in set.iter() {
-            wrapper.insert(up.clone());
-            legacy.insert(expected_point(up), &Euclidean);
-        }
-        let (centers, assignment, cost) = wrapper.finalize().expect("non-empty");
-        assert_eq!(centers.len(), legacy.centers().len());
-        for (a, b) in centers.iter().zip(legacy.centers()) {
-            assert_eq!(a.coords(), b.coords());
-        }
-        let expected_assignment = ukc_core::assign_ed(&set, legacy.centers(), &Euclidean);
-        assert_eq!(assignment, expected_assignment);
-        let expected_cost =
-            ukc_uncertain::ecost_assigned(&set, legacy.centers(), &expected_assignment, &Euclidean);
-        assert_eq!(cost.to_bits(), expected_cost.to_bits());
-    }
-
-    #[test]
-    fn empty_stream_finalizes_to_none() {
-        let s = StreamingUncertainKCenter::new(2);
-        assert!(s.is_empty());
-        assert!(s.finalize().is_none());
     }
 
     #[test]

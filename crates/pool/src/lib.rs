@@ -437,15 +437,6 @@ fn chunk_range(n: usize, chunk: usize, i: usize) -> Range<usize> {
     start..((start + chunk).min(n))
 }
 
-/// Runs `f` over every `chunk`-sized index range of `0..n`. The chunk
-/// structure depends only on `(n, chunk)`, so results that are
-/// elementwise (each index writes its own data through interior
-/// mutability) are identical for every [`Exec`].
-pub fn for_each_chunk(exec: Exec<'_>, n: usize, chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    let chunks = chunk_count(n, chunk);
-    exec.run(chunks, &|i| f(chunk_range(n, chunk, i)));
-}
-
 /// Splits `out` into `chunk`-sized slices and runs
 /// `f(start_index, slice)` on each — the elementwise-fill driver behind
 /// the parallel distance kernels. Each slice is handed to exactly one

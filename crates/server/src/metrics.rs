@@ -357,11 +357,6 @@ impl Metrics {
         add(&self.warm_fallback_cold, 1);
     }
 
-    /// Cache hits so far (also readable in the `/metrics` document).
-    pub fn cache_hit_count(&self) -> u64 {
-        get(&self.cache_hits)
-    }
-
     /// The `/metrics` document body (cache size/capacity, instance and
     /// stream counts, the shared worker pool's occupancy, and — when the
     /// server runs with `--data-dir` — the durability gauges are owned

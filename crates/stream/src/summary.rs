@@ -94,9 +94,9 @@ pub struct SummarySnapshot {
 ///
 /// The summary is the *state* layer of the streaming subsystem:
 /// [`crate::StreamSolver`] feeds it expected points and finalizes it
-/// into solutions; the deprecated
-/// `ukc_extensions::StreamingUncertainKCenter` wraps it with a budget of
-/// exactly `k`, reproducing the historical center sequence bit for bit.
+/// into solutions. At a budget of exactly `k` its center sequence is bit
+/// for bit that of the generic reference
+/// `ukc_extensions::StreamingKCenter`.
 #[derive(Debug)]
 pub struct StreamSummary {
     budget: usize,
@@ -242,11 +242,6 @@ impl StreamSummary {
         (0..self.store.len())
             .map(|i| self.store.point(PointId(i)))
             .collect()
-    }
-
-    /// The coordinates of kept center `i`.
-    pub fn center_coords(&self, i: usize) -> &[f64] {
-        self.store.coords(PointId(i))
     }
 
     /// The weight (absorbed-point count) of kept center `i`.

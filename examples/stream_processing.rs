@@ -5,9 +5,8 @@
 //!
 //! The doubling/coreset summary keeps an O(budget)-point working set
 //! whatever the stream length; finalization runs the configured certain
-//! solver on the weighted summary and certifies radius bounds. Compare
-//! the deprecated `StreamingUncertainKCenter`, which retained every
-//! seen point.
+//! solver on the weighted summary and certifies radius bounds; no seen
+//! point is retained.
 //!
 //! ```text
 //! cargo run --release --example stream_processing

@@ -53,19 +53,6 @@
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! ```
 //!
-//! ## Migrating from the 0.1 free functions
-//!
-//! | legacy (still compiles, `#[deprecated]`) | replacement |
-//! |---|---|
-//! | `solve_euclidean(&set, k, rule, solver)` | `Problem::euclidean(set, k)?.solve(&config)?` |
-//! | `solve_metric(&set, k, rule, solver, &pool, &m)` | `Problem::in_metric(set, k, m, pool)?.solve(&config)?` |
-//! | `CertainSolver::Gonzalez` | `SolverConfig::builder().strategy(CertainStrategy::Gonzalez)` |
-//! | `CertainSolver::Grid(GridOptions { eps, .. })` | `.strategy(CertainStrategy::Grid).eps(eps)` |
-//! | `MetricAssignmentRule::*` | the unified `AssignmentRule::*` |
-//! | panic on `k == 0` / empty pool | `Err(SolveError::ZeroK)` / `Err(SolveError::EmptyCandidates)` |
-//! | hand-rolled timing around the call | `solution.report.timings` / `.distance_evals` |
-//! | `lower_bound_euclidean(&set, k)` after solving | `solution.report.lower_bound` (one call does both) |
-//!
 //! ## Crate map
 //!
 //! | Crate | Contents |
@@ -105,16 +92,9 @@ pub mod prelude {
         assign_ed, assign_ed_weighted, assign_ep, assign_oc, expected_point_one_center,
         lower_bound_euclidean, lower_bound_metric, lower_bound_one_center, reference_one_center,
         solve_batch, solve_batch_threads, AssignmentMode, AssignmentRule, CandidatePolicy,
-        CertainStrategy, ContinuousSpace, DistanceEvals, EuclideanSpace, MetricAssignmentRule,
-        Problem, Report, Solution, SolveError, SolverConfig, SolverConfigBuilder, StageTimings,
+        CertainStrategy, ContinuousSpace, DistanceEvals, EuclideanSpace, Problem, Report, Solution,
+        SolveError, SolverConfig, SolverConfigBuilder, StageTimings,
     };
-    #[allow(deprecated)]
-    pub use ukc_core::{
-        solve_euclidean, solve_metric, CertainSolver, EuclideanSolution, MetricCertainSolver,
-        MetricSolution,
-    };
-    #[allow(deprecated)]
-    pub use ukc_extensions::StreamingUncertainKCenter;
     pub use ukc_extensions::{
         uncertain_kmeans, uncertain_kmeans_configured, uncertain_kmedian, uncertain_kmedian_exact,
         uncertain_kmedian_local_search, StreamingKCenter,

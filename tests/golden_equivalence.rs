@@ -1,138 +1,14 @@
-//! Golden-equivalence suite: the new `Problem` / `SolverConfig` /
-//! `Solution` API must return **bit-identical** results to the legacy
-//! `solve_euclidean` / `solve_metric` wrappers for every rule × solver
-//! combination, and `solve_batch` must be bit-identical to the
-//! sequential loop. All float comparisons here are exact (`to_bits`),
-//! not tolerance-based — the two paths are required to be the same
-//! computation.
-
-#![allow(deprecated)]
+//! Golden-equivalence suite for batch solving: `solve_batch` must return
+//! **bit-identical** results to the sequential `Problem::solve` loop, for
+//! any thread count, and surface per-problem errors in order. All float
+//! comparisons here are exact (`to_bits`), not tolerance-based — the two
+//! paths are required to be the same computation.
 
 use std::sync::Arc;
 use uncertain_kcenter::prelude::*;
 
-fn new_config(rule: AssignmentRule, solver: CertainSolver) -> SolverConfig {
-    let builder = SolverConfig::builder().rule(rule).lower_bound(false);
-    match solver {
-        CertainSolver::Gonzalez => builder.strategy(CertainStrategy::Gonzalez),
-        CertainSolver::GonzalezLocalSearch { rounds } => {
-            builder.strategy(CertainStrategy::GonzalezLocalSearch { rounds })
-        }
-        CertainSolver::Grid(opts) => builder.strategy(CertainStrategy::Grid).grid_limits(opts),
-        CertainSolver::ExactDiscrete(opts) => builder
-            .strategy(CertainStrategy::ExactDiscrete)
-            .exact_limits(opts),
-    }
-    .build()
-    .expect("legacy-equivalent configs are valid")
-}
-
 fn assert_bits_eq(a: f64, b: f64, what: &str) {
     assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
-fn euclidean_solvers() -> Vec<CertainSolver> {
-    vec![
-        CertainSolver::Gonzalez,
-        CertainSolver::GonzalezLocalSearch { rounds: 25 },
-        CertainSolver::Grid(GridOptions {
-            eps: 0.5,
-            ..Default::default()
-        }),
-        CertainSolver::ExactDiscrete(ExactOptions::default()),
-    ]
-}
-
-#[test]
-fn euclidean_problem_solve_matches_legacy_bit_for_bit() {
-    for seed in [1u64, 7, 23] {
-        let set = clustered(seed, 14, 3, 2, 3, 5.0, 1.2, ProbModel::Random);
-        for rule in [
-            AssignmentRule::ExpectedDistance,
-            AssignmentRule::ExpectedPoint,
-            AssignmentRule::OneCenter,
-        ] {
-            for solver in euclidean_solvers() {
-                let legacy = solve_euclidean(&set, 3, rule, solver);
-                let modern = Problem::euclidean(set.clone(), 3)
-                    .unwrap()
-                    .solve(&new_config(rule, solver))
-                    .unwrap();
-                let ctx = format!("seed {seed} rule {rule:?} solver {solver:?}");
-                assert_eq!(legacy.centers, modern.centers, "centers: {ctx}");
-                assert_eq!(legacy.assignment, modern.assignment, "assignment: {ctx}");
-                assert_eq!(
-                    legacy.representatives, modern.representatives,
-                    "representatives: {ctx}"
-                );
-                assert_bits_eq(legacy.ecost, modern.ecost, &format!("ecost: {ctx}"));
-                assert_bits_eq(
-                    legacy.certain_radius,
-                    modern.certain_radius,
-                    &format!("certain_radius: {ctx}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn metric_problem_solve_matches_legacy_bit_for_bit() {
-    let fm = WeightedGraph::grid(4, 5, 1.0)
-        .shortest_path_metric()
-        .unwrap();
-    let ids = fm.ids();
-    let metric_solvers = vec![
-        MetricCertainSolver::Gonzalez,
-        MetricCertainSolver::GonzalezLocalSearch { rounds: 25 },
-        MetricCertainSolver::ExactDiscrete(ExactOptions::default()),
-    ];
-    for seed in [2u64, 11] {
-        let set = on_finite_metric(seed, fm.len(), 8, 3, ProbModel::Random);
-        for rule in [
-            MetricAssignmentRule::ExpectedDistance,
-            MetricAssignmentRule::OneCenter,
-        ] {
-            for solver in &metric_solvers {
-                let legacy = solve_metric(&set, 2, rule, *solver, &ids, &fm);
-                let unified_rule = match rule {
-                    MetricAssignmentRule::ExpectedDistance => AssignmentRule::ExpectedDistance,
-                    MetricAssignmentRule::OneCenter => AssignmentRule::OneCenter,
-                };
-                let builder = SolverConfig::builder()
-                    .rule(unified_rule)
-                    .lower_bound(false);
-                let config = match solver {
-                    MetricCertainSolver::Gonzalez => builder.strategy(CertainStrategy::Gonzalez),
-                    MetricCertainSolver::GonzalezLocalSearch { rounds } => {
-                        builder.strategy(CertainStrategy::GonzalezLocalSearch { rounds: *rounds })
-                    }
-                    MetricCertainSolver::ExactDiscrete(opts) => builder
-                        .strategy(CertainStrategy::ExactDiscrete)
-                        .exact_limits(*opts),
-                }
-                .build()
-                .unwrap();
-                let modern = Problem::in_metric(set.clone(), 2, fm.clone(), ids.clone())
-                    .unwrap()
-                    .solve(&config)
-                    .unwrap();
-                let ctx = format!("seed {seed} rule {rule:?} solver {solver:?}");
-                assert_eq!(legacy.centers, modern.centers, "centers: {ctx}");
-                assert_eq!(legacy.assignment, modern.assignment, "assignment: {ctx}");
-                assert_eq!(
-                    legacy.representatives, modern.representatives,
-                    "representatives: {ctx}"
-                );
-                assert_bits_eq(legacy.ecost, modern.ecost, &format!("ecost: {ctx}"));
-                assert_bits_eq(
-                    legacy.certain_radius,
-                    modern.certain_radius,
-                    &format!("certain_radius: {ctx}"),
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -283,3 +283,130 @@ fn baselines_and_paper_algorithms_share_cost_semantics() {
     let recomputed = ecost_assigned(&set, &b.centers, &b.assignment, &Euclidean);
     assert!((b.ecost - recomputed).abs() < 1e-12);
 }
+
+#[test]
+fn euclidean_pipeline_produces_k_centers() {
+    let set = clustered(1, 20, 3, 2, 3, 4.0, 0.5, ProbModel::Random);
+    for rule in [
+        AssignmentRule::ExpectedDistance,
+        AssignmentRule::ExpectedPoint,
+        AssignmentRule::OneCenter,
+    ] {
+        let sol = solve_eu(&set, 3, rule);
+        assert_eq!(sol.centers.len(), 3);
+        assert_eq!(sol.assignment.len(), 20);
+        assert!(sol.ecost.is_finite() && sol.ecost >= 0.0);
+        assert_eq!(sol.representatives.len(), 20);
+    }
+}
+
+#[test]
+fn better_certain_solver_never_hurts_certain_radius() {
+    // Exact ≤ local search ≤ Gonzalez on the representatives.
+    let set = clustered(2, 15, 3, 2, 3, 4.0, 0.5, ProbModel::Uniform);
+    let radius =
+        |strategy| solve_eu_with(&set, 3, AssignmentRule::ExpectedPoint, strategy).certain_radius;
+    let gz = radius(CertainStrategy::Gonzalez);
+    let ls = radius(CertainStrategy::GonzalezLocalSearch { rounds: 50 });
+    let ex = radius(CertainStrategy::ExactDiscrete);
+    assert!(ls <= gz + 1e-12);
+    assert!(ex <= ls + 1e-12);
+}
+
+#[test]
+fn metric_exact_solver_beats_greedy_certain_radius() {
+    // General metric: exact ≤ Gonzalez over the location pool.
+    let fm = WeightedGraph::cycle(12, 1.0)
+        .shortest_path_metric()
+        .unwrap();
+    let set = on_finite_metric(5, fm.len(), 6, 2, ProbModel::Uniform);
+    let pool = set.location_pool();
+    let radius = |strategy| {
+        solve_me(&set, 2, AssignmentRule::OneCenter, strategy, &pool, &fm).certain_radius
+    };
+    assert!(radius(CertainStrategy::ExactDiscrete) <= radius(CertainStrategy::Gonzalez) + 1e-12);
+}
+
+#[test]
+fn separated_clusters_get_separated_centers() {
+    // Two clusters 100 apart; any sensible pipeline separates them and
+    // the expected cost is on the cluster scale, not the gap scale.
+    let mk = |base: f64, seed: u64| {
+        let mut s = seed | 1;
+        let mut rnd = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..5)
+            .map(|_| {
+                let nominal = base + rnd() * 2.0;
+                UncertainPoint::new(
+                    vec![Point::scalar(nominal - 0.5), Point::scalar(nominal + 0.5)],
+                    vec![0.5, 0.5],
+                )
+                .unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut pts = mk(0.0, 3);
+    pts.extend(mk(100.0, 4));
+    let set = UncertainSet::new(pts);
+    let sol = solve_eu(&set, 2, AssignmentRule::ExpectedDistance);
+    assert!(
+        sol.ecost < 10.0,
+        "ecost {} should be cluster-scale",
+        sol.ecost
+    );
+    // Points 0..5 share a center; points 5..10 share the other.
+    assert!(sol.assignment[..5].iter().all(|&a| a == sol.assignment[0]));
+    assert!(sol.assignment[5..].iter().all(|&a| a == sol.assignment[5]));
+    assert_ne!(sol.assignment[0], sol.assignment[5]);
+}
+
+#[test]
+fn metric_pipeline_on_graph() {
+    let fm = WeightedGraph::grid(4, 5, 1.0)
+        .shortest_path_metric()
+        .unwrap();
+    let set = on_finite_metric(7, fm.len(), 8, 3, ProbModel::Random);
+    let pool = set.location_pool();
+    for rule in [AssignmentRule::ExpectedDistance, AssignmentRule::OneCenter] {
+        let sol = solve_me(&set, 2, rule, CertainStrategy::Gonzalez, &pool, &fm);
+        assert_eq!(sol.centers.len(), 2);
+        assert!(sol.ecost.is_finite() && sol.ecost >= 0.0);
+        // Centers drawn from the pool.
+        assert!(sol.centers.iter().all(|c| pool.contains(c)));
+    }
+}
+
+#[test]
+fn certain_points_collapse_to_deterministic_kcenter() {
+    // With certain points the pipeline must equal deterministic
+    // k-center: representatives are the points themselves.
+    let set = UncertainSet::new(
+        [0.0, 1.0, 10.0, 11.0]
+            .iter()
+            .map(|&x| UncertainPoint::certain(Point::scalar(x)))
+            .collect(),
+    );
+    let sol = solve_eu_with(
+        &set,
+        2,
+        AssignmentRule::ExpectedPoint,
+        CertainStrategy::ExactDiscrete,
+    );
+    // Optimal deterministic assignment splits {0,1} and {10,11} with
+    // max distance 1 from a chosen location; expected cost equals the
+    // deterministic cost.
+    assert!(sol.ecost <= 1.0 + 1e-9, "ecost {}", sol.ecost);
+}
+
+#[test]
+fn k_one_all_assigned_to_single_center() {
+    let set = clustered(5, 8, 2, 2, 2, 3.0, 0.5, ProbModel::Random);
+    let sol = solve_eu(&set, 1, AssignmentRule::ExpectedDistance);
+    assert_eq!(sol.centers.len(), 1);
+    assert!(sol.assignment.iter().all(|&a| a == 0));
+}

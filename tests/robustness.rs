@@ -63,23 +63,11 @@ fn all_points_identical() {
 #[test]
 fn k_exceeds_n() {
     let set = uniform_box(1, 3, 2, 2, 10.0, 1.0, ProbModel::Random);
-    // The validated API rejects over-asking with a typed error...
+    // The validated API rejects over-asking with a typed error.
     assert_eq!(
-        Problem::euclidean(set.clone(), 10).err(),
+        Problem::euclidean(set, 10).err(),
         Some(SolveError::KExceedsN { k: 10, n: 3 })
     );
-    // ...while the deprecated wrapper keeps its historical clamping
-    // behavior: at most n distinct representatives -> at most n centers.
-    #[allow(deprecated)]
-    let sol = solve_euclidean(
-        &set,
-        10,
-        AssignmentRule::ExpectedPoint,
-        CertainSolver::Gonzalez,
-    );
-    assert!(sol.centers.len() <= 3);
-    assert!(sol.assignment.iter().all(|&a| a < sol.centers.len()));
-    assert!(sol.ecost >= lower_bound_euclidean(&set, 10) - 1e-9);
 }
 
 #[test]
@@ -182,19 +170,6 @@ fn nan_coordinates_rejected_at_construction() {
 fn zero_k_rejected_with_typed_error() {
     let set = uniform_box(1, 3, 2, 2, 10.0, 1.0, ProbModel::Random);
     assert_eq!(Problem::euclidean(set, 0).err(), Some(SolveError::ZeroK));
-}
-
-#[test]
-#[should_panic(expected = "k must be at least 1")]
-fn zero_k_still_panics_in_deprecated_wrapper() {
-    let set = uniform_box(1, 3, 2, 2, 10.0, 1.0, ProbModel::Random);
-    #[allow(deprecated)]
-    let _ = solve_euclidean(
-        &set,
-        0,
-        AssignmentRule::ExpectedPoint,
-        CertainSolver::Gonzalez,
-    );
 }
 
 #[test]

@@ -168,24 +168,19 @@ fn stream_digests_are_bit_identical_across_threads_kernels_and_chunkings() {
 }
 
 #[test]
-fn stream_solver_agrees_with_the_deprecated_wrapper_at_budget_k() {
-    // The migration contract both ways: at budget = k the new summary
-    // is the legacy doubling summary, so the deprecated wrapper (which
-    // now runs on it) and a direct StreamSolver see the same centers.
+fn stream_solver_agrees_with_streaming_kcenter_at_budget_k() {
+    // At budget = k the stream summary is the generic doubling summary,
+    // so a StreamSolver and a `StreamingKCenter` fed the same expected
+    // points keep the same centers, in the same order.
     let set = UncertainSet::new(big_stream().points()[..5_000].to_vec());
-    #[allow(deprecated)]
-    let wrapper_centers = {
-        let mut wrapper = StreamingUncertainKCenter::new(K);
-        for up in set.iter() {
-            wrapper.insert(up.clone());
-        }
-        let (centers, _, _) = wrapper.finalize().expect("non-empty");
-        centers
-    };
+    let mut reference = StreamingKCenter::new(K);
+    for up in set.iter() {
+        reference.insert(expected_point(up), &Euclidean);
+    }
     let solver = stream_through(&set, K, &config(1, Kernel::Scalar));
     let solution = solver.solution().expect("non-empty");
-    assert_eq!(solution.centers.len(), wrapper_centers.len());
-    for (a, b) in solution.centers.iter().zip(&wrapper_centers) {
+    assert_eq!(solution.centers.len(), reference.centers().len());
+    for (a, b) in solution.centers.iter().zip(reference.centers()) {
         assert_eq!(a.coords(), b.coords());
     }
 }
