@@ -115,7 +115,7 @@ fn assign_store(
     out: &mut [(usize, f64)],
 ) -> f64 {
     let oracle = StoreOracle::new(store, kernel);
-    oracle.nearest_each(ids, centers, out);
+    oracle.nearest_each(ids, centers, None, out);
     out.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
 

@@ -82,23 +82,10 @@ pub fn assign_ed<P, M: DistanceOracle<P>>(
     assign_ed_seq(set, centers, None, metric)
 }
 
-/// Additively-weighted expected-distance assignment: each point goes to
-/// `argmin_c (E d(Pᵢ, c) − w_c)`. Same O(n·z·k) distance-eval count as
-/// [`assign_ed`].
-///
-/// # Panics
-/// Panics when `centers` is empty or `weights.len() != centers.len()`.
-pub fn assign_ed_weighted<P, M: DistanceOracle<P>>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    weights: &[f64],
-    metric: &M,
-) -> Vec<usize> {
-    assign_ed_seq(set, centers, Some(weights), metric)
-}
-
-/// [`assign_ed`] (`weights = None`) or [`assign_ed_weighted`] with an
-/// execution context: points are assigned in block-parallel chunks on
+/// [`assign_ed`] with optional additive center weights and an execution
+/// context. With `weights`, each point goes to
+/// `argmin_c (E d(Pᵢ, c) − w_c)`, the same O(n·z·k) distance-eval count
+/// as the plain rule. Points are assigned in block-parallel chunks on
 /// the pool. Each point's argmin is computed by the exact sequential
 /// arithmetic, so the assignment — and the distance-eval count — is
 /// identical for every `exec`.
@@ -167,7 +154,7 @@ pub fn assign_oc<P, M: DistanceOracle<P>>(
     // The batched nearest sweep: a pool-backed oracle parallelizes it
     // across representatives with identical output and eval counts.
     let mut nearest = vec![(0usize, 0.0f64); reps.len()];
-    metric.nearest_each(reps, centers, &mut nearest);
+    metric.nearest_each(reps, centers, None, &mut nearest);
     nearest.into_iter().map(|(i, _)| i).collect()
 }
 
@@ -243,16 +230,11 @@ mod tests {
         let centers = vec![Point::scalar(1.0), Point::scalar(11.0)];
         let zeros = vec![0.0; centers.len()];
         assert_eq!(
-            assign_ed_weighted(&s, &centers, &zeros, &Euclidean),
+            assign_ed_exec(&s, &centers, Some(&zeros), &Euclidean, Exec::sequential()),
             assign_ed(&s, &centers, &Euclidean)
         );
         // A big credit on center 1 pulls everyone over.
         let heavy = vec![0.0, 100.0];
-        assert_eq!(
-            assign_ed_weighted(&s, &centers, &heavy, &Euclidean),
-            vec![1, 1]
-        );
-        // Exec variant agrees on the sequential fallback path.
         assert_eq!(
             assign_ed_exec(&s, &centers, Some(&heavy), &Euclidean, Exec::sequential()),
             vec![1, 1]

@@ -263,7 +263,7 @@ fn warm_attempt(
     let evals_before = counter.count();
     let t = Instant::now();
     let mut nearest = vec![(0usize, 0.0f64); n - n_prior];
-    oracle.nearest_each(&rep_ids[n_prior..], &center_ids, &mut nearest);
+    oracle.nearest_each(&rep_ids[n_prior..], &center_ids, None, &mut nearest);
     let mut r_warm = prior.certain_radius;
     for &(_, d) in &nearest {
         r_warm = r_warm.max(d);
@@ -473,7 +473,7 @@ fn solve_loo_store(
     // nearest base center, feeding each variant's radius via running
     // prefix/suffix maxima.
     let mut mindist = vec![f64::INFINITY; n];
-    oracle.dists_to_centers_min(&rep_ids, &center_ids, &mut mindist);
+    oracle.dists_to_centers_min(&rep_ids, &center_ids, None, &mut mindist);
     let mut prefix_max = vec![0.0f64; n + 1];
     for i in 0..n {
         prefix_max[i + 1] = prefix_max[i].max(mindist[i]);
@@ -573,7 +573,7 @@ fn resolve_center_variant(
     let centers: Vec<PointId> = idx.iter().map(|&j| reduced_reps[j]).collect();
     let nearest = nearest.unwrap_or_else(|| {
         let mut nearest = vec![(0usize, 0.0f64); reduced_reps.len()];
-        oracle.nearest_each(&reduced_reps, &centers, &mut nearest);
+        oracle.nearest_each(&reduced_reps, &centers, None, &mut nearest);
         nearest
     });
     let assignment: Vec<usize> = nearest.iter().map(|&(c, _)| c).collect();

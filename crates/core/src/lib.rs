@@ -75,9 +75,7 @@ pub mod one_center;
 pub mod problem;
 pub mod report;
 
-pub use assignments::{
-    assign_ed, assign_ed_exec, assign_ed_weighted, assign_ep, assign_oc, AssignmentRule,
-};
+pub use assignments::{assign_ed, assign_ed_exec, assign_ep, assign_oc, AssignmentRule};
 pub use bounds::{lower_bound_euclidean, lower_bound_metric, lower_bound_one_center};
 pub use config::{
     AssignmentMode, CandidatePolicy, CertainStrategy, SolverConfig, SolverConfigBuilder,

@@ -33,8 +33,8 @@ use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConf
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
 use ukc_kcenter::{
-    cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, gonzalez_nearest,
-    grid_kcenter_exec, kcenter_cost_weighted, local_search_kcenter, KCenterSolution,
+    cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, gonzalez_nearest,
+    grid_kcenter_exec, kcenter_cost, local_search_kcenter, KCenterSolution,
 };
 use ukc_metric::{
     DistCounter, DistanceOracle, Euclidean, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
@@ -841,10 +841,10 @@ fn solve_continuous_store<P: Clone>(
                 .with_counter(&counter)
                 .with_exec(exec);
             let spreads = expected_spreads_exec(&set_ids, &rep_ids, &oracle, exec);
-            let idx = gonzalez_indices_weighted(&rep_ids, &spreads, k, &oracle, 0);
+            let idx = gonzalez_indices(&rep_ids, Some(&spreads), k, &oracle, 0);
             let centers: Vec<PointId> = idx.iter().map(|&i| rep_ids[i]).collect();
             let weights: Vec<f64> = idx.iter().map(|&i| spreads[i]).collect();
-            let radius = kcenter_cost_weighted(&rep_ids, &centers, &weights, &oracle);
+            let radius = kcenter_cost(&rep_ids, &centers, Some(&weights), &oracle);
             center_weights = Some(weights);
             KCenterSolution {
                 centers,
@@ -933,38 +933,30 @@ fn solve_continuous_store<P: Clone>(
     // Step 3: assignment by the configured rule.
     let evals_before = counter.count();
     let t = Instant::now();
-    let assignment: Vec<usize> = match (rule, &center_weights) {
-        (AssignmentRule::ExpectedDistance, w) => {
-            assign_ed_exec(&set_ids, &certain.centers, w.as_deref(), &oracle, exec)
-        }
+    let assignment: Vec<usize> = match (rule, ep_nearest) {
+        (AssignmentRule::ExpectedDistance, _) => assign_ed_exec(
+            &set_ids,
+            &certain.centers,
+            center_weights.as_deref(),
+            &oracle,
+            exec,
+        ),
         // For the EP rule the representatives *are* the expected points
         // `P̄ᵢ`, so the expected-point assignment is nearest-center per
-        // representative (the coords_of contract requires this semantics).
-        // The weighted mode compares centers by `d(repᵢ, c) − w_c`
-        // instead, through the same batched sweep shape.
-        (AssignmentRule::ExpectedPoint, None) => {
-            let nearest = match ep_nearest {
-                Some(Some(nearest)) => nearest,
-                _ => {
-                    let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
-                    oracle.nearest_each(&rep_ids, &certain.centers, &mut nearest);
-                    if ep_nearest.is_some() {
-                        // Bit-identical to a `kcenter_cost` sweep: both
-                        // dispatch on n·|C| pairs.
-                        certain.radius = cover_radius(&nearest);
-                    }
-                    nearest
-                }
-            };
-            nearest.into_iter().map(|(i, _)| i).collect()
-        }
-        (AssignmentRule::ExpectedPoint, Some(w)) | (AssignmentRule::OneCenter, Some(w)) => {
+        // representative (the coords_of contract requires this semantics),
+        // as the OC one is per 1-center `P̃ᵢ`. The weighted mode compares
+        // centers by `d(repᵢ, c) − w_c` instead, through the same sweep.
+        (_, Some(Some(nearest))) => nearest.into_iter().map(|(i, _)| i).collect(),
+        (_, fused) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
-            oracle.nearest_each_weighted(&rep_ids, &certain.centers, w, &mut nearest);
+            let w = center_weights.as_deref();
+            oracle.nearest_each(&rep_ids, &certain.centers, w, &mut nearest);
+            if fused.is_some() {
+                // Bit-identical to a `kcenter_cost` sweep: both
+                // dispatch on n·|C| pairs.
+                certain.radius = cover_radius(&nearest);
+            }
             nearest.into_iter().map(|(i, _)| i).collect()
-        }
-        (AssignmentRule::OneCenter, None) => {
-            assign_oc(&set_ids, &certain.centers, &rep_ids, &oracle)
         }
     };
     report.distance_evals.assignment = counter.since(evals_before);

@@ -147,7 +147,7 @@ mod tests {
             for p in &pts {
                 s.insert(p.clone(), &Euclidean);
             }
-            let achieved = kcenter_cost(&pts, s.centers(), &Euclidean);
+            let achieved = kcenter_cost(&pts, s.centers(), None, &Euclidean);
             let offline =
                 exact_discrete_kcenter(&pts, &pts, k, &Euclidean, ExactOptions::default()).unwrap();
             // Discrete offline optimum is within 2x of continuous, so the
@@ -219,7 +219,7 @@ mod tests {
         let offline =
             exact_discrete_kcenter(&pts, &pts, k, &Euclidean, ExactOptions::default()).unwrap();
         for s in [&fwd, &rev] {
-            let achieved = kcenter_cost(&pts, s.centers(), &Euclidean);
+            let achieved = kcenter_cost(&pts, s.centers(), None, &Euclidean);
             assert!(achieved <= 8.0 * offline.radius + 1e-9);
         }
     }

@@ -108,7 +108,7 @@ proptest! {
             s.insert(p.clone(), &Euclidean);
         }
         prop_assert!(s.centers().len() <= k);
-        let achieved = kcenter_cost(&pts, s.centers(), &Euclidean);
+        let achieved = kcenter_cost(&pts, s.centers(), None, &Euclidean);
         if s.threshold() > 0.0 {
             prop_assert!(achieved <= s.radius_bound() + 1e-9);
         }

@@ -129,7 +129,7 @@ mod tests {
         let sol =
             exact_discrete_kcenter(&pts, &pts, 2, &Euclidean, ExactOptions::default()).unwrap();
         assert_eq!(sol.radius, 3.0);
-        let cost = kcenter_cost(&pts, &sol.centers, &Euclidean);
+        let cost = kcenter_cost(&pts, &sol.centers, None, &Euclidean);
         assert_eq!(cost, sol.radius);
     }
 
@@ -145,7 +145,7 @@ mod tests {
         for k in 1..=3 {
             let sol =
                 exact_discrete_kcenter(&pts, &pts, k, &Euclidean, ExactOptions::default()).unwrap();
-            let cost = kcenter_cost(&pts, &sol.centers, &Euclidean);
+            let cost = kcenter_cost(&pts, &sol.centers, None, &Euclidean);
             assert!((cost - sol.radius).abs() < 1e-12);
             assert!(sol.centers.len() <= k);
         }

@@ -25,12 +25,24 @@ pub struct KCenterSolution<P> {
 /// Runs Gonzalez's greedy algorithm, returning the chosen center *indices*
 /// into `points` (the first center is `start`).
 ///
+/// With `weights`, this is the additively-weighted (Apollonius) greedy:
+/// `weights[i]` is the additive weight point `i` carries *when chosen as
+/// a center*, and the maintained coverage array holds weighted distances
+/// `min_c d(pᵢ, c) − w_c`. Each round picks the point with the largest
+/// (weighted) distance — the point least covered once every center's
+/// weight is credited — and the greedy stops early once that distance
+/// has reached zero: fewer than k distinct points, or every point inside
+/// some center's weighted cell. All-zero weights pick exactly the plain
+/// centers, which the weighted-equivalence suite pins.
+///
 /// O(nk) distance evaluations. Returns all indices when `k >= n`.
 ///
 /// # Panics
-/// Panics if `points` is empty, `k == 0`, or `start` is out of range.
+/// Panics if `points` is empty, `k == 0`, `start` is out of range, or
+/// `weights` and `points` differ in length.
 pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
     points: &[P],
+    weights: Option<&[f64]>,
     k: usize,
     metric: &M,
     start: usize,
@@ -38,14 +50,19 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
     assert!(!points.is_empty(), "gonzalez requires at least one point");
     assert!(k > 0, "gonzalez requires k >= 1");
     assert!(start < points.len(), "start index out of range");
+    if let Some(w) = weights {
+        assert_eq!(points.len(), w.len(), "one weight per point required");
+    }
+    let weight = |i: usize| weights.map(|w| w[i]);
     let n = points.len();
     let k = k.min(n);
     let mut centers = Vec::with_capacity(k);
     centers.push(start);
     // dist[i] = d(points[i], current centers), maintained by the batched
-    // min-update kernel (one pass per new center).
+    // min-update kernel (one pass per new center). The first pass starts
+    // from +∞, which fills in each distance bit for bit.
     let mut dist = vec![f64::INFINITY; n];
-    metric.dists_to_one(points, &points[start], &mut dist);
+    metric.dists_to_set_min(points, &points[start], weight(start), &mut dist);
     while centers.len() < k {
         // Farthest point from the current centers.
         let (far, far_d) = dist
@@ -54,60 +71,12 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("non-empty");
-        if far_d == 0.0 {
-            // Fewer than k distinct points: every point is already a center.
-            break;
-        }
-        centers.push(far);
-        metric.dists_to_set_min(points, &points[far], &mut dist);
-    }
-    centers
-}
-
-/// The additively-weighted (Apollonius) form of [`gonzalez_indices`]:
-/// `weights[i]` is the additive weight point `i` carries *when chosen as
-/// a center*, and the maintained coverage array holds weighted distances
-/// `min_c d(pᵢ, c) − w_c`. Each round picks the point with the largest
-/// weighted distance — the point least covered once every center's
-/// weight is credited — and stops early when every weighted distance has
-/// reached zero (all points inside some center's weighted cell).
-///
-/// With all-zero weights this is exactly [`gonzalez_indices`], operation
-/// for operation, which the weighted-equivalence suite pins.
-///
-/// # Panics
-/// Panics if `points` is empty, `k == 0`, `start` is out of range, or
-/// `weights` and `points` differ in length.
-pub fn gonzalez_indices_weighted<P, M: DistanceOracle<P>>(
-    points: &[P],
-    weights: &[f64],
-    k: usize,
-    metric: &M,
-    start: usize,
-) -> Vec<usize> {
-    assert!(!points.is_empty(), "gonzalez requires at least one point");
-    assert!(k > 0, "gonzalez requires k >= 1");
-    assert!(start < points.len(), "start index out of range");
-    assert_eq!(points.len(), weights.len(), "one weight per point required");
-    let n = points.len();
-    let k = k.min(n);
-    let mut centers = Vec::with_capacity(k);
-    centers.push(start);
-    let mut dist = vec![f64::INFINITY; n];
-    metric.dists_to_set_min_weighted(points, &points[start], weights[start], &mut dist);
-    while centers.len() < k {
-        let (far, far_d) = dist
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty");
         if far_d <= 0.0 {
-            // Every point already sits inside some center's weighted cell.
+            // Every point is already covered.
             break;
         }
         centers.push(far);
-        metric.dists_to_set_min_weighted(points, &points[far], weights[far], &mut dist);
+        metric.dists_to_set_min(points, &points[far], weight(far), &mut dist);
     }
     centers
 }
@@ -185,7 +154,7 @@ pub fn gonzalez<P: Clone, M: DistanceOracle<P>>(
     let centers: Vec<P> = idx.iter().map(|&i| points[i].clone()).collect();
     let radius = match nearest {
         Some(nearest) => cover_radius(&nearest),
-        None => kcenter_cost(points, &centers, metric),
+        None => kcenter_cost(points, &centers, None, metric),
     };
     KCenterSolution {
         centers,
@@ -307,8 +276,8 @@ mod tests {
         let zeros = vec![0.0; pts.len()];
         for (k, start) in [(1, 0), (3, 5), (5, 16)] {
             assert_eq!(
-                gonzalez_indices_weighted(&pts, &zeros, k, &Euclidean, start),
-                gonzalez_indices(&pts, k, &Euclidean, start),
+                gonzalez_indices(&pts, Some(&zeros), k, &Euclidean, start),
+                gonzalez_indices(&pts, None, k, &Euclidean, start),
             );
         }
     }
@@ -319,7 +288,7 @@ mod tests {
         // weighted farthest distance is negative after one pick.
         let pts = line(9);
         let weights = vec![100.0; pts.len()];
-        let idx = gonzalez_indices_weighted(&pts, &weights, 5, &Euclidean, 0);
+        let idx = gonzalez_indices(&pts, Some(&weights), 5, &Euclidean, 0);
         assert_eq!(idx, vec![0]);
     }
 
@@ -336,7 +305,7 @@ mod tests {
             Point::scalar(50.0),
         ];
         let weights = vec![1.0, 0.0, 0.0, 0.0, 0.0];
-        let idx = gonzalez_indices_weighted(&pts, &weights, 2, &Euclidean, 0);
+        let idx = gonzalez_indices(&pts, Some(&weights), 2, &Euclidean, 0);
         assert_eq!(idx, vec![0, 4]);
     }
 

@@ -209,7 +209,7 @@ mod tests {
         // a lower bound on 2*opt... actually on opt: k+1 points pairwise
         // > 2r cannot be covered by k balls of radius r. Use the standard
         // bound: r_{k+1}/2 where r_{k+1} is the Gonzalez residual.
-        let idx = crate::gonzalez::gonzalez_indices(points, k + 1, &Euclidean, 0);
+        let idx = crate::gonzalez::gonzalez_indices(points, None, k + 1, &Euclidean, 0);
         if idx.len() <= k {
             return 0.0;
         }
@@ -257,7 +257,7 @@ mod tests {
     fn radius_matches_cost() {
         let pts = cloud(9, 12, 2);
         let sol = grid_kcenter(&pts, 2, GridOptions::default()).unwrap();
-        let cost = kcenter_cost(&pts, &sol.centers, &Euclidean);
+        let cost = kcenter_cost(&pts, &sol.centers, None, &Euclidean);
         assert!((cost - sol.radius).abs() < 1e-9);
     }
 

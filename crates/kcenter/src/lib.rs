@@ -36,20 +36,20 @@ pub mod local_search;
 pub mod one_d;
 
 pub use exact::{exact_discrete_kcenter, ExactOptions};
-pub use gonzalez::{
-    cover_radius, gonzalez, gonzalez_indices, gonzalez_indices_weighted, gonzalez_nearest,
-    KCenterSolution,
-};
+pub use gonzalez::{cover_radius, gonzalez, gonzalez_indices, gonzalez_nearest, KCenterSolution};
 pub use grid::{grid_kcenter, grid_kcenter_exec, GridOptions};
 pub use local_search::local_search_kcenter;
 pub use one_d::one_d_kcenter;
 
 use ukc_metric::DistanceOracle;
 
-/// The k-center cost of a center set: `max_i d(pᵢ, C)`.
+/// The k-center cost of a center set: `max_i d(pᵢ, C)`, or with
+/// `weights` the additively-weighted cost `max_i min_c (d(pᵢ, c) − w_c)`,
+/// clamped below at zero (a point inside some center's weighted cell
+/// contributes no cost).
 ///
-/// Returns 0 for an empty point set and `+∞` for an empty center set over a
-/// non-empty point set.
+/// Returns 0 for an empty point set and `+∞` for an empty center set over
+/// a non-empty point set.
 ///
 /// Evaluated through the fused
 /// [`DistanceOracle::dists_to_centers_min`] sweep (by default one
@@ -58,36 +58,20 @@ use ukc_metric::DistanceOracle;
 /// is identical to the point-major `max_i min_c` loop (min and max are
 /// order-independent over the same pair set), and the evaluation count is
 /// `n·k` either way.
-pub fn kcenter_cost<P, M: DistanceOracle<P>>(points: &[P], centers: &[P], metric: &M) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    let mut min_dist = vec![f64::INFINITY; points.len()];
-    metric.dists_to_centers_min(points, centers, &mut min_dist);
-    min_dist.into_iter().fold(0.0, f64::max)
-}
-
-/// The additively-weighted k-center cost:
-/// `max_i min_c (d(pᵢ, c) − w_c)`, clamped below at zero (a point inside
-/// some center's weighted cell contributes no cost).
-///
-/// Returns 0 for an empty point set and `+∞` for an empty center set over
-/// a non-empty point set. With all-zero weights this equals
-/// [`kcenter_cost`].
 ///
 /// # Panics
 /// Panics when `weights` and `centers` differ in length.
-pub fn kcenter_cost_weighted<P, M: DistanceOracle<P>>(
+pub fn kcenter_cost<P, M: DistanceOracle<P>>(
     points: &[P],
     centers: &[P],
-    weights: &[f64],
+    weights: Option<&[f64]>,
     metric: &M,
 ) -> f64 {
     if points.is_empty() {
         return 0.0;
     }
     let mut min_dist = vec![f64::INFINITY; points.len()];
-    metric.dists_to_centers_min_weighted(points, centers, weights, &mut min_dist);
+    metric.dists_to_centers_min(points, centers, weights, &mut min_dist);
     min_dist.into_iter().fold(0.0, f64::max)
 }
 
@@ -112,7 +96,7 @@ pub fn nearest_assignment<P, M: DistanceOracle<P>>(
         "nearest_assignment requires at least one center"
     );
     let mut nearest = vec![(0usize, 0.0f64); points.len()];
-    metric.nearest_each(points, centers, &mut nearest);
+    metric.nearest_each(points, centers, None, &mut nearest);
     nearest.into_iter().map(|(i, _)| i).collect()
 }
 
@@ -125,8 +109,8 @@ mod tests {
     fn cost_of_empty_inputs() {
         let m = Euclidean;
         let pts = vec![Point::scalar(1.0)];
-        assert_eq!(kcenter_cost::<Point, _>(&[], &pts, &m), 0.0);
-        assert_eq!(kcenter_cost(&pts, &[], &m), f64::INFINITY);
+        assert_eq!(kcenter_cost::<Point, _>(&[], &pts, None, &m), 0.0);
+        assert_eq!(kcenter_cost(&pts, &[], None, &m), f64::INFINITY);
     }
 
     #[test]
@@ -134,7 +118,7 @@ mod tests {
         let m = Euclidean;
         let pts = vec![Point::scalar(0.0), Point::scalar(10.0), Point::scalar(4.0)];
         let centers = vec![Point::scalar(1.0), Point::scalar(9.0)];
-        assert!((kcenter_cost(&pts, &centers, &m) - 3.0).abs() < 1e-12);
+        assert!((kcenter_cost(&pts, &centers, None, &m) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub fn local_search_kcenter<P: Clone, M: DistanceOracle<P>>(
     let mut current: Vec<usize> = initial.to_vec();
     let materialize =
         |idx: &[usize]| -> Vec<P> { idx.iter().map(|&i| candidates[i].clone()).collect() };
-    let mut cost = kcenter_cost(points, &materialize(&current), metric);
+    let mut cost = kcenter_cost(points, &materialize(&current), None, metric);
     for _ in 0..max_rounds {
         let mut best_swap: Option<(usize, usize, f64)> = None;
         for slot in 0..current.len() {
@@ -47,7 +47,7 @@ pub fn local_search_kcenter<P: Clone, M: DistanceOracle<P>>(
                 }
                 let old = current[slot];
                 current[slot] = cand;
-                let c = kcenter_cost(points, &materialize(&current), metric);
+                let c = kcenter_cost(points, &materialize(&current), None, metric);
                 current[slot] = old;
                 if c < cost && best_swap.is_none_or(|(_, _, bc)| c < bc) {
                     best_swap = Some((slot, cand, c));
@@ -128,7 +128,7 @@ mod tests {
         let pts = cloud(3, 10);
         let ls = local_search_kcenter(&pts, &pts, &[0], &Euclidean, 0);
         assert_eq!(ls.center_indices, vec![0]);
-        let direct = kcenter_cost(&pts, &[pts[0].clone()], &Euclidean);
+        let direct = kcenter_cost(&pts, &[pts[0].clone()], None, &Euclidean);
         assert!((ls.radius - direct).abs() < 1e-12);
     }
 }

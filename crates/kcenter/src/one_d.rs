@@ -118,7 +118,7 @@ mod tests {
 
     fn cost_of(values: &[f64], sol: &KCenterSolution<Point>) -> f64 {
         let pts: Vec<Point> = values.iter().map(|&v| Point::scalar(v)).collect();
-        kcenter_cost(&pts, &sol.centers, &Euclidean)
+        kcenter_cost(&pts, &sol.centers, None, &Euclidean)
     }
 
     #[test]

@@ -33,10 +33,10 @@ proptest! {
     #[test]
     fn reported_radius_is_cost(pts in points(2..=10), k in 1usize..=3) {
         let gz = gonzalez(&pts, k, &Euclidean, 0);
-        prop_assert!((kcenter_cost(&pts, &gz.centers, &Euclidean) - gz.radius).abs() < 1e-9);
+        prop_assert!((kcenter_cost(&pts, &gz.centers, None, &Euclidean) - gz.radius).abs() < 1e-9);
         let ex = exact_discrete_kcenter(&pts, &pts, k, &Euclidean, ExactOptions::default())
             .unwrap();
-        prop_assert!((kcenter_cost(&pts, &ex.centers, &Euclidean) - ex.radius).abs() < 1e-9);
+        prop_assert!((kcenter_cost(&pts, &ex.centers, None, &Euclidean) - ex.radius).abs() < 1e-9);
     }
 
     /// Exact radius is monotone non-increasing in k.

@@ -31,19 +31,24 @@
 //! the stored coordinates: block membership, chunk boundaries, and lane
 //! counts never perturb a result bit.
 //!
-//! Each of the four sweep families — single-center min-update
-//! ([`dists_to_set_min`]), single-query argmin ([`nearest_center`]),
-//! fused multi-center min ([`dists_to_centers_min`]) and fused assignment
-//! ([`nearest_center_each`]) — is one generic body over a per-candidate
-//! update rule: the plain Euclidean distance, or additive center weights
-//! for the additively weighted (Apollonius) distance `d(p, cᵢ) − wᵢ`
-//! behind the `*_weighted` entry points. The body owns kernel dispatch,
-//! the f64/f32 storage choice, panel packing and weight padding, 4-row
-//! blocking, and [`PAR_CHUNK`] parallelism; the rule owns only how one
-//! candidate's distance updates the running result.
+//! Each sweep family has one public entry point, which takes an
+//! [`Exec`] ([`Exec::sequential`] runs it inline on the caller) and,
+//! where centers are compared, optional additive center weights:
+//! single-center min-update ([`dists_to_set_min`]), single-query argmin
+//! ([`nearest_center`], plain only), fused multi-center min
+//! ([`dists_to_centers_min`]) and fused assignment
+//! ([`nearest_center_each`]). Behind each entry is one generic body over
+//! a per-candidate update rule: `None` selects the plain Euclidean
+//! distance, `Some` the additively weighted (Apollonius) distance
+//! `d(p, cᵢ) − wᵢ`, and the choice is made once, at the entry point, so
+//! the plain path runs its own monomorphised code and never a zero-weight
+//! copy of the weighted one. The body owns kernel dispatch, the f64/f32
+//! storage choice, panel packing and weight padding, 4-row blocking, and
+//! [`PAR_CHUNK`] parallelism; the rule owns only how one candidate's
+//! distance updates the running result.
 //!
 //! The single-center min-update also comes in a *tracked* form
-//! ([`par_dists_to_set_min_tracked`]) that keeps each row's nearest
+//! ([`dists_to_set_min_tracked`]) that keeps each row's nearest
 //! center next to its running minimum, comparing exactly as
 //! [`nearest_center_each`] does; Gonzalez's greedy runs on it, so its
 //! radius and the nearest-center assignment need no further sweep
@@ -818,7 +823,10 @@ pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> 
     }
 }
 
-/// Fills `out[i] = d(points[i], q)`.
+/// Fills `out[i] = d(points[i], q)`, in [`PAR_CHUNK`]-row blocks on the
+/// pool when `exec` is parallel. The fill is elementwise (every `out[i]`
+/// depends only on pair `i`), so the result is bit-identical for every
+/// [`Exec`]; [`Exec::sequential`] runs it inline.
 ///
 /// Re-dispatches through [`Kernel::dispatch`] on the sweep size, so tiny
 /// sweeps run the scalar loop even under the factorized kernel.
@@ -826,23 +834,6 @@ pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> 
 /// # Panics
 /// Panics when `out` is shorter than `points`.
 pub fn dists_to_one(
-    store: &PointStore,
-    points: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-    out: &mut [f64],
-) {
-    par_dists_to_one(store, points, q, kernel, Exec::sequential(), out);
-}
-
-/// Parallel [`dists_to_one`]: splits `points` into [`PAR_CHUNK`]-row
-/// blocks and fills each block's output slice on a pool lane. The fill
-/// is elementwise (every `out[i]` depends only on pair `i`), so the
-/// result is bit-identical to the sequential kernel for every [`Exec`].
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`.
-pub fn par_dists_to_one(
     store: &PointStore,
     points: &[PointId],
     q: PointId,
@@ -859,8 +850,13 @@ pub fn par_dists_to_one(
 }
 
 /// Tightens a running minimum-distance array against a new center:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the exact
-/// inner loop of Gonzalez's farthest-point sweep.
+/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the exact
+/// inner loop of Gonzalez's farthest-point sweep. `weight` is the
+/// center's additive weight `w` (`min_dist` then holds weighted
+/// distances, which may be negative once a weight exceeds a distance), or
+/// `None` for the plain distance. Block-parallel over [`PAR_CHUNK`]-row
+/// blocks and elementwise like [`dists_to_one`], so bit-identical across
+/// every [`Exec`] — the sweep where intra-solve parallelism pays the most.
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`.
@@ -868,75 +864,18 @@ pub fn dists_to_set_min(
     store: &PointStore,
     points: &[PointId],
     center: PointId,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    par_dists_to_set_min(store, points, center, kernel, Exec::sequential(), min_dist);
-}
-
-/// Parallel min-update sweep ([`dists_to_set_min`]): block-parallel over
-/// [`PAR_CHUNK`]-row blocks. Elementwise like [`par_dists_to_one`], so
-/// bit-identical across every [`Exec`] — this is the Gonzalez inner loop,
-/// and the sweep where intra-solve parallelism pays the most.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_set_min(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
+    weight: Option<f64>,
     kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    set_min(store, points, center, Plain, kernel, exec, min_dist);
-}
-
-/// Tightens a running *weighted* minimum against a new center carrying
-/// additive weight `w`:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
-/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
-/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
-/// may be negative once a weight exceeds a distance).
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    par_dists_to_set_min_weighted(
-        store,
-        points,
-        center,
-        w,
-        kernel,
-        Exec::sequential(),
-        min_dist,
-    );
-}
-
-/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
-/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
-/// so bit-identical across every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    let rule = Additive(std::slice::from_ref(&w));
-    set_min(store, points, center, rule, kernel, exec, min_dist);
+    match weight {
+        None => set_min(store, points, center, Plain, kernel, exec, min_dist),
+        Some(w) => {
+            let rule = Additive(std::slice::from_ref(&w));
+            set_min(store, points, center, rule, kernel, exec, min_dist);
+        }
+    }
 }
 
 /// The set-min family: `center` is candidate 0 of `rule`.
@@ -1001,7 +940,7 @@ impl Tracked {
 ///
 /// # Panics
 /// Panics when `rows` is shorter than `points`.
-pub fn par_dists_to_set_min_tracked(
+pub fn dists_to_set_min_tracked(
     store: &PointStore,
     points: &[PointId],
     center: PointId,
@@ -1121,26 +1060,15 @@ fn one_center<O: Send>(
 
 /// Index (into `centers`) and distance of the center nearest to `q`,
 /// ties broken toward the lower index; `None` for an empty center set.
-pub fn nearest_center(
-    store: &PointStore,
-    centers: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    let kernel = kernel.dispatch(centers.len(), store.dim());
-    nearest_resolved(store, centers, Plain, q, kernel)
-}
-
-/// Parallel [`nearest_center`] over a large center set: per-chunk argmins
-/// are computed independently and folded **in chunk-index order** with a
-/// strict `<`, which preserves the sequential first-wins tie-breaking, so
-/// the chosen index is independent of the lane count.
 ///
-/// Chunking engages purely by size (`centers.len() >= PAR_MIN_POINTS`),
-/// never by [`Exec`]: a sequential `Exec` folds the *same* chunks in the
-/// same order, so `threads = 1` and `threads = N` agree bit for bit even
-/// in the factorized kernel's rounding corners.
-pub fn par_nearest_center(
+/// A large center set is split into [`PAR_CHUNK`]-center chunks whose
+/// argmins are folded **in chunk-index order** with a strict `<`, which
+/// preserves the sequential first-wins tie-breaking. Chunking engages
+/// purely by size (`centers.len() >= PAR_MIN_POINTS`), never by [`Exec`]:
+/// a sequential `Exec` folds the *same* chunks in the same order, so
+/// `threads = 1` and `threads = N` agree bit for bit even in the
+/// factorized kernel's rounding corners.
+pub fn nearest_center(
     store: &PointStore,
     centers: &[PointId],
     q: PointId,
@@ -1150,42 +1078,7 @@ pub fn par_nearest_center(
     nearest(store, centers, Plain, q, kernel, exec)
 }
 
-/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
-/// weighted-nearest center, ties broken toward the lower index; `None`
-/// for an empty center set.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    let rule = Additive::of(centers, weights);
-    let kernel = kernel.dispatch(centers.len(), store.dim());
-    nearest_resolved(store, centers, rule, q, kernel)
-}
-
-/// Parallel [`nearest_center_weighted`]: chunked and folded exactly like
-/// [`par_nearest_center`], with the strict `<` on the weighted distance.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn par_nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-    exec: Exec<'_>,
-) -> Option<(usize, f64)> {
-    let rule = Additive::of(centers, weights);
-    nearest(store, centers, rule, q, kernel, exec)
-}
-
-/// The nearest family, chunked by size (see [`par_nearest_center`]).
+/// The nearest family, chunked by size (see [`nearest_center`]).
 /// Always inlined, like [`nearest_resolved`]: the scalar assignment sweep
 /// calls it once per query, and over a handful of centers a call costs
 /// as much as the argmin itself.
@@ -1263,92 +1156,41 @@ fn nearest_tiled<T: tile::Coord, R: Rule>(
 }
 
 /// Tightens a running minimum against a whole center set:
-/// `min_dist[i] = min(min_dist[i], min_c d(points[i], centers[c]))` — the
-/// k-center cost sweep, fused across centers.
+/// `min_dist[i] = min(min_dist[i], min_c d(points[i], centers[c]) − w_c)`
+/// — the k-center cost sweep, fused across centers. `weights` carries one
+/// additive weight per center, or is `None` for the plain distance.
 ///
 /// Below the dispatch cutoff this is exactly `centers.len()` passes of
 /// [`dists_to_set_min`]. The tiled kernel instead packs the centers into
 /// [`tile::CenterPanels`] once and streams each point row past all of
 /// them in a single pass — the compute-bound mini-GEMM this kernel exists
-/// for — taking the squared-space minimum with one `sqrt` at the end.
+/// for. Plain, it takes the squared-space minimum with one `sqrt` at the
+/// end; weighted, it applies the per-center threshold update in ascending
+/// center order, so it is **bit-identical** to `centers.len()` weighted
+/// [`dists_to_set_min`] passes under the same resolved kernel. The tiled
+/// path chunks the *points* ([`PAR_CHUNK`] rows per lane); each point's
+/// center loop runs inside one chunk, so results are bit-identical for
+/// every [`Exec`].
 ///
 /// # Panics
-/// Panics when `min_dist` is shorter than `points`.
+/// Panics when `min_dist` is shorter than `points`, or when `weights`
+/// and `centers` differ in length.
 pub fn dists_to_centers_min(
     store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    par_dists_to_centers_min(store, points, centers, kernel, Exec::sequential(), min_dist);
-}
-
-/// Parallel [`dists_to_centers_min`]: the tiled path packs panels once
-/// and chunks the *points* ([`PAR_CHUNK`] rows per lane); each point's
-/// center loop runs entirely inside one chunk, so results are
-/// bit-identical for every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_centers_min(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
+    weights: Option<&[f64]>,
     kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    centers_min(store, points, centers, Plain, kernel, exec, min_dist);
-}
-
-/// Weighted [`dists_to_centers_min`]:
-/// `min_dist[i] = min(min_dist[i], min_c d(points[i], cᵢ) − wᵢ)`.
-///
-/// Unlike the plain fused sweep, the weighted tiled path applies the
-/// per-center threshold update in ascending center order inside one
-/// streaming pass, so it is **bit-identical** to `centers.len()` passes
-/// of [`dists_to_set_min_weighted`] under the same resolved kernel.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    par_dists_to_centers_min_weighted(
-        store,
-        points,
-        centers,
-        weights,
-        kernel,
-        Exec::sequential(),
-        min_dist,
-    );
-}
-
-/// Parallel [`dists_to_centers_min_weighted`], chunked like
-/// [`par_dists_to_centers_min`], so bit-identical for every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn par_dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    let rule = Additive::of(centers, weights);
-    centers_min(store, points, centers, rule, kernel, exec, min_dist);
+    match weights {
+        None => centers_min(store, points, centers, Plain, kernel, exec, min_dist),
+        Some(w) => {
+            let rule = Additive::of(centers, w);
+            centers_min(store, points, centers, rule, kernel, exec, min_dist);
+        }
+    }
 }
 
 /// The centers-min family.
@@ -1395,93 +1237,40 @@ fn centers_min<R: Rule>(
     }
 }
 
-/// Fills `out[i]` with the index and distance of the center nearest
-/// `points[i]`, ties toward the lower index — the batched assignment
-/// sweep, fused across centers.
+/// Fills `out[i]` with the index and distance `d(points[i], c) − w_c` of
+/// the center nearest `points[i]`, ties toward the lower index — the
+/// batched assignment sweep, fused across centers. `weights` carries one
+/// additive weight per center, or is `None` for the plain distance.
 ///
-/// Below the dispatch cutoff this runs one [`par_nearest_center`] per
+/// Below the dispatch cutoff this runs one [`nearest_center`] argmin per
 /// query (the arithmetic `nearest_each` always used). The tiled kernel
 /// packs the centers into panels and computes every query's argmin in
 /// one streaming pass — an `n × k` mini-GEMM. Tiled distances here are
-/// bit-identical to the per-query [`nearest_center`] tiled path (same
-/// canonical per-pair order, same ascending-index strict-`<` argmin).
+/// bit-identical to the per-query tiled argmin (same canonical per-pair
+/// order, same ascending-index strict-`<` argmin). The queries are
+/// chunked across lanes and per-query work never crosses a chunk, so
+/// results are bit-identical for every [`Exec`].
 ///
 /// # Panics
-/// Panics when `out` is shorter than `points`, or when `centers` is empty
-/// while `points` is not.
+/// Panics when `out` is shorter than `points`, when `weights` and
+/// `centers` differ in length, or when `centers` is empty while `points`
+/// is not.
 pub fn nearest_center_each(
     store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
-    kernel: Kernel,
-    out: &mut [(usize, f64)],
-) {
-    par_nearest_center_each(store, points, centers, kernel, Exec::sequential(), out);
-}
-
-/// Parallel [`nearest_center_each`]: chunks the queries; per-query work
-/// never crosses a chunk, so results are bit-identical for every
-/// [`Exec`].
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, or when `centers` is empty
-/// while `points` is not.
-pub fn par_nearest_center_each(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
+    weights: Option<&[f64]>,
     kernel: Kernel,
     exec: Exec<'_>,
     out: &mut [(usize, f64)],
 ) {
-    nearest_each(store, points, centers, Plain, kernel, exec, out);
-}
-
-/// Weighted [`nearest_center_each`]: fills `out[i]` with the index and
-/// weighted distance of the weighted-nearest center of `points[i]`, ties
-/// toward the lower index.
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, when `weights` and
-/// `centers` differ in length, or when `centers` is empty while `points`
-/// is not.
-pub fn nearest_center_each_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    out: &mut [(usize, f64)],
-) {
-    par_nearest_center_each_weighted(
-        store,
-        points,
-        centers,
-        weights,
-        kernel,
-        Exec::sequential(),
-        out,
-    );
-}
-
-/// Parallel [`nearest_center_each_weighted`]: chunks the queries like
-/// [`par_nearest_center_each`], so bit-identical for every [`Exec`].
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, when `weights` and
-/// `centers` differ in length, or when `centers` is empty while `points`
-/// is not.
-pub fn par_nearest_center_each_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    let rule = Additive::of(centers, weights);
-    nearest_each(store, points, centers, rule, kernel, exec, out);
+    match weights {
+        None => nearest_each(store, points, centers, Plain, kernel, exec, out),
+        Some(w) => {
+            let rule = Additive::of(centers, w);
+            nearest_each(store, points, centers, rule, kernel, exec, out);
+        }
+    }
 }
 
 /// The nearest-each family.
@@ -1554,6 +1343,21 @@ mod tests {
     use super::*;
     use crate::Point;
 
+    const SEQ: Exec<'static> = Exec::sequential();
+
+    /// One query's additively weighted argmin, through the same body the
+    /// scalar assignment sweep runs per query.
+    fn weighted_nearest(
+        s: &PointStore,
+        centers: &[PointId],
+        weights: &[f64],
+        q: PointId,
+        kernel: Kernel,
+    ) -> Option<(usize, f64)> {
+        let rule = Additive::of(centers, weights);
+        nearest(s, centers, rule, q, kernel, SEQ)
+    }
+
     fn store(seed: u64, n: usize, d: usize) -> PointStore {
         let mut s = seed | 1;
         let mut rnd = move || {
@@ -1575,8 +1379,8 @@ mod tests {
         for q in [PointId(0), PointId(7), PointId(19)] {
             let mut scalar = vec![0.0; ids.len()];
             let mut tiled = vec![0.0; ids.len()];
-            dists_to_one(&s, &ids, q, Kernel::Scalar, &mut scalar);
-            dists_to_one(&s, &ids, q, Kernel::Tiled, &mut tiled);
+            dists_to_one(&s, &ids, q, Kernel::Scalar, SEQ, &mut scalar);
+            dists_to_one(&s, &ids, q, Kernel::Tiled, SEQ, &mut tiled);
             for (a, b) in scalar.iter().zip(tiled.iter()) {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a));
             }
@@ -1589,7 +1393,7 @@ mod tests {
         let ids = s.ids();
         let mut min_dist = vec![f64::INFINITY; ids.len()];
         for c in [PointId(3), PointId(9)] {
-            dists_to_set_min(&s, &ids, c, Kernel::Scalar, &mut min_dist);
+            dists_to_set_min(&s, &ids, c, None, Kernel::Scalar, SEQ, &mut min_dist);
         }
         for (i, id) in ids.iter().enumerate() {
             let d3 = dist_sq_scalar(s.coords(*id), s.coords(PointId(3))).sqrt();
@@ -1607,10 +1411,10 @@ mod tests {
         ];
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
-        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Tiled).unwrap();
+        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Tiled, SEQ).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(d, 1.0);
-        assert!(nearest_center(&s, &[], PointId(2), Kernel::Scalar).is_none());
+        assert!(nearest_center(&s, &[], PointId(2), Kernel::Scalar, SEQ).is_none());
     }
 
     #[test]
@@ -1646,9 +1450,9 @@ mod tests {
         let exec = Exec::pooled(&pool, 3);
         for kernel in Kernel::ALL {
             let mut seq = vec![0.0; ids.len()];
-            dists_to_one(&s, &ids, PointId(5), kernel, &mut seq);
+            dists_to_one(&s, &ids, PointId(5), kernel, SEQ, &mut seq);
             let mut par = vec![0.0; ids.len()];
-            par_dists_to_one(&s, &ids, PointId(5), kernel, exec, &mut par);
+            dists_to_one(&s, &ids, PointId(5), kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
@@ -1656,8 +1460,8 @@ mod tests {
             let mut seq = vec![f64::INFINITY; ids.len()];
             let mut par = vec![f64::INFINITY; ids.len()];
             for c in [PointId(0), PointId(999), PointId(4321)] {
-                dists_to_set_min(&s, &ids, c, kernel, &mut seq);
-                par_dists_to_set_min(&s, &ids, c, kernel, exec, &mut par);
+                dists_to_set_min(&s, &ids, c, None, kernel, SEQ, &mut seq);
+                dists_to_set_min(&s, &ids, c, None, kernel, exec, &mut par);
             }
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
@@ -1673,17 +1477,15 @@ mod tests {
         let pool = ukc_pool::Pool::new(4);
         for kernel in Kernel::ALL {
             for q in [PointId(0), PointId(17), PointId(4000)] {
-                let seq = par_nearest_center(&s, &centers, q, kernel, Exec::sequential());
-                let par = par_nearest_center(&s, &centers, q, kernel, Exec::pooled(&pool, 4));
+                let seq = nearest_center(&s, &centers, q, kernel, SEQ);
+                let par = nearest_center(&s, &centers, q, kernel, Exec::pooled(&pool, 4));
                 let (si, sd) = seq.expect("non-empty centers");
                 let (pi, pd) = par.expect("non-empty centers");
                 assert_eq!(si, pi, "{kernel:?}");
                 assert_eq!(sd.to_bits(), pd.to_bits(), "{kernel:?}");
             }
         }
-        assert!(
-            par_nearest_center(&s, &[], PointId(0), Kernel::Scalar, Exec::sequential()).is_none()
-        );
+        assert!(nearest_center(&s, &[], PointId(0), Kernel::Scalar, SEQ).is_none());
     }
 
     #[test]
@@ -1731,8 +1533,8 @@ mod tests {
         let ids = s.ids();
         let mut scalar = vec![0.0; ids.len()];
         let mut tiled = vec![0.0; ids.len()];
-        dists_to_one(&s, &ids, PointId(7), Kernel::Scalar, &mut scalar);
-        dists_to_one(&s, &ids, PointId(7), Kernel::Tiled, &mut tiled);
+        dists_to_one(&s, &ids, PointId(7), Kernel::Scalar, SEQ, &mut scalar);
+        dists_to_one(&s, &ids, PointId(7), Kernel::Tiled, SEQ, &mut tiled);
         for (a, b) in scalar.iter().zip(&tiled) {
             assert!((a - b).abs() < 1e-9 * (1.0 + a));
         }
@@ -1740,8 +1542,8 @@ mod tests {
         let mut ms = vec![f64::INFINITY; ids.len()];
         let mut mt = vec![f64::INFINITY; ids.len()];
         for c in [PointId(3), PointId(11), PointId(600)] {
-            dists_to_set_min(&s, &ids, c, Kernel::Scalar, &mut ms);
-            dists_to_set_min(&s, &ids, c, Kernel::Tiled, &mut mt);
+            dists_to_set_min(&s, &ids, c, None, Kernel::Scalar, SEQ, &mut ms);
+            dists_to_set_min(&s, &ids, c, None, Kernel::Tiled, SEQ, &mut mt);
         }
         for (a, b) in ms.iter().zip(&mt) {
             assert!((a - b).abs() < 1e-9 * (1.0 + a));
@@ -1768,7 +1570,7 @@ mod tests {
         let ids = s.ids();
         let centers: Vec<PointId> = (0..6).map(|i| PointId(i * 30)).collect();
         let mut fused = vec![f64::INFINITY; ids.len()];
-        dists_to_centers_min(&s, &ids, &centers, Kernel::Tiled, &mut fused);
+        dists_to_centers_min(&s, &ids, &centers, None, Kernel::Tiled, SEQ, &mut fused);
         for (i, id) in ids.iter().enumerate() {
             // Reference: min over centers of the canonical tiled squared
             // distance, one sqrt at the end — the documented semantics.
@@ -1793,10 +1595,10 @@ mod tests {
         let centers: Vec<PointId> = (0..5).map(|i| PointId(i * 40 + 1)).collect();
         for kernel in Kernel::ALL {
             let mut fused = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min(&s, &ids, &centers, kernel, &mut fused);
+            dists_to_centers_min(&s, &ids, &centers, None, kernel, SEQ, &mut fused);
             let mut loops = vec![f64::INFINITY; ids.len()];
             for c in &centers {
-                dists_to_set_min(&s, &ids, *c, kernel, &mut loops);
+                dists_to_set_min(&s, &ids, *c, None, kernel, SEQ, &mut loops);
             }
             for (a, b) in fused.iter().zip(&loops) {
                 // Tolerance, not bits: the per-center passes round through
@@ -1812,7 +1614,7 @@ mod tests {
         let ids = s.ids();
         let centers: Vec<PointId> = (0..7).map(|i| PointId(i * 25)).collect();
         let mut fused = vec![(0usize, 0.0f64); ids.len()];
-        nearest_center_each(&s, &ids, &centers, Kernel::Tiled, &mut fused);
+        nearest_center_each(&s, &ids, &centers, None, Kernel::Tiled, SEQ, &mut fused);
         for (i, id) in ids.iter().enumerate() {
             // The per-query tiled path (bypassing dispatch: 7 centers is
             // far below the cutoff) must agree bit for bit — same
@@ -1884,17 +1686,17 @@ mod tests {
         let exec = Exec::pooled(&pool, 3);
         for kernel in Kernel::ALL {
             let mut seq = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min(&s, &ids, &centers, kernel, &mut seq);
+            dists_to_centers_min(&s, &ids, &centers, None, kernel, SEQ, &mut seq);
             let mut par = vec![f64::INFINITY; ids.len()];
-            par_dists_to_centers_min(&s, &ids, &centers, kernel, exec, &mut par);
+            dists_to_centers_min(&s, &ids, &centers, None, kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut seq = vec![(0usize, 0.0f64); ids.len()];
-            nearest_center_each(&s, &ids, &centers, kernel, &mut seq);
+            nearest_center_each(&s, &ids, &centers, None, kernel, SEQ, &mut seq);
             let mut par = vec![(0usize, 0.0f64); ids.len()];
-            par_nearest_center_each(&s, &ids, &centers, kernel, exec, &mut par);
+            nearest_center_each(&s, &ids, &centers, None, kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.0, b.0, "{kernel:?}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
@@ -1912,15 +1714,15 @@ mod tests {
             let mut plain = vec![f64::INFINITY; ids.len()];
             let mut weighted = vec![f64::INFINITY; ids.len()];
             for c in &centers {
-                dists_to_set_min(&s, &ids, *c, kernel, &mut plain);
-                dists_to_set_min_weighted(&s, &ids, *c, 0.0, kernel, &mut weighted);
+                dists_to_set_min(&s, &ids, *c, None, kernel, SEQ, &mut plain);
+                dists_to_set_min(&s, &ids, *c, Some(0.0), kernel, SEQ, &mut weighted);
             }
             for (a, b) in plain.iter().zip(&weighted) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
             for q in [PointId(0), PointId(100), PointId(316)] {
-                let p = nearest_center(&s, &centers, q, kernel).unwrap();
-                let w = nearest_center_weighted(&s, &centers, &zeros, q, kernel).unwrap();
+                let p = nearest_center(&s, &centers, q, kernel, SEQ).unwrap();
+                let w = weighted_nearest(&s, &centers, &zeros, q, kernel).unwrap();
                 assert_eq!(p.0, w.0, "{kernel:?}");
                 assert_eq!(p.1.to_bits(), w.1.to_bits(), "{kernel:?}");
             }
@@ -1940,17 +1742,16 @@ mod tests {
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
         for kernel in Kernel::ALL {
-            let (idx, d) =
-                nearest_center_weighted(&s, &centers, &[0.0, 0.5], PointId(2), kernel).unwrap();
+            let (idx, d) = weighted_nearest(&s, &centers, &[0.0, 0.5], PointId(2), kernel).unwrap();
             assert_eq!(idx, 1, "{kernel:?}");
             assert!((d - 0.5).abs() < 1e-12, "{kernel:?}");
             // Equal weights keep the tie on the lowest index.
             let (idx, d) =
-                nearest_center_weighted(&s, &centers, &[0.25, 0.25], PointId(2), kernel).unwrap();
+                weighted_nearest(&s, &centers, &[0.25, 0.25], PointId(2), kernel).unwrap();
             assert_eq!(idx, 0, "{kernel:?}");
             assert!((d - 0.75).abs() < 1e-12, "{kernel:?}");
         }
-        assert!(nearest_center_weighted(&s, &[], &[], PointId(2), Kernel::Scalar).is_none());
+        assert!(weighted_nearest(&s, &[], &[], PointId(2), Kernel::Scalar).is_none());
     }
 
     #[test]
@@ -1962,18 +1763,18 @@ mod tests {
         for kernel in Kernel::ALL {
             let mut reference = vec![f64::INFINITY; ids.len()];
             for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, &mut reference);
+                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, SEQ, &mut reference);
             }
             let mut fused = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, &mut fused);
+            dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut fused);
             for (a, b) in reference.iter().zip(&fused) {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{kernel:?}");
             }
 
             let mut each = vec![(0usize, 0.0f64); ids.len()];
-            nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, &mut each);
+            nearest_center_each(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut each);
             for (q, got) in ids.iter().zip(&each) {
-                let want = nearest_center_weighted(&s, &centers, &weights, *q, kernel).unwrap();
+                let want = weighted_nearest(&s, &centers, &weights, *q, kernel).unwrap();
                 assert_eq!(got.0, want.0, "{kernel:?}");
                 assert!(
                     (got.1 - want.1).abs() < 1e-9 * (1.0 + want.1.abs()),
@@ -1995,25 +1796,25 @@ mod tests {
             let mut seq = vec![f64::INFINITY; ids.len()];
             let mut par = vec![f64::INFINITY; ids.len()];
             for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, &mut seq);
-                par_dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, exec, &mut par);
+                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, SEQ, &mut seq);
+                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, exec, &mut par);
             }
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut seq = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, &mut seq);
+            dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut seq);
             let mut par = vec![f64::INFINITY; ids.len()];
-            par_dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, exec, &mut par);
+            dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut seq = vec![(0usize, 0.0f64); ids.len()];
-            nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, &mut seq);
+            nearest_center_each(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut seq);
             let mut par = vec![(0usize, 0.0f64); ids.len()];
-            par_nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, exec, &mut par);
+            nearest_center_each(&s, &ids, &centers, Some(&weights), kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.0, b.0, "{kernel:?}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");

@@ -104,6 +104,12 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
 /// kernels of [`batch`], which is where the structure-of-arrays layout and
 /// the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization pay off.
 ///
+/// The sweeps that compare centers take optional additive center weights:
+/// `None` is the plain distance `d(p, c)`, `Some` the additively weighted
+/// (Apollonius) distance `d(p, c) − w_c` of the weighted assignment mode.
+/// One method serves both: a plain Voronoi cell is an Apollonius cell at
+/// `w = 0`.
+///
 /// Contract for implementors: every override must evaluate (and, when
 /// instrumented, count) exactly one distance per point-pair, must break
 /// nearest-center ties toward the lower index, and may only change the
@@ -122,14 +128,30 @@ pub trait DistanceOracle<P>: Metric<P> {
     }
 
     /// Tightens a running minimum-distance array against a new center:
-    /// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the
-    /// Gonzalez inner loop. The default is the weighted sweep at weight 0
-    /// (`d − 0` is `d`, bit for bit).
+    /// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
+    /// Gonzalez inner loop. `weight` is the center's additive weight `w`
+    /// (the Apollonius form; `min_dist` then holds *weighted* distances,
+    /// which may be negative once a weight exceeds a distance), or `None`
+    /// for the plain distance. The default subtracts `0.0` for `None`,
+    /// and `d − 0.0` is `d` bit for bit.
     ///
     /// # Panics
     /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
-        self.dists_to_set_min_weighted(points, center, 0.0, min_dist);
+    fn dists_to_set_min(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
+        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
+        let w = weight.unwrap_or(0.0);
+        for (p, d) in points.iter().zip(min_dist.iter_mut()) {
+            let nd = self.dist(p, center) - w;
+            if nd < *d {
+                *d = nd;
+            }
+        }
     }
 
     /// [`dists_to_set_min`] that also tracks each row's nearest center
@@ -177,140 +199,71 @@ pub trait DistanceOracle<P>: Metric<P> {
     }
 
     /// Tightens a running minimum-distance array against a whole center
-    /// set: `min_dist[i] = min(min_dist[i], min_c d(points[i], c))` — the
-    /// k-center cost sweep, fused across centers so oracle overrides can
-    /// stream each point past all centers at once (the tiled kernel's
-    /// mini-GEMM). The default is exactly one [`dists_to_set_min`] pass
-    /// per center, in order.
+    /// set: `min_dist[i] = min(min_dist[i], min_c d(points[i], c) − w_c)`
+    /// — the k-center cost sweep, fused across centers so oracle
+    /// overrides can stream each point past all centers at once (the
+    /// tiled kernel's mini-GEMM). `weights` carries one additive weight
+    /// per center, or is `None` for the plain distance. The default is
+    /// exactly one [`dists_to_set_min`] pass per center, in order.
     ///
     /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
     ///
     /// # Panics
-    /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {
-        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        for c in centers {
-            self.dists_to_set_min(points, c, min_dist);
-        }
-    }
-
-    /// Fills `out[i]` with the index and distance of the center nearest
-    /// `queries[i]` (ties toward the lower index) — the batched form of
-    /// [`Metric::nearest`] behind every assignment sweep. Elementwise per
-    /// query, so overrides may parallelize across queries without
-    /// changing any result.
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `queries` or `centers` is empty
-    /// while `queries` is not.
-    fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {
-        assert!(out.len() >= queries.len(), "output buffer too small");
-        for (q, o) in queries.iter().zip(out.iter_mut()) {
-            *o = self
-                .nearest(q, centers)
-                .expect("nearest_each requires at least one center");
-        }
-    }
-
-    /// The additively-weighted (Apollonius) form of [`dists_to_set_min`]:
-    /// `min_dist[i] = min(min_dist[i], d(points[i], center) − weight)`.
-    /// `min_dist` holds *weighted* distances, which may be negative once a
-    /// weight exceeds a distance.
-    ///
-    /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
-    ///
-    /// # Panics
-    /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[P],
-        center: &P,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-            let nd = self.dist(p, center) - weight;
-            if nd < *d {
-                *d = nd;
-            }
-        }
-    }
-
-    /// Index and *weighted* distance `d(q, cᵢ) − weights[i]` of the
-    /// additively-weighted nearest center, ties toward the lower index;
-    /// `None` for an empty center set.
-    ///
-    /// # Panics
-    /// Panics when `weights` and `centers` differ in length.
-    fn nearest_weighted(&self, q: &P, centers: &[P], weights: &[f64]) -> Option<(usize, f64)> {
-        assert_eq!(
-            centers.len(),
-            weights.len(),
-            "one weight per center required"
-        );
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in centers.iter().enumerate() {
-            let d = self.dist(q, c) - weights[i];
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        best
-    }
-
-    /// The additively-weighted form of [`dists_to_centers_min`]:
-    /// `min_dist[i] = min(min_dist[i], min_c d(points[i], c) − w_c)`. The
-    /// default is one [`dists_to_set_min_weighted`] pass per center, in
-    /// ascending center order.
-    ///
-    /// [`dists_to_centers_min`]: DistanceOracle::dists_to_centers_min
-    /// [`dists_to_set_min_weighted`]: DistanceOracle::dists_to_set_min_weighted
-    ///
-    /// # Panics
-    /// Panics when `min_dist` is shorter than `points` or `weights` and
-    /// `centers` differ in length.
-    fn dists_to_centers_min_weighted(
+    /// Panics when `min_dist` is shorter than `points`, or when `weights`
+    /// and `centers` differ in length.
+    fn dists_to_centers_min(
         &self,
         points: &[P],
         centers: &[P],
-        weights: &[f64],
+        weights: Option<&[f64]>,
         min_dist: &mut [f64],
     ) {
         assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        assert_eq!(
-            centers.len(),
-            weights.len(),
-            "one weight per center required"
-        );
-        for (c, w) in centers.iter().zip(weights) {
-            self.dists_to_set_min_weighted(points, c, *w, min_dist);
+        check_weights(centers.len(), weights);
+        for (c, center) in centers.iter().enumerate() {
+            self.dists_to_set_min(points, center, weights.map(|w| w[c]), min_dist);
         }
     }
 
-    /// The additively-weighted form of [`nearest_each`]: fills `out[i]`
-    /// with the index and weighted distance of the weighted-nearest
-    /// center of `queries[i]`, ties toward the lower index.
-    ///
-    /// [`nearest_each`]: DistanceOracle::nearest_each
+    /// Fills `out[i]` with the index and distance `d(queries[i], c) − w_c`
+    /// of the center nearest `queries[i]`, ties toward the lower index —
+    /// the batched form of [`Metric::nearest`] behind every assignment
+    /// sweep. `weights` carries one additive weight per center (the
+    /// Apollonius cells), or is `None` for the plain distance (Voronoi
+    /// cells, the same comparisons as [`Metric::nearest`]). Elementwise
+    /// per query, so overrides may parallelize across queries without
+    /// changing any result.
     ///
     /// # Panics
     /// Panics when `out` is shorter than `queries`, when `weights` and
     /// `centers` differ in length, or when `centers` is empty while
     /// `queries` is not.
-    fn nearest_each_weighted(
+    fn nearest_each(
         &self,
         queries: &[P],
         centers: &[P],
-        weights: &[f64],
+        weights: Option<&[f64]>,
         out: &mut [(usize, f64)],
     ) {
         assert!(out.len() >= queries.len(), "output buffer too small");
+        check_weights(centers.len(), weights);
         for (q, o) in queries.iter().zip(out.iter_mut()) {
-            *o = self
-                .nearest_weighted(q, centers, weights)
-                .expect("nearest_each_weighted requires at least one center");
+            let mut best: Option<(usize, f64)> = None;
+            for (i, c) in centers.iter().enumerate() {
+                let d = self.dist(q, c) - weights.map_or(0.0, |w| w[i]);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i, d));
+                }
+            }
+            *o = best.expect("nearest_each requires at least one center");
         }
+    }
+}
+
+/// Asserts one weight per center when weights are given.
+fn check_weights(centers: usize, weights: Option<&[f64]>) {
+    if let Some(w) = weights {
+        assert_eq!(centers, w.len(), "one weight per center required");
     }
 }
 
@@ -331,8 +284,14 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         (**self).dists_to_one(points, q, out)
     }
 
-    fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
-        (**self).dists_to_set_min(points, center, min_dist)
+    fn dists_to_set_min(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
+        (**self).dists_to_set_min(points, center, weight, min_dist)
     }
 
     fn dists_to_set_min_tracked(&self, points: &[P], center: &P, c: usize, rows: &mut [Tracked]) {
@@ -343,46 +302,24 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         (**self).tracked_nearest(rows, centers)
     }
 
-    fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {
-        (**self).dists_to_centers_min(points, centers, min_dist)
-    }
-
-    fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {
-        (**self).nearest_each(queries, centers, out)
-    }
-
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[P],
-        center: &P,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        (**self).dists_to_set_min_weighted(points, center, weight, min_dist)
-    }
-
-    fn nearest_weighted(&self, q: &P, centers: &[P], weights: &[f64]) -> Option<(usize, f64)> {
-        (**self).nearest_weighted(q, centers, weights)
-    }
-
-    fn dists_to_centers_min_weighted(
+    fn dists_to_centers_min(
         &self,
         points: &[P],
         centers: &[P],
-        weights: &[f64],
+        weights: Option<&[f64]>,
         min_dist: &mut [f64],
     ) {
-        (**self).dists_to_centers_min_weighted(points, centers, weights, min_dist)
+        (**self).dists_to_centers_min(points, centers, weights, min_dist)
     }
 
-    fn nearest_each_weighted(
+    fn nearest_each(
         &self,
         queries: &[P],
         centers: &[P],
-        weights: &[f64],
+        weights: Option<&[f64]>,
         out: &mut [(usize, f64)],
     ) {
-        (**self).nearest_each_weighted(queries, centers, weights, out)
+        (**self).nearest_each(queries, centers, weights, out)
     }
 }
 

@@ -331,7 +331,7 @@ impl PointStore {
 ///
 /// [`StoreOracle::with_exec`] attaches an execution context: batched
 /// sweeps over at least [`batch::PAR_MIN_POINTS`] rows then run block-parallel
-/// on the pool through the `par_*` kernels of [`crate::batch`]. Chunk
+/// on the pool through the kernels of [`crate::batch`]. Chunk
 /// boundaries and reduction order are pure functions of the input size,
 /// so results — and evaluation counts — are bit-identical for every
 /// lane count (the execution-layer determinism contract).
@@ -398,26 +398,26 @@ impl Metric<PointId> for StoreOracle<'_> {
 
     fn nearest(&self, a: &PointId, centers: &[PointId]) -> Option<(usize, f64)> {
         self.tally(centers.len());
-        batch::par_nearest_center(self.store, centers, *a, self.kernel, self.exec)
+        batch::nearest_center(self.store, centers, *a, self.kernel, self.exec)
     }
 }
 
 impl DistanceOracle<PointId> for StoreOracle<'_> {
     fn dists_to_one(&self, points: &[PointId], q: &PointId, out: &mut [f64]) {
         self.tally(points.len());
-        batch::par_dists_to_one(self.store, points, *q, self.kernel, self.exec, out);
+        batch::dists_to_one(self.store, points, *q, self.kernel, self.exec, out);
     }
 
-    fn dists_to_set_min(&self, points: &[PointId], center: &PointId, min_dist: &mut [f64]) {
+    fn dists_to_set_min(
+        &self,
+        points: &[PointId],
+        center: &PointId,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
         self.tally(points.len());
-        batch::par_dists_to_set_min(
-            self.store,
-            points,
-            *center,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
+        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
+        batch::dists_to_set_min(store, points, *center, weight, kernel, exec, min_dist);
     }
 
     fn dists_to_set_min_tracked(
@@ -428,34 +428,33 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         rows: &mut [Tracked],
     ) {
         self.tally(points.len());
-        batch::par_dists_to_set_min_tracked(
-            self.store,
-            points,
-            *center,
-            c,
-            self.kernel,
-            self.exec,
-            rows,
-        );
+        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
+        batch::dists_to_set_min_tracked(store, points, *center, c, kernel, exec, rows);
     }
 
     fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
         batch::tracked_nearest(self.store, rows, centers, self.kernel)
     }
 
-    fn dists_to_centers_min(&self, points: &[PointId], centers: &[PointId], min_dist: &mut [f64]) {
+    fn dists_to_centers_min(
+        &self,
+        points: &[PointId],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        min_dist: &mut [f64],
+    ) {
         self.tally(points.len() * centers.len());
-        batch::par_dists_to_centers_min(
-            self.store,
-            points,
-            centers,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
+        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
+        batch::dists_to_centers_min(store, points, centers, weights, kernel, exec, min_dist);
     }
 
-    fn nearest_each(&self, queries: &[PointId], centers: &[PointId], out: &mut [(usize, f64)]) {
+    fn nearest_each(
+        &self,
+        queries: &[PointId],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        out: &mut [(usize, f64)],
+    ) {
         assert!(out.len() >= queries.len(), "output buffer too small");
         if queries.is_empty() {
             // The trait contract: empty queries are trivially done, even
@@ -463,78 +462,8 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
             return;
         }
         self.tally(queries.len() * centers.len());
-        batch::par_nearest_center_each(self.store, queries, centers, self.kernel, self.exec, out);
-    }
-
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[PointId],
-        center: &PointId,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        self.tally(points.len());
-        batch::par_dists_to_set_min_weighted(
-            self.store,
-            points,
-            *center,
-            weight,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
-    }
-
-    fn nearest_weighted(
-        &self,
-        q: &PointId,
-        centers: &[PointId],
-        weights: &[f64],
-    ) -> Option<(usize, f64)> {
-        self.tally(centers.len());
-        batch::par_nearest_center_weighted(self.store, centers, weights, *q, self.kernel, self.exec)
-    }
-
-    fn dists_to_centers_min_weighted(
-        &self,
-        points: &[PointId],
-        centers: &[PointId],
-        weights: &[f64],
-        min_dist: &mut [f64],
-    ) {
-        self.tally(points.len() * centers.len());
-        batch::par_dists_to_centers_min_weighted(
-            self.store,
-            points,
-            centers,
-            weights,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
-    }
-
-    fn nearest_each_weighted(
-        &self,
-        queries: &[PointId],
-        centers: &[PointId],
-        weights: &[f64],
-        out: &mut [(usize, f64)],
-    ) {
-        assert!(out.len() >= queries.len(), "output buffer too small");
-        if queries.is_empty() {
-            return;
-        }
-        self.tally(queries.len() * centers.len());
-        batch::par_nearest_center_each_weighted(
-            self.store,
-            queries,
-            centers,
-            weights,
-            self.kernel,
-            self.exec,
-            out,
-        );
+        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
+        batch::nearest_center_each(store, queries, centers, weights, kernel, exec, out);
     }
 }
 
@@ -636,11 +565,12 @@ mod tests {
         let oracle = StoreOracle::new(&store, Kernel::Tiled);
         // Empty queries are trivially done, even with no centers — the
         // documented trait contract.
-        oracle.nearest_each(&[], &[], &mut []);
+        oracle.nearest_each(&[], &[], None, &mut []);
         let mut out = [(0usize, 0.0f64); 2];
         oracle.nearest_each(
             &[PointId(0), PointId(1)],
             &[PointId(2), PointId(3)],
+            None,
             &mut out,
         );
         assert!(out.iter().all(|&(i, d)| i < 2 && d.is_finite()));
@@ -676,18 +606,18 @@ mod tests {
             let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
             let mut out = vec![0.0; ids.len()];
             oracle.dists_to_one(&ids, &PointId(0), &mut out);
-            oracle.dists_to_set_min(&ids, &PointId(3), &mut out);
-            oracle.dists_to_centers_min(&ids, &ids[..3], &mut out);
+            oracle.dists_to_set_min(&ids, &PointId(3), None, &mut out);
+            oracle.dists_to_centers_min(&ids, &ids[..3], None, &mut out);
             let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-            oracle.nearest_each(&ids, &ids[..2], &mut nearest);
+            oracle.nearest_each(&ids, &ids[..2], None, &mut nearest);
             let _ = oracle.nearest(&PointId(2), &ids[..4]);
             let _ = oracle.dist(&PointId(0), &PointId(1));
             // Weighted sweeps count exactly like their plain siblings:
             // one evaluation per point-pair, kernel-independent.
-            oracle.dists_to_set_min_weighted(&ids, &PointId(3), 0.5, &mut out);
-            oracle.dists_to_centers_min_weighted(&ids, &ids[..3], &[0.1, 0.2, 0.3], &mut out);
-            oracle.nearest_each_weighted(&ids, &ids[..2], &[0.1, 0.2], &mut nearest);
-            let _ = oracle.nearest_weighted(&PointId(2), &ids[..4], &[0.0; 4]);
+            oracle.dists_to_set_min(&ids, &PointId(3), Some(0.5), &mut out);
+            oracle.dists_to_centers_min(&ids, &ids[..3], Some(&[0.1, 0.2, 0.3]), &mut out);
+            oracle.nearest_each(&ids, &ids[..2], Some(&[0.1, 0.2]), &mut nearest);
+            oracle.nearest_each(&[PointId(2)], &ids[..4], Some(&[0.0; 4]), &mut nearest);
             counts.push(counter.count());
         }
         for c in &counts[1..] {

@@ -333,17 +333,25 @@ fn worker_loop(shared: &Shared) {
 
 /// The pool size the process defaults to: `UKC_THREADS` when set to a
 /// positive integer, otherwise [`std::thread::available_parallelism`].
+///
+/// Resolved once per process and cached: every solve and every stream
+/// epoch asks for it, and `available_parallelism` reads cgroup files on
+/// Linux (tens of µs per call), which would otherwise dominate small
+/// solves and single-point stream pushes.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("UKC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(v) = std::env::var("UKC_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                if n >= 1 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();

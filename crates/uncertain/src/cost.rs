@@ -151,7 +151,7 @@ fn unassigned_vars<P, M: DistanceOracle<P>>(
             // location-major `dist_to_set` loop — min is order-free.
             min_dist[..up.z()].fill(f64::INFINITY);
             for c in centers {
-                metric.dists_to_set_min(up.locations(), c, &mut min_dist);
+                metric.dists_to_set_min(up.locations(), c, None, &mut min_dist);
             }
             min_dist[..up.z()]
                 .iter()
@@ -181,7 +181,7 @@ fn unassigned_vars_exec<P: Sync, M: DistanceOracle<P> + Sync>(
             let up = &set[start + j];
             min_dist[..up.z()].fill(f64::INFINITY);
             for c in centers {
-                metric.dists_to_set_min(up.locations(), c, &mut min_dist);
+                metric.dists_to_set_min(up.locations(), c, None, &mut min_dist);
             }
             *slot = min_dist[..up.z()]
                 .iter()

@@ -89,7 +89,7 @@ pub mod prelude {
         sample_union_baseline, BruteForceLimits,
     };
     pub use ukc_core::{
-        assign_ed, assign_ed_weighted, assign_ep, assign_oc, expected_point_one_center,
+        assign_ed, assign_ed_exec, assign_ep, assign_oc, expected_point_one_center,
         lower_bound_euclidean, lower_bound_metric, lower_bound_one_center, reference_one_center,
         solve_batch, solve_batch_threads, AssignmentMode, AssignmentRule, CandidatePolicy,
         CertainStrategy, ContinuousSpace, DistanceEvals, EuclideanSpace, Problem, Report, Solution,
@@ -100,8 +100,8 @@ pub mod prelude {
         uncertain_kmedian_local_search, StreamingKCenter,
     };
     pub use ukc_kcenter::{
-        exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, grid_kcenter, kcenter_cost,
-        kcenter_cost_weighted, local_search_kcenter, one_d_kcenter, ExactOptions, GridOptions,
+        exact_discrete_kcenter, gonzalez, gonzalez_indices, grid_kcenter, kcenter_cost,
+        local_search_kcenter, one_d_kcenter, ExactOptions, GridOptions,
     };
     pub use ukc_metric::{
         Chebyshev, DistCounter, DistanceOracle, Euclidean, FiniteMetric, Kernel, Manhattan, Metric,

@@ -14,6 +14,8 @@ use uncertain_kcenter::kcenter::{cover_radius, gonzalez_indices, gonzalez_neares
 use uncertain_kcenter::metric::batch::{self, tracking_fuses, Tracked};
 use uncertain_kcenter::prelude::*;
 
+const SEQ: Exec<'static> = Exec::sequential();
+
 /// Deterministic pseudo-random rows in `[0, scale)` (xorshift).
 fn rows(seed: u64, n: usize, dim: usize, scale: f64) -> Vec<Vec<f64>> {
     let mut s = seed | 1;
@@ -67,11 +69,11 @@ fn reference(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Ru
         .with_counter(&counter)
         .with_exec(exec);
     let ids = store.ids();
-    let idx = gonzalez_indices(&ids, k, &oracle, 0);
+    let idx = gonzalez_indices(&ids, None, k, &oracle, 0);
     let centers: Vec<PointId> = idx.iter().map(|&i| ids[i]).collect();
-    let radius = kcenter_cost(&ids, &centers, &oracle);
+    let radius = kcenter_cost(&ids, &centers, None, &oracle);
     let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-    oracle.nearest_each(&ids, &centers, &mut nearest);
+    oracle.nearest_each(&ids, &centers, None, &mut nearest);
     Run {
         centers: idx,
         radius_bits: radius.to_bits(),
@@ -92,7 +94,7 @@ fn fused(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
     let nearest = nearest.unwrap_or_else(|| {
         let centers: Vec<PointId> = idx.iter().map(|&i| ids[i]).collect();
         let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-        oracle.nearest_each(&ids, &centers, &mut nearest);
+        oracle.nearest_each(&ids, &centers, None, &mut nearest);
         nearest
     });
     Run {
@@ -208,20 +210,12 @@ fn equidistant_centers_tie_toward_the_lower_index_across_panels() {
         for kernel in Kernel::ALL {
             let mut tracked = vec![Tracked::START; ids.len()];
             for (c, &center) in centers.iter().enumerate() {
-                batch::par_dists_to_set_min_tracked(
-                    &store,
-                    &ids,
-                    center,
-                    c,
-                    kernel,
-                    Exec::sequential(),
-                    &mut tracked,
-                );
+                batch::dists_to_set_min_tracked(&store, &ids, center, c, kernel, SEQ, &mut tracked);
             }
             let nearest = batch::tracked_nearest(&store, &tracked, centers.len(), kernel)
                 .expect("4104 rows at d = 8 fuse");
             let mut want = vec![(0usize, 0.0f64); ids.len()];
-            batch::nearest_center_each(&store, &ids, &centers, kernel, &mut want);
+            batch::nearest_center_each(&store, &ids, &centers, None, kernel, SEQ, &mut want);
             assert_eq!(bits(&nearest), bits(&want), "{kernel:?} f32={f32_storage}");
             assert!(nearest[8..].iter().all(|&(i, _)| i == 3), "{kernel:?}");
         }
@@ -239,16 +233,9 @@ fn tracked_passes_match_the_plain_min_update_bitwise() {
         let mut tracked = vec![Tracked::START; ids.len()];
         let mut plain = vec![f64::INFINITY; ids.len()];
         for (c, center) in [7usize, 2900, 1500, 7, 42].into_iter().enumerate() {
-            batch::par_dists_to_set_min_tracked(
-                &store,
-                &ids,
-                ids[center],
-                c,
-                kernel,
-                Exec::sequential(),
-                &mut tracked,
-            );
-            batch::dists_to_set_min(&store, &ids, ids[center], kernel, &mut plain);
+            let id = ids[center];
+            batch::dists_to_set_min_tracked(&store, &ids, id, c, kernel, SEQ, &mut tracked);
+            batch::dists_to_set_min(&store, &ids, id, None, kernel, SEQ, &mut plain);
             let mins: Vec<u64> = tracked.iter().map(|t| t.min.to_bits()).collect();
             let want: Vec<u64> = plain.iter().map(|m| m.to_bits()).collect();
             assert_eq!(mins, want, "{kernel:?} pass {c}");

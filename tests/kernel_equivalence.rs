@@ -298,7 +298,7 @@ fn nearest_ties_break_low_under_every_kernel() {
     for kernel in Kernel::ALL {
         let oracle = StoreOracle::new(&store, kernel);
         let mut out = vec![(0usize, 0.0f64); n];
-        oracle.nearest_each(&queries, &centers, &mut out);
+        oracle.nearest_each(&queries, &centers, None, &mut out);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} under {kernel:?} picked center {idx}");
         }

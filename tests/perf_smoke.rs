@@ -51,7 +51,7 @@ fn best_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each(&queries, &centers, &mut out);
+        oracle.nearest_each(&queries, &centers, None, &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     // Keep the result observable so the sweep cannot be optimized out.
@@ -60,7 +60,7 @@ fn best_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
 }
 
 /// Best-of-N seconds for one full additively-weighted
-/// (`nearest_each_weighted`) assignment sweep.
+/// (`nearest_each` with `Some(weights)`) assignment sweep.
 fn best_weighted_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let queries = store.ids();
     let centers: Vec<PointId> = (0..K).map(|i| PointId(i * (N / K))).collect();
@@ -70,7 +70,7 @@ fn best_weighted_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each_weighted(&queries, &centers, &weights, &mut out);
+        oracle.nearest_each(&queries, &centers, Some(&weights), &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     assert!(out.iter().all(|(i, d)| *i < K && d.is_finite()));
@@ -132,11 +132,11 @@ fn best_gonzalez_assign_secs(store: &PointStore, k: usize, fused: bool) -> f64 {
             let nearest = nearest.expect("n = 6k at d = 32 fuses");
             (idx.len(), cover_radius(&nearest), nearest)
         } else {
-            let idx = gonzalez_indices(&ids, k, &oracle, 0);
+            let idx = gonzalez_indices(&ids, None, k, &oracle, 0);
             let centers: Vec<PointId> = idx.iter().map(|&i| ids[i]).collect();
-            let radius = kcenter_cost(&ids, &centers, &oracle);
+            let radius = kcenter_cost(&ids, &centers, None, &oracle);
             let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-            oracle.nearest_each(&ids, &centers, &mut nearest);
+            oracle.nearest_each(&ids, &centers, None, &mut nearest);
             (idx.len(), radius, nearest)
         };
         best = best.min(t.elapsed().as_secs_f64());

@@ -7,6 +7,14 @@ use proptest::prelude::*;
 use uncertain_kcenter::prelude::*;
 use uncertain_kcenter::uncertain::expected_max;
 
+/// One query's additively weighted argmin under the pointwise Euclidean
+/// metric: [`DistanceOracle::nearest_each`] over a one-query batch.
+fn weighted_nearest(q: &Point, centers: &[Point], w: &[f64]) -> (usize, f64) {
+    let mut out = [(0usize, 0.0f64)];
+    Euclidean.nearest_each(std::slice::from_ref(q), centers, Some(w), &mut out);
+    out[0]
+}
+
 /// Strategy: a discrete distribution of size 1..=4 (values in a box,
 /// probabilities normalized).
 fn distribution_1d() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -158,7 +166,7 @@ proptest! {
     fn one_d_kcenter_radius_is_cost(values in prop::collection::vec(-100.0f64..100.0, 2..=16), k in 1usize..=3) {
         let sol = one_d_kcenter(&values, k);
         let pts: Vec<Point> = values.iter().map(|&v| Point::scalar(v)).collect();
-        let cost = kcenter_cost(&pts, &sol.centers, &Euclidean);
+        let cost = kcenter_cost(&pts, &sol.centers, None, &Euclidean);
         prop_assert!(cost <= sol.radius + 1e-9, "cost {cost} radius {}", sol.radius);
         prop_assert!(sol.centers.len() <= k);
     }
@@ -208,7 +216,7 @@ proptest! {
         let q = Point::new(vec![qx, qy]);
         let pts: Vec<Point> = centers.iter().map(|((x, y), _)| Point::new(vec![*x, *y])).collect();
         let w: Vec<f64> = centers.iter().map(|(_, w)| *w).collect();
-        let (idx, val) = Euclidean.nearest_weighted(&q, &pts, &w).unwrap();
+        let (idx, val) = weighted_nearest(&q, &pts, &w);
         // Guard: skip knife-edge ties (runner-up within 1e-9).
         let runner_up = pts.iter().zip(&w).enumerate()
             .filter(|(i, _)| *i != idx)
@@ -216,7 +224,7 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         if runner_up - val > 1e-9 {
             let shifted: Vec<f64> = w.iter().map(|wi| wi + c).collect();
-            let (idx2, val2) = Euclidean.nearest_weighted(&q, &pts, &shifted).unwrap();
+            let (idx2, val2) = weighted_nearest(&q, &pts, &shifted);
             prop_assert_eq!(idx, idx2);
             prop_assert!((val2 - (val - c)).abs() <= 1e-9 * (1.0 + val.abs() + c));
         }
@@ -237,10 +245,10 @@ proptest! {
         let q = Point::new(vec![qx, qy]);
         let pts: Vec<Point> = centers.iter().map(|((x, y), _)| Point::new(vec![*x, *y])).collect();
         let w: Vec<f64> = centers.iter().map(|(_, w)| *w).collect();
-        let (idx, _) = Euclidean.nearest_weighted(&q, &pts, &w).unwrap();
+        let (idx, _) = weighted_nearest(&q, &pts, &w);
         let mut raised = w.clone();
         raised[idx] += delta;
-        let (idx2, _) = Euclidean.nearest_weighted(&q, &pts, &raised).unwrap();
+        let (idx2, _) = weighted_nearest(&q, &pts, &raised);
         prop_assert_eq!(idx, idx2);
     }
 

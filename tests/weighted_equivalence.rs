@@ -22,6 +22,8 @@
 //!   ([`SolveError::WeightedUnsupported`]), never silent fallbacks.
 
 use proptest::prelude::*;
+use uncertain_kcenter::core::CountingMetric;
+use uncertain_kcenter::metric::Tracked;
 use uncertain_kcenter::prelude::*;
 
 fn cfg(kernel: Kernel, mode: AssignmentMode, strategy: CertainStrategy) -> SolverConfig {
@@ -65,6 +67,14 @@ fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     store
 }
 
+/// One query's additively weighted argmin under the pointwise Euclidean
+/// metric: [`DistanceOracle::nearest_each`] over a one-query batch.
+fn weighted_nearest(q: &Point, centers: &[Point], w: &[f64]) -> (usize, f64) {
+    let mut out = [(0usize, 0.0f64)];
+    Euclidean.nearest_each(std::slice::from_ref(q), centers, Some(w), &mut out);
+    out[0]
+}
+
 /// Deterministic weights in `[0, 0.5)`, one per center.
 fn weights_of(seed: u64, k: usize) -> Vec<f64> {
     coords(seed, k, 1).into_iter().map(|r| r[0] * 0.5).collect()
@@ -85,16 +95,16 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
         let oracle = StoreOracle::new(&store, kernel);
         let mut plain = vec![f64::INFINITY; points.len()];
         let mut weighted = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min(&points, &centers, &mut plain);
-        oracle.dists_to_centers_min_weighted(&points, &centers, &zeros, &mut weighted);
+        oracle.dists_to_centers_min(&points, &centers, None, &mut plain);
+        oracle.dists_to_centers_min(&points, &centers, Some(&zeros), &mut weighted);
         for (i, (p, w)) in plain.iter().zip(&weighted).enumerate() {
             assert_eq!(p.to_bits(), w.to_bits(), "point {i} under {kernel:?}");
         }
 
         let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
         let mut weighted_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each(&points, &centers, &mut plain_nearest);
-        oracle.nearest_each_weighted(&points, &centers, &zeros, &mut weighted_nearest);
+        oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
+        oracle.nearest_each(&points, &centers, Some(&zeros), &mut weighted_nearest);
         for (i, ((pi, pd), (wi, wd))) in plain_nearest.iter().zip(&weighted_nearest).enumerate() {
             assert_eq!(pi, wi, "argmin for point {i} under {kernel:?}");
             assert_eq!(
@@ -103,6 +113,87 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
                 "dist for point {i} under {kernel:?}"
             );
         }
+    }
+}
+
+/// The six `DistanceOracle` methods as written once for both modes: the
+/// pointwise trait defaults (`Euclidean`, counted through
+/// `CountingMetric`) and the store oracle's batched overrides under
+/// `Kernel::Scalar` agree bit for bit on every sweep family, with no
+/// weights, nonzero weights and all-zero weights, and tally the same
+/// number of evaluations.
+#[test]
+fn oracle_defaults_match_scalar_store_oracle_bitwise() {
+    let (n, dim, k) = (90, 5, 6);
+    let points: Vec<Point> = coords(3, n, dim).into_iter().map(Point::new).collect();
+    let (pts, centers) = points.split_at(n - k);
+    let store = store_of(3, n, dim);
+    let ids: Vec<PointId> = (0..n - k).map(PointId).collect();
+    let center_ids: Vec<PointId> = (n - k..n).map(PointId).collect();
+    let (w, zeros) = (weights_of(8, k), vec![0.0; k]);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let pair_bits =
+        |v: &[(usize, f64)]| v.iter().map(|&(i, d)| (i, d.to_bits())).collect::<Vec<_>>();
+    let no_weights: Option<&[f64]> = None;
+    for (family, weights) in [
+        ("set-min", no_weights),
+        ("set-min", Some(&w[..])),
+        ("set-min", Some(&zeros[..])),
+        ("centers-min", no_weights),
+        ("centers-min", Some(&w[..])),
+        ("centers-min", Some(&zeros[..])),
+        ("nearest-each", no_weights),
+        ("nearest-each", Some(&w[..])),
+        ("nearest-each", Some(&zeros[..])),
+        ("dists-to-one", no_weights),
+        ("tracked", no_weights),
+    ] {
+        let pointwise = CountingMetric::new(&Euclidean);
+        let counter = DistCounter::new();
+        let oracle = StoreOracle::new(&store, Kernel::Scalar).with_counter(&counter);
+        let (mut want, mut got) = (vec![f64::INFINITY; n - k], vec![f64::INFINITY; n - k]);
+        let (mut want_nearest, mut got_nearest) = (vec![(0, 0.0); n - k], vec![(0, 0.0); n - k]);
+        match family {
+            "set-min" => {
+                for c in 0..k {
+                    let wc = weights.map(|w| w[c]);
+                    pointwise.dists_to_set_min(pts, &centers[c], wc, &mut want);
+                    oracle.dists_to_set_min(&ids, &center_ids[c], wc, &mut got);
+                }
+            }
+            "centers-min" => {
+                pointwise.dists_to_centers_min(pts, centers, weights, &mut want);
+                oracle.dists_to_centers_min(&ids, &center_ids, weights, &mut got);
+            }
+            "nearest-each" => {
+                pointwise.nearest_each(pts, centers, weights, &mut want_nearest);
+                oracle.nearest_each(&ids, &center_ids, weights, &mut got_nearest);
+            }
+            "dists-to-one" => {
+                pointwise.dists_to_one(pts, &centers[0], &mut want);
+                oracle.dists_to_one(&ids, &center_ids[0], &mut got);
+            }
+            _ => {
+                let (mut want_rows, mut got_rows) =
+                    (vec![Tracked::START; n - k], vec![Tracked::START; n - k]);
+                for c in 0..k {
+                    pointwise.dists_to_set_min_tracked(pts, &centers[c], c, &mut want_rows);
+                    oracle.dists_to_set_min_tracked(&ids, &center_ids[c], c, &mut got_rows);
+                }
+                want = want_rows.iter().map(|r| r.min).collect();
+                got = got_rows.iter().map(|r| r.min).collect();
+                want_nearest = pointwise.tracked_nearest(&want_rows, k).expect("defaults");
+                got_nearest = oracle.tracked_nearest(&got_rows, k).expect("fuses");
+            }
+        }
+        assert_eq!(bits(&want), bits(&got), "{family} {weights:?}");
+        assert_eq!(
+            pair_bits(&want_nearest),
+            pair_bits(&got_nearest),
+            "{family} {weights:?}"
+        );
+        assert_eq!(pointwise.count(), counter.count(), "{family} {weights:?}");
+        assert!(counter.count() > 0, "{family} {weights:?}");
     }
 }
 
@@ -122,17 +213,17 @@ fn weighted_pair_evaluation_counts_are_identical() {
         let counter = DistCounter::new();
         let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
         let mut min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut min);
+        oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut min);
         let mut nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each_weighted(&points, &centers, &w, &mut nearest);
+        oracle.nearest_each(&points, &centers, Some(&w), &mut nearest);
         counts.push(counter.count());
 
         let plain_counter = DistCounter::new();
         let plain_oracle = StoreOracle::new(&store, kernel).with_counter(&plain_counter);
         let mut plain_min = vec![f64::INFINITY; points.len()];
-        plain_oracle.dists_to_centers_min(&points, &centers, &mut plain_min);
+        plain_oracle.dists_to_centers_min(&points, &centers, None, &mut plain_min);
         let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
-        plain_oracle.nearest_each(&points, &centers, &mut plain_nearest);
+        plain_oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
         assert_eq!(
             counter.count(),
             plain_counter.count(),
@@ -162,13 +253,13 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let w = weights_of(5, k);
     let scalar = StoreOracle::new(&store, Kernel::Scalar);
     let mut want_min = vec![f64::INFINITY; points.len()];
-    scalar.dists_to_centers_min_weighted(&points, &centers, &w, &mut want_min);
+    scalar.dists_to_centers_min(&points, &centers, Some(&w), &mut want_min);
     let mut want_nearest = vec![(0usize, 0.0f64); points.len()];
-    scalar.nearest_each_weighted(&points, &centers, &w, &mut want_nearest);
+    scalar.nearest_each(&points, &centers, Some(&w), &mut want_nearest);
     for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
         let oracle = StoreOracle::new(&store, kernel);
         let mut got_min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut got_min);
+        oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut got_min);
         for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
@@ -176,7 +267,7 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
             );
         }
         let mut got_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each_weighted(&points, &centers, &w, &mut got_nearest);
+        oracle.nearest_each(&points, &centers, Some(&w), &mut got_nearest);
         for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
             assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
             assert!(
@@ -201,7 +292,7 @@ fn weighted_nearest_ties_break_low_under_every_kernel() {
     for kernel in Kernel::ALL {
         let oracle = StoreOracle::new(&store, kernel);
         let mut out = vec![(0usize, 0.0f64); n];
-        oracle.nearest_each_weighted(&queries, &centers, &w, &mut out);
+        oracle.nearest_each(&queries, &centers, Some(&w), &mut out);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} under {kernel:?} picked center {idx}");
         }
@@ -216,13 +307,9 @@ fn exact_apollonius_ties_break_low() {
     let q = Point::new(vec![0.0]);
     let near = Point::new(vec![1.0]); // d = 1, w = 0   → value 1
     let far = Point::new(vec![2.0]); // d = 2, w = 1   → value 1
-    let (idx, v) = Euclidean
-        .nearest_weighted(&q, &[near.clone(), far.clone()], &[0.0, 1.0])
-        .unwrap();
+    let (idx, v) = weighted_nearest(&q, &[near.clone(), far.clone()], &[0.0, 1.0]);
     assert_eq!((idx, v), (0, 1.0));
-    let (idx, v) = Euclidean
-        .nearest_weighted(&q, &[far, near], &[1.0, 0.0])
-        .unwrap();
+    let (idx, v) = weighted_nearest(&q, &[far, near], &[1.0, 0.0]);
     assert_eq!((idx, v), (0, 1.0));
 }
 
