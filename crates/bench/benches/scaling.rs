@@ -1,8 +1,7 @@
 //! Criterion version of the EXPERIMENTS.md scaling studies S1/S2: the
 //! O(z) expected point and the O(nz + nk) pipeline, plus the
 //! `kernel_comparison` group pitting the scalar and tiled distance
-//! kernels (the latter also with the opt-in f32 storage mirror) against
-//! each other on two workloads — Gonzalez sweeps and
+//! kernels against each other on two workloads — Gonzalez sweeps and
 //! fused nearest-center assignment — the numbers behind
 //! `BENCH_kernel.json`.
 
@@ -97,6 +96,10 @@ fn coord_store(seed: u64, n: usize, d: usize) -> PointStore {
 
 const KERNEL_K: usize = 8;
 
+/// Timed runs per recorded `BENCH_kernel.json` row (the row is their
+/// median); odd, so the median is one of the runs.
+const KERNEL_REPS: usize = 11;
+
 /// One Gonzalez solve (k centers + the radius sweep) over the store with
 /// the given kernel; returns the radius so the work cannot be elided.
 fn gonzalez_store(store: &PointStore, ids: &[ukc_metric::PointId], kernel: Kernel) -> f64 {
@@ -119,16 +122,6 @@ fn assign_store(
     out.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
 
-/// The kernel variants of the comparison grid: every kernel over f64
-/// storage, plus the tiled kernel over the opt-in f32 mirror.
-fn kernel_variants() -> [(&'static str, Kernel, &'static str); 3] {
-    [
-        ("scalar", Kernel::Scalar, "f64"),
-        ("tiled", Kernel::Tiled, "f64"),
-        ("tiled", Kernel::Tiled, "f32"),
-    ]
-}
-
 /// Kernel throughput across the (workload, n, d) matrix of the
 /// perf-tracking acceptance grid: `gonzalez` (sequential center passes,
 /// memory-bandwidth-bound at large n) and `assign` (the fused n×k
@@ -137,10 +130,14 @@ fn kernel_variants() -> [(&'static str, Kernel, &'static str); 3] {
 /// Setting `BENCH_KERNEL_JSON=1` additionally runs a manual timing sweep
 /// and rewrites the version-controlled `BENCH_kernel.json` at the
 /// workspace root; without it the committed trajectory file is left
-/// untouched (quick/filtered runs must not clobber it).
+/// untouched (quick/filtered runs must not clobber it). Each recorded row
+/// is the median of [`KERNEL_REPS`] timed runs, and every rep times the
+/// kernels back to back, so a slow stretch on a shared host hits both
+/// kernels of a row rather than one.
 fn bench_kernel_comparison(c: &mut Criterion) {
     let quick = std::env::var_os("CRITERION_QUICK").is_some();
     let record = std::env::var_os("BENCH_KERNEL_JSON").is_some();
+    let reps = if quick { 1 } else { KERNEL_REPS };
     let mut g = c.benchmark_group("kernel_comparison");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(200));
@@ -152,11 +149,6 @@ fn bench_kernel_comparison(c: &mut Criterion) {
         }
         for &d in &[2usize, 8, 32] {
             let store = coord_store(42, n, d);
-            let store_f32 = {
-                let mut s = store.clone();
-                s.try_enable_f32().expect("bench coords fit f32");
-                s
-            };
             let ids = store.ids();
             let centers: Vec<ukc_metric::PointId> = (0..KERNEL_K)
                 .map(|i| ukc_metric::PointId(i * (n / KERNEL_K)))
@@ -168,47 +160,49 @@ fn bench_kernel_comparison(c: &mut Criterion) {
                 ("gonzalez", (2 * KERNEL_K * n) as u64),
                 ("assign", (KERNEL_K * n) as u64),
             ] {
-                g.throughput(Throughput::Elements(evals));
-                for (label, kernel, storage) in kernel_variants() {
-                    let st = if storage == "f32" { &store_f32 } else { &store };
-                    let id = format!("{workload}_n{n}_d{d}");
-                    let tag = if storage == "f32" {
-                        format!("{label}_f32")
-                    } else {
-                        label.to_string()
-                    };
-                    let run = |out: &mut [(usize, f64)]| -> f64 {
-                        match workload {
-                            "gonzalez" => gonzalez_store(black_box(st), &ids, kernel),
-                            _ => assign_store(black_box(st), &ids, &centers, kernel, out),
-                        }
-                    };
-                    g.bench_with_input(BenchmarkId::new(id, &tag), &kernel, |b, _| {
-                        b.iter(|| run(&mut assign_out))
-                    });
-                    if record {
-                        // Manual timing for the committed BENCH_kernel.json:
-                        // min of 3 runs after one warm-up (1 under quick).
-                        let reps = if quick { 1 } else { 3 };
-                        let _ = run(&mut assign_out);
-                        let mut best = f64::INFINITY;
-                        for _ in 0..reps {
-                            let t = Instant::now();
-                            let _ = black_box(run(&mut assign_out));
-                            best = best.min(t.elapsed().as_secs_f64());
-                        }
-                        results.push(Json::obj([
-                            ("workload", Json::from(workload)),
-                            ("n", Json::from(n)),
-                            ("d", Json::from(d)),
-                            ("k", Json::from(KERNEL_K)),
-                            ("kernel", Json::from(label)),
-                            ("storage", Json::from(storage)),
-                            ("seconds", Json::from(best)),
-                            ("pair_evals", Json::from(evals as f64)),
-                            ("evals_per_sec", Json::from(evals as f64 / best)),
-                        ]));
+                let run = |kernel: Kernel, out: &mut [(usize, f64)]| -> f64 {
+                    match workload {
+                        "gonzalez" => gonzalez_store(black_box(&store), &ids, kernel),
+                        _ => assign_store(black_box(&store), &ids, &centers, kernel, out),
                     }
+                };
+                g.throughput(Throughput::Elements(evals));
+                for kernel in Kernel::ALL {
+                    let id = format!("{workload}_n{n}_d{d}");
+                    g.bench_with_input(BenchmarkId::new(id, kernel.name()), &kernel, |b, &k| {
+                        b.iter(|| run(k, &mut assign_out))
+                    });
+                }
+                if !record {
+                    continue;
+                }
+                // Manual timing for the committed BENCH_kernel.json: one
+                // warm-up per kernel, then `reps` rounds that each time
+                // every kernel once, in `Kernel::ALL` order.
+                let mut samples = vec![Vec::with_capacity(reps); Kernel::ALL.len()];
+                for kernel in Kernel::ALL {
+                    let _ = run(kernel, &mut assign_out);
+                }
+                for _ in 0..reps {
+                    for (kernel, times) in Kernel::ALL.into_iter().zip(&mut samples) {
+                        let t = Instant::now();
+                        let _ = black_box(run(kernel, &mut assign_out));
+                        times.push(t.elapsed().as_secs_f64());
+                    }
+                }
+                for (kernel, times) in Kernel::ALL.into_iter().zip(&mut samples) {
+                    times.sort_by(f64::total_cmp);
+                    let median = times[times.len() / 2];
+                    results.push(Json::obj([
+                        ("workload", Json::from(workload)),
+                        ("n", Json::from(n)),
+                        ("d", Json::from(d)),
+                        ("k", Json::from(KERNEL_K)),
+                        ("kernel", Json::from(kernel.name())),
+                        ("seconds", Json::from(median)),
+                        ("pair_evals", Json::from(evals as f64)),
+                        ("evals_per_sec", Json::from(evals as f64 / median)),
+                    ]));
                 }
             }
         }
@@ -216,10 +210,16 @@ fn bench_kernel_comparison(c: &mut Criterion) {
     g.finish();
     if record {
         // Record the trajectory point. Written next to the workspace root
-        // so the numbers ride along in version control.
+        // so the numbers ride along in version control; host_cpus says
+        // how contended the host the rows came from may have been.
+        let host_cpus = std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1);
         let doc = Json::obj([
             ("bench", Json::from("kernel_comparison")),
             ("quick", Json::Bool(quick)),
+            ("host_cpus", Json::from(host_cpus)),
+            ("reps", Json::from(reps)),
             ("results", Json::arr(results)),
         ]);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");

@@ -17,11 +17,7 @@
 //!   `[f64; TILE_CENTERS]` lane accumulators the autovectorizer keeps in
 //!   vector registers. The different f64 summation order perturbs results
 //!   by a few ulps against `Scalar`; callers needing bit-stability against
-//!   [`crate::Point::dist`] pick `Scalar`. When the store carries the
-//!   opt-in f32 mirror ([`PointStore::try_enable_f32`]), the tiled kernel
-//!   streams the half-width coordinates and widens each element to f64
-//!   before any arithmetic, halving memory traffic in bandwidth-bound
-//!   regimes while keeping f64 accumulation tolerances.
+//!   [`crate::Point::dist`] pick `Scalar`.
 //!
 //! Every tiled dot product — single pair, single-center sweep, or panel
 //! block — accumulates in one canonical order (ascending dimension, one
@@ -42,10 +38,10 @@
 //! distance, `Some` the additively weighted (Apollonius) distance
 //! `d(p, cᵢ) − wᵢ`, and the choice is made once, at the entry point, so
 //! the plain path runs its own monomorphised code and never a zero-weight
-//! copy of the weighted one. The body owns kernel dispatch, the f64/f32
-//! storage choice, panel packing and weight padding, 4-row blocking, and
-//! [`PAR_CHUNK`] parallelism; the rule owns only how one candidate's
-//! distance updates the running result.
+//! copy of the weighted one. The body owns kernel dispatch, panel
+//! packing and weight padding, 4-row blocking, and [`PAR_CHUNK`]
+//! parallelism; the rule owns only how one candidate's distance updates
+//! the running result.
 //!
 //! The single-center min-update also comes in a *tracked* form
 //! ([`dists_to_set_min_tracked`]) that keeps each row's nearest
@@ -108,8 +104,7 @@ pub enum Kernel {
     Scalar,
     /// Norm-factorized register-tiled mini-GEMM over packed center panels
     /// (see [`tile`]); fast, with last-ulp deviations from the scalar
-    /// path, and the only kernel that reads the store's opt-in f32
-    /// mirror.
+    /// path.
     #[default]
     Tiled,
 }
@@ -256,12 +251,7 @@ pub fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
 /// [`Kernel::Tiled`]. With norms accumulated in the same order, as
 /// [`PointStore::norm_sq`] is, it is exactly zero for `a == b`.
 #[inline]
-pub fn dist_sq_tiled<A: tile::Coord, B: tile::Coord>(
-    a: &[A],
-    a_norm_sq: f64,
-    b: &[B],
-    b_norm_sq: f64,
-) -> f64 {
+pub fn dist_sq_tiled(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> f64 {
     factored(a_norm_sq, b_norm_sq, tile::dot_seq(a, b))
 }
 
@@ -296,12 +286,6 @@ fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
 /// independent of block membership, panel shape, chunking, and thread
 /// count. SIMD parallelism lives across the *center* axis (independent
 /// accumulators), never inside a single pair's reduction.
-///
-/// **f32 storage.** The primitives are generic over
-/// [`Coord`](tile::Coord): elements
-/// are widened to f64 *before* any arithmetic, so enabling the store's
-/// f32 mirror halves memory traffic but keeps f64 accumulation — the
-/// only precision loss is the one-time coordinate rounding at ingest.
 pub mod tile {
     /// Point rows processed together per block (interleaved for
     /// instruction-level parallelism).
@@ -311,38 +295,14 @@ pub mod tile {
     /// `[f64; TILE_CENTERS]` accumulator arrays.
     pub const TILE_CENTERS: usize = 4;
 
-    /// A coordinate element the tiled kernel can stream (f64, or the
-    /// store's opt-in f32 mirror); widened to f64 before any arithmetic.
-    pub trait Coord: Copy + Send + Sync + 'static {
-        /// The element as f64 (exact — both storage types embed in f64).
-        fn widen(self) -> f64;
-    }
-
-    impl Coord for f64 {
-        #[inline(always)]
-        fn widen(self) -> f64 {
-            self
-        }
-    }
-
-    impl Coord for f32 {
-        #[inline(always)]
-        fn widen(self) -> f64 {
-            f64::from(self)
-        }
-    }
-
     /// The canonical tiled dot product: one f64 accumulator, ascending
     /// dimension. Every tiled code path reproduces exactly this operation
     /// sequence per pair (see the module docs), which is what makes tiled
     /// values blocking-independent and self-cancelling for duplicates.
     #[inline]
-    pub fn dot_seq<A: Coord, B: Coord>(a: &[A], b: &[B]) -> f64 {
+    pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x.widen() * y.widen())
-            .sum()
+        a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
     }
 
     /// Dots of four point rows against one query row, interleaved for
@@ -351,10 +311,7 @@ pub mod tile {
     /// # Panics
     /// Panics when any row is shorter than `q`.
     #[inline]
-    pub fn dots_x4_one<T: Coord, Q: Coord>(
-        rows: [&[T]; TILE_POINTS],
-        q: &[Q],
-    ) -> [f64; TILE_POINTS] {
+    pub fn dots_x4_one(rows: [&[f64]; TILE_POINTS], q: &[f64]) -> [f64; TILE_POINTS] {
         let d = q.len();
         let [r0, r1, r2, r3] = rows;
         assert!(
@@ -363,11 +320,10 @@ pub mod tile {
         );
         let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for (t, &qt) in q.iter().enumerate() {
-            let qt = qt.widen();
-            a0 += r0[t].widen() * qt;
-            a1 += r1[t].widen() * qt;
-            a2 += r2[t].widen() * qt;
-            a3 += r3[t].widen() * qt;
+            a0 += r0[t] * qt;
+            a1 += r1[t] * qt;
+            a2 += r2[t] * qt;
+            a3 += r3[t] * qt;
         }
         [a0, a1, a2, a3]
     }
@@ -387,7 +343,7 @@ pub mod tile {
 
     impl CenterPanels {
         /// Packs `len` centers of dimension `dim`; `coord(c, t)` and
-        /// `norm_sq(c)` supply the (already widened) values.
+        /// `norm_sq(c)` supply the values.
         pub fn pack(
             len: usize,
             dim: usize,
@@ -452,8 +408,8 @@ pub mod tile {
     /// # Panics
     /// Panics when any row is shorter than the panel's dimension.
     #[inline]
-    pub fn dots_x4_panel<T: Coord>(
-        rows: [&[T]; TILE_POINTS],
+    pub fn dots_x4_panel(
+        rows: [&[f64]; TILE_POINTS],
         panel: &[f64],
     ) -> [[f64; TILE_CENTERS]; TILE_POINTS] {
         let d = panel.len() / TILE_CENTERS;
@@ -467,7 +423,7 @@ pub mod tile {
             let cv: &[f64; TILE_CENTERS] = panel[t * TILE_CENTERS..(t + 1) * TILE_CENTERS]
                 .try_into()
                 .expect("panel stride");
-            let xs = [r0[t].widen(), r1[t].widen(), r2[t].widen(), r3[t].widen()];
+            let xs = [r0[t], r1[t], r2[t], r3[t]];
             for p in 0..TILE_POINTS {
                 for c in 0..TILE_CENTERS {
                     acc[p][c] += xs[p] * cv[c];
@@ -598,7 +554,7 @@ impl Rule for Plain {
 /// center and break lowest-index tie-breaking. At `w = 0` the threshold
 /// is the running value itself and every comparison and write
 /// degenerates to the [`Plain`] one, which `tests/weighted_equivalence.rs`
-/// pins bit for bit for both kernels and storage modes.
+/// pins bit for bit for both kernels.
 #[derive(Clone, Copy)]
 struct Additive<'w>(&'w [f64]);
 
@@ -678,70 +634,20 @@ fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
     padded
 }
 
-/// A typed view of the storage the tiled kernel streams: the f32 mirror
-/// when the store carries one, else the f64 coordinates — in both cases
-/// paired with squared norms accumulated in [`tile::dot_seq`] order.
-struct TiledView<'a, T> {
-    coords: &'a [T],
-    norms_sq: &'a [f64],
-    dim: usize,
+/// The coordinate rows of a 4-row block.
+#[inline]
+fn rows<'a>(store: &'a PointStore, blk: &[PointId]) -> [&'a [f64]; tile::TILE_POINTS] {
+    std::array::from_fn(|p| store.coords(blk[p]))
 }
 
-impl<'a, T: tile::Coord> TiledView<'a, T> {
-    #[inline]
-    fn row(&self, id: PointId) -> &'a [T] {
-        &self.coords[id.0 * self.dim..(id.0 + 1) * self.dim]
-    }
-
-    #[inline]
-    fn norm_sq(&self, id: PointId) -> f64 {
-        self.norms_sq[id.0]
-    }
-
-    #[inline]
-    fn rows(&self, blk: &[PointId]) -> [&'a [T]; tile::TILE_POINTS] {
-        std::array::from_fn(|p| self.row(blk[p]))
-    }
-}
-
-fn tiled_view_f64(store: &PointStore) -> TiledView<'_, f64> {
-    TiledView {
-        coords: store.raw_coords(),
-        norms_sq: store.raw_norms_sq(),
-        dim: store.dim(),
-    }
-}
-
-/// Evaluates `$body` with `$v` bound to the store's [`TiledView`]: over
-/// the f32 mirror when the store carries one, else over the f64
-/// coordinates (the body is instantiated for both).
-macro_rules! with_tiled_view {
-    ($store:expr, |$v:ident| $body:expr) => {
-        match $store.f32_view() {
-            Some((coords, norms_sq)) => {
-                let $v = TiledView {
-                    coords,
-                    norms_sq,
-                    dim: $store.dim(),
-                };
-                $body
-            }
-            None => {
-                let $v = tiled_view_f64($store);
-                $body
-            }
-        }
-    };
-}
-
-/// Packs `centers` into [`tile::CenterPanels`], widening coordinates and
-/// reading the view's (order-matched) norms.
-fn pack_panels<T: tile::Coord>(v: &TiledView<'_, T>, centers: &[PointId]) -> tile::CenterPanels {
+/// Packs `centers` into [`tile::CenterPanels`] with the store's
+/// (order-matched) norms.
+fn pack_panels(store: &PointStore, centers: &[PointId]) -> tile::CenterPanels {
     tile::CenterPanels::pack(
         centers.len(),
-        v.dim,
-        |c, t| v.row(centers[c])[t].widen(),
-        |c| v.norm_sq(centers[c]),
+        store.dim(),
+        |c, t| store.coords(centers[c])[t],
+        |c| store.norm_sq(centers[c]),
     )
 }
 
@@ -770,8 +676,8 @@ fn for_rows<O: Send>(exec: Exec<'_>, out: &mut [O], f: impl Fn(usize, &mut [O]) 
 /// panel weights in a `[f64; TILE_CENTERS]`, which keeps the update loop
 /// free of bounds checks and vectorizable across rows.
 #[allow(clippy::too_many_arguments)]
-fn stream_panels<T: tile::Coord, O>(
-    v: &TiledView<'_, T>,
+fn stream_panels<O>(
+    store: &PointStore,
     points: &[PointId],
     panels: &tile::CenterPanels,
     wpad: &[f64],
@@ -783,8 +689,8 @@ fn stream_panels<T: tile::Coord, O>(
     let outs = out[..points.len()].chunks_mut(tile::TILE_POINTS);
     for (blk, out) in points.chunks(tile::TILE_POINTS).zip(outs) {
         let ids: [PointId; tile::TILE_POINTS] = std::array::from_fn(|p| blk[p.min(blk.len() - 1)]);
-        let rows = v.rows(&ids);
-        let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| v.norm_sq(ids[p]));
+        let rows = rows(store, &ids);
+        let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| store.norm_sq(ids[p]));
         let mut value: [f64; tile::TILE_POINTS] =
             std::array::from_fn(|p| start(&out[p.min(out.len() - 1)]));
         let mut argmin = [0usize; tile::TILE_POINTS];
@@ -811,15 +717,15 @@ fn stream_panels<T: tile::Coord, O>(
 
 /// Distance between two stored points under `kernel`'s arithmetic — the
 /// single-pair form behind [`crate::Metric::dist`] on a
-/// [`crate::StoreOracle`]. The tiled kernel reads the f32 mirror when the
-/// store carries one. Sweep dispatch ([`Kernel::dispatch`]) does not
+/// [`crate::StoreOracle`]. Sweep dispatch ([`Kernel::dispatch`]) does not
 /// apply to single pairs — callers asked for this kernel's arithmetic.
 pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> f64 {
     match kernel {
         Kernel::Scalar => dist_sq_scalar(store.coords(a), store.coords(b)).sqrt(),
-        Kernel::Tiled => with_tiled_view!(store, |v| {
-            dist_sq_tiled(v.row(a), v.norm_sq(a), v.row(b), v.norm_sq(b)).sqrt()
-        }),
+        Kernel::Tiled => {
+            let (ca, cb) = (store.coords(a), store.coords(b));
+            dist_sq_tiled(ca, store.norm_sq(a), cb, store.norm_sq(b)).sqrt()
+        }
     }
 }
 
@@ -987,7 +893,7 @@ pub fn dists_to_set_min_tracked(
 /// kernel (tiled values are pure functions of the coordinates). The test
 /// uses [`Kernel::Tiled`] whatever `kernel` is, so whether a solve fuses —
 /// and with it every per-stage count — is a pure function of sizes,
-/// equal across kernels, lanes and storage.
+/// equal across kernels and lanes.
 pub fn tracked_nearest(
     store: &PointStore,
     rows: &[Tracked],
@@ -1040,20 +946,21 @@ fn one_center<O: Send>(
                     lin(o, dist_sq_scalar(store.coords(*p), cc).sqrt());
                 }
             }
-            Kernel::Tiled => with_tiled_view!(store, |v| {
-                let (cr, cn) = (v.row(center), v.norm_sq(center));
+            Kernel::Tiled => {
+                let (cr, cn) = (store.coords(center), store.norm_sq(center));
                 let mut blocks = points.chunks_exact(tile::TILE_POINTS);
                 let mut outs = out.chunks_exact_mut(tile::TILE_POINTS);
                 for (blk, outs) in (&mut blocks).zip(&mut outs) {
-                    let dots = tile::dots_x4_one(v.rows(blk), cr);
+                    let dots = tile::dots_x4_one(rows(store, blk), cr);
                     for (p, o) in outs.iter_mut().enumerate() {
-                        sq(o, factored(v.norm_sq(blk[p]), cn, dots[p]));
+                        sq(o, factored(store.norm_sq(blk[p]), cn, dots[p]));
                     }
                 }
                 for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
-                    sq(o, dist_sq_tiled(v.row(id), v.norm_sq(id), cr, cn));
+                    let (r, n) = (store.coords(id), store.norm_sq(id));
+                    sq(o, dist_sq_tiled(r, n, cr, cn));
                 }
-            }),
+            }
         }
     });
 }
@@ -1130,7 +1037,7 @@ fn nearest_resolved<R: Rule>(
             }
             best
         }
-        Kernel::Tiled => with_tiled_view!(store, |v| nearest_tiled(&v, centers, rule, q)),
+        Kernel::Tiled => nearest_tiled(store, centers, rule, q),
     }
 }
 
@@ -1138,16 +1045,16 @@ fn nearest_resolved<R: Rule>(
 /// in ascending index order exactly like the fused
 /// [`nearest_center_each`] panel path, so both pick the same center at
 /// the same bits.
-fn nearest_tiled<T: tile::Coord, R: Rule>(
-    v: &TiledView<'_, T>,
+fn nearest_tiled<R: Rule>(
+    store: &PointStore,
     centers: &[PointId],
     rule: R,
     q: PointId,
 ) -> Option<(usize, f64)> {
-    let (qr, qn) = (v.row(q), v.norm_sq(q));
+    let (qr, qn) = (store.coords(q), store.norm_sq(q));
     let mut best = (0, f64::INFINITY);
     for (i, c) in centers.iter().enumerate() {
-        let d_sq = dist_sq_tiled(v.row(*c), v.norm_sq(*c), qr, qn);
+        let d_sq = dist_sq_tiled(store.coords(*c), store.norm_sq(*c), qr, qn);
         if rule.improve(&mut best.1, d_sq, rule.weight(i)) {
             best.0 = i;
         }
@@ -1215,12 +1122,12 @@ fn centers_min<R: Rule>(
                 set_min(store, points, center, rule, kernel, exec, min_dist);
             }
         }
-        Kernel::Tiled => with_tiled_view!(store, |v| {
-            let panels = pack_panels(&v, centers);
+        Kernel::Tiled => {
+            let panels = pack_panels(store, centers);
             let wpad = rule.pad(&panels);
             for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
                 stream_panels(
-                    &v,
+                    store,
                     &points[start..start + min_dist.len()],
                     &panels,
                     &wpad,
@@ -1233,7 +1140,7 @@ fn centers_min<R: Rule>(
                     |m, acc, _| rule.settle(acc, m),
                 );
             });
-        }),
+        }
     }
 }
 
@@ -1303,22 +1210,22 @@ fn nearest_each<R: Rule>(
                     .expect("non-empty centers");
             }
         }),
-        Kernel::Tiled => with_tiled_view!(store, |v| {
-            let panels = pack_panels(&v, centers);
+        Kernel::Tiled => {
+            let panels = pack_panels(store, centers);
             let wpad = rule.pad(&panels);
             for_rows(exec, out, |start, out| {
                 let points = &points[start..start + out.len()];
-                nearest_each_tiled(&v, points, &panels, rule, &wpad, out);
+                nearest_each_tiled(store, points, &panels, rule, &wpad, out);
             });
-        }),
+        }
     }
 }
 
 /// The fused tiled argmin over panel slots weighted by `wpad`: strict
 /// improvement over ascending slot index, so the first of equally near
 /// centers wins, across panels too.
-fn nearest_each_tiled<T: tile::Coord, R: Rule>(
-    v: &TiledView<'_, T>,
+fn nearest_each_tiled<R: Rule>(
+    store: &PointStore,
     points: &[PointId],
     panels: &tile::CenterPanels,
     rule: R,
@@ -1327,7 +1234,7 @@ fn nearest_each_tiled<T: tile::Coord, R: Rule>(
 ) {
     debug_assert!(!panels.is_empty());
     stream_panels(
-        v,
+        store,
         points,
         panels,
         wpad,
@@ -1644,10 +1551,9 @@ mod tests {
         let mut out = vec![(9usize, -1.0f64); queries.len()];
         // Call the tiled path directly: this sweep sits below the
         // dispatch cutoff on purpose (ties are a small-case hazard too).
-        let v = tiled_view_f64(&s);
-        let panels = pack_panels(&v, &centers);
+        let panels = pack_panels(&s, &centers);
         let wpad = pad_weights(&[], &panels);
-        nearest_each_tiled(&v, &queries, &panels, Plain, &wpad, &mut out);
+        nearest_each_tiled(&s, &queries, &panels, Plain, &wpad, &mut out);
         for (i, (idx, d)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} must tie-break to the lowest index");
             assert!(d.is_finite());
@@ -1657,9 +1563,8 @@ mod tests {
     #[test]
     fn center_panels_pad_with_infinite_norms() {
         let s = store(3, 10, 5);
-        let v = tiled_view_f64(&s);
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
-        let panels = pack_panels(&v, &centers);
+        let panels = pack_panels(&s, &centers);
         assert_eq!(panels.len(), 5);
         assert_eq!(panels.n_panels(), 2);
         let tail = panels.panel_norms_sq(1);
@@ -1832,12 +1737,11 @@ mod tests {
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
         let weights = vec![1e6; 5];
         let mut each = vec![(0usize, 0.0f64); ids.len()];
-        let v = tiled_view_f64(&s);
-        let panels = pack_panels(&v, &centers);
+        let panels = pack_panels(&s, &centers);
         let wpad = pad_weights(&weights, &panels);
         assert_eq!(wpad.len(), 8);
         assert!(wpad[5..].iter().all(|w| *w == 0.0));
-        nearest_each_tiled(&v, &ids, &panels, Additive(&weights), &wpad, &mut each);
+        nearest_each_tiled(&s, &ids, &panels, Additive(&weights), &wpad, &mut each);
         for (i, (idx, d)) in each.iter().enumerate() {
             assert!(*idx < 5, "point {i} picked a pad column");
             assert!(d.is_finite() && *d < 0.0, "point {i}");

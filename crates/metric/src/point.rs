@@ -23,16 +23,6 @@ pub enum PointError {
         /// Length expected.
         expected: usize,
     },
-    /// A coordinate overflows the store's opt-in f32 mirror (its
-    /// magnitude exceeds `f32::MAX`, so the narrowed copy would be
-    /// infinite). Raised at ingest so the f32 kernels never see a
-    /// non-finite coordinate.
-    F32Overflow {
-        /// Index of the offending coordinate.
-        index: usize,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for PointError {
@@ -44,9 +34,6 @@ impl fmt::Display for PointError {
             }
             PointError::DimMismatch { got, expected } => {
                 write!(f, "dimension mismatch: {got} vs {expected}")
-            }
-            PointError::F32Overflow { index, value } => {
-                write!(f, "coordinate {index} overflows f32 storage: {value}")
             }
         }
     }

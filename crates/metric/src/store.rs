@@ -49,48 +49,16 @@ impl PointId {
     }
 }
 
-/// The opt-in f32 coordinate mirror streamed by [`Kernel::Tiled`]:
-/// rounded coordinates plus squared norms of the *rounded* values,
-/// f64-accumulated in [`batch::tile::dot_seq`] order.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct F32Mirror {
-    coords: Vec<f32>,
-    norms_sq: Vec<f64>,
-}
-
-impl F32Mirror {
-    /// Rounds and appends one row, validating that every coordinate stays
-    /// finite in f32.
-    fn push_row(&mut self, coords: &[f64]) -> Result<(), PointError> {
-        let start = self.coords.len();
-        for (index, &c) in coords.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            let r = c as f32;
-            if !r.is_finite() {
-                self.coords.truncate(start);
-                return Err(PointError::F32Overflow { index, value: c });
-            }
-            self.coords.push(r);
-        }
-        let row = &self.coords[start..];
-        self.norms_sq.push(batch::tile::dot_seq(row, row));
-        Ok(())
-    }
-}
-
 /// Contiguous structure-of-arrays storage for fixed-dimension Euclidean
 /// points: one flat coordinate buffer plus cached squared norms,
 /// accumulated in the canonical tiled order ([`batch::tile::dot_seq`]) so
 /// [`Kernel::Tiled`]'s `‖a‖² + ‖b‖² − 2a·b` cancels exactly for
-/// `a == b`. [`PointStore::try_enable_f32`] additionally maintains a
-/// rounded f32 coordinate mirror for the tiled kernel's bandwidth-bound
-/// regimes.
+/// `a == b`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointStore {
     dim: usize,
     coords: Vec<f64>,
     norms_sq: Vec<f64>,
-    f32_mirror: Option<F32Mirror>,
 }
 
 impl PointStore {
@@ -104,7 +72,6 @@ impl PointStore {
             dim,
             coords: Vec::new(),
             norms_sq: Vec::new(),
-            f32_mirror: None,
         }
     }
 
@@ -152,81 +119,12 @@ impl PointStore {
                 value: coords[index],
             });
         }
-        // Validate the f32 mirror first so a rejected push leaves the
-        // store untouched.
-        if let Some(mirror) = &mut self.f32_mirror {
-            mirror.push_row(coords)?;
-        }
         let id = PointId(self.norms_sq.len());
         self.coords.extend_from_slice(coords);
         // The cached norm uses the same summation order as the tiled dot
         // products, so `‖a‖² + ‖b‖² − 2a·b` cancels exactly for a == b.
         self.norms_sq.push(batch::tile::dot_seq(coords, coords));
         Ok(id)
-    }
-
-    /// Enables the f32 coordinate mirror for [`Kernel::Tiled`], rounding
-    /// every stored point (and all future pushes) to f32 — **opt-in,
-    /// never the default**. On success the tiled kernel streams half the
-    /// memory per sweep; distances then carry the one-time coordinate
-    /// rounding (relative error ~`f32::EPSILON` per coordinate) while all
-    /// accumulation stays f64. Idempotent when already enabled.
-    ///
-    /// Fails with [`PointError::F32Overflow`] — leaving the store exactly
-    /// as it was — if any existing coordinate's magnitude exceeds
-    /// `f32::MAX`, so the tiled kernel can never see a non-finite
-    /// coordinate.
-    pub fn try_enable_f32(&mut self) -> Result<(), PointError> {
-        if self.f32_mirror.is_some() {
-            return Ok(());
-        }
-        let mut mirror = F32Mirror {
-            coords: Vec::with_capacity(self.coords.len()),
-            norms_sq: Vec::with_capacity(self.norms_sq.len()),
-        };
-        for i in 0..self.len() {
-            mirror.push_row(self.coords(PointId(i)))?;
-        }
-        self.f32_mirror = Some(mirror);
-        Ok(())
-    }
-
-    /// `true` when the f32 mirror is enabled.
-    #[inline]
-    pub fn has_f32(&self) -> bool {
-        self.f32_mirror.is_some()
-    }
-
-    /// The f32 mirror's coordinate buffer and sequential-order squared
-    /// norms, when enabled.
-    #[inline]
-    pub fn f32_view(&self) -> Option<(&[f32], &[f64])> {
-        self.f32_mirror
-            .as_ref()
-            .map(|m| (m.coords.as_slice(), m.norms_sq.as_slice()))
-    }
-
-    /// The rounded f32 coordinates of point `id`.
-    ///
-    /// # Panics
-    /// Panics when the mirror is disabled or `id` is out of range.
-    #[inline]
-    pub fn coords_f32(&self, id: PointId) -> &[f32] {
-        let m = self.f32_mirror.as_ref().expect("f32 mirror not enabled");
-        &m.coords[id.0 * self.dim..(id.0 + 1) * self.dim]
-    }
-
-    /// The squared norm of point `id`'s *rounded* coordinates
-    /// (f64-accumulated, sequential order).
-    ///
-    /// # Panics
-    /// Panics when the mirror is disabled or `id` is out of range.
-    #[inline]
-    pub fn norm_sq_f32(&self, id: PointId) -> f64 {
-        self.f32_mirror
-            .as_ref()
-            .expect("f32 mirror not enabled")
-            .norms_sq[id.0]
     }
 
     /// Appends an existing [`Point`].
@@ -278,12 +176,6 @@ impl PointStore {
         &self.coords
     }
 
-    /// All cached squared norms, indexed by point.
-    #[inline]
-    pub fn raw_norms_sq(&self) -> &[f64] {
-        &self.norms_sq
-    }
-
     /// Materializes point `id` as an owned [`Point`].
     pub fn point(&self, id: PointId) -> Point {
         Point::new(self.coords(id).to_vec())
@@ -314,10 +206,6 @@ impl PointStore {
     pub fn truncate(&mut self, n: usize) {
         self.coords.truncate(n * self.dim);
         self.norms_sq.truncate(n);
-        if let Some(m) = &mut self.f32_mirror {
-            m.coords.truncate(n * self.dim);
-            m.norms_sq.truncate(n);
-        }
     }
 }
 
@@ -639,64 +527,5 @@ mod tests {
         assert_eq!(mask_row(&ids, 1), vec![PointId(7), PointId(9)]);
         assert_eq!(mask_row(&ids, 5), ids);
         assert!(mask_row(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn f32_mirror_is_idempotent_and_survives_truncate() {
-        let pts = cloud(9, 6, 3);
-        let mut store = PointStore::from_points(&pts);
-        assert!(!store.has_f32());
-        store.try_enable_f32().unwrap();
-        store.try_enable_f32().unwrap(); // idempotent
-        assert!(store.has_f32());
-        for i in 0..store.len() {
-            let id = PointId(i);
-            for (c64, c32) in store.coords(id).iter().zip(store.coords_f32(id)) {
-                assert_eq!(*c32, *c64 as f32);
-            }
-            // The mirror's norm is the sequential-order dot of the
-            // *rounded* row, accumulated in f64.
-            let norm: f64 = store
-                .coords_f32(id)
-                .iter()
-                .map(|&c| f64::from(c) * f64::from(c))
-                .sum();
-            assert_eq!(store.norm_sq_f32(id).to_bits(), norm.to_bits());
-        }
-        // Pushes after enabling keep the mirror in lockstep...
-        let id = store.try_push(&[1.5, -2.5, 3.5]).unwrap();
-        assert_eq!(store.coords_f32(id), &[1.5f32, -2.5, 3.5]);
-        // ...and truncate shrinks both representations together.
-        store.truncate(4);
-        assert_eq!(store.len(), 4);
-        let (coords32, norms32) = store.f32_view().unwrap();
-        assert_eq!(coords32.len(), 4 * 3);
-        assert_eq!(norms32.len(), 4);
-    }
-
-    #[test]
-    fn f32_mirror_rejects_overflowing_coordinates() {
-        // 1e39 is finite in f64 but rounds to +∞ in f32.
-        let mut store = PointStore::new(2);
-        store.try_push(&[1.0, 1e39]).unwrap();
-        assert!(matches!(
-            store.try_enable_f32(),
-            Err(PointError::F32Overflow { index: 1, .. })
-        ));
-        // A failed enable leaves the store fully usable in f64.
-        assert!(!store.has_f32());
-        assert_eq!(store.len(), 1);
-
-        // With the mirror live, an overflowing push is rejected whole:
-        // neither representation grows.
-        let mut store = PointStore::new(2);
-        store.try_push(&[0.0, 0.0]).unwrap();
-        store.try_enable_f32().unwrap();
-        assert!(matches!(
-            store.try_push(&[1e39, 0.0]),
-            Err(PointError::F32Overflow { index: 0, .. })
-        ));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.f32_view().unwrap().0.len(), 2);
     }
 }

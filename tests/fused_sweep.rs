@@ -5,7 +5,7 @@
 //! replaces: `gonzalez_indices`, then a `kcenter_cost` sweep for the
 //! radius, then a `nearest_each` sweep for the assignment. Both must pick
 //! the same centers and produce the same radius bits, nearest indices and
-//! distance bits under every kernel, lane count and storage mode — and
+//! distance bits under every kernel and lane count — and
 //! when the fusability rule sends a size to the separate sweep, the
 //! counts must still agree across kernels.
 
@@ -38,13 +38,10 @@ fn lattice(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn store_of(rows: &[Vec<f64>], f32_storage: bool) -> PointStore {
+fn store_of(rows: &[Vec<f64>]) -> PointStore {
     let mut store = PointStore::new(rows[0].len());
     for r in rows {
         store.push(r);
-    }
-    if f32_storage {
-        store.try_enable_f32().unwrap();
     }
     store
 }
@@ -105,7 +102,7 @@ fn fused(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
     }
 }
 
-/// Runs both paths over every kernel × lanes {1, 4} × f64/f32 storage
+/// Runs both paths over every kernel × lanes {1, 4}
 /// and checks bits, counts, and the fused count `n·|C|` (or `2·n·|C|`
 /// when the sizes are not fusable), returning whether the size fused.
 fn check(name: &str, data: &[Vec<f64>], k: usize) -> bool {
@@ -113,27 +110,22 @@ fn check(name: &str, data: &[Vec<f64>], k: usize) -> bool {
     let (n, dim) = (data.len(), data[0].len());
     let mut counts = Vec::new();
     let mut fuses = None;
-    for f32_storage in [false, true] {
-        let store = store_of(data, f32_storage);
-        for kernel in Kernel::ALL {
-            for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
-                let want = reference(&store, k, kernel, exec);
-                let got = fused(&store, k, kernel, exec);
-                let tag = format!(
-                    "{name} {kernel:?} f32={f32_storage} par={}",
-                    exec.is_parallel()
-                );
-                assert_eq!(got.centers, want.centers, "{tag}: centers");
-                assert_eq!(got.radius_bits, want.radius_bits, "{tag}: radius");
-                assert_eq!(got.nearest, want.nearest, "{tag}: nearest");
-                let c = got.centers.len();
-                let fusable = tracking_fuses(n, c, dim);
-                fuses = Some(fusable);
-                let nc = (n * c) as u64;
-                assert_eq!(want.evals, 3 * nc, "{tag}: reference count");
-                assert_eq!(got.evals, if fusable { nc } else { 2 * nc }, "{tag}");
-                counts.push(got.evals);
-            }
+    let store = store_of(data);
+    for kernel in Kernel::ALL {
+        for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
+            let want = reference(&store, k, kernel, exec);
+            let got = fused(&store, k, kernel, exec);
+            let tag = format!("{name} {kernel:?} par={}", exec.is_parallel());
+            assert_eq!(got.centers, want.centers, "{tag}: centers");
+            assert_eq!(got.radius_bits, want.radius_bits, "{tag}: radius");
+            assert_eq!(got.nearest, want.nearest, "{tag}: nearest");
+            let c = got.centers.len();
+            let fusable = tracking_fuses(n, c, dim);
+            fuses = Some(fusable);
+            let nc = (n * c) as u64;
+            assert_eq!(want.evals, 3 * nc, "{tag}: reference count");
+            assert_eq!(got.evals, if fusable { nc } else { 2 * nc }, "{tag}");
+            counts.push(got.evals);
         }
     }
     assert!(
@@ -172,7 +164,7 @@ fn fewer_distinct_points_than_k_take_the_early_break() {
     let distinct = rows(8, 5, 8, 10.0);
     let data: Vec<Vec<f64>> = (0..2500).map(|i| distinct[i % 5].clone()).collect();
     assert!(check("5 distinct of 2500, d=8", &data, 12));
-    let store = store_of(&data, false);
+    let store = store_of(&data);
     let run = fused(&store, 12, Kernel::Tiled, Exec::sequential());
     assert_eq!(run.centers.len(), 5);
     assert_eq!(f64::from_bits(run.radius_bits), 0.0);
@@ -203,22 +195,20 @@ fn equidistant_centers_tie_toward_the_lower_index_across_panels() {
     for i in 0..4096 {
         data.push(unit(1, (i % 64) as f64 * 0.25));
     }
-    for f32_storage in [false, true] {
-        let store = store_of(&data, f32_storage);
-        let ids = store.ids();
-        let centers: Vec<PointId> = ids[..8].to_vec();
-        for kernel in Kernel::ALL {
-            let mut tracked = vec![Tracked::START; ids.len()];
-            for (c, &center) in centers.iter().enumerate() {
-                batch::dists_to_set_min_tracked(&store, &ids, center, c, kernel, SEQ, &mut tracked);
-            }
-            let nearest = batch::tracked_nearest(&store, &tracked, centers.len(), kernel)
-                .expect("4104 rows at d = 8 fuse");
-            let mut want = vec![(0usize, 0.0f64); ids.len()];
-            batch::nearest_center_each(&store, &ids, &centers, None, kernel, SEQ, &mut want);
-            assert_eq!(bits(&nearest), bits(&want), "{kernel:?} f32={f32_storage}");
-            assert!(nearest[8..].iter().all(|&(i, _)| i == 3), "{kernel:?}");
+    let store = store_of(&data);
+    let ids = store.ids();
+    let centers: Vec<PointId> = ids[..8].to_vec();
+    for kernel in Kernel::ALL {
+        let mut tracked = vec![Tracked::START; ids.len()];
+        for (c, &center) in centers.iter().enumerate() {
+            batch::dists_to_set_min_tracked(&store, &ids, center, c, kernel, SEQ, &mut tracked);
         }
+        let nearest = batch::tracked_nearest(&store, &tracked, centers.len(), kernel)
+            .expect("4104 rows at d = 8 fuse");
+        let mut want = vec![(0usize, 0.0f64); ids.len()];
+        batch::nearest_center_each(&store, &ids, &centers, None, kernel, SEQ, &mut want);
+        assert_eq!(bits(&nearest), bits(&want), "{kernel:?}");
+        assert!(nearest[8..].iter().all(|&(i, _)| i == 3), "{kernel:?}");
     }
 }
 
@@ -227,7 +217,7 @@ fn tracked_passes_match_the_plain_min_update_bitwise() {
     // The greedy's picks rest on `min` tightening exactly like
     // `dists_to_set_min`, pass for pass.
     let data = rows(9, 3000, 16, 5.0);
-    let store = store_of(&data, false);
+    let store = store_of(&data);
     let ids = store.ids();
     for kernel in Kernel::ALL {
         let mut tracked = vec![Tracked::START; ids.len()];

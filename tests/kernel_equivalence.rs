@@ -12,10 +12,6 @@
 //! * `Tiled` agrees with `Scalar` on centers and costs
 //!   within `1e-9` and on assignments exactly (random instances have no
 //!   knife-edge ties at kernel rounding scale);
-//! * with the opt-in f32 storage mirror, `Tiled` agrees with `Scalar`
-//!   within the f32 rounding bound documented at
-//!   `PointStore::try_enable_f32` (coordinates round once at ingest;
-//!   accumulation stays f64);
 //! * nearest-center ties break toward the lowest index under every
 //!   kernel, including tied centers straddling tile-panel boundaries;
 //! * the per-stage `Report.distance_evals` counters are **identical**
@@ -224,64 +220,13 @@ fn coords(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect()
 }
 
-/// Builds a store, additionally enabling the f32 mirror when CI's
-/// determinism matrix sets `UKC_TEST_STORAGE=f32`. The tests using this
-/// helper assert storage-independent properties (tie-breaking, pair
-/// counts), so they must pass identically either way — only the tiled
-/// kernel even reads the mirror.
+/// Builds a store of `n` seeded unit-box points.
 fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     let mut store = PointStore::new(dim);
     for row in coords(seed, n, dim) {
         store.try_push(&row).unwrap();
     }
-    if std::env::var("UKC_TEST_STORAGE").as_deref() == Ok("f32") {
-        store.try_enable_f32().unwrap();
-    }
     store
-}
-
-/// With the opt-in f32 mirror, the tiled kernel agrees with the scalar
-/// f64 reference within the f32 rounding bound: coordinates round once
-/// at ingest (relative error ≤ `f32::EPSILON / 2` per coordinate) and
-/// accumulation stays f64, so for unit-box coordinates the distance
-/// error is bounded by a few `f32::EPSILON · √d`. The instance is large
-/// enough (`n·d ≥ FACTORIZED_MIN_WORK`) that the tiled path genuinely
-/// engages rather than falling back to scalar.
-#[test]
-fn tiled_f32_storage_matches_scalar_within_f32_bound() {
-    let (n, dim) = (1_500, 16);
-    let mut store = store_of(77, n, dim);
-    store.try_enable_f32().unwrap();
-    assert!(store.has_f32());
-
-    let ids: Vec<PointId> = (0..n).map(PointId).collect();
-    let q = PointId(n - 1);
-    let scalar = StoreOracle::new(&store, Kernel::Scalar);
-    let tiled = StoreOracle::new(&store, Kernel::Tiled);
-    let mut want = vec![0.0; n];
-    let mut got = vec![0.0; n];
-    scalar.dists_to_one(&ids, &q, &mut want);
-    tiled.dists_to_one(&ids, &q, &mut got);
-    // Unit box, d = 16: distances are ≤ 4, squared-space f32 rounding
-    // contributes ≲ 8·ε₃₂ per pair; 1e-5·(1+d) leaves slack without
-    // masking a broken mirror (f64-vs-f64 would be ~1e-16, a *stale*
-    // mirror ~1e-1).
-    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-        assert!(
-            (w - g).abs() <= 1e-5 * (1.0 + w),
-            "point {i}: scalar {w} vs tiled-f32 {g}"
-        );
-    }
-
-    // Exact duplicates still cancel exactly: both coordinates round to
-    // the same f32 row, and the sequential-order norm matches the
-    // sequential-order dot bit for bit.
-    let mut dup_store = PointStore::new(3);
-    let a = dup_store.try_push(&[0.1, 0.2, 0.3]).unwrap();
-    let b = dup_store.try_push(&[0.1, 0.2, 0.3]).unwrap();
-    dup_store.try_enable_f32().unwrap();
-    let d = ukc_metric::batch::pair_dist(&dup_store, a, b, Kernel::Tiled);
-    assert_eq!(d, 0.0);
 }
 
 /// Nearest-center ties break toward the lowest index under every

@@ -5,9 +5,8 @@
 //! raw distance. This suite pins its contract against the plain mode:
 //!
 //! * **w = 0 is bit-identical to plain** — for both kernels (`Scalar`,
-//!   `Tiled`) and both storage modes (the CI determinism
-//!   matrix re-runs this file with `UKC_TEST_STORAGE=f32`), a weighted
-//!   sweep with all-zero weights produces exactly the plain sweep's
+//!   `Tiled`), a weighted sweep with all-zero weights produces exactly
+//!   the plain sweep's
 //!   bits, and an all-certain instance (every spread zero) solves to
 //!   exactly the plain solution;
 //! * weighted `Tiled` agrees with weighted `Scalar` within
@@ -51,18 +50,11 @@ fn coords(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect()
 }
 
-/// Builds a store, additionally enabling the f32 mirror when CI's
-/// determinism matrix sets `UKC_TEST_STORAGE=f32`. Every property in
-/// this file must hold identically either way: plain and weighted
-/// sweeps read the *same* storage, so w = 0 bit-identity is
-/// storage-independent by construction.
+/// Builds a store of `n` seeded unit-box points.
 fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     let mut store = PointStore::new(dim);
     for row in coords(seed, n, dim) {
         store.try_push(&row).unwrap();
-    }
-    if std::env::var("UKC_TEST_STORAGE").as_deref() == Ok("f32") {
-        store.try_enable_f32().unwrap();
     }
     store
 }
@@ -236,18 +228,11 @@ fn weighted_pair_evaluation_counts_are_identical() {
 
 /// Weighted `Tiled` agrees with weighted `Scalar` within
 /// `1e-9` on distances and exactly on argmin indices, with nonzero
-/// weights in play. This is an f64-arithmetic contract, so the store is
-/// built without the f32 mirror regardless of the CI storage matrix
-/// (the mirror's documented bound is the looser one pinned in
-/// `kernel_equivalence.rs`); every other test in this file is
-/// storage-independent and runs under both modes.
+/// weights in play.
 #[test]
 fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let (n, dim, k) = (700, 8, 9);
-    let mut store = PointStore::new(dim);
-    for row in coords(37, n, dim) {
-        store.try_push(&row).unwrap();
-    }
+    let store = store_of(37, n, dim);
     let points: Vec<PointId> = (0..n - k).map(PointId).collect();
     let centers: Vec<PointId> = (n - k..n).map(PointId).collect();
     let w = weights_of(5, k);
