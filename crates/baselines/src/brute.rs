@@ -20,6 +20,7 @@
 
 use ukc_core::assignments::{assign_ed, assign_ep, assign_oc, AssignmentRule};
 use ukc_metric::{DistanceOracle, Point};
+use ukc_pool::Exec;
 use ukc_uncertain::{ecost_assigned, expected_distance, one_center_discrete, UncertainSet};
 
 /// Effort limits for the brute-force solvers.
@@ -90,7 +91,7 @@ fn for_each_subset(m: usize, k: usize, budget: u64, mut f: impl FnMut(&[usize]))
 /// large). For the `EP`/`OC` rules the representatives needed by the rule
 /// are recomputed per call from the set (expected points via the Euclidean
 /// structure, 1-centers via the candidate pool).
-pub fn brute_force_restricted<M: DistanceOracle<Point>>(
+pub fn brute_force_restricted<M: DistanceOracle<Point> + Sync>(
     set: &UncertainSet<Point>,
     candidates: &[Point],
     k: usize,
@@ -116,7 +117,9 @@ pub fn brute_force_restricted<M: DistanceOracle<Point>>(
     let complete = for_each_subset(candidates.len(), k, limits.max_center_sets, |idx| {
         let centers: Vec<Point> = idx.iter().map(|&i| candidates[i].clone()).collect();
         let assignment = match rule {
-            AssignmentRule::ExpectedDistance => assign_ed(set, &centers, metric),
+            AssignmentRule::ExpectedDistance => {
+                assign_ed(set, &centers, None, metric, Exec::sequential())
+            }
             AssignmentRule::ExpectedPoint => assign_ep(set, &centers, metric),
             AssignmentRule::OneCenter => assign_oc(
                 set,

@@ -5,6 +5,7 @@ use rand::SeedableRng;
 use ukc_core::assignments::{assign_ed, AssignmentRule};
 use ukc_kcenter::gonzalez;
 use ukc_metric::{DistanceOracle, Euclidean, Point};
+use ukc_pool::Exec;
 use ukc_uncertain::{ecost_assigned, mode_location, sample_realization, UncertainSet};
 
 /// A baseline's output: centers, ED assignment, and exact expected cost.
@@ -18,14 +19,14 @@ pub struct BaselineSolution<P> {
     pub ecost: f64,
 }
 
-fn finish<P: Clone, M: DistanceOracle<P>>(
+fn finish<P: Clone + Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: Vec<P>,
     metric: &M,
 ) -> BaselineSolution<P> {
     // All baselines use the ED assignment so differences come from the
     // center choice alone.
-    let assignment = assign_ed(set, &centers, metric);
+    let assignment = assign_ed(set, &centers, None, metric, Exec::sequential());
     let ecost = ecost_assigned(set, &centers, &assignment, metric);
     BaselineSolution {
         centers,
@@ -37,7 +38,7 @@ fn finish<P: Clone, M: DistanceOracle<P>>(
 /// Mode baseline: replace every uncertain point by its most likely
 /// location, run Gonzalez. Ignores all probability mass except the mode —
 /// the ablation-A2 strawman.
-pub fn mode_baseline<P: Clone, M: DistanceOracle<P>>(
+pub fn mode_baseline<P: Clone + Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     k: usize,
     metric: &M,
@@ -50,7 +51,7 @@ pub fn mode_baseline<P: Clone, M: DistanceOracle<P>>(
 /// All-locations baseline: treat every location of every point as a
 /// certain point (ignoring probabilities) and run Gonzalez with `k`
 /// centers over the inflated set.
-pub fn all_locations_baseline<P: Clone, M: DistanceOracle<P>>(
+pub fn all_locations_baseline<P: Clone + Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     k: usize,
     metric: &M,

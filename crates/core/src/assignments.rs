@@ -53,59 +53,33 @@ fn ed_argmin<P, M: DistanceOracle<P>>(
     best
 }
 
-/// The sequential ED sweep behind every entry point below.
-fn assign_ed_seq<P, M: DistanceOracle<P>>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    weights: Option<&[f64]>,
-    metric: &M,
-) -> Vec<usize> {
-    assert!(!centers.is_empty(), "need at least one center");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), centers.len(), "one weight per center");
-    }
-    set.iter()
-        .map(|up| ed_argmin(up, centers, weights, metric))
-        .collect()
-}
-
 /// Expected-distance assignment: each point goes to
-/// `argmin_c E d(Pᵢ, c)`. O(n·z·k) distance evaluations.
-///
-/// # Panics
-/// Panics when `centers` is empty.
-pub fn assign_ed<P, M: DistanceOracle<P>>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    metric: &M,
-) -> Vec<usize> {
-    assign_ed_seq(set, centers, None, metric)
-}
-
-/// [`assign_ed`] with optional additive center weights and an execution
-/// context. With `weights`, each point goes to
-/// `argmin_c (E d(Pᵢ, c) − w_c)`, the same O(n·z·k) distance-eval count
-/// as the plain rule. Points are assigned in block-parallel chunks on
-/// the pool. Each point's argmin is computed by the exact sequential
-/// arithmetic, so the assignment — and the distance-eval count — is
-/// identical for every `exec`.
+/// `argmin_c E d(Pᵢ, c)`, or with additive center `weights` to
+/// `argmin_c (E d(Pᵢ, c) − w_c)`. O(n·z·k) distance evaluations either
+/// way. Points are assigned in block-parallel chunks on `exec`
+/// ([`Exec::sequential`] runs one loop). Each point's argmin is computed
+/// by the exact sequential arithmetic, so the assignment — and the
+/// distance-eval count — is identical for every `exec`.
 ///
 /// # Panics
 /// Panics when `centers` is empty or `weights` has a length other than
 /// `centers.len()`.
-pub fn assign_ed_exec<P: Sync, M: DistanceOracle<P> + Sync>(
+pub fn assign_ed<P: Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: &[P],
     weights: Option<&[f64]>,
     metric: &M,
     exec: Exec<'_>,
 ) -> Vec<usize> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assign_ed_seq(set, centers, weights, metric);
-    }
     assert!(!centers.is_empty(), "need at least one center");
     if let Some(w) = weights {
         assert_eq!(w.len(), centers.len(), "one weight per center");
+    }
+    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
+        return set
+            .iter()
+            .map(|up| ed_argmin(up, centers, weights, metric))
+            .collect();
     }
     let mut out = vec![0usize; set.n()];
     ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
@@ -180,7 +154,10 @@ mod tests {
     fn ed_assigns_to_nearest_in_expectation() {
         let s = set_two_groups();
         let centers = vec![Point::scalar(1.0), Point::scalar(11.0)];
-        assert_eq!(assign_ed(&s, &centers, &Euclidean), vec![0, 1]);
+        assert_eq!(
+            assign_ed(&s, &centers, None, &Euclidean, Exec::sequential()),
+            vec![0, 1]
+        );
     }
 
     #[test]
@@ -216,7 +193,7 @@ mod tests {
         // E d to A ≈ 10.0; E d to B = 0.5*20 + 0 = 10.0 — construct a
         // sharper case: move B slightly toward the midpoint.
         let centers2 = vec![Point::new(vec![0.0, 5.0]), Point::new(vec![9.0, 0.0])];
-        let ed = assign_ed(&s, &centers2, &Euclidean);
+        let ed = assign_ed(&s, &centers2, None, &Euclidean, Exec::sequential());
         let ep2 = assign_ep(&s, &centers2, &Euclidean);
         // E d to A = sqrt(125) ≈ 11.18; E d to B = 0.5*19 + 0.5*1 = 10.
         assert_eq!(ed, vec![1]);
@@ -230,13 +207,13 @@ mod tests {
         let centers = vec![Point::scalar(1.0), Point::scalar(11.0)];
         let zeros = vec![0.0; centers.len()];
         assert_eq!(
-            assign_ed_exec(&s, &centers, Some(&zeros), &Euclidean, Exec::sequential()),
-            assign_ed(&s, &centers, &Euclidean)
+            assign_ed(&s, &centers, Some(&zeros), &Euclidean, Exec::sequential()),
+            assign_ed(&s, &centers, None, &Euclidean, Exec::sequential())
         );
         // A big credit on center 1 pulls everyone over.
         let heavy = vec![0.0, 100.0];
         assert_eq!(
-            assign_ed_exec(&s, &centers, Some(&heavy), &Euclidean, Exec::sequential()),
+            assign_ed(&s, &centers, Some(&heavy), &Euclidean, Exec::sequential()),
             vec![1, 1]
         );
     }
@@ -245,7 +222,10 @@ mod tests {
     fn ties_break_to_lower_index() {
         let s = UncertainSet::new(vec![UncertainPoint::certain(Point::scalar(0.0))]);
         let centers = vec![Point::scalar(1.0), Point::scalar(-1.0)];
-        assert_eq!(assign_ed(&s, &centers, &Euclidean), vec![0]);
+        assert_eq!(
+            assign_ed(&s, &centers, None, &Euclidean, Exec::sequential()),
+            vec![0]
+        );
         assert_eq!(assign_ep(&s, &centers, &Euclidean), vec![0]);
         let reps = vec![Point::scalar(0.0)];
         assert_eq!(assign_oc(&s, &centers, &reps, &Euclidean), vec![0]);
@@ -255,6 +235,6 @@ mod tests {
     #[should_panic(expected = "at least one center")]
     fn empty_centers_panic() {
         let s = set_two_groups();
-        let _ = assign_ed(&s, &[], &Euclidean);
+        let _ = assign_ed(&s, &[], None, &Euclidean, Exec::sequential());
     }
 }

@@ -56,9 +56,7 @@
 
 use ukc_kcenter::gonzalez;
 use ukc_metric::batch::dist_sq_scalar;
-use ukc_metric::{
-    DistanceOracle, Euclidean, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
-};
+use ukc_metric::{DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
 use ukc_uncertain::{expected_point, one_center_discrete, UncertainSet};
 
@@ -90,41 +88,19 @@ pub fn lower_bound_one_center<P, M: Metric<P>>(set: &UncertainSet<P>, metric: &M
 }
 
 /// Certified lower bound on the optimal expected cost of any assigned
-/// k-center solution in Euclidean space.
+/// k-center solution in Euclidean space: the bound a solve under
+/// [`Kernel::Scalar`] reports, computed over the same store layout.
+///
+/// # Panics
+/// Panics when locations have mismatched dimensions.
 pub fn lower_bound_euclidean(set: &UncertainSet<Point>, k: usize) -> f64 {
-    lower_bound_euclidean_counted(set, k).0
-}
-
-/// [`lower_bound_euclidean`] plus the distance evaluations of its
-/// per-point half (its certain half runs through the uncounted
-/// [`Euclidean`] metric).
-pub(crate) fn lower_bound_euclidean_counted(set: &UncertainSet<Point>, k: usize) -> (f64, u64) {
-    let reps: Vec<Point> = set.iter().map(expected_point).collect();
-    let certain = if k == 0 {
-        0.0
-    } else {
-        gonzalez(&reps, k, &Euclidean, 0).radius / 2.0
-    };
-    let flat: Vec<Vec<f64>> = set
+    let (mut store, set_ids) = set.indexed_store(set.n());
+    let pbar: Vec<PointId> = set
         .iter()
-        .map(|up| {
-            up.locations()
-                .iter()
-                .flat_map(|loc| loc.coords().iter().copied())
-                .collect()
-        })
+        .map(|up| store.push_point(&expected_point(up)))
         .collect();
-    let supports: Vec<Support<'_>> = set
-        .iter()
-        .zip(&flat)
-        .zip(&reps)
-        .map(|((up, locs), rep)| Support {
-            locs,
-            probs: up.probs(),
-            center: rep.coords(),
-        })
-        .collect();
-    per_point_bound(&supports, certain)
+    let certain = certain_half_store(&store, &pbar, k, Kernel::Scalar, Exec::sequential());
+    per_point_store(&store, &set_ids, &store, &pbar, certain).0
 }
 
 /// The certain half `gonzalez_radius(P̄)/2` of the Euclidean bound over
@@ -453,7 +429,7 @@ pub fn lower_bound_metric<P: Clone, M: DistanceOracle<P>>(
 mod tests {
     use super::*;
     use crate::{AssignmentRule, Problem, Solution, SolverConfig};
-    use ukc_metric::FiniteMetric;
+    use ukc_metric::{Euclidean, FiniteMetric};
     use ukc_uncertain::generators::{clustered, on_finite_metric, uniform_box, ProbModel};
     use ukc_uncertain::UncertainSet;
 
@@ -463,6 +439,25 @@ mod tests {
             .lower_bound(false)
             .build()
             .unwrap()
+    }
+
+    /// The Euclidean bound and its distance evaluations, as a scalar-kernel
+    /// expected-point solve reports them.
+    fn counted_bound(set: &UncertainSet<Point>, k: usize) -> (f64, u64) {
+        let config = SolverConfig::builder()
+            .rule(AssignmentRule::ExpectedPoint)
+            .kernel(Kernel::Scalar)
+            .build()
+            .unwrap();
+        let report = Problem::euclidean(set.clone(), k)
+            .unwrap()
+            .solve(&config)
+            .unwrap()
+            .report;
+        (
+            report.lower_bound.expect("bound requested"),
+            report.distance_evals.lower_bound,
+        )
     }
 
     fn solve_eu(set: &UncertainSet<Point>, k: usize, rule: AssignmentRule) -> Solution<Point> {
@@ -654,7 +649,7 @@ mod tests {
         // below the certain half, so no point is refined.
         for seed in 0..4u64 {
             let set = clustered(seed, 60, 4, 3, 8, 40.0, 0.5, ProbModel::Random);
-            let (lb, evals) = lower_bound_euclidean_counted(&set, 4);
+            let (lb, evals) = counted_bound(&set, 4);
             assert_eq!(evals, set.total_locations() as u64, "seed {seed}");
             let old = seed_lower_bound_euclidean(&set, 4);
             assert_eq!(lb.to_bits(), old.to_bits(), "seed {seed}");
@@ -666,7 +661,7 @@ mod tests {
         // k = n zeroes the certain half, so the per-point half decides.
         for seed in 0..8u64 {
             let set = uniform_box(seed, 12, 4, 3, 30.0, 6.0, ProbModel::Random);
-            let (lb, evals) = lower_bound_euclidean_counted(&set, 12);
+            let (lb, evals) = counted_bound(&set, 12);
             let old = seed_lower_bound_euclidean(&set, 12);
             assert!(lb <= old, "seed {seed}: {lb} above the attained {old}");
             assert!(lb >= old * (1.0 - 1e-11), "seed {seed}: {lb} vs {old}");
@@ -684,7 +679,7 @@ mod tests {
         ];
         let up = UncertainPoint::new(locs, vec![0.7, 0.2, 0.1]).unwrap();
         let set = UncertainSet::new(vec![up]);
-        let (lb, evals) = lower_bound_euclidean_counted(&set, 1);
+        let (lb, evals) = counted_bound(&set, 1);
         // min f = f(u₀) = 0.2·10 + 0.1·10 = 3.
         assert!((3.0 * (1.0 - 1e-12)..=3.0).contains(&lb), "lb {lb}");
         assert!(evals <= 4 * 3, "the exact probe should settle it: {evals}");

@@ -34,6 +34,25 @@ pub enum SolveError {
         /// Dimension of the instance's first location.
         expected: usize,
     },
+    /// A location's squared norm `‖x‖²` exceeds
+    /// [`crate::MAX_NORM_SQ`] `= 2^1000` (a coordinate of `1e150` passes
+    /// in one dimension, `1e155` does not).
+    ///
+    /// The bound keeps every squared norm and squared distance finite
+    /// under both kernels. With `‖x‖² ≤ B` for every location, each
+    /// representative (`P̄ᵢ`, `P̃ᵢ`) lies in the hull of its point's
+    /// locations, so `‖x‖² ≤ B` holds for it too. For two such points the
+    /// scalar kernel's `Σ (aᵢ − bᵢ)²` is at most
+    /// `(‖a‖ + ‖b‖)² ≤ 4B`, and so is every partial sum. The tiled
+    /// kernel's `‖a‖² + ‖b‖² − 2a·b` has terms and partial sums bounded by
+    /// `4B` too (`|a·b| ≤ ‖a‖‖b‖`). `4B = 2^1002` sits a factor `2^22`
+    /// below `f64::MAX`, which also covers rounding and the grid
+    /// strategy's synthesized centers, which lie at most one grid spacing
+    /// outside the representatives' bounding box.
+    CoordinatesTooLarge {
+        /// Index of the uncertain point carrying the offending location.
+        point: usize,
+    },
     /// The assignment rule is not defined in the problem's space (e.g.
     /// the expected-point rule in a general metric space, where no
     /// expected point exists).
@@ -91,6 +110,13 @@ impl std::fmt::Display for SolveError {
                 write!(
                     f,
                     "point {point} has a location of dimension {got}, expected {expected}"
+                )
+            }
+            SolveError::CoordinatesTooLarge { point } => {
+                write!(
+                    f,
+                    "point {point} has a location whose squared norm exceeds 2^1000; \
+                     distances between such coordinates overflow"
                 )
             }
             SolveError::RuleUnsupported { rule, space } => {

@@ -74,8 +74,8 @@ use ukc_uncertain::{
 };
 
 /// The warm fast path supports exactly the pipeline whose structure it
-/// reuses: expected-point assignment over Gonzalez centers in a
-/// coordinate-backed Euclidean space.
+/// reuses: expected-point assignment over Gonzalez centers in Euclidean
+/// space.
 fn warm_supported(problem: &Problem<Point>, config: &SolverConfig) -> Option<&'static str> {
     if config.rule() != AssignmentRule::ExpectedPoint
         || config.strategy() != CertainStrategy::Gonzalez
@@ -87,31 +87,6 @@ fn warm_supported(problem: &Problem<Point>, config: &SolverConfig) -> Option<&'s
         return Some("space_unsupported");
     }
     None
-}
-
-/// Pushes every realization location of `set` into a fresh store and
-/// mirrors the set into id space, or `None` when the coordinates are
-/// unusable (zero/mixed dimensions, non-finite values) — mirroring the
-/// probe of the cold store path.
-fn build_id_set(
-    set: &UncertainSet<Point>,
-    dim: usize,
-    extra_rows: usize,
-) -> Option<(PointStore, UncertainSet<PointId>)> {
-    if dim == 0 {
-        return None;
-    }
-    let mut store = PointStore::with_capacity(dim, set.total_locations() + extra_rows);
-    let mut id_points: Vec<UncertainPoint<PointId>> = Vec::with_capacity(set.n());
-    for up in set.iter() {
-        let mut ids = Vec::with_capacity(up.z());
-        for loc in up.locations() {
-            ids.push(store.try_push(loc.coords()).ok()?);
-        }
-        let mut next = ids.into_iter();
-        id_points.push(up.map_locations(|_| next.next().expect("one id per location")));
-    }
-    Some((store, UncertainSet::new(id_points)))
 }
 
 impl Solution<Point> {
@@ -219,24 +194,11 @@ fn warm_attempt(
         return Err("centers_not_representatives");
     }
 
-    let (mut store, set_ids) =
-        build_id_set(set, reps[0].dim(), n + k).ok_or("store_unavailable")?;
-    let mut rep_ids = Vec::with_capacity(n);
-    for rep in &reps {
-        rep_ids.push(
-            store
-                .try_push(rep.coords())
-                .map_err(|_| "store_unavailable")?,
-        );
-    }
-    let mut center_ids = Vec::with_capacity(k);
-    for c in &prior.centers {
-        center_ids.push(
-            store
-                .try_push(c.coords())
-                .map_err(|_| "store_unavailable")?,
-        );
-    }
+    // The prefix and the appended rows, then the representatives and the
+    // reused centers, laid out as a cold solve lays out its store.
+    let (mut store, set_ids) = set.indexed_store(n + k);
+    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
+    let center_ids: Vec<PointId> = prior.centers.iter().map(|c| store.push_point(c)).collect();
     report.timings.representatives = t.elapsed();
 
     let counter = DistCounter::new();
@@ -425,9 +387,9 @@ pub fn solve_loo(problem: &Problem<Point>, config: &SolverConfig) -> Result<LooR
     solve_loo_general(problem, config, base)
 }
 
-/// The shared-store fast path of [`solve_loo`]; `None` when the
-/// coordinates cannot back a store or the base solution does not have
-/// the Gonzalez shape (centers drawn from the representatives).
+/// The shared-store fast path of [`solve_loo`]; `None` when the base
+/// solution does not have the Gonzalez shape (centers drawn from the
+/// representatives).
 fn solve_loo_store(
     problem: &Problem<Point>,
     config: &SolverConfig,
@@ -441,11 +403,8 @@ fn solve_loo_store(
         return None;
     }
 
-    let (mut store, set_ids) = build_id_set(set, reps[0].dim(), n)?;
-    let mut rep_ids = Vec::with_capacity(n);
-    for rep in reps {
-        rep_ids.push(store.try_push(rep.coords()).ok()?);
-    }
+    let (mut store, set_ids) = set.indexed_store(n);
+    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
 
     // Rows that could have been chosen as centers. Coordinate-duplicate
     // rows are conservatively included: re-solving one costs a little,

@@ -27,6 +27,11 @@
 //! 4. report the *exact* expected cost of the result (via
 //!    `ukc_uncertain::ecost_assigned`).
 //!
+//! A Euclidean problem runs every stage over one coordinate store through
+//! the batched distance kernels of `ukc_metric` ([`SolverConfig::kernel`]);
+//! a general-metric problem runs them pointwise through its metric,
+//! counted by [`CountingMetric`].
+//!
 //! ```
 //! use ukc_core::{AssignmentRule, Problem, SolverConfig};
 //! use ukc_uncertain::generators::{clustered, ProbModel};
@@ -75,7 +80,7 @@ pub mod one_center;
 pub mod problem;
 pub mod report;
 
-pub use assignments::{assign_ed, assign_ed_exec, assign_ep, assign_oc, AssignmentRule};
+pub use assignments::{assign_ed, assign_ep, assign_oc, AssignmentRule};
 pub use bounds::{lower_bound_euclidean, lower_bound_metric, lower_bound_one_center};
 pub use config::{
     AssignmentMode, CandidatePolicy, CertainStrategy, SolverConfig, SolverConfigBuilder,
@@ -85,7 +90,7 @@ pub use error::SolveError;
 pub use incremental::{solve_loo, LooReport, LooVariant};
 pub use one_center::{expected_point_one_center, reference_one_center};
 pub use problem::{
-    solve_batch, solve_batch_threads, validate_k, ContinuousSpace, CostDistances, EuclideanSpace,
-    Problem, Solution,
+    solve_batch, solve_batch_threads, validate_k, validate_locations, CostDistances, Problem,
+    Solution, MAX_NORM_SQ,
 };
 pub use report::{CountingMetric, DistanceEvals, Report, StageTimings, WarmStats};

@@ -33,7 +33,7 @@ pub fn expected_point_one_center(set: &UncertainSet<Point>, anchor: usize) -> (P
     // this reports bit-identical costs to the historical implementation.
     // The per-call store build is O(N·d), strictly below the O(N log N)
     // exact-cost sweep it feeds, so rebuilding per anchor stays cheap.
-    let (mut store, set_ids) = set.indexed_store();
+    let (mut store, set_ids) = set.indexed_store(1);
     let center_id = store.push_point(&center);
     let oracle = StoreOracle::new(&store, Kernel::Scalar);
     let cost = ecost_unassigned(&set_ids, std::slice::from_ref(&center_id), &oracle);

@@ -1,13 +1,13 @@
 //! The unified `Problem` / `Solution` solve path.
 //!
 //! A [`Problem`] is a validated request: an uncertain set, `k`, and the
-//! space solved in — either a continuous space with representative
-//! constructions ([`ContinuousSpace`], with [`EuclideanSpace`] as the
-//! paper's instance) or a general metric space with a discrete candidate
-//! pool. A [`crate::SolverConfig`] picks the pipeline variant. Solving
-//! never panics on user input: every rejection is a typed
-//! [`SolveError`], and every success is a [`Solution`] carrying its own
-//! instrumentation [`Report`].
+//! space solved in — either Euclidean `ℝ^d` ([`Problem::euclidean`],
+//! solved over one coordinate store through the batched distance
+//! kernels) or a general metric space with a discrete candidate pool
+//! ([`Problem::in_metric`]). A [`crate::SolverConfig`] picks the pipeline
+//! variant. Solving never panics on user input: every rejection is a
+//! typed [`SolveError`], and every success is a [`Solution`] carrying its
+//! own instrumentation [`Report`].
 //!
 //! The pipeline is the paper's in all cases (Theorems 2.2–2.7):
 //! representatives → certain k-center → assignment rule → exact expected
@@ -28,159 +28,37 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::assignments::{assign_ed, assign_ed_exec, assign_oc, AssignmentRule};
+use crate::assignments::{assign_ed, assign_oc, AssignmentRule};
 use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConfig};
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
 use ukc_kcenter::{
     cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, gonzalez_nearest,
-    grid_kcenter_exec, kcenter_cost, local_search_kcenter, KCenterSolution,
+    grid_kcenter, kcenter_cost, local_search_kcenter, KCenterSolution,
 };
 use ukc_metric::{
-    DistCounter, DistanceOracle, Euclidean, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
+    DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
-    assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_spreads_exec,
-    one_center_discrete, UncertainPoint, UncertainSet,
+    assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_point,
+    expected_spreads_exec, one_center_discrete, one_center_euclidean, UncertainPoint, UncertainSet,
 };
 
-/// A continuous space a [`Problem`] can live in: representative
-/// constructions plus the space-specific machinery the pipeline needs.
-///
-/// [`EuclideanSpace`] is the paper's instance; implementing this trait for
-/// another normed space (e.g. `L¹`) plugs it into the same `Problem` /
-/// [`crate::SolverConfig`] machinery unchanged.
-pub trait ContinuousSpace<P>: Send + Sync {
-    /// Short name for reports and error messages (e.g. `"euclidean"`).
-    fn name(&self) -> &'static str;
+/// The largest squared norm `‖x‖²` a location of a [`Problem::euclidean`]
+/// instance may have: `2^1000 ≈ 1.07e301`, so that every squared norm and
+/// squared distance a solve forms stays finite (the derivation is on
+/// [`SolveError::CoordinatesTooLarge`]).
+pub const MAX_NORM_SQ: f64 = 1.0715086071862673e301;
 
-    /// The ambient metric.
-    fn metric(&self) -> &(dyn Metric<P> + Send + Sync);
-
-    /// The linearity representative `P̄` (Lemma 3.1's expected point).
-    fn expected_point(&self, up: &UncertainPoint<P>) -> P;
-
-    /// The 1-center representative `P̃`.
-    fn one_center(&self, up: &UncertainPoint<P>) -> P;
-
-    /// Whether the space defines an expected-point assignment; return
-    /// `false` to make [`AssignmentRule::ExpectedPoint`] a
-    /// [`SolveError::RuleUnsupported`] *before* any pipeline work runs.
-    fn supports_expected_point(&self) -> bool {
-        true
-    }
-
-    /// The expected-point assignment, or `None` when the space has no
-    /// expected point (must agree with
-    /// [`ContinuousSpace::supports_expected_point`]).
-    fn assign_expected_point(
-        &self,
-        set: &UncertainSet<P>,
-        centers: &[P],
-        metric: &dyn Metric<P>,
-    ) -> Option<Vec<usize>>;
-
-    /// The space's certified `(1+ε)` solver, or `None` to fall back to
-    /// Gonzalez (also returned past the solver's resource caps). `exec`
-    /// is the solve's execution context: implementations may run their
-    /// internal sweeps on it, provided the result stays bit-identical
-    /// for every lane count (the execution-layer determinism contract).
-    fn certified_solve(
-        &self,
-        reps: &[P],
-        k: usize,
-        opts: ukc_kcenter::GridOptions,
-        exec: Exec<'_>,
-    ) -> Option<KCenterSolution<P>>;
-
-    /// A certified lower bound on the optimum expected cost with `k`
-    /// centers.
-    fn lower_bound(&self, set: &UncertainSet<P>, k: usize) -> f64;
-
-    /// [`ContinuousSpace::lower_bound`] plus the distance evaluations it
-    /// made outside [`ContinuousSpace::metric`], for
-    /// [`crate::DistanceEvals::lower_bound`]. The default counts none.
-    fn lower_bound_counted(&self, set: &UncertainSet<P>, k: usize) -> (f64, u64) {
-        (self.lower_bound(set, k), 0)
-    }
-
-    /// The raw coordinates of a point, when the space is backed by
-    /// finite-dimensional real coordinates under the Euclidean metric.
-    ///
-    /// Returning `Some` for every point of an instance opts the space into
-    /// the structure-of-arrays kernel fast path: the solve copies all
-    /// coordinates into one [`PointStore`] and evaluates every distance
-    /// through the batched [`ukc_metric::batch`] kernels (selected by
-    /// [`crate::SolverConfig::kernel`]) instead of per-pair
-    /// [`Metric::dist`] calls. Only override this when
-    /// [`ContinuousSpace::metric`] is the Euclidean metric on those
-    /// coordinates and the expected-point assignment is
-    /// nearest-center-to-`P̄` — the fast path assumes both, and computes
-    /// the certified lower bound as the Euclidean bound on those
-    /// coordinates. The default (`None`) keeps the space on the pointwise
-    /// path.
-    fn coords_of<'a>(&self, p: &'a P) -> Option<&'a [f64]> {
-        let _ = p;
-        None
-    }
-}
-
-/// The paper's continuous space: `ℝ^d` under the Euclidean metric.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EuclideanSpace;
-
-impl ContinuousSpace<Point> for EuclideanSpace {
-    fn name(&self) -> &'static str {
-        "euclidean"
-    }
-
-    fn metric(&self) -> &(dyn Metric<Point> + Send + Sync) {
-        &Euclidean
-    }
-
-    fn expected_point(&self, up: &UncertainPoint<Point>) -> Point {
-        ukc_uncertain::expected_point(up)
-    }
-
-    fn one_center(&self, up: &UncertainPoint<Point>) -> Point {
-        ukc_uncertain::one_center_euclidean(up)
-    }
-
-    fn assign_expected_point(
-        &self,
-        set: &UncertainSet<Point>,
-        centers: &[Point],
-        metric: &dyn Metric<Point>,
-    ) -> Option<Vec<usize>> {
-        Some(crate::assignments::assign_ep(set, centers, &metric))
-    }
-
-    fn certified_solve(
-        &self,
-        reps: &[Point],
-        k: usize,
-        opts: ukc_kcenter::GridOptions,
-        exec: Exec<'_>,
-    ) -> Option<KCenterSolution<Point>> {
-        grid_kcenter_exec(reps, k, opts, exec)
-    }
-
-    fn lower_bound(&self, set: &UncertainSet<Point>, k: usize) -> f64 {
-        crate::bounds::lower_bound_euclidean(set, k)
-    }
-
-    fn lower_bound_counted(&self, set: &UncertainSet<Point>, k: usize) -> (f64, u64) {
-        crate::bounds::lower_bound_euclidean_counted(set, k)
-    }
-
-    fn coords_of<'a>(&self, p: &'a Point) -> Option<&'a [f64]> {
-        Some(p.coords())
-    }
-}
+/// The solve behind a problem's space, over its set and `k`.
+type SolveFn<P> =
+    fn(&Arc<UncertainSet<P>>, usize, &SolverConfig) -> Result<Solution<P>, SolveError>;
 
 enum Space<P> {
-    Continuous(Arc<dyn ContinuousSpace<P>>),
+    /// `ℝ^d` under the Euclidean metric. The variant holds the
+    /// `Point`-only solve, so only [`Problem::euclidean`] can build it.
+    Euclidean(SolveFn<P>),
     Discrete {
         metric: Arc<dyn Metric<P> + Send + Sync>,
         pool: Arc<[P]>,
@@ -190,7 +68,7 @@ enum Space<P> {
 impl<P> Clone for Space<P> {
     fn clone(&self) -> Self {
         match self {
-            Space::Continuous(s) => Space::Continuous(Arc::clone(s)),
+            Space::Euclidean(solve) => Space::Euclidean(*solve),
             Space::Discrete { metric, pool } => Space::Discrete {
                 metric: Arc::clone(metric),
                 pool: Arc::clone(pool),
@@ -263,6 +141,36 @@ pub fn validate_k(n: usize, k: usize) -> Result<(), SolveError> {
     Ok(())
 }
 
+/// Validates Euclidean locations: each must live in `ℝ^dim`
+/// ([`SolveError::DimensionMismatch`] otherwise) and have a squared norm
+/// of at most [`MAX_NORM_SQ`] ([`SolveError::CoordinatesTooLarge`]
+/// otherwise). Errors name a point as `first + its index in points`.
+/// Shared by [`Problem::euclidean`] and the streaming ingest, so a point
+/// a stream accepts is one a solve accepts.
+pub fn validate_locations(
+    points: &[UncertainPoint<Point>],
+    first: usize,
+    dim: usize,
+) -> Result<(), SolveError> {
+    for (i, up) in points.iter().enumerate() {
+        for loc in up.locations() {
+            if loc.dim() != dim {
+                return Err(SolveError::DimensionMismatch {
+                    point: first + i,
+                    got: loc.dim(),
+                    expected: dim,
+                });
+            }
+            // Negated so that an overflowed (infinite) norm fails too.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(loc.norm_sq() <= MAX_NORM_SQ) {
+                return Err(SolveError::CoordinatesTooLarge { point: first + i });
+            }
+        }
+    }
+    Ok(())
+}
+
 impl Problem<Point> {
     /// A stable, canonical content digest of this problem: the
     /// uncertain set (order-invariant, see [`crate::digest::digest_set`]),
@@ -270,14 +178,10 @@ impl Problem<Point> {
     /// pool. Identical instances digest identically regardless of upload
     /// order, so a serving layer can deduplicate uploads and key solution
     /// caches by `(digest, config)`.
-    ///
-    /// The digest does not cover the *behavior* of a custom
-    /// [`ContinuousSpace`] or metric beyond its name; spaces with equal
-    /// names are assumed to compute equal distances.
     pub fn instance_digest(&self) -> u64 {
         let pool_digest = match &self.space {
             Space::Discrete { pool, .. } => Some(crate::digest::digest_pool(pool)),
-            Space::Continuous(_) => None,
+            Space::Euclidean(_) => None,
         };
         crate::digest::digest_problem(
             self.space_name(),
@@ -291,27 +195,22 @@ impl Problem<Point> {
     /// setting).
     ///
     /// Validates that every location lives in one shared `ℝ^d`
-    /// ([`SolveError::DimensionMismatch`] otherwise), so malformed input
-    /// surfaces here as a typed error instead of a panic deep inside a
-    /// solve.
+    /// ([`SolveError::DimensionMismatch`] otherwise) and that its squared
+    /// norm is at most [`MAX_NORM_SQ`] ([`SolveError::CoordinatesTooLarge`]
+    /// otherwise), so malformed input surfaces here as a typed error
+    /// instead of a panic deep inside a solve.
     pub fn euclidean(
         set: impl Into<Arc<UncertainSet<Point>>>,
         k: usize,
     ) -> Result<Self, SolveError> {
         let set = set.into();
-        let expected = set.point(0).locations()[0].dim();
-        for (i, up) in set.iter().enumerate() {
-            for loc in up.locations() {
-                if loc.dim() != expected {
-                    return Err(SolveError::DimensionMismatch {
-                        point: i,
-                        got: loc.dim(),
-                        expected,
-                    });
-                }
-            }
-        }
-        Self::continuous(set, k, EuclideanSpace)
+        validate_locations(set.points(), 0, set.point(0).locations()[0].dim())?;
+        validate_k(set.n(), k)?;
+        Ok(Self {
+            set,
+            k,
+            space: Space::Euclidean(solve_continuous_store),
+        })
     }
 
     /// Like [`Problem::euclidean`] from a raw point vector; an empty
@@ -326,21 +225,6 @@ impl Problem<Point> {
 }
 
 impl<P: Clone> Problem<P> {
-    /// A problem in a custom [`ContinuousSpace`].
-    pub fn continuous(
-        set: impl Into<Arc<UncertainSet<P>>>,
-        k: usize,
-        space: impl ContinuousSpace<P> + 'static,
-    ) -> Result<Self, SolveError> {
-        let set = set.into();
-        validate_k(set.n(), k)?;
-        Ok(Self {
-            set,
-            k,
-            space: Space::Continuous(Arc::new(space)),
-        })
-    }
-
     /// A general-metric problem: centers and representatives are drawn
     /// from `pool` (the paper's Theorems 2.6 / 2.7 setting).
     pub fn in_metric(
@@ -401,11 +285,11 @@ impl<P: Clone> Problem<P> {
         self.k
     }
 
-    /// Short name of the problem's space (`"euclidean"`, `"discrete"`,
-    /// or a custom [`ContinuousSpace::name`]).
+    /// Short name of the problem's space (`"euclidean"` or
+    /// `"discrete"`).
     pub fn space_name(&self) -> &'static str {
         match &self.space {
-            Space::Continuous(s) => s.name(),
+            Space::Euclidean(_) => "euclidean",
             Space::Discrete { .. } => "discrete",
         }
     }
@@ -414,9 +298,12 @@ impl<P: Clone> Problem<P> {
     ///
     /// Deterministic: identical `(problem, config)` pairs produce
     /// bit-identical solutions, on any thread.
-    pub fn solve(&self, config: &SolverConfig) -> Result<Solution<P>, SolveError> {
+    pub fn solve(&self, config: &SolverConfig) -> Result<Solution<P>, SolveError>
+    where
+        P: Sync,
+    {
         match &self.space {
-            Space::Continuous(space) => solve_continuous(&self.set, self.k, space.as_ref(), config),
+            Space::Euclidean(solve) => solve(&self.set, self.k, config),
             Space::Discrete { metric, pool } => {
                 solve_discrete(&self.set, self.k, metric.as_ref(), pool, config)
             }
@@ -548,197 +435,18 @@ pub(crate) fn method_string(
     format!("{space}/{rule}/{}", strategy.name())
 }
 
-/// The shared tail of both pipelines: assignment, exact cost, lower
-/// bound, report assembly.
-#[allow(clippy::too_many_arguments)]
-fn finish_pipeline<P: Clone>(
-    set: &UncertainSet<P>,
-    config: &SolverConfig,
-    counting: &CountingMetric<'_, P>,
-    reps: Vec<P>,
-    certain: KCenterSolution<P>,
-    assignment: Vec<usize>,
-    lower_bound: impl FnOnce() -> (f64, u64),
-    mut report: Report,
-    t_assigned: Instant,
-) -> Solution<P> {
-    let evals_before_cost = counting.count();
-    report.timings.assignment = t_assigned.elapsed();
-
-    let t_cost = Instant::now();
-    let ecost = ecost_assigned(set, &certain.centers, &assignment, &counting);
-    report.timings.cost = t_cost.elapsed();
-    report.distance_evals.cost = counting.since(evals_before_cost);
-
-    if config.computes_lower_bound() {
-        let evals_before = counting.count();
-        let t_bound = Instant::now();
-        let (bound, uncounted) = lower_bound();
-        report.lower_bound = Some(bound);
-        report.timings.lower_bound = t_bound.elapsed();
-        report.distance_evals.lower_bound = counting.since(evals_before) + uncounted;
-    }
-
-    Solution {
-        centers: certain.centers,
-        assignment,
-        ecost,
-        representatives: reps,
-        certain_radius: certain.radius,
-        report,
-        cost_distances: None,
-    }
-}
-
-/// The continuous pipeline (paper Theorems 2.2 / 2.4 / 2.5 for
-/// [`EuclideanSpace`]) behind [`Problem::solve`].
-fn solve_continuous<P: Clone>(
-    set: &Arc<UncertainSet<P>>,
-    k: usize,
-    space: &dyn ContinuousSpace<P>,
-    config: &SolverConfig,
-) -> Result<Solution<P>, SolveError> {
-    let rule = config.rule();
-    if rule == AssignmentRule::ExpectedPoint && !space.supports_expected_point() {
-        return Err(SolveError::RuleUnsupported {
-            rule,
-            space: space.name(),
-        });
-    }
-    if config.assignment() == AssignmentMode::AdditivelyWeighted {
-        // The weighted pipeline is defined for the Gonzalez strategy only:
-        // the other backends optimize the *unweighted* certain radius, so
-        // pairing them with weighted assignment would silently solve a
-        // different problem than they certify.
-        match config.strategy() {
-            CertainStrategy::Gonzalez => {}
-            CertainStrategy::GonzalezLocalSearch { .. } => {
-                return Err(SolveError::WeightedUnsupported {
-                    feature: "the gonzalez+local-search strategy",
-                })
-            }
-            CertainStrategy::Grid => {
-                return Err(SolveError::WeightedUnsupported {
-                    feature: "the grid strategy",
-                })
-            }
-            CertainStrategy::ExactDiscrete => {
-                return Err(SolveError::WeightedUnsupported {
-                    feature: "the exact-discrete strategy",
-                })
-            }
-        }
-    }
-    // Coordinate-backed spaces take the structure-of-arrays kernel path;
-    // everything else falls through to the pointwise metric pipeline.
-    if let Some(solution) = solve_continuous_store(set, k, space, config)? {
-        return Ok(solution);
-    }
-    if config.assignment() == AssignmentMode::AdditivelyWeighted {
-        // The weighted sweeps live in the batched kernel layer, so the
-        // pointwise fallback cannot serve this mode.
-        return Err(SolveError::WeightedUnsupported {
-            feature: "spaces without shared-dimension coordinates",
-        });
-    }
-    let counting = CountingMetric::new(space.metric());
-    let t_total = Instant::now();
-    let mut report = Report {
-        method: method_string(space.name(), rule, config.strategy()),
-        ..Report::default()
-    };
-
-    // Step 1: representatives, O(nz) (ED/EP) or O(nz·iters) (OC).
-    let t = Instant::now();
-    let reps: Vec<P> = match rule {
-        AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => {
-            set.iter().map(|up| space.expected_point(up)).collect()
-        }
-        AssignmentRule::OneCenter => set.iter().map(|up| space.one_center(up)).collect(),
-    };
-    report.timings.representatives = t.elapsed();
-    report.distance_evals.representatives = counting.count();
-
-    // Step 2: certain k-center on the representatives.
-    let evals_before = counting.count();
-    let t = Instant::now();
-    let certain = match config.strategy() {
-        CertainStrategy::Gonzalez => gonzalez(&reps, k, &counting, 0),
-        CertainStrategy::GonzalezLocalSearch { rounds } => {
-            let gz = gonzalez(&reps, k, &counting, 0);
-            local_search_kcenter(&reps, &reps, &gz.center_indices, &counting, rounds)
-        }
-        CertainStrategy::Grid => space
-            .certified_solve(
-                &reps,
-                k,
-                config.grid_options(),
-                Exec::auto(config.resolved_threads()),
-            )
-            .unwrap_or_else(|| gonzalez(&reps, k, &counting, 0)),
-        CertainStrategy::ExactDiscrete => {
-            let pool_storage;
-            let pool: &[P] = match config.candidate_policy() {
-                CandidatePolicy::ProblemPool => &reps,
-                CandidatePolicy::LocationPool => {
-                    pool_storage = set.location_pool();
-                    &pool_storage
-                }
-            };
-            exact_discrete_kcenter(&reps, pool, k, &counting, config.exact_options())
-                .unwrap_or_else(|| gonzalez(&reps, k, &counting, 0))
-        }
-    };
-    report.timings.certain_solve = t.elapsed();
-    report.distance_evals.certain_solve = counting.since(evals_before);
-
-    // Step 3: assignment by the configured rule.
-    let evals_before = counting.count();
-    let t = Instant::now();
-    let assignment = match rule {
-        AssignmentRule::ExpectedDistance => assign_ed(set, &certain.centers, &counting),
-        AssignmentRule::ExpectedPoint => space
-            .assign_expected_point(set, &certain.centers, &counting)
-            .ok_or(SolveError::RuleUnsupported {
-                rule,
-                space: space.name(),
-            })?,
-        AssignmentRule::OneCenter => assign_oc(set, &certain.centers, &reps, &counting),
-    };
-    report.distance_evals.assignment = counting.since(evals_before);
-
-    // Step 4 (+ optional bound) and assembly.
-    let mut solution = finish_pipeline(
-        set,
-        config,
-        &counting,
-        reps,
-        certain,
-        assignment,
-        || space.lower_bound_counted(set, k),
-        report,
-        t,
-    );
-    solution.report.timings.total = t_total.elapsed();
-    Ok(solution)
-}
-
-/// The structure-of-arrays fast path of the continuous pipeline: one
-/// [`PointStore`] per solve holds every realization coordinate, every
-/// representative, and (for the grid strategy) every synthesized center,
-/// in that order, so an id's range names the point it came from;
-/// all distance work then runs through the batched kernels of a
-/// [`StoreOracle`] under the configured [`crate::SolverConfig::kernel`].
+/// The Euclidean pipeline (paper Theorems 2.2 / 2.4 / 2.5) behind
+/// [`Problem::solve`]: one [`PointStore`] per solve holds every
+/// realization coordinate, every representative, and (for the grid
+/// strategy) every synthesized center, in that order, so an id's range
+/// names the point it came from; all distance work then runs through the
+/// batched kernels of a [`StoreOracle`] under the configured
+/// [`crate::SolverConfig::kernel`]. [`Problem::euclidean`] validated the
+/// set, so building the store cannot fail.
 ///
-/// Returns `Ok(None)` when the space does not expose coordinates (custom
-/// spaces, default [`ContinuousSpace::coords_of`]) or the coordinates are
-/// unusable (mixed dimensions, non-finite values) — the caller then runs
-/// the pointwise pipeline, whose behavior is unchanged.
-///
-/// Stage structure, evaluation counting, and tie-breaking mirror the
-/// pointwise pipeline exactly; with [`ukc_metric::Kernel::Scalar`] the
-/// results are bit-identical to it, and the evaluation *counts* are
-/// kernel-independent by the [`DistanceOracle`] contract.
+/// With [`ukc_metric::Kernel::Scalar`] every distance is bit-identical to
+/// the pointwise [`ukc_metric::Euclidean`] metric, and the evaluation
+/// *counts* are kernel-independent by the [`DistanceOracle`] contract.
 ///
 /// Parallelism: [`SolverConfig::resolved_threads`] lanes of the shared
 /// [`ukc_pool::global`] pool drive every batched sweep (certain solve,
@@ -747,31 +455,35 @@ fn solve_continuous<P: Clone>(
 /// are pure functions of input size — so output, per-stage eval counts,
 /// and digests are bit-identical for `threads = 1` and `threads = N`
 /// (pinned by `tests/parallel_equivalence.rs`).
-fn solve_continuous_store<P: Clone>(
-    set: &Arc<UncertainSet<P>>,
+fn solve_continuous_store(
+    set: &Arc<UncertainSet<Point>>,
     k: usize,
-    space: &dyn ContinuousSpace<P>,
     config: &SolverConfig,
-) -> Result<Option<Solution<P>>, SolveError> {
+) -> Result<Solution<Point>, SolveError> {
     let rule = config.rule();
-    // Probe the space: every location must expose coordinates of one
-    // shared dimension.
-    let mut dim = 0usize;
-    for up in set.iter() {
-        for loc in up.locations() {
-            match space.coords_of(loc) {
-                Some(c) if dim == 0 && !c.is_empty() => dim = c.len(),
-                Some(c) if c.len() == dim => {}
-                _ => return Ok(None),
+    let weighted = config.assignment() == AssignmentMode::AdditivelyWeighted;
+    if weighted {
+        // The weighted pipeline is defined for the Gonzalez strategy only:
+        // the other backends optimize the *unweighted* certain radius, so
+        // pairing them with weighted assignment would silently solve a
+        // different problem than they certify.
+        let feature = match config.strategy() {
+            CertainStrategy::Gonzalez => None,
+            CertainStrategy::GonzalezLocalSearch { .. } => {
+                Some("the gonzalez+local-search strategy")
             }
+            CertainStrategy::Grid => Some("the grid strategy"),
+            CertainStrategy::ExactDiscrete => Some("the exact-discrete strategy"),
+        };
+        if let Some(feature) = feature {
+            return Err(SolveError::WeightedUnsupported { feature });
         }
     }
     let counter = DistCounter::new();
     let kernel = config.kernel();
     let exec = Exec::auto(config.resolved_threads());
-    let weighted = config.assignment() == AssignmentMode::AdditivelyWeighted;
     let t_total = Instant::now();
-    let mut method = method_string(space.name(), rule, config.strategy());
+    let mut method = method_string("euclidean", rule, config.strategy());
     if weighted {
         method.push_str("/weighted");
     }
@@ -780,44 +492,21 @@ fn solve_continuous_store<P: Clone>(
         ..Report::default()
     };
 
+    // The realization coordinates, with room behind them for the
+    // representatives and up to k synthesized grid centers.
     let locations = set.total_locations();
-    let mut store = PointStore::with_capacity(dim, locations + set.n());
-    let push = |store: &mut PointStore, p: &P| -> Option<PointId> {
-        store.try_push(space.coords_of(p)?).ok()
-    };
-    // The realization coordinates, point-major in support order (so the
-    // flattened id order matches `UncertainSet::location_pool`).
-    let mut id_points: Vec<UncertainPoint<PointId>> = Vec::with_capacity(set.n());
-    for up in set.iter() {
-        let mut ids = Vec::with_capacity(up.z());
-        for loc in up.locations() {
-            match push(&mut store, loc) {
-                Some(id) => ids.push(id),
-                None => return Ok(None),
-            }
-        }
-        let mut next = ids.iter().copied();
-        id_points.push(up.map_locations(|_| next.next().expect("one id per location")));
-    }
-    let set_ids = UncertainSet::new(id_points);
+    let (mut store, set_ids) = set.indexed_store(set.n() + k);
 
     // Step 1: representatives, O(nz) (ED/EP) or O(nz·iters) (OC) —
-    // coordinate arithmetic, not metric evaluations (counted as zero, as
-    // in the pointwise pipeline).
+    // coordinate arithmetic, not metric evaluations (counted as zero).
     let t = Instant::now();
-    let reps: Vec<P> = match rule {
+    let reps: Vec<Point> = match rule {
         AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => {
-            set.iter().map(|up| space.expected_point(up)).collect()
+            set.iter().map(expected_point).collect()
         }
-        AssignmentRule::OneCenter => set.iter().map(|up| space.one_center(up)).collect(),
+        AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
     };
-    let mut rep_ids = Vec::with_capacity(reps.len());
-    for rep in &reps {
-        match push(&mut store, rep) {
-            Some(id) => rep_ids.push(id),
-            None => return Ok(None),
-        }
-    }
+    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
     report.timings.representatives = t.elapsed();
     report.distance_evals.representatives = counter.count();
 
@@ -827,7 +516,7 @@ fn solve_continuous_store<P: Clone>(
     // runs the additively-weighted Gonzalez sweep; the chosen centers
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
-    let mut synthesized: Vec<P> = Vec::new();
+    let mut synthesized: Vec<Point> = Vec::new();
     // EP over plain Gonzalez: the greedy's tracked passes hand the
     // assignment stage every representative's nearest center — or, when
     // they cannot vouch for its bits, leave that sweep (and the radius)
@@ -880,17 +569,10 @@ fn solve_continuous_store<P: Clone>(
         }
         CertainStrategy::Grid => {
             // The certified grid solver synthesizes new center locations;
-            // its internal work bypasses the oracle (and the counters),
-            // exactly as in the pointwise pipeline.
-            match space.certified_solve(&reps, k, config.grid_options(), exec) {
+            // its internal work bypasses the oracle (and the counters).
+            match grid_kcenter(&reps, k, config.grid_options(), exec) {
                 Some(sol) => {
-                    let mut ids = Vec::with_capacity(sol.centers.len());
-                    for c in &sol.centers {
-                        match push(&mut store, c) {
-                            Some(id) => ids.push(id),
-                            None => return Ok(None),
-                        }
-                    }
+                    let ids = sol.centers.iter().map(|c| store.push_point(c)).collect();
                     synthesized = sol.centers;
                     KCenterSolution {
                         centers: ids,
@@ -934,7 +616,7 @@ fn solve_continuous_store<P: Clone>(
     let evals_before = counter.count();
     let t = Instant::now();
     let assignment: Vec<usize> = match (rule, ep_nearest) {
-        (AssignmentRule::ExpectedDistance, _) => assign_ed_exec(
+        (AssignmentRule::ExpectedDistance, _) => assign_ed(
             &set_ids,
             &certain.centers,
             center_weights.as_deref(),
@@ -943,9 +625,9 @@ fn solve_continuous_store<P: Clone>(
         ),
         // For the EP rule the representatives *are* the expected points
         // `P̄ᵢ`, so the expected-point assignment is nearest-center per
-        // representative (the coords_of contract requires this semantics),
-        // as the OC one is per 1-center `P̃ᵢ`. The weighted mode compares
-        // centers by `d(repᵢ, c) − w_c` instead, through the same sweep.
+        // representative, as the OC one is per 1-center `P̃ᵢ`. The
+        // weighted mode compares centers by `d(repᵢ, c) − w_c` instead,
+        // through the same sweep.
         (_, Some(Some(nearest))) => nearest.into_iter().map(|(i, _)| i).collect(),
         (_, fused) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
@@ -992,15 +674,11 @@ fn solve_continuous_store<P: Clone>(
         // The OC representatives are `P̃`, so `P̄` gets its own store.
         let mut pbar_storage = None;
         if rule == AssignmentRule::OneCenter {
-            let mut pbar = PointStore::with_capacity(dim, set.n());
-            for up in set.iter() {
-                let p = space.expected_point(up);
-                match space.coords_of(&p).map(|c| pbar.try_push(c)) {
-                    Some(Ok(_)) => {}
-                    _ => return Ok(None),
-                }
-            }
-            let ids = pbar.ids();
+            let mut pbar = PointStore::with_capacity(store.dim(), set.n());
+            let ids = set
+                .iter()
+                .map(|up| pbar.push_point(&expected_point(up)))
+                .collect::<Vec<_>>();
             pbar_storage = Some((pbar, ids));
         }
         let (pbar_store, pbar_ids) = match &pbar_storage {
@@ -1037,7 +715,7 @@ fn solve_continuous_store<P: Clone>(
             i => synthesized[i - locations - reps.len()].clone(),
         })
         .collect();
-    Ok(Some(Solution {
+    Ok(Solution {
         centers,
         assignment,
         ecost,
@@ -1045,15 +723,15 @@ fn solve_continuous_store<P: Clone>(
         certain_radius: certain.radius,
         report,
         cost_distances: Some(cost_distances),
-    }))
+    })
 }
 
 /// The general-metric pipeline (paper Theorems 2.6 / 2.7) behind
 /// [`Problem::solve`].
-fn solve_discrete<P: Clone>(
+fn solve_discrete<P: Clone + Sync>(
     set: &UncertainSet<P>,
     k: usize,
-    metric: &(dyn Metric<P> + '_),
+    metric: &(dyn Metric<P> + Sync + '_),
     pool: &[P],
     config: &SolverConfig,
 ) -> Result<Solution<P>, SolveError> {
@@ -1145,31 +823,43 @@ fn solve_discrete<P: Clone>(
     let evals_before = counting.count();
     let t = Instant::now();
     let assignment = match rule {
-        AssignmentRule::ExpectedDistance => assign_ed(set, &certain.centers, &counting),
+        AssignmentRule::ExpectedDistance => {
+            assign_ed(set, &certain.centers, None, &counting, Exec::sequential())
+        }
         AssignmentRule::ExpectedPoint => unreachable!("rejected above"),
         AssignmentRule::OneCenter => assign_oc(set, &certain.centers, &reps, &counting),
     };
     report.distance_evals.assignment = counting.since(evals_before);
+    let evals_before_cost = counting.count();
+    report.timings.assignment = t.elapsed();
 
-    // Step 4 (+ optional bound) and assembly.
-    let mut solution = finish_pipeline(
-        set,
-        config,
-        &counting,
-        reps,
-        certain,
+    // Step 4: exact expected cost.
+    let t_cost = Instant::now();
+    let ecost = ecost_assigned(set, &certain.centers, &assignment, &counting);
+    report.timings.cost = t_cost.elapsed();
+    report.distance_evals.cost = counting.since(evals_before_cost);
+
+    // Optional stage 5: the certified metric lower bound.
+    if config.computes_lower_bound() {
+        let evals_before = counting.count();
+        let t_bound = Instant::now();
+        report.lower_bound = Some(crate::bounds::lower_bound_metric(
+            set, k, candidates, &counting,
+        ));
+        report.timings.lower_bound = t_bound.elapsed();
+        report.distance_evals.lower_bound = counting.since(evals_before);
+    }
+
+    report.timings.total = t_total.elapsed();
+    Ok(Solution {
+        centers: certain.centers,
         assignment,
-        || {
-            (
-                crate::bounds::lower_bound_metric(set, k, candidates, &counting),
-                0,
-            )
-        },
+        ecost,
+        representatives: reps,
+        certain_radius: certain.radius,
         report,
-        t,
-    );
-    solution.report.timings.total = t_total.elapsed();
-    Ok(solution)
+        cost_distances: None,
+    })
 }
 
 /// Solves every problem under one config, fanning out across the shared

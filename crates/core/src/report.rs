@@ -6,8 +6,9 @@
 //! layer can emit the report as metrics, and a batch driver can attribute
 //! wall-clock to pipeline stages without re-profiling.
 //!
-//! Distance evaluations are counted by wrapping the problem's metric in
-//! [`CountingMetric`]; work that bypasses the metric object (the
+//! Distance evaluations are counted by the Euclidean solve's store oracle
+//! ([`DistCounter`]) or, for a general-metric problem, by wrapping its
+//! metric in [`CountingMetric`]; work that bypasses both (the
 //! Euclidean grid solver's internal arithmetic) is deliberately not
 //! counted and is documented as such on [`Report::distance_evals`].
 
@@ -116,13 +117,13 @@ pub struct Report {
 /// [`crate::solve_batch`]'s scoped threads; counting uses relaxed
 /// ordering and costs one uncontended atomic add per call.
 pub struct CountingMetric<'a, P: ?Sized> {
-    inner: &'a (dyn Metric<P> + 'a),
+    inner: &'a (dyn Metric<P> + Sync + 'a),
     count: DistCounter,
 }
 
 impl<'a, P: ?Sized> CountingMetric<'a, P> {
     /// Wraps `inner`, starting the count at zero.
-    pub fn new(inner: &'a (dyn Metric<P> + 'a)) -> Self {
+    pub fn new(inner: &'a (dyn Metric<P> + Sync + 'a)) -> Self {
         Self {
             inner,
             count: DistCounter::new(),

@@ -1,23 +1,22 @@
 //! A [`Problem`] built from an `Arc`'d set solves bit for bit like one
-//! built from an owned set, and the store-backed solve returns, for
-//! every certain strategy (Grid's synthesized centers and both
-//! exact-discrete candidate pools included) under every ED/EP/OC rule,
-//! exactly the centers the pointwise pipeline returns. `PINNED` holds
-//! center digests recorded from solves that materialized their centers
-//! from a per-solve copy of every point, so a change in how the store
-//! path names its centers cannot move a center bit.
+//! built from an owned set, and location-pool centers are realization
+//! locations. `PINNED` holds center digests, for every certain strategy
+//! (Grid's synthesized centers and both exact-discrete candidate pools
+//! included) under every ED/EP/OC rule, recorded from solves that
+//! materialized their centers from a per-solve copy of every point, so a
+//! change in how the store path names its centers cannot move a center
+//! bit. The store path's agreement with a pointwise reference pipeline is
+//! `tests/kernel_equivalence.rs::scalar_kernel_matches_pointwise_reference_bitwise`.
 
 use std::sync::Arc;
 
 use ukc_core::{
-    AssignmentMode, AssignmentRule, CandidatePolicy, CertainStrategy, ContinuousSpace,
-    EuclideanSpace, Problem, Solution, SolverConfig,
+    AssignmentMode, AssignmentRule, CandidatePolicy, CertainStrategy, Problem, Solution,
+    SolverConfig,
 };
-use ukc_kcenter::{GridOptions, KCenterSolution};
-use ukc_metric::{Euclidean, Kernel, Metric, Point};
-use ukc_pool::Exec;
+use ukc_metric::{Kernel, Point};
 use ukc_uncertain::generators::{clustered, ProbModel};
-use ukc_uncertain::{UncertainPoint, UncertainSet};
+use ukc_uncertain::UncertainSet;
 
 const RULES: [AssignmentRule; 3] = [
     AssignmentRule::ExpectedDistance,
@@ -105,52 +104,6 @@ fn assert_same_output(a: &Solution<Point>, b: &Solution<Point>, ctx: &str) {
     assert_eq!(a.representatives, b.representatives, "reps: {ctx}");
 }
 
-/// Euclidean `ℝ^d` without coordinate access, so solves take the
-/// pointwise pipeline, which returns its centers as the points
-/// themselves.
-struct Pointwise;
-
-impl ContinuousSpace<Point> for Pointwise {
-    fn name(&self) -> &'static str {
-        "euclidean"
-    }
-
-    fn metric(&self) -> &(dyn Metric<Point> + Send + Sync) {
-        &Euclidean
-    }
-
-    fn expected_point(&self, up: &UncertainPoint<Point>) -> Point {
-        EuclideanSpace.expected_point(up)
-    }
-
-    fn one_center(&self, up: &UncertainPoint<Point>) -> Point {
-        EuclideanSpace.one_center(up)
-    }
-
-    fn assign_expected_point(
-        &self,
-        set: &UncertainSet<Point>,
-        centers: &[Point],
-        metric: &dyn Metric<Point>,
-    ) -> Option<Vec<usize>> {
-        EuclideanSpace.assign_expected_point(set, centers, metric)
-    }
-
-    fn certified_solve(
-        &self,
-        reps: &[Point],
-        k: usize,
-        opts: GridOptions,
-        exec: Exec<'_>,
-    ) -> Option<KCenterSolution<Point>> {
-        EuclideanSpace.certified_solve(reps, k, opts, exec)
-    }
-
-    fn lower_bound(&self, set: &UncertainSet<Point>, k: usize) -> f64 {
-        EuclideanSpace.lower_bound(set, k)
-    }
-}
-
 #[test]
 fn arc_built_solve_matches_owned_bit_for_bit() {
     let shared = Arc::new(clustered(8, 300, 3, 4, 5, 20.0, 1.0, ProbModel::Random));
@@ -177,26 +130,6 @@ fn arc_built_solve_matches_owned_bit_for_bit() {
                 b.report.distance_evals.total(),
                 "evals: {ctx}"
             );
-        }
-    }
-}
-
-#[test]
-fn store_centers_are_the_pointwise_centers_for_every_strategy_and_rule() {
-    let set = small_set();
-    for (name, strategy, policy) in strategies() {
-        for rule in RULES {
-            let cfg = config(rule, strategy, policy, Kernel::Scalar);
-            let ctx = format!("{name} {rule:?}");
-            let store = Problem::euclidean(set.clone(), 3)
-                .unwrap()
-                .solve(&cfg)
-                .unwrap();
-            let pointwise = Problem::continuous(set.clone(), 3, Pointwise)
-                .unwrap()
-                .solve(&cfg)
-                .unwrap();
-            assert_same_output(&store, &pointwise, &ctx);
         }
     }
 }

@@ -13,6 +13,7 @@ use ukc_baselines::mode_baseline;
 use ukc_core::{AssignmentRule, CertainStrategy, Problem, Solution, SolverConfig};
 use ukc_json::Json;
 use ukc_metric::Euclidean;
+use ukc_pool::Exec;
 use ukc_uncertain::generators::{clustered, ring, two_scale, uniform_box, ProbModel};
 use ukc_uncertain::{ecost_assigned, ecost_monte_carlo};
 
@@ -138,9 +139,13 @@ pub fn a1() -> AblationReport {
                     CertainStrategy::Gonzalez,
                 );
                 let assignment = match rule {
-                    AssignmentRule::ExpectedDistance => {
-                        ukc_core::assign_ed(&set, &base.centers, &Euclidean)
-                    }
+                    AssignmentRule::ExpectedDistance => ukc_core::assign_ed(
+                        &set,
+                        &base.centers,
+                        None,
+                        &Euclidean,
+                        Exec::sequential(),
+                    ),
                     AssignmentRule::ExpectedPoint => base.assignment.clone(),
                     AssignmentRule::OneCenter => {
                         let reps: Vec<_> = set

@@ -60,24 +60,13 @@ impl Default for GridOptions {
 /// Duplicate-free inputs of dimension ≤ 3 with ε ≥ 0.1 are the supported
 /// regime.
 ///
-/// # Panics
-/// Panics if `points` is empty, `k == 0`, or `eps <= 0`.
-pub fn grid_kcenter(
-    points: &[Point],
-    k: usize,
-    opts: GridOptions,
-) -> Option<KCenterSolution<Point>> {
-    grid_kcenter_exec(points, k, opts, Exec::sequential())
-}
-
-/// [`grid_kcenter`] with an execution context: the internal Gonzalez
-/// radius estimate and the exact inner solve run their batched sweeps
-/// through `exec`. Output is bit-identical for every `exec` (the
-/// parallel kernels' determinism contract).
+/// The internal Gonzalez radius estimate and the exact inner solve run
+/// their batched sweeps through `exec`; output is bit-identical for every
+/// `exec` (the parallel kernels' determinism contract).
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `eps <= 0`.
-pub fn grid_kcenter_exec(
+pub fn grid_kcenter(
     points: &[Point],
     k: usize,
     opts: GridOptions,
@@ -109,6 +98,9 @@ pub fn grid_kcenter_exec(
     let r_hat = gz.radius; // in [opt, 2 opt]
     let sqrt_d = (d as f64).sqrt();
     let delta = opts.eps * r_hat / (2.0 * sqrt_d);
+    if !delta.is_finite() {
+        return None; // ε·r̂ overflowed: there is no grid to lay
+    }
     // Bounding box.
     let mut lo = vec![f64::INFINITY; d];
     let mut hi = vec![f64::NEG_INFINITY; d];
@@ -123,7 +115,9 @@ pub fn grid_kcenter_exec(
     let mut total: usize = 1;
     for i in 0..d {
         let span = hi[i] - lo[i];
-        let c = (span / delta).floor() as usize + 2;
+        // Saturating: a span of many spacings (the cast saturates at
+        // `usize::MAX`) must hit the cap below, not wrap to a tiny grid.
+        let c = ((span / delta).floor() as usize).saturating_add(2);
         counts.push(c);
         total = total.saturating_mul(c);
         if total > opts.max_candidates.saturating_mul(64) {
@@ -152,7 +146,11 @@ pub fn grid_kcenter_exec(
         let coords: Vec<f64> = (0..d).map(|i| lo[i] + idx[i] as f64 * delta).collect();
         // Keep the vertex only if some input point is within keep_radius.
         if near_input(&store, &coords) {
-            cand_ids.push(store.push(&coords));
+            // A vertex past the f64 range (huge ε) has no grid cell.
+            let Ok(id) = store.try_push(&coords) else {
+                return None;
+            };
+            cand_ids.push(id);
             if cand_ids.len() > opts.max_candidates {
                 return None;
             }
@@ -228,7 +226,8 @@ mod tests {
                         eps,
                         ..Default::default()
                     };
-                    let sol = grid_kcenter(&pts, k, opts).expect("grid within caps");
+                    let sol =
+                        grid_kcenter(&pts, k, opts, Exec::sequential()).expect("grid within caps");
                     let lb = continuous_lb(&pts, k);
                     assert!(
                         sol.radius <= (1.0 + eps) * 2.0 * lb.max(1e-12) + 1e-9
@@ -256,7 +255,7 @@ mod tests {
     #[test]
     fn radius_matches_cost() {
         let pts = cloud(9, 12, 2);
-        let sol = grid_kcenter(&pts, 2, GridOptions::default()).unwrap();
+        let sol = grid_kcenter(&pts, 2, GridOptions::default(), Exec::sequential()).unwrap();
         let cost = kcenter_cost(&pts, &sol.centers, None, &Euclidean);
         assert!((cost - sol.radius).abs() < 1e-9);
     }
@@ -274,6 +273,7 @@ mod tests {
                 eps: 0.1,
                 ..Default::default()
             },
+            Exec::sequential(),
         )
         .unwrap();
         // Optimal continuous radius is 1 (centers at 1 and 10).
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn degenerate_all_same_point() {
         let pts = vec![Point::new(vec![1.0, 1.0]); 5];
-        let sol = grid_kcenter(&pts, 2, GridOptions::default()).unwrap();
+        let sol = grid_kcenter(&pts, 2, GridOptions::default(), Exec::sequential()).unwrap();
         assert_eq!(sol.radius, 0.0);
     }
 
@@ -295,7 +295,24 @@ mod tests {
             max_candidates: 100,
             ..Default::default()
         };
-        assert!(grid_kcenter(&pts, 2, opts).is_none());
+        assert!(grid_kcenter(&pts, 2, opts, Exec::sequential()).is_none());
+    }
+
+    #[test]
+    fn huge_eps_falls_back_instead_of_panicking() {
+        let pts = cloud(5, 12, 2);
+        for kernel in Kernel::ALL {
+            for eps in [1e300, 1e308, f64::MAX] {
+                let opts = GridOptions {
+                    eps,
+                    kernel,
+                    ..Default::default()
+                };
+                if let Some(sol) = grid_kcenter(&pts, 3, opts, Exec::sequential()) {
+                    assert!(sol.radius.is_finite(), "{kernel:?} eps {eps}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -315,6 +332,7 @@ mod tests {
                 eps: 0.1,
                 ..Default::default()
             },
+            Exec::sequential(),
         )
         .unwrap();
         assert!(grid.radius <= gz.radius + 1e-12);

@@ -37,7 +37,7 @@ pub mod one_d;
 
 pub use exact::{exact_discrete_kcenter, ExactOptions};
 pub use gonzalez::{cover_radius, gonzalez, gonzalez_indices, gonzalez_nearest, KCenterSolution};
-pub use grid::{grid_kcenter, grid_kcenter_exec, GridOptions};
+pub use grid::{grid_kcenter, GridOptions};
 pub use local_search::local_search_kcenter;
 pub use one_d::one_d_kcenter;
 

@@ -204,6 +204,7 @@ impl From<SolveError> for ApiError {
             SolveError::KExceedsN { .. } => "k_exceeds_n",
             SolveError::EmptyCandidates => "empty_candidates",
             SolveError::DimensionMismatch { .. } => "dimension_mismatch",
+            SolveError::CoordinatesTooLarge { .. } => "coordinates_too_large",
             SolveError::RuleUnsupported { .. } => "rule_unsupported",
             SolveError::StrategyUnsupported { .. } => "strategy_unsupported",
             SolveError::WeightedUnsupported { .. } => "weighted_unsupported",

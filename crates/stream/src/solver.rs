@@ -27,7 +27,7 @@
 use std::time::{Duration, Instant};
 
 use crate::summary::{StreamSummary, SummarySnapshot};
-use ukc_core::{Problem, Report, SolveError, SolverConfig};
+use ukc_core::{validate_locations, Problem, Report, SolveError, SolverConfig};
 use ukc_metric::Point;
 use ukc_pool::Exec;
 use ukc_uncertain::{expected_point, UncertainPoint, UncertainSet};
@@ -328,9 +328,10 @@ impl StreamSolver {
     }
 
     /// Pushes one chunk as a single epoch: validates the whole chunk
-    /// first (all-or-nothing — a dimension mismatch rejects the chunk
-    /// without consuming any of it), computes the expected points with
-    /// pooled fan-out, then folds them into the summary in order.
+    /// first (all-or-nothing — a dimension mismatch or a location past
+    /// [`ukc_core::MAX_NORM_SQ`] rejects the chunk without consuming any
+    /// of it), computes the expected points with pooled fan-out, then
+    /// folds them into the summary in order.
     ///
     /// An empty chunk is [`SolveError::EmptySet`].
     pub fn push_chunk(
@@ -346,17 +347,7 @@ impl StreamSolver {
         if expected == 0 {
             expected = chunk[0].locations()[0].dim();
         }
-        for (offset, up) in chunk.iter().enumerate() {
-            for loc in up.locations() {
-                if loc.dim() != expected {
-                    return Err(SolveError::DimensionMismatch {
-                        point: base + offset,
-                        got: loc.dim(),
-                        expected,
-                    });
-                }
-            }
-        }
+        validate_locations(chunk, base, expected)?;
         // Expected points are independent per point: fan the O(z)
         // reductions out across the pool. Each slot is written by
         // exactly one chunk and its value depends only on its own point,
@@ -491,6 +482,24 @@ mod tests {
         assert!(solver.is_empty());
         solver.push(&good).unwrap();
         assert_eq!(solver.len(), 1);
+    }
+
+    #[test]
+    fn coordinates_past_the_norm_bound_reject_the_whole_chunk() {
+        let mut solver = StreamSolver::builder(2).build().unwrap();
+        let good = UncertainPoint::certain(Point::new(vec![0.0, 1.0]));
+        solver.push(&good).unwrap();
+        // Its expected point alone would sit at 2.5e154, past the bound:
+        // finalize could not solve a summary holding it.
+        let far = UncertainPoint::new(
+            vec![Point::new(vec![1e155, 1.0]), Point::new(vec![2.0, 1.0])],
+            vec![0.25, 0.75],
+        )
+        .unwrap();
+        let err = solver.push_chunk(&[good.clone(), far]).unwrap_err();
+        assert_eq!(err, SolveError::CoordinatesTooLarge { point: 2 });
+        assert_eq!(solver.len(), 1);
+        assert!(solver.solution().is_ok());
     }
 
     #[test]

@@ -106,17 +106,18 @@ impl UncertainSet<Point> {
     /// Locations are pushed point-major in support order, so the id-space
     /// set's `location_pool()` enumerates the same ids in the same order
     /// as [`UncertainSet::location_pool`] enumerates points — discrete
-    /// solvers can use either interchangeably. The store can keep growing
-    /// afterwards (representatives, candidate centers) without
-    /// invalidating the ids already handed out.
+    /// solvers can use either interchangeably. The store has room for
+    /// `extra_rows` more rows (representatives, candidate centers), which
+    /// the caller can push without reallocating and without invalidating
+    /// the ids already handed out.
     ///
     /// # Panics
     /// Panics when locations have mismatched dimensions (malformed input;
     /// [`crate::UncertainPoint`] is dimension-agnostic by design, the
     /// store is not).
-    pub fn indexed_store(&self) -> (PointStore, UncertainSet<PointId>) {
+    pub fn indexed_store(&self, extra_rows: usize) -> (PointStore, UncertainSet<PointId>) {
         let dim = self.points[0].locations()[0].dim();
-        let mut store = PointStore::with_capacity(dim, self.total_locations());
+        let mut store = PointStore::with_capacity(dim, self.total_locations() + extra_rows);
         let ids = UncertainSet {
             points: self
                 .points

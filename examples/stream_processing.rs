@@ -46,7 +46,13 @@ fn main() {
         let solution = solver.solution().expect("non-empty");
         let seen = solution.stream.points as usize;
         let prefix = UncertainSet::new(stream.points()[..seen].to_vec());
-        let assignment = assign_ed(&prefix, &solution.centers, &Euclidean);
+        let assignment = assign_ed(
+            &prefix,
+            &solution.centers,
+            None,
+            &Euclidean,
+            Exec::sequential(),
+        );
         let streamed_cost = ecost_assigned(&prefix, &solution.centers, &assignment, &Euclidean);
         let offline = Problem::euclidean(prefix, k)
             .expect("valid prefix")

@@ -89,11 +89,11 @@ pub mod prelude {
         sample_union_baseline, BruteForceLimits,
     };
     pub use ukc_core::{
-        assign_ed, assign_ed_exec, assign_ep, assign_oc, expected_point_one_center,
-        lower_bound_euclidean, lower_bound_metric, lower_bound_one_center, reference_one_center,
-        solve_batch, solve_batch_threads, AssignmentMode, AssignmentRule, CandidatePolicy,
-        CertainStrategy, ContinuousSpace, DistanceEvals, EuclideanSpace, Problem, Report, Solution,
-        SolveError, SolverConfig, SolverConfigBuilder, StageTimings,
+        assign_ed, assign_ep, assign_oc, expected_point_one_center, lower_bound_euclidean,
+        lower_bound_metric, lower_bound_one_center, reference_one_center, solve_batch,
+        solve_batch_threads, AssignmentMode, AssignmentRule, CandidatePolicy, CertainStrategy,
+        DistanceEvals, Problem, Report, Solution, SolveError, SolverConfig, SolverConfigBuilder,
+        StageTimings,
     };
     pub use ukc_extensions::{
         uncertain_kmeans, uncertain_kmeans_configured, uncertain_kmedian, uncertain_kmedian_exact,
@@ -108,6 +108,7 @@ pub mod prelude {
         Minkowski, Point, PointId, PointStore, StoreOracle, TreeMetric, WeightedGraph,
     };
     pub use ukc_onedim::{solve_one_d, OneDimSolution};
+    pub use ukc_pool::Exec;
     pub use ukc_stream::{
         EpochReport, StreamReport, StreamSolution, StreamSolver, StreamSolverBuilder, StreamSummary,
     };

@@ -40,6 +40,34 @@ fn rules() -> [AssignmentRule; 3] {
     ]
 }
 
+/// Every certain strategy, the exact-discrete one over both candidate
+/// pools.
+fn pointwise_cases() -> [(&'static str, CertainStrategy, CandidatePolicy); 5] {
+    [
+        (
+            "gonzalez",
+            CertainStrategy::Gonzalez,
+            CandidatePolicy::ProblemPool,
+        ),
+        (
+            "local-search",
+            CertainStrategy::GonzalezLocalSearch { rounds: 10 },
+            CandidatePolicy::ProblemPool,
+        ),
+        ("grid", CertainStrategy::Grid, CandidatePolicy::ProblemPool),
+        (
+            "exact/problem",
+            CertainStrategy::ExactDiscrete,
+            CandidatePolicy::ProblemPool,
+        ),
+        (
+            "exact/location",
+            CertainStrategy::ExactDiscrete,
+            CandidatePolicy::LocationPool,
+        ),
+    ]
+}
+
 fn strategies() -> [CertainStrategy; 4] {
     [
         CertainStrategy::Gonzalez,
@@ -110,8 +138,10 @@ proptest! {
     }
 
     /// Exact-equality golden: the Scalar kernel reproduces a hand-rolled
-    /// pointwise-metric pipeline bit for bit, for every assignment rule
-    /// over the Gonzalez backend.
+    /// pointwise-metric pipeline bit for bit — centers, assignment,
+    /// expected cost, certain radius and representatives — for every
+    /// assignment rule over every certain strategy, the exact-discrete one
+    /// over both candidate pools.
     #[test]
     fn scalar_kernel_matches_pointwise_reference_bitwise(
         seed in 0u64..1000,
@@ -123,38 +153,74 @@ proptest! {
         let k = k.min(n);
         let set = uniform_box(seed, n, z, dim, 10.0, 2.0, ProbModel::Random);
         for rule in rules() {
-            // Reference: the paper pipeline over boxed points and the
-            // pointwise Euclidean metric (pre-kernel arithmetic).
-            let reps: Vec<Point> = match rule {
-                AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
-                _ => set.iter().map(expected_point).collect(),
-            };
-            let certain = gonzalez(&reps, k, &Euclidean, 0);
-            let assignment = match rule {
-                AssignmentRule::ExpectedDistance => assign_ed(&set, &certain.centers, &Euclidean),
-                AssignmentRule::ExpectedPoint => assign_ep(&set, &certain.centers, &Euclidean),
-                AssignmentRule::OneCenter => assign_oc(&set, &certain.centers, &reps, &Euclidean),
-            };
-            let ecost = ecost_assigned(&set, &certain.centers, &assignment, &Euclidean);
+            for (name, strategy, policy) in pointwise_cases() {
+                let config = SolverConfig::builder()
+                    .rule(rule)
+                    .strategy(strategy)
+                    .candidate_policy(policy)
+                    .kernel(Kernel::Scalar)
+                    .eps(0.5)
+                    .lower_bound(false)
+                    .build()
+                    .expect("static test config");
+                // Reference: the paper pipeline over boxed points and the
+                // pointwise Euclidean metric (pre-kernel arithmetic).
+                let reps: Vec<Point> = match rule {
+                    AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
+                    _ => set.iter().map(expected_point).collect(),
+                };
+                let greedy = || gonzalez(&reps, k, &Euclidean, 0);
+                let certain = match strategy {
+                    CertainStrategy::Gonzalez => greedy(),
+                    CertainStrategy::GonzalezLocalSearch { rounds } => {
+                        let gz = greedy();
+                        local_search_kcenter(&reps, &reps, &gz.center_indices, &Euclidean, rounds)
+                    }
+                    CertainStrategy::Grid => {
+                        grid_kcenter(&reps, k, config.grid_options(), Exec::sequential())
+                            .unwrap_or_else(greedy)
+                    }
+                    CertainStrategy::ExactDiscrete => {
+                        let pool = match policy {
+                            CandidatePolicy::ProblemPool => reps.clone(),
+                            CandidatePolicy::LocationPool => set.location_pool(),
+                        };
+                        exact_discrete_kcenter(&reps, &pool, k, &Euclidean, config.exact_options())
+                            .unwrap_or_else(greedy)
+                    }
+                };
+                let assignment = match rule {
+                    AssignmentRule::ExpectedDistance => {
+                        assign_ed(&set, &certain.centers, None, &Euclidean, Exec::sequential())
+                    }
+                    AssignmentRule::ExpectedPoint => assign_ep(&set, &certain.centers, &Euclidean),
+                    AssignmentRule::OneCenter => {
+                        assign_oc(&set, &certain.centers, &reps, &Euclidean)
+                    }
+                };
+                let ecost = ecost_assigned(&set, &certain.centers, &assignment, &Euclidean);
 
-            let sol = Problem::euclidean(set.clone(), k)
-                .unwrap()
-                .solve(&cfg(rule, CertainStrategy::Gonzalez, Kernel::Scalar))
-                .unwrap();
+                let sol = Problem::euclidean(set.clone(), k).unwrap().solve(&config).unwrap();
 
-            prop_assert_eq!(&sol.assignment, &assignment, "{:?}", rule);
-            prop_assert_eq!(sol.centers.len(), certain.centers.len());
-            for (a, b) in sol.centers.iter().zip(certain.centers.iter()) {
-                prop_assert_eq!(a.coords(), b.coords(), "{:?}", rule);
+                prop_assert_eq!(&sol.assignment, &assignment, "{} {:?}", name, rule);
+                prop_assert_eq!(sol.centers.len(), certain.centers.len());
+                for (a, b) in sol.centers.iter().zip(certain.centers.iter()) {
+                    let (a, b): (Vec<u64>, Vec<u64>) = (
+                        a.coords().iter().map(|x| x.to_bits()).collect(),
+                        b.coords().iter().map(|x| x.to_bits()).collect(),
+                    );
+                    prop_assert_eq!(a, b, "centers ({} {:?})", name, rule);
+                }
+                prop_assert_eq!(
+                    sol.ecost.to_bits(), ecost.to_bits(),
+                    "ecost {} vs {} ({} {:?})", sol.ecost, ecost, name, rule
+                );
+                prop_assert_eq!(
+                    sol.certain_radius.to_bits(), certain.radius.to_bits(),
+                    "radius ({} {:?})", name, rule
+                );
+                prop_assert_eq!(&sol.representatives, &reps, "reps ({} {:?})", name, rule);
             }
-            prop_assert_eq!(
-                sol.ecost.to_bits(), ecost.to_bits(),
-                "ecost {} vs {} ({:?})", sol.ecost, ecost, rule
-            );
-            prop_assert_eq!(
-                sol.certain_radius.to_bits(), certain.radius.to_bits(),
-                "radius ({:?})", rule
-            );
         }
     }
 

@@ -135,8 +135,8 @@ fn euclidean_instance_embedded_as_finite_metric_gives_consistent_costs() {
     // Same centers: pick 2 pool members.
     let centers_euclid = vec![pool[0].clone(), pool[7].clone()];
     let centers_ids = vec![0usize, 7usize];
-    let assignment = assign_ed(&set, &centers_euclid, &Euclidean);
-    let assignment_ids = assign_ed(&id_set, &centers_ids, &fm);
+    let assignment = assign_ed(&set, &centers_euclid, None, &Euclidean, Exec::sequential());
+    let assignment_ids = assign_ed(&id_set, &centers_ids, None, &fm, Exec::sequential());
     assert_eq!(assignment, assignment_ids, "ED assignment must agree");
 
     let cost_euclid = ecost_assigned(&set, &centers_euclid, &assignment, &Euclidean);

@@ -193,7 +193,7 @@ proptest! {
     fn ecost_invariant_under_center_permutation(set in uncertain_set_2d(1..=4)) {
         let c0 = Point::new(vec![-5.0, 1.0]);
         let c1 = Point::new(vec![6.0, -2.0]);
-        let assignment = assign_ed(&set, &[c0.clone(), c1.clone()], &Euclidean);
+        let assignment = assign_ed(&set, &[c0.clone(), c1.clone()], None, &Euclidean, Exec::sequential());
         let cost_a = ecost_assigned(&set, &[c0.clone(), c1.clone()], &assignment, &Euclidean);
         let swapped: Vec<usize> = assignment.iter().map(|&a| 1 - a).collect();
         let cost_b = ecost_assigned(&set, &[c1, c0], &swapped, &Euclidean);

@@ -106,6 +106,124 @@ fn huge_coordinates() {
     assert!(sol.ecost < 1e7, "ecost {}", sol.ecost);
 }
 
+/// Three points in the plane, one of them with a location at `(x, 1)`.
+fn with_far_location(x: f64) -> UncertainSet<Point> {
+    UncertainSet::new(vec![
+        UncertainPoint::certain(Point::new(vec![0.0, 0.0])),
+        UncertainPoint::new(
+            vec![Point::new(vec![x, 1.0]), Point::new(vec![2.0, 1.0])],
+            vec![0.5, 0.5],
+        )
+        .unwrap(),
+        UncertainPoint::certain(Point::new(vec![3.0, 3.0])),
+    ])
+}
+
+/// Solves `set` under every rule × strategy × kernel with the lower
+/// bound on, plus the weighted pipeline, asserting finite output.
+fn solves_everywhere(set: &UncertainSet<Point>, k: usize, ctx: &str) {
+    let problem = Problem::euclidean(set.clone(), k).expect("within the bound");
+    let strategies = [
+        CertainStrategy::Gonzalez,
+        CertainStrategy::GonzalezLocalSearch { rounds: 5 },
+        CertainStrategy::Grid,
+        CertainStrategy::ExactDiscrete,
+    ];
+    for kernel in Kernel::ALL {
+        let mut configs = Vec::new();
+        for rule in [
+            AssignmentRule::ExpectedDistance,
+            AssignmentRule::ExpectedPoint,
+            AssignmentRule::OneCenter,
+        ] {
+            for strategy in strategies {
+                configs.push(SolverConfig::builder().rule(rule).strategy(strategy));
+            }
+        }
+        configs.push(SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted));
+        for builder in configs {
+            let config = builder.kernel(kernel).build().unwrap();
+            let sol = problem.solve(&config).expect("typed configs are valid");
+            let tag = format!(
+                "{ctx}: {kernel:?} {:?} {:?}",
+                config.rule(),
+                config.strategy()
+            );
+            assert!(sol.ecost.is_finite(), "{tag}: ecost {}", sol.ecost);
+            assert!(sol.certain_radius.is_finite(), "{tag}");
+            let lb = sol.report.lower_bound.expect("bound on");
+            assert!(
+                lb.is_finite() && lb <= sol.ecost,
+                "{tag}: {lb} vs {}",
+                sol.ecost
+            );
+        }
+    }
+}
+
+#[test]
+fn coordinates_past_the_norm_bound_are_typed_errors() {
+    assert_eq!(uncertain_kcenter::core::MAX_NORM_SQ, 2f64.powi(1000));
+    for x in [1e155, -1e155, 1e200, f64::MAX] {
+        assert_eq!(
+            Problem::euclidean(with_far_location(x), 2).err(),
+            Some(SolveError::CoordinatesTooLarge { point: 1 }),
+            "x = {x}"
+        );
+    }
+    // One ulp past the bound in one dimension.
+    let edge = 2f64.powi(500);
+    let past = UncertainSet::new(vec![UncertainPoint::certain(Point::scalar(
+        f64::from_bits(edge.to_bits() + 1),
+    ))]);
+    assert_eq!(
+        Problem::euclidean(past, 1).err(),
+        Some(SolveError::CoordinatesTooLarge { point: 0 })
+    );
+}
+
+#[test]
+fn coordinates_within_the_norm_bound_solve_everywhere() {
+    for x in [1e150, -1e150] {
+        solves_everywhere(&with_far_location(x), 2, &format!("x = {x}"));
+    }
+    // Locations on the bound at both ends of a line: the largest squared
+    // distance any two of them have, `(2·2^500)² = 2^1002`, stays finite.
+    let edge = 2f64.powi(500);
+    let line = UncertainSet::new(vec![
+        UncertainPoint::certain(Point::scalar(-edge)),
+        UncertainPoint::new(
+            vec![Point::scalar(edge), Point::scalar(0.0)],
+            vec![0.5, 0.5],
+        )
+        .unwrap(),
+        UncertainPoint::certain(Point::scalar(edge)),
+    ]);
+    solves_everywhere(&line, 2, "on the bound");
+}
+
+/// A huge ε used to overflow the grid spacing and panic on a non-finite
+/// grid vertex; the grid strategy now falls back to Gonzalez.
+#[test]
+fn huge_epsilon_grid_solves() {
+    let set = uniform_box(4, 12, 3, 2, 10.0, 1.0, ProbModel::Random);
+    for kernel in Kernel::ALL {
+        for eps in [1e300, f64::MAX] {
+            let config = SolverConfig::builder()
+                .strategy(CertainStrategy::Grid)
+                .eps(eps)
+                .kernel(kernel)
+                .build()
+                .unwrap();
+            let sol = Problem::euclidean(set.clone(), 3)
+                .unwrap()
+                .solve(&config)
+                .unwrap();
+            assert!(sol.ecost.is_finite(), "{kernel:?} eps {eps}");
+        }
+    }
+}
+
 #[test]
 fn tiny_probabilities_survive() {
     // Mass 1e-9 on a far location: exact machinery must neither drop nor

@@ -312,6 +312,44 @@ fn non_finite_and_empty_coordinates_are_422_not_panics() {
     handle.shutdown();
 }
 
+/// Regression: a finite coordinate whose square overflows (`1e155`) used
+/// to panic inside the solve: the wave answered `500 internal`, and a
+/// leave-one-out sweep panicked on its connection thread. The instance
+/// uploads, and every solve of it is a typed 422.
+#[test]
+fn coordinates_whose_squares_overflow_are_422_not_500() {
+    let (handle, addr) = start(ServerConfig::default());
+    let far = r#"{"dim": 2, "points": [
+        {"locations": [[0, 0]], "probs": [1]},
+        {"locations": [[1e155, 1], [2, 1]], "probs": [0.5, 0.5]},
+        {"locations": [[3, 3]], "probs": [1]}]}"#;
+    let r = post(addr, "/instances", far);
+    assert_eq!(r.status, 201, "{}", r.body);
+    let id = parse(&r)
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("id")
+        .to_string();
+    let too_large = (422.0, "coordinates_too_large".to_string());
+    for route in ["solve", "solve_loo"] {
+        let r = post(addr, &format!("/instances/{id}/{route}"), r#"{"k": 1}"#);
+        assert_eq!(error_kind(&r), too_large, "{route}: {}", r.body);
+    }
+    let r = post(addr, "/solve", &format!(r#"{{"k": 1, "instance": {far}}}"#));
+    assert_eq!(error_kind(&r), too_large);
+
+    // Nothing panicked, and the server still solves.
+    assert_eq!(metric(addr, &["scheduler", "panicked_jobs"]), 0.0);
+    let r = post(
+        addr,
+        "/solve",
+        &format!(r#"{{"k": 2, "instance": {}}}"#, instance_body(9)),
+    );
+    assert_eq!(r.status, 200);
+
+    handle.shutdown();
+}
+
 #[test]
 fn repeated_solves_hit_the_cache_and_report_it() {
     let (handle, addr) = start(ServerConfig::default());
