@@ -13,7 +13,8 @@ use ukc_geometry::{
 };
 use ukc_kcenter::gonzalez;
 use ukc_metric::Euclidean;
-use ukc_uncertain::{ecost_assigned, ecost_monte_carlo, expected_max};
+use ukc_uncertain::generators::{clustered, ProbModel};
+use ukc_uncertain::{distance_vars, ecost_assigned, ecost_monte_carlo, expected_max};
 
 fn bench_expected_max(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate_expected_max");
@@ -40,6 +41,27 @@ fn bench_expected_max(c: &mut Criterion) {
             b.iter(|| expected_max(black_box(v)))
         });
     }
+    // The shape every solve folds: the cost distances of a default solve
+    // of perfbench's cold_solve instances (n = 2500, z = 4, d = 8), where
+    // almost every atom lies below v₀ and only the tail is swept.
+    let set = clustered(1, 2500, 4, 8, 32, 4.0, 1.0, ProbModel::Random);
+    let sol = Problem::euclidean(set.clone(), 40)
+        .and_then(|p| p.solve(&SolverConfig::default()))
+        .expect("valid workload");
+    let dists = sol
+        .cost_distances
+        .as_ref()
+        .expect("cold solves record them");
+    let vars = distance_vars(set.points(), dists.all());
+    let v0 = vars
+        .iter()
+        .map(|v| v.iter().map(|a| a.0).fold(f64::INFINITY, f64::min))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let tail = vars.iter().flatten().filter(|a| a.0 >= v0).count();
+    assert!(tail * 100 < 2500 * 4, "tail of {tail} atoms is over 1%");
+    g.bench_with_input(BenchmarkId::new("kcenter_costs", 2500), &vars, |b, v| {
+        b.iter(|| expected_max(black_box(v)))
+    });
     g.finish();
 }
 

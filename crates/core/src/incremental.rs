@@ -69,8 +69,8 @@ use ukc_metric::{
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
-    assigned_distances_exec, distance_vars, ecost_assigned, ecost_from_distances, expected_max,
-    expected_point, UncertainPoint, UncertainSet,
+    assigned_distances_exec, distance_slices, ecost_assigned, ecost_from_distances,
+    expected_max_split, expected_point, UncertainPoint, UncertainSet,
 };
 
 /// The warm fast path supports exactly the pipeline whose structure it
@@ -464,7 +464,9 @@ fn solve_loo_store(
             &computed
         }
     };
-    let vars = distance_vars(set_ids.points(), dists);
+    // Each point's borrowed (distances, probabilities): a reused variant
+    // folds these with its removed point skipped, copying no atoms.
+    let per_point: Vec<(&[f64], &[f64])> = distance_slices(set_ids.points(), dists).collect();
 
     // Fan the variants across the pool, one per lane chunk. Each slot is
     // an independent pure computation over shared read-only state, so
@@ -481,12 +483,10 @@ fn solve_loo_store(
             slot[0] = Some(if is_center[i] {
                 resolve_center_variant(&store, kernel, &set_ids, &rep_ids, k, i)
             } else {
-                let mut reduced: Vec<Vec<(f64, f64)>> = Vec::with_capacity(n - 1);
-                reduced.extend_from_slice(&vars[..i]);
-                reduced.extend_from_slice(&vars[i + 1..]);
+                let reduced = (0..n - 1).map(|j| per_point[j + usize::from(j >= i)]);
                 LooVariant {
                     removed: i,
-                    ecost: expected_max(&reduced),
+                    ecost: expected_max_split(reduced),
                     certain_radius: prefix_max[i].max(suffix_max[i + 1]),
                     reused: true,
                     distance_evals: 0,

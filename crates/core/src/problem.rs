@@ -270,6 +270,19 @@ impl<P: Clone> Problem<P> {
         })
     }
 
+    /// This problem with `k` centers instead, sharing the set and the
+    /// space: only `k` is validated, so a serving layer that keeps one
+    /// validated problem per stored instance re-reads no location per
+    /// solve.
+    pub fn with_k(&self, k: usize) -> Result<Self, SolveError> {
+        validate_k(self.set.n(), k)?;
+        Ok(Self {
+            set: Arc::clone(&self.set),
+            k,
+            space: self.space.clone(),
+        })
+    }
+
     /// The uncertain set.
     pub fn set(&self) -> &UncertainSet<P> {
         &self.set

@@ -14,7 +14,7 @@ use ukc_core::{
 use ukc_metric::Kernel;
 use ukc_metric::Point;
 use ukc_uncertain::generators::{clustered, ProbModel};
-use ukc_uncertain::{UncertainPoint, UncertainSet};
+use ukc_uncertain::{distance_vars, expected_max, UncertainPoint, UncertainSet};
 
 /// A clustered instance split into a base prefix and an appended tail
 /// drawn around the same cluster sites, so warm starts genuinely accept.
@@ -356,6 +356,28 @@ fn loo_variants_match_independent_cold_solves_bit_exactly() {
         .variants
         .iter()
         .all(|v| !v.reused || v.distance_evals == 0));
+}
+
+#[test]
+fn reused_loo_variants_fold_the_explicitly_reduced_variables() {
+    let set = clustered(73, 80, 3, 2, 4, 40.0, 0.8, ProbModel::Random);
+    let problem = Problem::euclidean(set.clone(), 5).unwrap();
+    let loo = solve_loo(&problem, &SolverConfig::default()).unwrap();
+    let dists = loo.base.cost_distances.as_ref().unwrap().all();
+    let vars = distance_vars(set.points(), dists);
+    let mut reused = 0;
+    for variant in loo.variants.iter().filter(|v| v.reused) {
+        let mut reduced = vars.clone();
+        reduced.remove(variant.removed);
+        assert_eq!(
+            variant.ecost.to_bits(),
+            expected_max(&reduced).to_bits(),
+            "variant {}",
+            variant.removed
+        );
+        reused += 1;
+    }
+    assert!(reused >= 80 - 2 * 5, "most variants reuse, got {reused}");
 }
 
 #[test]

@@ -255,10 +255,17 @@ pub fn dist_sq_tiled(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> f6
     factored(a_norm_sq, b_norm_sq, tile::dot_seq(a, b))
 }
 
-/// `‖a‖² + ‖b‖² − 2a·b` from a precomputed dot, clamped at zero.
+/// `‖a‖² + ‖b‖² − 2a·b` from a precomputed dot, clamped at zero. The
+/// clamp lets NaN through (`f64::max` would turn it into 0), so a
+/// non-finite row is NaN here exactly as under [`dist_sq_scalar`].
 #[inline(always)]
 fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
-    ((a_norm_sq + b_norm_sq) - 2.0 * dot).max(0.0)
+    let d_sq = (a_norm_sq + b_norm_sq) - 2.0 * dot;
+    if d_sq < 0.0 {
+        0.0
+    } else {
+        d_sq
+    }
 }
 
 /// Register-tiled mini-GEMM primitives behind [`Kernel::Tiled`].
@@ -1467,6 +1474,23 @@ mod tests {
         let a = s2.push(&[1.25, -7.5, 3.125]);
         let b = s2.push(&[1.25, -7.5, 3.125]);
         assert_eq!(pair_dist(&s2, a, b, Kernel::Tiled), 0.0);
+    }
+
+    #[test]
+    fn nan_rows_are_nan_under_both_kernels() {
+        let finite = [1.0, -2.0, 3.5, 0.25];
+        let nan = [1.0, f64::NAN, 3.5, 0.25];
+        let norm = |c: &[f64]| tile::dot_seq(c, c);
+        for (a, b) in [(&nan, &finite), (&finite, &nan), (&nan, &nan)] {
+            assert!(dist_sq_scalar(a, b).is_nan());
+            assert!(dist_sq_tiled(a, norm(a), b, norm(b)).is_nan());
+        }
+        // Clamping still zeroes cancellation and keeps finite bits.
+        assert_eq!(
+            factored(1.0, 1.0, 1.0 + f64::EPSILON).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(factored(4.0, 1.0, 1.0), 3.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::persist::{self, RecoveryStats};
 use crate::scheduler::Scheduler;
 use crate::store::InstanceStore;
 use crate::streams::StreamStore;
-use ukc_core::{digest_hex, Problem, Solution, SolverConfig, WarmStats};
+use ukc_core::{digest_hex, Problem, Solution, SolveError, SolverConfig, WarmStats};
 use ukc_durable::snapshot::Snapshot;
 use ukc_durable::{DurableStore, StoreError};
 use ukc_json::format::{solution_document, JsonInstance};
@@ -819,8 +819,8 @@ fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Serve
         .query_param("base")
         .map(|base| resolve_base(state, base, &solve));
     // The set digest was computed at upload time; a miss hands the
-    // solver the stored set itself.
-    run_solve(state, stored.digest, Arc::clone(&stored.set), &solve, warm)
+    // solver the stored set itself, validated once per instance.
+    run_solve(state, stored.digest, |k| stored.problem(k), &solve, warm)
 }
 
 fn handle_oneshot_solve(state: &AppState, request: &Request) -> Served {
@@ -832,7 +832,7 @@ fn handle_oneshot_solve(state: &AppState, request: &Request) -> Served {
     let warm = request
         .query_param("base")
         .map(|base| resolve_base(state, base, &solve));
-    run_solve(state, digest, Arc::new(set), &solve, warm)
+    run_solve(state, digest, |k| Problem::euclidean(set, k), &solve, warm)
 }
 
 /// `POST /instances/{id}/append`: grows a stored instance by the body's
@@ -896,7 +896,7 @@ fn handle_instance_append(state: &AppState, id: &str, request: &Request) -> Hand
         let solved = obtain_solution(
             state,
             grown.digest,
-            Arc::clone(&grown.set),
+            |k| grown.problem(k),
             &solve,
             Some(&warm),
         )?;
@@ -1176,7 +1176,13 @@ fn handle_stream_solution(state: &AppState, id: &str) -> Handled {
         }),
         _ => None,
     };
-    let solved = obtain_solution(state, report.digest, Arc::new(set), &solve, warm.as_ref())?;
+    let solved = obtain_solution(
+        state,
+        report.digest,
+        |k| Problem::euclidean(set, k),
+        &solve,
+        warm.as_ref(),
+    )?;
     *entry
         .last_solution
         .lock()
@@ -1296,7 +1302,7 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
             reason: "base_not_found",
         };
     };
-    let Ok(problem) = Problem::euclidean(Arc::clone(&stored.set), solve.k) else {
+    let Ok(problem) = stored.problem(solve.k) else {
         return WarmBase::Unresolved {
             reason: "base_unsolvable",
         };
@@ -1328,12 +1334,12 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
 fn run_solve(
     state: &AppState,
     set_digest: u64,
-    set: Arc<UncertainSet<Point>>,
+    problem: impl FnOnce(usize) -> Result<Problem<Point>, SolveError>,
     solve: &SolveRequest,
     warm: Option<WarmBase>,
 ) -> Served {
     let base = warm.as_ref().and_then(WarmBase::base_digest);
-    let body = match obtain_solution(state, set_digest, set, solve, warm.as_ref())? {
+    let body = match obtain_solution(state, set_digest, problem, solve, warm.as_ref())? {
         Obtained::Hit(entry) => Body::Rendered(
             entry.hit_body(|solution| solve_response(solution, set_digest, true, base).pretty()),
         ),
@@ -1348,11 +1354,14 @@ fn run_solve(
 /// submission, and cache fill. `set_digest` is the instance's content
 /// digest (the store ID); the cache key extends it with `k` and the
 /// space so different requests against one instance cannot collide.
-/// `set` reaches the solver by reference count, never by copy.
+/// `problem` builds the validated problem for `k` on a miss only; a
+/// stored instance's problem shares its set by reference count and
+/// validates the locations once
+/// ([`crate::store::StoredInstance::problem`]).
 fn obtain_solution(
     state: &AppState,
     set_digest: u64,
-    set: Arc<UncertainSet<Point>>,
+    problem: impl FnOnce(usize) -> Result<Problem<Point>, SolveError>,
     solve: &SolveRequest,
     warm: Option<&WarmBase>,
 ) -> Result<Obtained, ApiError> {
@@ -1380,7 +1389,7 @@ fn obtain_solution(
         }
     }
 
-    let problem = Problem::euclidean(set, solve.k).map_err(|e| {
+    let problem = problem(solve.k).map_err(|e| {
         state.metrics.record_solve_error();
         ApiError::from(e)
     })?;
@@ -1438,7 +1447,7 @@ fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> H
         .store
         .get(id)
         .ok_or_else(|| ApiError::instance_not_found(id))?;
-    let problem = Problem::euclidean(Arc::clone(&stored.set), solve.k).map_err(|e| {
+    let problem = stored.problem(solve.k).map_err(|e| {
         state.metrics.record_solve_error();
         ApiError::from(e)
     })?;
@@ -1527,7 +1536,7 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
                 continue;
             }
         }
-        match Problem::euclidean(Arc::clone(&stored.set), solve.k) {
+        match stored.problem(solve.k) {
             Ok(problem) => {
                 jobs.push((problem, solve.config.clone(), problem_digest));
                 job_slots.push((slot, key, set_digest));

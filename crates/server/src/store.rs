@@ -11,9 +11,9 @@
 //! `Arc`-shared so a delete cannot invalidate an in-flight solve.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use ukc_core::{digest_hex, digest_set};
+use ukc_core::{digest_hex, digest_set, Problem, SolveError};
 use ukc_metric::Point;
 use ukc_uncertain::UncertainSet;
 
@@ -30,9 +30,24 @@ pub struct StoredInstance {
     pub set: Arc<UncertainSet<Point>>,
     /// Ambient dimension.
     pub dim: usize,
+    /// The set validated as a Euclidean problem, filled by the first
+    /// solve: later solves only check their `k`.
+    validated: OnceLock<Result<Problem<Point>, SolveError>>,
 }
 
 impl StoredInstance {
+    /// The Euclidean problem of this instance with `k` centers. The
+    /// locations are validated once per stored instance, so every solve
+    /// after the first pays only for the `k` check, and gets the same
+    /// error [`Problem::euclidean`] would give.
+    pub fn problem(&self, k: usize) -> Result<Problem<Point>, SolveError> {
+        self.validated
+            .get_or_init(|| Problem::euclidean(Arc::clone(&self.set), 1))
+            .as_ref()
+            .map_err(Clone::clone)?
+            .with_k(k)
+    }
+
     /// Summary used by list/get/upload responses.
     pub fn summary(&self) -> ukc_json::Json {
         ukc_json::Json::obj([
@@ -72,6 +87,7 @@ impl InstanceStore {
             digest,
             set: Arc::new(set),
             dim,
+            validated: OnceLock::new(),
         });
         map.insert(id, Arc::clone(&stored));
         (stored, true)
@@ -123,6 +139,7 @@ impl InstanceStore {
 mod tests {
     use super::*;
     use ukc_uncertain::generators::{clustered, ProbModel};
+    use ukc_uncertain::UncertainPoint;
 
     #[test]
     fn identical_uploads_dedupe_to_one_id() {
@@ -140,6 +157,34 @@ mod tests {
         let (c, created_c) = store.insert(UncertainSet::new(points));
         assert!(!created_c);
         assert_eq!(c.id, a.id);
+    }
+
+    #[test]
+    fn stored_problems_give_the_errors_of_a_fresh_validation() {
+        let store = InstanceStore::new();
+        let (ok, _) = store.insert(clustered(3, 8, 3, 2, 2, 4.0, 1.0, ProbModel::Random));
+        let far = UncertainSet::new(vec![
+            UncertainPoint::certain(Point::new(vec![0.0, 0.0])),
+            UncertainPoint::certain(Point::new(vec![1e155, 1.0])),
+        ]);
+        let (far, _) = store.insert(far);
+        for stored in [&ok, &far] {
+            // Twice per k: the second call reads the stored validation.
+            for k in [0, 1, 3, 8, 9, 0, 1, 3, 8, 9] {
+                let fresh = Problem::euclidean(Arc::clone(&stored.set), k);
+                match (stored.problem(k), fresh) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!((a.k(), a.instance_digest()), (b.k(), b.instance_digest()));
+                        assert!(std::ptr::eq(a.set(), &*stored.set), "the set is shared");
+                    }
+                    (a, b) => assert_eq!(a.unwrap_err(), b.unwrap_err(), "k = {k}"),
+                }
+            }
+        }
+        assert!(matches!(
+            far.problem(1),
+            Err(SolveError::CoordinatesTooLarge { point: 1 })
+        ));
     }
 
     #[test]

@@ -98,17 +98,18 @@ pub fn assigned_distances_exec<P: Sync, M: DistanceOracle<P> + Sync>(
 /// # Panics
 /// Panics when `dists` does not hold exactly one value per location.
 pub fn distance_vars<P>(points: &[UncertainPoint<P>], dists: &[f64]) -> Vec<Vec<(f64, f64)>> {
-    per_point(points, dists)
+    distance_slices(points, dists)
         .map(|(d, probs)| d.iter().copied().zip(probs.iter().copied()).collect())
         .collect()
 }
 
-/// Splits flat per-location values (set order) into each point's
-/// `(values, probabilities)`.
+/// Splits flat per-location values (set order, as
+/// [`assigned_distances_exec`] lays them out) into each point's borrowed
+/// `(values, probabilities)` — the variables [`expected_max_split`] folds.
 ///
 /// # Panics
 /// Panics when `dists` does not hold exactly one value per location.
-fn per_point<'a, P>(
+pub fn distance_slices<'a, P>(
     points: &'a [UncertainPoint<P>],
     dists: &'a [f64],
 ) -> impl ExactSizeIterator<Item = (&'a [f64], &'a [f64])> {
@@ -132,7 +133,7 @@ fn per_point<'a, P>(
 /// # Panics
 /// Panics when `dists` does not hold exactly one value per location.
 pub fn ecost_from_distances<P>(set: &UncertainSet<P>, dists: &[f64]) -> f64 {
-    expected_max_split(per_point(set.points(), dists))
+    expected_max_split(distance_slices(set.points(), dists))
 }
 
 /// Builds the per-point distance variables for the *unassigned* cost:

@@ -40,9 +40,9 @@ pub mod set;
 
 pub use cost::{
     assigned_distances_exec, cost_cdf_assigned, cost_cdf_unassigned, cost_quantile_assigned,
-    cost_quantile_unassigned, distance_vars, ecost_assigned, ecost_assigned_enumerate,
-    ecost_from_distances, ecost_monte_carlo, ecost_unassigned, ecost_unassigned_enumerate,
-    ecost_unassigned_exec, MonteCarloEstimate,
+    cost_quantile_unassigned, distance_slices, distance_vars, ecost_assigned,
+    ecost_assigned_enumerate, ecost_from_distances, ecost_monte_carlo, ecost_unassigned,
+    ecost_unassigned_enumerate, ecost_unassigned_exec, MonteCarloEstimate,
 };
 pub use expected_max::{
     expected_max, expected_max_split, max_cdf, max_quantile, try_expected_max, try_max_cdf,
