@@ -56,13 +56,13 @@ use args::Args;
 use ukc_core::{
     solve_batch_threads, AssignmentRule, CertainStrategy, Problem, Solution, SolverConfig,
 };
-use ukc_json::format::{solution_document, JsonInstance, JsonSolution};
+use ukc_json::format::{loo_document, solution_document, JsonInstance, JsonSolution};
 use ukc_json::Json;
 use ukc_metric::{Euclidean, Kernel, Point};
 use ukc_uncertain::generators::{
     clustered, line_instance, ring, two_scale, uniform_box, ProbModel,
 };
-use ukc_uncertain::{ecost_assigned, expected_point, UncertainSet};
+use ukc_uncertain::{ecost_assigned, UncertainSet};
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
@@ -424,12 +424,13 @@ fn cmd_stream(a: &Args) -> CmdResult {
 }
 
 /// Reconstructs the prior [`Solution`] a `--base <solution.json>` file
-/// describes, against the (grown) instance being solved. Solution files
-/// do not store representatives; for the append chains `--base` exists
-/// for, the prior's representatives are exactly the expected points of
-/// the instance's prefix, so they are recomputed from `set` — every
-/// other mismatch (wrong `k`, non-prefix instance, stale centers, radius
-/// drift) is caught by `warm_start`'s own revalidation and falls back
+/// describes, against the (grown) instance being solved. A solution file
+/// records no instance, so the prior's set is taken to be the first
+/// `assignment.len()` points of `set`: `--base` trusts that the file
+/// solved this instance's prefix, and `warm_start`'s prefix check cannot
+/// catch a file written for another instance. Every other mismatch
+/// (wrong `k`, a prefix longer than the instance, stale centers, radius
+/// drift past the separation certificate, which still runs) falls back
 /// cold with a typed reason.
 fn load_prior(
     path: &str,
@@ -442,13 +443,14 @@ fn load_prior(
         .get("certain_radius")
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("{path}: missing \"certain_radius\" (not a ukc solution file?)"))?;
-    let n_prior = sol.assignment.len().min(set.n());
-    let representatives = set.iter().take(n_prior).map(expected_point).collect();
+    // A set needs a point: an empty assignment still records one, and
+    // `warm_start` rejects it as `prior_shape` either way.
+    let n_prior = sol.assignment.len().clamp(1, set.n());
     Ok(Solution {
         centers: sol.center_points(),
         assignment: sol.assignment.clone(),
         ecost: sol.ecost,
-        representatives,
+        set: std::sync::Arc::new(UncertainSet::new(set.points()[..n_prior].to_vec())),
         certain_radius,
         report: ukc_core::Report::default(),
         cost_distances: None,
@@ -521,25 +523,7 @@ fn cmd_loo(a: &Args) -> CmdResult {
     let format = output_format(a)?;
     let problem = Problem::euclidean(set, k)?;
     let loo = ukc_core::solve_loo(&problem, &config)?;
-    let doc = Json::obj([
-        ("base", solution_document(&loo.base)),
-        (
-            "variants",
-            Json::arr(loo.variants.iter().map(|v| {
-                Json::obj([
-                    ("removed", Json::from(v.removed)),
-                    ("ecost", Json::from(v.ecost)),
-                    ("certain_radius", Json::from(v.certain_radius)),
-                    ("reused", Json::from(v.reused)),
-                    ("distance_evals", Json::from(v.distance_evals as f64)),
-                ])
-            })),
-        ),
-        ("count", Json::from(loo.variants.len())),
-        ("reused_variants", Json::from(loo.reused_variants)),
-        ("resolved_variants", Json::from(loo.resolved_variants)),
-        ("distance_evals", Json::from(loo.distance_evals as f64)),
-    ]);
+    let doc = loo_document(&loo, solution_document(&loo.base));
     if let Ok(out) = a.required("out") {
         std::fs::write(out, doc.pretty())?;
         eprintln!("wrote {out}");

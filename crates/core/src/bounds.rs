@@ -58,7 +58,7 @@ use ukc_kcenter::gonzalez;
 use ukc_metric::batch::dist_sq_scalar;
 use ukc_metric::{DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
-use ukc_uncertain::{expected_point, one_center_discrete, UncertainSet};
+use ukc_uncertain::{one_center_discrete, UncertainSet};
 
 /// Certified lower bound specific to the 1-center problem (`k = 1`, where
 /// assigned and unassigned coincide): combines the per-point 1-median
@@ -94,11 +94,8 @@ pub fn lower_bound_one_center<P, M: Metric<P>>(set: &UncertainSet<P>, metric: &M
 /// # Panics
 /// Panics when locations have mismatched dimensions.
 pub fn lower_bound_euclidean(set: &UncertainSet<Point>, k: usize) -> f64 {
-    let (mut store, set_ids) = set.indexed_store(set.n());
-    let pbar: Vec<PointId> = set
-        .iter()
-        .map(|up| store.push_point(&expected_point(up)))
-        .collect();
+    let (store, set_ids, pbar) =
+        crate::problem::solve_store(set, crate::AssignmentRule::ExpectedPoint, 0);
     let certain = certain_half_store(&store, &pbar, k, Kernel::Scalar, Exec::sequential());
     per_point_store(&store, &set_ids, &store, &pbar, certain).0
 }
@@ -431,7 +428,7 @@ mod tests {
     use crate::{AssignmentRule, Problem, Solution, SolverConfig};
     use ukc_metric::{Euclidean, FiniteMetric};
     use ukc_uncertain::generators::{clustered, on_finite_metric, uniform_box, ProbModel};
-    use ukc_uncertain::UncertainSet;
+    use ukc_uncertain::{expected_point, UncertainSet};
 
     fn config(rule: AssignmentRule) -> SolverConfig {
         SolverConfig::builder()

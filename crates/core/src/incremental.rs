@@ -59,7 +59,7 @@ use crate::assignments::AssignmentRule;
 use crate::config::{CertainStrategy, SolverConfig};
 use crate::error::SolveError;
 use crate::problem::{
-    method_string, solve_batch_threads, validate_k, CostDistances, Problem, Solution,
+    method_string, solve_batch_threads, solve_store, validate_k, CostDistances, Problem, Solution,
 };
 use crate::report::{Report, WarmStats};
 use ukc_kcenter::{cover_radius, gonzalez_nearest};
@@ -70,7 +70,7 @@ use ukc_metric::{
 use ukc_pool::Exec;
 use ukc_uncertain::{
     assigned_distances_exec, distance_slices, ecost_assigned, ecost_from_distances,
-    expected_max_split, expected_point, UncertainPoint, UncertainSet,
+    expected_max_split, expected_point, UncertainSet,
 };
 
 /// The warm fast path supports exactly the pipeline whose structure it
@@ -117,9 +117,11 @@ impl Solution<Point> {
     /// warm solves (and their fallbacks) from plain cold solves.
     ///
     /// `prior` must be a solution this library produced for a prefix
-    /// instance under an expected-point rule (its representative list is
-    /// revalidated bitwise against the recomputed prefix; its
-    /// `certain_radius` is trusted as every [`Solution`] invariant is).
+    /// instance under an expected-point rule. Its prefix is revalidated
+    /// against the set it records ([`Solution::set`]): the expected
+    /// points of that set's points must equal the current prefix's,
+    /// coordinate for coordinate. Its `certain_radius` is trusted as
+    /// every [`Solution`] invariant is.
     pub fn warm_start(
         problem: &Problem<Point>,
         config: &SolverConfig,
@@ -160,7 +162,7 @@ fn warm_attempt(
     let n_prior = prior.assignment.len();
     if n_prior == 0
         || n_prior > n
-        || prior.representatives.len() != n_prior
+        || prior.set.n() != n_prior
         || prior.assignment.iter().any(|&a| a >= k)
     {
         return Err("prior_shape");
@@ -172,32 +174,35 @@ fn warm_attempt(
         ..Report::default()
     };
 
-    // Stage 1: representatives — recomputed in full (coordinate
-    // arithmetic, zero metric evaluations) and revalidated bitwise
-    // against the prior's prefix. A perturbed instance — not an append —
-    // shows up here and falls back cold.
+    // Stage 1: the prefix is revalidated against the prior's recorded set
+    // (coordinate arithmetic, zero metric evaluations): the expected
+    // points of its points must equal the current ones, so a perturbed
+    // instance — not an append — falls back cold here. Only points that
+    // differ from the prior's are recomputed: equal locations and
+    // probabilities give equal expected points (the centroid only adds,
+    // multiplies and divides by a positive total), and a shared set is
+    // equal throughout.
     let t = Instant::now();
-    let reps: Vec<Point> = set.iter().map(expected_point).collect();
-    for (rep, prior_rep) in reps.iter().zip(&prior.representatives) {
-        if rep.coords() != prior_rep.coords() {
-            return Err("prefix_mismatch");
+    if !Arc::ptr_eq(&prior.set, problem.shared_set()) {
+        for (up, prior_up) in set.iter().zip(prior.set.iter()) {
+            if up != prior_up && expected_point(up).coords() != expected_point(prior_up).coords() {
+                return Err("prefix_mismatch");
+            }
         }
     }
+    // The prefix and the appended rows, then the representatives, laid out
+    // as a cold solve lays out its store, with room for the reused centers.
+    let (mut store, set_ids, rep_ids) = solve_store(set, config.rule(), k);
     // The separation certificate needs the prior centers to *be*
     // representatives of the current instance (true of every Gonzalez
     // solution over a matching prefix).
     if prior
         .centers
         .iter()
-        .any(|c| !reps.iter().any(|r| r.coords() == c.coords()))
+        .any(|c| !rep_ids.iter().any(|&r| store.coords(r) == c.coords()))
     {
         return Err("centers_not_representatives");
     }
-
-    // The prefix and the appended rows, then the representatives and the
-    // reused centers, laid out as a cold solve lays out its store.
-    let (mut store, set_ids) = set.indexed_store(n + k);
-    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
     let center_ids: Vec<PointId> = prior.centers.iter().map(|c| store.push_point(c)).collect();
     report.timings.representatives = t.elapsed();
 
@@ -250,10 +255,7 @@ fn warm_attempt(
     // very locations under this kernel; only the rest are evaluated.
     let evals_before = counter.count();
     let t = Instant::now();
-    let reused = prior
-        .cost_distances
-        .as_ref()
-        .and_then(|d| d.prefix(set, n_prior, config.kernel()));
+    let reused = prior.cost_prefix(set, n_prior, config.kernel());
     let from = if reused.is_some() { n_prior } else { 0 };
     let mut dists = reused.map_or_else(Vec::new, <[f64]>::to_vec);
     dists.extend(assigned_distances_exec(
@@ -264,8 +266,7 @@ fn warm_attempt(
         exec,
     ));
     let ecost = ecost_from_distances(&set_ids, &dists);
-    let cost_distances =
-        CostDistances::new(Arc::clone(problem.shared_set()), config.kernel(), dists);
+    let cost_distances = CostDistances::new(set, config.kernel(), dists);
     report.distance_evals.cost = counter.since(evals_before);
     report.timings.cost = t.elapsed();
 
@@ -291,7 +292,7 @@ fn warm_attempt(
     // sweep, plus one evaluation per realization location for the cost
     // stage.
     let nk = (n as u64) * (k as u64);
-    let sweeps = if tracking_fuses(n, k, reps[0].dim()) {
+    let sweeps = if tracking_fuses(n, k, store.dim()) {
         1
     } else {
         2
@@ -309,7 +310,7 @@ fn warm_attempt(
         centers: prior.centers.clone(),
         assignment,
         ecost,
-        representatives: reps,
+        set: Arc::clone(problem.shared_set()),
         certain_radius: r_warm,
         report,
         cost_distances: Some(cost_distances),
@@ -379,32 +380,31 @@ pub fn solve_loo(problem: &Problem<Point>, config: &SolverConfig) -> Result<LooR
     let n = problem.set().n();
     validate_k(n.saturating_sub(1), problem.k())?;
     let base = problem.solve(config)?;
-    if warm_supported(problem, config).is_none() {
-        if let Some(report) = solve_loo_store(problem, config, &base) {
-            return Ok(report);
+    let base = if warm_supported(problem, config).is_none() {
+        match solve_loo_store(problem, config, base) {
+            Ok(report) => return Ok(report),
+            Err(base) => *base,
         }
-    }
+    } else {
+        base
+    };
     solve_loo_general(problem, config, base)
 }
 
-/// The shared-store fast path of [`solve_loo`]; `None` when the base
-/// solution does not have the Gonzalez shape (centers drawn from the
-/// representatives).
+/// The shared-store fast path of [`solve_loo`], which moves `base` into
+/// its report; hands `base` back when it does not have the Gonzalez
+/// shape (centers drawn from the representatives).
 fn solve_loo_store(
     problem: &Problem<Point>,
     config: &SolverConfig,
-    base: &Solution<Point>,
-) -> Option<LooReport> {
+    base: Solution<Point>,
+) -> Result<LooReport, Box<Solution<Point>>> {
     let set = problem.set();
     let n = set.n();
     let k = problem.k();
-    let reps = &base.representatives;
-    if reps.len() != n || base.assignment.len() != n {
-        return None;
-    }
-
-    let (mut store, set_ids) = set.indexed_store(n);
-    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
+    // The expected points, recomputed from the set as the base solve
+    // computed them.
+    let (store, set_ids, rep_ids) = solve_store(set, config.rule(), 0);
 
     // Rows that could have been chosen as centers. Coordinate-duplicate
     // rows are conservatively included: re-solving one costs a little,
@@ -413,13 +413,16 @@ fn solve_loo_store(
     let mut center_ids = Vec::with_capacity(base.centers.len());
     for c in &base.centers {
         let mut first = None;
-        for (j, rep) in reps.iter().enumerate() {
-            if rep.coords() == c.coords() {
+        for (j, &rep) in rep_ids.iter().enumerate() {
+            if store.coords(rep) == c.coords() {
                 is_center[j] = true;
-                first.get_or_insert(rep_ids[j]);
+                first.get_or_insert(rep);
             }
         }
-        center_ids.push(first?);
+        match first {
+            Some(id) => center_ids.push(id),
+            None => return Err(Box::new(base)),
+        }
     }
 
     let shared_counter = DistCounter::new();
@@ -447,11 +450,7 @@ fn solve_loo_store(
     // assignment. A reused variant's exact expected cost is then a
     // float-only recombination.
     let computed;
-    let dists = match base
-        .cost_distances
-        .as_ref()
-        .and_then(|d| d.prefix(set, n, config.kernel()))
-    {
+    let dists = match base.cost_prefix(set, n, config.kernel()) {
         Some(dists) => dists,
         None => {
             computed = assigned_distances_exec(
@@ -503,8 +502,8 @@ fn solve_loo_store(
     let distance_evals = base.report.distance_evals.total()
         + shared_counter.count()
         + variants.iter().map(|v| v.distance_evals).sum::<u64>();
-    Some(LooReport {
-        base: base.clone(),
+    Ok(LooReport {
+        base,
         reused_variants,
         resolved_variants: n - reused_variants,
         distance_evals,
@@ -536,14 +535,9 @@ fn resolve_center_variant(
         nearest
     });
     let assignment: Vec<usize> = nearest.iter().map(|&(c, _)| c).collect();
-    let reduced_points: Vec<UncertainPoint<PointId>> = set_ids
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != i)
-        .map(|(_, up)| up.clone())
-        .collect();
-    let reduced_set = UncertainSet::new(reduced_points);
-    let ecost = ecost_assigned(&reduced_set, &centers, &assignment, &oracle);
+    let mut reduced = set_ids.points().to_vec();
+    reduced.remove(i);
+    let ecost = ecost_assigned(&UncertainSet::new(reduced), &centers, &assignment, &oracle);
     LooVariant {
         removed: i,
         ecost,
@@ -565,12 +559,8 @@ fn solve_loo_general(
     let n = set.n();
     let mut variant_problems = Vec::with_capacity(n);
     for i in 0..n {
-        let points: Vec<UncertainPoint<Point>> = set
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, up)| up.clone())
-            .collect();
+        let mut points = set.points().to_vec();
+        points.remove(i);
         variant_problems.push(problem.with_set(UncertainSet::new(points))?);
     }
     let results = solve_batch_threads(&variant_problems, config, config.resolved_threads());

@@ -351,10 +351,14 @@ pub struct Solution<P> {
     pub assignment: Vec<usize>,
     /// Exact expected cost `EcostA` of (centers, assignment).
     pub ecost: f64,
-    /// The certain representatives the k-center step ran on (`P̄` for
-    /// ED/EP rules, `P̃` for the OC rule).
-    pub representatives: Vec<P>,
-    /// The certain k-center radius achieved on the representatives.
+    /// The uncertain set this solution solved, shared with its problem
+    /// (a reference-count bump, not a copy). A warm start revalidates its
+    /// prefix against it, and a leave-one-out sweep recomputes its
+    /// representatives from it; no per-point representative outlives the
+    /// solve.
+    pub set: Arc<UncertainSet<P>>,
+    /// The certain k-center radius achieved on the representatives (`P̄`
+    /// for ED/EP rules, `P̃` for the OC rule).
     pub certain_radius: f64,
     /// Per-stage timings, distance-evaluation counts, and the certified
     /// lower bound.
@@ -363,55 +367,18 @@ pub struct Solution<P> {
     /// or a leave-one-out sweep can reuse them for an unchanged prefix
     /// (`None` off the coordinate-store path, and for priors rebuilt from
     /// a solution file). Costs 8 bytes per realization location.
-    pub cost_distances: Option<CostDistances<P>>,
+    pub cost_distances: Option<CostDistances>,
 }
 
-/// The distances `d(Pᵢⱼ, c_{a(i)})` the cost stage measured, one per
-/// realization location in set order (point-major, support order),
-/// together with the set and kernel they were measured on.
-///
-/// Each value is a pure function of a location, its point's assigned
-/// center, and the kernel, so any solve sharing centers, assignment and
-/// kernel over the same leading points can take them instead of
-/// re-evaluating those pairs ([`CostDistances::prefix`]); the expected
-/// cost folded from them keeps its bits. The set is held by [`Arc`]: a
-/// solve of a shared set (every served instance) adds no copy.
-#[derive(Clone)]
-pub struct CostDistances<P> {
-    set: Arc<UncertainSet<P>>,
-    kernel: Kernel,
-    dists: Vec<f64>,
-}
-
-impl<P> CostDistances<P> {
-    /// Records `dists` (one per location of `set`, in set order) measured
-    /// under `kernel`.
-    ///
-    /// # Panics
-    /// Panics when `dists` does not hold one value per location.
-    pub(crate) fn new(set: Arc<UncertainSet<P>>, kernel: Kernel, dists: Vec<f64>) -> Self {
-        assert_eq!(
-            dists.len(),
-            set.total_locations(),
-            "one distance per location required"
-        );
-        Self { set, kernel, dists }
-    }
-
-    /// Every recorded distance, in set order.
-    pub fn all(&self) -> &[f64] {
-        &self.dists
-    }
-}
-
-impl<P: PartialEq> CostDistances<P> {
-    /// The distances of the first `n` points of `set`, when those points
-    /// carry exactly the locations (same values, same order) of the
-    /// first `n` points these were measured on, under the same `kernel`;
-    /// `None` otherwise. The caller vouches for the centers and the
-    /// assignment of those points.
-    pub fn prefix(&self, set: &UncertainSet<P>, n: usize, kernel: Kernel) -> Option<&[f64]> {
-        if kernel != self.kernel || n > self.set.n() || n > set.n() {
+impl<P: PartialEq> Solution<P> {
+    /// The recorded cost distances of the first `n` points of `set`, when
+    /// those points carry exactly the locations (same values, same order)
+    /// of the first `n` points of the set this solution solved, and the
+    /// distances were measured under `kernel`; `None` otherwise. The
+    /// caller vouches for the centers and the assignment of those points.
+    pub fn cost_prefix(&self, set: &UncertainSet<P>, n: usize, kernel: Kernel) -> Option<&[f64]> {
+        let recorded = self.cost_distances.as_ref()?;
+        if kernel != recorded.kernel || n > self.set.n() || n > set.n() {
             return None;
         }
         let ours = &self.set.points()[..n];
@@ -421,18 +388,78 @@ impl<P: PartialEq> CostDistances<P> {
                 .zip(&set.points()[..n])
                 .all(|(a, b)| a.locations() == b.locations());
         let len: usize = ours.iter().map(UncertainPoint::z).sum();
-        same.then(|| &self.dists[..len])
+        same.then(|| &recorded.dists[..len])
     }
 }
 
-impl<P> std::fmt::Debug for CostDistances<P> {
+/// The distances `d(Pᵢⱼ, c_{a(i)})` the cost stage measured, one per
+/// realization location of the solution's set in set order (point-major,
+/// support order), together with the kernel they were measured under.
+///
+/// Each value is a pure function of a location, its point's assigned
+/// center, and the kernel, so any solve sharing centers, assignment and
+/// kernel over the same leading points can take them instead of
+/// re-evaluating those pairs ([`Solution::cost_prefix`]); the expected
+/// cost folded from them keeps its bits.
+#[derive(Clone)]
+pub struct CostDistances {
+    kernel: Kernel,
+    dists: Vec<f64>,
+}
+
+impl CostDistances {
+    /// Records `dists` (one per location of `set`, in set order) measured
+    /// under `kernel`.
+    ///
+    /// # Panics
+    /// Panics when `dists` does not hold one value per location.
+    pub(crate) fn new<P>(set: &UncertainSet<P>, kernel: Kernel, dists: Vec<f64>) -> Self {
+        assert_eq!(
+            dists.len(),
+            set.total_locations(),
+            "one distance per location required"
+        );
+        Self { kernel, dists }
+    }
+
+    /// Every recorded distance, in set order.
+    pub fn all(&self) -> &[f64] {
+        &self.dists
+    }
+}
+
+impl std::fmt::Debug for CostDistances {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostDistances")
             .field("kernel", &self.kernel)
-            .field("points", &self.set.n())
             .field("locations", &self.dists.len())
             .finish()
     }
+}
+
+/// Lays out the store of a Euclidean solve, in id order: every
+/// realization coordinate (point-major, support order), then one
+/// representative per point under `rule` (`P̄ᵢ` for ED/EP, `P̃ᵢ` for OC),
+/// with room for `extra_rows` more rows behind them (synthesized or
+/// reused centers). Returns the store, the set's id-space mirror and the
+/// representatives' ids. Cold, warm and leave-one-out solves all build
+/// their store here, so an id's range names the point it came from on
+/// every path; the representatives live only in the store.
+pub(crate) fn solve_store(
+    set: &UncertainSet<Point>,
+    rule: AssignmentRule,
+    extra_rows: usize,
+) -> (PointStore, UncertainSet<PointId>, Vec<PointId>) {
+    let (mut store, set_ids) = set.indexed_store(set.n() + extra_rows);
+    let representative = match rule {
+        AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => expected_point,
+        AssignmentRule::OneCenter => one_center_euclidean,
+    };
+    let rep_ids = set
+        .iter()
+        .map(|up| store.push_point(&representative(up)))
+        .collect();
+    (store, set_ids, rep_ids)
 }
 
 pub(crate) fn method_string(
@@ -449,11 +476,11 @@ pub(crate) fn method_string(
 }
 
 /// The Euclidean pipeline (paper Theorems 2.2 / 2.4 / 2.5) behind
-/// [`Problem::solve`]: one [`PointStore`] per solve holds every
-/// realization coordinate, every representative, and (for the grid
-/// strategy) every synthesized center, in that order, so an id's range
-/// names the point it came from; all distance work then runs through the
-/// batched kernels of a [`StoreOracle`] under the configured
+/// [`Problem::solve`]: one [`PointStore`] per solve ([`solve_store`])
+/// holds every realization coordinate, every representative, and (for
+/// the grid strategy) every synthesized center, in that order, so every
+/// output center is read back from its row; all distance work then runs
+/// through the batched kernels of a [`StoreOracle`] under the configured
 /// [`crate::SolverConfig::kernel`]. [`Problem::euclidean`] validated the
 /// set, so building the store cannot fail.
 ///
@@ -505,21 +532,12 @@ fn solve_continuous_store(
         ..Report::default()
     };
 
-    // The realization coordinates, with room behind them for the
-    // representatives and up to k synthesized grid centers.
-    let locations = set.total_locations();
-    let (mut store, set_ids) = set.indexed_store(set.n() + k);
-
-    // Step 1: representatives, O(nz) (ED/EP) or O(nz·iters) (OC) —
-    // coordinate arithmetic, not metric evaluations (counted as zero).
+    // Step 1: the store — the realization coordinates, then the
+    // representatives, O(nz) (ED/EP) or O(nz·iters) (OC), with room for up
+    // to k synthesized grid centers. Coordinate arithmetic, not metric
+    // evaluations (counted as zero).
     let t = Instant::now();
-    let reps: Vec<Point> = match rule {
-        AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => {
-            set.iter().map(expected_point).collect()
-        }
-        AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
-    };
-    let rep_ids: Vec<PointId> = reps.iter().map(|rep| store.push_point(rep)).collect();
+    let (mut store, set_ids, rep_ids) = solve_store(set, rule, k);
     report.timings.representatives = t.elapsed();
     report.distance_evals.representatives = counter.count();
 
@@ -529,7 +547,6 @@ fn solve_continuous_store(
     // runs the additively-weighted Gonzalez sweep; the chosen centers
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
-    let mut synthesized: Vec<Point> = Vec::new();
     // EP over plain Gonzalez: the greedy's tracked passes hand the
     // assignment stage every representative's nearest center — or, when
     // they cannot vouch for its bits, leave that sweep (and the radius)
@@ -537,11 +554,27 @@ fn solve_continuous_store(
     let mut ep_nearest: Option<Option<Vec<(usize, f64)>>> = None;
     let evals_before = counter.count();
     let t = Instant::now();
+    // The certified grid solver synthesizes new center locations, pushed
+    // before the store freezes; its internal work bypasses the oracle (and
+    // the counters).
+    let grid = match config.strategy() {
+        CertainStrategy::Grid => {
+            let reps: Vec<Point> = rep_ids.iter().map(|&id| store.point(id)).collect();
+            grid_kcenter(&reps, k, config.grid_options(), exec).map(|sol| KCenterSolution {
+                centers: sol.centers.iter().map(|c| store.push_point(c)).collect(),
+                center_indices: sol.center_indices,
+                radius: sol.radius,
+            })
+        }
+        _ => None,
+    };
+    // The store is frozen from here on; one pooled oracle serves every
+    // later stage.
+    let oracle = StoreOracle::new(&store, kernel)
+        .with_counter(&counter)
+        .with_exec(exec);
     let mut certain: KCenterSolution<PointId> = match config.strategy() {
         CertainStrategy::Gonzalez if weighted => {
-            let oracle = StoreOracle::new(&store, kernel)
-                .with_counter(&counter)
-                .with_exec(exec);
             let spreads = expected_spreads_exec(&set_ids, &rep_ids, &oracle, exec);
             let idx = gonzalez_indices(&rep_ids, Some(&spreads), k, &oracle, 0);
             let centers: Vec<PointId> = idx.iter().map(|&i| rep_ids[i]).collect();
@@ -555,9 +588,6 @@ fn solve_continuous_store(
             }
         }
         CertainStrategy::Gonzalez if rule == AssignmentRule::ExpectedPoint => {
-            let oracle = StoreOracle::new(&store, kernel)
-                .with_counter(&counter)
-                .with_exec(exec);
             let (idx, nearest) = gonzalez_nearest(&rep_ids, k, &oracle, 0);
             let radius = nearest.as_deref().map_or(f64::NAN, cover_radius);
             ep_nearest = Some(nearest);
@@ -567,44 +597,13 @@ fn solve_continuous_store(
                 radius,
             }
         }
-        CertainStrategy::Gonzalez => {
-            let oracle = StoreOracle::new(&store, kernel)
-                .with_counter(&counter)
-                .with_exec(exec);
-            gonzalez(&rep_ids, k, &oracle, 0)
-        }
+        CertainStrategy::Gonzalez => gonzalez(&rep_ids, k, &oracle, 0),
         CertainStrategy::GonzalezLocalSearch { rounds } => {
-            let oracle = StoreOracle::new(&store, kernel)
-                .with_counter(&counter)
-                .with_exec(exec);
             let gz = gonzalez(&rep_ids, k, &oracle, 0);
             local_search_kcenter(&rep_ids, &rep_ids, &gz.center_indices, &oracle, rounds)
         }
-        CertainStrategy::Grid => {
-            // The certified grid solver synthesizes new center locations;
-            // its internal work bypasses the oracle (and the counters).
-            match grid_kcenter(&reps, k, config.grid_options(), exec) {
-                Some(sol) => {
-                    let ids = sol.centers.iter().map(|c| store.push_point(c)).collect();
-                    synthesized = sol.centers;
-                    KCenterSolution {
-                        centers: ids,
-                        center_indices: sol.center_indices,
-                        radius: sol.radius,
-                    }
-                }
-                None => {
-                    let oracle = StoreOracle::new(&store, kernel)
-                        .with_counter(&counter)
-                        .with_exec(exec);
-                    gonzalez(&rep_ids, k, &oracle, 0)
-                }
-            }
-        }
+        CertainStrategy::Grid => grid.unwrap_or_else(|| gonzalez(&rep_ids, k, &oracle, 0)),
         CertainStrategy::ExactDiscrete => {
-            let oracle = StoreOracle::new(&store, kernel)
-                .with_counter(&counter)
-                .with_exec(exec);
             let pool_storage;
             let pool: &[PointId] = match config.candidate_policy() {
                 CandidatePolicy::ProblemPool => &rep_ids,
@@ -619,11 +618,6 @@ fn solve_continuous_store(
     };
     report.timings.certain_solve = t.elapsed();
     report.distance_evals.certain_solve = counter.since(evals_before);
-
-    // The store is frozen from here on; one pooled oracle serves the tail.
-    let oracle = StoreOracle::new(&store, kernel)
-        .with_counter(&counter)
-        .with_exec(exec);
 
     // Step 3: assignment by the configured rule.
     let evals_before = counter.count();
@@ -669,7 +663,7 @@ fn solve_continuous_store(
         exec,
     );
     let ecost = ecost_from_distances(&set_ids, &dists);
-    let cost_distances = CostDistances::new(Arc::clone(set), kernel, dists);
+    let cost_distances = CostDistances::new(set, kernel, dists);
     report.timings.cost = t_cost.elapsed();
     report.distance_evals.cost = counter.since(evals_before_cost);
 
@@ -685,15 +679,11 @@ fn solve_continuous_store(
             && config.strategy() == CertainStrategy::Gonzalez
             && !weighted;
         // The OC representatives are `P̃`, so `P̄` gets its own store.
-        let mut pbar_storage = None;
-        if rule == AssignmentRule::OneCenter {
-            let mut pbar = PointStore::with_capacity(store.dim(), set.n());
-            let ids = set
-                .iter()
-                .map(|up| pbar.push_point(&expected_point(up)))
-                .collect::<Vec<_>>();
-            pbar_storage = Some((pbar, ids));
-        }
+        let pbar_storage = (rule == AssignmentRule::OneCenter).then(|| {
+            let pbar = PointStore::from_points(&set.iter().map(expected_point).collect::<Vec<_>>());
+            let ids = pbar.ids();
+            (pbar, ids)
+        });
         let (pbar_store, pbar_ids) = match &pbar_storage {
             Some((pbar, ids)) => (pbar, ids.as_slice()),
             None => (&store, rep_ids.as_slice()),
@@ -711,28 +701,15 @@ fn solve_continuous_store(
     }
 
     report.timings.total = t_total.elapsed();
-    // Each output center is cloned from the point its id was pushed for:
-    // a realization location, a representative, or a synthesized center.
-    let centers = certain
-        .centers
-        .iter()
-        .map(|id| match id.index() {
-            i if i < locations => {
-                // Location ids are contiguous per point, point-major.
-                let ids = set_ids.points();
-                let p = ids.partition_point(|up| up.locations()[0].index() <= i) - 1;
-                let first = ids[p].locations()[0].index();
-                set.point(p).locations()[i - first].clone()
-            }
-            i if i < locations + reps.len() => reps[i - locations].clone(),
-            i => synthesized[i - locations - reps.len()].clone(),
-        })
-        .collect();
+    // Each output center is read back from its row: a realization
+    // location, a representative, or a synthesized center, copied bit for
+    // bit.
+    let centers = certain.centers.iter().map(|&id| store.point(id)).collect();
     Ok(Solution {
         centers,
         assignment,
         ecost,
-        representatives: reps,
+        set: Arc::clone(set),
         certain_radius: certain.radius,
         report,
         cost_distances: Some(cost_distances),
@@ -742,12 +719,13 @@ fn solve_continuous_store(
 /// The general-metric pipeline (paper Theorems 2.6 / 2.7) behind
 /// [`Problem::solve`].
 fn solve_discrete<P: Clone + Sync>(
-    set: &UncertainSet<P>,
+    shared: &Arc<UncertainSet<P>>,
     k: usize,
     metric: &(dyn Metric<P> + Sync + '_),
     pool: &[P],
     config: &SolverConfig,
 ) -> Result<Solution<P>, SolveError> {
+    let set: &UncertainSet<P> = shared;
     let rule = config.rule();
     if rule == AssignmentRule::ExpectedPoint {
         return Err(SolveError::RuleUnsupported {
@@ -868,7 +846,7 @@ fn solve_discrete<P: Clone + Sync>(
         centers: certain.centers,
         assignment,
         ecost,
-        representatives: reps,
+        set: Arc::clone(shared),
         certain_radius: certain.radius,
         report,
         cost_distances: None,
@@ -934,5 +912,8 @@ mod tests {
         let problem = Problem::euclidean(Arc::clone(&shared), 3).unwrap();
         assert!(Arc::ptr_eq(&shared, &problem.set));
         assert!(Arc::ptr_eq(&shared, &problem.clone().set));
+        // A solution records the set it solved by reference count too.
+        let solution = problem.solve(&SolverConfig::default()).unwrap();
+        assert!(Arc::ptr_eq(&shared, &solution.set));
     }
 }

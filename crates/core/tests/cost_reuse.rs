@@ -93,7 +93,10 @@ fn warm_resolve_without_recorded_distances_matches_cold_bits() {
         problem.set().total_locations() as u64
     );
     assert_eq!(warm.ecost.to_bits(), cold.ecost.to_bits());
+    // A prior recording the problem's own set runs warm.
+    assert!(std::ptr::eq(&*cold.set, problem.set()), "the set is shared");
     let reused = Solution::warm_start(&problem, &config, &cold).unwrap();
+    assert_eq!(reused.report.warm.as_ref().unwrap().fallback, None);
     assert_eq!(reused.report.distance_evals.cost, 0);
     assert_eq!(reused.ecost.to_bits(), cold.ecost.to_bits());
 }
@@ -127,6 +130,31 @@ fn a_reordered_prefix_with_equal_representatives_is_not_reused() {
     );
     let fresh = Solution::warm_start(&problem, &config, &without_distances(&prior)).unwrap();
     assert_eq!(warm.ecost.to_bits(), fresh.ecost.to_bits());
+}
+
+#[test]
+fn a_prefix_with_other_probabilities_falls_back_cold() {
+    // The prior's prefix and the problem's carry the same locations, so
+    // the recorded distances alone would pass the prefix rule; the
+    // expected points of the prior's recorded set do not. (Unchanged, this
+    // append runs warm: see `warm_append_evaluates_only_the_appended_locations`.)
+    let (base, full) = split(5, 330, 300);
+    let config = config(Kernel::Tiled);
+    let prior = Problem::euclidean(base, 5).unwrap().solve(&config).unwrap();
+    let mut points = full.points().to_vec();
+    let up = &points[7];
+    let mut probs = up.probs().to_vec();
+    probs.reverse();
+    assert_ne!(probs, up.probs(), "the reversal changes the distribution");
+    points[7] = UncertainPoint::new(up.locations().to_vec(), probs).unwrap();
+    let reweighted = UncertainSet::new(points);
+    assert!(prior.cost_prefix(&reweighted, 300, Kernel::Tiled).is_some());
+    let problem = Problem::euclidean(reweighted, 5).unwrap();
+    let warm = Solution::warm_start(&problem, &config, &prior).unwrap();
+    assert_eq!(
+        warm.report.warm.as_ref().unwrap().fallback,
+        Some("prefix_mismatch")
+    );
 }
 
 #[test]

@@ -23,7 +23,7 @@
 //! exactly (shortest round-trip formatting on write, `f64` parse on read).
 
 use crate::Json;
-use ukc_core::{Report, Solution};
+use ukc_core::{LooReport, Report, Solution};
 use ukc_metric::Point;
 use ukc_uncertain::{UncertainPoint, UncertainPointError, UncertainSet};
 
@@ -414,6 +414,30 @@ pub fn solution_document(sol: &Solution<Point>) -> Json {
         pairs.push(("report".into(), report_json(&sol.report)));
     }
     doc
+}
+
+/// A leave-one-out sweep as one JSON document: `base` (the caller's
+/// rendering of the base solution), one entry per variant, and the
+/// sweep's totals. `ukc loo --format json` and the server's `solve_loo`
+/// responses are both this document.
+pub fn loo_document(loo: &LooReport, base: Json) -> Json {
+    let variants = loo.variants.iter().map(|v| {
+        Json::obj([
+            ("removed", Json::from(v.removed)),
+            ("ecost", Json::from(v.ecost)),
+            ("certain_radius", Json::from(v.certain_radius)),
+            ("reused", Json::from(v.reused)),
+            ("distance_evals", Json::from(v.distance_evals as f64)),
+        ])
+    });
+    Json::obj([
+        ("base", base),
+        ("variants", Json::arr(variants)),
+        ("count", Json::from(loo.variants.len())),
+        ("reused_variants", Json::from(loo.reused_variants)),
+        ("resolved_variants", Json::from(loo.resolved_variants)),
+        ("distance_evals", Json::from(loo.distance_evals as f64)),
+    ])
 }
 
 /// Cluster wire forms: the registry/status documents that `ukc-cluster`,

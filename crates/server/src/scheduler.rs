@@ -194,37 +194,27 @@ impl Scheduler {
     /// means the job produced no outcome (queue full or shutdown — the
     /// caller should answer 503 — or its wave panicked, a 500); the
     /// inner result is the solve's own outcome.
+    ///
+    /// With `warm = Some((base_digest, prior))` the solve chains from
+    /// `prior` (whose source instance has digest `base_digest`) through
+    /// [`ukc_core::Solution::warm_start`], so an unusable prior degrades to
+    /// a cold solve with a typed `report.warm.fallback` — never an error.
+    /// Warm jobs ride the same bounded queue and wave loop as cold ones
+    /// but only coalesce with warm jobs of the same `(digest, base)`.
     pub fn solve(
         &self,
         problem: Problem<Point>,
         config: SolverConfig,
         digest: u64,
+        warm: Option<(u64, Arc<Solution<Point>>)>,
     ) -> Result<Result<Solution<Point>, SolveError>, SubmitError> {
-        self.submit(vec![(problem, config, digest, None)])
+        self.solve_many(vec![(problem, config, digest, warm)])
             .map(|mut results| results.pop().expect("one job yields one result"))
     }
 
-    /// Submits one warm-started solve chained from `prior` (whose source
-    /// instance has digest `base_digest`) and blocks for its result. The
-    /// solve goes through [`ukc_core::Solution::warm_start`], so an
-    /// unusable prior degrades to a cold solve with a typed
-    /// `report.warm.fallback` — never an error. Warm jobs ride the same
-    /// bounded queue and wave loop as cold ones but only coalesce with
-    /// warm jobs of the same `(digest, base)`.
-    pub fn solve_warm(
-        &self,
-        problem: Problem<Point>,
-        config: SolverConfig,
-        digest: u64,
-        base_digest: u64,
-        prior: Arc<Solution<Point>>,
-    ) -> Result<Result<Solution<Point>, SolveError>, SubmitError> {
-        self.submit(vec![(problem, config, digest, Some((base_digest, prior)))])
-            .map(|mut results| results.pop().expect("one job yields one result"))
-    }
-
-    /// Submits a batch of solves and blocks for all results, in job
-    /// order. All jobs are enqueued under one lock before the first
+    /// Submits a batch of solves, each `(problem, config, digest, warm)`
+    /// as [`Scheduler::solve`] takes them, and blocks for all results, in
+    /// job order. All jobs are enqueued under one lock before the first
     /// result is awaited, so an idle dispatcher usually drains the batch
     /// into one wave that fans out across the pool — this is what
     /// `POST /solve_batch` rides on. One wave is not guaranteed: a
@@ -233,21 +223,8 @@ impl Scheduler {
     /// second wave in flight. The whole batch is admitted or rejected
     /// atomically against the queue bound, and fails as a whole if any
     /// of its waves panicked.
-    pub fn solve_many(
-        &self,
-        jobs: Vec<(Problem<Point>, SolverConfig, u64)>,
-    ) -> Result<Vec<Result<Solution<Point>, SolveError>>, SubmitError> {
-        self.submit(
-            jobs.into_iter()
-                .map(|(problem, config, digest)| (problem, config, digest, None))
-                .collect(),
-        )
-    }
-
-    /// The shared submission path: enqueue every job (cold or warm),
-    /// then await all replies in order.
     #[allow(clippy::type_complexity)]
-    fn submit(
+    pub fn solve_many(
         &self,
         jobs: Vec<(
             Problem<Point>,
@@ -548,7 +525,7 @@ mod tests {
             let scheduler = Arc::clone(scheduler);
             std::thread::spawn(move || {
                 scheduler
-                    .solve(problem(seed), SolverConfig::default(), HOLD_DIGEST)
+                    .solve(problem(seed), SolverConfig::default(), HOLD_DIGEST, None)
                     .unwrap()
                     .unwrap()
             })
@@ -608,12 +585,11 @@ mod tests {
                         let (grown, base_digest, prior) = warm_pair(seed);
                         let digest = grown.instance_digest();
                         let served = scheduler
-                            .solve_warm(
+                            .solve(
                                 grown.clone(),
                                 config.clone(),
                                 digest,
-                                base_digest,
-                                Arc::clone(&prior),
+                                Some((base_digest, Arc::clone(&prior))),
                             )
                             .unwrap()
                             .unwrap();
@@ -624,7 +600,10 @@ mod tests {
                     } else {
                         let p = problem(seed);
                         let digest = p.instance_digest();
-                        let served = scheduler.solve(p, config.clone(), digest).unwrap().unwrap();
+                        let served = scheduler
+                            .solve(p, config.clone(), digest, None)
+                            .unwrap()
+                            .unwrap();
                         (served, problem(seed).solve(&config).unwrap())
                     }
                 }));
@@ -653,7 +632,7 @@ mod tests {
                 let p = problem(21);
                 let digest = p.instance_digest();
                 scheduler
-                    .solve(p, SolverConfig::default(), digest)
+                    .solve(p, SolverConfig::default(), digest, None)
                     .unwrap()
                     .unwrap()
             })
@@ -690,7 +669,7 @@ mod tests {
         // the held job still gets its bit-identical result.
         let held = submit_held(&scheduler, &metrics, 30);
         let err = scheduler
-            .solve(problem(31), config.clone(), PANIC_DIGEST)
+            .solve(problem(31), config.clone(), PANIC_DIGEST, None)
             .unwrap_err();
         assert_eq!(err, SubmitError::Panicked);
         assert_same(&held.join().unwrap(), &problem(30).solve(&config).unwrap());
@@ -702,7 +681,7 @@ mod tests {
             let scheduler = Arc::clone(&scheduler);
             let err = within(30, move || {
                 scheduler
-                    .solve(problem(32), SolverConfig::default(), PANIC_DIGEST)
+                    .solve(problem(32), SolverConfig::default(), PANIC_DIGEST, None)
                     .unwrap_err()
             });
             assert_eq!(err, SubmitError::Panicked);
@@ -723,7 +702,7 @@ mod tests {
                     .map(|seed| {
                         let p = problem(seed);
                         let digest = p.instance_digest();
-                        (p, config.clone(), digest)
+                        (p, config.clone(), digest, None)
                     })
                     .collect();
                 scheduler.solve_many(jobs).unwrap()
@@ -760,13 +739,13 @@ mod tests {
         let discrete = Problem::in_metric(set, 2, ukc_metric::Euclidean, pool).unwrap();
         let d2 = discrete.instance_digest();
         let err = scheduler
-            .solve(discrete, SolverConfig::default(), d2)
+            .solve(discrete, SolverConfig::default(), d2, None)
             .unwrap()
             .unwrap_err();
         assert!(matches!(err, SolveError::RuleUnsupported { .. }));
         // The scheduler is still alive afterwards.
         assert!(scheduler
-            .solve(p, SolverConfig::default(), digest)
+            .solve(p, SolverConfig::default(), digest, None)
             .unwrap()
             .is_ok());
     }
@@ -779,7 +758,7 @@ mod tests {
         let digest = p.instance_digest();
         assert_eq!(
             scheduler
-                .solve(p, SolverConfig::default(), digest)
+                .solve(p, SolverConfig::default(), digest, None)
                 .unwrap_err(),
             SubmitError::ShuttingDown
         );
@@ -795,7 +774,7 @@ mod tests {
             .map(|seed| {
                 let p = problem(seed);
                 let digest = p.instance_digest();
-                (p, config.clone(), digest)
+                (p, config.clone(), digest, None)
             })
             .collect();
         let results = scheduler.solve_many(jobs).unwrap();
@@ -822,7 +801,7 @@ mod tests {
             .map(|&seed| {
                 let p = problem(seed);
                 let digest = p.instance_digest();
-                (p, config.clone(), digest)
+                (p, config.clone(), digest, None)
             })
             .collect();
         let results = scheduler.solve_many(jobs).unwrap();
@@ -861,12 +840,11 @@ mod tests {
 
         let prior = Arc::new(base_problem.solve(&config).unwrap());
         let served = scheduler
-            .solve_warm(
+            .solve(
                 grown_problem.clone(),
                 config.clone(),
                 digest,
-                base_digest,
-                Arc::clone(&prior),
+                Some((base_digest, Arc::clone(&prior))),
             )
             .unwrap()
             .unwrap();
@@ -882,7 +860,7 @@ mod tests {
         // A cold solve of the same digest is a distinct computation: its
         // report carries no warm stats.
         let cold = scheduler
-            .solve(grown_problem, config, digest)
+            .solve(grown_problem, config, digest, None)
             .unwrap()
             .unwrap();
         assert!(cold.report.warm.is_none());
@@ -895,7 +873,7 @@ mod tests {
         let p = problem(2);
         let digest = p.instance_digest();
         let err = scheduler
-            .solve(p, SolverConfig::default(), digest)
+            .solve(p, SolverConfig::default(), digest, None)
             .unwrap_err();
         assert_eq!(err, SubmitError::Overloaded { depth: 0, cap: 0 });
         assert_eq!(

@@ -28,7 +28,7 @@ use crate::streams::StreamStore;
 use ukc_core::{digest_hex, Problem, Solution, SolveError, SolverConfig, WarmStats};
 use ukc_durable::snapshot::Snapshot;
 use ukc_durable::{DurableStore, StoreError};
-use ukc_json::format::{solution_document, JsonInstance};
+use ukc_json::format::{loo_document, solution_document, JsonInstance};
 use ukc_json::Json;
 use ukc_metric::Point;
 use ukc_stream::StreamSolver;
@@ -789,16 +789,7 @@ fn handle_instance_delete(state: &AppState, id: &str) -> Handled {
             if let Some(durable) = &state.durable {
                 durable.delete_instance(stored.digest)?;
             }
-            state
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .retain(|key| key.set_digest != stored.digest);
-            state
-                .priors
-                .lock()
-                .expect("prior cache lock poisoned")
-                .retain(|key| key.set_digest != stored.digest);
+            forget(state, stored.digest);
             Ok((
                 200,
                 Json::obj([("id", Json::from(id)), ("deleted", Json::from(true))]),
@@ -984,16 +975,7 @@ fn handle_stream_delete(state: &AppState, id: &str) -> Handled {
             // (the only digest still reachable through this stream; any
             // older state's entries are keyed by digests no live request
             // can produce, and age out of the LRU).
-            state
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .retain(|key| key.set_digest != digest);
-            state
-                .priors
-                .lock()
-                .expect("prior cache lock poisoned")
-                .retain(|key| key.set_digest != digest);
+            forget(state, digest);
             Ok((
                 200,
                 Json::obj([("id", Json::from(id)), ("deleted", Json::from(true))]),
@@ -1309,17 +1291,12 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
     };
     match state
         .scheduler
-        .solve(problem, solve.config.clone(), base_problem_digest)
+        .solve(problem, solve.config.clone(), base_problem_digest, None)
     {
-        Ok(Ok(solution)) => {
-            let prior = Arc::new(solution);
-            state
-                .priors
-                .lock()
-                .expect("prior cache lock poisoned")
-                .insert(key, Arc::clone(&prior));
-            WarmBase::Prior { base_digest, prior }
-        }
+        Ok(Ok(solution)) => WarmBase::Prior {
+            base_digest,
+            prior: retain(state, key, None, solution),
+        },
         _ => WarmBase::Unresolved {
             reason: "base_unsolvable",
         },
@@ -1377,14 +1354,7 @@ fn obtain_solution(
     let use_cache = solve.use_cache && !matches!(warm, Some(WarmBase::Unresolved { .. }));
 
     if use_cache {
-        let cached = state
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(entry) = cached {
-            state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = cache_hit(state, &key) {
             return Ok(Obtained::Hit(entry));
         }
     }
@@ -1393,18 +1363,13 @@ fn obtain_solution(
         state.metrics.record_solve_error();
         ApiError::from(e)
     })?;
-    let outcome = match warm {
-        Some(WarmBase::Prior { base_digest, prior }) => state.scheduler.solve_warm(
-            problem,
-            solve.config.clone(),
-            problem_digest,
-            *base_digest,
-            Arc::clone(prior),
-        ),
-        _ => state
-            .scheduler
-            .solve(problem, solve.config.clone(), problem_digest),
+    let prior = match warm {
+        Some(WarmBase::Prior { base_digest, prior }) => Some((*base_digest, Arc::clone(prior))),
+        _ => None,
     };
+    let outcome = state
+        .scheduler
+        .solve(problem, solve.config.clone(), problem_digest, prior);
     let mut solution = outcome.map_err(submit_err)?.map_err(ApiError::from)?;
     if let Some(WarmBase::Unresolved { reason }) = warm {
         solution.report.warm = Some(WarmStats {
@@ -1413,15 +1378,59 @@ fn obtain_solution(
         });
         state.metrics.record_warm_fallback();
     }
-    let solution = Arc::new(solution);
-    // Every produced solution — cold or warm — becomes the freshest
-    // prior for its instance, so chains never re-solve a parent cold.
+    Ok(Obtained::Miss(retain(
+        state,
+        cold_key,
+        use_cache.then_some(key),
+        solution,
+    )))
+}
+
+/// Drops every solution [`retain`] kept for the set `set_digest` (any
+/// `k`, any config), from the response cache and the priors alike.
+fn forget(state: &AppState, set_digest: u64) {
+    state
+        .cache
+        .lock()
+        .expect("cache lock poisoned")
+        .retain(|key| key.set_digest != set_digest);
     state
         .priors
         .lock()
         .expect("prior cache lock poisoned")
-        .insert(cold_key, Arc::clone(&solution));
-    if use_cache {
+        .retain(|key| key.set_digest != set_digest);
+}
+
+/// The response cache's entry under `key`, counted as a hit.
+fn cache_hit(state: &AppState, key: &SolveKey) -> Option<Arc<CachedSolve>> {
+    let entry = state
+        .cache
+        .lock()
+        .expect("cache lock poisoned")
+        .get(key)
+        .cloned()?;
+    state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+    Some(entry)
+}
+
+/// Retains a solution the scheduler produced — the one place the server
+/// keeps solutions. Every solution, cold or warm, becomes the freshest
+/// prior under its cold-shaped `prior_key`, so an append chain never
+/// re-solves a parent cold; with a `cache_key` it also fills the response
+/// cache.
+fn retain(
+    state: &AppState,
+    prior_key: SolveKey,
+    cache_key: Option<SolveKey>,
+    solution: Solution<Point>,
+) -> Arc<Solution<Point>> {
+    let solution = Arc::new(solution);
+    state
+        .priors
+        .lock()
+        .expect("prior cache lock poisoned")
+        .insert(prior_key, Arc::clone(&solution));
+    if let Some(key) = cache_key {
         // A miss is only recorded once a cacheable solve actually
         // completed, so hits + misses counts cache *lookup outcomes*
         // for real solutions and failed requests cannot skew hit_rate.
@@ -1432,7 +1441,7 @@ fn obtain_solution(
             .expect("cache lock poisoned")
             .insert(key, Arc::new(CachedSolve::new(Arc::clone(&solution))));
     }
-    Ok(Obtained::Miss(solution))
+    solution
 }
 
 /// `POST /instances/{id}/solve_loo`: batch leave-one-out over a stored
@@ -1447,43 +1456,24 @@ fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> H
         .store
         .get(id)
         .ok_or_else(|| ApiError::instance_not_found(id))?;
-    let problem = stored.problem(solve.k).map_err(|e| {
-        state.metrics.record_solve_error();
-        ApiError::from(e)
-    })?;
-    let loo = ukc_core::solve_loo(&problem, &solve.config).map_err(|e| {
-        state.metrics.record_solve_error();
-        ApiError::from(e)
-    })?;
+    let loo = stored
+        .problem(solve.k)
+        .and_then(|problem| ukc_core::solve_loo(&problem, &solve.config))
+        .map_err(|e| {
+            state.metrics.record_solve_error();
+            ApiError::from(e)
+        })?;
     state.metrics.record_solve(
         &loo.base.report,
         solve.config.kernel(),
         solve.config.assignment(),
     );
-    let variants = Json::arr(loo.variants.iter().map(|v| {
-        Json::obj([
-            ("removed", Json::from(v.removed)),
-            ("ecost", Json::from(v.ecost)),
-            ("certain_radius", Json::from(v.certain_radius)),
-            ("reused", Json::from(v.reused)),
-            ("distance_evals", Json::from(v.distance_evals as f64)),
-        ])
-    }));
-    Ok((
-        200,
-        Json::obj([
-            ("instance_digest", Json::from(digest_hex(stored.digest))),
-            (
-                "base",
-                solve_response(&loo.base, stored.digest, false, None),
-            ),
-            ("variants", variants),
-            ("count", Json::from(loo.variants.len())),
-            ("reused_variants", Json::from(loo.reused_variants)),
-            ("resolved_variants", Json::from(loo.resolved_variants)),
-            ("distance_evals", Json::from(loo.distance_evals as f64)),
-        ]),
-    ))
+    let mut body = loo_document(&loo, solve_response(&loo.base, stored.digest, false, None));
+    if let Json::Obj(pairs) = &mut body {
+        let digest = Json::from(digest_hex(stored.digest));
+        pairs.insert(0, ("instance_digest".into(), digest));
+    }
+    Ok((200, body))
 }
 
 fn submit_err(e: crate::scheduler::SubmitError) -> ApiError {
@@ -1513,7 +1503,7 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
 
     // Resolve every id first; per-slot outcomes never reorder.
     let mut slots: Vec<Option<Json>> = vec![None; ids.len()];
-    let mut jobs: Vec<(Problem<Point>, ukc_core::SolverConfig, u64)> = Vec::new();
+    let mut jobs = Vec::new();
     let mut job_slots: Vec<(usize, SolveKey, u64)> = Vec::new(); // (slot, cache key, set digest)
     for (slot, id) in ids.iter().enumerate() {
         let Some(stored) = state.store.get(id) else {
@@ -1524,21 +1514,14 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
         let problem_digest = ukc_core::digest_problem("euclidean", solve.k, set_digest, None);
         let key = SolveKey::new(problem_digest, set_digest, &solve.config);
         if solve.use_cache {
-            let cached = state
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .get(&key)
-                .cloned();
-            if let Some(entry) = cached {
-                state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(entry) = cache_hit(state, &key) {
                 slots[slot] = Some(solve_response(&entry.solution, set_digest, true, None));
                 continue;
             }
         }
         match stored.problem(solve.k) {
             Ok(problem) => {
-                jobs.push((problem, solve.config.clone(), problem_digest));
+                jobs.push((problem, solve.config.clone(), problem_digest, None));
                 job_slots.push((slot, key, set_digest));
             }
             Err(e) => {
@@ -1553,15 +1536,8 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
         for ((slot, key, set_digest), result) in job_slots.into_iter().zip(results) {
             slots[slot] = Some(match result {
                 Ok(solution) => {
-                    let solution = Arc::new(solution);
-                    if solve.use_cache {
-                        state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        state
-                            .cache
-                            .lock()
-                            .expect("cache lock poisoned")
-                            .insert(key, Arc::new(CachedSolve::new(Arc::clone(&solution))));
-                    }
+                    let cache_key = solve.use_cache.then(|| key.clone());
+                    let solution = retain(state, key, cache_key, solution);
                     solve_response(&solution, set_digest, false, None)
                 }
                 Err(e) => ApiError::from(e).to_json(),

@@ -224,6 +224,38 @@ fn append_with_k_solves_warm_in_one_round_trip_and_chains() {
 }
 
 #[test]
+fn an_uncached_batch_solve_is_the_prior_of_a_warm_solve() {
+    let server = serve(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+    let (_, doc) = send(addr, "POST", "/instances", &doc_of(&two_clusters(20)));
+    let base = str_field(&doc, "id");
+    // A batch that bypasses the response cache still leaves its solution
+    // as the instance's warm prior.
+    let batch = format!(r#"{{"ids": ["{base}"], "k": 2, "cache": false}}"#);
+    assert_eq!(send(addr, "POST", "/solve_batch", &batch).0, 200);
+    let append = format!("/instances/{base}/append");
+    let grown = str_field(&send(addr, "POST", &append, &doc_of(&[2.5])).1, "id");
+
+    let jobs = || {
+        f64_field(
+            get(addr, "/metrics").1.get("scheduler").unwrap(),
+            "wave_jobs",
+        )
+    };
+    let before = jobs();
+    let solve = format!("/instances/{grown}/solve?base={base}");
+    let (_, warm) = send(addr, "POST", &solve, r#"{"k": 2}"#);
+    assert_eq!(str_field(&warm, "base"), base);
+    assert!(warm_report(&warm).get("fallback") == Some(&Json::Null));
+    assert_eq!(
+        jobs() - before,
+        1.0,
+        "only the warm job runs, not a cold parent"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn solve_loo_returns_every_variant_and_matches_the_base_solve() {
     let server = serve(ServerConfig::default()).unwrap();
     let addr = server.addr();

@@ -57,9 +57,6 @@ fn assert_identical(a: &Solution<Point>, b: &Solution<Point>, ctx: &str) {
     for (x, y) in a.centers.iter().zip(&b.centers) {
         assert_eq!(x.coords(), y.coords(), "center coords ({ctx})");
     }
-    for (x, y) in a.representatives.iter().zip(&b.representatives) {
-        assert_eq!(x.coords(), y.coords(), "representative coords ({ctx})");
-    }
     assert_eq!(
         a.report.lower_bound.map(f64::to_bits),
         b.report.lower_bound.map(f64::to_bits),

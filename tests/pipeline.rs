@@ -296,7 +296,7 @@ fn euclidean_pipeline_produces_k_centers() {
         assert_eq!(sol.centers.len(), 3);
         assert_eq!(sol.assignment.len(), 20);
         assert!(sol.ecost.is_finite() && sol.ecost >= 0.0);
-        assert_eq!(sol.representatives.len(), 20);
+        assert_eq!(sol.set.n(), 20);
     }
 }
 
