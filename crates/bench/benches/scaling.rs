@@ -12,8 +12,9 @@ use ukc_bench::workloads::euclidean;
 use ukc_core::{solve_batch_threads, AssignmentRule, Problem, SolverConfig};
 use ukc_json::Json;
 use ukc_kcenter::gonzalez;
-use ukc_metric::{DistanceOracle, Kernel, Point, PointStore, StoreOracle};
+use ukc_metric::{DistCounter, DistanceOracle, Kernel, Point, PointId, PointStore, StoreOracle};
 use ukc_uncertain::expected_point;
+use ukc_uncertain::generators::{clustered, ProbModel};
 
 fn config() -> SolverConfig {
     SolverConfig::builder()
@@ -96,15 +97,39 @@ fn coord_store(seed: u64, n: usize, d: usize) -> PointStore {
 
 const KERNEL_K: usize = 8;
 
+/// Centers of the clustered Gonzalez rows: the middle of the perfbench
+/// workloads' `k` range.
+const CLUSTERED_K: usize = 64;
+
 /// Timed runs per recorded `BENCH_kernel.json` row (the row is their
 /// median); odd, so the median is one of the runs.
 const KERNEL_REPS: usize = 11;
 
-/// One Gonzalez solve (k centers + the radius sweep) over the store with
-/// the given kernel; returns the radius so the work cannot be elided.
-fn gonzalez_store(store: &PointStore, ids: &[ukc_metric::PointId], kernel: Kernel) -> f64 {
+/// The expected points of perfbench's instances — `clustered` over 32
+/// sites, seed 1 — as a [`PointStore`]: the rows a default solve's
+/// Gonzalez passes run over.
+fn clustered_store(n: usize, z: usize, d: usize) -> PointStore {
+    let set = clustered(1, n, z, d, 32, 4.0, 1.0, ProbModel::Random);
+    let reps: Vec<Point> = set.iter().map(expected_point).collect();
+    PointStore::from_points(&reps)
+}
+
+/// One Gonzalez solve (k center passes, plus the radius sweep where the
+/// passes cannot vouch for it) over the store with the given kernel;
+/// returns the radius so the work cannot be elided.
+fn gonzalez_store(
+    store: &PointStore,
+    ids: &[PointId],
+    k: usize,
+    kernel: Kernel,
+    counter: Option<&DistCounter>,
+) -> f64 {
     let oracle = StoreOracle::new(store, kernel);
-    gonzalez(ids, KERNEL_K, &oracle, 0).radius
+    let oracle = match counter {
+        Some(c) => oracle.with_counter(c),
+        None => oracle,
+    };
+    gonzalez(ids, k, &oracle, 0).radius
 }
 
 /// One fused nearest-center assignment sweep (`nearest_each`, the
@@ -112,20 +137,33 @@ fn gonzalez_store(store: &PointStore, ids: &[ukc_metric::PointId], kernel: Kerne
 /// the max distance so the work cannot be elided.
 fn assign_store(
     store: &PointStore,
-    ids: &[ukc_metric::PointId],
-    centers: &[ukc_metric::PointId],
+    ids: &[PointId],
+    centers: &[PointId],
     kernel: Kernel,
+    counter: Option<&DistCounter>,
     out: &mut [(usize, f64)],
 ) -> f64 {
     let oracle = StoreOracle::new(store, kernel);
+    let oracle = match counter {
+        Some(c) => oracle.with_counter(c),
+        None => oracle,
+    };
     oracle.nearest_each(ids, centers, None, out);
     out.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
 
 /// Kernel throughput across the (workload, n, d) matrix of the
 /// perf-tracking acceptance grid: `gonzalez` (sequential center passes,
-/// memory-bandwidth-bound at large n) and `assign` (the fused n×k
-/// mini-GEMM sweep where register tiling pays off).
+/// memory-bandwidth-bound at large n, over uniform points) and `assign`
+/// (the fused n×k mini-GEMM sweep where register tiling pays off), plus
+/// `gonzalez_clustered` at the shapes of perfbench's `serve_mix`
+/// (n = 6k, d = 32) and `cold_solve` (n = 2.5k, d = 8) expected points,
+/// where the passes' triangle-inequality pruning skips most rows.
+///
+/// A row's `pair_evals` are the distances the run evaluated and
+/// `pruned_evals` the pairs it skipped, both read off a [`DistCounter`]
+/// in one counted run; `evals_per_sec` divides the evaluated pairs by
+/// the time.
 ///
 /// Setting `BENCH_KERNEL_JSON=1` additionally runs a manual timing sweep
 /// and rewrites the version-controlled `BENCH_kernel.json` at the
@@ -143,67 +181,84 @@ fn bench_kernel_comparison(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(200));
     g.measurement_time(std::time::Duration::from_millis(800));
     let mut results: Vec<Json> = Vec::new();
-    for &n in &[1_000usize, 10_000, 100_000] {
-        if quick && n > 1_000 {
-            continue; // smoke runs only cover the small tier
-        }
-        for &d in &[2usize, 8, 32] {
-            let store = coord_store(42, n, d);
-            let ids = store.ids();
-            let centers: Vec<ukc_metric::PointId> = (0..KERNEL_K)
-                .map(|i| ukc_metric::PointId(i * (n / KERNEL_K)))
+    // (workloads, k, store), each store built when its turn comes.
+    let grid = [1_000usize, 10_000, 100_000]
+        .into_iter()
+        .filter(|&n| !quick || n <= 1_000) // smoke runs only cover the small tier
+        .flat_map(|n| [2usize, 8, 32].map(|d| (n, d)))
+        .map(|(n, d)| (&["gonzalez", "assign"][..], KERNEL_K, coord_store(42, n, d)));
+    let clustered = [(6_000, 2, 32), (2_500, 4, 8)]
+        .into_iter()
+        .filter(|_| !quick)
+        .map(|(n, z, d)| {
+            (
+                &["gonzalez_clustered"][..],
+                CLUSTERED_K,
+                clustered_store(n, z, d),
+            )
+        });
+    for (workloads, k, store) in grid.chain(clustered) {
+        let (n, d) = (store.len(), store.dim());
+        let ids = store.ids();
+        let centers: Vec<PointId> = (0..k).map(|i| PointId(i * (n / k))).collect();
+        let mut assign_out = vec![(0usize, 0.0f64); n];
+        for &workload in workloads {
+            let run = |kernel: Kernel, counter: Option<&DistCounter>, out: &mut [(usize, f64)]| {
+                let store = black_box(&store);
+                match workload {
+                    "assign" => assign_store(store, &ids, &centers, kernel, counter, out),
+                    _ => gonzalez_store(store, &ids, k, kernel, counter),
+                }
+            };
+            // Evaluated and pruned pairs per run, per kernel.
+            let counts: Vec<(u64, u64)> = Kernel::ALL
+                .into_iter()
+                .map(|kernel| {
+                    let counter = DistCounter::new();
+                    run(kernel, Some(&counter), &mut assign_out);
+                    (counter.count(), counter.pruned())
+                })
                 .collect();
-            let mut assign_out = vec![(0usize, 0.0f64); n];
-            // (workload, pair evaluations per run): Gonzalez is k passes
-            // + the radius sweep; assign is one fused n×k sweep.
-            for (workload, evals) in [
-                ("gonzalez", (2 * KERNEL_K * n) as u64),
-                ("assign", (KERNEL_K * n) as u64),
-            ] {
-                let run = |kernel: Kernel, out: &mut [(usize, f64)]| -> f64 {
-                    match workload {
-                        "gonzalez" => gonzalez_store(black_box(&store), &ids, kernel),
-                        _ => assign_store(black_box(&store), &ids, &centers, kernel, out),
-                    }
-                };
+            let id = format!("{workload}_n{n}_d{d}");
+            for (kernel, &(evals, _)) in Kernel::ALL.into_iter().zip(&counts) {
                 g.throughput(Throughput::Elements(evals));
-                for kernel in Kernel::ALL {
-                    let id = format!("{workload}_n{n}_d{d}");
-                    g.bench_with_input(BenchmarkId::new(id, kernel.name()), &kernel, |b, &k| {
-                        b.iter(|| run(k, &mut assign_out))
-                    });
-                }
-                if !record {
-                    continue;
-                }
-                // Manual timing for the committed BENCH_kernel.json: one
-                // warm-up per kernel, then `reps` rounds that each time
-                // every kernel once, in `Kernel::ALL` order.
-                let mut samples = vec![Vec::with_capacity(reps); Kernel::ALL.len()];
-                for kernel in Kernel::ALL {
-                    let _ = run(kernel, &mut assign_out);
-                }
-                for _ in 0..reps {
-                    for (kernel, times) in Kernel::ALL.into_iter().zip(&mut samples) {
-                        let t = Instant::now();
-                        let _ = black_box(run(kernel, &mut assign_out));
-                        times.push(t.elapsed().as_secs_f64());
-                    }
-                }
+                g.bench_with_input(BenchmarkId::new(&id, kernel.name()), &kernel, |b, &k| {
+                    b.iter(|| run(k, None, &mut assign_out))
+                });
+            }
+            if !record {
+                continue;
+            }
+            // Manual timing for the committed BENCH_kernel.json: one
+            // warm-up per kernel, then `reps` rounds that each time
+            // every kernel once, in `Kernel::ALL` order.
+            let mut samples = vec![Vec::with_capacity(reps); Kernel::ALL.len()];
+            for kernel in Kernel::ALL {
+                let _ = run(kernel, None, &mut assign_out);
+            }
+            for _ in 0..reps {
                 for (kernel, times) in Kernel::ALL.into_iter().zip(&mut samples) {
-                    times.sort_by(f64::total_cmp);
-                    let median = times[times.len() / 2];
-                    results.push(Json::obj([
-                        ("workload", Json::from(workload)),
-                        ("n", Json::from(n)),
-                        ("d", Json::from(d)),
-                        ("k", Json::from(KERNEL_K)),
-                        ("kernel", Json::from(kernel.name())),
-                        ("seconds", Json::from(median)),
-                        ("pair_evals", Json::from(evals as f64)),
-                        ("evals_per_sec", Json::from(evals as f64 / median)),
-                    ]));
+                    let t = Instant::now();
+                    let _ = black_box(run(kernel, None, &mut assign_out));
+                    times.push(t.elapsed().as_secs_f64());
                 }
+            }
+            for ((kernel, times), &(evals, pruned)) in
+                Kernel::ALL.into_iter().zip(&mut samples).zip(&counts)
+            {
+                times.sort_by(f64::total_cmp);
+                let median = times[times.len() / 2];
+                results.push(Json::obj([
+                    ("workload", Json::from(workload)),
+                    ("n", Json::from(n)),
+                    ("d", Json::from(d)),
+                    ("k", Json::from(k)),
+                    ("kernel", Json::from(kernel.name())),
+                    ("seconds", Json::from(median)),
+                    ("pair_evals", Json::from(evals as f64)),
+                    ("pruned_evals", Json::from(pruned as f64)),
+                    ("evals_per_sec", Json::from(evals as f64 / median)),
+                ]));
             }
         }
     }

@@ -618,6 +618,8 @@ fn solve_continuous_store(
     };
     report.timings.certain_solve = t.elapsed();
     report.distance_evals.certain_solve = counter.since(evals_before);
+    // Only Gonzalez's passes skip pairs.
+    report.distance_evals.pruned = counter.pruned();
 
     // Step 3: assignment by the configured rule.
     let evals_before = counter.count();

@@ -38,7 +38,9 @@ pub struct DistanceEvals {
     /// During representative construction (0 for Euclidean `P̄`, which
     /// uses coordinate arithmetic, not the metric).
     pub representatives: u64,
-    /// During the certain k-center solve.
+    /// During the certain k-center solve, center–center distances
+    /// included. Gonzalez's passes over a Euclidean store skip the pairs
+    /// the triangle inequality rules out; those are [`Self::pruned`].
     pub certain_solve: u64,
     /// During assignment.
     pub assignment: u64,
@@ -50,10 +52,16 @@ pub struct DistanceEvals {
     /// certain half's Gonzalez radius is the certain stage's (or an
     /// uncounted rerun of that sweep) and is not counted again.
     pub lower_bound: u64,
+    /// Point–center pairs the solve proved it need not evaluate
+    /// ([`DistCounter::pruned`]): not evaluations, so not in
+    /// [`Self::total`]. On the default EP/Gonzalez solve,
+    /// `certain_solve + pruned = n·|C| + |C|(|C|−1)/2`.
+    pub pruned: u64,
 }
 
 impl DistanceEvals {
-    /// Total evaluations across all stages.
+    /// Total evaluations across all stages ([`Self::pruned`] pairs were
+    /// not evaluated and are not in it).
     pub fn total(&self) -> u64 {
         self.representatives + self.certain_solve + self.assignment + self.cost + self.lower_bound
     }
@@ -179,6 +187,7 @@ mod tests {
             assignment: 3,
             cost: 4,
             lower_bound: 5,
+            pruned: 6,
         };
         assert_eq!(evals.total(), 15);
     }

@@ -375,6 +375,7 @@ pub fn report_json(report: &Report) -> Json {
                     "lower_bound",
                     Json::from(report.distance_evals.lower_bound as f64),
                 ),
+                ("pruned", Json::from(report.distance_evals.pruned as f64)),
                 ("total", Json::from(report.distance_evals.total() as f64)),
             ]),
         ),

@@ -82,17 +82,20 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
 }
 
 /// Gonzalez's greedy on tracked passes
-/// ([`DistanceOracle::dists_to_set_min_tracked`]): the chosen center
-/// indices into `points` — the same picks as [`gonzalez_indices`], since
-/// every row's running minimum tightens exactly as there — and every
-/// point's nearest chosen center `(index into the centers, distance)`
-/// when the oracle vouches that it is bit for bit what a separate
+/// ([`DistanceOracle::greedy_pass`]): the chosen center indices into
+/// `points` — the same picks as [`gonzalez_indices`], since every row's
+/// running minimum tightens exactly as there — and every point's
+/// nearest chosen center `(index into the centers, distance)` when the
+/// oracle vouches that it is bit for bit what a separate
 /// [`DistanceOracle::nearest_each`] sweep over the centers would give
 /// ([`DistanceOracle::tracked_nearest`]); `None` when the caller must run
 /// that sweep.
 ///
-/// `n·|C|` distance evaluations where the greedy, its radius and the
-/// nearest-center assignment used to take three such sweeps.
+/// At most `n·|C|` point–center evaluations, where the greedy, its
+/// radius and the nearest-center assignment used to take three such
+/// sweeps. The default passes evaluate all of them; a store oracle's
+/// passes skip the rows the triangle inequality rules out, at the cost
+/// of `|C|(|C|−1)/2` center–center evaluations.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start` is out of range.
@@ -108,22 +111,14 @@ pub fn gonzalez_nearest<P, M: DistanceOracle<P>>(
     let n = points.len();
     let k = k.min(n);
     let mut centers = Vec::with_capacity(k);
-    let mut rows = vec![Tracked::START; n];
-    metric.dists_to_set_min_tracked(points, &points[start], 0, &mut rows);
     centers.push(start);
-    while centers.len() < k {
-        let (far, far_d) = rows
-            .iter()
-            .map(|r| r.min)
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty");
-        if far_d == 0.0 {
-            // Fewer than k distinct points: every point is already a center.
-            break;
-        }
-        metric.dists_to_set_min_tracked(points, &points[far], centers.len(), &mut rows);
-        centers.push(far);
+    let mut rows = vec![Tracked::START; n];
+    let mut far = metric.greedy_pass(points, &centers, &mut rows);
+    // A farthest distance of 0 means fewer than k distinct points: every
+    // point is already a center.
+    while centers.len() < k && far.1 != 0.0 {
+        centers.push(far.0);
+        far = metric.greedy_pass(points, &centers, &mut rows);
     }
     let nearest = metric.tracked_nearest(&rows, centers.len());
     (centers, nearest)

@@ -48,7 +48,10 @@
 //! center next to its running minimum, comparing exactly as
 //! [`nearest_center_each`] does; Gonzalez's greedy runs on it, so its
 //! radius and the nearest-center assignment need no further sweep
-//! ([`tracked_nearest`], [`tracking_fuses`]).
+//! ([`tracked_nearest`], [`tracking_fuses`]). The greedy's own pass,
+//! [`greedy_pass`], is a tracked pass that skips the rows the triangle
+//! inequality proves the new center cannot tighten and picks the next
+//! center on the way.
 //!
 //! The factorized kernel loses to the scalar loop on tiny sweeps (the
 //! norm lookups and reduction trees cost more than they save), so the
@@ -59,13 +62,19 @@
 //! determinism contract.
 //!
 //! Both kernels perform — and [`DistCounter`]-instrumented callers count —
-//! exactly one distance evaluation per point-pair, so switching kernels
-//! never changes instrumentation.
+//! exactly one distance evaluation per point-pair, except that
+//! [`greedy_pass`] skips a pair it proves cannot change the result and
+//! counts it as pruned ([`DistCounter::pruned`]). So switching kernels
+//! never changes instrumentation, except that a row lying within
+//! rounding of [`greedy_pass`]'s skip threshold may be skipped under one
+//! kernel and evaluated under the other; evaluated plus pruned is the
+//! same either way.
 
 use crate::store::{PointId, PointStore};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use ukc_pool::Exec;
 
 /// Rows per parallel chunk. A pure constant — chunk boundaries must
@@ -185,16 +194,21 @@ fn thread_shard() -> usize {
 /// A shared, *sharded* distance-evaluation counter.
 ///
 /// The kernels' callers bump it by the number of point-pairs evaluated;
-/// `ukc-core` threads one through every solve so [`Kernel::Scalar`] and
-/// [`Kernel::Tiled`] report identical `distance_evals`. Internally the
-/// count is spread over cache-line-padded cells indexed by a per-thread
-/// shard, so the parallel sweeps (and per-pair counting from many pool
-/// lanes at once) never contend on one cache line; [`DistCounter::count`]
-/// sums the cells, so per-stage totals stay **exact** — sharding changes
-/// where an add lands, never whether it is counted.
+/// `ukc-core` threads one through every solve so its report says how
+/// many distances each stage computed. Internally the count is spread
+/// over cache-line-padded cells indexed by a per-thread shard, so the
+/// parallel sweeps (and per-pair counting from many pool lanes at once)
+/// never contend on one cache line; [`DistCounter::count`] sums the
+/// cells, so per-stage totals stay **exact** — sharding changes where an
+/// add lands, never whether it is counted.
+///
+/// Pairs a sweep proved it could skip ([`greedy_pass`]) go to a
+/// separate tally, [`DistCounter::pruned`], which [`DistCounter::count`]
+/// leaves out.
 #[derive(Debug)]
 pub struct DistCounter {
     cells: [CounterCell; COUNTER_SHARDS],
+    pruned: CounterCell,
 }
 
 impl Default for DistCounter {
@@ -208,6 +222,7 @@ impl DistCounter {
     pub fn new() -> Self {
         Self {
             cells: std::array::from_fn(|_| CounterCell::default()),
+            pruned: CounterCell::default(),
         }
     }
 
@@ -225,6 +240,16 @@ impl DistCounter {
     /// Evaluations since a previous [`DistCounter::count`].
     pub fn since(&self, since: u64) -> u64 {
         self.count().saturating_sub(since)
+    }
+
+    /// Adds `n` pairs that were skipped, not evaluated.
+    pub fn add_pruned(&self, n: u64) {
+        self.pruned.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The skipped pairs so far.
+    pub fn pruned(&self) -> u64 {
+        self.pruned.0.load(Ordering::Relaxed)
     }
 }
 
@@ -643,7 +668,7 @@ fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
 
 /// The coordinate rows of a 4-row block.
 #[inline]
-fn rows<'a>(store: &'a PointStore, blk: &[PointId]) -> [&'a [f64]; tile::TILE_POINTS] {
+fn coord_rows<'a>(store: &'a PointStore, blk: &[PointId]) -> [&'a [f64]; tile::TILE_POINTS] {
     std::array::from_fn(|p| store.coords(blk[p]))
 }
 
@@ -696,7 +721,7 @@ fn stream_panels<O>(
     let outs = out[..points.len()].chunks_mut(tile::TILE_POINTS);
     for (blk, out) in points.chunks(tile::TILE_POINTS).zip(outs) {
         let ids: [PointId; tile::TILE_POINTS] = std::array::from_fn(|p| blk[p.min(blk.len() - 1)]);
-        let rows = rows(store, &ids);
+        let rows = coord_rows(store, &ids);
         let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| store.norm_sq(ids[p]));
         let mut value: [f64; tile::TILE_POINTS] =
             std::array::from_fn(|p| start(&out[p.min(out.len() - 1)]));
@@ -870,23 +895,289 @@ pub fn dists_to_set_min_tracked(
         kernel,
         exec,
         rows,
-        |r, d| {
-            if d < r.min {
-                r.min = d;
-            }
-            if d < r.key {
-                r.key = d;
-                r.nearest = c;
-            }
-        },
-        |r, nd_sq| {
-            Plain.tighten(&mut r.min, nd_sq, 0.0);
-            if nd_sq < r.key {
-                r.key = nd_sq;
-                r.nearest = c;
-            }
-        },
+        |r, d| track_dist(r, d, c),
+        |r, nd_sq| track_sq(r, nd_sq, c),
     );
+}
+
+/// A scalar tracked pass's update of one row by center `c` at distance
+/// `d`.
+#[inline(always)]
+fn track_dist(r: &mut Tracked, d: f64, c: usize) {
+    if d < r.min {
+        r.min = d;
+    }
+    if d < r.key {
+        r.key = d;
+        r.nearest = c;
+    }
+}
+
+/// A tiled tracked pass's update of one row by center `c` at squared
+/// distance `nd_sq`.
+#[inline(always)]
+fn track_sq(r: &mut Tracked, nd_sq: f64, c: usize) {
+    Plain.tighten(&mut r.min, nd_sq, 0.0);
+    if nd_sq < r.key {
+        r.key = nd_sq;
+        r.nearest = c;
+    }
+}
+
+/// What one [`greedy_pass`] did.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pass {
+    /// The row with the largest running minimum after the pass, as an
+    /// index into the pass's points, and that minimum.
+    pub farthest: (usize, f64),
+    /// Pairs evaluated: the rows that were not skipped, plus the new
+    /// center against every earlier one.
+    pub computed: usize,
+    /// Rows skipped, each one point–center pair not evaluated.
+    pub pruned: usize,
+}
+
+/// f64 unit roundoff `u`: a correctly rounded operation is off by at
+/// most `u` relative.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// The rounding slack that makes [`greedy_pass`]'s skips provable: a
+/// row is skipped when its running minimum `m` is below
+/// [`PruneSlack::half`] of the computed distance `d̂(c, c₀)` between the
+/// new center `c` and the row's nearest center `c₀`. One slack serves
+/// both kernels, so their skip decisions differ only where their values
+/// round to different sides of the threshold.
+///
+/// The proof. The triangle inequality gives the true
+/// `d(p, c) ≥ d(c, c₀) − d(p, c₀)`; the row keeps its bits when the
+/// computed `d̂(p, c)` cannot undercut what the pass compares it with.
+/// Let `N` be the store's largest squared norm and `u` the unit
+/// roundoff.
+///
+/// * Tiled: `r̂ = ‖a‖² + ‖b‖² − 2a·b`, with norms and dot accumulated
+///   over `d` dimensions, is within `E` of `d²`: each norm is off by
+///   `γ_d·N`, the dot by `γ_d·‖a‖‖b‖ ≤ γ_d·N`, and the two sums by `u`
+///   times at most `2N` each, so `E ≤ (4d + 7)·u·N`; underflow in the
+///   products adds at most `f64::MIN_POSITIVE`. As
+///   `|a − b|² ≤ |a² − b²|`, a distance `√r̂` is within `√E` of the true
+///   one. The pass updates the row only if `r̂(p, c)` is below its key
+///   `r̂(p, c₀)` or below `m²`, where `m ≥ fl(√key)`: both are at most
+///   `(m/(1 − u))²`. With `d(p, c₀) ≤ √key + √E` and
+///   `d(c, c₀) ≥ d̂(c, c₀)/(1 + u) − √E`, the update is impossible once
+///   `d̂(c, c₀) ≥ (1 + u)·(2m/(1 − u) + 3√E)`.
+/// * Scalar: the difference-and-square sum of `d` terms is within
+///   `(d + 2)·u` relative of `d²`, so `|d̂ − d| ≤ (d/2 + 2)·u·d`, plus
+///   `√f64::MIN_POSITIVE` for underflow. The pass compares `d̂(p, c)`
+///   with `m`, which is `d̂(p, c₀)`, and cannot update once
+///   `d̂(c, c₀)·(1 − (d + 4)·u) ≥ 2m + 3·√f64::MIN_POSITIVE`.
+///
+/// The slack doubles each bound (`E = 8(d + 2)·u·N + f64::MIN_POSITIVE`
+/// and a relative `2(d + 4)·u`), adds `8u` for the threshold's own
+/// rounding, and subtracts `4√E`, which covers both absolute terms.
+#[derive(Clone, Copy, Debug)]
+struct PruneSlack {
+    rel: f64,
+    abs: f64,
+}
+
+impl PruneSlack {
+    fn of(store: &PointStore) -> Self {
+        let (d, u) = (store.dim() as f64, UNIT_ROUNDOFF);
+        let e = 8.0 * (d + 2.0) * u * store.max_norm_sq() + f64::MIN_POSITIVE;
+        PruneSlack {
+            rel: 2.0 * (d + 4.0) * u + 8.0 * u,
+            abs: 4.0 * e.sqrt(),
+        }
+    }
+
+    /// The threshold for a row whose nearest center is at computed
+    /// distance `d_cc` from the new one.
+    fn half(self, d_cc: f64) -> f64 {
+        (d_cc * (1.0 - self.rel) - self.abs) * 0.5
+    }
+}
+
+/// One pass of Gonzalez's greedy over `rows`, which hold the tracked
+/// passes ([`dists_to_set_min_tracked`]) of `points[centers[j]]` at pass
+/// index `j` for every `j` but the last: the tracked pass of the last
+/// center, at pass index `centers.len() − 1`, then the farthest-point
+/// pick. Every row ends with the bits the tracked pass gives it, and
+/// [`Pass::farthest`] is the row with the largest `min`, ties toward
+/// the larger index — `Iterator::max_by`'s pick over NaN-free rows.
+///
+/// The pass dispatches once, on all `points.len()` rows, exactly like
+/// [`dists_to_set_min_tracked`], and measures the new center against
+/// each earlier one under that kernel. A row whose `min` lies below half
+/// the distance between the new center and its nearest one, less a
+/// rounding slack (derived at `PruneSlack`), provably keeps its `min`, `key` and
+/// `nearest`, so it is skipped; the triangle inequality bound of Elkan
+/// (ICML 2003). Per [`PAR_CHUNK`] chunk of rows, a tiled pass skips and
+/// gathers in one scan and runs the gathered rows through the 4-row
+/// body; a scalar pass tests and evaluates in one loop. The chunk's
+/// farthest row falls out of the same loops, and chunks merge in chunk
+/// order. Chunks go to the pool when `exec` is parallel and there are
+/// at least [`PAR_MIN_POINTS`] rows. Every decision is a function of
+/// the row's own values, so results and counts are bit-identical for
+/// every [`Exec`].
+///
+/// # Panics
+/// Panics when `centers` or `points` is empty, or `rows` is shorter
+/// than `points`.
+pub fn greedy_pass(
+    store: &PointStore,
+    points: &[PointId],
+    centers: &[usize],
+    kernel: Kernel,
+    exec: Exec<'_>,
+    rows: &mut [Tracked],
+) -> Pass {
+    let (&newest, earlier) = centers.split_last().expect("a pass needs a center");
+    assert!(!points.is_empty(), "a pass needs a row");
+    assert!(rows.len() >= points.len(), "tracked buffer too small");
+    let n = points.len();
+    let kernel = kernel.dispatch(n, store.dim());
+    let center = points[newest];
+    // Row thresholds by nearest center; a first pass skips nothing (its
+    // rows are all `Tracked::START`, nearest 0).
+    let half: Vec<f64> = if earlier.is_empty() {
+        vec![f64::NEG_INFINITY]
+    } else {
+        let slack = PruneSlack::of(store);
+        earlier
+            .iter()
+            .map(|&j| slack.half(pair_dist(store, center, points[j], kernel)))
+            .collect()
+    };
+    let c = earlier.len();
+    let exec = if exec.is_parallel() && n >= PAR_MIN_POINTS {
+        exec
+    } else {
+        Exec::sequential()
+    };
+    let chunks: Vec<Mutex<Option<Pass>>> = (0..n.div_ceil(PAR_CHUNK))
+        .map(|_| Mutex::new(None))
+        .collect();
+    ukc_pool::for_each_slice(exec, &mut rows[..n], PAR_CHUNK, |start, rows| {
+        let points = &points[start..start + rows.len()];
+        let mut pass = pass_chunk(store, points, center, c, kernel, &half, rows);
+        pass.farthest.0 += start;
+        *chunks[start / PAR_CHUNK]
+            .lock()
+            .expect("chunk slot poisoned") = Some(pass);
+    });
+    let mut total = Pass {
+        farthest: NO_ROW,
+        computed: c, // the center–center distances
+        pruned: 0,
+    };
+    for chunk in chunks {
+        let pass = chunk
+            .into_inner()
+            .expect("chunk slot poisoned")
+            .expect("every chunk ran");
+        total.farthest = farther(total.farthest, pass.farthest);
+        total.computed += pass.computed;
+        total.pruned += pass.pruned;
+    }
+    total
+}
+
+/// The farthest-row fold's start: any row replaces it.
+const NO_ROW: (usize, f64) = (usize::MAX, f64::NEG_INFINITY);
+
+/// The farther of two fold results: the larger `min`, ties toward the
+/// larger index.
+fn farther(a: (usize, f64), b: (usize, f64)) -> (usize, f64) {
+    if a.0 == NO_ROW.0 || b.1 > a.1 || (b.1 == a.1 && b.0 > a.0) {
+        b
+    } else {
+        a
+    }
+}
+
+/// `!(x < best)`: a fold that replaces on it keeps the last of equal
+/// values and takes a NaN, as `Iterator::max_by` over `partial_cmp` does.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[inline(always)]
+fn not_below(x: f64, best: f64) -> bool {
+    !(x < best)
+}
+
+/// One [`PAR_CHUNK`] chunk of [`greedy_pass`] under the resolved
+/// `kernel`, with chunk-local indices. The farthest skipped and the
+/// farthest evaluated row fall out of the loops that visit them; indices
+/// ascend in both, so replacing on "not smaller" keeps the last of equal
+/// rows, as `max_by` does.
+fn pass_chunk(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    c: usize,
+    kernel: Kernel,
+    half: &[f64],
+    rows: &mut [Tracked],
+) -> Pass {
+    let mut far_skipped = NO_ROW;
+    let mut far_kept = NO_ROW;
+    let mut kept = 0;
+    let fold = |far: &mut (usize, f64), i: usize, r: &Tracked| {
+        if not_below(r.min, far.1) {
+            *far = (i, r.min);
+        }
+    };
+    match kernel {
+        // One pass in row order: a scalar distance is a short loop, so a
+        // branch beats gathering the rows.
+        Kernel::Scalar => {
+            let cc = store.coords(center);
+            for (i, r) in rows.iter_mut().enumerate() {
+                if r.min < half[r.nearest] {
+                    fold(&mut far_skipped, i, r);
+                } else {
+                    kept += 1;
+                    track_dist(r, dist_sq_scalar(store.coords(points[i]), cc).sqrt(), c);
+                    fold(&mut far_kept, i, r);
+                }
+            }
+        }
+        // Skip and gather in one scan, so the evaluated rows still run
+        // four at a time.
+        Kernel::Tiled => {
+            let mut keep = vec![0u32; rows.len()];
+            for (i, r) in rows.iter().enumerate() {
+                keep[kept] = i as u32;
+                let skip = r.min < half[r.nearest];
+                kept += usize::from(!skip);
+                if skip {
+                    fold(&mut far_skipped, i, r);
+                }
+            }
+            let (cr, cn) = (store.coords(center), store.norm_sq(center));
+            let mut blocks = keep[..kept].chunks_exact(tile::TILE_POINTS);
+            for blk in &mut blocks {
+                let ids: [PointId; tile::TILE_POINTS] =
+                    std::array::from_fn(|p| points[blk[p] as usize]);
+                let dots = tile::dots_x4_one(coord_rows(store, &ids), cr);
+                for (p, &i) in blk.iter().enumerate() {
+                    let (i, r) = (i as usize, &mut rows[i as usize]);
+                    track_sq(r, factored(store.norm_sq(ids[p]), cn, dots[p]), c);
+                    fold(&mut far_kept, i, r);
+                }
+            }
+            for &i in blocks.remainder() {
+                let (i, r) = (i as usize, &mut rows[i as usize]);
+                let id = points[i];
+                let nd_sq = dist_sq_tiled(store.coords(id), store.norm_sq(id), cr, cn);
+                track_sq(r, nd_sq, c);
+                fold(&mut far_kept, i, r);
+            }
+        }
+    }
+    Pass {
+        farthest: farther(far_skipped, far_kept),
+        computed: kept,
+        pruned: rows.len() - kept,
+    }
 }
 
 /// The per-row nearest centers `(index, distance)` that tracked passes
@@ -958,7 +1249,7 @@ fn one_center<O: Send>(
                 let mut blocks = points.chunks_exact(tile::TILE_POINTS);
                 let mut outs = out.chunks_exact_mut(tile::TILE_POINTS);
                 for (blk, outs) in (&mut blocks).zip(&mut outs) {
-                    let dots = tile::dots_x4_one(rows(store, blk), cr);
+                    let dots = tile::dots_x4_one(coord_rows(store, blk), cr);
                     for (p, o) in outs.iter_mut().enumerate() {
                         sq(o, factored(store.norm_sq(blk[p]), cn, dots[p]));
                     }

@@ -111,10 +111,14 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
 /// `w = 0`.
 ///
 /// Contract for implementors: every override must evaluate (and, when
-/// instrumented, count) exactly one distance per point-pair, must break
+/// instrumented, count) one distance per point-pair it needs, must break
 /// nearest-center ties toward the lower index, and may only change the
-/// *rounding* of results relative to the defaults — never which pairs are
-/// evaluated.
+/// *rounding* of results relative to the defaults. The defaults evaluate
+/// every pair. An override may skip a pair only when it proves the pair
+/// cannot change the result — [`StoreOracle`]'s
+/// [`greedy_pass`](DistanceOracle::greedy_pass) does, by the triangle
+/// inequality — and then counts the pair as pruned
+/// ([`DistCounter::pruned`]), not as evaluated.
 pub trait DistanceOracle<P>: Metric<P> {
     /// Fills `out[i] = d(points[i], q)`.
     ///
@@ -181,6 +185,33 @@ pub trait DistanceOracle<P>: Metric<P> {
                 r.nearest = c;
             }
         }
+    }
+
+    /// One pass of Gonzalez's farthest-point greedy: the tracked pass
+    /// ([`dists_to_set_min_tracked`]) of the last of `centers` — indices
+    /// into `points` — at pass index `centers.len() − 1`, then the pick
+    /// of the next center. Returns the index into `points` of the row with
+    /// the largest `min` after the pass, ties toward the larger index
+    /// (`Iterator::max_by`'s pick), and that `min`.
+    ///
+    /// `rows` must hold the tracked passes of the other centers, in
+    /// order: an override may read them to skip rows the new center
+    /// provably cannot tighten (the default evaluates every row).
+    ///
+    /// [`dists_to_set_min_tracked`]: DistanceOracle::dists_to_set_min_tracked
+    ///
+    /// # Panics
+    /// Panics when `points` or `centers` is empty, or `rows` is shorter
+    /// than `points`.
+    fn greedy_pass(&self, points: &[P], centers: &[usize], rows: &mut [Tracked]) -> (usize, f64) {
+        let c = centers.len().checked_sub(1).expect("a pass needs a center");
+        self.dists_to_set_min_tracked(points, &points[centers[c]], c, rows);
+        rows[..points.len()]
+            .iter()
+            .map(|r| r.min)
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .expect("a pass needs a row")
     }
 
     /// Each row's nearest center `(index, distance)` after tracked passes
@@ -296,6 +327,10 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
 
     fn dists_to_set_min_tracked(&self, points: &[P], center: &P, c: usize, rows: &mut [Tracked]) {
         (**self).dists_to_set_min_tracked(points, center, c, rows)
+    }
+
+    fn greedy_pass(&self, points: &[P], centers: &[usize], rows: &mut [Tracked]) -> (usize, f64) {
+        (**self).greedy_pass(points, centers, rows)
     }
 
     fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {

@@ -53,12 +53,14 @@ impl PointId {
 /// points: one flat coordinate buffer plus cached squared norms,
 /// accumulated in the canonical tiled order ([`batch::tile::dot_seq`]) so
 /// [`Kernel::Tiled`]'s `‖a‖² + ‖b‖² − 2a·b` cancels exactly for
-/// `a == b`.
+/// `a == b`, and the largest of those norms, which bounds the
+/// factorized form's rounding error.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointStore {
     dim: usize,
     coords: Vec<f64>,
     norms_sq: Vec<f64>,
+    max_norm_sq: f64,
 }
 
 impl PointStore {
@@ -72,6 +74,7 @@ impl PointStore {
             dim,
             coords: Vec::new(),
             norms_sq: Vec::new(),
+            max_norm_sq: 0.0,
         }
     }
 
@@ -123,7 +126,9 @@ impl PointStore {
         self.coords.extend_from_slice(coords);
         // The cached norm uses the same summation order as the tiled dot
         // products, so `‖a‖² + ‖b‖² − 2a·b` cancels exactly for a == b.
-        self.norms_sq.push(batch::tile::dot_seq(coords, coords));
+        let norm_sq = batch::tile::dot_seq(coords, coords);
+        self.norms_sq.push(norm_sq);
+        self.max_norm_sq = self.max_norm_sq.max(norm_sq);
         Ok(id)
     }
 
@@ -170,6 +175,14 @@ impl PointStore {
         self.norms_sq[id.0]
     }
 
+    /// The largest cached squared norm (`0.0` for an empty store) — what
+    /// the rounding error of a tiled distance between two stored points is
+    /// measured against ([`batch::greedy_pass`]).
+    #[inline]
+    pub fn max_norm_sq(&self) -> f64 {
+        self.max_norm_sq
+    }
+
     /// The whole coordinate buffer (`len() * dim()` values, point-major).
     #[inline]
     pub fn raw_coords(&self) -> &[f64] {
@@ -204,8 +217,15 @@ impl PointStore {
     /// retracts points in a loop (e.g. a streaming summary absorbing a
     /// covered point) does not reallocate.
     pub fn truncate(&mut self, n: usize) {
+        if n >= self.len() {
+            return;
+        }
+        let dropped_max = self.norms_sq[n..].contains(&self.max_norm_sq);
         self.coords.truncate(n * self.dim);
         self.norms_sq.truncate(n);
+        if dropped_max {
+            self.max_norm_sq = self.norms_sq.iter().copied().fold(0.0, f64::max);
+        }
     }
 }
 
@@ -215,7 +235,10 @@ impl PointStore {
 ///
 /// The oracle optionally shares a [`DistCounter`]; every evaluated
 /// point-pair bumps it by exactly one, whether computed by the scalar or
-/// the tiled kernel, so instrumentation counts are kernel-independent.
+/// the tiled kernel. Gonzalez's passes ([`batch::greedy_pass`]) skip the
+/// rows the triangle inequality rules out and count them as pruned
+/// instead; every other sweep evaluates every pair, so its counts are
+/// kernel-independent.
 ///
 /// [`StoreOracle::with_exec`] attaches an execution context: batched
 /// sweeps over at least [`batch::PAR_MIN_POINTS`] rows then run block-parallel
@@ -318,6 +341,21 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         self.tally(points.len());
         let (store, kernel, exec) = (self.store, self.kernel, self.exec);
         batch::dists_to_set_min_tracked(store, points, *center, c, kernel, exec, rows);
+    }
+
+    fn greedy_pass(
+        &self,
+        points: &[PointId],
+        centers: &[usize],
+        rows: &mut [Tracked],
+    ) -> (usize, f64) {
+        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
+        let pass = batch::greedy_pass(store, points, centers, kernel, exec, rows);
+        self.tally(pass.computed);
+        if let Some(c) = self.counter {
+            c.add_pruned(pass.pruned as u64);
+        }
+        pass.farthest
     }
 
     fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
@@ -512,6 +550,24 @@ mod tests {
             assert_eq!(*c, counts[0]);
         }
         assert_eq!(counts[0], 10 + 10 + 30 + 20 + 4 + 1 + 10 + 30 + 20 + 4);
+    }
+
+    #[test]
+    fn max_norm_sq_follows_pushes_and_truncates() {
+        let mut store = PointStore::new(2);
+        assert_eq!(store.max_norm_sq(), 0.0);
+        store.push(&[1.0, 2.0]);
+        store.push(&[3.0, 0.0]);
+        store.push(&[0.0, 1.0]);
+        assert_eq!(store.max_norm_sq(), 9.0);
+        store.truncate(2);
+        assert_eq!(store.max_norm_sq(), 9.0);
+        store.truncate(1);
+        assert_eq!(store.max_norm_sq(), 5.0);
+        // A pure function of the rows, so equal rows make equal stores.
+        let mut fresh = PointStore::new(2);
+        fresh.push(&[1.0, 2.0]);
+        assert_eq!(store, fresh);
     }
 
     #[test]

@@ -46,13 +46,15 @@ fn store_of(rows: &[Vec<f64>]) -> PointStore {
     store
 }
 
-/// What one run of either path produced, with its evaluation count.
+/// What one run of either path produced, with its evaluated and pruned
+/// pair counts.
 #[derive(Debug, PartialEq)]
 struct Run {
     centers: Vec<usize>,
     radius_bits: u64,
     nearest: Vec<(usize, u64)>,
     evals: u64,
+    pruned: u64,
 }
 
 fn bits(nearest: &[(usize, f64)]) -> Vec<(usize, u64)> {
@@ -76,6 +78,7 @@ fn reference(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Ru
         radius_bits: radius.to_bits(),
         nearest: bits(&nearest),
         evals: counter.count(),
+        pruned: counter.pruned(),
     }
 }
 
@@ -99,11 +102,13 @@ fn fused(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
         centers: idx,
         nearest: bits(&nearest),
         evals: counter.count(),
+        pruned: counter.pruned(),
     }
 }
 
 /// Runs both paths over every kernel × lanes {1, 4}
-/// and checks bits, counts, and the fused count `n·|C|` (or `2·n·|C|`
+/// and checks bits, counts, and the fused count: evaluated plus pruned
+/// pairs are `n·|C| + |C|(|C|−1)/2` (plus the separate `n·|C|` sweep
 /// when the sizes are not fusable), returning whether the size fused.
 fn check(name: &str, data: &[Vec<f64>], k: usize) -> bool {
     let pool = Pool::new(3);
@@ -124,8 +129,10 @@ fn check(name: &str, data: &[Vec<f64>], k: usize) -> bool {
             fuses = Some(fusable);
             let nc = (n * c) as u64;
             assert_eq!(want.evals, 3 * nc, "{tag}: reference count");
-            assert_eq!(got.evals, if fusable { nc } else { 2 * nc }, "{tag}");
-            counts.push(got.evals);
+            let pairs = nc + (c * c.saturating_sub(1) / 2) as u64;
+            let sweep = if fusable { 0 } else { nc };
+            assert_eq!(got.evals + got.pruned, pairs + sweep, "{tag}");
+            counts.push((got.evals, got.pruned));
         }
     }
     assert!(
