@@ -3,9 +3,8 @@
 //! pool-backed [`StoreOracle`], swept across lane counts.
 //!
 //! The numbers behind the committed `BENCH_parallel.json`: setting
-//! `BENCH_PARALLEL_JSON=1` runs a manual timing sweep (over the tiled
-//! kernel — the fastest sequential baseline, so lane speedups are
-//! honest) and rewrites the file at the workspace root, recording
+//! `BENCH_PARALLEL_JSON=1` runs a manual timing sweep and rewrites the
+//! file at the workspace root, recording
 //! `host_cpus` alongside each sample — on a single-CPU host every lane
 //! count time-slices one core, so speedups hover at 1×; such runs are
 //! stamped `"degraded": true` and the interesting trajectory points
@@ -36,9 +35,8 @@ fn coord_store(seed: u64, n: usize, d: usize) -> PointStore {
 
 const SCALING_K: usize = 8;
 
-/// The kernel whose thread-scaling the committed trajectory records:
-/// the register-tiled mini-GEMM, the fastest sequential baseline (a
-/// speedup over a slow baseline would flatter the lane counts).
+/// The kernel hint the committed trajectory records. Gonzalez's passes
+/// run the scalar loop under every kernel, so it changes no timing.
 const SCALING_KERNEL: Kernel = Kernel::Tiled;
 
 /// One Gonzalez solve (k centers + the radius sweep) over the store with

@@ -1,9 +1,8 @@
 //! Criterion version of the EXPERIMENTS.md scaling studies S1/S2: the
 //! O(z) expected point and the O(nz + nk) pipeline, plus the
-//! `kernel_comparison` group pitting the scalar and tiled distance
-//! kernels against each other on two workloads — Gonzalez sweeps and
-//! fused nearest-center assignment — the numbers behind
-//! `BENCH_kernel.json`.
+//! `kernel_comparison` group timing Gonzalez sweeps and the fused
+//! nearest-center assignment, the latter under both distance kernels —
+//! the numbers behind `BENCH_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -114,9 +113,8 @@ fn clustered_store(n: usize, z: usize, d: usize) -> PointStore {
     PointStore::from_points(&reps)
 }
 
-/// One Gonzalez solve (k center passes, plus the radius sweep where the
-/// passes cannot vouch for it) over the store with the given kernel;
-/// returns the radius so the work cannot be elided.
+/// One Gonzalez solve (k center passes, which also yield the radius)
+/// over the store; returns the radius so the work cannot be elided.
 fn gonzalez_store(
     store: &PointStore,
     ids: &[PointId],
@@ -159,6 +157,9 @@ fn assign_store(
 /// `gonzalez_clustered` at the shapes of perfbench's `serve_mix`
 /// (n = 6k, d = 32) and `cold_solve` (n = 2.5k, d = 8) expected points,
 /// where the passes' triangle-inequality pruning skips most rows.
+/// Gonzalez's passes run the scalar loop under every kernel, so the
+/// Gonzalez workloads are timed once, as `scalar`; `assign` is timed
+/// under both kernels.
 ///
 /// A row's `pair_evals` are the distances the run evaluated and
 /// `pruned_evals` the pairs it skipped, both read off a [`DistCounter`]
@@ -169,9 +170,9 @@ fn assign_store(
 /// and rewrites the version-controlled `BENCH_kernel.json` at the
 /// workspace root; without it the committed trajectory file is left
 /// untouched (quick/filtered runs must not clobber it). Each recorded row
-/// is the median of [`KERNEL_REPS`] timed runs, and every rep times the
-/// kernels back to back, so a slow stretch on a shared host hits both
-/// kernels of a row rather than one.
+/// is the median of [`KERNEL_REPS`] timed runs, and every rep times a
+/// workload's kernels back to back, so a slow stretch on a shared host
+/// hits both kernels of a cell rather than one.
 fn bench_kernel_comparison(c: &mut Criterion) {
     let quick = std::env::var_os("CRITERION_QUICK").is_some();
     let record = std::env::var_os("BENCH_KERNEL_JSON").is_some();
@@ -203,6 +204,10 @@ fn bench_kernel_comparison(c: &mut Criterion) {
         let centers: Vec<PointId> = (0..k).map(|i| PointId(i * (n / k))).collect();
         let mut assign_out = vec![(0usize, 0.0f64); n];
         for &workload in workloads {
+            let kernels: &[Kernel] = match workload {
+                "assign" => &Kernel::ALL,
+                _ => &[Kernel::Scalar],
+            };
             let run = |kernel: Kernel, counter: Option<&DistCounter>, out: &mut [(usize, f64)]| {
                 let store = black_box(&store);
                 match workload {
@@ -211,16 +216,16 @@ fn bench_kernel_comparison(c: &mut Criterion) {
                 }
             };
             // Evaluated and pruned pairs per run, per kernel.
-            let counts: Vec<(u64, u64)> = Kernel::ALL
-                .into_iter()
-                .map(|kernel| {
+            let counts: Vec<(u64, u64)> = kernels
+                .iter()
+                .map(|&kernel| {
                     let counter = DistCounter::new();
                     run(kernel, Some(&counter), &mut assign_out);
                     (counter.count(), counter.pruned())
                 })
                 .collect();
             let id = format!("{workload}_n{n}_d{d}");
-            for (kernel, &(evals, _)) in Kernel::ALL.into_iter().zip(&counts) {
+            for (&kernel, &(evals, _)) in kernels.iter().zip(&counts) {
                 g.throughput(Throughput::Elements(evals));
                 g.bench_with_input(BenchmarkId::new(&id, kernel.name()), &kernel, |b, &k| {
                     b.iter(|| run(k, None, &mut assign_out))
@@ -231,20 +236,20 @@ fn bench_kernel_comparison(c: &mut Criterion) {
             }
             // Manual timing for the committed BENCH_kernel.json: one
             // warm-up per kernel, then `reps` rounds that each time
-            // every kernel once, in `Kernel::ALL` order.
-            let mut samples = vec![Vec::with_capacity(reps); Kernel::ALL.len()];
-            for kernel in Kernel::ALL {
+            // each of the workload's kernels once, in order.
+            let mut samples = vec![Vec::with_capacity(reps); kernels.len()];
+            for &kernel in kernels {
                 let _ = run(kernel, None, &mut assign_out);
             }
             for _ in 0..reps {
-                for (kernel, times) in Kernel::ALL.into_iter().zip(&mut samples) {
+                for (&kernel, times) in kernels.iter().zip(&mut samples) {
                     let t = Instant::now();
                     let _ = black_box(run(kernel, None, &mut assign_out));
                     times.push(t.elapsed().as_secs_f64());
                 }
             }
-            for ((kernel, times), &(evals, pruned)) in
-                Kernel::ALL.into_iter().zip(&mut samples).zip(&counts)
+            for ((&kernel, times), &(evals, pruned)) in
+                kernels.iter().zip(&mut samples).zip(&counts)
             {
                 times.sort_by(f64::total_cmp);
                 let median = times[times.len() / 2];

@@ -6,7 +6,7 @@
 //! ukc solve    --instance inst.json --k 3 --rule ep --solver gonzalez --out sol.json
 //! ukc solve    --instance inst.json --k=3 --format json        # machine-readable report
 //! ukc solve    --instance inst.json --k 3 --threads 4          # intra-solve pool lanes
-//! ukc solve    --instance inst.json --k 3 --kernel scalar      # distance kernel (scalar|tiled)
+//! ukc solve    --instance inst.json --k 3 --kernel scalar      # speed hint (scalar|tiled), same bits
 //! ukc solve    --instance inst.json --k 3 --assignment weighted # additively-weighted (Apollonius) mode
 //! ukc solve    --instance grown.json --k 3 --base prior.json   # warm start from a prior solution
 //! ukc loo      --instance inst.json --k 3                      # batch leave-one-out sweep
@@ -20,8 +20,6 @@
 //! ukc kmeans   --instance inst.json --k 3 --seed 1
 //! ukc serve    --addr 127.0.0.1:8080 --workers 4 --cache-cap 256
 //! ukc serve    --addr 127.0.0.1:8080 --threads 4               # alias of --workers
-//! ukc serve    --addr 127.0.0.1:8080 --kernel tiled            # default kernel for requests
-//!                                                              # without an explicit "kernel"
 //! ukc serve    --addr 127.0.0.1:8080 --data-dir ./ukc-data     # durable across restarts
 //! ukc serve    --addr 127.0.0.1:8080 --shards 127.0.0.1:8081,127.0.0.1:8082  # coordinator
 //! ukc client   --addr 127.0.0.1:8080 --path /healthz
@@ -178,11 +176,21 @@ fn solver_config_with_seed_default(
         .strategy(strategy)
         .eps(a.parse_or("eps", 0.25f64)?)
         .seed(a.parse_or("seed", default_seed)?);
-    // --kernel picks the batched distance kernel (scalar|tiled; the
-    // retired "blocked" parses as tiled); absent keeps the config default
-    // (tiled).
-    if let Some(kernel) = kernel_flag(a)? {
-        builder = builder.kernel(kernel);
+    // --kernel picks the batched distance kernel, a speed hint
+    // (scalar|tiled; the retired "blocked" parses as tiled); absent keeps
+    // the config default (tiled).
+    if a.has("kernel") {
+        let raw = a.required("kernel")?;
+        match Kernel::parse(raw) {
+            Some(kernel) => builder = builder.kernel(kernel),
+            None => {
+                return Err(args::ArgError::BadValue {
+                    key: "kernel".into(),
+                    value: raw.into(),
+                }
+                .into())
+            }
+        }
     }
     // --assignment plain|weighted picks the assignment mode; absent keeps
     // the config default (plain).
@@ -205,23 +213,6 @@ fn solver_config_with_seed_default(
         builder = builder.threads(threads);
     }
     Ok(builder.build()?)
-}
-
-/// Parses the shared `--kernel scalar|tiled` flag. Absent means
-/// `None` (the caller keeps its default); an unrecognized name is the
-/// typed [`args::ArgError::BadValue`] usage error.
-fn kernel_flag(a: &Args) -> Result<Option<Kernel>, args::ArgError> {
-    if !a.has("kernel") {
-        return Ok(None);
-    }
-    let raw = a.required("kernel")?;
-    match Kernel::parse(raw) {
-        Some(kernel) => Ok(Some(kernel)),
-        None => Err(args::ArgError::BadValue {
-            key: "kernel".into(),
-            value: raw.into(),
-        }),
-    }
 }
 
 /// Output format selector shared by `solve` and `batch`.
@@ -722,6 +713,9 @@ fn cmd_serve(a: &Args) -> CmdResult {
     if threads.is_some() && a.has("workers") {
         return Err("--workers and --threads are aliases; give only one".into());
     }
+    if a.has("kernel") {
+        return Err("--kernel is a per-request speed hint (\"kernel\" in the solve body); ukc serve takes no default".into());
+    }
     let data_dir = validate_data_dir(a)?;
     if data_dir.is_none() && a.has("snapshot-interval") {
         return Err("--snapshot-interval is only meaningful with --data-dir".into());
@@ -758,7 +752,6 @@ fn cmd_serve(a: &Args) -> CmdResult {
             None => a.parse_or("workers", 0usize)?,
         },
         cache_cap: a.parse_or("cache-cap", 256usize)?,
-        kernel: kernel_flag(a)?.unwrap_or(defaults.kernel),
         max_body_bytes: a.parse_or("max-body-bytes", 8 * 1024 * 1024usize)?,
         data_dir,
         snapshot_interval: a.parse_or("snapshot-interval", 16u64)?,

@@ -255,3 +255,17 @@ fn snapshot_interval_without_data_dir_is_rejected() {
         "{stderr}"
     );
 }
+
+#[test]
+fn serve_takes_no_default_kernel() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ukc"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--kernel", "scalar"])
+        .output()
+        .expect("run ukc serve");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--kernel is a per-request speed hint"),
+        "{stderr}"
+    );
+}

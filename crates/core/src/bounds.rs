@@ -88,33 +88,31 @@ pub fn lower_bound_one_center<P, M: Metric<P>>(set: &UncertainSet<P>, metric: &M
 }
 
 /// Certified lower bound on the optimal expected cost of any assigned
-/// k-center solution in Euclidean space: the bound a solve under
-/// [`Kernel::Scalar`] reports, computed over the same store layout.
+/// k-center solution in Euclidean space: the bound a solve reports,
+/// computed over the same store layout.
 ///
 /// # Panics
 /// Panics when locations have mismatched dimensions.
 pub fn lower_bound_euclidean(set: &UncertainSet<Point>, k: usize) -> f64 {
     let (store, set_ids, pbar) =
         crate::problem::solve_store(set, crate::AssignmentRule::ExpectedPoint, 0);
-    let certain = certain_half_store(&store, &pbar, k, Kernel::Scalar, Exec::sequential());
+    let certain = certain_half_store(&store, &pbar, k, Exec::sequential());
     per_point_store(&store, &set_ids, &store, &pbar, certain).0
 }
 
 /// The certain half `gonzalez_radius(P̄)/2` of the Euclidean bound over
-/// store rows, run under `kernel` through an uncounted oracle: the same
-/// sweep (and so the same bits) as a plain Gonzalez certain stage on `P̄`
-/// under that kernel.
+/// store rows, run through an uncounted oracle: the same passes (and so
+/// the same bits) as a plain Gonzalez certain stage on `P̄`.
 pub(crate) fn certain_half_store(
     store: &PointStore,
     pbar: &[PointId],
     k: usize,
-    kernel: Kernel,
     exec: Exec<'_>,
 ) -> f64 {
     if k == 0 {
         return 0.0;
     }
-    let oracle = StoreOracle::new(store, kernel).with_exec(exec);
+    let oracle = StoreOracle::new(store, Kernel::Scalar).with_exec(exec);
     gonzalez(pbar, k, &oracle, 0).radius / 2.0
 }
 

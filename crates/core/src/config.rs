@@ -74,7 +74,7 @@ impl CertainStrategy {
 /// widely-spread uncertain point claims a larger cell. With all-zero
 /// weights (an all-certain instance) the weighted pipeline is
 /// bit-identical to [`AssignmentMode::Plain`], which the
-/// weighted-equivalence suite pins for every kernel.
+/// weighted-equivalence suite pins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AssignmentMode {
     /// Unweighted nearest-center assignment — the paper's pipeline.
@@ -240,9 +240,9 @@ impl SolverConfig {
         self.lower_bound
     }
 
-    /// The distance kernel evaluating batched sweeps
-    /// ([`Kernel::Tiled`] by default; [`Kernel::Scalar`] reproduces the
-    /// pointwise summation order bit-for-bit).
+    /// The distance kernel the multi-center sweeps run
+    /// ([`Kernel::Tiled`] by default) — a speed hint: every kernel
+    /// returns the same bits.
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
@@ -270,23 +270,10 @@ impl SolverConfig {
         }
     }
 
-    /// Returns this configuration with the distance kernel replaced.
-    ///
-    /// The serving layer uses this to apply a server-wide default kernel
-    /// to requests that did not pick one explicitly; every other field is
-    /// preserved, and no re-validation is needed (the kernel choice never
-    /// affects validity).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The grid solver's options (ε folded in).
     pub fn grid_options(&self) -> GridOptions {
         GridOptions {
             eps: self.eps,
-            kernel: self.kernel,
             ..self.grid_limits
         }
     }
@@ -356,14 +343,12 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Picks the distance kernel. [`Kernel::Tiled`] (the default) runs the
-    /// register-tiled mini-GEMM sweeps, the fast option at moderate-to-high
-    /// dimension and on large fused assignment/cost workloads (see
-    /// `BENCH_kernel.json`; it falls back to scalar below the dispatch
-    /// cutoffs, so it is safe to select unconditionally);
-    /// [`Kernel::Scalar`] preserves the historical per-pair f64 summation
-    /// order exactly, which the golden-equivalence suite pins.
-    /// Both kernels evaluate — and count — identical distance pairs.
+    /// Picks the distance kernel, a speed hint. [`Kernel::Tiled`] (the
+    /// default) screens the multi-center sweeps with the register-tiled
+    /// mini-GEMM, the fast option on large fused assignment/cost
+    /// workloads (see `BENCH_kernel.json`); [`Kernel::Scalar`] runs the
+    /// reference loop everywhere. Both return the same bits and evaluate
+    /// — and count — identical distance pairs.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.config.kernel = kernel;
         self

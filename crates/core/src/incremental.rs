@@ -63,7 +63,6 @@ use crate::problem::{
 };
 use crate::report::{Report, WarmStats};
 use ukc_kcenter::{cover_radius, gonzalez_nearest};
-use ukc_metric::batch::tracking_fuses;
 use ukc_metric::{
     mask_row, DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
 };
@@ -98,7 +97,7 @@ impl Solution<Point> {
     /// assignment verbatim, re-assigns only the appended rows via one
     /// fused `nearest_each` sweep, and recomputes the exact expected cost
     /// from the prior's recorded per-location distances for the prefix
-    /// (when it carries them for these locations under this kernel) —
+    /// (when it carries them for these locations) —
     /// skipping the `Θ(n·k)` certain-solve stage entirely. It is taken
     /// only when the *separation certificate* holds: with `δ` the minimum
     /// pairwise distance among the prior centers and `r` the covering
@@ -252,10 +251,10 @@ fn warm_attempt(
     // Stage 4: the exact expected cost is recomputed, but the prefix
     // keeps its centers and assignment, so the prior's per-location
     // distances stand in for its pairs when it recorded them for these
-    // very locations under this kernel; only the rest are evaluated.
+    // very locations; only the rest are evaluated.
     let evals_before = counter.count();
     let t = Instant::now();
-    let reused = prior.cost_prefix(set, n_prior, config.kernel());
+    let reused = prior.cost_prefix(set, n_prior);
     let from = if reused.is_some() { n_prior } else { 0 };
     let mut dists = reused.map_or_else(Vec::new, <[f64]>::to_vec);
     dists.extend(assigned_distances_exec(
@@ -266,19 +265,18 @@ fn warm_attempt(
         exec,
     ));
     let ecost = ecost_from_distances(&set_ids, &dists);
-    let cost_distances = CostDistances::new(set, config.kernel(), dists);
+    let cost_distances = CostDistances::new(set, dists);
     report.distance_evals.cost = counter.since(evals_before);
     report.timings.cost = t.elapsed();
 
     // The certified bound, computed exactly as a cold EP/Gonzalez solve
-    // does: the certain half reruns that solve's Gonzalez on `P̄` under
-    // the same kernel, so warm and cold bounds are bit-identical. The
-    // rerun is uncounted, like the cold solve's reuse of its certain
-    // stage; only the per-point half's passes count.
+    // does: the certain half reruns that solve's Gonzalez on `P̄`, so warm
+    // and cold bounds are bit-identical. The rerun is uncounted, like the
+    // cold solve's reuse of its certain stage; only the per-point half's
+    // passes count.
     if config.computes_lower_bound() {
         let t = Instant::now();
-        let certain_half =
-            crate::bounds::certain_half_store(&store, &rep_ids, k, config.kernel(), exec);
+        let certain_half = crate::bounds::certain_half_store(&store, &rep_ids, k, exec);
         let (bound, evals) =
             crate::bounds::per_point_store(&store, &set_ids, &store, &rep_ids, certain_half);
         report.lower_bound = Some(bound);
@@ -286,21 +284,13 @@ fn warm_attempt(
         report.distance_evals.lower_bound = evals;
     }
 
-    // What a cold EP/Gonzalez solve of this instance spends: n·k for the
-    // greedy, whose tracked passes also yield the radius and the
-    // assignment unless the fusability rule sends them to a separate n·k
-    // sweep, plus one evaluation per realization location for the cost
-    // stage.
-    let nk = (n as u64) * (k as u64);
-    let sweeps = if tracking_fuses(n, k, store.dim()) {
-        1
-    } else {
-        2
-    };
-    let cold_estimate = sweeps * nk + set.total_locations() as u64;
+    // A floor on what a cold EP/Gonzalez solve of this instance spends:
+    // its first greedy pass evaluates every representative (nothing is
+    // pruned yet), and its cost stage every realization location.
+    let cold_floor = (n + set.total_locations()) as u64;
     report.warm = Some(WarmStats {
         reused_centers: k,
-        evals_saved: cold_estimate.saturating_sub(counter.count()),
+        evals_saved: cold_floor.saturating_sub(counter.count()),
         stages_skipped: vec!["certain_solve", "assignment_prefix"],
         fallback: None,
     });
@@ -450,7 +440,7 @@ fn solve_loo_store(
     // assignment. A reused variant's exact expected cost is then a
     // float-only recombination.
     let computed;
-    let dists = match base.cost_prefix(set, n, config.kernel()) {
+    let dists = match base.cost_prefix(set, n) {
         Some(dists) => dists,
         None => {
             computed = assigned_distances_exec(
@@ -470,7 +460,6 @@ fn solve_loo_store(
     // Fan the variants across the pool, one per lane chunk. Each slot is
     // an independent pure computation over shared read-only state, so
     // results are bit-identical for every lane count.
-    let kernel = config.kernel();
     let mut slots: Vec<Option<LooVariant>> = Vec::new();
     slots.resize_with(n, || None);
     let threads = config.resolved_threads().max(1).min(n);
@@ -480,7 +469,7 @@ fn solve_loo_store(
         1,
         |i, slot| {
             slot[0] = Some(if is_center[i] {
-                resolve_center_variant(&store, kernel, &set_ids, &rep_ids, k, i)
+                resolve_center_variant(&store, &set_ids, &rep_ids, k, i)
             } else {
                 let reduced = (0..n - 1).map(|j| per_point[j + usize::from(j >= i)]);
                 LooVariant {
@@ -518,22 +507,16 @@ fn solve_loo_store(
 /// cost.
 fn resolve_center_variant(
     store: &PointStore,
-    kernel: Kernel,
     set_ids: &UncertainSet<PointId>,
     rep_ids: &[PointId],
     k: usize,
     i: usize,
 ) -> LooVariant {
     let counter = DistCounter::new();
-    let oracle = StoreOracle::new(store, kernel).with_counter(&counter);
+    let oracle = StoreOracle::new(store, Kernel::Scalar).with_counter(&counter);
     let reduced_reps = mask_row(rep_ids, i);
     let (idx, nearest) = gonzalez_nearest(&reduced_reps, k, &oracle, 0);
     let centers: Vec<PointId> = idx.iter().map(|&j| reduced_reps[j]).collect();
-    let nearest = nearest.unwrap_or_else(|| {
-        let mut nearest = vec![(0usize, 0.0f64); reduced_reps.len()];
-        oracle.nearest_each(&reduced_reps, &centers, None, &mut nearest);
-        nearest
-    });
     let assignment: Vec<usize> = nearest.iter().map(|&(c, _)| c).collect();
     let mut reduced = set_ids.points().to_vec();
     reduced.remove(i);

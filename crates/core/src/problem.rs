@@ -36,9 +36,7 @@ use ukc_kcenter::{
     cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, gonzalez_nearest,
     grid_kcenter, kcenter_cost, local_search_kcenter, KCenterSolution,
 };
-use ukc_metric::{
-    DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
-};
+use ukc_metric::{DistCounter, DistanceOracle, Metric, Point, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
 use ukc_uncertain::{
     assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_point,
@@ -373,12 +371,12 @@ pub struct Solution<P> {
 impl<P: PartialEq> Solution<P> {
     /// The recorded cost distances of the first `n` points of `set`, when
     /// those points carry exactly the locations (same values, same order)
-    /// of the first `n` points of the set this solution solved, and the
-    /// distances were measured under `kernel`; `None` otherwise. The
-    /// caller vouches for the centers and the assignment of those points.
-    pub fn cost_prefix(&self, set: &UncertainSet<P>, n: usize, kernel: Kernel) -> Option<&[f64]> {
+    /// of the first `n` points of the set this solution solved; `None`
+    /// otherwise. The caller vouches for the centers and the assignment of
+    /// those points.
+    pub fn cost_prefix(&self, set: &UncertainSet<P>, n: usize) -> Option<&[f64]> {
         let recorded = self.cost_distances.as_ref()?;
-        if kernel != recorded.kernel || n > self.set.n() || n > set.n() {
+        if n > self.set.n() || n > set.n() {
             return None;
         }
         let ours = &self.set.points()[..n];
@@ -394,32 +392,30 @@ impl<P: PartialEq> Solution<P> {
 
 /// The distances `d(Pᵢⱼ, c_{a(i)})` the cost stage measured, one per
 /// realization location of the solution's set in set order (point-major,
-/// support order), together with the kernel they were measured under.
+/// support order).
 ///
-/// Each value is a pure function of a location, its point's assigned
-/// center, and the kernel, so any solve sharing centers, assignment and
-/// kernel over the same leading points can take them instead of
-/// re-evaluating those pairs ([`Solution::cost_prefix`]); the expected
-/// cost folded from them keeps its bits.
+/// Each value is a pure function of a location and its point's assigned
+/// center, so any solve sharing centers and assignment over the same
+/// leading points can take them instead of re-evaluating those pairs
+/// ([`Solution::cost_prefix`]); the expected cost folded from them keeps
+/// its bits.
 #[derive(Clone)]
 pub struct CostDistances {
-    kernel: Kernel,
     dists: Vec<f64>,
 }
 
 impl CostDistances {
-    /// Records `dists` (one per location of `set`, in set order) measured
-    /// under `kernel`.
+    /// Records `dists` (one per location of `set`, in set order).
     ///
     /// # Panics
     /// Panics when `dists` does not hold one value per location.
-    pub(crate) fn new<P>(set: &UncertainSet<P>, kernel: Kernel, dists: Vec<f64>) -> Self {
+    pub(crate) fn new<P>(set: &UncertainSet<P>, dists: Vec<f64>) -> Self {
         assert_eq!(
             dists.len(),
             set.total_locations(),
             "one distance per location required"
         );
-        Self { kernel, dists }
+        Self { dists }
     }
 
     /// Every recorded distance, in set order.
@@ -431,7 +427,6 @@ impl CostDistances {
 impl std::fmt::Debug for CostDistances {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostDistances")
-            .field("kernel", &self.kernel)
             .field("locations", &self.dists.len())
             .finish()
     }
@@ -480,13 +475,15 @@ pub(crate) fn method_string(
 /// holds every realization coordinate, every representative, and (for
 /// the grid strategy) every synthesized center, in that order, so every
 /// output center is read back from its row; all distance work then runs
-/// through the batched kernels of a [`StoreOracle`] under the configured
-/// [`crate::SolverConfig::kernel`]. [`Problem::euclidean`] validated the
-/// set, so building the store cannot fail.
+/// through the batched kernels of a [`StoreOracle`], whose multi-center
+/// sweeps run the configured [`crate::SolverConfig::kernel`].
+/// [`Problem::euclidean`] validated the set, so building the store cannot
+/// fail.
 ///
-/// With [`ukc_metric::Kernel::Scalar`] every distance is bit-identical to
-/// the pointwise [`ukc_metric::Euclidean`] metric, and the evaluation
-/// *counts* are kernel-independent by the [`DistanceOracle`] contract.
+/// Every distance is bit-identical to the pointwise
+/// [`ukc_metric::Euclidean`] metric whichever kernel runs, and the
+/// evaluation *counts* are kernel-independent by the [`DistanceOracle`]
+/// contract.
 ///
 /// Parallelism: [`SolverConfig::resolved_threads`] lanes of the shared
 /// [`ukc_pool::global`] pool drive every batched sweep (certain solve,
@@ -548,10 +545,8 @@ fn solve_continuous_store(
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
     // EP over plain Gonzalez: the greedy's tracked passes hand the
-    // assignment stage every representative's nearest center — or, when
-    // they cannot vouch for its bits, leave that sweep (and the radius)
-    // to it.
-    let mut ep_nearest: Option<Option<Vec<(usize, f64)>>> = None;
+    // assignment stage every representative's nearest center.
+    let mut ep_nearest: Option<Vec<(usize, f64)>> = None;
     let evals_before = counter.count();
     let t = Instant::now();
     // The certified grid solver synthesizes new center locations, pushed
@@ -573,7 +568,7 @@ fn solve_continuous_store(
     let oracle = StoreOracle::new(&store, kernel)
         .with_counter(&counter)
         .with_exec(exec);
-    let mut certain: KCenterSolution<PointId> = match config.strategy() {
+    let certain: KCenterSolution<PointId> = match config.strategy() {
         CertainStrategy::Gonzalez if weighted => {
             let spreads = expected_spreads_exec(&set_ids, &rep_ids, &oracle, exec);
             let idx = gonzalez_indices(&rep_ids, Some(&spreads), k, &oracle, 0);
@@ -589,7 +584,7 @@ fn solve_continuous_store(
         }
         CertainStrategy::Gonzalez if rule == AssignmentRule::ExpectedPoint => {
             let (idx, nearest) = gonzalez_nearest(&rep_ids, k, &oracle, 0);
-            let radius = nearest.as_deref().map_or(f64::NAN, cover_radius);
+            let radius = cover_radius(&nearest);
             ep_nearest = Some(nearest);
             KCenterSolution {
                 centers: idx.iter().map(|&i| rep_ids[i]).collect(),
@@ -637,16 +632,11 @@ fn solve_continuous_store(
         // representative, as the OC one is per 1-center `P̃ᵢ`. The
         // weighted mode compares centers by `d(repᵢ, c) − w_c` instead,
         // through the same sweep.
-        (_, Some(Some(nearest))) => nearest.into_iter().map(|(i, _)| i).collect(),
-        (_, fused) => {
+        (_, Some(nearest)) => nearest.into_iter().map(|(i, _)| i).collect(),
+        (_, None) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
             let w = center_weights.as_deref();
             oracle.nearest_each(&rep_ids, &certain.centers, w, &mut nearest);
-            if fused.is_some() {
-                // Bit-identical to a `kcenter_cost` sweep: both
-                // dispatch on n·|C| pairs.
-                certain.radius = cover_radius(&nearest);
-            }
             nearest.into_iter().map(|(i, _)| i).collect()
         }
     };
@@ -665,16 +655,16 @@ fn solve_continuous_store(
         exec,
     );
     let ecost = ecost_from_distances(&set_ids, &dists);
-    let cost_distances = CostDistances::new(set, kernel, dists);
+    let cost_distances = CostDistances::new(set, dists);
     report.timings.cost = t_cost.elapsed();
     report.distance_evals.cost = counter.since(evals_before_cost);
 
     // Optional stage 5: the certified Euclidean lower bound. Its certain
-    // half is the plain Gonzalez radius on `P̄` under this solve's kernel:
-    // the certain stage's own radius when that stage was exactly this
-    // sweep, else a rerun through an uncounted oracle, so the bound is a
-    // pure function of (instance, k, kernel) on every path. The count is
-    // the per-point half's own coordinate passes.
+    // half is the plain Gonzalez radius on `P̄`: the certain stage's own
+    // radius when that stage was exactly this sweep, else a rerun through
+    // an uncounted oracle, so the bound is a pure function of
+    // (instance, k) on every path. The count is the per-point half's own
+    // coordinate passes.
     if config.computes_lower_bound() {
         let t_bound = Instant::now();
         let plain_gonzalez_on_pbar = rule != AssignmentRule::OneCenter
@@ -693,7 +683,7 @@ fn solve_continuous_store(
         let certain_half = if plain_gonzalez_on_pbar {
             certain.radius / 2.0
         } else {
-            crate::bounds::certain_half_store(pbar_store, pbar_ids, k, kernel, exec)
+            crate::bounds::certain_half_store(pbar_store, pbar_ids, k, exec)
         };
         let (bound, evals) =
             crate::bounds::per_point_store(&store, &set_ids, pbar_store, pbar_ids, certain_half);

@@ -81,9 +81,11 @@ pub struct WarmStats {
     /// Centers carried over verbatim from the prior solution (`k` on the
     /// warm fast path, `0` on a cold fallback).
     pub reused_centers: usize,
-    /// Estimated distance evaluations the warm path avoided versus a
-    /// cold solve of the same problem (stage-count model of the cold
-    /// pipeline minus the warm solve's actual spend; `0` on fallback).
+    /// Distance evaluations the warm path avoided versus a cold solve of
+    /// the same problem — at least this many: a floor on the cold spend
+    /// (its first greedy pass evaluates all `n` representatives, its cost
+    /// stage every realization location) minus the warm solve's actual
+    /// spend; `0` on fallback.
     pub evals_saved: u64,
     /// Pipeline stages the warm path skipped or shrank (e.g.
     /// `"certain_solve"`, `"assignment_prefix"`).

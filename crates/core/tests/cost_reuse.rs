@@ -4,8 +4,9 @@
 //! ([`ukc_core::CostDistances`]). A warm start keeps the prior's centers
 //! and prefix assignment, so it takes those values for the prefix instead
 //! of re-evaluating them — but only when the prefix carries exactly the
-//! locations they were measured on, under the same kernel. Every path
-//! must land on the same expected-cost bits.
+//! locations they were measured on. The kernel does not matter: every
+//! kernel measures the same bits. Every path must land on the same
+//! expected-cost bits.
 
 use ukc_core::{Problem, Solution, SolverConfig};
 use ukc_metric::{Kernel, Point};
@@ -148,7 +149,7 @@ fn a_prefix_with_other_probabilities_falls_back_cold() {
     assert_ne!(probs, up.probs(), "the reversal changes the distribution");
     points[7] = UncertainPoint::new(up.locations().to_vec(), probs).unwrap();
     let reweighted = UncertainSet::new(points);
-    assert!(prior.cost_prefix(&reweighted, 300, Kernel::Tiled).is_some());
+    assert!(prior.cost_prefix(&reweighted, 300).is_some());
     let problem = Problem::euclidean(reweighted, 5).unwrap();
     let warm = Solution::warm_start(&problem, &config, &prior).unwrap();
     assert_eq!(
@@ -158,13 +159,17 @@ fn a_prefix_with_other_probabilities_falls_back_cold() {
 }
 
 #[test]
-fn distances_from_another_kernel_are_not_reused() {
+fn distances_from_another_kernel_are_reused() {
     let (_, full) = split(17, 150, 150);
     let problem = Problem::euclidean(full, 4).unwrap();
     let prior = problem.solve(&config(Kernel::Scalar)).unwrap();
+    let cold = problem.solve(&config(Kernel::Tiled)).unwrap();
     let warm = Solution::warm_start(&problem, &config(Kernel::Tiled), &prior).unwrap();
+    assert_eq!(warm.report.warm.as_ref().unwrap().fallback, None);
+    assert_eq!(warm.report.distance_evals.cost, 0);
+    assert_eq!(warm.ecost.to_bits(), cold.ecost.to_bits());
     assert_eq!(
-        warm.report.distance_evals.cost,
-        problem.set().total_locations() as u64
+        prior.cost_distances.as_ref().unwrap().all(),
+        cold.cost_distances.as_ref().unwrap().all()
     );
 }

@@ -9,8 +9,8 @@
 //!   a (1+ε)-approximation in `O(n·d/ε²)` that is independent of the
 //!   combinatorial structure and therefore robust for large `d`.
 
-use ukc_metric::batch::{dist_sq_scalar, dist_sq_tiled, tile};
-use ukc_metric::{Kernel, Point, PointId, PointStore};
+use ukc_metric::batch::dist_sq_scalar;
+use ukc_metric::{Point, PointId, PointStore};
 
 /// A ball `{x : ‖x − center‖ ≤ radius}`.
 #[derive(Clone, Debug, PartialEq)]
@@ -192,46 +192,29 @@ pub fn min_enclosing_ball_approx(points: &[Point], eps: f64) -> Option<Ball> {
         points.iter().all(|p| p.dim() == dim),
         "all points must share a dimension"
     );
-    min_enclosing_ball_approx_store(&PointStore::from_points(points), eps, Kernel::default())
+    min_enclosing_ball_approx_store(&PointStore::from_points(points), eps)
 }
 
-/// [`min_enclosing_ball_approx`] over an already-built [`PointStore`],
-/// with an explicit distance kernel: every round is one
-/// farthest-point sweep over the contiguous coordinate buffer instead of
-/// `n` boxed-point distance calls.
+/// [`min_enclosing_ball_approx`] over an already-built [`PointStore`]:
+/// every round is one scalar farthest-point sweep over the contiguous
+/// coordinate buffer instead of `n` boxed-point distance calls.
 ///
 /// Returns `None` for an empty store.
 ///
 /// # Panics
 /// Panics if `eps` is not strictly positive.
-pub fn min_enclosing_ball_approx_store(
-    store: &PointStore,
-    eps: f64,
-    kernel: Kernel,
-) -> Option<Ball> {
+pub fn min_enclosing_ball_approx_store(store: &PointStore, eps: f64) -> Option<Ball> {
     assert!(eps > 0.0, "eps must be positive");
     if store.is_empty() {
         return None;
     }
     let rounds = (1.0 / (eps * eps)).ceil() as usize + 1;
     let mut center: Vec<f64> = store.coords(PointId(0)).to_vec();
-    // The farthest-point sweep against the moving center, by the chosen
-    // kernel (the center itself is not a store member, so its squared
-    // norm is refreshed per round).
+    // The farthest-point sweep against the moving center.
     let sweep = |center: &[f64]| -> (usize, f64) {
-        let center_norm_sq = tile::dot_seq(center, center);
         let mut far = (0usize, f64::NEG_INFINITY);
         for i in 0..store.len() {
-            let id = PointId(i);
-            let d_sq = match kernel {
-                Kernel::Scalar => dist_sq_scalar(store.coords(id), center),
-                // The moving center is synthesized (not a store row), so
-                // its norm is accumulated here, in the canonical per-pair
-                // order the store's norms use.
-                Kernel::Tiled => {
-                    dist_sq_tiled(store.coords(id), store.norm_sq(id), center, center_norm_sq)
-                }
-            };
+            let d_sq = dist_sq_scalar(store.coords(PointId(i)), center);
             if d_sq > far.1 {
                 far = (i, d_sq);
             }

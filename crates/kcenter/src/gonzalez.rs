@@ -6,7 +6,6 @@
 //! the paper's (1+ε)-parameterized theorems into the concrete factor-6 and
 //! factor-4 table rows.
 
-use crate::kcenter_cost;
 use ukc_metric::{DistanceOracle, Tracked};
 
 /// A k-center solution over an explicit point slice.
@@ -85,11 +84,9 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
 /// ([`DistanceOracle::greedy_pass`]): the chosen center indices into
 /// `points` — the same picks as [`gonzalez_indices`], since every row's
 /// running minimum tightens exactly as there — and every point's
-/// nearest chosen center `(index into the centers, distance)` when the
-/// oracle vouches that it is bit for bit what a separate
-/// [`DistanceOracle::nearest_each`] sweep over the centers would give
-/// ([`DistanceOracle::tracked_nearest`]); `None` when the caller must run
-/// that sweep.
+/// nearest chosen center `(index into the centers, distance)`, bit for
+/// bit what a separate [`DistanceOracle::nearest_each`] sweep over the
+/// centers would give.
 ///
 /// At most `n·|C|` point–center evaluations, where the greedy, its
 /// radius and the nearest-center assignment used to take three such
@@ -104,7 +101,7 @@ pub fn gonzalez_nearest<P, M: DistanceOracle<P>>(
     k: usize,
     metric: &M,
     start: usize,
-) -> (Vec<usize>, Option<Vec<(usize, f64)>>) {
+) -> (Vec<usize>, Vec<(usize, f64)>) {
     assert!(!points.is_empty(), "gonzalez requires at least one point");
     assert!(k > 0, "gonzalez requires k >= 1");
     assert!(start < points.len(), "start index out of range");
@@ -120,12 +117,12 @@ pub fn gonzalez_nearest<P, M: DistanceOracle<P>>(
         centers.push(far.0);
         far = metric.greedy_pass(points, &centers, &mut rows);
     }
-    let nearest = metric.tracked_nearest(&rows, centers.len());
+    let nearest = rows.iter().map(|r| (r.nearest, r.min)).collect();
     (centers, nearest)
 }
 
 /// The covering radius `max_i d(pᵢ, C)` read off per-point nearest
-/// centers, folded exactly as [`kcenter_cost`] folds its sweep.
+/// centers, folded exactly as [`kcenter_cost`](crate::kcenter_cost) folds its sweep.
 pub fn cover_radius(nearest: &[(usize, f64)]) -> f64 {
     nearest.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
@@ -134,8 +131,8 @@ pub fn cover_radius(nearest: &[(usize, f64)]) -> f64 {
 /// [`KCenterSolution`] (centers, their indices, and the resulting radius).
 ///
 /// The radius comes out of the greedy's own tracked passes
-/// ([`gonzalez_nearest`]) when the oracle vouches for them, else from a
-/// [`kcenter_cost`] sweep; both give the same bits.
+/// ([`gonzalez_nearest`]), bit for bit what a [`kcenter_cost`](crate::kcenter_cost) sweep
+/// gives.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start` is out of range.
@@ -147,14 +144,10 @@ pub fn gonzalez<P: Clone, M: DistanceOracle<P>>(
 ) -> KCenterSolution<P> {
     let (idx, nearest) = gonzalez_nearest(points, k, metric, start);
     let centers: Vec<P> = idx.iter().map(|&i| points[i].clone()).collect();
-    let radius = match nearest {
-        Some(nearest) => cover_radius(&nearest),
-        None => kcenter_cost(points, &centers, None, metric),
-    };
     KCenterSolution {
         centers,
         center_indices: idx,
-        radius,
+        radius: cover_radius(&nearest),
     }
 }
 

@@ -33,10 +33,6 @@ pub struct GridOptions {
     pub max_candidates: usize,
     /// Limits forwarded to the exact discrete solver.
     pub exact: ExactOptions,
-    /// Distance kernel for the internal sweeps (the solver runs on a
-    /// [`PointStore`]; `Scalar` reproduces the historical per-pair
-    /// arithmetic bit-for-bit).
-    pub kernel: Kernel,
 }
 
 impl Default for GridOptions {
@@ -48,7 +44,6 @@ impl Default for GridOptions {
                 max_points: 512,
                 max_candidates: 20_000,
             },
-            kernel: Kernel::default(),
         }
     }
 }
@@ -88,7 +83,7 @@ pub fn grid_kcenter(
     let gz = gonzalez(
         &point_ids,
         k,
-        &StoreOracle::new(&store, opts.kernel).with_exec(exec),
+        &StoreOracle::new(&store, Kernel::default()).with_exec(exec),
         0,
     );
     if gz.radius == 0.0 {
@@ -126,19 +121,9 @@ pub fn grid_kcenter(
     }
     let keep_radius = r_hat + delta * sqrt_d;
     let near_input = |store: &PointStore, coords: &[f64]| -> bool {
-        let cand_norm_sq = batch::tile::dot_seq(coords, coords);
-        point_ids.iter().any(|&p| {
-            let d_sq = match opts.kernel {
-                Kernel::Scalar => batch::dist_sq_scalar(store.coords(p), coords),
-                // Grid vertices are synthesized coordinates, not store
-                // rows, so their norm is accumulated here, in the
-                // canonical per-pair order the store's norms use.
-                Kernel::Tiled => {
-                    batch::dist_sq_tiled(store.coords(p), store.norm_sq(p), coords, cand_norm_sq)
-                }
-            };
-            d_sq.sqrt() <= keep_radius
-        })
+        point_ids
+            .iter()
+            .any(|&p| batch::dist_sq_scalar(store.coords(p), coords).sqrt() <= keep_radius)
     };
     let mut cand_ids: Vec<PointId> = Vec::new();
     let mut idx = vec![0usize; d];
@@ -168,7 +153,7 @@ pub fn grid_kcenter(
     if cand_ids.is_empty() {
         return Some(materialize(gz, &store));
     }
-    let oracle = StoreOracle::new(&store, opts.kernel).with_exec(exec);
+    let oracle = StoreOracle::new(&store, Kernel::default()).with_exec(exec);
     let sol = exact_discrete_kcenter(&point_ids, &cand_ids, k, &oracle, opts.exact)?;
     // The grid optimum is certified (1+eps); but Gonzalez may still win on
     // degenerate inputs (e.g. grid quantization of tiny instances), so take
@@ -301,16 +286,13 @@ mod tests {
     #[test]
     fn huge_eps_falls_back_instead_of_panicking() {
         let pts = cloud(5, 12, 2);
-        for kernel in Kernel::ALL {
-            for eps in [1e300, 1e308, f64::MAX] {
-                let opts = GridOptions {
-                    eps,
-                    kernel,
-                    ..Default::default()
-                };
-                if let Some(sol) = grid_kcenter(&pts, 3, opts, Exec::sequential()) {
-                    assert!(sol.radius.is_finite(), "{kernel:?} eps {eps}");
-                }
+        for eps in [1e300, 1e308, f64::MAX] {
+            let opts = GridOptions {
+                eps,
+                ..Default::default()
+            };
+            if let Some(sol) = grid_kcenter(&pts, 3, opts, Exec::sequential()) {
+                assert!(sol.radius.is_finite(), "eps {eps}");
             }
         }
     }

@@ -1,74 +1,56 @@
 //! Batched Euclidean distance kernels over a [`PointStore`].
 //!
-//! Two interchangeable kernels compute every routine:
+//! Every value a routine here returns, stores or compares to pick a
+//! result is the scalar reference value: per-pair difference-and-square
+//! with sequential summation, the exact arithmetic of
+//! [`crate::Point::dist`], so results are bit-identical to the pointwise
+//! [`crate::Euclidean`] metric whichever [`Kernel`] runs. The kernel
+//! chooses speed, never bits:
 //!
-//! * [`Kernel::Scalar`] — per-pair difference-and-square with sequential
-//!   summation, the exact arithmetic of [`crate::Point::dist`]. Results
-//!   are bit-identical to the pointwise [`crate::Euclidean`] metric; this
-//!   is the reference path the golden-equivalence suites pin against.
-//! * [`Kernel::Tiled`], the default — the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`
-//!   factorization over the store's cached squared norms, structured as a
-//!   register-tiled mini-GEMM (see [`tile`]): multi-center sweeps
-//!   ([`dists_to_centers_min`], [`nearest_center_each`]) pack
-//!   [`tile::TILE_CENTERS`] centers into a column-major panel that stays
-//!   in L1 and stream each point row past it exactly once,
-//!   [`tile::TILE_POINTS`] rows per block, with the d-loop as the only
-//!   real loop around a fully unrolled 4×4 block of
-//!   `[f64; TILE_CENTERS]` lane accumulators the autovectorizer keeps in
-//!   vector registers. The different f64 summation order perturbs results
-//!   by a few ulps against `Scalar`; callers needing bit-stability against
-//!   [`crate::Point::dist`] pick `Scalar`.
+//! * [`Kernel::Scalar`] runs the scalar loop everywhere.
+//! * [`Kernel::Tiled`], the default, screens the two multi-center sweep
+//!   families ([`dists_to_centers_min`], [`nearest_center_each`]) with
+//!   the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization over the store's
+//!   cached squared norms, structured as a register-tiled mini-GEMM (see
+//!   [`tile`]): [`tile::TILE_CENTERS`] centers are packed into a
+//!   column-major panel that stays in L1, and each point row streams past
+//!   it exactly once, [`tile::TILE_POINTS`] rows per block. The screen
+//!   keeps each row's best and second-best factorized value, and the
+//!   scalar loop measures the row's best center once; a derived error
+//!   bound then decides the row whenever it separates that value from
+//!   every other center, and otherwise the scalar loop over all of the
+//!   row's centers does — the filter-and-refine pattern of filtered
+//!   geometric predicates. Near ties, duplicated centers and norms too
+//!   large to bound take the scalar loop.
 //!
-//! Every tiled dot product — single pair, single-center sweep, or panel
-//! block — accumulates in one canonical order (ascending dimension, one
-//! f64 accumulator per pair: [`tile::dot_seq`]), and the store caches
-//! norms accumulated in that same order, so `‖a‖² + ‖b‖² − 2a·b` cancels
-//! exactly for duplicate points and a tiled value is a pure function of
-//! the stored coordinates: block membership, chunk boundaries, and lane
-//! counts never perturb a result bit.
+//! The single-center and single-pair routines ([`dists_to_one`],
+//! [`dists_to_set_min`], [`dists_to_set_min_tracked`], [`greedy_pass`],
+//! [`nearest_center`], [`pair_dist`]) take no kernel: they run the scalar
+//! loop, which the factorized form does not beat on one center.
 //!
 //! Each sweep family has one public entry point, which takes an
 //! [`Exec`] ([`Exec::sequential`] runs it inline on the caller) and,
-//! where centers are compared, optional additive center weights:
-//! single-center min-update ([`dists_to_set_min`]), single-query argmin
-//! ([`nearest_center`], plain only), fused multi-center min
-//! ([`dists_to_centers_min`]) and fused assignment
-//! ([`nearest_center_each`]). Behind each entry is one generic body over
-//! a per-candidate update rule: `None` selects the plain Euclidean
-//! distance, `Some` the additively weighted (Apollonius) distance
-//! `d(p, cᵢ) − wᵢ`, and the choice is made once, at the entry point, so
-//! the plain path runs its own monomorphised code and never a zero-weight
-//! copy of the weighted one. The body owns kernel dispatch, panel
-//! packing and weight padding, 4-row blocking, and [`PAR_CHUNK`]
-//! parallelism; the rule owns only how one candidate's distance updates
-//! the running result.
+//! where centers are compared, optional additive center weights. Behind
+//! each entry is one generic body over a per-candidate rule: `None`
+//! selects the plain Euclidean distance, `Some` the additively weighted
+//! (Apollonius) distance `d(p, cᵢ) − wᵢ`, and the choice is made once,
+//! at the entry point, so the plain path runs its own monomorphised code
+//! and never a zero-weight copy of the weighted one.
 //!
 //! The single-center min-update also comes in a *tracked* form
-//! ([`dists_to_set_min_tracked`]) that keeps each row's nearest
-//! center next to its running minimum, comparing exactly as
+//! ([`dists_to_set_min_tracked`]) that keeps each row's nearest center
+//! next to its running minimum, comparing exactly as
 //! [`nearest_center_each`] does; Gonzalez's greedy runs on it, so its
-//! radius and the nearest-center assignment need no further sweep
-//! ([`tracked_nearest`], [`tracking_fuses`]). The greedy's own pass,
-//! [`greedy_pass`], is a tracked pass that skips the rows the triangle
-//! inequality proves the new center cannot tighten and picks the next
-//! center on the way.
+//! radius and the nearest-center assignment need no further sweep. The
+//! greedy's own pass, [`greedy_pass`], is a tracked pass that skips the
+//! rows the triangle inequality proves the new center cannot tighten and
+//! picks the next center on the way.
 //!
-//! The factorized kernel loses to the scalar loop on tiny sweeps (the
-//! norm lookups and reduction trees cost more than they save), so the
-//! public entry points re-dispatch through [`Kernel::dispatch`]: below a
-//! measured work cutoff `Tiled` falls back to the scalar loop. The
-//! decision depends only on the sweep size and dimension — never on
-//! thread count or chunking — so it preserves the execution-layer
-//! determinism contract.
-//!
-//! Both kernels perform — and [`DistCounter`]-instrumented callers count —
-//! exactly one distance evaluation per point-pair, except that
-//! [`greedy_pass`] skips a pair it proves cannot change the result and
-//! counts it as pruned ([`DistCounter::pruned`]). So switching kernels
-//! never changes instrumentation, except that a row lying within
-//! rounding of [`greedy_pass`]'s skip threshold may be skipped under one
-//! kernel and evaluated under the other; evaluated plus pruned is the
-//! same either way.
+//! Every routine performs — and [`DistCounter`]-instrumented callers
+//! count — exactly one distance evaluation per point-pair, whichever
+//! kernel runs (a refine re-measures a pair the screen already counted),
+//! except that [`greedy_pass`] skips a pair it proves cannot change the
+//! result and counts it as pruned ([`DistCounter::pruned`]).
 
 use crate::store::{PointId, PointStore};
 use std::cell::Cell;
@@ -88,32 +70,30 @@ pub const PAR_CHUNK: usize = 2048;
 /// function of input size, for the same determinism reason.
 pub const PAR_MIN_POINTS: usize = 4096;
 
-/// Below this dimension the norm factorization never pays: the cached
-/// norm lookups and reduction machinery cost more than the one or two
-/// multiplies they save, so [`Kernel::dispatch`] demotes the factorized
-/// kernel to scalar (the `d = 2` rows of BENCH_kernel.json therefore time
-/// the scalar loop whatever kernel they name).
+/// Below this dimension the tiled screen never pays: the cached norm
+/// lookups and reduction machinery cost more than the one or two
+/// multiplies they save, so [`Kernel::dispatch`] sends the sweep to the
+/// scalar loop (the `d = 2` rows of BENCH_kernel.json therefore time the
+/// scalar loop whatever kernel they name).
 pub const FACTORIZED_MIN_DIM: usize = 3;
 
-/// Minimum `pair_evals · dim` (total multiply-add work) before a sweep
-/// runs factorized. The cutoff comes from measurements of the
-/// norm-factorized form against the scalar loop: it lost at
-/// `n = 1k, d = 8` (8k work) and won from `n = 1k, d = 32` (32k).
-///
-/// Which sweeps run factorized decides their result bits, so this cutoff
-/// and [`FACTORIZED_MIN_DIM`] are part of the determinism contract: they
-/// are not retuned when the factorized kernel gets faster.
+/// Minimum `pair_evals · dim` (total multiply-add work) before a
+/// multi-center sweep runs the tiled screen. The cutoff comes from
+/// measurements of the factorized form against the scalar loop: it lost
+/// at `n = 1k, d = 8` (8k work) and won from `n = 1k, d = 32` (32k).
+/// Results are the same on either side, so this is a speed setting only.
 pub const FACTORIZED_MIN_WORK: usize = 16_384;
 
-/// Which distance kernel evaluates batched routines.
+/// How the multi-center sweeps run. Both kernels return the same bits;
+/// the choice is a speed hint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Per-pair difference-and-square, sequential summation over
-    /// dimensions: bit-identical to [`crate::Point::dist`].
+    /// The scalar loop everywhere: per-pair difference-and-square,
+    /// sequential summation over dimensions.
     Scalar,
-    /// Norm-factorized register-tiled mini-GEMM over packed center panels
-    /// (see [`tile`]); fast, with last-ulp deviations from the scalar
-    /// path.
+    /// The multi-center sweeps screen with the norm-factorized
+    /// register-tiled mini-GEMM over packed center panels (see [`tile`])
+    /// and refine with the scalar loop.
     #[default]
     Tiled,
 }
@@ -122,7 +102,7 @@ impl Kernel {
     /// Every kernel, in definition order — for CLI/test matrices.
     pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Tiled];
 
-    /// Short name for reports and config keys.
+    /// Short name for reports and flags.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
@@ -141,15 +121,11 @@ impl Kernel {
         Kernel::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// The kernel a sweep of `pair_evals` point-pairs in dimension `dim`
-    /// should actually run: the factorized kernel falls back to the scalar
-    /// loop below [`FACTORIZED_MIN_DIM`] / [`FACTORIZED_MIN_WORK`], where
-    /// it loses to it.
-    ///
-    /// The decision is a pure function of the sweep size and dimension —
-    /// never of thread count or chunk boundaries — and the batched entry
-    /// points apply it exactly once per sweep, on the full sweep size, so
-    /// it preserves the execution-layer determinism contract.
+    /// The kernel a multi-center sweep of `pair_evals` point-pairs in
+    /// dimension `dim` should actually run: the tiled screen falls back
+    /// to the scalar loop below [`FACTORIZED_MIN_DIM`] /
+    /// [`FACTORIZED_MIN_WORK`], where it loses to it. A pure function of
+    /// the sweep size and dimension, applied once per sweep.
     #[inline]
     pub fn dispatch(self, pair_evals: usize, dim: usize) -> Kernel {
         if dim < FACTORIZED_MIN_DIM || pair_evals.saturating_mul(dim) < FACTORIZED_MIN_WORK {
@@ -270,19 +246,10 @@ pub fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// Squared distance via `‖a‖² + ‖b‖² − 2a·b` with the dot product in the
-/// canonical [`tile::dot_seq`] order, clamped at zero (cancellation can
-/// produce a tiny negative) — the per-pair arithmetic of
-/// [`Kernel::Tiled`]. With norms accumulated in the same order, as
-/// [`PointStore::norm_sq`] is, it is exactly zero for `a == b`.
-#[inline]
-pub fn dist_sq_tiled(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> f64 {
-    factored(a_norm_sq, b_norm_sq, tile::dot_seq(a, b))
-}
-
-/// `‖a‖² + ‖b‖² − 2a·b` from a precomputed dot, clamped at zero. The
-/// clamp lets NaN through (`f64::max` would turn it into 0), so a
-/// non-finite row is NaN here exactly as under [`dist_sq_scalar`].
+/// `‖a‖² + ‖b‖² − 2a·b` from a precomputed dot, clamped at zero
+/// (cancellation can produce a tiny negative) — the tiled screen's
+/// per-pair arithmetic. The clamp lets NaN through (`f64::max` would
+/// turn it into 0).
 #[inline(always)]
 fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
     let d_sq = (a_norm_sq + b_norm_sq) - 2.0 * dot;
@@ -293,7 +260,8 @@ fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
     }
 }
 
-/// Register-tiled mini-GEMM primitives behind [`Kernel::Tiled`].
+/// Register-tiled mini-GEMM primitives behind [`Kernel::Tiled`]'s
+/// screen.
 ///
 /// The multi-center sweeps are structured like a BLAS micro-kernel:
 /// center coordinates are packed column-major into
@@ -306,18 +274,16 @@ fn factored(a_norm_sq: f64, b_norm_sq: f64, dot: f64) -> f64 {
 /// which the autovectorizer keeps in vector registers (4 f64 lanes fill
 /// one ymm register under the workspace's `x86-64-v3` baseline).
 ///
-/// **Determinism contract.** Every per-pair dot product in this module —
-/// [`dot_seq`](tile::dot_seq), each row of
-/// [`dots_x4_one`](tile::dots_x4_one), and each `(row, center)` cell of
+/// Every per-pair dot product in this module — [`dot_seq`](tile::dot_seq)
+/// and each `(row, center)` cell of
 /// [`dots_x4_panel`](tile::dots_x4_panel) — performs the identical
 /// floating-point operation sequence: one f64 accumulator, ascending
-/// dimension, `acc + x·y` per step. [`PointStore`]
-/// caches squared norms accumulated in the same order, so the
-/// `‖a‖² + ‖b‖² − 2a·b` form cancels **exactly** for duplicate points,
-/// and a tiled distance is a pure function of the stored coordinates —
-/// independent of block membership, panel shape, chunking, and thread
-/// count. SIMD parallelism lives across the *center* axis (independent
-/// accumulators), never inside a single pair's reduction.
+/// dimension, `acc + x·y` per step, and [`PointStore`] caches squared
+/// norms accumulated in the same order. A screened value is therefore a
+/// pure function of the stored coordinates, independent of block
+/// membership, panel shape, chunking, and thread count. SIMD parallelism
+/// lives across the *center* axis (independent accumulators), never
+/// inside a single pair's reduction.
 pub mod tile {
     /// Point rows processed together per block (interleaved for
     /// instruction-level parallelism).
@@ -328,36 +294,12 @@ pub mod tile {
     pub const TILE_CENTERS: usize = 4;
 
     /// The canonical tiled dot product: one f64 accumulator, ascending
-    /// dimension. Every tiled code path reproduces exactly this operation
-    /// sequence per pair (see the module docs), which is what makes tiled
-    /// values blocking-independent and self-cancelling for duplicates.
+    /// dimension. Every panel cell reproduces exactly this operation
+    /// sequence per pair (see the module docs).
     #[inline]
     pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
         a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-    }
-
-    /// Dots of four point rows against one query row, interleaved for
-    /// ILP; each row's accumulation order is exactly [`dot_seq`].
-    ///
-    /// # Panics
-    /// Panics when any row is shorter than `q`.
-    #[inline]
-    pub fn dots_x4_one(rows: [&[f64]; TILE_POINTS], q: &[f64]) -> [f64; TILE_POINTS] {
-        let d = q.len();
-        let [r0, r1, r2, r3] = rows;
-        assert!(
-            r0.len() >= d && r1.len() >= d && r2.len() >= d && r3.len() >= d,
-            "row shorter than query"
-        );
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (t, &qt) in q.iter().enumerate() {
-            a0 += r0[t] * qt;
-            a1 += r1[t] * qt;
-            a2 += r2[t] * qt;
-            a3 += r3[t] * qt;
-        }
-        [a0, a1, a2, a3]
     }
 
     /// Centers packed for the tiled sweeps: coordinates laid out
@@ -370,7 +312,6 @@ pub mod tile {
         coords: Vec<f64>,
         norms_sq: Vec<f64>,
         dim: usize,
-        len: usize,
     }
 
     impl CenterPanels {
@@ -396,18 +337,7 @@ pub mod tile {
                 coords,
                 norms_sq: norms,
                 dim,
-                len,
             }
-        }
-
-        /// Number of real (unpadded) centers.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// `true` when no centers are packed.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
         }
 
         /// Number of [`TILE_CENTERS`]-wide panels, including the padded
@@ -466,18 +396,15 @@ pub mod tile {
     }
 }
 
-/// How a sweep folds one candidate center into its running result — the
-/// only part of a sweep family that differs between the plain Euclidean
-/// distance ([`Plain`]) and the additively weighted one ([`Additive`]).
-/// A candidate arrives with its weight `w` ([`Rule::weight`], or a
-/// padded panel slot's), which [`Plain`] ignores.
+/// How a sweep compares one candidate center — the only part of a sweep
+/// family that differs between the plain Euclidean distance ([`Plain`])
+/// and the additively weighted one ([`Additive`]). A candidate arrives
+/// with its weight `w` ([`Rule::weight`], or a padded panel slot's),
+/// which [`Plain`] ignores.
 ///
-/// Scalar sweeps decide in linear space on [`Rule::shift`]ed distances.
-/// Tiled sweeps stay in squared space as far as the rule allows: a
-/// min-update is [`Rule::seed`], one [`Rule::fold`] per center, then
-/// [`Rule::settle`]; an argmin starts from key `+∞` at index 0, offers
-/// every candidate in ascending index order to [`Rule::improve`], and
-/// maps the winning key back with [`Rule::dist`].
+/// The scalar loop compares [`Rule::shift`]ed distances. The tiled screen
+/// ranks panel slots by [`Rule::key`] and compares a row's second-best key
+/// with a shifted distance through [`Rule::above`].
 trait Rule: Copy + Send + Sync {
     /// The rule over centers `r` of the list (one chunk of a sweep).
     fn slice(self, r: Range<usize>) -> Self;
@@ -485,33 +412,22 @@ trait Rule: Copy + Send + Sync {
     fn pad(self, panels: &tile::CenterPanels) -> Vec<f64>;
     /// The weight of center `c` of the list.
     fn weight(self, c: usize) -> f64;
-    /// The value a scalar sweep compares for a center of weight `w` at
+    /// The largest weight magnitude (what the screen's error bound
+    /// grows with).
+    fn max_weight(self) -> f64;
+    /// The value the scalar loop compares for a center of weight `w` at
     /// Euclidean distance `d`.
     fn shift(self, d: f64, w: f64) -> f64;
-    /// A fused-min accumulator for a point whose running minimum is `m`.
-    fn seed(self, m: f64) -> f64;
-    /// Folds a center of weight `w`, at squared distance `nd_sq`, into
-    /// `acc`.
-    fn fold(self, acc: &mut f64, nd_sq: f64, w: f64);
-    /// Writes a folded accumulator back into the running minimum `m`.
-    fn settle(self, acc: f64, m: &mut f64);
-    /// Replaces the argmin key `best` with that of a center of weight
-    /// `w` at squared distance `nd_sq` when it strictly improves on it;
-    /// says whether it did.
-    fn improve(self, best: &mut f64, nd_sq: f64, w: f64) -> bool;
-    /// The distance a winning argmin key stands for.
-    fn dist(self, key: f64) -> f64;
-
-    /// The single-center min-update: `seed`, one `fold`, `settle`.
-    fn tighten(self, m: &mut f64, nd_sq: f64, w: f64) {
-        let mut acc = self.seed(*m);
-        self.fold(&mut acc, nd_sq, w);
-        self.settle(acc, m);
-    }
+    /// The screen key of a slot of weight `w` at factorized squared
+    /// distance `nd_sq`: ordered as the values it stands for.
+    fn key(self, nd_sq: f64, w: f64) -> f64;
+    /// Whether a screen key stands for a value above `bound` (up to the
+    /// rounding of the comparison, which the [`Filter`] margin covers).
+    fn above(self, key: f64, bound: f64) -> bool;
 }
 
-/// The plain Euclidean distance: squared-space minima and argmins with
-/// one `sqrt` at the end.
+/// The plain Euclidean distance: the screen keeps squared keys and never
+/// takes a `sqrt`.
 #[derive(Clone, Copy)]
 struct Plain;
 
@@ -528,65 +444,31 @@ impl Rule for Plain {
         0.0
     }
 
+    fn max_weight(self) -> f64 {
+        0.0
+    }
+
     fn shift(self, d: f64, _: f64) -> f64 {
         d
     }
 
-    fn seed(self, _: f64) -> f64 {
-        f64::INFINITY
+    #[inline(always)]
+    fn key(self, nd_sq: f64, _: f64) -> f64 {
+        nd_sq
     }
 
-    fn fold(self, acc: &mut f64, nd_sq: f64, _: f64) {
-        if nd_sq < *acc {
-            *acc = nd_sq;
-        }
-    }
-
-    /// Compares in squared space and takes the square root only on an
-    /// actual improvement: in a min-update sweep most pairs do not tighten
-    /// the minimum, so most `sqrt`s are skipped.
-    fn settle(self, acc: f64, m: &mut f64) {
-        if acc < *m * *m {
-            *m = acc.sqrt();
-        }
-    }
-
-    fn tighten(self, m: &mut f64, nd_sq: f64, _: f64) {
-        self.settle(nd_sq, m);
-    }
-
-    fn improve(self, best: &mut f64, nd_sq: f64, _: f64) -> bool {
-        let better = nd_sq < *best;
-        if better {
-            *best = nd_sq;
-        }
-        better
-    }
-
-    fn dist(self, key: f64) -> f64 {
-        key.sqrt()
+    #[inline(always)]
+    fn above(self, key: f64, bound: f64) -> bool {
+        bound < 0.0 || key > bound * bound
     }
 }
 
 /// Additive center weights: center `c` is at `d(p, c) − w[c]`, which
 /// turns nearest-center cells from a Voronoi into an Apollonius diagram.
-/// Running values are weighted distances (negative once a weight exceeds
-/// a distance); the squared-space tests go through the threshold
-/// `t = m + w`:
-///
-/// ```text
-/// d − w < m   ⟺   d < m + w   ⟺   d² < (m + w)²   when  m + w > 0,
-/// ```
-///
-/// and a (non-negative) distance never undercuts a non-positive
-/// threshold, so the min-update guard `t > 0 && nd_sq < t·t` is exact.
-/// The argmin screen is conservative (`<=`) and the decision is the
-/// strict `<` on the weighted distance itself: `(d − w) + w` can round
-/// above `d`, so a strict squared test could re-take an exactly tied
-/// center and break lowest-index tie-breaking. At `w = 0` the threshold
-/// is the running value itself and every comparison and write
-/// degenerates to the [`Plain`] one, which `tests/weighted_equivalence.rs`
-/// pins bit for bit for both kernels.
+/// Values are weighted distances (negative once a weight exceeds a
+/// distance). The screen's keys are the values themselves, one `sqrt`
+/// per slot: a branch-free `sqrt` beats a squared-space test that
+/// mispredicts.
 #[derive(Clone, Copy)]
 struct Additive<'w>(&'w [f64]);
 
@@ -618,58 +500,36 @@ impl Rule for Additive<'_> {
         self.0[c]
     }
 
+    /// NaN when any weight is NaN, which refuses the [`Filter`].
+    fn max_weight(self) -> f64 {
+        if self.0.iter().any(|w| w.is_nan()) {
+            return f64::NAN;
+        }
+        self.0.iter().fold(0.0, |m, w| m.max(w.abs()))
+    }
+
     fn shift(self, d: f64, w: f64) -> f64 {
         d - w
     }
 
-    fn seed(self, m: f64) -> f64 {
-        m
+    #[inline(always)]
+    fn key(self, nd_sq: f64, w: f64) -> f64 {
+        nd_sq.sqrt() - w
     }
 
-    /// The threshold update: the `sqrt` runs only on an actual
-    /// improvement, exactly like the plain sweep.
-    fn fold(self, acc: &mut f64, nd_sq: f64, w: f64) {
-        let t = *acc + w;
-        if t > 0.0 && nd_sq < t * t {
-            *acc = nd_sq.sqrt() - w;
-        }
-    }
-
-    fn settle(self, acc: f64, m: &mut f64) {
-        *m = acc;
-    }
-
-    /// Conservative squared-space screen, exact linear-space decision.
-    fn improve(self, best: &mut f64, nd_sq: f64, w: f64) -> bool {
-        let t = *best + w;
-        if t > 0.0 && nd_sq <= t * t {
-            let nd = nd_sq.sqrt() - w;
-            if nd < *best {
-                *best = nd;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn dist(self, key: f64) -> f64 {
-        key
+    #[inline(always)]
+    fn above(self, key: f64, bound: f64) -> bool {
+        key > bound
     }
 }
 
 /// Weights re-laid to panel slots: pad columns get `0.0`, which is
 /// harmless — their `+∞` norms already make every padded `nd_sq` `+∞`,
-/// and `+∞` never passes a threshold test.
+/// which never beats a real slot.
 fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
     let mut padded = vec![0.0; panels.n_panels() * tile::TILE_CENTERS];
     padded[..weights.len()].copy_from_slice(weights);
     padded
-}
-
-/// The coordinate rows of a 4-row block.
-#[inline]
-fn coord_rows<'a>(store: &'a PointStore, blk: &[PointId]) -> [&'a [f64]; tile::TILE_POINTS] {
-    std::array::from_fn(|p| store.coords(blk[p]))
 }
 
 /// Packs `centers` into [`tile::CenterPanels`] with the store's
@@ -695,70 +555,12 @@ fn for_rows<O: Send>(exec: Exec<'_>, out: &mut [O], f: impl Fn(usize, &mut [O]) 
     }
 }
 
-/// Streams `points` past every panel, [`tile::TILE_POINTS`] rows per
-/// block: row `i`'s running value starts as `start(&out[i])`, takes
-/// `step(&mut value, nd_sq, w)` for every panel slot in ascending slot
-/// order — `w` is the slot's entry in the padded weights `wpad`, and the
-/// last slot for which `step` says it improved is the row's argmin — and
-/// ends as `end(&mut out[i], value, argmin)`. Padded slots are stepped
-/// too; their `+∞` norms make their `nd_sq` `+∞`. A short last block
-/// repeats its last row to fill the micro-kernel, which gives every pair
-/// the same bits as a full block would; only its real rows are written.
-/// Values and argmins live in per-block `[_; TILE_POINTS]` arrays and
-/// panel weights in a `[f64; TILE_CENTERS]`, which keeps the update loop
-/// free of bounds checks and vectorizable across rows.
-#[allow(clippy::too_many_arguments)]
-fn stream_panels<O>(
-    store: &PointStore,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    wpad: &[f64],
-    out: &mut [O],
-    start: impl Fn(&O) -> f64,
-    step: impl Fn(&mut f64, f64, f64) -> bool,
-    end: impl Fn(&mut O, f64, usize),
-) {
-    let outs = out[..points.len()].chunks_mut(tile::TILE_POINTS);
-    for (blk, out) in points.chunks(tile::TILE_POINTS).zip(outs) {
-        let ids: [PointId; tile::TILE_POINTS] = std::array::from_fn(|p| blk[p.min(blk.len() - 1)]);
-        let rows = coord_rows(store, &ids);
-        let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| store.norm_sq(ids[p]));
-        let mut value: [f64; tile::TILE_POINTS] =
-            std::array::from_fn(|p| start(&out[p.min(out.len() - 1)]));
-        let mut argmin = [0usize; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw: [f64; tile::TILE_CENTERS] = wpad
-                [g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS]
-                .try_into()
-                .expect("weights padded to whole panels");
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    if step(&mut value[p], factored(norms[p], cn[c], dots[p][c]), cw[c]) {
-                        argmin[p] = g * tile::TILE_CENTERS + c;
-                    }
-                }
-            }
-        }
-        for (p, o) in out.iter_mut().enumerate() {
-            end(o, value[p], argmin[p]);
-        }
-    }
-}
-
-/// Distance between two stored points under `kernel`'s arithmetic — the
+/// Distance between two stored points by the scalar loop — the
 /// single-pair form behind [`crate::Metric::dist`] on a
-/// [`crate::StoreOracle`]. Sweep dispatch ([`Kernel::dispatch`]) does not
-/// apply to single pairs — callers asked for this kernel's arithmetic.
-pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> f64 {
-    match kernel {
-        Kernel::Scalar => dist_sq_scalar(store.coords(a), store.coords(b)).sqrt(),
-        Kernel::Tiled => {
-            let (ca, cb) = (store.coords(a), store.coords(b));
-            dist_sq_tiled(ca, store.norm_sq(a), cb, store.norm_sq(b)).sqrt()
-        }
-    }
+/// [`crate::StoreOracle`].
+#[inline]
+pub fn pair_dist(store: &PointStore, a: PointId, b: PointId) -> f64 {
+    dist_sq_scalar(store.coords(a), store.coords(b)).sqrt()
 }
 
 /// Fills `out[i] = d(points[i], q)`, in [`PAR_CHUNK`]-row blocks on the
@@ -766,35 +568,30 @@ pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> 
 /// depends only on pair `i`), so the result is bit-identical for every
 /// [`Exec`]; [`Exec::sequential`] runs it inline.
 ///
-/// Re-dispatches through [`Kernel::dispatch`] on the sweep size, so tiny
-/// sweeps run the scalar loop even under the factorized kernel.
-///
 /// # Panics
 /// Panics when `out` is shorter than `points`.
 pub fn dists_to_one(
     store: &PointStore,
     points: &[PointId],
     q: PointId,
-    kernel: Kernel,
     exec: Exec<'_>,
     out: &mut [f64],
 ) {
     assert!(out.len() >= points.len(), "output buffer too small");
     // A distance is the min-update of +∞: every pair tightens it (or, at
-    // +∞ itself, leaves the identical bits), so the set-min body fills
-    // `out` with each kernel's exact distances.
+    // +∞ itself, leaves the identical bits).
     out[..points.len()].fill(f64::INFINITY);
-    set_min(store, points, q, Plain, kernel, exec, out);
+    set_min(store, points, q, Plain, exec, out);
 }
 
 /// Tightens a running minimum-distance array against a new center:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the exact
-/// inner loop of Gonzalez's farthest-point sweep. `weight` is the
+/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
+/// exact inner loop of Gonzalez's farthest-point sweep. `weight` is the
 /// center's additive weight `w` (`min_dist` then holds weighted
-/// distances, which may be negative once a weight exceeds a distance), or
-/// `None` for the plain distance. Block-parallel over [`PAR_CHUNK`]-row
-/// blocks and elementwise like [`dists_to_one`], so bit-identical across
-/// every [`Exec`] — the sweep where intra-solve parallelism pays the most.
+/// distances, which may be negative once a weight exceeds a distance),
+/// or `None` for the plain distance. Block-parallel over
+/// [`PAR_CHUNK`]-row blocks and elementwise like [`dists_to_one`], so
+/// bit-identical across every [`Exec`].
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`.
@@ -803,16 +600,23 @@ pub fn dists_to_set_min(
     points: &[PointId],
     center: PointId,
     weight: Option<f64>,
-    kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
     match weight {
-        None => set_min(store, points, center, Plain, kernel, exec, min_dist),
+        None => set_min(store, points, center, Plain, exec, min_dist),
         Some(w) => {
             let rule = Additive(std::slice::from_ref(&w));
-            set_min(store, points, center, rule, kernel, exec, min_dist);
+            set_min(store, points, center, rule, exec, min_dist);
         }
+    }
+}
+
+/// The scalar min-update: `m` takes `nd` when it is strictly smaller.
+#[inline(always)]
+fn lower(m: &mut f64, nd: f64) {
+    if nd < *m {
+        *m = nd;
     }
 }
 
@@ -822,27 +626,14 @@ fn set_min<R: Rule>(
     points: &[PointId],
     center: PointId,
     rule: R,
-    kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
     assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
     let w = rule.weight(0);
-    one_center(
-        store,
-        points,
-        center,
-        kernel,
-        exec,
-        min_dist,
-        |m, d| {
-            let nd = rule.shift(d, w);
-            if nd < *m {
-                *m = nd;
-            }
-        },
-        |m, nd_sq| rule.tighten(m, nd_sq, w),
-    );
+    one_center(store, points, center, exec, min_dist, |m, d| {
+        lower(m, rule.shift(d, w));
+    });
 }
 
 /// One row of Gonzalez's tracked min-update passes
@@ -852,10 +643,7 @@ pub struct Tracked {
     /// The running minimum distance, tightened exactly as
     /// [`dists_to_set_min`] tightens its array.
     pub min: f64,
-    /// The smallest comparison key seen: a squared distance under a
-    /// tiled pass, a distance under a scalar one.
-    pub key: f64,
-    /// The pass index of the first center that reached `key`.
+    /// The pass index of the first center that reached `min`.
     pub nearest: usize,
 }
 
@@ -863,18 +651,25 @@ impl Tracked {
     /// A row no pass has touched yet.
     pub const START: Tracked = Tracked {
         min: f64::INFINITY,
-        key: f64::INFINITY,
         nearest: 0,
     };
+
+    /// The row's update by the center of pass index `c` at distance `d`:
+    /// a strict-`<` improvement, the comparison of
+    /// [`nearest_center_each`].
+    #[inline(always)]
+    pub fn update(&mut self, d: f64, c: usize) {
+        if d < self.min {
+            self.min = d;
+            self.nearest = c;
+        }
+    }
 }
 
 /// [`dists_to_set_min`] that also tracks each row's nearest center: the
 /// running minimum tightens exactly as the plain sweep's does, and the
-/// row's key and nearest index take a strict-`<` improvement in the
-/// resolved kernel's comparison space — squared distances when tiled,
-/// distances when scalar — exactly the comparisons of
-/// [`nearest_center_each`]. Elementwise, so bit-identical across every
-/// [`Exec`].
+/// nearest index follows it ([`Tracked::update`]). Elementwise, so
+/// bit-identical across every [`Exec`].
 ///
 /// # Panics
 /// Panics when `rows` is shorter than `points`.
@@ -883,45 +678,11 @@ pub fn dists_to_set_min_tracked(
     points: &[PointId],
     center: PointId,
     c: usize,
-    kernel: Kernel,
     exec: Exec<'_>,
     rows: &mut [Tracked],
 ) {
     assert!(rows.len() >= points.len(), "tracked buffer too small");
-    one_center(
-        store,
-        points,
-        center,
-        kernel,
-        exec,
-        rows,
-        |r, d| track_dist(r, d, c),
-        |r, nd_sq| track_sq(r, nd_sq, c),
-    );
-}
-
-/// A scalar tracked pass's update of one row by center `c` at distance
-/// `d`.
-#[inline(always)]
-fn track_dist(r: &mut Tracked, d: f64, c: usize) {
-    if d < r.min {
-        r.min = d;
-    }
-    if d < r.key {
-        r.key = d;
-        r.nearest = c;
-    }
-}
-
-/// A tiled tracked pass's update of one row by center `c` at squared
-/// distance `nd_sq`.
-#[inline(always)]
-fn track_sq(r: &mut Tracked, nd_sq: f64, c: usize) {
-    Plain.tighten(&mut r.min, nd_sq, 0.0);
-    if nd_sq < r.key {
-        r.key = nd_sq;
-        r.nearest = c;
-    }
+    one_center(store, points, center, exec, rows, |r, d| r.update(d, c));
 }
 
 /// What one [`greedy_pass`] did.
@@ -941,12 +702,11 @@ pub struct Pass {
 /// most `u` relative.
 const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
-/// The rounding slack that makes [`greedy_pass`]'s skips provable: a
-/// row is skipped when its running minimum `m` is below
-/// [`PruneSlack::half`] of the computed distance `d̂(c, c₀)` between the
-/// new center `c` and the row's nearest center `c₀`. One slack serves
-/// both kernels, so their skip decisions differ only where their values
-/// round to different sides of the threshold.
+/// The rounding slack of the two derived error bounds in this module:
+/// [`greedy_pass`]'s skips and the tiled screen's [`Filter`]. A pass
+/// skips a row when its running minimum `m` is below [`PruneSlack::half`]
+/// of the computed distance `d̂(c, c₀)` between the new center `c` and
+/// the row's nearest center `c₀`.
 ///
 /// The proof. The triangle inequality gives the true
 /// `d(p, c) ≥ d(c, c₀) − d(p, c₀)`; the row keeps its bits when the
@@ -954,17 +714,12 @@ const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 /// Let `N` be the store's largest squared norm and `u` the unit
 /// roundoff.
 ///
-/// * Tiled: `r̂ = ‖a‖² + ‖b‖² − 2a·b`, with norms and dot accumulated
-///   over `d` dimensions, is within `E` of `d²`: each norm is off by
-///   `γ_d·N`, the dot by `γ_d·‖a‖‖b‖ ≤ γ_d·N`, and the two sums by `u`
-///   times at most `2N` each, so `E ≤ (4d + 7)·u·N`; underflow in the
-///   products adds at most `f64::MIN_POSITIVE`. As
-///   `|a − b|² ≤ |a² − b²|`, a distance `√r̂` is within `√E` of the true
-///   one. The pass updates the row only if `r̂(p, c)` is below its key
-///   `r̂(p, c₀)` or below `m²`, where `m ≥ fl(√key)`: both are at most
-///   `(m/(1 − u))²`. With `d(p, c₀) ≤ √key + √E` and
-///   `d(c, c₀) ≥ d̂(c, c₀)/(1 + u) − √E`, the update is impossible once
-///   `d̂(c, c₀) ≥ (1 + u)·(2m/(1 − u) + 3√E)`.
+/// * Factorized: `r̂ = ‖a‖² + ‖b‖² − 2a·b`, with norms and dot
+///   accumulated over `d` dimensions, is within `E` of `d²`: each norm is
+///   off by `γ_d·N`, the dot by `γ_d·‖a‖‖b‖ ≤ γ_d·N`, and the two sums by
+///   `u` times at most `2N` each, so `E ≤ (4d + 7)·u·N`; underflow in the
+///   products adds at most `f64::MIN_POSITIVE`. As `|a − b|² ≤ |a² − b²|`,
+///   a distance `√r̂` is within `√E` of the true one.
 /// * Scalar: the difference-and-square sum of `d` terms is within
 ///   `(d + 2)·u` relative of `d²`, so `|d̂ − d| ≤ (d/2 + 2)·u·d`, plus
 ///   `√f64::MIN_POSITIVE` for underflow. The pass compares `d̂(p, c)`
@@ -1005,20 +760,16 @@ impl PruneSlack {
 /// [`Pass::farthest`] is the row with the largest `min`, ties toward
 /// the larger index — `Iterator::max_by`'s pick over NaN-free rows.
 ///
-/// The pass dispatches once, on all `points.len()` rows, exactly like
-/// [`dists_to_set_min_tracked`], and measures the new center against
-/// each earlier one under that kernel. A row whose `min` lies below half
-/// the distance between the new center and its nearest one, less a
-/// rounding slack (derived at `PruneSlack`), provably keeps its `min`, `key` and
-/// `nearest`, so it is skipped; the triangle inequality bound of Elkan
-/// (ICML 2003). Per [`PAR_CHUNK`] chunk of rows, a tiled pass skips and
-/// gathers in one scan and runs the gathered rows through the 4-row
-/// body; a scalar pass tests and evaluates in one loop. The chunk's
-/// farthest row falls out of the same loops, and chunks merge in chunk
-/// order. Chunks go to the pool when `exec` is parallel and there are
-/// at least [`PAR_MIN_POINTS`] rows. Every decision is a function of
-/// the row's own values, so results and counts are bit-identical for
-/// every [`Exec`].
+/// The pass measures the new center against each earlier one. A row
+/// whose `min` lies below half the distance between the new center and
+/// its nearest one, less a rounding slack (derived at `PruneSlack`),
+/// provably keeps its `min` and `nearest`, so it is skipped; the
+/// triangle inequality bound of Elkan (ICML 2003). Per [`PAR_CHUNK`]
+/// chunk of rows, one loop tests, evaluates and folds the chunk's
+/// farthest row, and chunks merge in chunk order. Chunks go to the pool
+/// when `exec` is parallel and there are at least [`PAR_MIN_POINTS`]
+/// rows. Every decision is a function of the row's own values, so
+/// results and counts are bit-identical for every [`Exec`].
 ///
 /// # Panics
 /// Panics when `centers` or `points` is empty, or `rows` is shorter
@@ -1027,7 +778,6 @@ pub fn greedy_pass(
     store: &PointStore,
     points: &[PointId],
     centers: &[usize],
-    kernel: Kernel,
     exec: Exec<'_>,
     rows: &mut [Tracked],
 ) -> Pass {
@@ -1035,7 +785,6 @@ pub fn greedy_pass(
     assert!(!points.is_empty(), "a pass needs a row");
     assert!(rows.len() >= points.len(), "tracked buffer too small");
     let n = points.len();
-    let kernel = kernel.dispatch(n, store.dim());
     let center = points[newest];
     // Row thresholds by nearest center; a first pass skips nothing (its
     // rows are all `Tracked::START`, nearest 0).
@@ -1045,7 +794,7 @@ pub fn greedy_pass(
         let slack = PruneSlack::of(store);
         earlier
             .iter()
-            .map(|&j| slack.half(pair_dist(store, center, points[j], kernel)))
+            .map(|&j| slack.half(pair_dist(store, center, points[j])))
             .collect()
     };
     let c = earlier.len();
@@ -1059,7 +808,7 @@ pub fn greedy_pass(
         .collect();
     ukc_pool::for_each_slice(exec, &mut rows[..n], PAR_CHUNK, |start, rows| {
         let points = &points[start..start + rows.len()];
-        let mut pass = pass_chunk(store, points, center, c, kernel, &half, rows);
+        let mut pass = pass_chunk(store, points, center, c, &half, rows);
         pass.farthest.0 += start;
         *chunks[start / PAR_CHUNK]
             .lock()
@@ -1103,162 +852,51 @@ fn not_below(x: f64, best: f64) -> bool {
     !(x < best)
 }
 
-/// One [`PAR_CHUNK`] chunk of [`greedy_pass`] under the resolved
-/// `kernel`, with chunk-local indices. The farthest skipped and the
-/// farthest evaluated row fall out of the loops that visit them; indices
-/// ascend in both, so replacing on "not smaller" keeps the last of equal
-/// rows, as `max_by` does.
+/// One [`PAR_CHUNK`] chunk of [`greedy_pass`], with chunk-local
+/// indices: one loop in row order tests each row, evaluates the kept
+/// ones and folds the farthest row, replacing on "not smaller" so the
+/// last of equal rows wins, as `max_by` does.
 fn pass_chunk(
     store: &PointStore,
     points: &[PointId],
     center: PointId,
     c: usize,
-    kernel: Kernel,
     half: &[f64],
     rows: &mut [Tracked],
 ) -> Pass {
-    let mut far_skipped = NO_ROW;
-    let mut far_kept = NO_ROW;
+    let mut far = NO_ROW;
     let mut kept = 0;
-    let fold = |far: &mut (usize, f64), i: usize, r: &Tracked| {
+    let cc = store.coords(center);
+    for (i, r) in rows.iter_mut().enumerate() {
+        if not_below(r.min, half[r.nearest]) {
+            kept += 1;
+            r.update(dist_sq_scalar(store.coords(points[i]), cc).sqrt(), c);
+        }
         if not_below(r.min, far.1) {
-            *far = (i, r.min);
-        }
-    };
-    match kernel {
-        // One pass in row order: a scalar distance is a short loop, so a
-        // branch beats gathering the rows.
-        Kernel::Scalar => {
-            let cc = store.coords(center);
-            for (i, r) in rows.iter_mut().enumerate() {
-                if r.min < half[r.nearest] {
-                    fold(&mut far_skipped, i, r);
-                } else {
-                    kept += 1;
-                    track_dist(r, dist_sq_scalar(store.coords(points[i]), cc).sqrt(), c);
-                    fold(&mut far_kept, i, r);
-                }
-            }
-        }
-        // Skip and gather in one scan, so the evaluated rows still run
-        // four at a time.
-        Kernel::Tiled => {
-            let mut keep = vec![0u32; rows.len()];
-            for (i, r) in rows.iter().enumerate() {
-                keep[kept] = i as u32;
-                let skip = r.min < half[r.nearest];
-                kept += usize::from(!skip);
-                if skip {
-                    fold(&mut far_skipped, i, r);
-                }
-            }
-            let (cr, cn) = (store.coords(center), store.norm_sq(center));
-            let mut blocks = keep[..kept].chunks_exact(tile::TILE_POINTS);
-            for blk in &mut blocks {
-                let ids: [PointId; tile::TILE_POINTS] =
-                    std::array::from_fn(|p| points[blk[p] as usize]);
-                let dots = tile::dots_x4_one(coord_rows(store, &ids), cr);
-                for (p, &i) in blk.iter().enumerate() {
-                    let (i, r) = (i as usize, &mut rows[i as usize]);
-                    track_sq(r, factored(store.norm_sq(ids[p]), cn, dots[p]), c);
-                    fold(&mut far_kept, i, r);
-                }
-            }
-            for &i in blocks.remainder() {
-                let (i, r) = (i as usize, &mut rows[i as usize]);
-                let id = points[i];
-                let nd_sq = dist_sq_tiled(store.coords(id), store.norm_sq(id), cr, cn);
-                track_sq(r, nd_sq, c);
-                fold(&mut far_kept, i, r);
-            }
+            far = (i, r.min);
         }
     }
     Pass {
-        farthest: farther(far_skipped, far_kept),
+        farthest: far,
         computed: kept,
         pruned: rows.len() - kept,
     }
 }
 
-/// The per-row nearest centers `(index, distance)` that tracked passes
-/// over `rows.len()` rows and `centers` centers left in `rows`, when they
-/// are bit for bit what [`nearest_center_each`] (and
-/// [`dists_to_centers_min`]) over those centers compute under `kernel`;
-/// `None` otherwise.
-///
-/// Each pass dispatches on the `n` rows, the fused sweeps on the `n·k`
-/// pairs; the pair values agree exactly when both resolve to the same
-/// kernel (tiled values are pure functions of the coordinates). The test
-/// uses [`Kernel::Tiled`] whatever `kernel` is, so whether a solve fuses —
-/// and with it every per-stage count — is a pure function of sizes,
-/// equal across kernels and lanes.
-pub fn tracked_nearest(
-    store: &PointStore,
-    rows: &[Tracked],
-    centers: usize,
-    kernel: Kernel,
-) -> Option<Vec<(usize, f64)>> {
-    let (n, dim) = (rows.len(), store.dim());
-    if !tracking_fuses(n, centers, dim) {
-        return None;
-    }
-    let squared = kernel.dispatch(n, dim) == Kernel::Tiled;
-    Some(
-        rows.iter()
-            .map(|r| (r.nearest, if squared { r.key.sqrt() } else { r.key }))
-            .collect(),
-    )
-}
-
-/// Whether tracked passes over `n` rows and `centers` centers in
-/// dimension `dim` stand in for the fused sweeps over them
-/// ([`tracked_nearest`]): `Kernel::Tiled.dispatch(n, dim) ==
-/// Kernel::Tiled.dispatch(n·centers, dim)`, a pure function of sizes.
-pub fn tracking_fuses(n: usize, centers: usize, dim: usize) -> bool {
-    Kernel::Tiled.dispatch(n, dim) == Kernel::Tiled.dispatch(n.saturating_mul(centers), dim)
-}
-
-/// A single-center sweep dispatched on `points.len()`: every row's state
-/// in `out` takes `lin(state, d)` with the scalar distance `d`, or
-/// `sq(state, nd_sq)` with the tiled squared distance, point rows
-/// streaming past the center [`tile::TILE_POINTS`] at a time, each pair
-/// in the canonical per-pair order.
-#[allow(clippy::too_many_arguments)]
+/// A single-center sweep: every row's state in `out` takes
+/// `f(state, d)` with its scalar distance `d` to `center`.
 fn one_center<O: Send>(
     store: &PointStore,
     points: &[PointId],
     center: PointId,
-    kernel: Kernel,
     exec: Exec<'_>,
     out: &mut [O],
-    lin: impl Fn(&mut O, f64) + Sync,
-    sq: impl Fn(&mut O, f64) + Sync,
+    f: impl Fn(&mut O, f64) + Sync,
 ) {
-    let kernel = kernel.dispatch(points.len(), store.dim());
+    let cc = store.coords(center);
     for_rows(exec, &mut out[..points.len()], |start, out| {
-        let points = &points[start..start + out.len()];
-        match kernel {
-            Kernel::Scalar => {
-                let cc = store.coords(center);
-                for (p, o) in points.iter().zip(out) {
-                    lin(o, dist_sq_scalar(store.coords(*p), cc).sqrt());
-                }
-            }
-            Kernel::Tiled => {
-                let (cr, cn) = (store.coords(center), store.norm_sq(center));
-                let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-                let mut outs = out.chunks_exact_mut(tile::TILE_POINTS);
-                for (blk, outs) in (&mut blocks).zip(&mut outs) {
-                    let dots = tile::dots_x4_one(coord_rows(store, blk), cr);
-                    for (p, o) in outs.iter_mut().enumerate() {
-                        sq(o, factored(store.norm_sq(blk[p]), cn, dots[p]));
-                    }
-                }
-                for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
-                    let (r, n) = (store.coords(id), store.norm_sq(id));
-                    sq(o, dist_sq_tiled(r, n, cr, cn));
-                }
-            }
+        for (p, o) in points[start..start + out.len()].iter().zip(out) {
+            f(o, dist_sq_scalar(store.coords(*p), cc).sqrt());
         }
     });
 }
@@ -1269,22 +907,19 @@ fn one_center<O: Send>(
 /// A large center set is split into [`PAR_CHUNK`]-center chunks whose
 /// argmins are folded **in chunk-index order** with a strict `<`, which
 /// preserves the sequential first-wins tie-breaking. Chunking engages
-/// purely by size (`centers.len() >= PAR_MIN_POINTS`), never by [`Exec`]:
-/// a sequential `Exec` folds the *same* chunks in the same order, so
-/// `threads = 1` and `threads = N` agree bit for bit even in the
-/// factorized kernel's rounding corners.
+/// purely by size (`centers.len() >= PAR_MIN_POINTS`), never by
+/// [`Exec`], so `threads = 1` and `threads = N` agree bit for bit.
 pub fn nearest_center(
     store: &PointStore,
     centers: &[PointId],
     q: PointId,
-    kernel: Kernel,
     exec: Exec<'_>,
 ) -> Option<(usize, f64)> {
-    nearest(store, centers, Plain, q, kernel, exec)
+    nearest(store, centers, Plain, q, exec)
 }
 
 /// The nearest family, chunked by size (see [`nearest_center`]).
-/// Always inlined, like [`nearest_resolved`]: the scalar assignment sweep
+/// Always inlined, like [`nearest_scalar`]: the scalar assignment sweep
 /// calls it once per query, and over a handful of centers a call costs
 /// as much as the argmin itself.
 #[inline(always)]
@@ -1293,15 +928,13 @@ fn nearest<R: Rule>(
     centers: &[PointId],
     rule: R,
     q: PointId,
-    kernel: Kernel,
     exec: Exec<'_>,
 ) -> Option<(usize, f64)> {
-    let kernel = kernel.dispatch(centers.len(), store.dim());
     if centers.len() < PAR_MIN_POINTS {
-        return nearest_resolved(store, centers, rule, q, kernel);
+        return nearest_scalar(store, centers, rule, q);
     }
     let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
-        nearest_resolved(store, &centers[r.clone()], rule.slice(r.clone()), q, kernel)
+        nearest_scalar(store, &centers[r.clone()], rule.slice(r.clone()), q)
             .map(|(i, d)| (i + r.start, d))
     });
     let mut best: Option<(usize, f64)> = None;
@@ -1313,51 +946,247 @@ fn nearest<R: Rule>(
     best
 }
 
-/// One unchunked argmin under an already-dispatched `kernel`.
+/// One unchunked scalar argmin.
 #[inline(always)]
-fn nearest_resolved<R: Rule>(
+fn nearest_scalar<R: Rule>(
     store: &PointStore,
     centers: &[PointId],
     rule: R,
     q: PointId,
-    kernel: Kernel,
 ) -> Option<(usize, f64)> {
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d = dist_sq_scalar(store.coords(*c), qc).sqrt();
-                let d = rule.shift(d, rule.weight(i));
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            best
+    let qc = store.coords(q);
+    let mut best: Option<(usize, f64)> = None;
+    for (i, c) in centers.iter().enumerate() {
+        let d = dist_sq_scalar(store.coords(*c), qc).sqrt();
+        let d = rule.shift(d, rule.weight(i));
+        if best.is_none_or(|(_, bd)| d < bd) {
+            best = Some((i, d));
         }
-        Kernel::Tiled => nearest_tiled(store, centers, rule, q),
+    }
+    best
+}
+
+/// The tiled screens of one [`tile::TILE_POINTS`]-row block: each row's
+/// best and second-best keys over the panel slots and the slot of the
+/// first best, in the rule's key space ([`Rule::key`]), laid out one
+/// array per field so the four rows update in lockstep.
+#[derive(Clone, Copy, Debug)]
+struct Screens {
+    best: [f64; tile::TILE_POINTS],
+    second: [f64; tile::TILE_POINTS],
+    slot: [usize; tile::TILE_POINTS],
+}
+
+impl Screens {
+    /// A block no slot has been offered to.
+    const START: Screens = Screens {
+        best: [f64::INFINITY; tile::TILE_POINTS],
+        second: [f64::INFINITY; tile::TILE_POINTS],
+        slot: [0; tile::TILE_POINTS],
+    };
+
+    /// Offers row `p` the slot `slot` at `key`; a strict `<` keeps the
+    /// first of equal keys. Written as selects, not branches, so it
+    /// compiles to branch-free min/blend code: the keys are never NaN
+    /// under an active [`Filter`].
+    #[inline(always)]
+    fn offer(&mut self, p: usize, key: f64, slot: usize) {
+        let (best, second) = (self.best[p], self.second[p]);
+        let better = key < best;
+        let displaced = if better { best } else { key };
+        self.second[p] = if displaced < second {
+            displaced
+        } else {
+            second
+        };
+        self.slot[p] = if better { slot } else { self.slot[p] };
+        self.best[p] = if better { key } else { best };
     }
 }
 
-/// The argmin over the centers with the canonical per-pair dot, offered
-/// in ascending index order exactly like the fused
-/// [`nearest_center_each`] panel path, so both pick the same center at
-/// the same bits.
-fn nearest_tiled<R: Rule>(
-    store: &PointStore,
-    centers: &[PointId],
-    rule: R,
-    q: PointId,
-) -> Option<(usize, f64)> {
-    let (qr, qn) = (store.coords(q), store.norm_sq(q));
-    let mut best = (0, f64::INFINITY);
-    for (i, c) in centers.iter().enumerate() {
-        let d_sq = dist_sq_tiled(store.coords(*c), store.norm_sq(*c), qr, qn);
-        if rule.improve(&mut best.1, d_sq, rule.weight(i)) {
-            best.0 = i;
+/// What a row's screen hands its refine: the screen's best slot, the
+/// row's second-best screen key, and the scalar distance from the row to
+/// the best slot's center.
+#[derive(Clone, Copy, Debug)]
+struct Refine {
+    slot: usize,
+    second: f64,
+    dist: f64,
+}
+
+/// When a row's screen decides its scalar result. Every screened value
+/// and the scalar value of the same pair lie within `ε` of the exact
+/// `d(p, c) − w_c`, so within `margin = 2ε` of each other:
+///
+/// * the screened values are `√r̂` (plain) or `√r̂ − w` (weighted), each
+///   operation correctly rounded, with `r̂` within `E` of `d²`
+///   ([`PruneSlack`]), so within `√E + 2u·d + u·W` of exact;
+/// * the scalar values are within `(d/2 + 3)·u·d + √f64::MIN_POSITIVE +
+///   u·W` of exact ([`PruneSlack`]'s scalar bound plus the subtraction);
+/// * `d ≤ 2√N`, with `N` the store's largest squared norm, and `W` is
+///   the largest weight magnitude.
+///
+/// `ε = 4√E + rel·(2√N + W)`, with [`PruneSlack`]'s doubled `E` and
+/// `rel = (2d + 16)·u`, covers both with room for the squared-space
+/// screen's and the test's own rounding. Every center but the screen's
+/// best slot `b` then has a scalar value of at least the second-best
+/// screened value less `margin`; once that exceeds `v`, the scalar value
+/// of `b` (or a running minimum below it), by `margin` more, no other
+/// center can reach `v` ([`Filter::clears`]).
+///
+/// The bound needs every factorized and scalar sum to stay finite, so
+/// [`Filter::of`] refuses a store whose `4(d + 2)·N` would overflow (or
+/// whose norms are not finite) and a weight vector that is not finite.
+#[derive(Clone, Copy, Debug)]
+struct Filter {
+    margin: f64,
+}
+
+impl Filter {
+    /// The filter for sweeps over `store` with weights up to
+    /// `max_weight` in magnitude; `None` when the bound does not hold.
+    fn of(store: &PointStore, max_weight: f64) -> Option<Filter> {
+        let n = store.max_norm_sq();
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(n <= f64::MAX / (4.0 * (store.dim() as f64 + 2.0))) {
+            return None;
+        }
+        let slack = PruneSlack::of(store);
+        let eps = slack.abs + slack.rel * (2.0 * n.sqrt() + max_weight);
+        let margin = 2.0 * eps;
+        margin.is_finite().then_some(Filter { margin })
+    }
+
+    /// Whether every center but the screen's best slot has a scalar value
+    /// strictly above `v`, given the row's second-best screen key under
+    /// `rule`.
+    #[inline(always)]
+    fn clears<R: Rule>(self, rule: R, second: f64, v: f64) -> bool {
+        rule.above(second, v + 2.0 * self.margin)
+    }
+}
+
+/// Runs the scalar loop for a row its screen did not decide — rare, and
+/// kept out of line so the screen's block loop stays small.
+#[cold]
+#[inline(never)]
+fn unscreened<T>(scalar: impl FnOnce() -> T) -> T {
+    scalar()
+}
+
+/// The scalar distances from four point rows to four centers, the pairs
+/// interleaved for instruction-level parallelism; each pair's arithmetic
+/// is exactly [`dist_sq_scalar`]'s, then `sqrt`.
+///
+/// # Panics
+/// Panics when a row or center is shorter than `rows[0]`.
+#[inline(always)]
+fn scalar_dists_x4(
+    rows: [&[f64]; tile::TILE_POINTS],
+    centers: [&[f64]; tile::TILE_POINTS],
+) -> [f64; tile::TILE_POINTS] {
+    let d = rows[0].len();
+    let rows = rows.map(|r| &r[..d]);
+    let centers = centers.map(|c| &c[..d]);
+    let mut acc = [0.0f64; tile::TILE_POINTS];
+    for t in 0..d {
+        for p in 0..tile::TILE_POINTS {
+            let x = rows[p][t] - centers[p][t];
+            acc[p] += x * x;
         }
     }
-    (!centers.is_empty()).then(|| (best.0, rule.dist(best.1)))
+    acc.map(f64::sqrt)
+}
+
+/// A multi-center sweep's tiled screen: the packed centers, their padded
+/// weights and the [`Filter`].
+struct Panels {
+    panels: tile::CenterPanels,
+    wpad: Vec<f64>,
+    filter: Filter,
+}
+
+impl Panels {
+    /// The screen for a sweep of `rows` rows over `centers` under
+    /// `kernel`; `None` when the sweep runs the scalar loop —
+    /// [`Kernel::dispatch`] on its `rows·|centers|` pairs says so, or the
+    /// store's norms or the weights are too large for the [`Filter`].
+    fn of<R: Rule>(
+        store: &PointStore,
+        centers: &[PointId],
+        rule: R,
+        kernel: Kernel,
+        rows: usize,
+    ) -> Option<Panels> {
+        let work = rows.saturating_mul(centers.len());
+        if kernel.dispatch(work, store.dim()) == Kernel::Scalar {
+            return None;
+        }
+        Panels::pack(store, centers, rule)
+    }
+
+    /// The screen over `centers`, whatever the sweep size.
+    fn pack<R: Rule>(store: &PointStore, centers: &[PointId], rule: R) -> Option<Panels> {
+        let filter = Filter::of(store, rule.max_weight())?;
+        let panels = pack_panels(store, centers);
+        let wpad = rule.pad(&panels);
+        Some(Panels {
+            panels,
+            wpad,
+            filter,
+        })
+    }
+
+    /// Streams `points` past every panel of `centers`,
+    /// [`tile::TILE_POINTS`] rows per block, offering each row every panel
+    /// slot in ascending slot order ([`Screens::offer`]), measures each row
+    /// against its best slot's center by the scalar loop, four pairs at a
+    /// time, and hands each real row, with its value slot in `out`, to
+    /// `end(out, row, refine)`. Padded slots are offered too; their `+∞`
+    /// norms make their `nd_sq` `+∞`, so they never become a best slot. A
+    /// short last block repeats its last row to fill the micro-kernel,
+    /// which gives every pair the same bits as a full block would.
+    fn stream<O, R: Rule>(
+        &self,
+        store: &PointStore,
+        points: &[PointId],
+        centers: &[PointId],
+        rule: R,
+        out: &mut [O],
+        end: impl Fn(&mut O, PointId, Refine),
+    ) {
+        let outs = out[..points.len()].chunks_mut(tile::TILE_POINTS);
+        for (blk, out) in points.chunks(tile::TILE_POINTS).zip(outs) {
+            let ids: [PointId; tile::TILE_POINTS] =
+                std::array::from_fn(|p| blk[p.min(blk.len() - 1)]);
+            let rows = ids.map(|id| store.coords(id));
+            let norms = ids.map(|id| store.norm_sq(id));
+            let mut s = Screens::START;
+            for g in 0..self.panels.n_panels() {
+                let dots = tile::dots_x4_panel(rows, self.panels.panel_coords(g));
+                let cn = self.panels.panel_norms_sq(g);
+                let cw: [f64; tile::TILE_CENTERS] = self.wpad
+                    [g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS]
+                    .try_into()
+                    .expect("weights padded to whole panels");
+                for c in 0..tile::TILE_CENTERS {
+                    for p in 0..tile::TILE_POINTS {
+                        let key = rule.key(factored(norms[p], cn[c], dots[p][c]), cw[c]);
+                        s.offer(p, key, g * tile::TILE_CENTERS + c);
+                    }
+                }
+            }
+            let dist = scalar_dists_x4(rows, s.slot.map(|c| store.coords(centers[c])));
+            for (p, o) in out.iter_mut().enumerate() {
+                let refine = Refine {
+                    slot: s.slot[p],
+                    second: s.second[p],
+                    dist: dist[p],
+                };
+                end(o, blk[p], refine);
+            }
+        }
+    }
 }
 
 /// Tightens a running minimum against a whole center set:
@@ -1365,17 +1194,14 @@ fn nearest_tiled<R: Rule>(
 /// — the k-center cost sweep, fused across centers. `weights` carries one
 /// additive weight per center, or is `None` for the plain distance.
 ///
-/// Below the dispatch cutoff this is exactly `centers.len()` passes of
-/// [`dists_to_set_min`]. The tiled kernel instead packs the centers into
-/// [`tile::CenterPanels`] once and streams each point row past all of
-/// them in a single pass — the compute-bound mini-GEMM this kernel exists
-/// for. Plain, it takes the squared-space minimum with one `sqrt` at the
-/// end; weighted, it applies the per-center threshold update in ascending
-/// center order, so it is **bit-identical** to `centers.len()` weighted
-/// [`dists_to_set_min`] passes under the same resolved kernel. The tiled
-/// path chunks the *points* ([`PAR_CHUNK`] rows per lane); each point's
-/// center loop runs inside one chunk, so results are bit-identical for
-/// every [`Exec`].
+/// The scalar loop folds each row's centers in ascending order, exactly
+/// as `centers.len()` passes of [`dists_to_set_min`] would. The tiled
+/// kernel streams each row past packed center panels once and lets the
+/// screen decide the row where it can: the row's best center is
+/// measured once by the scalar loop, and when no other center can reach
+/// below that value (or below the running minimum) it decides the row;
+/// any other row runs the scalar loop. Either way the result is bit for
+/// bit the scalar loop's, for every [`Exec`].
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`, or when `weights`
@@ -1398,6 +1224,14 @@ pub fn dists_to_centers_min(
     }
 }
 
+/// One row of the scalar centers-min loop.
+#[inline(always)]
+fn min_row<R: Rule>(store: &PointStore, p: PointId, centers: &[PointId], rule: R, m: &mut f64) {
+    for (c, &center) in centers.iter().enumerate() {
+        lower(m, rule.shift(pair_dist(store, p, center), rule.weight(c)));
+    }
+}
+
 /// The centers-min family.
 fn centers_min<R: Rule>(
     store: &PointStore,
@@ -1409,37 +1243,27 @@ fn centers_min<R: Rule>(
     min_dist: &mut [f64],
 ) {
     assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    // Dispatch on the sweep's total work (n·k pair evaluations). Below
-    // the cutoff, the per-center passes re-dispatch per pass exactly like
-    // direct calls.
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Scalar => {
-            for (c, &center) in centers.iter().enumerate() {
-                let rule = rule.slice(c..c + 1);
-                set_min(store, points, center, rule, kernel, exec, min_dist);
+    let screen = Panels::of(store, centers, rule, kernel, points.len());
+    for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
+        let points = &points[start..start + min_dist.len()];
+        match &screen {
+            None => {
+                for (&p, m) in points.iter().zip(min_dist) {
+                    min_row(store, p, centers, rule, m);
+                }
             }
+            Some(screen) => screen.stream(store, points, centers, rule, min_dist, |m, p, r| {
+                // No other center can reach below the best slot's value,
+                // or below `m` itself: the best slot decides.
+                let v = rule.shift(r.dist, rule.weight(r.slot));
+                if screen.filter.clears(rule, r.second, v.min(*m)) {
+                    lower(m, v);
+                } else {
+                    unscreened(|| min_row(store, p, centers, rule, m));
+                }
+            }),
         }
-        Kernel::Tiled => {
-            let panels = pack_panels(store, centers);
-            let wpad = rule.pad(&panels);
-            for_rows(exec, &mut min_dist[..points.len()], |start, min_dist| {
-                stream_panels(
-                    store,
-                    &points[start..start + min_dist.len()],
-                    &panels,
-                    &wpad,
-                    min_dist,
-                    |m| rule.seed(*m),
-                    |acc, nd_sq, w| {
-                        rule.fold(acc, nd_sq, w);
-                        false
-                    },
-                    |m, acc, _| rule.settle(acc, m),
-                );
-            });
-        }
-    }
+    });
 }
 
 /// Fills `out[i]` with the index and distance `d(points[i], c) − w_c` of
@@ -1447,13 +1271,13 @@ fn centers_min<R: Rule>(
 /// batched assignment sweep, fused across centers. `weights` carries one
 /// additive weight per center, or is `None` for the plain distance.
 ///
-/// Below the dispatch cutoff this runs one [`nearest_center`] argmin per
-/// query (the arithmetic `nearest_each` always used). The tiled kernel
-/// packs the centers into panels and computes every query's argmin in
-/// one streaming pass — an `n × k` mini-GEMM. Tiled distances here are
-/// bit-identical to the per-query tiled argmin (same canonical per-pair
-/// order, same ascending-index strict-`<` argmin). The queries are
-/// chunked across lanes and per-query work never crosses a chunk, so
+/// The scalar loop runs one [`nearest_center`] argmin per query. The
+/// tiled kernel streams each query past packed center panels once and
+/// measures the screen's best center by the scalar loop; when the screen
+/// proves that center the unique winner, that is the query's result, and
+/// any other query runs the scalar argmin.
+/// Either way the result is bit for bit the scalar loop's. The queries
+/// are chunked across lanes and per-query work never crosses a chunk, so
 /// results are bit-identical for every [`Exec`].
 ///
 /// # Panics
@@ -1498,49 +1322,49 @@ fn nearest_each<R: Rule>(
         "nearest_center_each requires at least one center"
     );
     let out = &mut out[..points.len()];
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        // One (size-chunked) nearest per query, consistent with
-        // `Metric::nearest`; chunk the queries across lanes.
-        Kernel::Scalar => for_rows(exec, out, |start, out| {
-            for (q, o) in points[start..start + out.len()].iter().zip(out) {
-                *o = nearest(store, centers, rule, *q, kernel, Exec::sequential())
-                    .expect("non-empty centers");
+    let screen = Panels::of(store, centers, rule, kernel, points.len());
+    for_rows(exec, out, |start, out| {
+        let points = &points[start..start + out.len()];
+        match &screen {
+            None => {
+                for (q, o) in points.iter().zip(out) {
+                    *o = nearest_one(store, centers, rule, *q);
+                }
             }
-        }),
-        Kernel::Tiled => {
-            let panels = pack_panels(store, centers);
-            let wpad = rule.pad(&panels);
-            for_rows(exec, out, |start, out| {
-                let points = &points[start..start + out.len()];
-                nearest_each_tiled(store, points, &panels, rule, &wpad, out);
-            });
+            Some(screen) => nearest_each_tiled(store, points, centers, rule, screen, out),
         }
-    }
+    });
 }
 
-/// The fused tiled argmin over panel slots weighted by `wpad`: strict
-/// improvement over ascending slot index, so the first of equally near
-/// centers wins, across panels too.
+/// The scalar argmin of one query of a nearest-each sweep, consistent
+/// with [`nearest_center`].
+#[inline(always)]
+fn nearest_one<R: Rule>(
+    store: &PointStore,
+    centers: &[PointId],
+    rule: R,
+    q: PointId,
+) -> (usize, f64) {
+    nearest(store, centers, rule, q, Exec::sequential()).expect("non-empty centers")
+}
+
+/// The tiled nearest-each body over `screen`, the panels of `centers`.
 fn nearest_each_tiled<R: Rule>(
     store: &PointStore,
     points: &[PointId],
-    panels: &tile::CenterPanels,
+    centers: &[PointId],
     rule: R,
-    wpad: &[f64],
+    screen: &Panels,
     out: &mut [(usize, f64)],
 ) {
-    debug_assert!(!panels.is_empty());
-    stream_panels(
-        store,
-        points,
-        panels,
-        wpad,
-        out,
-        |_| f64::INFINITY,
-        |best, nd_sq, w| rule.improve(best, nd_sq, w),
-        |o, key, i| *o = (i, rule.dist(key)),
-    );
+    screen.stream(store, points, centers, rule, out, |o, q, r| {
+        let v = rule.shift(r.dist, rule.weight(r.slot));
+        *o = if screen.filter.clears(rule, r.second, v) {
+            (r.slot, v)
+        } else {
+            unscreened(|| nearest_one(store, centers, rule, q))
+        };
+    });
 }
 
 #[cfg(test)]
@@ -1557,10 +1381,9 @@ mod tests {
         centers: &[PointId],
         weights: &[f64],
         q: PointId,
-        kernel: Kernel,
     ) -> Option<(usize, f64)> {
         let rule = Additive::of(centers, weights);
-        nearest(s, centers, rule, q, kernel, SEQ)
+        nearest(s, centers, rule, q, SEQ)
     }
 
     fn store(seed: u64, n: usize, d: usize) -> PointStore {
@@ -1577,19 +1400,37 @@ mod tests {
         PointStore::from_points(&pts)
     }
 
+    /// Both multi-center families under both kernels, asserting the
+    /// tiled results equal the scalar ones bit for bit.
+    fn assert_panel_sweeps_match(
+        s: &PointStore,
+        ids: &[PointId],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        exec: Exec<'_>,
+    ) {
+        let mut min = [vec![0.5; ids.len()], vec![0.5; ids.len()]];
+        let mut each = [vec![(9, 0.0); ids.len()], vec![(9, 0.0); ids.len()]];
+        for (k, kernel) in Kernel::ALL.into_iter().enumerate() {
+            dists_to_centers_min(s, ids, centers, weights, kernel, exec, &mut min[k]);
+            nearest_center_each(s, ids, centers, weights, kernel, exec, &mut each[k]);
+        }
+        for i in 0..ids.len() {
+            assert_eq!(min[0][i].to_bits(), min[1][i].to_bits(), "min row {i}");
+            assert_eq!(each[0][i].0, each[1][i].0, "nearest row {i}");
+            assert_eq!(each[0][i].1.to_bits(), each[1][i].1.to_bits(), "row {i}");
+        }
+    }
+
     #[test]
     fn kernels_agree_on_batched_routines() {
+        // 20 rows over every point as a center: 20·20·9 pairs dispatch the
+        // tiled screen.
         let s = store(11, 20, 9);
         let ids = s.ids();
-        for q in [PointId(0), PointId(7), PointId(19)] {
-            let mut scalar = vec![0.0; ids.len()];
-            let mut tiled = vec![0.0; ids.len()];
-            dists_to_one(&s, &ids, q, Kernel::Scalar, SEQ, &mut scalar);
-            dists_to_one(&s, &ids, q, Kernel::Tiled, SEQ, &mut tiled);
-            for (a, b) in scalar.iter().zip(tiled.iter()) {
-                assert!((a - b).abs() < 1e-9 * (1.0 + a));
-            }
-        }
+        assert_panel_sweeps_match(&s, &ids, &ids, None, SEQ);
+        let w: Vec<f64> = (0..ids.len()).map(|i| i as f64 * 0.3).collect();
+        assert_panel_sweeps_match(&s, &ids, &ids, Some(&w), SEQ);
     }
 
     #[test]
@@ -1598,7 +1439,7 @@ mod tests {
         let ids = s.ids();
         let mut min_dist = vec![f64::INFINITY; ids.len()];
         for c in [PointId(3), PointId(9)] {
-            dists_to_set_min(&s, &ids, c, None, Kernel::Scalar, SEQ, &mut min_dist);
+            dists_to_set_min(&s, &ids, c, None, SEQ, &mut min_dist);
         }
         for (i, id) in ids.iter().enumerate() {
             let d3 = dist_sq_scalar(s.coords(*id), s.coords(PointId(3))).sqrt();
@@ -1616,10 +1457,10 @@ mod tests {
         ];
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
-        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Tiled, SEQ).unwrap();
+        let (idx, d) = nearest_center(&s, &centers, PointId(2), SEQ).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(d, 1.0);
-        assert!(nearest_center(&s, &[], PointId(2), Kernel::Scalar, SEQ).is_none());
+        assert!(nearest_center(&s, &[], PointId(2), SEQ).is_none());
     }
 
     #[test]
@@ -1653,44 +1494,39 @@ mod tests {
         let ids = s.ids();
         let pool = ukc_pool::Pool::new(3);
         let exec = Exec::pooled(&pool, 3);
-        for kernel in Kernel::ALL {
-            let mut seq = vec![0.0; ids.len()];
-            dists_to_one(&s, &ids, PointId(5), kernel, SEQ, &mut seq);
-            let mut par = vec![0.0; ids.len()];
-            dists_to_one(&s, &ids, PointId(5), kernel, exec, &mut par);
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
+        let mut seq = vec![0.0; ids.len()];
+        dists_to_one(&s, &ids, PointId(5), SEQ, &mut seq);
+        let mut par = vec![0.0; ids.len()];
+        dists_to_one(&s, &ids, PointId(5), exec, &mut par);
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
 
-            let mut seq = vec![f64::INFINITY; ids.len()];
-            let mut par = vec![f64::INFINITY; ids.len()];
-            for c in [PointId(0), PointId(999), PointId(4321)] {
-                dists_to_set_min(&s, &ids, c, None, kernel, SEQ, &mut seq);
-                dists_to_set_min(&s, &ids, c, None, kernel, exec, &mut par);
-            }
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
+        let mut seq = vec![f64::INFINITY; ids.len()];
+        let mut par = vec![f64::INFINITY; ids.len()];
+        for c in [PointId(0), PointId(999), PointId(4321)] {
+            dists_to_set_min(&s, &ids, c, None, SEQ, &mut seq);
+            dists_to_set_min(&s, &ids, c, None, exec, &mut par);
+        }
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
     fn par_nearest_center_is_lane_count_independent() {
-        // d = 5 keeps the factorized kernel above the dispatch cutoff.
         let s = store(4, PAR_MIN_POINTS + 123, 5);
         let centers = s.ids();
         let pool = ukc_pool::Pool::new(4);
-        for kernel in Kernel::ALL {
-            for q in [PointId(0), PointId(17), PointId(4000)] {
-                let seq = nearest_center(&s, &centers, q, kernel, SEQ);
-                let par = nearest_center(&s, &centers, q, kernel, Exec::pooled(&pool, 4));
-                let (si, sd) = seq.expect("non-empty centers");
-                let (pi, pd) = par.expect("non-empty centers");
-                assert_eq!(si, pi, "{kernel:?}");
-                assert_eq!(sd.to_bits(), pd.to_bits(), "{kernel:?}");
-            }
+        for q in [PointId(0), PointId(17), PointId(4000)] {
+            let seq = nearest_center(&s, &centers, q, SEQ);
+            let par = nearest_center(&s, &centers, q, Exec::pooled(&pool, 4));
+            let (si, sd) = seq.expect("non-empty centers");
+            let (pi, pd) = par.expect("non-empty centers");
+            assert_eq!(si, pi);
+            assert_eq!(sd.to_bits(), pd.to_bits());
         }
-        assert!(nearest_center(&s, &[], PointId(0), Kernel::Scalar, SEQ).is_none());
+        assert!(nearest_center(&s, &[], PointId(0), SEQ).is_none());
     }
 
     #[test]
@@ -1732,39 +1568,33 @@ mod tests {
 
     #[test]
     fn tiled_matches_scalar_within_tolerance() {
-        // 602·33 work keeps the public entries on the tiled path; 602 % 4
-        // exercises the block remainder.
+        // Bit for bit, the strictest tolerance: 602 % 4 exercises the
+        // block remainder, 5 and 9 centers a padded panel.
         let s = store(31, 602, 33);
         let ids = s.ids();
-        let mut scalar = vec![0.0; ids.len()];
-        let mut tiled = vec![0.0; ids.len()];
-        dists_to_one(&s, &ids, PointId(7), Kernel::Scalar, SEQ, &mut scalar);
-        dists_to_one(&s, &ids, PointId(7), Kernel::Tiled, SEQ, &mut tiled);
-        for (a, b) in scalar.iter().zip(&tiled) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a));
-        }
-
-        let mut ms = vec![f64::INFINITY; ids.len()];
-        let mut mt = vec![f64::INFINITY; ids.len()];
-        for c in [PointId(3), PointId(11), PointId(600)] {
-            dists_to_set_min(&s, &ids, c, None, Kernel::Scalar, SEQ, &mut ms);
-            dists_to_set_min(&s, &ids, c, None, Kernel::Tiled, SEQ, &mut mt);
-        }
-        for (a, b) in ms.iter().zip(&mt) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a));
+        for centers in [&ids[..5], &ids[100..109]] {
+            assert_panel_sweeps_match(&s, &ids, centers, None, SEQ);
         }
     }
 
     #[test]
     fn tiled_self_and_duplicate_distances_are_exactly_zero() {
         let s = store(5, 9, 17);
-        for i in 0..9 {
-            assert_eq!(pair_dist(&s, PointId(i), PointId(i), Kernel::Tiled), 0.0);
+        let ids = s.ids();
+        let mut out = vec![(0, 1.0); 9];
+        let mut min = vec![1.0; 9];
+        for kernel in Kernel::ALL {
+            nearest_center_each(&s, &ids, &ids, None, kernel, SEQ, &mut out);
+            dists_to_centers_min(&s, &ids, &ids, None, kernel, SEQ, &mut min);
+            for i in 0..9 {
+                assert_eq!(out[i], (i, 0.0), "{kernel:?}");
+                assert_eq!(min[i], 0.0, "{kernel:?}");
+            }
         }
         let mut s2 = PointStore::new(3);
         let a = s2.push(&[1.25, -7.5, 3.125]);
         let b = s2.push(&[1.25, -7.5, 3.125]);
-        assert_eq!(pair_dist(&s2, a, b, Kernel::Tiled), 0.0);
+        assert_eq!(pair_dist(&s2, a, b), 0.0);
     }
 
     #[test]
@@ -1774,7 +1604,7 @@ mod tests {
         let norm = |c: &[f64]| tile::dot_seq(c, c);
         for (a, b) in [(&nan, &finite), (&finite, &nan), (&nan, &nan)] {
             assert!(dist_sq_scalar(a, b).is_nan());
-            assert!(dist_sq_tiled(a, norm(a), b, norm(b)).is_nan());
+            assert!(factored(norm(a), norm(b), tile::dot_seq(a, b)).is_nan());
         }
         // Clamping still zeroes cancellation and keeps finite bits.
         assert_eq!(
@@ -1791,22 +1621,20 @@ mod tests {
         let s = store(13, 203, 40);
         let ids = s.ids();
         let centers: Vec<PointId> = (0..6).map(|i| PointId(i * 30)).collect();
-        let mut fused = vec![f64::INFINITY; ids.len()];
-        dists_to_centers_min(&s, &ids, &centers, None, Kernel::Tiled, SEQ, &mut fused);
-        for (i, id) in ids.iter().enumerate() {
-            // Reference: min over centers of the canonical tiled squared
-            // distance, one sqrt at the end — the documented semantics.
-            let n = s.norm_sq(*id);
-            let mut best = f64::INFINITY;
-            for c in &centers {
-                let nd_sq = ((n + s.norm_sq(*c))
-                    - 2.0 * tile::dot_seq(s.coords(*id), s.coords(*c)))
-                .max(0.0);
-                if nd_sq < best {
-                    best = nd_sq;
+        for kernel in Kernel::ALL {
+            let mut fused = vec![f64::INFINITY; ids.len()];
+            dists_to_centers_min(&s, &ids, &centers, None, kernel, SEQ, &mut fused);
+            for (i, id) in ids.iter().enumerate() {
+                // Reference: the first smallest scalar distance.
+                let mut best = f64::INFINITY;
+                for c in &centers {
+                    lower(
+                        &mut best,
+                        dist_sq_scalar(s.coords(*id), s.coords(*c)).sqrt(),
+                    );
                 }
+                assert_eq!(fused[i].to_bits(), best.to_bits(), "{kernel:?} point {i}");
             }
-            assert_eq!(fused[i].to_bits(), best.sqrt().to_bits(), "point {i}");
         }
     }
 
@@ -1815,17 +1643,15 @@ mod tests {
         let s = store(23, 202, 40);
         let ids = s.ids();
         let centers: Vec<PointId> = (0..5).map(|i| PointId(i * 40 + 1)).collect();
+        let mut loops = vec![f64::INFINITY; ids.len()];
+        for c in &centers {
+            dists_to_set_min(&s, &ids, *c, None, SEQ, &mut loops);
+        }
         for kernel in Kernel::ALL {
             let mut fused = vec![f64::INFINITY; ids.len()];
             dists_to_centers_min(&s, &ids, &centers, None, kernel, SEQ, &mut fused);
-            let mut loops = vec![f64::INFINITY; ids.len()];
-            for c in &centers {
-                dists_to_set_min(&s, &ids, *c, None, kernel, SEQ, &mut loops);
-            }
             for (a, b) in fused.iter().zip(&loops) {
-                // Tolerance, not bits: the per-center passes round through
-                // sqrt between updates, the fused pass does not.
-                assert!((a - b).abs() < 1e-9 * (1.0 + a), "{kernel:?}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}: {a} vs {b}");
             }
         }
     }
@@ -1835,15 +1661,14 @@ mod tests {
         let s = store(17, 202, 40);
         let ids = s.ids();
         let centers: Vec<PointId> = (0..7).map(|i| PointId(i * 25)).collect();
-        let mut fused = vec![(0usize, 0.0f64); ids.len()];
-        nearest_center_each(&s, &ids, &centers, None, Kernel::Tiled, SEQ, &mut fused);
-        for (i, id) in ids.iter().enumerate() {
-            // The per-query tiled path (bypassing dispatch: 7 centers is
-            // far below the cutoff) must agree bit for bit — same
-            // canonical per-pair order, same ascending strict-< argmin.
-            let (bi, bd) = nearest_resolved(&s, &centers, Plain, *id, Kernel::Tiled).unwrap();
-            assert_eq!(fused[i].0, bi, "point {i}");
-            assert_eq!(fused[i].1.to_bits(), bd.to_bits(), "point {i}");
+        for kernel in Kernel::ALL {
+            let mut fused = vec![(0usize, 0.0f64); ids.len()];
+            nearest_center_each(&s, &ids, &centers, None, kernel, SEQ, &mut fused);
+            for (i, id) in ids.iter().enumerate() {
+                let (bi, bd) = nearest_center(&s, &centers, *id, SEQ).unwrap();
+                assert_eq!(fused[i].0, bi, "{kernel:?} point {i}");
+                assert_eq!(fused[i].1.to_bits(), bd.to_bits(), "{kernel:?} point {i}");
+            }
         }
     }
 
@@ -1864,11 +1689,10 @@ mod tests {
         let queries = s.ids();
         let centers: Vec<PointId> = (0..6).map(PointId).collect();
         let mut out = vec![(9usize, -1.0f64); queries.len()];
-        // Call the tiled path directly: this sweep sits below the
-        // dispatch cutoff on purpose (ties are a small-case hazard too).
-        let panels = pack_panels(&s, &centers);
-        let wpad = pad_weights(&[], &panels);
-        nearest_each_tiled(&s, &queries, &panels, Plain, &wpad, &mut out);
+        // Run the tiled path directly: this sweep sits below the dispatch
+        // cutoff on purpose (ties are a small-case hazard too).
+        let screen = Panels::pack(&s, &centers, Plain).expect("small norms");
+        nearest_each_tiled(&s, &queries, &centers, Plain, &screen, &mut out);
         for (i, (idx, d)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} must tie-break to the lowest index");
             assert!(d.is_finite());
@@ -1880,7 +1704,6 @@ mod tests {
         let s = store(3, 10, 5);
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
         let panels = pack_panels(&s, &centers);
-        assert_eq!(panels.len(), 5);
         assert_eq!(panels.n_panels(), 2);
         let tail = panels.panel_norms_sq(1);
         assert_eq!(tail[0], s.norm_sq(PointId(4)));
@@ -1922,6 +1745,7 @@ mod tests {
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
             }
         }
+        assert_panel_sweeps_match(&s, &ids, &centers, None, exec);
     }
 
     #[test]
@@ -1930,21 +1754,29 @@ mod tests {
         let ids = s.ids();
         let centers: Vec<PointId> = (0..7).map(|i| PointId(i * 41)).collect();
         let zeros = vec![0.0; centers.len()];
+        let mut plain = vec![f64::INFINITY; ids.len()];
+        let mut weighted = vec![f64::INFINITY; ids.len()];
+        for c in &centers {
+            dists_to_set_min(&s, &ids, *c, None, SEQ, &mut plain);
+            dists_to_set_min(&s, &ids, *c, Some(0.0), SEQ, &mut weighted);
+        }
+        for (a, b) in plain.iter().zip(&weighted) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for q in [PointId(0), PointId(100), PointId(316)] {
+            let p = nearest_center(&s, &centers, q, SEQ).unwrap();
+            let w = weighted_nearest(&s, &centers, &zeros, q).unwrap();
+            assert_eq!(p.0, w.0);
+            assert_eq!(p.1.to_bits(), w.1.to_bits());
+        }
         for kernel in Kernel::ALL {
-            let mut plain = vec![f64::INFINITY; ids.len()];
-            let mut weighted = vec![f64::INFINITY; ids.len()];
-            for c in &centers {
-                dists_to_set_min(&s, &ids, *c, None, kernel, SEQ, &mut plain);
-                dists_to_set_min(&s, &ids, *c, Some(0.0), kernel, SEQ, &mut weighted);
-            }
+            let mut plain = vec![(0usize, 0.0f64); ids.len()];
+            let mut weighted = vec![(0usize, 0.0f64); ids.len()];
+            nearest_center_each(&s, &ids, &centers, None, kernel, SEQ, &mut plain);
+            nearest_center_each(&s, &ids, &centers, Some(&zeros), kernel, SEQ, &mut weighted);
             for (a, b) in plain.iter().zip(&weighted) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
-            for q in [PointId(0), PointId(100), PointId(316)] {
-                let p = nearest_center(&s, &centers, q, kernel, SEQ).unwrap();
-                let w = weighted_nearest(&s, &centers, &zeros, q, kernel).unwrap();
-                assert_eq!(p.0, w.0, "{kernel:?}");
-                assert_eq!(p.1.to_bits(), w.1.to_bits(), "{kernel:?}");
+                assert_eq!(a.0, b.0, "{kernel:?}");
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
             }
         }
     }
@@ -1961,17 +1793,14 @@ mod tests {
         ];
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
-        for kernel in Kernel::ALL {
-            let (idx, d) = weighted_nearest(&s, &centers, &[0.0, 0.5], PointId(2), kernel).unwrap();
-            assert_eq!(idx, 1, "{kernel:?}");
-            assert!((d - 0.5).abs() < 1e-12, "{kernel:?}");
-            // Equal weights keep the tie on the lowest index.
-            let (idx, d) =
-                weighted_nearest(&s, &centers, &[0.25, 0.25], PointId(2), kernel).unwrap();
-            assert_eq!(idx, 0, "{kernel:?}");
-            assert!((d - 0.75).abs() < 1e-12, "{kernel:?}");
-        }
-        assert!(weighted_nearest(&s, &[], &[], PointId(2), Kernel::Scalar).is_none());
+        let (idx, d) = weighted_nearest(&s, &centers, &[0.0, 0.5], PointId(2)).unwrap();
+        assert_eq!(idx, 1);
+        assert!((d - 0.5).abs() < 1e-12);
+        // Equal weights keep the tie on the lowest index.
+        let (idx, d) = weighted_nearest(&s, &centers, &[0.25, 0.25], PointId(2)).unwrap();
+        assert_eq!(idx, 0);
+        assert!((d - 0.75).abs() < 1e-12);
+        assert!(weighted_nearest(&s, &[], &[], PointId(2)).is_none());
     }
 
     #[test]
@@ -1980,26 +1809,23 @@ mod tests {
         let ids = s.ids();
         let centers: Vec<PointId> = (0..6).map(|i| PointId(i * 31)).collect();
         let weights: Vec<f64> = (0..6).map(|i| i as f64 * 0.17).collect();
+        let mut reference = vec![f64::INFINITY; ids.len()];
+        for (c, w) in centers.iter().zip(&weights) {
+            dists_to_set_min(&s, &ids, *c, Some(*w), SEQ, &mut reference);
+        }
         for kernel in Kernel::ALL {
-            let mut reference = vec![f64::INFINITY; ids.len()];
-            for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, SEQ, &mut reference);
-            }
             let mut fused = vec![f64::INFINITY; ids.len()];
             dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut fused);
             for (a, b) in reference.iter().zip(&fused) {
-                assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{kernel:?}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut each = vec![(0usize, 0.0f64); ids.len()];
             nearest_center_each(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut each);
             for (q, got) in ids.iter().zip(&each) {
-                let want = weighted_nearest(&s, &centers, &weights, *q, kernel).unwrap();
+                let want = weighted_nearest(&s, &centers, &weights, *q).unwrap();
                 assert_eq!(got.0, want.0, "{kernel:?}");
-                assert!(
-                    (got.1 - want.1).abs() < 1e-9 * (1.0 + want.1.abs()),
-                    "{kernel:?}"
-                );
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "{kernel:?}");
             }
         }
     }
@@ -2012,17 +1838,16 @@ mod tests {
         let weights: Vec<f64> = (0..9).map(|i| i as f64 * 0.09).collect();
         let pool = ukc_pool::Pool::new(3);
         let exec = Exec::pooled(&pool, 3);
+        let mut seq = vec![f64::INFINITY; ids.len()];
+        let mut par = vec![f64::INFINITY; ids.len()];
+        for (c, w) in centers.iter().zip(&weights) {
+            dists_to_set_min(&s, &ids, *c, Some(*w), SEQ, &mut seq);
+            dists_to_set_min(&s, &ids, *c, Some(*w), exec, &mut par);
+        }
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         for kernel in Kernel::ALL {
-            let mut seq = vec![f64::INFINITY; ids.len()];
-            let mut par = vec![f64::INFINITY; ids.len()];
-            for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, SEQ, &mut seq);
-                dists_to_set_min(&s, &ids, *c, Some(*w), kernel, exec, &mut par);
-            }
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
-
             let mut seq = vec![f64::INFINITY; ids.len()];
             dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, SEQ, &mut seq);
             let mut par = vec![f64::INFINITY; ids.len()];
@@ -2040,6 +1865,7 @@ mod tests {
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
             }
         }
+        assert_panel_sweeps_match(&s, &ids, &centers, Some(&weights), exec);
     }
 
     #[test]
@@ -2052,14 +1878,47 @@ mod tests {
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
         let weights = vec![1e6; 5];
         let mut each = vec![(0usize, 0.0f64); ids.len()];
-        let panels = pack_panels(&s, &centers);
-        let wpad = pad_weights(&weights, &panels);
-        assert_eq!(wpad.len(), 8);
-        assert!(wpad[5..].iter().all(|w| *w == 0.0));
-        nearest_each_tiled(&s, &ids, &panels, Additive(&weights), &wpad, &mut each);
+        let rule = Additive(&weights);
+        let screen = Panels::pack(&s, &centers, rule).expect("finite weights");
+        assert_eq!(screen.wpad.len(), 8);
+        assert!(screen.wpad[5..].iter().all(|w| *w == 0.0));
+        nearest_each_tiled(&s, &ids, &centers, rule, &screen, &mut each);
         for (i, (idx, d)) in each.iter().enumerate() {
             assert!(*idx < 5, "point {i} picked a pad column");
             assert!(d.is_finite() && *d < 0.0, "point {i}");
+        }
+    }
+
+    #[test]
+    fn the_filter_refuses_unboundable_norms_and_weights() {
+        let s = store(3, 10, 5);
+        assert!(Filter::of(&s, 0.0).is_some());
+        assert!(Filter::of(&s, f64::NAN).is_none());
+        assert!(Filter::of(&s, f64::INFINITY).is_none());
+        assert!(Additive(&[1.0, f64::NAN]).max_weight().is_nan());
+        let mut huge = PointStore::new(3);
+        huge.push(&[1e200, 0.0, 0.0]);
+        assert!(huge.max_norm_sq().is_infinite());
+        assert!(Filter::of(&huge, 0.0).is_none());
+    }
+
+    #[test]
+    fn the_filter_certifies_separated_rows_and_refuses_near_ties() {
+        // Unit-scale coordinates: the margin is far below a 1e-3 gap and
+        // far above a one-ulp one.
+        let s = store(7, 50, 8);
+        let f = Filter::of(&s, 0.0).expect("small norms");
+        assert!(f.margin > 0.0 && f.margin < 1e-4, "{}", f.margin);
+        // Plain keys are squared distances, weighted ones values.
+        let plain = |second: f64, v| f.clears(Plain, second * second, v);
+        let weighted = |second: f64, v| f.clears(Additive(&[]), second, v);
+        for clears in [&plain as &dyn Fn(f64, f64) -> bool, &weighted] {
+            assert!(clears(1.001, 1.0));
+            assert!(!clears(1.0 + f64::EPSILON, 1.0));
+            assert!(!clears(1.0, 1.0));
+            assert!(!clears(f64::INFINITY, f64::INFINITY));
+            assert!(clears(f64::INFINITY, 1e100));
+            assert!(clears(0.5, -1.0));
         }
     }
 }

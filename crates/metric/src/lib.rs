@@ -112,9 +112,9 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
 ///
 /// Contract for implementors: every override must evaluate (and, when
 /// instrumented, count) one distance per point-pair it needs, must break
-/// nearest-center ties toward the lower index, and may only change the
-/// *rounding* of results relative to the defaults. The defaults evaluate
-/// every pair. An override may skip a pair only when it proves the pair
+/// nearest-center ties toward the lower index, and must return exactly
+/// what the defaults return over its own [`Metric::dist`]. The defaults
+/// evaluate every pair. An override may skip a pair only when it proves the pair
 /// cannot change the result — [`StoreOracle`]'s
 /// [`greedy_pass`](DistanceOracle::greedy_pass) does, by the triangle
 /// inequality — and then counts the pair as pruned
@@ -160,13 +160,12 @@ pub trait DistanceOracle<P>: Metric<P> {
 
     /// [`dists_to_set_min`] that also tracks each row's nearest center
     /// across passes: `rows[i].min` tightens exactly as `min_dist[i]`
-    /// would, while `rows[i].key` and `rows[i].nearest` keep the smallest
-    /// comparison key seen and the pass index `c` of the first center
-    /// that reached it — the strict `<` in center order of
-    /// [`nearest_each`]. Gonzalez's greedy runs on these passes, so its
-    /// radius and the nearest-center assignment come out of the same
-    /// sweep ([`DistanceOracle::tracked_nearest`]). The default compares
-    /// distances, exactly like the default [`nearest_each`].
+    /// would, and `rows[i].nearest` keeps the pass index `c` of the first
+    /// center that reached it ([`Tracked::update`]) — the strict `<` in
+    /// center order of [`nearest_each`]. Gonzalez's greedy runs on these
+    /// passes, so its radius and the nearest-center assignment come out
+    /// of the same sweep: after passes over centers `C`, row `i` holds
+    /// what [`nearest_each`] over `C` gives query `i`.
     ///
     /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
     /// [`nearest_each`]: DistanceOracle::nearest_each
@@ -176,14 +175,7 @@ pub trait DistanceOracle<P>: Metric<P> {
     fn dists_to_set_min_tracked(&self, points: &[P], center: &P, c: usize, rows: &mut [Tracked]) {
         assert!(rows.len() >= points.len(), "tracked buffer too small");
         for (p, r) in points.iter().zip(rows.iter_mut()) {
-            let d = self.dist(p, center);
-            if d < r.min {
-                r.min = d;
-            }
-            if d < r.key {
-                r.key = d;
-                r.nearest = c;
-            }
+            r.update(self.dist(p, center), c);
         }
     }
 
@@ -212,21 +204,6 @@ pub trait DistanceOracle<P>: Metric<P> {
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("a pass needs a row")
-    }
-
-    /// Each row's nearest center `(index, distance)` after tracked passes
-    /// over `centers` centers, when that is bit for bit what
-    /// [`nearest_each`] over those centers computes — and so what
-    /// [`dists_to_centers_min`] computes per row. `None` when the two may
-    /// round differently; the caller then runs the separate sweep. The
-    /// default passes compare exactly what the default sweeps compare, so
-    /// the default always answers.
-    ///
-    /// [`nearest_each`]: DistanceOracle::nearest_each
-    /// [`dists_to_centers_min`]: DistanceOracle::dists_to_centers_min
-    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
-        let _ = centers;
-        Some(rows.iter().map(|r| (r.nearest, r.key)).collect())
     }
 
     /// Tightens a running minimum-distance array against a whole center
@@ -331,10 +308,6 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
 
     fn greedy_pass(&self, points: &[P], centers: &[usize], rows: &mut [Tracked]) -> (usize, f64) {
         (**self).greedy_pass(points, centers, rows)
-    }
-
-    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
-        (**self).tracked_nearest(rows, centers)
     }
 
     fn dists_to_centers_min(

@@ -51,10 +51,9 @@ impl PointId {
 
 /// Contiguous structure-of-arrays storage for fixed-dimension Euclidean
 /// points: one flat coordinate buffer plus cached squared norms,
-/// accumulated in the canonical tiled order ([`batch::tile::dot_seq`]) so
-/// [`Kernel::Tiled`]'s `‖a‖² + ‖b‖² − 2a·b` cancels exactly for
-/// `a == b`, and the largest of those norms, which bounds the
-/// factorized form's rounding error.
+/// accumulated in the canonical tiled order ([`batch::tile::dot_seq`])
+/// that [`Kernel::Tiled`]'s screen factorizes against, and the largest
+/// of those norms, which bounds the factorized form's rounding error.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointStore {
     dim: usize,
@@ -176,8 +175,8 @@ impl PointStore {
     }
 
     /// The largest cached squared norm (`0.0` for an empty store) — what
-    /// the rounding error of a tiled distance between two stored points is
-    /// measured against ([`batch::greedy_pass`]).
+    /// the rounding error bounds of [`batch::greedy_pass`]'s skips and of
+    /// the tiled screen are measured against.
     #[inline]
     pub fn max_norm_sq(&self) -> f64 {
         self.max_norm_sq
@@ -233,12 +232,14 @@ impl PointStore {
 /// [`Metric<PointId>`] pairwise and overrides the batched
 /// [`DistanceOracle`] methods with the [`crate::batch`] kernels.
 ///
+/// Every distance it returns is the scalar loop's, whichever kernel it
+/// carries: the kernel only picks how fast the multi-center sweeps run.
+///
 /// The oracle optionally shares a [`DistCounter`]; every evaluated
-/// point-pair bumps it by exactly one, whether computed by the scalar or
-/// the tiled kernel. Gonzalez's passes ([`batch::greedy_pass`]) skip the
-/// rows the triangle inequality rules out and count them as pruned
-/// instead; every other sweep evaluates every pair, so its counts are
-/// kernel-independent.
+/// point-pair bumps it by exactly one, whichever kernel runs. Gonzalez's
+/// passes ([`batch::greedy_pass`]) skip the rows the triangle inequality
+/// rules out and count them as pruned instead; every other sweep
+/// evaluates every pair, so its counts are kernel-independent.
 ///
 /// [`StoreOracle::with_exec`] attaches an execution context: batched
 /// sweeps over at least [`batch::PAR_MIN_POINTS`] rows then run block-parallel
@@ -254,8 +255,8 @@ pub struct StoreOracle<'a> {
 }
 
 impl<'a> StoreOracle<'a> {
-    /// An oracle over `store` using `kernel`, not counting evaluations,
-    /// running sequentially.
+    /// An oracle over `store` whose multi-center sweeps run `kernel`, not
+    /// counting evaluations, running sequentially.
     pub fn new(store: &'a PointStore, kernel: Kernel) -> Self {
         Self {
             store,
@@ -304,19 +305,19 @@ impl Metric<PointId> for StoreOracle<'_> {
     #[inline]
     fn dist(&self, a: &PointId, b: &PointId) -> f64 {
         self.tally(1);
-        batch::pair_dist(self.store, *a, *b, self.kernel)
+        batch::pair_dist(self.store, *a, *b)
     }
 
     fn nearest(&self, a: &PointId, centers: &[PointId]) -> Option<(usize, f64)> {
         self.tally(centers.len());
-        batch::nearest_center(self.store, centers, *a, self.kernel, self.exec)
+        batch::nearest_center(self.store, centers, *a, self.exec)
     }
 }
 
 impl DistanceOracle<PointId> for StoreOracle<'_> {
     fn dists_to_one(&self, points: &[PointId], q: &PointId, out: &mut [f64]) {
         self.tally(points.len());
-        batch::dists_to_one(self.store, points, *q, self.kernel, self.exec, out);
+        batch::dists_to_one(self.store, points, *q, self.exec, out);
     }
 
     fn dists_to_set_min(
@@ -327,8 +328,7 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         min_dist: &mut [f64],
     ) {
         self.tally(points.len());
-        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
-        batch::dists_to_set_min(store, points, *center, weight, kernel, exec, min_dist);
+        batch::dists_to_set_min(self.store, points, *center, weight, self.exec, min_dist);
     }
 
     fn dists_to_set_min_tracked(
@@ -339,8 +339,7 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         rows: &mut [Tracked],
     ) {
         self.tally(points.len());
-        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
-        batch::dists_to_set_min_tracked(store, points, *center, c, kernel, exec, rows);
+        batch::dists_to_set_min_tracked(self.store, points, *center, c, self.exec, rows);
     }
 
     fn greedy_pass(
@@ -349,17 +348,12 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         centers: &[usize],
         rows: &mut [Tracked],
     ) -> (usize, f64) {
-        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
-        let pass = batch::greedy_pass(store, points, centers, kernel, exec, rows);
+        let pass = batch::greedy_pass(self.store, points, centers, self.exec, rows);
         self.tally(pass.computed);
         if let Some(c) = self.counter {
             c.add_pruned(pass.pruned as u64);
         }
         pass.farthest
-    }
-
-    fn tracked_nearest(&self, rows: &[Tracked], centers: usize) -> Option<Vec<(usize, f64)>> {
-        batch::tracked_nearest(self.store, rows, centers, self.kernel)
     }
 
     fn dists_to_centers_min(
@@ -463,12 +457,10 @@ mod tests {
             let oracle = StoreOracle::new(&store, Kernel::Tiled);
             for i in 0..pts.len() {
                 for j in 0..pts.len() {
+                    // Bit for bit: a tiled oracle's pairs are scalar.
                     let reference = Euclidean.dist(&pts[i], &pts[j]);
                     let got = oracle.dist(&PointId(i), &PointId(j));
-                    assert!(
-                        (got - reference).abs() <= 1e-9 * (1.0 + reference),
-                        "d={d} ({i},{j}): {got} vs {reference}"
-                    );
+                    assert_eq!(got.to_bits(), reference.to_bits(), "d={d} ({i},{j})");
                 }
             }
         }

@@ -13,9 +13,9 @@
 //!   "eps": 0.25,             // grid only
 //!   "seed": 0,
 //!   "lower_bound": true,     // certify a lower bound in the report
-//!   "kernel": "tiled",       // scalar | tiled  (default: the server's
-//!                            // --kernel, "tiled" out of the box; the
-//!                            // retired "blocked" is accepted as "tiled")
+//!   "kernel": "tiled",       // scalar | tiled  (default "tiled"; a speed
+//!                            // hint that never changes a response byte;
+//!                            // the retired "blocked" is accepted as "tiled")
 //!   "assignment": "plain",   // plain | weighted (additively-weighted
 //!                            // Apollonius assignment; default "plain")
 //!   "cache": true            // false bypasses the solution cache
@@ -41,22 +41,6 @@ pub struct SolveRequest {
     pub config: SolverConfig,
     /// `false` forces a fresh solve and skips cache insertion.
     pub use_cache: bool,
-    /// Whether the body carried an explicit `"kernel"` field. When it
-    /// did not, the handler applies the server-wide default via
-    /// [`SolveRequest::apply_default_kernel`].
-    pub explicit_kernel: bool,
-}
-
-impl SolveRequest {
-    /// Applies the server's default distance kernel to requests that did
-    /// not pick one explicitly; an explicit `"kernel"` field always wins.
-    #[must_use]
-    pub fn apply_default_kernel(mut self, kernel: Kernel) -> Self {
-        if !self.explicit_kernel {
-            self.config = self.config.with_kernel(kernel);
-        }
-        self
-    }
 }
 
 const SOLVE_FIELDS: &[&str] = &[
@@ -187,22 +171,18 @@ fn parse_solve_fields(doc: &Json, allowed: &[&str]) -> Result<SolveRequest, ApiE
         })?;
         builder = builder.lower_bound(lb);
     }
-    let explicit_kernel = match doc.get("kernel") {
-        None => false,
-        Some(raw) => {
-            let kernel = raw.as_str().and_then(Kernel::parse).ok_or_else(|| {
-                ApiError::bad_request(
-                    "bad_schema",
-                    format!(
-                        "\"kernel\" must be \"scalar\" or \"tiled\", got {}",
-                        raw.compact()
-                    ),
-                )
-            })?;
-            builder = builder.kernel(kernel);
-            true
-        }
-    };
+    if let Some(raw) = doc.get("kernel") {
+        let kernel = raw.as_str().and_then(Kernel::parse).ok_or_else(|| {
+            ApiError::bad_request(
+                "bad_schema",
+                format!(
+                    "\"kernel\" must be \"scalar\" or \"tiled\", got {}",
+                    raw.compact()
+                ),
+            )
+        })?;
+        builder = builder.kernel(kernel);
+    }
     if let Some(raw) = doc.get("assignment") {
         let mode = raw
             .as_str()
@@ -235,7 +215,6 @@ fn parse_solve_fields(doc: &Json, allowed: &[&str]) -> Result<SolveRequest, ApiE
         k,
         config,
         use_cache,
-        explicit_kernel,
     })
 }
 
@@ -338,21 +317,8 @@ mod tests {
         assert_eq!(r.config.seed(), 9);
         assert!(!r.config.computes_lower_bound());
         assert_eq!(r.config.kernel(), Kernel::Tiled);
-        assert!(r.explicit_kernel);
         assert!(!r.use_cache);
-    }
-
-    #[test]
-    fn kernel_defaulting_respects_explicit_choice() {
-        // No "kernel" field: the server default applies.
-        let r = parse(r#"{"k": 2}"#).unwrap();
-        assert!(!r.explicit_kernel);
-        let r = r.apply_default_kernel(Kernel::Tiled);
-        assert_eq!(r.config.kernel(), Kernel::Tiled);
-        // Explicit "kernel": the server default must not override it.
         let r = parse(r#"{"k": 2, "kernel": "scalar"}"#).unwrap();
-        assert!(r.explicit_kernel);
-        let r = r.apply_default_kernel(Kernel::Tiled);
         assert_eq!(r.config.kernel(), Kernel::Scalar);
     }
 
@@ -392,7 +358,6 @@ mod tests {
         let doc = Json::parse(r#"{"k": 3, "budget": 10, "kernel": "blocked"}"#).unwrap();
         let (request, budget) = parse_stream_create(&doc).unwrap();
         assert_eq!(request.config.kernel(), Kernel::Tiled);
-        assert!(request.explicit_kernel);
         assert_eq!(budget, Some(10));
         let e = parse(r#"{"k": 3, "kernel": "simd"}"#).unwrap_err();
         assert!(

@@ -96,11 +96,13 @@ impl CachedSolve {
 /// solve result appears, floats by bit pattern so distinct values can
 /// never collide.
 ///
-/// [`SolverConfig::threads`] is deliberately **excluded**: the execution
-/// layer guarantees bit-identical solutions for every lane count, so a
-/// result computed at `threads = 1` may serve a `threads = N` request
-/// (and vice versa) — splitting the cache by threads would only lower
-/// the hit rate (pinned by `config_keys_ignore_threads`).
+/// [`SolverConfig::threads`] and [`SolverConfig::kernel`] are
+/// deliberately **excluded**: solutions are bit-identical for every lane
+/// count and every distance kernel, so a result computed at `threads = 1`
+/// under the scalar kernel may serve a `threads = N` tiled request (and
+/// vice versa) — splitting the cache by either would only lower the hit
+/// rate (pinned by `config_keys_ignore_threads` and
+/// `config_keys_ignore_kernel`).
 pub fn config_key(config: &SolverConfig) -> String {
     let strategy = match config.strategy() {
         CertainStrategy::Gonzalez => "gonzalez".to_string(),
@@ -115,13 +117,12 @@ pub fn config_key(config: &SolverConfig) -> String {
     let grid = config.grid_options();
     let exact = config.exact_options();
     format!(
-        "rule={:?};strategy={strategy};assignment={};eps={:016x};seed={};policy={policy};lb={};kernel={};grid={:?};exact={:?}",
+        "rule={:?};strategy={strategy};assignment={};eps={:016x};seed={};policy={policy};lb={};grid={:?};exact={:?}",
         config.rule(),
         config.assignment().name(),
         config.eps().to_bits(),
         config.seed(),
         config.computes_lower_bound(),
-        config.kernel().name(),
         grid,
         exact,
     )
@@ -326,6 +327,18 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let cfg = SolverConfig::builder().threads(threads).build().unwrap();
             assert_eq!(config_key(&cfg), base_key, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn config_keys_ignore_kernel() {
+        // The kernel is a speed hint with bit-identical output, so a
+        // cached solution must be shared across kernels.
+        let base_key = config_key(&SolverConfig::default());
+        assert!(!base_key.contains("kernel"), "{base_key}");
+        for kernel in ukc_metric::Kernel::ALL {
+            let cfg = SolverConfig::builder().kernel(kernel).build().unwrap();
+            assert_eq!(config_key(&cfg), base_key, "{kernel:?}");
         }
     }
 }

@@ -135,7 +135,6 @@ pub fn recover(
     recovery: &Recovery,
     store: &InstanceStore,
     streams: &StreamStore,
-    default_kernel: ukc_metric::Kernel,
 ) -> Result<RecoveryStats, StoreError> {
     let mut stats = RecoveryStats {
         torn_tail: recovery.torn_tail,
@@ -171,11 +170,6 @@ pub fn recover(
                     format!("stream {} create record does not parse: {e}", stream.seq),
                 )
             })?;
-        // Mirror handle_stream_create: a create record without an
-        // explicit "kernel" field takes the server-wide default, so a
-        // recovered stream solves exactly like its live predecessor
-        // (given the same --kernel flag across the restart).
-        let solve = solve.apply_default_kernel(default_kernel);
         let mut builder = StreamSolver::builder(solve.k).config(solve.config.clone());
         if let Some(budget) = budget {
             builder = builder.budget(budget);

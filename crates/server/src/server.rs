@@ -49,10 +49,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Solution-cache capacity in entries (0 disables the cache).
     pub cache_cap: usize,
-    /// Default distance kernel for requests that do not carry an explicit
-    /// `"kernel"` field (`ukc serve --kernel`). An explicit field always
-    /// wins, and the kernel is part of the solution-cache key either way.
-    pub kernel: ukc_metric::Kernel,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
     /// Durable persistence root (`ukc serve --data-dir`). `None` — the
@@ -109,7 +105,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 0,
             cache_cap: 256,
-            kernel: ukc_metric::Kernel::default(),
             max_body_bytes: 8 * 1024 * 1024,
             data_dir: None,
             snapshot_interval: 16,
@@ -142,9 +137,6 @@ pub(crate) struct AppState {
     scheduler: Scheduler,
     metrics: Arc<Metrics>,
     max_body_bytes: usize,
-    /// Server-wide default kernel applied to requests without an explicit
-    /// `"kernel"` field.
-    default_kernel: ukc_metric::Kernel,
     started: Instant,
     /// The durability layer, present only with `data_dir` configured.
     /// In-memory mode carries `None` and every persistence branch in the
@@ -183,7 +175,7 @@ impl AppState {
             None => (None, RecoveryStats::default()),
             Some(dir) => {
                 let (durable, recovered) = DurableStore::open(dir)?;
-                let stats = persist::recover(dir, &recovered, &store, &streams, config.kernel)?;
+                let stats = persist::recover(dir, &recovered, &store, &streams)?;
                 (Some(durable), stats)
             }
         };
@@ -200,7 +192,6 @@ impl AppState {
             scheduler: Scheduler::new(workers, config.queue_cap, Arc::clone(&metrics)),
             metrics,
             max_body_bytes: config.max_body_bytes,
-            default_kernel: config.kernel,
             started: Instant::now(),
             durable,
             snapshot_interval: config.snapshot_interval,
@@ -801,7 +792,7 @@ fn handle_instance_delete(state: &AppState, id: &str) -> Handled {
 
 fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Served {
     let doc = api::parse_body(&request.body)?;
-    let solve = api::parse_solve_request(&doc, false)?.apply_default_kernel(state.default_kernel);
+    let solve = api::parse_solve_request(&doc, false)?;
     let stored = state
         .store
         .get(id)
@@ -817,7 +808,6 @@ fn handle_instance_solve(state: &AppState, id: &str, request: &Request) -> Serve
 fn handle_oneshot_solve(state: &AppState, request: &Request) -> Served {
     let doc = api::parse_body(&request.body)?;
     let (instance, solve) = api::parse_oneshot(&doc)?;
-    let solve = solve.apply_default_kernel(state.default_kernel);
     let set = instance.to_set().map_err(ApiError::from)?;
     let digest = ukc_core::digest_set(&set);
     let warm = request
@@ -879,9 +869,7 @@ fn handle_instance_append(state: &AppState, id: &str, request: &Request) -> Hand
             k,
             config: SolverConfig::default(),
             use_cache: true,
-            explicit_kernel: false,
-        }
-        .apply_default_kernel(state.default_kernel);
+        };
         let base = request.query_param("base").unwrap_or(id);
         let warm = resolve_base(state, base, &solve);
         let solved = obtain_solution(
@@ -923,7 +911,6 @@ fn stream_summary(entry: &crate::streams::StreamEntry) -> Json {
 fn handle_stream_create(state: &AppState, request: &Request) -> Handled {
     let doc = api::parse_body(&request.body)?;
     let (solve, budget) = api::parse_stream_create(&doc)?;
-    let solve = solve.apply_default_kernel(state.default_kernel);
     let mut builder = StreamSolver::builder(solve.k).config(solve.config.clone());
     if let Some(budget) = budget {
         builder = builder.budget(budget);
@@ -1123,9 +1110,6 @@ fn handle_stream_solution(state: &AppState, id: &str) -> Handled {
             k: k_eff,
             config: solver.config().clone(),
             use_cache: entry.use_cache,
-            // The stream's config already resolved the kernel at create
-            // time; mark it explicit so no default applies twice.
-            explicit_kernel: true,
         };
         (
             UncertainSet::new(certain),
@@ -1451,7 +1435,7 @@ fn retain(
 /// instead of occupying a scheduler wave.
 fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> Handled {
     let doc = api::parse_body(&request.body)?;
-    let solve = api::parse_solve_request(&doc, false)?.apply_default_kernel(state.default_kernel);
+    let solve = api::parse_solve_request(&doc, false)?;
     let stored = state
         .store
         .get(id)
@@ -1499,7 +1483,6 @@ fn submit_err(e: crate::scheduler::SubmitError) -> ApiError {
 fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
     let doc = api::parse_body(&request.body)?;
     let (ids, solve) = api::parse_solve_batch(&doc)?;
-    let solve = solve.apply_default_kernel(state.default_kernel);
 
     // Resolve every id first; per-slot outcomes never reorder.
     let mut slots: Vec<Option<Json>> = vec![None; ids.len()];

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use uncertain_kcenter::geometry::median::{geometric_median, WeiszfeldOptions};
+use uncertain_kcenter::metric::batch;
 use uncertain_kcenter::prelude::*;
 
 /// An uncertain point from raw draws: `z` locations of `d` coordinates;
@@ -152,4 +153,57 @@ fn solve_reports_the_bound_and_counts_its_work() {
     assert_eq!(lb.to_bits(), lower_bound_euclidean(&set, 10).to_bits());
     assert!(lb <= sol.ecost);
     assert!(sol.report.distance_evals.lower_bound > set.total_locations() as u64);
+}
+
+/// The certain half at large offsets: certain points (z = 1) at
+/// `offset + j/8` in d = 8, k = n − 1. The optimum merges the closest
+/// pair at its midpoint, so it is half the closest-pair distance; every
+/// kernel hint must report a bound at or below it. At offset 2^26 a
+/// norm-factorized radius is off by ~1e-3 relative, so the certain half
+/// must come from scalar distances.
+///
+/// This pins the scalar radius only: a correctly rounded radius can still
+/// sit half an ulp above the exact one, and for z > 1 the computed `P̄`
+/// is not the exact centroid, so the certain half carries no slack yet.
+#[test]
+fn certain_half_stays_below_the_optimum_at_large_offsets() {
+    let (n, d) = (2100usize, 8usize);
+    for offset in [2f64.powi(26)] {
+        for seed in 1..=4u64 {
+            let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut j = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 52) as f64 // 0..4096
+            };
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| offset + j() / 8.0).collect())
+                .collect();
+            let mut closest = f64::INFINITY;
+            for (a, ra) in rows.iter().enumerate() {
+                for rb in &rows[a + 1..] {
+                    closest = closest.min(batch::dist_sq_scalar(ra, rb));
+                }
+            }
+            let opt = closest.sqrt() / 2.0;
+            let set = UncertainSet::new(
+                rows.into_iter()
+                    .map(|r| UncertainPoint::certain(Point::new(r)))
+                    .collect(),
+            );
+            for kernel in Kernel::ALL {
+                let config = SolverConfig::builder().kernel(kernel).build().unwrap();
+                let sol = Problem::euclidean(set.clone(), n - 1)
+                    .unwrap()
+                    .solve(&config)
+                    .unwrap();
+                let lb = sol.report.lower_bound.unwrap();
+                assert!(
+                    lb <= opt,
+                    "offset {offset} seed {seed} {kernel:?}: bound {lb} above optimum {opt}"
+                );
+            }
+        }
+    }
 }

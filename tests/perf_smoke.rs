@@ -1,7 +1,8 @@
-//! Non-flaky perf smoke: the tiled kernel must not be slower than the
-//! scalar kernel on the fused assignment sweep it was built for, and
-//! Gonzalez's fused passes must stay ahead of the three separate sweeps
-//! (greedy, radius, assignment) they replaced.
+//! Non-flaky perf smoke: the tiled kernel — a factorized screen plus a
+//! scalar refine, returning the scalar loop's bits — must not be slower
+//! than the scalar kernel on the fused assignment sweep it was built
+//! for, and Gonzalez's fused passes must stay ahead of the three
+//! separate sweeps (greedy, radius, assignment) they replaced.
 //!
 //! `#[ignore]`d because it is only meaningful in release mode; CI runs
 //! it explicitly via
@@ -11,11 +12,12 @@
 //! the benches demonstrate at `n = 100k`: a loaded CI box can halve any
 //! single measurement, but best-of-N against best-of-N crossing below
 //! parity would mean the tiled path has genuinely regressed to worse
-//! than the code it replaces. The dispatch cutoffs guarantee the tiled
-//! kernel falls back to scalar below the profitable size, so parity is
-//! the true floor everywhere. The fused-Gonzalez case compares two
-//! algorithms under one kernel instead; it removes two of three `n·k`
-//! sweeps, so its floor is 1.2×.
+//! than the code it replaces. The dispatch cutoffs send the tiled kernel
+//! to the scalar loop below the profitable size, so parity is the true
+//! floor everywhere. The fused-Gonzalez case compares two algorithms
+//! under one kernel instead; the greedy's passes are scalar under every
+//! kernel, and the fused path removes the two panel sweeps of the
+//! reference, so its floor is 1.2×.
 
 use std::time::Instant;
 
@@ -127,7 +129,6 @@ fn gonzalez_assign_secs(store: &PointStore, k: usize, fused: bool) -> f64 {
     let t = Instant::now();
     let (centers, radius, nearest) = if fused {
         let (idx, nearest) = gonzalez_nearest(&ids, k, &oracle, 0);
-        let nearest = nearest.expect("n = 6k at d = 32 fuses");
         (idx.len(), cover_radius(&nearest), nearest)
     } else {
         let idx = gonzalez_indices(&ids, None, k, &oracle, 0);

@@ -455,6 +455,45 @@ fn retired_blocked_kernel_name_shares_the_tiled_cache_entry() {
     handle.shutdown();
 }
 
+/// The kernel is a speed hint that never changes a response byte, so it
+/// is not part of the cache key: a tiled solve hits the scalar solve's
+/// entry, and an uncached tiled solve renders the same solution.
+#[test]
+fn kernels_share_the_solution_cache() {
+    let (handle, addr) = start(ServerConfig::default());
+    let id = upload(addr, 5);
+    let path = format!("/instances/{id}/solve");
+    let scalar = post(addr, &path, r#"{"k": 3, "kernel": "scalar"}"#);
+    let tiled = post(addr, &path, r#"{"k": 3, "kernel": "tiled"}"#);
+    assert_eq!(tiled.status, 200, "{}", tiled.body);
+    assert_eq!(
+        parse(&tiled).get("cached").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(as_hit(&scalar), tiled.body);
+    let fresh = parse(&post(
+        addr,
+        &path,
+        r#"{"k": 3, "kernel": "tiled", "cache": false}"#,
+    ));
+    let scalar = parse(&scalar);
+    for field in [
+        "centers",
+        "assignment",
+        "ecost",
+        "certain_radius",
+        "lower_bound",
+    ] {
+        assert!(fresh.get(field).is_some(), "{field}");
+        assert_eq!(
+            fresh.get(field).map(Json::compact),
+            scalar.get(field).map(Json::compact),
+            "{field}"
+        );
+    }
+    handle.shutdown();
+}
+
 fn upload(addr: SocketAddr, seed: u64) -> String {
     let upload = parse(&post(addr, "/instances", &instance_body(seed)));
     upload.get("id").and_then(Json::as_str).unwrap().to_string()

@@ -9,8 +9,8 @@
 //!   the plain sweep's
 //!   bits, and an all-certain instance (every spread zero) solves to
 //!   exactly the plain solution;
-//! * weighted `Tiled` agrees with weighted `Scalar` within
-//!   `1e-9` on distances and exactly on argmin indices;
+//! * weighted `Tiled` agrees with weighted `Scalar` bit for bit, on
+//!   distances and argmin indices;
 //! * switching kernels never changes **which pairs are evaluated**: the
 //!   weighted sweeps report identical pair-evaluation counts across
 //!   both kernels, equal to the plain sweeps' counts;
@@ -111,7 +111,7 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
 /// The six `DistanceOracle` methods as written once for both modes: the
 /// pointwise trait defaults (`Euclidean`, counted through
 /// `CountingMetric`) and the store oracle's batched overrides under
-/// `Kernel::Scalar` agree bit for bit on every sweep family, with no
+/// every kernel agree bit for bit on every sweep family, with no
 /// weights, nonzero weights and all-zero weights, and tally the same
 /// number of evaluations.
 #[test]
@@ -127,65 +127,65 @@ fn oracle_defaults_match_scalar_store_oracle_bitwise() {
     let pair_bits =
         |v: &[(usize, f64)]| v.iter().map(|&(i, d)| (i, d.to_bits())).collect::<Vec<_>>();
     let no_weights: Option<&[f64]> = None;
-    for (family, weights) in [
-        ("set-min", no_weights),
-        ("set-min", Some(&w[..])),
-        ("set-min", Some(&zeros[..])),
-        ("centers-min", no_weights),
-        ("centers-min", Some(&w[..])),
-        ("centers-min", Some(&zeros[..])),
-        ("nearest-each", no_weights),
-        ("nearest-each", Some(&w[..])),
-        ("nearest-each", Some(&zeros[..])),
-        ("dists-to-one", no_weights),
-        ("tracked", no_weights),
-    ] {
-        let pointwise = CountingMetric::new(&Euclidean);
-        let counter = DistCounter::new();
-        let oracle = StoreOracle::new(&store, Kernel::Scalar).with_counter(&counter);
-        let (mut want, mut got) = (vec![f64::INFINITY; n - k], vec![f64::INFINITY; n - k]);
-        let (mut want_nearest, mut got_nearest) = (vec![(0, 0.0); n - k], vec![(0, 0.0); n - k]);
-        match family {
-            "set-min" => {
-                for c in 0..k {
-                    let wc = weights.map(|w| w[c]);
-                    pointwise.dists_to_set_min(pts, &centers[c], wc, &mut want);
-                    oracle.dists_to_set_min(&ids, &center_ids[c], wc, &mut got);
+    for kernel in Kernel::ALL {
+        for (family, weights) in [
+            ("set-min", no_weights),
+            ("set-min", Some(&w[..])),
+            ("set-min", Some(&zeros[..])),
+            ("centers-min", no_weights),
+            ("centers-min", Some(&w[..])),
+            ("centers-min", Some(&zeros[..])),
+            ("nearest-each", no_weights),
+            ("nearest-each", Some(&w[..])),
+            ("nearest-each", Some(&zeros[..])),
+            ("dists-to-one", no_weights),
+            ("tracked", no_weights),
+        ] {
+            let pointwise = CountingMetric::new(&Euclidean);
+            let counter = DistCounter::new();
+            let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
+            let (mut want, mut got) = (vec![f64::INFINITY; n - k], vec![f64::INFINITY; n - k]);
+            let (mut want_nearest, mut got_nearest) =
+                (vec![(0, 0.0); n - k], vec![(0, 0.0); n - k]);
+            match family {
+                "set-min" => {
+                    for c in 0..k {
+                        let wc = weights.map(|w| w[c]);
+                        pointwise.dists_to_set_min(pts, &centers[c], wc, &mut want);
+                        oracle.dists_to_set_min(&ids, &center_ids[c], wc, &mut got);
+                    }
+                }
+                "centers-min" => {
+                    pointwise.dists_to_centers_min(pts, centers, weights, &mut want);
+                    oracle.dists_to_centers_min(&ids, &center_ids, weights, &mut got);
+                }
+                "nearest-each" => {
+                    pointwise.nearest_each(pts, centers, weights, &mut want_nearest);
+                    oracle.nearest_each(&ids, &center_ids, weights, &mut got_nearest);
+                }
+                "dists-to-one" => {
+                    pointwise.dists_to_one(pts, &centers[0], &mut want);
+                    oracle.dists_to_one(&ids, &center_ids[0], &mut got);
+                }
+                _ => {
+                    let (mut want_rows, mut got_rows) =
+                        (vec![Tracked::START; n - k], vec![Tracked::START; n - k]);
+                    for c in 0..k {
+                        pointwise.dists_to_set_min_tracked(pts, &centers[c], c, &mut want_rows);
+                        oracle.dists_to_set_min_tracked(&ids, &center_ids[c], c, &mut got_rows);
+                    }
+                    want = want_rows.iter().map(|r| r.min).collect();
+                    got = got_rows.iter().map(|r| r.min).collect();
+                    want_nearest = want_rows.iter().map(|r| (r.nearest, r.min)).collect();
+                    got_nearest = got_rows.iter().map(|r| (r.nearest, r.min)).collect();
                 }
             }
-            "centers-min" => {
-                pointwise.dists_to_centers_min(pts, centers, weights, &mut want);
-                oracle.dists_to_centers_min(&ids, &center_ids, weights, &mut got);
-            }
-            "nearest-each" => {
-                pointwise.nearest_each(pts, centers, weights, &mut want_nearest);
-                oracle.nearest_each(&ids, &center_ids, weights, &mut got_nearest);
-            }
-            "dists-to-one" => {
-                pointwise.dists_to_one(pts, &centers[0], &mut want);
-                oracle.dists_to_one(&ids, &center_ids[0], &mut got);
-            }
-            _ => {
-                let (mut want_rows, mut got_rows) =
-                    (vec![Tracked::START; n - k], vec![Tracked::START; n - k]);
-                for c in 0..k {
-                    pointwise.dists_to_set_min_tracked(pts, &centers[c], c, &mut want_rows);
-                    oracle.dists_to_set_min_tracked(&ids, &center_ids[c], c, &mut got_rows);
-                }
-                want = want_rows.iter().map(|r| r.min).collect();
-                got = got_rows.iter().map(|r| r.min).collect();
-                want_nearest = pointwise.tracked_nearest(&want_rows, k).expect("defaults");
-                got_nearest = oracle.tracked_nearest(&got_rows, k).expect("fuses");
-            }
+            let tag = format!("{kernel:?} {family} {weights:?}");
+            assert_eq!(bits(&want), bits(&got), "{tag}");
+            assert_eq!(pair_bits(&want_nearest), pair_bits(&got_nearest), "{tag}");
+            assert_eq!(pointwise.count(), counter.count(), "{tag}");
+            assert!(counter.count() > 0, "{tag}");
         }
-        assert_eq!(bits(&want), bits(&got), "{family} {weights:?}");
-        assert_eq!(
-            pair_bits(&want_nearest),
-            pair_bits(&got_nearest),
-            "{family} {weights:?}"
-        );
-        assert_eq!(pointwise.count(), counter.count(), "{family} {weights:?}");
-        assert!(counter.count() > 0, "{family} {weights:?}");
     }
 }
 
@@ -226,9 +226,8 @@ fn weighted_pair_evaluation_counts_are_identical() {
     assert_eq!(counts[0], 2 * (points.len() as u64) * (k as u64));
 }
 
-/// Weighted `Tiled` agrees with weighted `Scalar` within
-/// `1e-9` on distances and exactly on argmin indices, with nonzero
-/// weights in play.
+/// Weighted `Tiled` agrees with weighted `Scalar` bit for bit on
+/// distances and argmin indices, with nonzero weights in play.
 #[test]
 fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let (n, dim, k) = (700, 8, 9);
@@ -246,8 +245,9 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
         let mut got_min = vec![f64::INFINITY; points.len()];
         oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut got_min);
         for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "point {i} under {kernel:?}: {a} vs {b}"
             );
         }
@@ -255,9 +255,10 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
         oracle.nearest_each(&points, &centers, Some(&w), &mut got_nearest);
         for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
             assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
-            assert!(
-                (ad - bd).abs() <= 1e-9 * (1.0 + ad.abs()),
-                "dist for point {i} under {kernel:?}: {ad} vs {bd}"
+            assert_eq!(
+                ad.to_bits(),
+                bd.to_bits(),
+                "point {i} under {kernel:?}: {ad} vs {bd}"
             );
         }
     }
@@ -393,7 +394,7 @@ proptest! {
 
     /// On random uncertain instances, the weighted pipeline under the
     /// tiled kernel agrees with weighted `Scalar`: same
-    /// assignment, costs within 1e-9, and identical per-stage
+    /// assignment, cost and radius bits, and identical per-stage
     /// distance-evaluation counts (weights never change which pairs are
     /// evaluated, under any kernel).
     #[test]
@@ -424,14 +425,11 @@ proptest! {
                 ))
                 .unwrap();
             prop_assert_eq!(&scalar.assignment, &other.assignment, "{:?}", kernel);
-            prop_assert!(
-                (scalar.ecost - other.ecost).abs() <= 1e-9 * (1.0 + scalar.ecost),
-                "ecost {} vs {} ({:?})", scalar.ecost, other.ecost, kernel
-            );
-            prop_assert!(
-                (scalar.certain_radius - other.certain_radius).abs()
-                    <= 1e-9 * (1.0 + scalar.certain_radius),
-                "radius {} vs {} ({:?})", scalar.certain_radius, other.certain_radius, kernel
+            prop_assert_eq!(scalar.ecost.to_bits(), other.ecost.to_bits(), "{:?}", kernel);
+            prop_assert_eq!(
+                scalar.certain_radius.to_bits(),
+                other.certain_radius.to_bits(),
+                "{:?}", kernel
             );
             let (s, o) = (scalar.report.distance_evals, other.report.distance_evals);
             prop_assert_eq!(s.representatives, o.representatives, "{:?}", kernel);
