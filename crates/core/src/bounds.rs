@@ -60,6 +60,8 @@ use ukc_metric::{DistanceOracle, Kernel, Metric, Point, PointId, PointStore, Sto
 use ukc_pool::Exec;
 use ukc_uncertain::{one_center_discrete, UncertainSet};
 
+use crate::problem::Layout;
+
 /// Certified lower bound specific to the 1-center problem (`k = 1`, where
 /// assigned and unassigned coincide): combines the per-point 1-median
 /// bound with the *pairwise* bound
@@ -94,10 +96,9 @@ pub fn lower_bound_one_center<P, M: Metric<P>>(set: &UncertainSet<P>, metric: &M
 /// # Panics
 /// Panics when locations have mismatched dimensions.
 pub fn lower_bound_euclidean(set: &UncertainSet<Point>, k: usize) -> f64 {
-    let (store, set_ids, pbar) =
-        crate::problem::solve_store(set, crate::AssignmentRule::ExpectedPoint, 0);
-    let certain = certain_half_store(&store, &pbar, k, Exec::sequential());
-    per_point_store(&store, &set_ids, &store, &pbar, certain).0
+    let layout = Layout::new(set, crate::AssignmentRule::ExpectedPoint);
+    let certain = certain_half_store(&layout.store, &layout.rep_ids, k, Exec::sequential());
+    per_point_store(&layout, certain).0
 }
 
 /// The certain half `gonzalez_radius(P̄)/2` of the Euclidean bound over
@@ -116,23 +117,18 @@ pub(crate) fn certain_half_store(
     gonzalez(pbar, k, &oracle, 0).radius / 2.0
 }
 
-/// The per-point half of the Euclidean bound over a solve's store, folded
-/// into `floor` (the certain half): `set_ids` names each point's
-/// locations in `store` (consecutive rows per point, as every solve lays
-/// them out), and `pbar[i]` its expected point in `pbar_store`. Returns
-/// the bound and the distance evaluations it made.
-pub(crate) fn per_point_store(
-    store: &PointStore,
-    set_ids: &UncertainSet<PointId>,
-    pbar_store: &PointStore,
-    pbar: &[PointId],
-    floor: f64,
-) -> (f64, u64) {
+/// The per-point half of the Euclidean bound over an expected-point
+/// layout, folded into `floor` (the certain half): each point's
+/// locations are consecutive rows, and its representative is `P̄ᵢ`.
+/// Returns the bound and the distance evaluations it made.
+pub(crate) fn per_point_store(pbar: &Layout, floor: f64) -> (f64, u64) {
+    let store = &pbar.store;
     let dim = store.dim();
     let coords = store.raw_coords();
-    let supports: Vec<Support<'_>> = set_ids
+    let supports: Vec<Support<'_>> = pbar
+        .set_ids
         .iter()
-        .zip(pbar)
+        .zip(&pbar.rep_ids)
         .map(|(up, &c)| {
             let ids = up.locations();
             let first = ids[0].index();
@@ -145,7 +141,7 @@ pub(crate) fn per_point_store(
             Support {
                 locs: &coords[first * dim..(first + ids.len()) * dim],
                 probs: up.probs(),
-                center: pbar_store.coords(c),
+                center: store.coords(c),
             }
         })
         .collect();

@@ -59,7 +59,7 @@ use crate::assignments::AssignmentRule;
 use crate::config::{CertainStrategy, SolverConfig};
 use crate::error::SolveError;
 use crate::problem::{
-    method_string, solve_batch_threads, solve_store, validate_k, CostDistances, Problem, Solution,
+    method_string, solve_batch_threads, validate_k, CostDistances, Layout, Problem, Solution,
 };
 use crate::report::{Report, WarmStats};
 use ukc_kcenter::{cover_radius, gonzalez_nearest};
@@ -189,25 +189,36 @@ fn warm_attempt(
             }
         }
     }
-    // The prefix and the appended rows, then the representatives, laid out
-    // as a cold solve lays out its store, with room for the reused centers.
-    let (mut store, set_ids, rep_ids) = solve_store(set, config.rule(), k);
+    // The prefix and the appended rows, then the representatives: the
+    // layout a cold solve of this problem reads.
+    let layout = problem
+        .layout(config.rule())
+        .expect("warm_supported admits only Euclidean problems");
+    let Layout {
+        store,
+        set_ids,
+        rep_ids,
+    } = layout;
     // The separation certificate needs the prior centers to *be*
     // representatives of the current instance (true of every Gonzalez
-    // solution over a matching prefix).
-    if prior
+    // solution over a matching prefix); each center is read at the first
+    // representative row holding its coordinates.
+    let center_ids: Vec<PointId> = prior
         .centers
         .iter()
-        .any(|c| !rep_ids.iter().any(|&r| store.coords(r) == c.coords()))
-    {
-        return Err("centers_not_representatives");
-    }
-    let center_ids: Vec<PointId> = prior.centers.iter().map(|c| store.push_point(c)).collect();
+        .map(|c| {
+            rep_ids
+                .iter()
+                .copied()
+                .find(|&r| store.coords(r) == c.coords())
+        })
+        .collect::<Option<_>>()
+        .ok_or("centers_not_representatives")?;
     report.timings.representatives = t.elapsed();
 
     let counter = DistCounter::new();
     let exec = Exec::auto(config.resolved_threads());
-    let oracle = StoreOracle::new(&store, config.kernel())
+    let oracle = StoreOracle::new(store, config.kernel())
         .with_counter(&counter)
         .with_exec(exec);
 
@@ -264,7 +275,7 @@ fn warm_attempt(
         &oracle,
         exec,
     ));
-    let ecost = ecost_from_distances(&set_ids, &dists);
+    let ecost = ecost_from_distances(set_ids, &dists);
     let cost_distances = CostDistances::new(set, dists);
     report.distance_evals.cost = counter.since(evals_before);
     report.timings.cost = t.elapsed();
@@ -276,9 +287,8 @@ fn warm_attempt(
     // passes count.
     if config.computes_lower_bound() {
         let t = Instant::now();
-        let certain_half = crate::bounds::certain_half_store(&store, &rep_ids, k, exec);
-        let (bound, evals) =
-            crate::bounds::per_point_store(&store, &set_ids, &store, &rep_ids, certain_half);
+        let certain_half = crate::bounds::certain_half_store(store, rep_ids, k, exec);
+        let (bound, evals) = crate::bounds::per_point_store(layout, certain_half);
         report.lower_bound = Some(bound);
         report.timings.lower_bound = t.elapsed();
         report.distance_evals.lower_bound = evals;
@@ -392,9 +402,14 @@ fn solve_loo_store(
     let set = problem.set();
     let n = set.n();
     let k = problem.k();
-    // The expected points, recomputed from the set as the base solve
-    // computed them.
-    let (store, set_ids, rep_ids) = solve_store(set, config.rule(), 0);
+    // The expected points: the layout the base solve read.
+    let Layout {
+        store,
+        set_ids,
+        rep_ids,
+    } = problem
+        .layout(config.rule())
+        .expect("warm_supported admits only Euclidean problems");
 
     // Rows that could have been chosen as centers. Coordinate-duplicate
     // rows are conservatively included: re-solving one costs a little,
@@ -417,7 +432,7 @@ fn solve_loo_store(
 
     let shared_counter = DistCounter::new();
     let exec = Exec::auto(config.resolved_threads());
-    let oracle = StoreOracle::new(&store, config.kernel())
+    let oracle = StoreOracle::new(store, config.kernel())
         .with_counter(&shared_counter)
         .with_exec(exec);
 
@@ -425,7 +440,7 @@ fn solve_loo_store(
     // nearest base center, feeding each variant's radius via running
     // prefix/suffix maxima.
     let mut mindist = vec![f64::INFINITY; n];
-    oracle.dists_to_centers_min(&rep_ids, &center_ids, None, &mut mindist);
+    oracle.dists_to_centers_min(rep_ids, &center_ids, None, &mut mindist);
     let mut prefix_max = vec![0.0f64; n + 1];
     for i in 0..n {
         prefix_max[i + 1] = prefix_max[i].max(mindist[i]);
@@ -469,7 +484,7 @@ fn solve_loo_store(
         1,
         |i, slot| {
             slot[0] = Some(if is_center[i] {
-                resolve_center_variant(&store, &set_ids, &rep_ids, k, i)
+                resolve_center_variant(store, set_ids, rep_ids, k, i)
             } else {
                 let reduced = (0..n - 1).map(|j| per_point[j + usize::from(j >= i)]);
                 LooVariant {

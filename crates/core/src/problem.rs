@@ -25,7 +25,7 @@
 //! assert!(solution.ecost >= solution.report.lower_bound.unwrap() - 1e-9);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::assignments::{assign_ed, assign_oc, AssignmentRule};
@@ -49,29 +49,134 @@ use ukc_uncertain::{
 /// [`SolveError::CoordinatesTooLarge`]).
 pub const MAX_NORM_SQ: f64 = 1.0715086071862673e301;
 
-/// The solve behind a problem's space, over its set and `k`.
+/// The solve behind a problem's space, over its set, its prepared
+/// layouts and `k`.
 type SolveFn<P> =
-    fn(&Arc<UncertainSet<P>>, usize, &SolverConfig) -> Result<Solution<P>, SolveError>;
+    fn(&Arc<UncertainSet<P>>, &Prepared, usize, &SolverConfig) -> Result<Solution<P>, SolveError>;
 
 enum Space<P> {
     /// `ℝ^d` under the Euclidean metric. The variant holds the
-    /// `Point`-only solve, so only [`Problem::euclidean`] can build it.
-    Euclidean(SolveFn<P>),
+    /// `Point`-only solve, so only [`Problem::euclidean`] can build it,
+    /// and the layouts its solves share.
+    Euclidean {
+        solve: SolveFn<P>,
+        prepared: Arc<Prepared>,
+    },
     Discrete {
         metric: Arc<dyn Metric<P> + Send + Sync>,
         pool: Arc<[P]>,
     },
 }
 
+impl<P> Space<P> {
+    /// This space over another set: the solve, metric and pool are
+    /// shared, but no layout, since a layout describes the set it was
+    /// built from.
+    fn for_new_set(&self) -> Self {
+        match self {
+            Space::Euclidean { solve, .. } => Space::Euclidean {
+                solve: *solve,
+                prepared: Arc::default(),
+            },
+            discrete => discrete.clone(),
+        }
+    }
+}
+
 impl<P> Clone for Space<P> {
     fn clone(&self) -> Self {
         match self {
-            Space::Euclidean(solve) => Space::Euclidean(*solve),
+            Space::Euclidean { solve, prepared } => Space::Euclidean {
+                solve: *solve,
+                prepared: Arc::clone(prepared),
+            },
             Space::Discrete { metric, pool } => Space::Discrete {
                 metric: Arc::clone(metric),
                 pool: Arc::clone(pool),
             },
         }
+    }
+}
+
+/// The solve-ready store of a Euclidean set under one representative
+/// rule, in id order: every realization coordinate (point-major,
+/// support order), then one representative per point (`P̄ᵢ` for ED/EP,
+/// `P̃ᵢ` for OC). An id's range names the point it came from, and the
+/// representatives live only here.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// The coordinate rows.
+    pub(crate) store: PointStore,
+    /// The set's id-space mirror: each point's location rows and
+    /// probabilities.
+    pub(crate) set_ids: UncertainSet<PointId>,
+    /// The representatives' ids, one per point.
+    pub(crate) rep_ids: Vec<PointId>,
+}
+
+impl Layout {
+    /// Lays out `set` under `rule`. Coordinate arithmetic only: O(nz)
+    /// for expected points, O(nz·iters) for 1-centers.
+    pub(crate) fn new(set: &UncertainSet<Point>, rule: AssignmentRule) -> Self {
+        let (mut store, set_ids) = set.indexed_store(set.n());
+        let representative = match rule {
+            AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => expected_point,
+            AssignmentRule::OneCenter => one_center_euclidean,
+        };
+        let rep_ids = set
+            .iter()
+            .map(|up| store.push_point(&representative(up)))
+            .collect();
+        Self {
+            store,
+            set_ids,
+            rep_ids,
+        }
+    }
+
+    /// The heap bytes the layout holds: coordinates and norms, the
+    /// mirror's points with their id and probability vectors, and the
+    /// representative ids.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let rows = self.store.len();
+        let locations = self.set_ids.total_locations();
+        rows * (self.store.dim() + 1) * size_of::<f64>()
+            + self.set_ids.n() * size_of::<UncertainPoint<PointId>>()
+            + locations * (size_of::<PointId>() + size_of::<f64>())
+            + self.rep_ids.len() * size_of::<PointId>()
+    }
+}
+
+/// The layouts of one Euclidean problem, built on the first solve that
+/// needs each and shared by every clone and [`Problem::with_k`]
+/// problem: one over expected points (the EP, ED and weighted solves,
+/// and every lower bound) and one over 1-centers (OC).
+#[derive(Debug, Default)]
+pub(crate) struct Prepared {
+    expected: OnceLock<Layout>,
+    one_center: OnceLock<Layout>,
+}
+
+impl Prepared {
+    /// `set`'s layout under `rule`, built by the first caller; concurrent
+    /// callers wait for that one build.
+    fn layout(&self, set: &UncertainSet<Point>, rule: AssignmentRule) -> &Layout {
+        let cell = match rule {
+            AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => &self.expected,
+            AssignmentRule::OneCenter => &self.one_center,
+        };
+        cell.get_or_init(|| Layout::new(set, rule))
+    }
+
+    /// The built layouts and their bytes.
+    fn built(&self) -> (usize, usize) {
+        [&self.expected, &self.one_center]
+            .iter()
+            .filter_map(|cell| cell.get())
+            .fold((0, 0), |(sets, bytes), layout| {
+                (sets + 1, bytes + layout.bytes())
+            })
     }
 }
 
@@ -87,7 +192,10 @@ impl<P> Clone for Space<P> {
 /// convertible into `Arc<UncertainSet<P>>` (an owned set, or an `Arc` a
 /// serving layer already keeps), and clones of a problem share the set
 /// instead of copying it, so handing a problem to another thread or
-/// queue costs a reference-count bump.
+/// queue costs a reference-count bump. A Euclidean problem also lays out
+/// its set for solving once, on its first solve, and its clones and
+/// [`Problem::with_k`] problems share that layout
+/// ([`Problem::prepared_layouts`]).
 ///
 /// ```
 /// use ukc_core::{Problem, SolveError};
@@ -179,7 +287,7 @@ impl Problem<Point> {
     pub fn instance_digest(&self) -> u64 {
         let pool_digest = match &self.space {
             Space::Discrete { pool, .. } => Some(crate::digest::digest_pool(pool)),
-            Space::Euclidean(_) => None,
+            Space::Euclidean { .. } => None,
         };
         crate::digest::digest_problem(
             self.space_name(),
@@ -207,7 +315,10 @@ impl Problem<Point> {
         Ok(Self {
             set,
             k,
-            space: Space::Euclidean(solve_continuous_store),
+            space: Space::Euclidean {
+                solve: solve_continuous_store,
+                prepared: Arc::default(),
+            },
         })
     }
 
@@ -219,6 +330,26 @@ impl Problem<Point> {
     ) -> Result<Self, SolveError> {
         let set = UncertainSet::try_new(points).ok_or(SolveError::EmptySet)?;
         Self::euclidean(set, k)
+    }
+
+    /// The layout of this problem's set under `rule`, built on first use
+    /// and shared by every clone; `None` off the Euclidean space.
+    pub(crate) fn layout(&self, rule: AssignmentRule) -> Option<&Layout> {
+        match &self.space {
+            Space::Euclidean { prepared, .. } => Some(prepared.layout(&self.set, rule)),
+            Space::Discrete { .. } => None,
+        }
+    }
+
+    /// The solve-ready layouts this problem and the problems it shares
+    /// them with (its clones and [`Problem::with_k`] problems) have built
+    /// so far: how many (at most two, one per representative kind) and
+    /// their heap bytes. A problem builds none before its first solve.
+    pub fn prepared_layouts(&self) -> (usize, usize) {
+        match &self.space {
+            Space::Euclidean { prepared, .. } => prepared.built(),
+            Space::Discrete { .. } => (0, 0),
+        }
     }
 }
 
@@ -257,21 +388,22 @@ impl<P: Clone> Problem<P> {
 
     /// Rebuilds this problem around a different uncertain set, keeping
     /// `k` and the space (metric + candidate pool are shared, not
-    /// cloned). The incremental layer uses this to derive leave-one-out
-    /// variants without re-validating the space.
+    /// cloned) but no prepared layout. The incremental layer uses this to
+    /// derive leave-one-out variants without re-validating the space.
     pub(crate) fn with_set(&self, set: UncertainSet<P>) -> Result<Self, SolveError> {
         validate_k(set.n(), self.k)?;
         Ok(Self {
             set: Arc::new(set),
             k: self.k,
-            space: self.space.clone(),
+            space: self.space.for_new_set(),
         })
     }
 
-    /// This problem with `k` centers instead, sharing the set and the
-    /// space: only `k` is validated, so a serving layer that keeps one
-    /// validated problem per stored instance re-reads no location per
-    /// solve.
+    /// This problem with `k` centers instead, sharing the set, the space
+    /// and the prepared layouts: only `k` is validated, so a serving
+    /// layer that keeps one validated problem per stored instance
+    /// re-reads no location and lays out its store once, whatever `k`
+    /// each solve asks for.
     pub fn with_k(&self, k: usize) -> Result<Self, SolveError> {
         validate_k(self.set.n(), k)?;
         Ok(Self {
@@ -300,7 +432,7 @@ impl<P: Clone> Problem<P> {
     /// `"discrete"`).
     pub fn space_name(&self) -> &'static str {
         match &self.space {
-            Space::Euclidean(_) => "euclidean",
+            Space::Euclidean { .. } => "euclidean",
             Space::Discrete { .. } => "discrete",
         }
     }
@@ -314,7 +446,7 @@ impl<P: Clone> Problem<P> {
         P: Sync,
     {
         match &self.space {
-            Space::Euclidean(solve) => solve(&self.set, self.k, config),
+            Space::Euclidean { solve, prepared } => solve(&self.set, prepared, self.k, config),
             Space::Discrete { metric, pool } => {
                 solve_discrete(&self.set, self.k, metric.as_ref(), pool, config)
             }
@@ -351,9 +483,8 @@ pub struct Solution<P> {
     pub ecost: f64,
     /// The uncertain set this solution solved, shared with its problem
     /// (a reference-count bump, not a copy). A warm start revalidates its
-    /// prefix against it, and a leave-one-out sweep recomputes its
-    /// representatives from it; no per-point representative outlives the
-    /// solve.
+    /// prefix against it. The solution holds no per-point representative:
+    /// those live in the problem's layout.
     pub set: Arc<UncertainSet<P>>,
     /// The certain k-center radius achieved on the representatives (`P̄`
     /// for ED/EP rules, `P̃` for the OC rule).
@@ -432,31 +563,6 @@ impl std::fmt::Debug for CostDistances {
     }
 }
 
-/// Lays out the store of a Euclidean solve, in id order: every
-/// realization coordinate (point-major, support order), then one
-/// representative per point under `rule` (`P̄ᵢ` for ED/EP, `P̃ᵢ` for OC),
-/// with room for `extra_rows` more rows behind them (synthesized or
-/// reused centers). Returns the store, the set's id-space mirror and the
-/// representatives' ids. Cold, warm and leave-one-out solves all build
-/// their store here, so an id's range names the point it came from on
-/// every path; the representatives live only in the store.
-pub(crate) fn solve_store(
-    set: &UncertainSet<Point>,
-    rule: AssignmentRule,
-    extra_rows: usize,
-) -> (PointStore, UncertainSet<PointId>, Vec<PointId>) {
-    let (mut store, set_ids) = set.indexed_store(set.n() + extra_rows);
-    let representative = match rule {
-        AssignmentRule::ExpectedDistance | AssignmentRule::ExpectedPoint => expected_point,
-        AssignmentRule::OneCenter => one_center_euclidean,
-    };
-    let rep_ids = set
-        .iter()
-        .map(|up| store.push_point(&representative(up)))
-        .collect();
-    (store, set_ids, rep_ids)
-}
-
 pub(crate) fn method_string(
     space: &str,
     rule: AssignmentRule,
@@ -471,14 +577,14 @@ pub(crate) fn method_string(
 }
 
 /// The Euclidean pipeline (paper Theorems 2.2 / 2.4 / 2.5) behind
-/// [`Problem::solve`]: one [`PointStore`] per solve ([`solve_store`])
-/// holds every realization coordinate, every representative, and (for
-/// the grid strategy) every synthesized center, in that order, so every
-/// output center is read back from its row; all distance work then runs
-/// through the batched kernels of a [`StoreOracle`], whose multi-center
-/// sweeps run the configured [`crate::SolverConfig::kernel`].
-/// [`Problem::euclidean`] validated the set, so building the store cannot
-/// fail.
+/// [`Problem::solve`]: the problem's [`Layout`] for the rule, built once
+/// and shared by every solve of the set, holds every realization
+/// coordinate and every representative, so every output center is read
+/// back from its row; the grid strategy pushes its synthesized centers
+/// onto a private copy. All distance work then runs through the batched
+/// kernels of a [`StoreOracle`], whose multi-center sweeps run the
+/// configured [`crate::SolverConfig::kernel`]. [`Problem::euclidean`]
+/// validated the set, so building the layout cannot fail.
 ///
 /// Every distance is bit-identical to the pointwise
 /// [`ukc_metric::Euclidean`] metric whichever kernel runs, and the
@@ -494,6 +600,7 @@ pub(crate) fn method_string(
 /// (pinned by `tests/parallel_equivalence.rs`).
 fn solve_continuous_store(
     set: &Arc<UncertainSet<Point>>,
+    prepared: &Prepared,
     k: usize,
     config: &SolverConfig,
 ) -> Result<Solution<Point>, SolveError> {
@@ -529,12 +636,13 @@ fn solve_continuous_store(
         ..Report::default()
     };
 
-    // Step 1: the store — the realization coordinates, then the
-    // representatives, O(nz) (ED/EP) or O(nz·iters) (OC), with room for up
-    // to k synthesized grid centers. Coordinate arithmetic, not metric
-    // evaluations (counted as zero).
+    // Step 1: the layout — the realization coordinates, then the
+    // representatives, O(nz) (ED/EP) or O(nz·iters) (OC) on the first
+    // solve of the set and a lookup on every later one. Coordinate
+    // arithmetic, not metric evaluations (counted as zero).
     let t = Instant::now();
-    let (mut store, set_ids, rep_ids) = solve_store(set, rule, k);
+    let layout = prepared.layout(set, rule);
+    let (set_ids, rep_ids) = (&layout.set_ids, &layout.rep_ids);
     report.timings.representatives = t.elapsed();
     report.distance_evals.representatives = counter.count();
 
@@ -550,31 +658,41 @@ fn solve_continuous_store(
     let evals_before = counter.count();
     let t = Instant::now();
     // The certified grid solver synthesizes new center locations, pushed
-    // before the store freezes; its internal work bypasses the oracle (and
-    // the counters).
-    let grid = match config.strategy() {
+    // onto a private copy of the layout's store, so the shared layout
+    // never grows; its internal work bypasses the oracle (and the
+    // counters).
+    let grid_store;
+    let (store, grid) = match config.strategy() {
         CertainStrategy::Grid => {
-            let reps: Vec<Point> = rep_ids.iter().map(|&id| store.point(id)).collect();
-            grid_kcenter(&reps, k, config.grid_options(), exec).map(|sol| KCenterSolution {
-                centers: sol.centers.iter().map(|c| store.push_point(c)).collect(),
-                center_indices: sol.center_indices,
-                radius: sol.radius,
-            })
+            let reps: Vec<Point> = rep_ids.iter().map(|&id| layout.store.point(id)).collect();
+            match grid_kcenter(&reps, k, config.grid_options(), exec) {
+                Some(sol) => {
+                    let mut copy = layout.store.clone();
+                    let centers = sol.centers.iter().map(|c| copy.push_point(c)).collect();
+                    grid_store = copy;
+                    let sol = KCenterSolution {
+                        centers,
+                        center_indices: sol.center_indices,
+                        radius: sol.radius,
+                    };
+                    (&grid_store, Some(sol))
+                }
+                None => (&layout.store, None),
+            }
         }
-        _ => None,
+        _ => (&layout.store, None),
     };
-    // The store is frozen from here on; one pooled oracle serves every
-    // later stage.
-    let oracle = StoreOracle::new(&store, kernel)
+    // One pooled oracle serves every later stage.
+    let oracle = StoreOracle::new(store, kernel)
         .with_counter(&counter)
         .with_exec(exec);
     let certain: KCenterSolution<PointId> = match config.strategy() {
         CertainStrategy::Gonzalez if weighted => {
-            let spreads = expected_spreads_exec(&set_ids, &rep_ids, &oracle, exec);
-            let idx = gonzalez_indices(&rep_ids, Some(&spreads), k, &oracle, 0);
+            let spreads = expected_spreads_exec(set_ids, rep_ids, &oracle, exec);
+            let idx = gonzalez_indices(rep_ids, Some(&spreads), k, &oracle, 0);
             let centers: Vec<PointId> = idx.iter().map(|&i| rep_ids[i]).collect();
             let weights: Vec<f64> = idx.iter().map(|&i| spreads[i]).collect();
-            let radius = kcenter_cost(&rep_ids, &centers, Some(&weights), &oracle);
+            let radius = kcenter_cost(rep_ids, &centers, Some(&weights), &oracle);
             center_weights = Some(weights);
             KCenterSolution {
                 centers,
@@ -583,7 +701,7 @@ fn solve_continuous_store(
             }
         }
         CertainStrategy::Gonzalez if rule == AssignmentRule::ExpectedPoint => {
-            let (idx, nearest) = gonzalez_nearest(&rep_ids, k, &oracle, 0);
+            let (idx, nearest) = gonzalez_nearest(rep_ids, k, &oracle, 0);
             let radius = cover_radius(&nearest);
             ep_nearest = Some(nearest);
             KCenterSolution {
@@ -592,23 +710,23 @@ fn solve_continuous_store(
                 radius,
             }
         }
-        CertainStrategy::Gonzalez => gonzalez(&rep_ids, k, &oracle, 0),
+        CertainStrategy::Gonzalez => gonzalez(rep_ids, k, &oracle, 0),
         CertainStrategy::GonzalezLocalSearch { rounds } => {
-            let gz = gonzalez(&rep_ids, k, &oracle, 0);
-            local_search_kcenter(&rep_ids, &rep_ids, &gz.center_indices, &oracle, rounds)
+            let gz = gonzalez(rep_ids, k, &oracle, 0);
+            local_search_kcenter(rep_ids, rep_ids, &gz.center_indices, &oracle, rounds)
         }
-        CertainStrategy::Grid => grid.unwrap_or_else(|| gonzalez(&rep_ids, k, &oracle, 0)),
+        CertainStrategy::Grid => grid.unwrap_or_else(|| gonzalez(rep_ids, k, &oracle, 0)),
         CertainStrategy::ExactDiscrete => {
             let pool_storage;
             let pool: &[PointId] = match config.candidate_policy() {
-                CandidatePolicy::ProblemPool => &rep_ids,
+                CandidatePolicy::ProblemPool => rep_ids,
                 CandidatePolicy::LocationPool => {
                     pool_storage = set_ids.location_pool();
                     &pool_storage
                 }
             };
-            exact_discrete_kcenter(&rep_ids, pool, k, &oracle, config.exact_options())
-                .unwrap_or_else(|| gonzalez(&rep_ids, k, &oracle, 0))
+            exact_discrete_kcenter(rep_ids, pool, k, &oracle, config.exact_options())
+                .unwrap_or_else(|| gonzalez(rep_ids, k, &oracle, 0))
         }
     };
     report.timings.certain_solve = t.elapsed();
@@ -621,7 +739,7 @@ fn solve_continuous_store(
     let t = Instant::now();
     let assignment: Vec<usize> = match (rule, ep_nearest) {
         (AssignmentRule::ExpectedDistance, _) => assign_ed(
-            &set_ids,
+            set_ids,
             &certain.centers,
             center_weights.as_deref(),
             &oracle,
@@ -636,7 +754,7 @@ fn solve_continuous_store(
         (_, None) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
             let w = center_weights.as_deref();
-            oracle.nearest_each(&rep_ids, &certain.centers, w, &mut nearest);
+            oracle.nearest_each(rep_ids, &certain.centers, w, &mut nearest);
             nearest.into_iter().map(|(i, _)| i).collect()
         }
     };
@@ -654,39 +772,30 @@ fn solve_continuous_store(
         &oracle,
         exec,
     );
-    let ecost = ecost_from_distances(&set_ids, &dists);
+    let ecost = ecost_from_distances(set_ids, &dists);
     let cost_distances = CostDistances::new(set, dists);
     report.timings.cost = t_cost.elapsed();
     report.distance_evals.cost = counter.since(evals_before_cost);
 
-    // Optional stage 5: the certified Euclidean lower bound. Its certain
-    // half is the plain Gonzalez radius on `P̄`: the certain stage's own
-    // radius when that stage was exactly this sweep, else a rerun through
-    // an uncounted oracle, so the bound is a pure function of
-    // (instance, k) on every path. The count is the per-point half's own
-    // coordinate passes.
+    // Optional stage 5: the certified Euclidean lower bound, over the
+    // expected-point layout (the OC solve's representatives are `P̃`, so
+    // it reads the problem's other layout). Its certain half is the plain
+    // Gonzalez radius on `P̄`: the certain stage's own radius when that
+    // stage was exactly this sweep, else a rerun through an uncounted
+    // oracle, so the bound is a pure function of (instance, k) on every
+    // path. The count is the per-point half's own coordinate passes.
     if config.computes_lower_bound() {
         let t_bound = Instant::now();
         let plain_gonzalez_on_pbar = rule != AssignmentRule::OneCenter
             && config.strategy() == CertainStrategy::Gonzalez
             && !weighted;
-        // The OC representatives are `P̃`, so `P̄` gets its own store.
-        let pbar_storage = (rule == AssignmentRule::OneCenter).then(|| {
-            let pbar = PointStore::from_points(&set.iter().map(expected_point).collect::<Vec<_>>());
-            let ids = pbar.ids();
-            (pbar, ids)
-        });
-        let (pbar_store, pbar_ids) = match &pbar_storage {
-            Some((pbar, ids)) => (pbar, ids.as_slice()),
-            None => (&store, rep_ids.as_slice()),
-        };
+        let pbar = prepared.layout(set, AssignmentRule::ExpectedPoint);
         let certain_half = if plain_gonzalez_on_pbar {
             certain.radius / 2.0
         } else {
-            crate::bounds::certain_half_store(pbar_store, pbar_ids, k, exec)
+            crate::bounds::certain_half_store(&pbar.store, &pbar.rep_ids, k, exec)
         };
-        let (bound, evals) =
-            crate::bounds::per_point_store(&store, &set_ids, pbar_store, pbar_ids, certain_half);
+        let (bound, evals) = crate::bounds::per_point_store(pbar, certain_half);
         report.lower_bound = Some(bound);
         report.timings.lower_bound = t_bound.elapsed();
         report.distance_evals.lower_bound = evals;
@@ -907,5 +1016,64 @@ mod tests {
         // A solution records the set it solved by reference count too.
         let solution = problem.solve(&SolverConfig::default()).unwrap();
         assert!(Arc::ptr_eq(&shared, &solution.set));
+    }
+
+    #[test]
+    fn concurrent_first_solves_build_one_shared_layout() {
+        let set = clustered(9, 400, 3, 4, 5, 10.0, 1.0, ProbModel::Random);
+        let problem = Problem::euclidean(set.clone(), 6).unwrap();
+        let config = SolverConfig::default();
+        let start = std::sync::Barrier::new(4);
+        // Each thread reports the address of the layout its solve read.
+        let results: Vec<(Solution<Point>, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let clone = if i % 2 == 0 {
+                        problem.clone()
+                    } else {
+                        problem.with_k(6).unwrap()
+                    };
+                    let (config, start) = (&config, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let solution = clone.solve(config).unwrap();
+                        let layout = clone.layout(config.rule()).unwrap();
+                        (solution, layout as *const Layout as usize)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fresh = Problem::euclidean(set, 6).unwrap().solve(&config).unwrap();
+        for (solution, layout) in &results {
+            assert_eq!(*layout, results[0].1, "one layout");
+            assert_eq!(solution.assignment, fresh.assignment);
+            assert_eq!(solution.ecost.to_bits(), fresh.ecost.to_bits());
+            assert_eq!(
+                solution.report.lower_bound.map(f64::to_bits),
+                fresh.report.lower_bound.map(f64::to_bits)
+            );
+            let centers = |s: &Solution<Point>| -> Vec<Vec<u64>> {
+                s.centers
+                    .iter()
+                    .map(|c| c.coords().iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(centers(solution), centers(&fresh));
+        }
+        assert_eq!(problem.prepared_layouts().0, 1);
+    }
+
+    #[test]
+    fn a_new_set_starts_without_a_layout() {
+        let problem =
+            Problem::euclidean(clustered(4, 20, 2, 2, 3, 6.0, 1.0, ProbModel::Random), 3).unwrap();
+        problem.solve(&SolverConfig::default()).unwrap();
+        assert_eq!(problem.prepared_layouts().0, 1);
+        let mut points = problem.set().points().to_vec();
+        points.pop();
+        let variant = problem.with_set(UncertainSet::new(points)).unwrap();
+        assert_eq!(variant.prepared_layouts(), (0, 0));
+        assert_eq!(problem.with_k(2).unwrap().prepared_layouts().0, 1);
     }
 }

@@ -56,7 +56,6 @@ use crate::store::{PointId, PointStore};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use ukc_pool::Exec;
 
 /// Rows per parallel chunk. A pure constant — chunk boundaries must
@@ -764,12 +763,19 @@ impl PruneSlack {
 /// whose `min` lies below half the distance between the new center and
 /// its nearest one, less a rounding slack (derived at `PruneSlack`),
 /// provably keeps its `min` and `nearest`, so it is skipped; the
-/// triangle inequality bound of Elkan (ICML 2003). Per [`PAR_CHUNK`]
-/// chunk of rows, one loop tests, evaluates and folds the chunk's
-/// farthest row, and chunks merge in chunk order. Chunks go to the pool
-/// when `exec` is parallel and there are at least [`PAR_MIN_POINTS`]
-/// rows. Every decision is a function of the row's own values, so
-/// results and counts are bit-identical for every [`Exec`].
+/// triangle inequality bound of Elkan (ICML 2003).
+///
+/// The pass tests every row in row order, folding each skipped row
+/// into the farthest-row pick as it goes, and lists the kept rows. It
+/// then evaluates the kept rows: on the pool in [`PAR_CHUNK`] slices of
+/// that list when `exec` is parallel and at least [`PAR_MIN_POINTS`]
+/// rows are kept, else on the calling lane, so a late pass that keeps a
+/// few rows costs no fork-join. Last it updates the kept rows and folds
+/// them in row order. A running minimum is never NaN (it starts at +∞
+/// and only a strictly smaller distance replaces it), so the two folds
+/// merge into the larger `(min, index)`. The kept list is a function of
+/// the rows' own values, so results and counts are bit-identical for
+/// every [`Exec`].
 ///
 /// # Panics
 /// Panics when `centers` or `points` is empty, or `rows` is shorter
@@ -785,7 +791,7 @@ pub fn greedy_pass(
     assert!(!points.is_empty(), "a pass needs a row");
     assert!(rows.len() >= points.len(), "tracked buffer too small");
     let n = points.len();
-    let center = points[newest];
+    let cc = store.coords(points[newest]);
     // Row thresholds by nearest center; a first pass skips nothing (its
     // rows are all `Tracked::START`, nearest 0).
     let half: Vec<f64> = if earlier.is_empty() {
@@ -794,41 +800,55 @@ pub fn greedy_pass(
         let slack = PruneSlack::of(store);
         earlier
             .iter()
-            .map(|&j| slack.half(pair_dist(store, center, points[j])))
+            .map(|&j| slack.half(dist_sq_scalar(cc, store.coords(points[j])).sqrt()))
             .collect()
     };
     let c = earlier.len();
-    let exec = if exec.is_parallel() && n >= PAR_MIN_POINTS {
-        exec
-    } else {
-        Exec::sequential()
-    };
-    let chunks: Vec<Mutex<Option<Pass>>> = (0..n.div_ceil(PAR_CHUNK))
-        .map(|_| Mutex::new(None))
-        .collect();
-    ukc_pool::for_each_slice(exec, &mut rows[..n], PAR_CHUNK, |start, rows| {
-        let points = &points[start..start + rows.len()];
-        let mut pass = pass_chunk(store, points, center, c, &half, rows);
-        pass.farthest.0 += start;
-        *chunks[start / PAR_CHUNK]
-            .lock()
-            .expect("chunk slot poisoned") = Some(pass);
-    });
-    let mut total = Pass {
-        farthest: NO_ROW,
-        computed: c, // the center–center distances
-        pruned: 0,
-    };
-    for chunk in chunks {
-        let pass = chunk
-            .into_inner()
-            .expect("chunk slot poisoned")
-            .expect("every chunk ran");
-        total.farthest = farther(total.farthest, pass.farthest);
-        total.computed += pass.computed;
-        total.pruned += pass.pruned;
+    let rows = &mut rows[..n];
+    // The test, written without a branch on its outcome: every row is
+    // stored, and only a kept row advances the list.
+    let mut skipped_far = NO_ROW;
+    let mut kept = vec![0usize; n];
+    let mut len = 0;
+    for (i, r) in rows.iter().enumerate() {
+        let keep = not_below(r.min, half[r.nearest]);
+        kept[len] = i;
+        len += usize::from(keep);
+        if !keep && not_below(r.min, skipped_far.1) {
+            skipped_far = (i, r.min);
+        }
     }
-    total
+    kept.truncate(len);
+    // Four kept rows at a time, their sums interleaved: each distance is
+    // still `dist_sq_scalar`'s sequence of operations.
+    let mut dists = vec![0.0; len];
+    let row = |i: usize| store.coords(points[i]);
+    for_rows(exec, &mut dists, |start, out| {
+        let kept = &kept[start..start + out.len()];
+        let quads = out.len() / tile::TILE_POINTS * tile::TILE_POINTS;
+        for q in (0..quads).step_by(tile::TILE_POINTS) {
+            let rows = std::array::from_fn(|p| row(kept[q + p]));
+            out[q..q + tile::TILE_POINTS]
+                .copy_from_slice(&scalar_dists_x4(rows, [cc; tile::TILE_POINTS]));
+        }
+        for (d, &i) in out[quads..].iter_mut().zip(&kept[quads..]) {
+            *d = dist_sq_scalar(row(i), cc).sqrt();
+        }
+    });
+    let mut kept_far = NO_ROW;
+    for (&i, &d) in kept.iter().zip(&dists) {
+        let r = &mut rows[i];
+        r.update(d, c);
+        if not_below(r.min, kept_far.1) {
+            kept_far = (i, r.min);
+        }
+    }
+    Pass {
+        farthest: farther(skipped_far, kept_far),
+        // The kept rows, plus the center–center distances.
+        computed: len + c,
+        pruned: n - len,
+    }
 }
 
 /// The farthest-row fold's start: any row replaces it.
@@ -845,42 +865,11 @@ fn farther(a: (usize, f64), b: (usize, f64)) -> (usize, f64) {
 }
 
 /// `!(x < best)`: a fold that replaces on it keeps the last of equal
-/// values and takes a NaN, as `Iterator::max_by` over `partial_cmp` does.
+/// values, as `Iterator::max_by` over `partial_cmp` does.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline(always)]
 fn not_below(x: f64, best: f64) -> bool {
     !(x < best)
-}
-
-/// One [`PAR_CHUNK`] chunk of [`greedy_pass`], with chunk-local
-/// indices: one loop in row order tests each row, evaluates the kept
-/// ones and folds the farthest row, replacing on "not smaller" so the
-/// last of equal rows wins, as `max_by` does.
-fn pass_chunk(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    c: usize,
-    half: &[f64],
-    rows: &mut [Tracked],
-) -> Pass {
-    let mut far = NO_ROW;
-    let mut kept = 0;
-    let cc = store.coords(center);
-    for (i, r) in rows.iter_mut().enumerate() {
-        if not_below(r.min, half[r.nearest]) {
-            kept += 1;
-            r.update(dist_sq_scalar(store.coords(points[i]), cc).sqrt(), c);
-        }
-        if not_below(r.min, far.1) {
-            far = (i, r.min);
-        }
-    }
-    Pass {
-        farthest: far,
-        computed: kept,
-        pruned: rows.len() - kept,
-    }
 }
 
 /// A single-center sweep: every row's state in `out` takes

@@ -358,15 +358,18 @@ impl Metrics {
     }
 
     /// The `/metrics` document body (cache size/capacity, instance and
-    /// stream counts, the shared worker pool's occupancy, and — when the
-    /// server runs with `--data-dir` — the durability gauges are owned
+    /// stream counts, the stored instances' prepared layouts as
+    /// `(layouts, bytes)`, the shared worker pool's occupancy, and — when
+    /// the server runs with `--data-dir` — the durability gauges are owned
     /// elsewhere and passed in; `durability: None` omits the section, so
     /// in-memory servers emit exactly the historical document).
+    #[allow(clippy::too_many_arguments)]
     pub fn to_json(
         &self,
         cache_len: usize,
         cache_cap: usize,
         instances: usize,
+        prepared: (usize, usize),
         streams: usize,
         pool: PoolStats,
         durability: Option<Json>,
@@ -510,6 +513,13 @@ impl Metrics {
                 ]),
             ),
             ("instances", Json::from(instances)),
+            (
+                "prepared",
+                Json::obj([
+                    ("sets", Json::from(prepared.0)),
+                    ("bytes", Json::from(prepared.1 as f64)),
+                ]),
+            ),
             ("streams", Json::from(streams)),
         ]);
         if let (Json::Obj(pairs), Some(d)) = (&mut doc, durability) {
@@ -537,6 +547,7 @@ mod tests {
             2,
             64,
             5,
+            (2, 4096),
             1,
             PoolStats {
                 workers: 3,
@@ -558,6 +569,9 @@ mod tests {
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.75));
         assert_eq!(cache.get("capacity").and_then(Json::as_f64), Some(64.0));
         assert_eq!(doc.get("instances").and_then(Json::as_f64), Some(5.0));
+        let prepared = doc.get("prepared").unwrap();
+        assert_eq!(prepared.get("sets").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(prepared.get("bytes").and_then(Json::as_f64), Some(4096.0));
         assert_eq!(doc.get("streams").and_then(Json::as_f64), Some(1.0));
         let pool = doc.get("pool").unwrap();
         assert_eq!(pool.get("workers").and_then(Json::as_f64), Some(3.0));
@@ -597,7 +611,7 @@ mod tests {
         m.wave_started(&[ms(2); 5]);
         m.wave_finished();
         assert_eq!((m.waves_in_flight(), m.waves_in_flight_max()), (0, 2));
-        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
         let sched = doc.get("scheduler").unwrap();
         let num = |path: &[&str]| {
             path.iter()
@@ -635,6 +649,7 @@ mod tests {
             0,
             0,
             0,
+            (0, 0),
             0,
             PoolStats::default(),
             Some(Json::obj([("wal_bytes", Json::from(128.0))])),
@@ -646,7 +661,7 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(128.0)
         );
-        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
         let solves = doc.get("solves").unwrap();
         assert_eq!(solves.get("ok").and_then(Json::as_f64), Some(2.0));
         assert_eq!(solves.get("errors").and_then(Json::as_f64), Some(1.0));
@@ -685,7 +700,7 @@ mod tests {
         add(&m.ingest_accepted, 5);
         add(&m.ingest_rejected, 2);
         add(&m.stale_served, 3);
-        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
         let ingest = doc.get("ingest").unwrap();
         assert_eq!(ingest.get("accepted").and_then(Json::as_f64), Some(5.0));
         assert_eq!(ingest.get("rejected").and_then(Json::as_f64), Some(2.0));
@@ -715,7 +730,7 @@ mod tests {
         m.record_solve(&warm_report, Kernel::Tiled, AssignmentMode::Plain);
         m.record_solve(&fell_back, Kernel::Tiled, AssignmentMode::Plain);
         m.record_solve(&Report::default(), Kernel::Tiled, AssignmentMode::Plain); // cold
-        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
         let solves = doc.get("solves").unwrap();
         let warm = solves.get("warm").unwrap();
         assert_eq!(warm.get("count").and_then(Json::as_f64), Some(2.0));
@@ -730,7 +745,7 @@ mod tests {
         assert_eq!(tiled.get("count").and_then(Json::as_f64), Some(3.0));
         // The new route label has its counter slot.
         m.record_request(Route::InstanceSolveLoo);
-        let doc = m.to_json(0, 0, 0, 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
         assert_eq!(
             doc.get("requests")
                 .and_then(|r| r.get("instances_solve_loo"))

@@ -713,6 +713,7 @@ fn handle_metrics(state: &AppState) -> Handled {
             cache_len,
             state.cache_cap,
             state.store.len(),
+            state.store.prepared_layouts(),
             state.streams.len(),
             ukc_pool::global().stats(),
             durability,

@@ -48,6 +48,16 @@ impl StoredInstance {
             .with_k(k)
     }
 
+    /// The solve-ready layouts this instance's problem has built (at most
+    /// two, none before its first solve) and their heap bytes; every
+    /// `with_k` problem it hands out shares them.
+    pub fn prepared_layouts(&self) -> (usize, usize) {
+        match self.validated.get() {
+            Some(Ok(problem)) => problem.prepared_layouts(),
+            _ => (0, 0),
+        }
+    }
+
     /// Summary used by list/get/upload responses.
     pub fn summary(&self) -> ukc_json::Json {
         ukc_json::Json::obj([
@@ -122,6 +132,15 @@ impl InstanceStore {
             .collect();
         all.sort_by(|a, b| a.id.cmp(&b.id));
         all
+    }
+
+    /// The prepared layouts of every stored instance, summed: how many,
+    /// and their heap bytes.
+    pub fn prepared_layouts(&self) -> (usize, usize) {
+        let map = self.map.read().expect("instance store lock poisoned");
+        map.values()
+            .map(|stored| stored.prepared_layouts())
+            .fold((0, 0), |(sets, bytes), (s, b)| (sets + s, bytes + b))
     }
 
     /// Number of stored instances.

@@ -609,6 +609,32 @@ fn deleted_or_evicted_entries_miss_then_answer_the_same_bytes() {
     handle.shutdown();
 }
 
+/// `/metrics` `prepared` sums the stored instances' solve-ready layouts:
+/// none at upload, one built by the first solve and shared by a solve at
+/// another `k`, and none once the instance is deleted.
+#[test]
+fn prepared_layouts_are_built_once_per_stored_instance_and_go_with_it() {
+    let (handle, addr) = start(ServerConfig::default());
+    let id = upload(addr, 36);
+    assert_eq!(metric(addr, &["prepared", "sets"]), 0.0);
+    assert_eq!(metric(addr, &["prepared", "bytes"]), 0.0);
+
+    let path = format!("/instances/{id}/solve");
+    assert_eq!(post(addr, &path, r#"{"k": 3}"#).status, 200);
+    let bytes = metric(addr, &["prepared", "bytes"]);
+    assert!(bytes > 0.0);
+    assert_eq!(metric(addr, &["prepared", "sets"]), 1.0);
+    assert_eq!(post(addr, &path, r#"{"k": 5}"#).status, 200);
+    assert_eq!(metric(addr, &["prepared", "bytes"]), bytes);
+    assert_eq!(metric(addr, &["prepared", "sets"]), 1.0);
+
+    let deleted = client::request(addr, "DELETE", &format!("/instances/{id}"), None).unwrap();
+    assert_eq!(deleted.status, 200);
+    assert_eq!(metric(addr, &["prepared", "sets"]), 0.0);
+    assert_eq!(metric(addr, &["prepared", "bytes"]), 0.0);
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_solves_are_bit_identical_to_sequential() {
     let (handle, addr) = start(ServerConfig {
