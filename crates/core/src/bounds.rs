@@ -56,7 +56,7 @@
 
 use ukc_kcenter::gonzalez;
 use ukc_metric::batch::dist_sq_scalar;
-use ukc_metric::{DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle};
+use ukc_metric::{DistanceOracle, Metric, Point};
 use ukc_pool::Exec;
 use ukc_uncertain::{one_center_discrete, UncertainSet};
 
@@ -97,24 +97,8 @@ pub fn lower_bound_one_center<P, M: Metric<P>>(set: &UncertainSet<P>, metric: &M
 /// Panics when locations have mismatched dimensions.
 pub fn lower_bound_euclidean(set: &UncertainSet<Point>, k: usize) -> f64 {
     let layout = Layout::new(set, crate::AssignmentRule::ExpectedPoint);
-    let certain = certain_half_store(&layout.store, &layout.rep_ids, k, Exec::sequential());
+    let certain = layout.certain_half(k, Exec::sequential());
     per_point_store(&layout, certain).0
-}
-
-/// The certain half `gonzalez_radius(P̄)/2` of the Euclidean bound over
-/// store rows, run through an uncounted oracle: the same passes (and so
-/// the same bits) as a plain Gonzalez certain stage on `P̄`.
-pub(crate) fn certain_half_store(
-    store: &PointStore,
-    pbar: &[PointId],
-    k: usize,
-    exec: Exec<'_>,
-) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let oracle = StoreOracle::new(store, Kernel::Scalar).with_exec(exec);
-    gonzalez(pbar, k, &oracle, 0).radius / 2.0
 }
 
 /// The per-point half of the Euclidean bound over an expected-point
@@ -420,7 +404,7 @@ pub fn lower_bound_metric<P: Clone, M: DistanceOracle<P>>(
 mod tests {
     use super::*;
     use crate::{AssignmentRule, Problem, Solution, SolverConfig};
-    use ukc_metric::{Euclidean, FiniteMetric};
+    use ukc_metric::{Euclidean, FiniteMetric, Kernel};
     use ukc_uncertain::generators::{clustered, on_finite_metric, uniform_box, ProbModel};
     use ukc_uncertain::{expected_point, UncertainSet};
 

@@ -198,6 +198,7 @@ fn warm_attempt(
         store,
         set_ids,
         rep_ids,
+        ..
     } = layout;
     // The separation certificate needs the prior centers to *be*
     // representatives of the current instance (true of every Gonzalez
@@ -281,13 +282,14 @@ fn warm_attempt(
     report.timings.cost = t.elapsed();
 
     // The certified bound, computed exactly as a cold EP/Gonzalez solve
-    // does: the certain half reruns that solve's Gonzalez on `P̄`, so warm
-    // and cold bounds are bit-identical. The rerun is uncounted, like the
+    // does: the certain half is that solve's Gonzalez radius on `P̄`, read
+    // off the layout's traversal, so warm and cold bounds are
+    // bit-identical. The passes it runs, if any, are uncounted, like the
     // cold solve's reuse of its certain stage; only the per-point half's
     // passes count.
     if config.computes_lower_bound() {
         let t = Instant::now();
-        let certain_half = crate::bounds::certain_half_store(store, rep_ids, k, exec);
+        let certain_half = layout.certain_half(k, exec);
         let (bound, evals) = crate::bounds::per_point_store(layout, certain_half);
         report.lower_bound = Some(bound);
         report.timings.lower_bound = t.elapsed();
@@ -407,6 +409,7 @@ fn solve_loo_store(
         store,
         set_ids,
         rep_ids,
+        ..
     } = problem
         .layout(config.rule())
         .expect("warm_supported admits only Euclidean problems");

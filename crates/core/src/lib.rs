@@ -79,6 +79,7 @@ pub mod incremental;
 pub mod one_center;
 pub mod problem;
 pub mod report;
+mod traversal;
 
 pub use assignments::{assign_ed, assign_ep, assign_oc, AssignmentRule};
 pub use bounds::{lower_bound_euclidean, lower_bound_metric, lower_bound_one_center};

@@ -32,11 +32,14 @@ use crate::assignments::{assign_ed, assign_oc, AssignmentRule};
 use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConfig};
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
+use crate::traversal::{Covered, SharedTraversal};
 use ukc_kcenter::{
-    cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, gonzalez_nearest,
-    grid_kcenter, kcenter_cost, local_search_kcenter, KCenterSolution,
+    cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, grid_kcenter, kcenter_cost,
+    local_search_kcenter, KCenterSolution,
 };
-use ukc_metric::{DistCounter, DistanceOracle, Metric, Point, PointId, PointStore, StoreOracle};
+use ukc_metric::{
+    DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
+};
 use ukc_pool::Exec;
 use ukc_uncertain::{
     assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_point,
@@ -102,7 +105,9 @@ impl<P> Clone for Space<P> {
 /// rule, in id order: every realization coordinate (point-major,
 /// support order), then one representative per point (`P̄ᵢ` for ED/EP,
 /// `P̃ᵢ` for OC). An id's range names the point it came from, and the
-/// representatives live only here.
+/// representatives live only here. The layout also keeps Gonzalez's
+/// farthest-first traversal of the representatives, extended by the
+/// solves that read it ([`Layout::gonzalez`]).
 #[derive(Debug)]
 pub(crate) struct Layout {
     /// The coordinate rows.
@@ -112,11 +117,16 @@ pub(crate) struct Layout {
     pub(crate) set_ids: UncertainSet<PointId>,
     /// The representatives' ids, one per point.
     pub(crate) rep_ids: Vec<PointId>,
+    /// The greedy's traversal of `rep_ids` from row 0; its published
+    /// form holds at most the bytes of the three fields above
+    /// ([`Layout::bytes`]).
+    traversal: SharedTraversal,
 }
 
 impl Layout {
     /// Lays out `set` under `rule`. Coordinate arithmetic only: O(nz)
-    /// for expected points, O(nz·iters) for 1-centers.
+    /// for expected points, O(nz·iters) for 1-centers. The traversal
+    /// starts empty.
     pub(crate) fn new(set: &UncertainSet<Point>, rule: AssignmentRule) -> Self {
         let (mut store, set_ids) = set.indexed_store(set.n());
         let representative = match rule {
@@ -128,6 +138,7 @@ impl Layout {
             .map(|up| store.push_point(&representative(up)))
             .collect();
         Self {
+            traversal: SharedTraversal::new(set.n()),
             store,
             set_ids,
             rep_ids,
@@ -136,7 +147,8 @@ impl Layout {
 
     /// The heap bytes the layout holds: coordinates and norms, the
     /// mirror's points with their id and probability vectors, and the
-    /// representative ids.
+    /// representative ids. Its traversal, left out, publishes at most as
+    /// many again.
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         let rows = self.store.len();
@@ -145,6 +157,55 @@ impl Layout {
             + self.set_ids.n() * size_of::<UncertainPoint<PointId>>()
             + locations * (size_of::<PointId>() + size_of::<f64>())
             + self.rep_ids.len() * size_of::<PointId>()
+    }
+
+    /// Gonzalez's greedy on the representatives from row 0 — what
+    /// [`gonzalez`] gives, bit for bit — read off the layout's
+    /// traversal. Only the passes past the traversal's end run, through
+    /// `oracle` (over this layout's rows); a `k` an earlier solve covered
+    /// runs none. `oracle`'s counter also takes the pairs of the passes
+    /// read rather than run, so it counts what a fresh greedy counts.
+    pub(crate) fn gonzalez(&self, k: usize, oracle: &StoreOracle<'_>) -> KCenterSolution<PointId> {
+        let covered = self.cover(k, oracle, false);
+        covered.traversal.solution(&self.rep_ids, k)
+    }
+
+    /// [`gonzalez_nearest`](ukc_kcenter::gonzalez_nearest) on the representatives from row 0, read off
+    /// the layout's traversal as [`Layout::gonzalez`] reads it: the
+    /// picks, and every representative's nearest pick and distance.
+    pub(crate) fn gonzalez_nearest(
+        &self,
+        k: usize,
+        oracle: &StoreOracle<'_>,
+    ) -> (Vec<usize>, Vec<(usize, f64)>) {
+        let covered = self.cover(k, oracle, true);
+        let nearest = covered.nearest.expect("a read with rows returns them");
+        (covered.traversal.picks(k).to_vec(), nearest)
+    }
+
+    /// The traversal read behind [`Layout::gonzalez`], crediting the
+    /// read passes' pairs to `oracle`'s counter.
+    fn cover(&self, k: usize, oracle: &StoreOracle<'_>, nearest: bool) -> Covered {
+        let covered = self
+            .traversal
+            .cover(&self.rep_ids, k, oracle, nearest, self.bytes());
+        if let Some(counter) = oracle.counter() {
+            counter.add(covered.read.0);
+            counter.add_pruned(covered.read.1);
+        }
+        covered
+    }
+
+    /// The certain half `gonzalez_radius(P̄)/2` of the Euclidean lower
+    /// bound over an expected-point layout, read off its traversal
+    /// through an uncounted oracle: the radius of the plain Gonzalez
+    /// certain stage on `P̄`, bit for bit.
+    pub(crate) fn certain_half(&self, k: usize, exec: Exec<'_>) -> f64 {
+        if k == 0 {
+            return 0.0;
+        }
+        let oracle = StoreOracle::new(&self.store, Kernel::Scalar).with_exec(exec);
+        self.cover(k, &oracle, false).traversal.radius(k) / 2.0
     }
 }
 
@@ -701,7 +762,7 @@ fn solve_continuous_store(
             }
         }
         CertainStrategy::Gonzalez if rule == AssignmentRule::ExpectedPoint => {
-            let (idx, nearest) = gonzalez_nearest(rep_ids, k, &oracle, 0);
+            let (idx, nearest) = layout.gonzalez_nearest(k, &oracle);
             let radius = cover_radius(&nearest);
             ep_nearest = Some(nearest);
             KCenterSolution {
@@ -710,12 +771,12 @@ fn solve_continuous_store(
                 radius,
             }
         }
-        CertainStrategy::Gonzalez => gonzalez(rep_ids, k, &oracle, 0),
+        CertainStrategy::Gonzalez => layout.gonzalez(k, &oracle),
         CertainStrategy::GonzalezLocalSearch { rounds } => {
-            let gz = gonzalez(rep_ids, k, &oracle, 0);
+            let gz = layout.gonzalez(k, &oracle);
             local_search_kcenter(rep_ids, rep_ids, &gz.center_indices, &oracle, rounds)
         }
-        CertainStrategy::Grid => grid.unwrap_or_else(|| gonzalez(rep_ids, k, &oracle, 0)),
+        CertainStrategy::Grid => grid.unwrap_or_else(|| layout.gonzalez(k, &oracle)),
         CertainStrategy::ExactDiscrete => {
             let pool_storage;
             let pool: &[PointId] = match config.candidate_policy() {
@@ -726,7 +787,7 @@ fn solve_continuous_store(
                 }
             };
             exact_discrete_kcenter(rep_ids, pool, k, &oracle, config.exact_options())
-                .unwrap_or_else(|| gonzalez(rep_ids, k, &oracle, 0))
+                .unwrap_or_else(|| layout.gonzalez(k, &oracle))
         }
     };
     report.timings.certain_solve = t.elapsed();
@@ -781,9 +842,10 @@ fn solve_continuous_store(
     // expected-point layout (the OC solve's representatives are `P̃`, so
     // it reads the problem's other layout). Its certain half is the plain
     // Gonzalez radius on `P̄`: the certain stage's own radius when that
-    // stage was exactly this sweep, else a rerun through an uncounted
-    // oracle, so the bound is a pure function of (instance, k) on every
-    // path. The count is the per-point half's own coordinate passes.
+    // stage was exactly this sweep, else a read of that layout's
+    // traversal through an uncounted oracle, so the bound is a pure
+    // function of (instance, k) on every path. The count is the
+    // per-point half's own coordinate passes.
     if config.computes_lower_bound() {
         let t_bound = Instant::now();
         let plain_gonzalez_on_pbar = rule != AssignmentRule::OneCenter
@@ -793,7 +855,7 @@ fn solve_continuous_store(
         let certain_half = if plain_gonzalez_on_pbar {
             certain.radius / 2.0
         } else {
-            crate::bounds::certain_half_store(&pbar.store, &pbar.rep_ids, k, exec)
+            pbar.certain_half(k, exec)
         };
         let (bound, evals) = crate::bounds::per_point_store(pbar, certain_half);
         report.lower_bound = Some(bound);

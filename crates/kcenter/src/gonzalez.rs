@@ -6,7 +6,7 @@
 //! the paper's (1+ε)-parameterized theorems into the concrete factor-6 and
 //! factor-4 table rows.
 
-use ukc_metric::{DistanceOracle, Tracked};
+use ukc_metric::{DistanceOracle, PassBuffers, Tracked};
 
 /// A k-center solution over an explicit point slice.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,13 +80,276 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
     centers
 }
 
+/// Gonzalez's farthest-first traversal of a point slice: the greedy's
+/// picks in order from `start`, each pass's covering radius and pair
+/// counts, and the farthest row after the last pass — the next pick.
+/// The picks do not depend on `k`: the greedy's centers for `k` are the
+/// first `k` picks of any longer traversal (Gonzalez, TCS 1985; Dasgupta
+/// & Long, JCSS 2005, read every `k`'s 2-approximation off one
+/// traversal). So a traversal extended once to the largest `k` asked for
+/// answers every smaller `k` with no distance evaluation
+/// ([`Traversal::picks`], [`Traversal::radius`], [`Traversal::pairs`]).
+///
+/// The passes run on a [`TraversalRows`] walker, which holds every
+/// row's nearest pick and distance ([`DistanceOracle::greedy_pass`]).
+/// A *logged* traversal ([`Traversal::logged`]) also records each
+/// pass's row updates — the row and its new distance; the nearest pick
+/// is the pass's own index — so [`Traversal::replay`] rebuilds the rows
+/// after any prefix of its passes in `O(n + updates)`, bit for bit what
+/// those passes left. [`gonzalez_nearest`] and [`gonzalez`] are reads
+/// of an unlogged traversal, extended once.
+#[derive(Clone, Debug)]
+pub struct Traversal {
+    n: usize,
+    order: Vec<usize>,
+    /// The covering radius of `order[..=j]`: the farthest row's distance
+    /// after pass `j`.
+    radii: Vec<f64>,
+    /// The pairs passes `0..=j` evaluated and skipped, summed.
+    pairs: Vec<(u64, u64)>,
+    /// The next pick: `start` before the first pass, then the farthest
+    /// row after the last one, ties toward the larger index.
+    next: usize,
+    log: Option<UpdateLog>,
+}
+
+/// Each pass's row updates, pass after pass: the `j`-th range of `rows`
+/// and `mins` holds the rows pass `j` updated and their new distances;
+/// their nearest pick is `j`.
+#[derive(Clone, Debug, Default)]
+struct UpdateLog {
+    /// The end of each pass's range.
+    ends: Vec<usize>,
+    rows: Vec<u32>,
+    mins: Vec<f64>,
+}
+
+/// Every row's nearest pick (as a pass index) and its distance after
+/// some number of a traversal's passes, with the buffers the passes
+/// reuse ([`PassBuffers`]).
+#[derive(Clone, Debug)]
+pub struct TraversalRows {
+    rows: Vec<Tracked>,
+    passes: usize,
+    buffers: PassBuffers,
+}
+
+impl TraversalRows {
+    /// `n` rows no pass has touched.
+    pub fn new(n: usize) -> Self {
+        Self {
+            rows: vec![Tracked::START; n],
+            passes: 0,
+            buffers: PassBuffers::default(),
+        }
+    }
+
+    /// Every row's nearest pick, as an index into the picks, and its
+    /// distance: what [`DistanceOracle::nearest_each`] over those picks
+    /// gives each row.
+    pub fn nearest(&self) -> Vec<(usize, f64)> {
+        self.rows.iter().map(|r| (r.nearest, r.min)).collect()
+    }
+}
+
+impl Traversal {
+    /// A traversal of `n` points from `start` that has run no pass yet
+    /// and records none of its updates.
+    ///
+    /// # Panics
+    /// Panics if `start >= n`.
+    pub fn new(n: usize, start: usize) -> Self {
+        assert!(start < n, "start index out of range");
+        Self {
+            n,
+            order: Vec::new(),
+            radii: Vec::new(),
+            pairs: Vec::new(),
+            next: start,
+            log: None,
+        }
+    }
+
+    /// [`Traversal::new`] that records each pass's row updates, so any
+    /// prefix of its passes can be replayed.
+    ///
+    /// # Panics
+    /// Panics if `start >= n`, or `n` exceeds `u32::MAX`.
+    pub fn logged(n: usize, start: usize) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a logged traversal indexes rows by u32"
+        );
+        Self {
+            log: Some(UpdateLog::default()),
+            ..Self::new(n, start)
+        }
+    }
+
+    /// This traversal's picks and radii without its log: what a reader
+    /// that only needs picks and radii keeps.
+    pub fn unlogged(&self) -> Self {
+        Self {
+            log: None,
+            order: self.order.clone(),
+            radii: self.radii.clone(),
+            pairs: self.pairs.clone(),
+            ..*self
+        }
+    }
+
+    /// The passes run, one per pick.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether no pass has run yet.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// Whether the traversal can pick no further: every row lies on a
+    /// pick (its farthest row is at distance 0), so fewer than `k`
+    /// distinct points answer every larger `k`.
+    pub fn is_complete(&self) -> bool {
+        self.radii.last() == Some(&0.0)
+    }
+
+    /// Whether the traversal answers `k`: it has run `k` passes, or can
+    /// run no more.
+    pub fn covers(&self, k: usize) -> bool {
+        k <= self.len() || self.is_complete()
+    }
+
+    /// The first `k` picks (all of them when the traversal stopped
+    /// early), as indices into the points.
+    pub fn picks(&self, k: usize) -> &[usize] {
+        &self.order[..k.min(self.len())]
+    }
+
+    /// The covering radius `max_i d(pᵢ, C)` of the first `k` picks
+    /// ([`Traversal::picks`]): the farthest row's distance after their
+    /// last pass, the value [`cover_radius`] folds from their rows.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or the traversal is empty.
+    pub fn radius(&self, k: usize) -> f64 {
+        assert!(k > 0, "a radius needs a pick");
+        self.radii[k.min(self.len()) - 1]
+    }
+
+    /// The pairs the first `k` passes (all of them when fewer have run)
+    /// evaluated and skipped: what they added to a counting oracle's
+    /// evaluations and pruned pairs ([`PassBuffers::pairs`]), which a
+    /// fresh run of those passes adds again.
+    pub fn pairs(&self, k: usize) -> (u64, u64) {
+        match k.min(self.len()) {
+            0 => (0, 0),
+            passes => self.pairs[passes - 1],
+        }
+    }
+
+    /// Runs passes until the traversal covers `k` ([`Traversal::covers`]):
+    /// each pass is `metric`'s [`DistanceOracle::greedy_pass`] over
+    /// `points` for the next pick, on `rows`, which must hold this
+    /// traversal's rows after all of its passes. A logged traversal
+    /// records the rows each pass updated, which the pass itself lists.
+    ///
+    /// # Panics
+    /// Panics if `points` or `rows` does not hold one row per point, or
+    /// `rows` has not seen exactly this traversal's passes.
+    pub fn extend<P, M: DistanceOracle<P>>(
+        &mut self,
+        rows: &mut TraversalRows,
+        points: &[P],
+        k: usize,
+        metric: &M,
+    ) {
+        assert_eq!(points.len(), self.n, "one point per traversal row");
+        assert_eq!(rows.rows.len(), self.n, "one tracked row per point");
+        assert_eq!(
+            rows.passes,
+            self.len(),
+            "rows must be at the traversal's end"
+        );
+        while !self.covers(k) {
+            self.order.push(self.next);
+            let (far, d) =
+                metric.greedy_pass(points, &self.order, &mut rows.rows, &mut rows.buffers);
+            rows.passes += 1;
+            self.next = far;
+            self.radii.push(d);
+            let (evaluated, pruned) = rows.buffers.pairs();
+            let (e, p) = self.pairs.last().copied().unwrap_or_default();
+            self.pairs.push((e + evaluated as u64, p + pruned as u64));
+            if let Some(log) = &mut self.log {
+                for &i in rows.buffers.updated() {
+                    // `logged` bounds every row index by `u32::MAX`.
+                    log.rows.push(i as u32);
+                    log.mins.push(rows.rows[i].min);
+                }
+                log.ends.push(log.rows.len());
+            }
+        }
+    }
+
+    /// The rows after the first `k` passes (all of them when fewer have
+    /// run), rebuilt from the log: each row takes its last update among
+    /// those passes, in `O(n + updates)`, bit for bit the rows those
+    /// passes left.
+    ///
+    /// # Panics
+    /// Panics if the traversal is not logged.
+    pub fn replay(&self, k: usize) -> TraversalRows {
+        let log = self.log.as_ref().expect("replay needs a logged traversal");
+        let passes = k.min(self.len());
+        let mut rows = TraversalRows::new(self.n);
+        let mut from = 0;
+        for (j, &end) in log.ends[..passes].iter().enumerate() {
+            for (&i, &min) in log.rows[from..end].iter().zip(&log.mins[from..end]) {
+                rows.rows[i as usize] = Tracked { min, nearest: j };
+            }
+            from = end;
+        }
+        rows.passes = passes;
+        rows
+    }
+
+    /// The first `k` picks as a [`KCenterSolution`] over `points`.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or the traversal is empty.
+    pub fn solution<P: Clone>(&self, points: &[P], k: usize) -> KCenterSolution<P> {
+        let picks = self.picks(k);
+        KCenterSolution {
+            centers: picks.iter().map(|&i| points[i].clone()).collect(),
+            center_indices: picks.to_vec(),
+            radius: self.radius(k),
+        }
+    }
+
+    /// The heap bytes the traversal holds: picks, radii and the log.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let log = self.log.as_ref().map_or(0, |log| {
+            log.ends.capacity() * size_of::<usize>()
+                + log.rows.capacity() * size_of::<u32>()
+                + log.mins.capacity() * size_of::<f64>()
+        });
+        self.order.capacity() * size_of::<usize>()
+            + self.radii.capacity() * size_of::<f64>()
+            + self.pairs.capacity() * size_of::<(u64, u64)>()
+            + log
+    }
+}
+
 /// Gonzalez's greedy on tracked passes
-/// ([`DistanceOracle::greedy_pass`]): the chosen center indices into
-/// `points` — the same picks as [`gonzalez_indices`], since every row's
-/// running minimum tightens exactly as there — and every point's
-/// nearest chosen center `(index into the centers, distance)`, bit for
-/// bit what a separate [`DistanceOracle::nearest_each`] sweep over the
-/// centers would give.
+/// ([`DistanceOracle::greedy_pass`]), read off a fresh [`Traversal`]:
+/// the chosen center indices into `points` — the same picks as
+/// [`gonzalez_indices`], since every row's running minimum tightens
+/// exactly as there — and every point's nearest chosen center `(index
+/// into the centers, distance)`, bit for bit what a separate
+/// [`DistanceOracle::nearest_each`] sweep over the centers would give.
 ///
 /// At most `n·|C|` point–center evaluations, where the greedy, its
 /// radius and the nearest-center assignment used to take three such
@@ -102,23 +365,24 @@ pub fn gonzalez_nearest<P, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let (traversal, rows) = fresh(points, k, metric, start);
+    (traversal.order, rows.nearest())
+}
+
+/// A fresh unlogged traversal of `points` extended to cover `k`, and its
+/// rows.
+fn fresh<P, M: DistanceOracle<P>>(
+    points: &[P],
+    k: usize,
+    metric: &M,
+    start: usize,
+) -> (Traversal, TraversalRows) {
     assert!(!points.is_empty(), "gonzalez requires at least one point");
     assert!(k > 0, "gonzalez requires k >= 1");
-    assert!(start < points.len(), "start index out of range");
-    let n = points.len();
-    let k = k.min(n);
-    let mut centers = Vec::with_capacity(k);
-    centers.push(start);
-    let mut rows = vec![Tracked::START; n];
-    let mut far = metric.greedy_pass(points, &centers, &mut rows);
-    // A farthest distance of 0 means fewer than k distinct points: every
-    // point is already a center.
-    while centers.len() < k && far.1 != 0.0 {
-        centers.push(far.0);
-        far = metric.greedy_pass(points, &centers, &mut rows);
-    }
-    let nearest = rows.iter().map(|r| (r.nearest, r.min)).collect();
-    (centers, nearest)
+    let mut traversal = Traversal::new(points.len(), start);
+    let mut rows = TraversalRows::new(points.len());
+    traversal.extend(&mut rows, points, k, metric);
+    (traversal, rows)
 }
 
 /// The covering radius `max_i d(pᵢ, C)` read off per-point nearest
@@ -130,9 +394,9 @@ pub fn cover_radius(nearest: &[(usize, f64)]) -> f64 {
 /// Runs Gonzalez's greedy algorithm and materializes the full
 /// [`KCenterSolution`] (centers, their indices, and the resulting radius).
 ///
-/// The radius comes out of the greedy's own tracked passes
-/// ([`gonzalez_nearest`]), bit for bit what a [`kcenter_cost`](crate::kcenter_cost) sweep
-/// gives.
+/// The radius is the fresh [`Traversal`]'s own
+/// ([`Traversal::radius`]), bit for bit what a
+/// [`kcenter_cost`](crate::kcenter_cost) sweep gives.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start` is out of range.
@@ -142,13 +406,7 @@ pub fn gonzalez<P: Clone, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> KCenterSolution<P> {
-    let (idx, nearest) = gonzalez_nearest(points, k, metric, start);
-    let centers: Vec<P> = idx.iter().map(|&i| points[i].clone()).collect();
-    KCenterSolution {
-        centers,
-        center_indices: idx,
-        radius: cover_radius(&nearest),
-    }
+    fresh(points, k, metric, start).0.solution(points, k)
 }
 
 #[cfg(test)]

@@ -36,7 +36,10 @@ pub mod local_search;
 pub mod one_d;
 
 pub use exact::{exact_discrete_kcenter, ExactOptions};
-pub use gonzalez::{cover_radius, gonzalez, gonzalez_indices, gonzalez_nearest, KCenterSolution};
+pub use gonzalez::{
+    cover_radius, gonzalez, gonzalez_indices, gonzalez_nearest, KCenterSolution, Traversal,
+    TraversalRows,
+};
 pub use grid::{grid_kcenter, GridOptions};
 pub use local_search::local_search_kcenter;
 pub use one_d::one_d_kcenter;

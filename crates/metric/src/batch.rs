@@ -655,13 +655,15 @@ impl Tracked {
 
     /// The row's update by the center of pass index `c` at distance `d`:
     /// a strict-`<` improvement, the comparison of
-    /// [`nearest_center_each`].
+    /// [`nearest_center_each`]. Returns whether the row changed.
     #[inline(always)]
-    pub fn update(&mut self, d: f64, c: usize) {
-        if d < self.min {
+    pub fn update(&mut self, d: f64, c: usize) -> bool {
+        let better = d < self.min;
+        if better {
             self.min = d;
             self.nearest = c;
         }
+        better
     }
 }
 
@@ -681,20 +683,9 @@ pub fn dists_to_set_min_tracked(
     rows: &mut [Tracked],
 ) {
     assert!(rows.len() >= points.len(), "tracked buffer too small");
-    one_center(store, points, center, exec, rows, |r, d| r.update(d, c));
-}
-
-/// What one [`greedy_pass`] did.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pass {
-    /// The row with the largest running minimum after the pass, as an
-    /// index into the pass's points, and that minimum.
-    pub farthest: (usize, f64),
-    /// Pairs evaluated: the rows that were not skipped, plus the new
-    /// center against every earlier one.
-    pub computed: usize,
-    /// Rows skipped, each one point–center pair not evaluated.
-    pub pruned: usize,
+    one_center(store, points, center, exec, rows, |r, d| {
+        r.update(d, c);
+    });
 }
 
 /// f64 unit roundoff `u`: a correctly rounded operation is off by at
@@ -751,13 +742,47 @@ impl PruneSlack {
     }
 }
 
+/// The scratch of Gonzalez's passes ([`greedy_pass`]): each earlier
+/// center's skip threshold, the rows a pass keeps and their distances.
+/// A traversal owns one across its passes, so a pass allocates nothing
+/// once the buffers have grown to the row count. After a pass they
+/// list the rows that pass updated ([`PassBuffers::updated`]) and the
+/// pairs it evaluated and skipped ([`PassBuffers::pairs`]).
+#[derive(Clone, Debug, Default)]
+pub struct PassBuffers {
+    pub(crate) half: Vec<f64>,
+    pub(crate) kept: Vec<usize>,
+    pub(crate) dists: Vec<f64>,
+    pub(crate) updated: usize,
+    pub(crate) pairs: (usize, usize),
+}
+
+impl PassBuffers {
+    /// The rows the last pass updated — a strictly smaller `min`, and
+    /// with it the pass's index as `nearest` — in row order.
+    pub fn updated(&self) -> &[usize] {
+        &self.kept[..self.updated]
+    }
+
+    /// The pairs the last pass evaluated — the rows it did not skip,
+    /// plus the new center against every earlier one — and the pairs it
+    /// skipped, one per skipped row: what it added to a counting
+    /// oracle's evaluations and pruned pairs.
+    pub fn pairs(&self) -> (usize, usize) {
+        self.pairs
+    }
+}
+
 /// One pass of Gonzalez's greedy over `rows`, which hold the tracked
 /// passes ([`dists_to_set_min_tracked`]) of `points[centers[j]]` at pass
 /// index `j` for every `j` but the last: the tracked pass of the last
 /// center, at pass index `centers.len() − 1`, then the farthest-point
 /// pick. Every row ends with the bits the tracked pass gives it, and
-/// [`Pass::farthest`] is the row with the largest `min`, ties toward
-/// the larger index — `Iterator::max_by`'s pick over NaN-free rows.
+/// the pass returns the row with the largest `min` (as an index into
+/// `points`) and that `min`, ties toward the larger index —
+/// `Iterator::max_by`'s pick over NaN-free rows.
+/// `buffers` ends listing the rows the pass updated and its counts
+/// ([`PassBuffers::updated`], [`PassBuffers::pairs`]).
 ///
 /// The pass measures the new center against each earlier one. A row
 /// whose `min` lies below half the distance between the new center and
@@ -771,11 +796,11 @@ impl PruneSlack {
 /// that list when `exec` is parallel and at least [`PAR_MIN_POINTS`]
 /// rows are kept, else on the calling lane, so a late pass that keeps a
 /// few rows costs no fork-join. Last it updates the kept rows and folds
-/// them in row order. A running minimum is never NaN (it starts at +∞
-/// and only a strictly smaller distance replaces it), so the two folds
-/// merge into the larger `(min, index)`. The kept list is a function of
-/// the rows' own values, so results and counts are bit-identical for
-/// every [`Exec`].
+/// them in row order, compacting the list down to the rows it updated.
+/// A running minimum is never NaN (it starts at +∞ and only a strictly
+/// smaller distance replaces it), so the two folds merge into the larger
+/// `(min, index)`. The kept list is a function of the rows' own values,
+/// so results and counts are bit-identical for every [`Exec`].
 ///
 /// # Panics
 /// Panics when `centers` or `points` is empty, or `rows` is shorter
@@ -786,29 +811,42 @@ pub fn greedy_pass(
     centers: &[usize],
     exec: Exec<'_>,
     rows: &mut [Tracked],
-) -> Pass {
+    buffers: &mut PassBuffers,
+) -> (usize, f64) {
     let (&newest, earlier) = centers.split_last().expect("a pass needs a center");
     assert!(!points.is_empty(), "a pass needs a row");
     assert!(rows.len() >= points.len(), "tracked buffer too small");
     let n = points.len();
     let cc = store.coords(points[newest]);
+    let PassBuffers {
+        half,
+        kept,
+        dists,
+        updated,
+        pairs,
+    } = buffers;
     // Row thresholds by nearest center; a first pass skips nothing (its
     // rows are all `Tracked::START`, nearest 0).
-    let half: Vec<f64> = if earlier.is_empty() {
-        vec![f64::NEG_INFINITY]
+    half.clear();
+    if earlier.is_empty() {
+        half.push(f64::NEG_INFINITY);
     } else {
         let slack = PruneSlack::of(store);
-        earlier
-            .iter()
-            .map(|&j| slack.half(dist_sq_scalar(cc, store.coords(points[j])).sqrt()))
-            .collect()
-    };
+        half.extend(
+            earlier
+                .iter()
+                .map(|&j| slack.half(dist_sq_scalar(cc, store.coords(points[j])).sqrt())),
+        );
+    }
     let c = earlier.len();
     let rows = &mut rows[..n];
     // The test, written without a branch on its outcome: every row is
-    // stored, and only a kept row advances the list.
+    // stored, and only a kept row advances the list. Both lists stay at
+    // the row count across passes, so only a traversal's first pass
+    // fills them.
+    kept.resize(n, 0);
+    dists.resize(n, 0.0);
     let mut skipped_far = NO_ROW;
-    let mut kept = vec![0usize; n];
     let mut len = 0;
     for (i, r) in rows.iter().enumerate() {
         let keep = not_below(r.min, half[r.nearest]);
@@ -818,37 +856,42 @@ pub fn greedy_pass(
             skipped_far = (i, r.min);
         }
     }
-    kept.truncate(len);
     // Four kept rows at a time, their sums interleaved: each distance is
     // still `dist_sq_scalar`'s sequence of operations.
-    let mut dists = vec![0.0; len];
     let row = |i: usize| store.coords(points[i]);
-    for_rows(exec, &mut dists, |start, out| {
-        let kept = &kept[start..start + out.len()];
-        let quads = out.len() / tile::TILE_POINTS * tile::TILE_POINTS;
-        for q in (0..quads).step_by(tile::TILE_POINTS) {
-            let rows = std::array::from_fn(|p| row(kept[q + p]));
-            out[q..q + tile::TILE_POINTS]
-                .copy_from_slice(&scalar_dists_x4(rows, [cc; tile::TILE_POINTS]));
-        }
-        for (d, &i) in out[quads..].iter_mut().zip(&kept[quads..]) {
-            *d = dist_sq_scalar(row(i), cc).sqrt();
-        }
-    });
+    {
+        let kept = &kept[..len];
+        for_rows(exec, &mut dists[..len], |start, out| {
+            let kept = &kept[start..start + out.len()];
+            let quads = out.len() / tile::TILE_POINTS * tile::TILE_POINTS;
+            for q in (0..quads).step_by(tile::TILE_POINTS) {
+                let rows = std::array::from_fn(|p| row(kept[q + p]));
+                out[q..q + tile::TILE_POINTS]
+                    .copy_from_slice(&scalar_dists_x4(rows, [cc; tile::TILE_POINTS]));
+            }
+            for (d, &i) in out[quads..].iter_mut().zip(&kept[quads..]) {
+                *d = dist_sq_scalar(row(i), cc).sqrt();
+            }
+        });
+    }
+    // The update, compacting the kept list in place down to the rows
+    // that changed (written without a branch, like the test).
     let mut kept_far = NO_ROW;
-    for (&i, &d) in kept.iter().zip(&dists) {
+    let mut changed = 0;
+    for t in 0..len {
+        let (i, d) = (kept[t], dists[t]);
         let r = &mut rows[i];
-        r.update(d, c);
+        let better = r.update(d, c);
+        kept[changed] = i;
+        changed += usize::from(better);
         if not_below(r.min, kept_far.1) {
             kept_far = (i, r.min);
         }
     }
-    Pass {
-        farthest: farther(skipped_far, kept_far),
-        // The kept rows, plus the center–center distances.
-        computed: len + c,
-        pruned: n - len,
-    }
+    *updated = changed;
+    // The kept rows, plus the center–center distances.
+    *pairs = (len + c, n - len);
+    farther(skipped_far, kept_far)
 }
 
 /// The farthest-row fold's start: any row replaces it.

@@ -41,7 +41,7 @@ mod store;
 mod tree;
 pub mod validate;
 
-pub use batch::{DistCounter, Kernel, Tracked, PAR_CHUNK, PAR_MIN_POINTS};
+pub use batch::{DistCounter, Kernel, PassBuffers, Tracked, PAR_CHUNK, PAR_MIN_POINTS};
 pub use finite::{FiniteMetric, FiniteMetricError};
 pub use graph::{GraphError, WeightedGraph};
 pub use lp::{Chebyshev, Euclidean, Manhattan, Minkowski};
@@ -189,15 +189,35 @@ pub trait DistanceOracle<P>: Metric<P> {
     /// `rows` must hold the tracked passes of the other centers, in
     /// order: an override may read them to skip rows the new center
     /// provably cannot tighten (the default evaluates every row).
+    /// `buffers` is the pass's scratch, reused across a traversal's
+    /// passes, and ends listing the rows the pass updated
+    /// ([`PassBuffers::updated`]), so a caller that records them scans no
+    /// row, and the pairs it evaluated and skipped
+    /// ([`PassBuffers::pairs`]).
     ///
     /// [`dists_to_set_min_tracked`]: DistanceOracle::dists_to_set_min_tracked
     ///
     /// # Panics
     /// Panics when `points` or `centers` is empty, or `rows` is shorter
     /// than `points`.
-    fn greedy_pass(&self, points: &[P], centers: &[usize], rows: &mut [Tracked]) -> (usize, f64) {
+    fn greedy_pass(
+        &self,
+        points: &[P],
+        centers: &[usize],
+        rows: &mut [Tracked],
+        buffers: &mut PassBuffers,
+    ) -> (usize, f64) {
         let c = centers.len().checked_sub(1).expect("a pass needs a center");
-        self.dists_to_set_min_tracked(points, &points[centers[c]], c, rows);
+        assert!(rows.len() >= points.len(), "tracked buffer too small");
+        let center = &points[centers[c]];
+        buffers.kept.clear();
+        for (i, (p, r)) in points.iter().zip(rows.iter_mut()).enumerate() {
+            if r.update(self.dist(p, center), c) {
+                buffers.kept.push(i);
+            }
+        }
+        buffers.updated = buffers.kept.len();
+        buffers.pairs = (points.len(), 0);
         rows[..points.len()]
             .iter()
             .map(|r| r.min)
@@ -306,8 +326,14 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         (**self).dists_to_set_min_tracked(points, center, c, rows)
     }
 
-    fn greedy_pass(&self, points: &[P], centers: &[usize], rows: &mut [Tracked]) -> (usize, f64) {
-        (**self).greedy_pass(points, centers, rows)
+    fn greedy_pass(
+        &self,
+        points: &[P],
+        centers: &[usize],
+        rows: &mut [Tracked],
+        buffers: &mut PassBuffers,
+    ) -> (usize, f64) {
+        (**self).greedy_pass(points, centers, rows, buffers)
     }
 
     fn dists_to_centers_min(

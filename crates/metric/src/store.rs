@@ -17,7 +17,7 @@
 //! generic algorithm in the workspace runs unchanged — only faster — when
 //! handed ids instead of boxed points.
 
-use crate::batch::{self, DistCounter, Kernel, Tracked};
+use crate::batch::{self, DistCounter, Kernel, PassBuffers, Tracked};
 use crate::point::{Point, PointError};
 use crate::{DistanceOracle, Metric};
 use ukc_pool::Exec;
@@ -293,6 +293,11 @@ impl<'a> StoreOracle<'a> {
         self.exec
     }
 
+    /// The attached evaluation counter, if any.
+    pub fn counter(&self) -> Option<&'a DistCounter> {
+        self.counter
+    }
+
     #[inline]
     fn tally(&self, n: usize) {
         if let Some(c) = self.counter {
@@ -347,13 +352,15 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         points: &[PointId],
         centers: &[usize],
         rows: &mut [Tracked],
+        buffers: &mut PassBuffers,
     ) -> (usize, f64) {
-        let pass = batch::greedy_pass(self.store, points, centers, self.exec, rows);
-        self.tally(pass.computed);
+        let farthest = batch::greedy_pass(self.store, points, centers, self.exec, rows, buffers);
+        let (evaluated, pruned) = buffers.pairs();
+        self.tally(evaluated);
         if let Some(c) = self.counter {
-            c.add_pruned(pass.pruned as u64);
+            c.add_pruned(pruned as u64);
         }
-        pass.farthest
+        farthest
     }
 
     fn dists_to_centers_min(

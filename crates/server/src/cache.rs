@@ -69,8 +69,9 @@ impl SolveKey {
 
 /// One cached solve: the solution plus the response body a hit on its
 /// key answers with. A key fixes everything that body shows (solution,
-/// instance digest, warm base), so the body is rendered once, on the
-/// first hit, and shared by every later one.
+/// instance digest, warm base), so the body is rendered once and shared
+/// by every hit: by the single-solution miss that filled the entry, or
+/// else by the first hit.
 pub(crate) struct CachedSolve {
     /// The cached solution; composite documents and warm priors read it.
     pub(crate) solution: Arc<Solution<Point>>,

@@ -642,7 +642,7 @@ fn method_err(request: &Request) -> ApiError {
 pub(crate) type Handled = Result<(u16, Json), ApiError>;
 
 /// A response body as a route hands it to [`dispatch`]: a document to
-/// render, or text rendered earlier (a cache hit's stored body).
+/// render, or rendered text (a solve's body, which its cache entry keeps).
 pub(crate) enum Body {
     Doc(Json),
     Rendered(Arc<str>),
@@ -1217,15 +1217,16 @@ impl WarmBase {
 enum Obtained {
     /// From the response cache; the entry holds the hit body.
     Hit(Arc<CachedSolve>),
-    /// From a solve through the scheduler.
-    Miss(Arc<Solution<Point>>),
+    /// From a solve through the scheduler, with the cache entry it
+    /// filled, if any.
+    Miss(Arc<Solution<Point>>, Option<Arc<CachedSolve>>),
 }
 
 impl Obtained {
     fn solution(&self) -> &Arc<Solution<Point>> {
         match self {
             Obtained::Hit(entry) => &entry.solution,
-            Obtained::Miss(solution) => solution,
+            Obtained::Miss(solution, _) => solution,
         }
     }
 
@@ -1280,7 +1281,7 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
     {
         Ok(Ok(solution)) => WarmBase::Prior {
             base_digest,
-            prior: retain(state, key, None, solution),
+            prior: retain(state, key, None, solution).0,
         },
         _ => WarmBase::Unresolved {
             reason: "base_unsolvable",
@@ -1289,10 +1290,10 @@ fn resolve_base(state: &AppState, base: &str, solve: &SolveRequest) -> WarmBase 
 }
 
 /// The single-solution response of `POST /instances/{id}/solve` and
-/// `POST /solve`. A miss renders its document at dispatch; a hit writes
-/// the body its cache entry rendered on the first hit. The entry's key
-/// fixes the solution, `set_digest` and the warm base, so those bytes
-/// equal a fresh render.
+/// `POST /solve`. A miss renders its document once and fills the cache
+/// entry's hit body from it, so no hit renders; a hit writes the entry's
+/// body. The entry's key fixes the solution, `set_digest` and the warm
+/// base, so those bytes equal a fresh render.
 fn run_solve(
     state: &AppState,
     set_digest: u64,
@@ -1305,7 +1306,13 @@ fn run_solve(
         Obtained::Hit(entry) => Body::Rendered(
             entry.hit_body(|solution| solve_response(solution, set_digest, true, base).pretty()),
         ),
-        Obtained::Miss(solution) => Body::Doc(solve_response(&solution, set_digest, false, base)),
+        Obtained::Miss(solution, entry) => {
+            let miss = solve_response(&solution, set_digest, false, base).pretty();
+            if let Some(entry) = entry {
+                entry.hit_body(|_| as_hit(&miss));
+            }
+            Body::Rendered(miss.into())
+        }
     };
     Ok((200, body))
 }
@@ -1363,12 +1370,19 @@ fn obtain_solution(
         });
         state.metrics.record_warm_fallback();
     }
-    Ok(Obtained::Miss(retain(
-        state,
-        cold_key,
-        use_cache.then_some(key),
-        solution,
-    )))
+    let (solution, entry) = retain(state, cold_key, use_cache.then_some(key), solution);
+    Ok(Obtained::Miss(solution, entry))
+}
+
+/// A rendered [`solve_response`] miss body as its hit body: the same
+/// bytes with `"cached": true`. The flag is the document's last
+/// `"cached"` key, since only `base`, a hex digest, follows it.
+fn as_hit(miss: &str) -> String {
+    const FLAG: &str = "\"cached\": false";
+    let at = miss
+        .rfind(FLAG)
+        .expect("a solve response carries its cached flag");
+    [&miss[..at], "\"cached\": true", &miss[at + FLAG.len()..]].concat()
 }
 
 /// Drops every solution [`retain`] kept for the set `set_digest` (any
@@ -1402,31 +1416,33 @@ fn cache_hit(state: &AppState, key: &SolveKey) -> Option<Arc<CachedSolve>> {
 /// keeps solutions. Every solution, cold or warm, becomes the freshest
 /// prior under its cold-shaped `prior_key`, so an append chain never
 /// re-solves a parent cold; with a `cache_key` it also fills the response
-/// cache.
+/// cache and returns the entry it made.
 fn retain(
     state: &AppState,
     prior_key: SolveKey,
     cache_key: Option<SolveKey>,
     solution: Solution<Point>,
-) -> Arc<Solution<Point>> {
+) -> (Arc<Solution<Point>>, Option<Arc<CachedSolve>>) {
     let solution = Arc::new(solution);
     state
         .priors
         .lock()
         .expect("prior cache lock poisoned")
         .insert(prior_key, Arc::clone(&solution));
-    if let Some(key) = cache_key {
+    let entry = cache_key.map(|key| {
         // A miss is only recorded once a cacheable solve actually
         // completed, so hits + misses counts cache *lookup outcomes*
         // for real solutions and failed requests cannot skew hit_rate.
         state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(CachedSolve::new(Arc::clone(&solution)));
         state
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .insert(key, Arc::new(CachedSolve::new(Arc::clone(&solution))));
-    }
-    solution
+            .insert(key, Arc::clone(&entry));
+        entry
+    });
+    (solution, entry)
 }
 
 /// `POST /instances/{id}/solve_loo`: batch leave-one-out over a stored
@@ -1521,7 +1537,7 @@ fn handle_solve_batch(state: &AppState, request: &Request) -> Handled {
             slots[slot] = Some(match result {
                 Ok(solution) => {
                     let cache_key = solve.use_cache.then(|| key.clone());
-                    let solution = retain(state, key, cache_key, solution);
+                    let (solution, _) = retain(state, key, cache_key, solution);
                     solve_response(&solution, set_digest, false, None)
                 }
                 Err(e) => ApiError::from(e).to_json(),
@@ -1582,4 +1598,24 @@ fn solve_response(
         }
     }
     doc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_miss_body_turns_into_its_hit_body() {
+        use ukc_uncertain::generators::{clustered, ProbModel};
+        let set = clustered(3, 12, 2, 2, 5, 4.0, 1.0, ProbModel::Random);
+        let solution = Problem::euclidean(set, 3)
+            .unwrap()
+            .solve(&SolverConfig::default())
+            .unwrap();
+        for base in [None, Some(0xfeed_u64)] {
+            let miss = solve_response(&solution, 0xabc, false, base).pretty();
+            let hit = solve_response(&solution, 0xabc, true, base).pretty();
+            assert_eq!(as_hit(&miss), hit, "base = {base:?}");
+        }
+    }
 }

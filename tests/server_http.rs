@@ -1123,3 +1123,31 @@ fn staleness_budget_serves_cached_reads_without_solving() {
 
     handle.shutdown();
 }
+
+/// A stored instance keeps Gonzalez's traversal of its representatives
+/// across solves, so a solve at a `k` an earlier one covered runs no
+/// certain-stage pass: it still answers what a fresh server answers, bit
+/// for bit and count for count, bar timings.
+#[test]
+fn stored_instance_solves_at_mixed_k_match_a_fresh_server() {
+    let set = clustered(37, 60, 3, 2, 4, 5.0, 1.0, ProbModel::Random);
+    let body = JsonInstance::from_set(&set).to_json().compact();
+    let upload = |addr: SocketAddr| {
+        let doc = parse(&post(addr, "/instances", &body));
+        doc.get("id").and_then(Json::as_str).unwrap().to_string()
+    };
+    let solve = |addr: SocketAddr, id: &str, k: usize| {
+        let path = format!("/instances/{id}/solve");
+        let response = post(addr, &path, &format!(r#"{{"k": {k}, "cache": false}}"#));
+        assert_eq!(response.status, 200, "{}", response.body);
+        without_timings(&response.body)
+    };
+    let (_shared, addr) = start(ServerConfig::default());
+    let id = upload(addr);
+    for k in [20, 5, 20] {
+        let reused = solve(addr, &id, k);
+        let (_fresh_server, fresh_addr) = start(ServerConfig::default());
+        assert_eq!(upload(fresh_addr), id);
+        assert_eq!(reused, solve(fresh_addr, &id, k), "k = {k}");
+    }
+}
