@@ -15,7 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use ukc_json::Json;
 use ukc_kcenter::gonzalez;
-use ukc_metric::{Kernel, Point, PointId, PointStore, StoreOracle};
+use ukc_metric::{Point, PointId, PointStore, StoreOracle};
 use ukc_pool::{Exec, Pool};
 
 /// Deterministic coordinate cloud as a [`PointStore`].
@@ -35,16 +35,12 @@ fn coord_store(seed: u64, n: usize, d: usize) -> PointStore {
 
 const SCALING_K: usize = 8;
 
-/// The kernel hint the committed trajectory records. Gonzalez's passes
-/// run the scalar loop under every kernel, so it changes no timing.
-const SCALING_KERNEL: Kernel = Kernel::Tiled;
-
 /// One Gonzalez solve (k centers + the radius sweep) over the store with
 /// the given execution context; returns the radius so the work cannot be
 /// elided. The result is bit-identical for every lane count — this bench
 /// measures time only.
 fn gonzalez_exec(store: &PointStore, ids: &[PointId], exec: Exec<'_>) -> f64 {
-    let oracle = StoreOracle::new(store, SCALING_KERNEL).with_exec(exec);
+    let oracle = StoreOracle::new(store).with_exec(exec);
     gonzalez(ids, SCALING_K, &oracle, 0).radius
 }
 
@@ -109,7 +105,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                         ("n", Json::from(n)),
                         ("d", Json::from(d)),
                         ("k", Json::from(SCALING_K)),
-                        ("kernel", Json::from(SCALING_KERNEL.name())),
                         ("threads", Json::from(threads)),
                         ("seconds", Json::from(best)),
                         ("pair_evals", Json::from(evals as f64)),

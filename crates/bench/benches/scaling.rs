@@ -11,7 +11,9 @@ use ukc_bench::workloads::euclidean;
 use ukc_core::{solve_batch_threads, AssignmentRule, Problem, SolverConfig};
 use ukc_json::Json;
 use ukc_kcenter::gonzalez;
-use ukc_metric::{DistCounter, DistanceOracle, Kernel, Point, PointId, PointStore, StoreOracle};
+use ukc_metric::batch::{self, Kernel};
+use ukc_metric::{DistCounter, Point, PointId, PointStore, StoreOracle};
+use ukc_pool::Exec;
 use ukc_uncertain::expected_point;
 use ukc_uncertain::generators::{clustered, ProbModel};
 
@@ -119,10 +121,9 @@ fn gonzalez_store(
     store: &PointStore,
     ids: &[PointId],
     k: usize,
-    kernel: Kernel,
     counter: Option<&DistCounter>,
 ) -> f64 {
-    let oracle = StoreOracle::new(store, kernel);
+    let oracle = StoreOracle::new(store);
     let oracle = match counter {
         Some(c) => oracle.with_counter(c),
         None => oracle,
@@ -131,8 +132,9 @@ fn gonzalez_store(
 }
 
 /// One fused nearest-center assignment sweep (`nearest_each`, the
-/// register-tiled kernel's home turf) over `k` spread centers; returns
-/// the max distance so the work cannot be elided.
+/// register-tiled kernel's home turf) over `k` spread centers under
+/// `kernel`, counted one evaluation per pair; returns the max distance
+/// so the work cannot be elided.
 fn assign_store(
     store: &PointStore,
     ids: &[PointId],
@@ -141,12 +143,11 @@ fn assign_store(
     counter: Option<&DistCounter>,
     out: &mut [(usize, f64)],
 ) -> f64 {
-    let oracle = StoreOracle::new(store, kernel);
-    let oracle = match counter {
-        Some(c) => oracle.with_counter(c),
-        None => oracle,
-    };
-    oracle.nearest_each(ids, centers, None, out);
+    let seq = Exec::sequential();
+    batch::nearest_center_each(store, ids, centers, None, kernel, seq, out);
+    if let Some(c) = counter {
+        c.add((ids.len() * centers.len()) as u64);
+    }
     out.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
 
@@ -157,9 +158,9 @@ fn assign_store(
 /// `gonzalez_clustered` at the shapes of perfbench's `serve_mix`
 /// (n = 6k, d = 32) and `cold_solve` (n = 2.5k, d = 8) expected points,
 /// where the passes' triangle-inequality pruning skips most rows.
-/// Gonzalez's passes run the scalar loop under every kernel, so the
-/// Gonzalez workloads are timed once, as `scalar`; `assign` is timed
-/// under both kernels.
+/// Gonzalez's passes run the scalar loop, so the Gonzalez workloads are
+/// timed once and recorded as `scalar`; `assign` is timed under both
+/// batch kernels.
 ///
 /// A row's `pair_evals` are the distances the run evaluated and
 /// `pruned_evals` the pairs it skipped, both read off a [`DistCounter`]
@@ -212,7 +213,7 @@ fn bench_kernel_comparison(c: &mut Criterion) {
                 let store = black_box(&store);
                 match workload {
                     "assign" => assign_store(store, &ids, &centers, kernel, counter, out),
-                    _ => gonzalez_store(store, &ids, k, kernel, counter),
+                    _ => gonzalez_store(store, &ids, k, counter),
                 }
             };
             // Evaluated and pruned pairs per run, per kernel.

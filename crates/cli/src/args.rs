@@ -25,6 +25,9 @@ pub enum ArgError {
     /// The same `--flag` appeared twice (the CLI refuses to guess which
     /// one was meant instead of silently taking the last).
     Duplicate(String),
+    /// A `--flag` the subcommand does not read (a typo such as
+    /// `--slover` would otherwise silently run the default).
+    Unknown(String),
     /// A required option is absent.
     MissingOption(String),
     /// An option failed to parse.
@@ -54,6 +57,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(k) => write!(f, "--{k} needs a value"),
             ArgError::Unexpected(a) => write!(f, "unexpected argument {a}"),
             ArgError::Duplicate(k) => write!(f, "--{k} given more than once"),
+            ArgError::Unknown(k) => write!(f, "unknown option --{k}"),
             ArgError::MissingOption(k) => write!(f, "required option --{k} missing"),
             ArgError::BadValue { key, value } => write!(f, "--{key}: cannot parse {value:?}"),
             ArgError::BadPath { key, path, reason } => write!(f, "--{key}: {path:?} {reason}"),
@@ -89,6 +93,21 @@ impl Args {
             }
         }
         Ok(Self { command, opts })
+    }
+
+    /// Refuses any given flag not named in `flags`, space-separated
+    /// lists of the flags the subcommand reads; of several, the
+    /// alphabetically first is named.
+    pub fn allow(&self, flags: &[&str]) -> Result<(), ArgError> {
+        let known = |k: &str| {
+            flags
+                .iter()
+                .any(|list| list.split_whitespace().any(|f| f == k))
+        };
+        let unknown = self.opts.keys().filter(|k| !known(k));
+        unknown
+            .min()
+            .map_or(Ok(()), |k| Err(ArgError::Unknown(k.clone())))
     }
 
     /// A required string option.
@@ -211,6 +230,20 @@ mod tests {
             a.required("instance"),
             Err(ArgError::MissingOption(_))
         ));
+    }
+
+    #[test]
+    fn allow_names_the_first_unknown_flag() {
+        let a = parse(&["solve", "--k", "3", "--slover", "grid", "--kernel=scalar"]).unwrap();
+        assert_eq!(a.allow(&["k solver", "kernel slover"]), Ok(()));
+        assert_eq!(
+            a.allow(&["k solver"]).unwrap_err(),
+            ArgError::Unknown("kernel".into())
+        );
+        assert_eq!(
+            a.allow(&["k", "kernel"]).unwrap_err().to_string(),
+            "unknown option --slover"
+        );
     }
 
     #[test]

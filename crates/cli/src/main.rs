@@ -6,7 +6,6 @@
 //! ukc solve    --instance inst.json --k 3 --rule ep --solver gonzalez --out sol.json
 //! ukc solve    --instance inst.json --k=3 --format json        # machine-readable report
 //! ukc solve    --instance inst.json --k 3 --threads 4          # intra-solve pool lanes
-//! ukc solve    --instance inst.json --k 3 --kernel scalar      # speed hint (scalar|tiled), same bits
 //! ukc solve    --instance inst.json --k 3 --assignment weighted # additively-weighted (Apollonius) mode
 //! ukc solve    --instance grown.json --k 3 --base prior.json   # warm start from a prior solution
 //! ukc loo      --instance inst.json --k 3                      # batch leave-one-out sweep
@@ -46,7 +45,8 @@
 //! All subcommands read/write the JSON formats of [`format`]; numeric
 //! results print on stdout, diagnostics on stderr, non-zero exit on error.
 //! `--format json` (on `solve` and `batch`) emits the full solution +
-//! instrumentation report as one JSON document on stdout.
+//! instrumentation report as one JSON document on stdout. A flag the
+//! subcommand does not read is an error naming it (exit 1).
 
 mod args;
 
@@ -56,7 +56,7 @@ use ukc_core::{
 };
 use ukc_json::format::{loo_document, solution_document, JsonInstance, JsonSolution};
 use ukc_json::Json;
-use ukc_metric::{Euclidean, Kernel, Point};
+use ukc_metric::{Euclidean, Point};
 use ukc_uncertain::generators::{
     clustered, line_instance, ring, two_scale, uniform_box, ProbModel,
 };
@@ -142,8 +142,14 @@ fn prob_model(a: &Args) -> Result<ProbModel, Box<dyn std::error::Error>> {
     }
 }
 
+/// The flags [`solver_config`] reads, for [`Args::allow`].
+const SOLVER_FLAGS: &str = "rule solver rounds eps seed assignment threads";
+
+/// The flags [`client_options`] reads, for [`Args::allow`].
+const CLIENT_FLAGS: &str = "timeout retries";
+
 /// Builds a [`SolverConfig`] from the shared `--rule`, `--solver`,
-/// `--eps`, `--rounds`, `--seed`, and `--threads` flags.
+/// `--eps`, `--rounds`, `--seed`, `--assignment` and `--threads` flags.
 fn solver_config(a: &Args) -> Result<SolverConfig, Box<dyn std::error::Error>> {
     solver_config_with_seed_default(a, 0)
 }
@@ -176,22 +182,6 @@ fn solver_config_with_seed_default(
         .strategy(strategy)
         .eps(a.parse_or("eps", 0.25f64)?)
         .seed(a.parse_or("seed", default_seed)?);
-    // --kernel picks the batched distance kernel, a speed hint
-    // (scalar|tiled; the retired "blocked" parses as tiled); absent keeps
-    // the config default (tiled).
-    if a.has("kernel") {
-        let raw = a.required("kernel")?;
-        match Kernel::parse(raw) {
-            Some(kernel) => builder = builder.kernel(kernel),
-            None => {
-                return Err(args::ArgError::BadValue {
-                    key: "kernel".into(),
-                    value: raw.into(),
-                }
-                .into())
-            }
-        }
-    }
     // --assignment plain|weighted picks the assignment mode; absent keeps
     // the config default (plain).
     if a.has("assignment") {
@@ -224,6 +214,7 @@ fn output_format(a: &Args) -> Result<&str, Box<dyn std::error::Error>> {
 }
 
 fn cmd_generate(a: &Args) -> CmdResult {
+    a.allow(&["seed n z dim probs workload clusters out format"])?;
     let seed: u64 = a.parse_or("seed", 7)?;
     let n: usize = a.parse_or("n", 40)?;
     let z: usize = a.parse_or("z", 4)?;
@@ -326,6 +317,7 @@ fn parse_ndjson_point(
 /// one report document. `--format json` (the default) prints the full
 /// machine-readable report; `text` prints the headline numbers.
 fn cmd_stream(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "k chunk format budget input out"])?;
     let k: usize = a.parse_required("k")?;
     let config = solver_config(a)?;
     let chunk = a.parse_positive("chunk")?.unwrap_or(4096);
@@ -452,6 +444,7 @@ fn load_prior(
 }
 
 fn cmd_solve(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "instance k format base out"])?;
     let set = load_instance(a)?;
     let k: usize = a.parse_required("k")?;
     let config = solver_config(a)?;
@@ -511,6 +504,7 @@ fn cmd_solve(a: &Args) -> CmdResult {
 /// solution (see [`ukc_core::solve_loo`]). `--format json` emits the
 /// full per-variant report; `text` prints the headline numbers.
 fn cmd_loo(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "instance k format out"])?;
     let set = load_instance(a)?;
     let k: usize = a.parse_required("k")?;
     let config = solver_config(a)?;
@@ -544,6 +538,7 @@ fn cmd_loo(a: &Args) -> CmdResult {
 }
 
 fn cmd_batch(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "instances k format"])?;
     let paths: Vec<&str> = a.required("instances")?.split(',').collect();
     let k: usize = a.parse_required("k")?;
     let config = solver_config(a)?;
@@ -606,6 +601,7 @@ fn cmd_batch(a: &Args) -> CmdResult {
 }
 
 fn cmd_evaluate(a: &Args) -> CmdResult {
+    a.allow(&["instance solution"])?;
     let set = load_instance(a)?;
     let path = a.required("solution")?;
     let text = std::fs::read_to_string(path)?;
@@ -634,6 +630,7 @@ fn cmd_evaluate(a: &Args) -> CmdResult {
 }
 
 fn cmd_bound(a: &Args) -> CmdResult {
+    a.allow(&["instance k"])?;
     let set = load_instance(a)?;
     let k: usize = a.parse_required("k")?;
     println!(
@@ -644,6 +641,7 @@ fn cmd_bound(a: &Args) -> CmdResult {
 }
 
 fn cmd_info(a: &Args) -> CmdResult {
+    a.allow(&["instance"])?;
     let set = load_instance(a)?;
     println!("n {}", set.n());
     println!("max_z {}", set.max_z());
@@ -655,6 +653,7 @@ fn cmd_info(a: &Args) -> CmdResult {
 }
 
 fn cmd_kmedian(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "instance k"])?;
     let set = load_instance(a)?;
     let k: usize = a.parse_required("k")?;
     let config = solver_config(a)?;
@@ -712,12 +711,13 @@ fn validate_data_dir(a: &Args) -> Result<Option<std::path::PathBuf>, args::ArgEr
 /// solution reads inside the budget re-serve the last response
 /// (`"stale": true`) instead of re-solving.
 fn cmd_serve(a: &Args) -> CmdResult {
+    let own = "addr threads workers cache-cap max-body-bytes data-dir snapshot-interval \
+               queue-cap shards replicate-after shard-timeout-ms shard-retries \
+               probe-interval-ms ingest-queue-cap solve-staleness-ms";
+    a.allow(&[own])?;
     let threads = a.parse_positive("threads")?;
     if threads.is_some() && a.has("workers") {
         return Err("--workers and --threads are aliases; give only one".into());
-    }
-    if a.has("kernel") {
-        return Err("--kernel is a per-request speed hint (\"kernel\" in the solve body); ukc serve takes no default".into());
     }
     let data_dir = validate_data_dir(a)?;
     if data_dir.is_none() && a.has("snapshot-interval") {
@@ -797,6 +797,10 @@ fn client_options(
 /// attempt; `--retries <n>` retries connect failures with exponential
 /// backoff (100ms, 200ms, 400ms, ...).
 fn cmd_client(a: &Args) -> CmdResult {
+    a.allow(&[
+        CLIENT_FLAGS,
+        "addr instance k rule solver eps seed base path method body body-file",
+    ])?;
     let addr = a.required("addr")?;
     let (method, path, body) = if let Ok(instance) = a.required("instance") {
         let text = std::fs::read_to_string(instance)?;
@@ -850,6 +854,7 @@ fn cmd_client(a: &Args) -> CmdResult {
 /// range into a neighbor. Honors `--timeout`/`--retries` like
 /// `ukc client`.
 fn cmd_cluster(a: &Args) -> CmdResult {
+    a.allow(&[CLIENT_FLAGS, "server action addr id"])?;
     let server = a.required("server")?;
     let action = a.get_or("action", "status");
     let (method, path, body) = match action {
@@ -879,6 +884,7 @@ fn cmd_cluster(a: &Args) -> CmdResult {
 }
 
 fn cmd_kmeans(a: &Args) -> CmdResult {
+    a.allow(&[SOLVER_FLAGS, "instance k"])?;
     let set = load_instance(a)?;
     let k: usize = a.parse_required("k")?;
     let config = solver_config_with_seed_default(a, 1)?;

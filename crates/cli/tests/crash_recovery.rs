@@ -6,7 +6,8 @@
 //!
 //! Also pins the `--data-dir` startup validation: a file in the way or
 //! an uncreatable path is a typed argument error and a clean non-zero
-//! exit, printed before anything binds.
+//! exit, printed before anything binds; and so is a flag the subcommand
+//! does not read.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -264,8 +265,35 @@ fn serve_takes_no_default_kernel() {
         .expect("run ukc serve");
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --kernel"), "{stderr}");
     assert!(
-        stderr.contains("--kernel is a per-request speed hint"),
-        "{stderr}"
+        !stderr.contains("listening"),
+        "server bound anyway: {stderr}"
     );
+}
+
+#[test]
+fn solve_refuses_flags_it_does_not_read() {
+    // A typo'd flag used to run the default solver and exit 0. The check
+    // runs before the instance is read, so no instance file is needed.
+    for flag in ["slover", "kernel"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ukc"))
+            .args([
+                "solve",
+                "--instance",
+                "t.json",
+                "--k",
+                "2",
+                &format!("--{flag}"),
+                "grid",
+            ])
+            .output()
+            .expect("run ukc solve");
+        assert_eq!(out.status.code(), Some(1), "--{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option --{flag}")),
+            "{stderr}"
+        );
+    }
 }

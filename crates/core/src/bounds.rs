@@ -404,7 +404,7 @@ pub fn lower_bound_metric<P: Clone, M: DistanceOracle<P>>(
 mod tests {
     use super::*;
     use crate::{AssignmentRule, Problem, Solution, SolverConfig};
-    use ukc_metric::{Euclidean, FiniteMetric, Kernel};
+    use ukc_metric::{Euclidean, FiniteMetric};
     use ukc_uncertain::generators::{clustered, on_finite_metric, uniform_box, ProbModel};
     use ukc_uncertain::{expected_point, UncertainSet};
 
@@ -416,12 +416,11 @@ mod tests {
             .unwrap()
     }
 
-    /// The Euclidean bound and its distance evaluations, as a scalar-kernel
+    /// The Euclidean bound and its distance evaluations, as an
     /// expected-point solve reports them.
     fn counted_bound(set: &UncertainSet<Point>, k: usize) -> (f64, u64) {
         let config = SolverConfig::builder()
             .rule(AssignmentRule::ExpectedPoint)
-            .kernel(Kernel::Scalar)
             .build()
             .unwrap();
         let report = Problem::euclidean(set.clone(), k)

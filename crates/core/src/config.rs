@@ -27,7 +27,6 @@
 use crate::assignments::AssignmentRule;
 use crate::error::SolveError;
 use ukc_kcenter::{ExactOptions, GridOptions};
-use ukc_metric::Kernel;
 
 /// Which deterministic k-center backend runs on the representatives.
 ///
@@ -136,7 +135,6 @@ pub struct SolverConfig {
     seed: u64,
     candidate_policy: CandidatePolicy,
     lower_bound: bool,
-    kernel: Kernel,
     threads: usize,
     grid_limits: GridOptions,
     exact_limits: ExactOptions,
@@ -152,7 +150,6 @@ impl Default for SolverConfig {
             seed: 0,
             candidate_policy: CandidatePolicy::ProblemPool,
             lower_bound: true,
-            kernel: Kernel::default(),
             threads: 0,
             grid_limits: GridOptions::default(),
             exact_limits: ExactOptions::default(),
@@ -238,13 +235,6 @@ impl SolverConfig {
     /// Whether each solve certifies a lower bound in its report.
     pub fn computes_lower_bound(&self) -> bool {
         self.lower_bound
-    }
-
-    /// The distance kernel the multi-center sweeps run
-    /// ([`Kernel::Tiled`] by default) — a speed hint: every kernel
-    /// returns the same bits.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// The requested intra-solve lane count: `0` (the default) means
@@ -340,17 +330,6 @@ impl SolverConfigBuilder {
     /// (on by default; disable on hot paths that only need the solution).
     pub fn lower_bound(mut self, enabled: bool) -> Self {
         self.config.lower_bound = enabled;
-        self
-    }
-
-    /// Picks the distance kernel, a speed hint. [`Kernel::Tiled`] (the
-    /// default) screens the multi-center sweeps with the register-tiled
-    /// mini-GEMM, the fast option on large fused assignment/cost
-    /// workloads (see `BENCH_kernel.json`); [`Kernel::Scalar`] runs the
-    /// reference loop everywhere. Both return the same bits and evaluate
-    /// — and count — identical distance pairs.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.config.kernel = kernel;
         self
     }
 

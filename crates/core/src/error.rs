@@ -39,12 +39,12 @@ pub enum SolveError {
     /// in one dimension, `1e155` does not).
     ///
     /// The bound keeps every squared norm and squared distance finite
-    /// under both kernels. With `‖x‖² ≤ B` for every location, each
+    /// in the scalar loop and the tiled screen alike. With `‖x‖² ≤ B` for every location, each
     /// representative (`P̄ᵢ`, `P̃ᵢ`) lies in the hull of its point's
     /// locations, so `‖x‖² ≤ B` holds for it too. For two such points the
-    /// scalar kernel's `Σ (aᵢ − bᵢ)²` is at most
+    /// scalar loop's `Σ (aᵢ − bᵢ)²` is at most
     /// `(‖a‖ + ‖b‖)² ≤ 4B`, and so is every partial sum. The tiled
-    /// kernel's `‖a‖² + ‖b‖² − 2a·b` has terms and partial sums bounded by
+    /// screen's `‖a‖² + ‖b‖² − 2a·b` has terms and partial sums bounded by
     /// `4B` too (`|a·b| ≤ ‖a‖‖b‖`). `4B = 2^1002` sits a factor `2^22`
     /// below `f64::MAX`, which also covers rounding and the grid
     /// strategy's synthesized centers, which lie at most one grid spacing

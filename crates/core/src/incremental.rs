@@ -64,7 +64,7 @@ use crate::problem::{
 use crate::report::{Report, WarmStats};
 use ukc_kcenter::{cover_radius, gonzalez_nearest};
 use ukc_metric::{
-    mask_row, DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
+    mask_row, DistCounter, DistanceOracle, Metric, Point, PointId, PointStore, StoreOracle,
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
@@ -219,7 +219,7 @@ fn warm_attempt(
 
     let counter = DistCounter::new();
     let exec = Exec::auto(config.resolved_threads());
-    let oracle = StoreOracle::new(store, config.kernel())
+    let oracle = StoreOracle::new(store)
         .with_counter(&counter)
         .with_exec(exec);
 
@@ -435,7 +435,7 @@ fn solve_loo_store(
 
     let shared_counter = DistCounter::new();
     let exec = Exec::auto(config.resolved_threads());
-    let oracle = StoreOracle::new(store, config.kernel())
+    let oracle = StoreOracle::new(store)
         .with_counter(&shared_counter)
         .with_exec(exec);
 
@@ -531,7 +531,7 @@ fn resolve_center_variant(
     i: usize,
 ) -> LooVariant {
     let counter = DistCounter::new();
-    let oracle = StoreOracle::new(store, Kernel::Scalar).with_counter(&counter);
+    let oracle = StoreOracle::new(store).with_counter(&counter);
     let reduced_reps = mask_row(rep_ids, i);
     let (idx, nearest) = gonzalez_nearest(&reduced_reps, k, &oracle, 0);
     let centers: Vec<PointId> = idx.iter().map(|&j| reduced_reps[j]).collect();

@@ -28,7 +28,7 @@
 //!    `ukc_uncertain::ecost_assigned`).
 //!
 //! A Euclidean problem runs every stage over one coordinate store through
-//! the batched distance kernels of `ukc_metric` ([`SolverConfig::kernel`]);
+//! the batched distance kernels of `ukc_metric`;
 //! a general-metric problem runs them pointwise through its metric,
 //! counted by [`CountingMetric`].
 //!

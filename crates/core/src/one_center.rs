@@ -13,7 +13,7 @@
 //! experiment E1.
 
 use ukc_geometry::pattern_search::{pattern_search, PatternSearchOptions};
-use ukc_metric::{Euclidean, Kernel, Point, StoreOracle};
+use ukc_metric::{Euclidean, Point, StoreOracle};
 use ukc_uncertain::{ecost_unassigned, expected_point, UncertainSet};
 
 /// Theorem 2.1: returns `(P̄_anchor, exact Ecost of it)` where the anchor
@@ -28,14 +28,15 @@ use ukc_uncertain::{ecost_unassigned, expected_point, UncertainSet};
 pub fn expected_point_one_center(set: &UncertainSet<Point>, anchor: usize) -> (Point, f64) {
     assert!(anchor < set.n(), "anchor out of range");
     let center = expected_point(set.point(anchor));
-    // Cost sweep over the set's contiguous realization store. The scalar
-    // kernel keeps the exact summation order of the pointwise metric, so
-    // this reports bit-identical costs to the historical implementation.
+    // Cost sweep over the set's contiguous realization store. Its
+    // single-center sweeps keep the exact summation order of the
+    // pointwise metric, so this reports bit-identical costs to the
+    // historical implementation.
     // The per-call store build is O(N·d), strictly below the O(N log N)
     // exact-cost sweep it feeds, so rebuilding per anchor stays cheap.
     let (mut store, set_ids) = set.indexed_store(1);
     let center_id = store.push_point(&center);
-    let oracle = StoreOracle::new(&store, Kernel::Scalar);
+    let oracle = StoreOracle::new(&store);
     let cost = ecost_unassigned(&set_ids, std::slice::from_ref(&center_id), &oracle);
     (center, cost)
 }

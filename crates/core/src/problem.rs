@@ -37,9 +37,7 @@ use ukc_kcenter::{
     cover_radius, exact_discrete_kcenter, gonzalez, gonzalez_indices, grid_kcenter, kcenter_cost,
     local_search_kcenter, KCenterSolution,
 };
-use ukc_metric::{
-    DistCounter, DistanceOracle, Kernel, Metric, Point, PointId, PointStore, StoreOracle,
-};
+use ukc_metric::{DistCounter, DistanceOracle, Metric, Point, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
 use ukc_uncertain::{
     assigned_distances_exec, ecost_assigned, ecost_from_distances, expected_point,
@@ -204,7 +202,7 @@ impl Layout {
         if k == 0 {
             return 0.0;
         }
-        let oracle = StoreOracle::new(&self.store, Kernel::Scalar).with_exec(exec);
+        let oracle = StoreOracle::new(&self.store).with_exec(exec);
         self.cover(k, &oracle, false).traversal.radius(k) / 2.0
     }
 }
@@ -230,13 +228,18 @@ impl Prepared {
         cell.get_or_init(|| Layout::new(set, rule))
     }
 
-    /// The built layouts and their bytes.
-    fn built(&self) -> (usize, usize) {
+    /// The built layouts: how many, their bytes, and their traversals'
+    /// bytes.
+    fn built(&self) -> (usize, usize, usize) {
         [&self.expected, &self.one_center]
             .iter()
             .filter_map(|cell| cell.get())
-            .fold((0, 0), |(sets, bytes), layout| {
-                (sets + 1, bytes + layout.bytes())
+            .fold((0, 0, 0), |(sets, bytes, walks), layout| {
+                (
+                    sets + 1,
+                    bytes + layout.bytes(),
+                    walks + layout.traversal.bytes(),
+                )
             })
     }
 }
@@ -408,8 +411,22 @@ impl Problem<Point> {
     /// their heap bytes. A problem builds none before its first solve.
     pub fn prepared_layouts(&self) -> (usize, usize) {
         match &self.space {
-            Space::Euclidean { prepared, .. } => prepared.built(),
+            Space::Euclidean { prepared, .. } => {
+                let (sets, bytes, _) = prepared.built();
+                (sets, bytes)
+            }
             Space::Discrete { .. } => (0, 0),
+        }
+    }
+
+    /// The heap bytes of the Gonzalez traversals kept by the layouts
+    /// [`Problem::prepared_layouts`] counts: each traversal's picks, radii
+    /// and log, and the rows and pass buffers its next extension starts
+    /// from. Solves grow them; the layouts' own bytes stay fixed.
+    pub fn prepared_traversal_bytes(&self) -> usize {
+        match &self.space {
+            Space::Euclidean { prepared, .. } => prepared.built().2,
+            Space::Discrete { .. } => 0,
         }
     }
 }
@@ -643,14 +660,12 @@ pub(crate) fn method_string(
 /// coordinate and every representative, so every output center is read
 /// back from its row; the grid strategy pushes its synthesized centers
 /// onto a private copy. All distance work then runs through the batched
-/// kernels of a [`StoreOracle`], whose multi-center sweeps run the
-/// configured [`crate::SolverConfig::kernel`]. [`Problem::euclidean`]
-/// validated the set, so building the layout cannot fail.
+/// kernels of a [`StoreOracle`]. [`Problem::euclidean`] validated the
+/// set, so building the layout cannot fail.
 ///
 /// Every distance is bit-identical to the pointwise
-/// [`ukc_metric::Euclidean`] metric whichever kernel runs, and the
-/// evaluation *counts* are kernel-independent by the [`DistanceOracle`]
-/// contract.
+/// [`ukc_metric::Euclidean`] metric, and every evaluated pair is counted
+/// once by the [`DistanceOracle`] contract.
 ///
 /// Parallelism: [`SolverConfig::resolved_threads`] lanes of the shared
 /// [`ukc_pool::global`] pool drive every batched sweep (certain solve,
@@ -685,7 +700,6 @@ fn solve_continuous_store(
         }
     }
     let counter = DistCounter::new();
-    let kernel = config.kernel();
     let exec = Exec::auto(config.resolved_threads());
     let t_total = Instant::now();
     let mut method = method_string("euclidean", rule, config.strategy());
@@ -744,7 +758,7 @@ fn solve_continuous_store(
         _ => (&layout.store, None),
     };
     // One pooled oracle serves every later stage.
-    let oracle = StoreOracle::new(store, kernel)
+    let oracle = StoreOracle::new(store)
         .with_counter(&counter)
         .with_exec(exec);
     let certain: KCenterSolution<PointId> = match config.strategy() {

@@ -67,6 +67,16 @@ impl SharedTraversal {
         }
     }
 
+    /// The heap bytes the published traversal and the extender's rows
+    /// hold. Rows an extension is running on count once it publishes
+    /// them: this never waits for one.
+    pub(crate) fn bytes(&self) -> usize {
+        // A poisoned lock's extension panicked after taking the rows.
+        let live = self.live.try_lock();
+        let rows = live.map_or(0, |live| live.rows.as_ref().map_or(0, TraversalRows::bytes));
+        self.snapshot().bytes() + rows
+    }
+
     fn snapshot(&self) -> Arc<Traversal> {
         let published = self
             .published
@@ -150,7 +160,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use ukc_kcenter::gonzalez_nearest;
-    use ukc_metric::{DistCounter, Kernel, Metric, PointStore, StoreOracle};
+    use ukc_metric::{DistCounter, Metric, PointStore, StoreOracle};
 
     /// The store's scalar distances through the default (unpruned)
     /// passes, panicking once `budget` of them have run.
@@ -187,7 +197,7 @@ mod tests {
             return (0, 0);
         }
         let counter = DistCounter::new();
-        let oracle = StoreOracle::new(store, Kernel::Scalar).with_counter(&counter);
+        let oracle = StoreOracle::new(store).with_counter(&counter);
         gonzalez_nearest(reps, k, &oracle, 0);
         (counter.count(), counter.pruned())
     }
@@ -199,7 +209,7 @@ mod tests {
         let mut ran = 0;
         for k in [12, 30, 7, 30, 45, 1] {
             let counter = DistCounter::new();
-            let oracle = StoreOracle::new(&store, Kernel::Scalar).with_counter(&counter);
+            let oracle = StoreOracle::new(&store).with_counter(&counter);
             let covered = shared.cover(&reps, k, &oracle, true, usize::MAX);
             let (fresh, before) = (
                 fresh_pairs(&store, &reps, k),
@@ -225,7 +235,7 @@ mod tests {
     #[test]
     fn past_the_cap_extensions_run_on_private_copies() {
         let (store, reps) = curve();
-        let oracle = StoreOracle::new(&store, Kernel::Scalar);
+        let oracle = StoreOracle::new(&store);
         // Room for a few passes' logs, not for 60.
         let cap = 8_000;
         let shared = SharedTraversal::new(reps.len());
@@ -252,7 +262,7 @@ mod tests {
     #[test]
     fn a_panicking_extension_leaves_the_published_traversal_intact() {
         let (store, reps) = curve();
-        let oracle = StoreOracle::new(&store, Kernel::Scalar);
+        let oracle = StoreOracle::new(&store);
         let shared = SharedTraversal::new(reps.len());
         assert_eq!(
             shared

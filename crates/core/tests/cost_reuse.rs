@@ -4,12 +4,11 @@
 //! ([`ukc_core::CostDistances`]). A warm start keeps the prior's centers
 //! and prefix assignment, so it takes those values for the prefix instead
 //! of re-evaluating them — but only when the prefix carries exactly the
-//! locations they were measured on. The kernel does not matter: every
-//! kernel measures the same bits. Every path must land on the same
+//! locations they were measured on. Every path must land on the same
 //! expected-cost bits.
 
 use ukc_core::{Problem, Solution, SolverConfig};
-use ukc_metric::{Kernel, Point};
+use ukc_metric::Point;
 use ukc_uncertain::generators::{clustered, ProbModel};
 use ukc_uncertain::{UncertainPoint, UncertainSet};
 
@@ -19,12 +18,8 @@ fn split(seed: u64, n_total: usize, n_base: usize) -> (UncertainSet<Point>, Unce
     (base, full)
 }
 
-fn config(kernel: Kernel) -> SolverConfig {
-    SolverConfig::builder()
-        .kernel(kernel)
-        .lower_bound(false)
-        .build()
-        .unwrap()
+fn config() -> SolverConfig {
+    SolverConfig::builder().lower_bound(false).build().unwrap()
 }
 
 /// `prior` as a solution file would rebuild it: no recorded distances.
@@ -40,7 +35,7 @@ fn cold_solves_record_one_distance_per_location() {
     let locations = full.total_locations();
     let cold = Problem::euclidean(full, 5)
         .unwrap()
-        .solve(&config(Kernel::Tiled))
+        .solve(&config())
         .unwrap();
     let recorded = cold.cost_distances.as_ref().expect("store path records");
     assert_eq!(recorded.all().len(), locations);
@@ -50,35 +45,30 @@ fn cold_solves_record_one_distance_per_location() {
 #[test]
 fn warm_append_evaluates_only_the_appended_locations() {
     let (base, full) = split(5, 330, 300);
-    for kernel in Kernel::ALL {
-        let config = config(kernel);
-        let prior = Problem::euclidean(base.clone(), 5)
-            .unwrap()
-            .solve(&config)
-            .unwrap();
-        let grown = Problem::euclidean(full.clone(), 5).unwrap();
-        let warm = Solution::warm_start(&grown, &config, &prior).unwrap();
-        assert_eq!(warm.report.warm.as_ref().unwrap().fallback, None);
-        let appended: usize = full.points()[300..].iter().map(UncertainPoint::z).sum();
-        assert_eq!(
-            warm.report.distance_evals.cost, appended as u64,
-            "{kernel:?}"
-        );
+    let config = config();
+    let prior = Problem::euclidean(base.clone(), 5)
+        .unwrap()
+        .solve(&config)
+        .unwrap();
+    let grown = Problem::euclidean(full.clone(), 5).unwrap();
+    let warm = Solution::warm_start(&grown, &config, &prior).unwrap();
+    assert_eq!(warm.report.warm.as_ref().unwrap().fallback, None);
+    let appended: usize = full.points()[300..].iter().map(UncertainPoint::z).sum();
+    assert_eq!(warm.report.distance_evals.cost, appended as u64);
 
-        // A prior without recorded distances recomputes — and counts —
-        // every location, landing on the same bits.
-        let rebuilt = Solution::warm_start(&grown, &config, &without_distances(&prior)).unwrap();
-        assert_eq!(
-            rebuilt.report.distance_evals.cost,
-            full.total_locations() as u64
-        );
-        assert_eq!(rebuilt.ecost.to_bits(), warm.ecost.to_bits(), "{kernel:?}");
-        assert_eq!(rebuilt.assignment, warm.assignment);
-        assert_eq!(
-            rebuilt.cost_distances.unwrap().all(),
-            warm.cost_distances.as_ref().unwrap().all()
-        );
-    }
+    // A prior without recorded distances recomputes — and counts —
+    // every location, landing on the same bits.
+    let rebuilt = Solution::warm_start(&grown, &config, &without_distances(&prior)).unwrap();
+    assert_eq!(
+        rebuilt.report.distance_evals.cost,
+        full.total_locations() as u64
+    );
+    assert_eq!(rebuilt.ecost.to_bits(), warm.ecost.to_bits());
+    assert_eq!(rebuilt.assignment, warm.assignment);
+    assert_eq!(
+        rebuilt.cost_distances.unwrap().all(),
+        warm.cost_distances.as_ref().unwrap().all()
+    );
 }
 
 #[test]
@@ -116,7 +106,7 @@ fn a_reordered_prefix_with_equal_representatives_is_not_reused() {
     swapped[0] = UncertainPoint::new(locs, probs).unwrap();
     let swapped = UncertainSet::new(swapped);
 
-    let config = config(Kernel::Tiled);
+    let config = config();
     let prior = Problem::euclidean(full, 5).unwrap().solve(&config).unwrap();
     let problem = Problem::euclidean(swapped.clone(), 5).unwrap();
     let warm = Solution::warm_start(&problem, &config, &prior).unwrap();
@@ -140,7 +130,7 @@ fn a_prefix_with_other_probabilities_falls_back_cold() {
     // expected points of the prior's recorded set do not. (Unchanged, this
     // append runs warm: see `warm_append_evaluates_only_the_appended_locations`.)
     let (base, full) = split(5, 330, 300);
-    let config = config(Kernel::Tiled);
+    let config = config();
     let prior = Problem::euclidean(base, 5).unwrap().solve(&config).unwrap();
     let mut points = full.points().to_vec();
     let up = &points[7];
@@ -162,9 +152,9 @@ fn a_prefix_with_other_probabilities_falls_back_cold() {
 fn distances_from_another_kernel_are_reused() {
     let (_, full) = split(17, 150, 150);
     let problem = Problem::euclidean(full, 4).unwrap();
-    let prior = problem.solve(&config(Kernel::Scalar)).unwrap();
-    let cold = problem.solve(&config(Kernel::Tiled)).unwrap();
-    let warm = Solution::warm_start(&problem, &config(Kernel::Tiled), &prior).unwrap();
+    let prior = problem.solve(&config()).unwrap();
+    let cold = problem.solve(&config()).unwrap();
+    let warm = Solution::warm_start(&problem, &config(), &prior).unwrap();
     assert_eq!(warm.report.warm.as_ref().unwrap().fallback, None);
     assert_eq!(warm.report.distance_evals.cost, 0);
     assert_eq!(warm.ecost.to_bits(), cold.ecost.to_bits());

@@ -141,11 +141,27 @@ fn config_name(config: &SolverConfig) -> String {
 fn a_problem_builds_nothing_before_its_first_solve() {
     let problem = Problem::euclidean(instance(42, 30), 3).unwrap();
     assert_eq!(problem.prepared_layouts(), (0, 0));
+    assert_eq!(problem.prepared_traversal_bytes(), 0);
     let clone = problem.with_k(5).unwrap();
     clone.solve(&SolverConfig::default()).unwrap();
     // The clone built the layout the original reads.
     assert_eq!(problem.prepared_layouts(), clone.prepared_layouts());
     assert_eq!(problem.prepared_layouts().0, 1);
+    // Its traversal is shared too, and a solve at a larger k grows it
+    // while the layout's own bytes stay put.
+    let (layouts, walk) = (
+        problem.prepared_layouts(),
+        problem.prepared_traversal_bytes(),
+    );
+    assert!(walk > 0);
+    assert_eq!(clone.prepared_traversal_bytes(), walk);
+    problem
+        .with_k(20)
+        .unwrap()
+        .solve(&SolverConfig::default())
+        .unwrap();
+    assert_eq!(problem.prepared_layouts(), layouts);
+    assert!(problem.prepared_traversal_bytes() > walk);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use ukc_core::{
     AssignmentMode, AssignmentRule, CandidatePolicy, CertainStrategy, Problem, Solution,
     SolverConfig,
 };
-use ukc_metric::{Kernel, Point};
+use ukc_metric::Point;
 use ukc_uncertain::generators::{clustered, ProbModel};
 use ukc_uncertain::UncertainSet;
 
@@ -55,14 +55,12 @@ fn config(
     rule: AssignmentRule,
     strategy: CertainStrategy,
     policy: CandidatePolicy,
-    kernel: Kernel,
 ) -> SolverConfig {
     SolverConfig::builder()
         .rule(rule)
         .strategy(strategy)
         .candidate_policy(policy)
         .eps(0.5)
-        .kernel(kernel)
         .build()
         .expect("valid config")
 }
@@ -107,29 +105,26 @@ fn assert_same_output(a: &Solution<Point>, b: &Solution<Point>, ctx: &str) {
 fn arc_built_solve_matches_owned_bit_for_bit() {
     let shared = Arc::new(clustered(8, 300, 3, 4, 5, 20.0, 1.0, ProbModel::Random));
     for rule in RULES {
-        for kernel in [Kernel::Scalar, Kernel::Tiled] {
-            let cfg = config(
-                rule,
-                CertainStrategy::Gonzalez,
-                CandidatePolicy::ProblemPool,
-                kernel,
-            );
-            let owned = Problem::euclidean((*shared).clone(), 5).unwrap();
-            let from_arc = Problem::euclidean(Arc::clone(&shared), 5).unwrap();
-            let (a, b) = (owned.solve(&cfg).unwrap(), from_arc.solve(&cfg).unwrap());
-            let ctx = format!("{rule:?} {kernel:?}");
-            assert_same_output(&a, &b, &ctx);
-            assert_eq!(
-                a.report.lower_bound.map(f64::to_bits),
-                b.report.lower_bound.map(f64::to_bits),
-                "lower_bound: {ctx}"
-            );
-            assert_eq!(
-                a.report.distance_evals.total(),
-                b.report.distance_evals.total(),
-                "evals: {ctx}"
-            );
-        }
+        let cfg = config(
+            rule,
+            CertainStrategy::Gonzalez,
+            CandidatePolicy::ProblemPool,
+        );
+        let owned = Problem::euclidean((*shared).clone(), 5).unwrap();
+        let from_arc = Problem::euclidean(Arc::clone(&shared), 5).unwrap();
+        let (a, b) = (owned.solve(&cfg).unwrap(), from_arc.solve(&cfg).unwrap());
+        let ctx = format!("{rule:?}");
+        assert_same_output(&a, &b, &ctx);
+        assert_eq!(
+            a.report.lower_bound.map(f64::to_bits),
+            b.report.lower_bound.map(f64::to_bits),
+            "lower_bound: {ctx}"
+        );
+        assert_eq!(
+            a.report.distance_evals.total(),
+            b.report.distance_evals.total(),
+            "evals: {ctx}"
+        );
     }
 }
 
@@ -142,7 +137,6 @@ fn location_pool_centers_are_realization_locations() {
             rule,
             CertainStrategy::ExactDiscrete,
             CandidatePolicy::LocationPool,
-            Kernel::default(),
         );
         let solution = Problem::euclidean(set.clone(), 3)
             .unwrap()
@@ -154,7 +148,7 @@ fn location_pool_centers_are_realization_locations() {
     }
 }
 
-/// Center digests of the default kernel's solves of [`small_set`], k = 3,
+/// Center digests of the default solves of [`small_set`], k = 3,
 /// recorded before output centers were looked up by id range.
 const PINNED: [(&str, [u64; 3]); 6] = [
     (

@@ -4,14 +4,13 @@
 //! The incremental layer's contract: warm results satisfy the same
 //! approximation bounds as cold solves, fall back cold (typed, never an
 //! error) on any structural mismatch, stay bit-identical across thread
-//! counts and kernels, and leave-one-out variants agree exactly with `n`
+//! counts, and leave-one-out variants agree exactly with `n`
 //! independent cold solves of the reduced instances.
 
 use ukc_core::{
     solve_batch_threads, solve_loo, AssignmentMode, AssignmentRule, CertainStrategy, Problem,
     Solution, SolverConfig,
 };
-use ukc_metric::Kernel;
 use ukc_metric::Point;
 use ukc_uncertain::generators::{clustered, ProbModel};
 use ukc_uncertain::{distance_vars, expected_max, UncertainPoint, UncertainSet};
@@ -190,111 +189,90 @@ fn warm_start_falls_back_on_structural_mismatches() {
 #[test]
 fn warm_results_are_bit_identical_across_threads_and_count_stable_across_kernels() {
     let (base, full) = split_instance(53, 260, 240, 2, 5);
-    let mut per_kernel = Vec::new();
-    for kernel in Kernel::ALL {
-        let mut per_thread = Vec::new();
-        for threads in [1usize, 4] {
-            let config = SolverConfig::builder()
-                .kernel(kernel)
-                .threads(threads)
-                .build()
-                .unwrap();
-            let prior = Problem::euclidean(base.clone(), 5)
-                .unwrap()
-                .solve(&config)
-                .unwrap();
-            let grown = Problem::euclidean(full.clone(), 5).unwrap();
-            let warm = Solution::warm_start(&grown, &config, &prior).unwrap();
-            assert_eq!(warm_of(&warm).fallback, None, "kernel {kernel:?}");
-            per_thread.push((
-                warm.ecost.to_bits(),
-                warm.certain_radius.to_bits(),
-                warm.assignment.clone(),
-                warm.report.distance_evals.total(),
-            ));
-        }
-        assert_eq!(
-            per_thread[0], per_thread[1],
-            "thread count leaked into warm output under {kernel:?}"
-        );
-        per_kernel.push(per_thread.swap_remove(0));
+    let mut per_thread = Vec::new();
+    for threads in [1usize, 4] {
+        let config = SolverConfig::builder().threads(threads).build().unwrap();
+        let prior = Problem::euclidean(base.clone(), 5)
+            .unwrap()
+            .solve(&config)
+            .unwrap();
+        let grown = Problem::euclidean(full.clone(), 5).unwrap();
+        let warm = Solution::warm_start(&grown, &config, &prior).unwrap();
+        assert_eq!(warm_of(&warm).fallback, None, "{threads} threads");
+        per_thread.push((
+            warm.ecost.to_bits(),
+            warm.certain_radius.to_bits(),
+            warm.assignment.clone(),
+            warm.report.distance_evals.total(),
+        ));
     }
-    // Kernels change neither a bit nor which pairs are evaluated.
-    assert!(per_kernel.windows(2).all(|w| w[0] == w[1]));
+    // Lanes change neither a bit nor which pairs are evaluated.
+    assert_eq!(
+        per_thread[0], per_thread[1],
+        "thread count leaked into warm output"
+    );
 }
 
 #[test]
 fn lower_bound_is_bit_identical_on_every_path_at_d8() {
     // d = 8 and n > 2048 once put Gonzalez's passes on the tiled
     // kernel's own arithmetic; the certain half's radius must come out the
-    // same on every path and under every kernel.
+    // same on every path.
     let full = clustered(71, 2600, 2, 8, 6, 60.0, 0.8, ProbModel::Random);
     let base = UncertainSet::new(full.points()[..2500].to_vec());
     let grown = Problem::euclidean(full.clone(), 6).unwrap();
-    let mut bounds = Vec::new();
-    for kernel in Kernel::ALL {
-        let config = |threads: usize| {
-            SolverConfig::builder()
-                .kernel(kernel)
-                .threads(threads)
-                .build()
-                .unwrap()
-        };
-        let cold = grown.solve(&config(1)).unwrap();
-        let lb = cold.report.lower_bound.unwrap();
-        assert!(lb <= cold.ecost);
-        bounds.push(lb.to_bits());
-        let evals = cold.report.distance_evals.lower_bound;
-        assert!(evals >= full.total_locations() as u64, "{kernel:?}");
-        let prior = Problem::euclidean(base.clone(), 6)
-            .unwrap()
-            .solve(&config(1))
-            .unwrap();
-        for threads in [1usize, 4] {
-            let warm = Solution::warm_start(&grown, &config(threads), &prior).unwrap();
-            assert_eq!(warm_of(&warm).fallback, None, "{kernel:?}");
-            assert_eq!(
-                warm.report.lower_bound.unwrap().to_bits(),
-                lb.to_bits(),
-                "warm vs cold under {kernel:?}, {threads} threads"
-            );
-            assert_eq!(warm.report.distance_evals.lower_bound, evals);
-            let again = grown.solve(&config(threads)).unwrap();
-            assert_eq!(
-                again.report.lower_bound.unwrap().to_bits(),
-                lb.to_bits(),
-                "cold under {kernel:?}, {threads} threads"
-            );
-        }
-        let batch = solve_batch_threads(&[grown.clone(), grown.clone()], &config(1), 2);
-        for solution in batch {
-            assert_eq!(
-                solution.unwrap().report.lower_bound.unwrap().to_bits(),
-                lb.to_bits(),
-                "batch under {kernel:?}"
-            );
-        }
-        // Every rule, strategy and assignment mode reports the same bound
-        // (local search reruns Gonzalez exactly like grid; it is left out
-        // because its n² swap search is slow at this size).
-        let variants = [
-            SolverConfig::builder().rule(AssignmentRule::ExpectedDistance),
-            SolverConfig::builder().rule(AssignmentRule::OneCenter),
-            SolverConfig::builder().strategy(CertainStrategy::Grid),
-            SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted),
-        ];
-        for builder in variants {
-            let config = builder.kernel(kernel).build().unwrap();
-            let solution = grown.solve(&config).unwrap();
-            assert_eq!(
-                solution.report.lower_bound.unwrap().to_bits(),
-                lb.to_bits(),
-                "{} under {kernel:?}",
-                solution.report.method
-            );
-        }
+    let config = |threads: usize| SolverConfig::builder().threads(threads).build().unwrap();
+    let cold = grown.solve(&config(1)).unwrap();
+    let lb = cold.report.lower_bound.unwrap();
+    assert!(lb <= cold.ecost);
+    let evals = cold.report.distance_evals.lower_bound;
+    assert!(evals >= full.total_locations() as u64);
+    let prior = Problem::euclidean(base.clone(), 6)
+        .unwrap()
+        .solve(&config(1))
+        .unwrap();
+    for threads in [1usize, 4] {
+        let warm = Solution::warm_start(&grown, &config(threads), &prior).unwrap();
+        assert_eq!(warm_of(&warm).fallback, None);
+        assert_eq!(
+            warm.report.lower_bound.unwrap().to_bits(),
+            lb.to_bits(),
+            "warm vs cold, {threads} threads"
+        );
+        assert_eq!(warm.report.distance_evals.lower_bound, evals);
+        let again = grown.solve(&config(threads)).unwrap();
+        assert_eq!(
+            again.report.lower_bound.unwrap().to_bits(),
+            lb.to_bits(),
+            "cold, {threads} threads"
+        );
     }
-    assert!(bounds.windows(2).all(|w| w[0] == w[1]), "{bounds:?}");
+    let batch = solve_batch_threads(&[grown.clone(), grown.clone()], &config(1), 2);
+    for solution in batch {
+        assert_eq!(
+            solution.unwrap().report.lower_bound.unwrap().to_bits(),
+            lb.to_bits(),
+            "batch"
+        );
+    }
+    // Every rule, strategy and assignment mode reports the same bound
+    // (local search reruns Gonzalez exactly like grid; it is left out
+    // because its n² swap search is slow at this size).
+    let variants = [
+        SolverConfig::builder().rule(AssignmentRule::ExpectedDistance),
+        SolverConfig::builder().rule(AssignmentRule::OneCenter),
+        SolverConfig::builder().strategy(CertainStrategy::Grid),
+        SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted),
+    ];
+    for builder in variants {
+        let solution = grown.solve(&builder.build().unwrap()).unwrap();
+        assert_eq!(
+            solution.report.lower_bound.unwrap().to_bits(),
+            lb.to_bits(),
+            "{}",
+            solution.report.method
+        );
+    }
 }
 
 /// The cold reference for one leave-one-out variant: an independent
@@ -388,23 +366,17 @@ fn loo_is_deterministic_across_threads_and_kernels() {
     let set = clustered(71, 40, 2, 3, 3, 30.0, 0.6, ProbModel::Random);
     let problem = Problem::euclidean(set, 3).unwrap();
     let mut runs = Vec::new();
-    for kernel in Kernel::ALL {
-        for threads in [1usize, 4] {
-            let config = SolverConfig::builder()
-                .kernel(kernel)
-                .threads(threads)
-                .build()
-                .unwrap();
-            let loo = solve_loo(&problem, &config).unwrap();
-            runs.push(
-                loo.variants
-                    .iter()
-                    .map(|v| (v.ecost.to_bits(), v.certain_radius.to_bits(), v.reused))
-                    .collect::<Vec<_>>(),
-            );
-        }
+    for threads in [1usize, 4] {
+        let config = SolverConfig::builder().threads(threads).build().unwrap();
+        let loo = solve_loo(&problem, &config).unwrap();
+        runs.push(
+            loo.variants
+                .iter()
+                .map(|v| (v.ecost.to_bits(), v.certain_radius.to_bits(), v.reused))
+                .collect::<Vec<_>>(),
+        );
     }
-    // Neither the lane count nor the kernel leaks into a variant.
+    // The lane count does not leak into a variant.
     assert!(runs.windows(2).all(|w| w[0] == w[1]));
 }
 

@@ -150,6 +150,11 @@ impl TraversalRows {
     pub fn nearest(&self) -> Vec<(usize, f64)> {
         self.rows.iter().map(|r| (r.nearest, r.min)).collect()
     }
+
+    /// The heap bytes the rows and their pass buffers hold.
+    pub fn bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<Tracked>() + self.buffers.bytes()
+    }
 }
 
 impl Traversal {

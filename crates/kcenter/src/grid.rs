@@ -21,7 +21,7 @@
 use crate::exact::{exact_discrete_kcenter, ExactOptions};
 use crate::gonzalez::{gonzalez, KCenterSolution};
 use ukc_metric::batch;
-use ukc_metric::{Kernel, Point, PointId, PointStore, StoreOracle};
+use ukc_metric::{Point, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
 
 /// Options for the grid (1+ε) solver.
@@ -80,12 +80,7 @@ pub fn grid_kcenter(
         center_indices: sol.center_indices,
         radius: sol.radius,
     };
-    let gz = gonzalez(
-        &point_ids,
-        k,
-        &StoreOracle::new(&store, Kernel::default()).with_exec(exec),
-        0,
-    );
+    let gz = gonzalez(&point_ids, k, &StoreOracle::new(&store).with_exec(exec), 0);
     if gz.radius == 0.0 {
         // k distinct-ish points already have zero radius: optimal.
         return Some(materialize(gz, &store));
@@ -153,7 +148,7 @@ pub fn grid_kcenter(
     if cand_ids.is_empty() {
         return Some(materialize(gz, &store));
     }
-    let oracle = StoreOracle::new(&store, Kernel::default()).with_exec(exec);
+    let oracle = StoreOracle::new(&store).with_exec(exec);
     let sol = exact_discrete_kcenter(&point_ids, &cand_ids, k, &oracle, opts.exact)?;
     // The grid optimum is certified (1+eps); but Gonzalez may still win on
     // degenerate inputs (e.g. grid quantization of tiny instances), so take

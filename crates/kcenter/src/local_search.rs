@@ -116,7 +116,7 @@ mod tests {
     use crate::exact::{exact_discrete_kcenter, ExactOptions};
     use crate::gonzalez::gonzalez;
     use crate::kcenter_cost;
-    use ukc_metric::{Euclidean, Kernel, Point, PointId, PointStore, StoreOracle};
+    use ukc_metric::{Euclidean, Point, PointId, PointStore, StoreOracle};
 
     /// The swap-by-swap loop: every candidate swap re-runs
     /// [`kcenter_cost`] over the swapped set.
@@ -179,7 +179,7 @@ mod tests {
             let cands = &pts[..20];
             let store = PointStore::from_points(&pts);
             let ids = store.ids();
-            let oracle = StoreOracle::new(&store, Kernel::Tiled);
+            let oracle = StoreOracle::new(&store);
             for k in [1, 2, 4, 7] {
                 let initial: Vec<usize> = (0..k).collect();
                 for rounds in [0, 1, 3, 50] {

@@ -4,24 +4,29 @@
 //! result is the scalar reference value: per-pair difference-and-square
 //! with sequential summation, the exact arithmetic of
 //! [`crate::Point::dist`], so results are bit-identical to the pointwise
-//! [`crate::Euclidean`] metric whichever [`Kernel`] runs. The kernel
-//! chooses speed, never bits:
+//! [`crate::Euclidean`] metric. The two multi-center sweep families
+//! ([`dists_to_centers_min`], [`nearest_center_each`]) choose how fast
+//! they run from the sweep's size and dimension ([`Kernel::dispatch`]),
+//! never its bits:
 //!
-//! * [`Kernel::Scalar`] runs the scalar loop everywhere.
-//! * [`Kernel::Tiled`], the default, screens the two multi-center sweep
-//!   families ([`dists_to_centers_min`], [`nearest_center_each`]) with
-//!   the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization over the store's
-//!   cached squared norms, structured as a register-tiled mini-GEMM (see
-//!   [`tile`]): [`tile::TILE_CENTERS`] centers are packed into a
-//!   column-major panel that stays in L1, and each point row streams past
-//!   it exactly once, [`tile::TILE_POINTS`] rows per block. The screen
-//!   keeps each row's best and second-best factorized value, and the
-//!   scalar loop measures the row's best center once; a derived error
-//!   bound then decides the row whenever it separates that value from
-//!   every other center, and otherwise the scalar loop over all of the
-//!   row's centers does — the filter-and-refine pattern of filtered
-//!   geometric predicates. Near ties, duplicated centers and norms too
-//!   large to bound take the scalar loop.
+//! * small or low-dimensional sweeps run the scalar loop;
+//! * larger ones screen with the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`
+//!   factorization over the store's cached squared norms, structured as
+//!   a register-tiled mini-GEMM (see [`tile`]): [`tile::TILE_CENTERS`]
+//!   centers are packed into a column-major panel that stays in L1, and
+//!   each point row streams past it exactly once, [`tile::TILE_POINTS`]
+//!   rows per block. The screen keeps each row's best and second-best
+//!   factorized value, and the scalar loop measures the row's best
+//!   center once; a derived error bound then decides the row whenever it
+//!   separates that value from every other center, and otherwise the
+//!   scalar loop over all of the row's centers does — the
+//!   filter-and-refine pattern of filtered geometric predicates. Near
+//!   ties, duplicated centers and norms too large to bound take the
+//!   scalar loop.
+//!
+//! Both entries take a [`Kernel`]: [`Kernel::Tiled`] is the dispatch
+//! above, which every solve runs; [`Kernel::Scalar`] pins the scalar
+//! loop, the reference the tests and benches compare the screen against.
 //!
 //! The single-center and single-pair routines ([`dists_to_one`],
 //! [`dists_to_set_min`], [`dists_to_set_min_tracked`], [`greedy_pass`],
@@ -47,8 +52,8 @@
 //! picks the next center on the way.
 //!
 //! Every routine performs — and [`DistCounter`]-instrumented callers
-//! count — exactly one distance evaluation per point-pair, whichever
-//! kernel runs (a refine re-measures a pair the screen already counted),
+//! count — exactly one distance evaluation per point-pair, screened or
+//! not (a refine re-measures a pair the screen already counted),
 //! except that [`greedy_pass`] skips a pair it proves cannot change the
 //! result and counts it as pruned ([`DistCounter::pruned`]).
 
@@ -83,41 +88,31 @@ pub const FACTORIZED_MIN_DIM: usize = 3;
 /// Results are the same on either side, so this is a speed setting only.
 pub const FACTORIZED_MIN_WORK: usize = 16_384;
 
-/// How the multi-center sweeps run. Both kernels return the same bits;
-/// the choice is a speed hint.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// How the multi-center sweeps run. Both return the same bits;
+/// [`Kernel::Tiled`] is the size-dispatched screen every solve runs, and
+/// [`Kernel::Scalar`] is the reference it is tested and timed against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// The scalar loop everywhere: per-pair difference-and-square,
     /// sequential summation over dimensions.
     Scalar,
     /// The multi-center sweeps screen with the norm-factorized
     /// register-tiled mini-GEMM over packed center panels (see [`tile`])
-    /// and refine with the scalar loop.
-    #[default]
+    /// and refine with the scalar loop, wherever [`Kernel::dispatch`]
+    /// says the screen pays.
     Tiled,
 }
 
 impl Kernel {
-    /// Every kernel, in definition order — for CLI/test matrices.
+    /// Both kernels, in definition order — for test and bench matrices.
     pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Tiled];
 
-    /// Short name for reports and flags.
+    /// Short name for reports.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Tiled => "tiled",
         }
-    }
-
-    /// Parses a [`Kernel::name`] back to the kernel (`None` for anything
-    /// else) — the single source of truth for CLI and API kernel fields.
-    /// `"blocked"`, the name of a retired kernel, still parses (to
-    /// `Tiled`), so old requests, flags and WAL records keep working.
-    pub fn parse(s: &str) -> Option<Kernel> {
-        if s == "blocked" {
-            return Some(Kernel::Tiled);
-        }
-        Kernel::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// The kernel a multi-center sweep of `pair_evals` point-pairs in
@@ -770,6 +765,13 @@ impl PassBuffers {
     /// oracle's evaluations and pruned pairs.
     pub fn pairs(&self) -> (usize, usize) {
         self.pairs
+    }
+
+    /// The heap bytes the buffers hold.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.half.capacity() + self.dists.capacity()) * size_of::<f64>()
+            + self.kept.capacity() * size_of::<usize>()
     }
 }
 
@@ -1577,18 +1579,6 @@ mod tests {
         let evals = FACTORIZED_MIN_WORK / 4;
         assert_eq!(Kernel::Tiled.dispatch(evals, 4), Kernel::Tiled);
         assert_eq!(Kernel::Tiled.dispatch(evals - 1, 4), Kernel::Scalar);
-    }
-
-    #[test]
-    fn kernel_parse_roundtrips_names() {
-        for k in Kernel::ALL {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-        }
-        // The retired kernel's name stays a parse alias, never a name.
-        assert_eq!(Kernel::parse("blocked"), Some(Kernel::Tiled));
-        assert!(Kernel::ALL.iter().all(|k| k.name() != "blocked"));
-        assert_eq!(Kernel::parse("simd"), None);
-        assert_eq!(Kernel::parse(""), None);
     }
 
     #[test]

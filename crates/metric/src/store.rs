@@ -232,14 +232,16 @@ impl PointStore {
 /// [`Metric<PointId>`] pairwise and overrides the batched
 /// [`DistanceOracle`] methods with the [`crate::batch`] kernels.
 ///
-/// Every distance it returns is the scalar loop's, whichever kernel it
-/// carries: the kernel only picks how fast the multi-center sweeps run.
+/// Every distance it returns is the scalar loop's. Its multi-center
+/// sweeps run [`Kernel::Tiled`], which screens with the tiled mini-GEMM
+/// wherever [`Kernel::dispatch`] says the sweep is large enough to pay
+/// and runs the scalar loop elsewhere; either way the bits are the same.
 ///
 /// The oracle optionally shares a [`DistCounter`]; every evaluated
-/// point-pair bumps it by exactly one, whichever kernel runs. Gonzalez's
+/// point-pair bumps it by exactly one, screened or not. Gonzalez's
 /// passes ([`batch::greedy_pass`]) skip the rows the triangle inequality
 /// rules out and count them as pruned instead; every other sweep
-/// evaluates every pair, so its counts are kernel-independent.
+/// evaluates every pair.
 ///
 /// [`StoreOracle::with_exec`] attaches an execution context: batched
 /// sweeps over at least [`batch::PAR_MIN_POINTS`] rows then run block-parallel
@@ -249,18 +251,16 @@ impl PointStore {
 /// lane count (the execution-layer determinism contract).
 pub struct StoreOracle<'a> {
     store: &'a PointStore,
-    kernel: Kernel,
     counter: Option<&'a DistCounter>,
     exec: Exec<'a>,
 }
 
 impl<'a> StoreOracle<'a> {
-    /// An oracle over `store` whose multi-center sweeps run `kernel`, not
-    /// counting evaluations, running sequentially.
-    pub fn new(store: &'a PointStore, kernel: Kernel) -> Self {
+    /// An oracle over `store`, not counting evaluations, running
+    /// sequentially.
+    pub fn new(store: &'a PointStore) -> Self {
         Self {
             store,
-            kernel,
             counter: None,
             exec: Exec::sequential(),
         }
@@ -281,11 +281,6 @@ impl<'a> StoreOracle<'a> {
     /// The underlying store.
     pub fn store(&self) -> &'a PointStore {
         self.store
-    }
-
-    /// The active kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// The active execution context.
@@ -371,8 +366,16 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         min_dist: &mut [f64],
     ) {
         self.tally(points.len() * centers.len());
-        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
-        batch::dists_to_centers_min(store, points, centers, weights, kernel, exec, min_dist);
+        let (store, exec) = (self.store, self.exec);
+        batch::dists_to_centers_min(
+            store,
+            points,
+            centers,
+            weights,
+            Kernel::Tiled,
+            exec,
+            min_dist,
+        );
     }
 
     fn nearest_each(
@@ -389,8 +392,8 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
             return;
         }
         self.tally(queries.len() * centers.len());
-        let (store, kernel, exec) = (self.store, self.kernel, self.exec);
-        batch::nearest_center_each(store, queries, centers, weights, kernel, exec, out);
+        let (store, exec) = (self.store, self.exec);
+        batch::nearest_center_each(store, queries, centers, weights, Kernel::Tiled, exec, out);
     }
 }
 
@@ -446,7 +449,7 @@ mod tests {
     fn scalar_oracle_matches_euclidean_exactly() {
         let pts = cloud(3, 12, 5);
         let store = PointStore::from_points(&pts);
-        let oracle = StoreOracle::new(&store, Kernel::Scalar);
+        let oracle = StoreOracle::new(&store);
         for i in 0..pts.len() {
             for j in 0..pts.len() {
                 let reference = Euclidean.dist(&pts[i], &pts[j]);
@@ -461,7 +464,7 @@ mod tests {
         for d in [1usize, 2, 3, 7, 8, 9, 16, 33] {
             let pts = cloud(d as u64 + 1, 9, d);
             let store = PointStore::from_points(&pts);
-            let oracle = StoreOracle::new(&store, Kernel::Tiled);
+            let oracle = StoreOracle::new(&store);
             for i in 0..pts.len() {
                 for j in 0..pts.len() {
                     // Bit for bit: a tiled oracle's pairs are scalar.
@@ -477,7 +480,7 @@ mod tests {
     fn tiled_distance_of_point_to_itself_is_exactly_zero() {
         let pts = cloud(9, 5, 13);
         let store = PointStore::from_points(&pts);
-        let oracle = StoreOracle::new(&store, Kernel::Tiled);
+        let oracle = StoreOracle::new(&store);
         for i in 0..pts.len() {
             assert_eq!(oracle.dist(&PointId(i), &PointId(i)), 0.0);
         }
@@ -487,7 +490,7 @@ mod tests {
     fn nearest_each_accepts_empty_queries_like_the_default() {
         let pts = cloud(2, 4, 2);
         let store = PointStore::from_points(&pts);
-        let oracle = StoreOracle::new(&store, Kernel::Tiled);
+        let oracle = StoreOracle::new(&store);
         // Empty queries are trivially done, even with no centers — the
         // documented trait contract.
         oracle.nearest_each(&[], &[], None, &mut []);
@@ -522,33 +525,31 @@ mod tests {
 
     #[test]
     fn oracle_counts_every_pair_once_regardless_of_kernel() {
-        let pts = cloud(5, 10, 4);
-        let store = PointStore::from_points(&pts);
-        let ids = store.ids();
-        let mut counts = Vec::new();
-        for kernel in Kernel::ALL {
+        // At 200 × 32 the three-center sweeps run the tiled screen; at
+        // 10 × 4 every sweep runs the scalar loop. Both count per pair.
+        for (n, d) in [(10, 4), (200, 32)] {
+            let pts = cloud(5, n, d);
+            let store = PointStore::from_points(&pts);
+            let ids = store.ids();
             let counter = DistCounter::new();
-            let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
+            let oracle = StoreOracle::new(&store).with_counter(&counter);
             let mut out = vec![0.0; ids.len()];
             oracle.dists_to_one(&ids, &PointId(0), &mut out);
             oracle.dists_to_set_min(&ids, &PointId(3), None, &mut out);
             oracle.dists_to_centers_min(&ids, &ids[..3], None, &mut out);
             let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-            oracle.nearest_each(&ids, &ids[..2], None, &mut nearest);
+            oracle.nearest_each(&ids, &ids[..3], None, &mut nearest);
             let _ = oracle.nearest(&PointId(2), &ids[..4]);
             let _ = oracle.dist(&PointId(0), &PointId(1));
             // Weighted sweeps count exactly like their plain siblings:
-            // one evaluation per point-pair, kernel-independent.
+            // one evaluation per point-pair.
             oracle.dists_to_set_min(&ids, &PointId(3), Some(0.5), &mut out);
             oracle.dists_to_centers_min(&ids, &ids[..3], Some(&[0.1, 0.2, 0.3]), &mut out);
-            oracle.nearest_each(&ids, &ids[..2], Some(&[0.1, 0.2]), &mut nearest);
+            oracle.nearest_each(&ids, &ids[..3], Some(&[0.1, 0.2, 0.3]), &mut nearest);
             oracle.nearest_each(&[PointId(2)], &ids[..4], Some(&[0.0; 4]), &mut nearest);
-            counts.push(counter.count());
+            let want = n + n + 3 * n + 3 * n + 4 + 1 + n + 3 * n + 3 * n + 4;
+            assert_eq!(counter.count(), want as u64, "n={n} d={d}");
         }
-        for c in &counts[1..] {
-            assert_eq!(*c, counts[0]);
-        }
-        assert_eq!(counts[0], 10 + 10 + 30 + 20 + 4 + 1 + 10 + 30 + 20 + 4);
     }
 
     #[test]

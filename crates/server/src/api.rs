@@ -13,9 +13,8 @@
 //!   "eps": 0.25,             // grid only
 //!   "seed": 0,
 //!   "lower_bound": true,     // certify a lower bound in the report
-//!   "kernel": "tiled",       // scalar | tiled  (default "tiled"; a speed
-//!                            // hint that never changes a response byte;
-//!                            // the retired "blocked" is accepted as "tiled")
+//!   "kernel": "tiled",       // scalar | tiled | blocked: validated, then
+//!                            // ignored (see below)
 //!   "assignment": "plain",   // plain | weighted (additively-weighted
 //!                            // Apollonius assignment; default "plain")
 //!   "cache": true            // false bypasses the solution cache
@@ -24,12 +23,17 @@
 //!
 //! `POST /solve` adds a required `"instance"` field carrying the same
 //! document `POST /instances` accepts.
+//!
+//! `"kernel"` selects nothing: every solve runs the same sweeps, which
+//! pick the scalar loop or the tiled screen from their size alone and
+//! return the same bits either way. The field is still accepted and
+//! validated because write-ahead-log replay re-parses stored
+//! stream-create bodies, and older clients send it.
 
 use crate::error::ApiError;
 use ukc_core::{AssignmentMode, AssignmentRule, CertainStrategy, SolveError, SolverConfig};
 use ukc_json::format::JsonInstance;
 use ukc_json::Json;
-use ukc_metric::Kernel;
 
 /// A parsed solve request: `k`, the solver configuration, and whether
 /// the solution cache may serve it.
@@ -172,16 +176,15 @@ fn parse_solve_fields(doc: &Json, allowed: &[&str]) -> Result<SolveRequest, ApiE
         builder = builder.lower_bound(lb);
     }
     if let Some(raw) = doc.get("kernel") {
-        let kernel = raw.as_str().and_then(Kernel::parse).ok_or_else(|| {
-            ApiError::bad_request(
+        if !matches!(raw.as_str(), Some("scalar" | "tiled" | "blocked")) {
+            return Err(ApiError::bad_request(
                 "bad_schema",
                 format!(
                     "\"kernel\" must be \"scalar\" or \"tiled\", got {}",
                     raw.compact()
                 ),
-            )
-        })?;
-        builder = builder.kernel(kernel);
+            ));
+        }
     }
     if let Some(raw) = doc.get("assignment") {
         let mode = raw
@@ -316,10 +319,9 @@ mod tests {
         assert_eq!(r.config.eps(), 0.5);
         assert_eq!(r.config.seed(), 9);
         assert!(!r.config.computes_lower_bound());
-        assert_eq!(r.config.kernel(), Kernel::Tiled);
         assert!(!r.use_cache);
         let r = parse(r#"{"k": 2, "kernel": "scalar"}"#).unwrap();
-        assert_eq!(r.config.kernel(), Kernel::Scalar);
+        assert_eq!(r.config, parse(r#"{"k": 2}"#).unwrap().config);
     }
 
     #[test]
@@ -354,11 +356,17 @@ mod tests {
 
     #[test]
     fn stream_create_resolves_the_retired_blocked_kernel_to_tiled() {
-        // WAL-recovered stream create records may still carry "blocked".
-        let doc = Json::parse(r#"{"k": 3, "budget": 10, "kernel": "blocked"}"#).unwrap();
-        let (request, budget) = parse_stream_create(&doc).unwrap();
-        assert_eq!(request.config.kernel(), Kernel::Tiled);
+        // WAL-recovered stream create records may still carry "blocked";
+        // it parses to the config "tiled" and an absent field give.
+        let create = |body: &str| parse_stream_create(&Json::parse(body).unwrap()).unwrap();
+        let (request, budget) = create(r#"{"k": 3, "budget": 10, "kernel": "blocked"}"#);
         assert_eq!(budget, Some(10));
+        for body in [
+            r#"{"k": 3, "budget": 10, "kernel": "tiled"}"#,
+            r#"{"k": 3, "budget": 10}"#,
+        ] {
+            assert_eq!(create(body).0.config, request.config, "{body}");
+        }
         let e = parse(r#"{"k": 3, "kernel": "simd"}"#).unwrap_err();
         assert!(
             e.message.contains(r#""scalar" or "tiled""#),

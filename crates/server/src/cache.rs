@@ -97,13 +97,11 @@ impl CachedSolve {
 /// solve result appears, floats by bit pattern so distinct values can
 /// never collide.
 ///
-/// [`SolverConfig::threads`] and [`SolverConfig::kernel`] are
-/// deliberately **excluded**: solutions are bit-identical for every lane
-/// count and every distance kernel, so a result computed at `threads = 1`
-/// under the scalar kernel may serve a `threads = N` tiled request (and
-/// vice versa) — splitting the cache by either would only lower the hit
-/// rate (pinned by `config_keys_ignore_threads` and
-/// `config_keys_ignore_kernel`).
+/// [`SolverConfig::threads`] is deliberately **excluded**: solutions are
+/// bit-identical for every lane count, so a result computed at
+/// `threads = 1` may serve a `threads = N` request (and vice versa) —
+/// splitting the cache by it would only lower the hit rate (pinned by
+/// `config_keys_ignore_threads`).
 pub fn config_key(config: &SolverConfig) -> String {
     let strategy = match config.strategy() {
         CertainStrategy::Gonzalez => "gonzalez".to_string(),
@@ -328,18 +326,6 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let cfg = SolverConfig::builder().threads(threads).build().unwrap();
             assert_eq!(config_key(&cfg), base_key, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn config_keys_ignore_kernel() {
-        // The kernel is a speed hint with bit-identical output, so a
-        // cached solution must be shared across kernels.
-        let base_key = config_key(&SolverConfig::default());
-        assert!(!base_key.contains("kernel"), "{base_key}");
-        for kernel in ukc_metric::Kernel::ALL {
-            let cfg = SolverConfig::builder().kernel(kernel).build().unwrap();
-            assert_eq!(config_key(&cfg), base_key, "{kernel:?}");
         }
     }
 }

@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use ukc_core::{AssignmentMode, Report};
 use ukc_json::Json;
-use ukc_metric::Kernel;
 use ukc_pool::PoolStats;
 
 /// Route labels, one counter slot each.
@@ -94,13 +93,6 @@ fn route_slot(route: Route) -> usize {
         .iter()
         .position(|(r, _)| *r == route)
         .expect("every route has a slot")
-}
-
-fn kernel_slot(kernel: Kernel) -> usize {
-    Kernel::ALL
-        .iter()
-        .position(|k| *k == kernel)
-        .expect("every kernel has a slot")
 }
 
 fn assignment_slot(assignment: AssignmentMode) -> usize {
@@ -227,10 +219,6 @@ pub struct Metrics {
     cost_nanos: AtomicU64,
     lower_bound_nanos: AtomicU64,
     distance_evals: AtomicU64,
-    /// Per-kernel solve counts, one slot per [`Kernel::ALL`] entry.
-    kernel_solves: [AtomicU64; Kernel::ALL.len()],
-    /// Per-kernel aggregate wall time spent in solves, same slot order.
-    kernel_nanos: [AtomicU64; Kernel::ALL.len()],
     /// Per-assignment-mode solve counts, one slot per
     /// [`AssignmentMode::ALL`] entry.
     assignment_solves: [AtomicU64; AssignmentMode::ALL.len()],
@@ -305,11 +293,10 @@ impl Metrics {
     }
 
     /// Folds one successful solve's [`Report`] into the aggregates,
-    /// attributed to the distance kernel the solve ran under. Warm-start
-    /// solves land in the same per-kernel slots as cold ones (the warm
-    /// path runs on the same kernel) and additionally feed the
-    /// `solves.warm` counters from [`Report::warm`].
-    pub fn record_solve(&self, report: &Report, kernel: Kernel, assignment: AssignmentMode) {
+    /// attributed to its assignment mode. Warm-start solves count like
+    /// cold ones and additionally feed the `solves.warm` counters from
+    /// [`Report::warm`].
+    pub fn record_solve(&self, report: &Report, assignment: AssignmentMode) {
         add(&self.solves_ok, 1);
         if let Some(warm) = &report.warm {
             add(&self.warm_solves, 1);
@@ -319,9 +306,6 @@ impl Metrics {
             }
         }
         let nanos = |d: std::time::Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let slot = kernel_slot(kernel);
-        add(&self.kernel_solves[slot], 1);
-        add(&self.kernel_nanos[slot], nanos(report.timings.total));
         let a_slot = assignment_slot(assignment);
         add(&self.assignment_solves[a_slot], 1);
         add(
@@ -359,7 +343,7 @@ impl Metrics {
 
     /// The `/metrics` document body (cache size/capacity, instance and
     /// stream counts, the stored instances' prepared layouts as
-    /// `(layouts, bytes)`, the shared worker pool's occupancy, and — when
+    /// `(layouts, bytes, traversal bytes)`, the shared worker pool's occupancy, and — when
     /// the server runs with `--data-dir` — the durability gauges are owned
     /// elsewhere and passed in; `durability: None` omits the section, so
     /// in-memory servers emit exactly the historical document).
@@ -369,7 +353,7 @@ impl Metrics {
         cache_len: usize,
         cache_cap: usize,
         instances: usize,
-        prepared: (usize, usize),
+        prepared: (usize, usize, usize),
         streams: usize,
         pool: PoolStats,
         durability: Option<Json>,
@@ -471,21 +455,6 @@ impl Metrics {
                         ]),
                     ),
                     (
-                        "by_kernel",
-                        Json::obj(Kernel::ALL.iter().enumerate().map(|(i, k)| {
-                            (
-                                k.name(),
-                                Json::obj([
-                                    ("count", Json::from(get(&self.kernel_solves[i]) as f64)),
-                                    (
-                                        "seconds",
-                                        Json::from(get(&self.kernel_nanos[i]) as f64 / 1e9),
-                                    ),
-                                ]),
-                            )
-                        })),
-                    ),
-                    (
                         "by_assignment",
                         Json::obj(AssignmentMode::ALL.iter().enumerate().map(|(i, a)| {
                             (
@@ -518,6 +487,7 @@ impl Metrics {
                 Json::obj([
                     ("sets", Json::from(prepared.0)),
                     ("bytes", Json::from(prepared.1 as f64)),
+                    ("traversal_bytes", Json::from(prepared.2 as f64)),
                 ]),
             ),
             ("streams", Json::from(streams)),
@@ -547,7 +517,7 @@ mod tests {
             2,
             64,
             5,
-            (2, 4096),
+            (2, 4096, 512),
             1,
             PoolStats {
                 workers: 3,
@@ -572,6 +542,10 @@ mod tests {
         let prepared = doc.get("prepared").unwrap();
         assert_eq!(prepared.get("sets").and_then(Json::as_f64), Some(2.0));
         assert_eq!(prepared.get("bytes").and_then(Json::as_f64), Some(4096.0));
+        assert_eq!(
+            prepared.get("traversal_bytes").and_then(Json::as_f64),
+            Some(512.0)
+        );
         assert_eq!(doc.get("streams").and_then(Json::as_f64), Some(1.0));
         let pool = doc.get("pool").unwrap();
         assert_eq!(pool.get("workers").and_then(Json::as_f64), Some(3.0));
@@ -611,7 +585,7 @@ mod tests {
         m.wave_started(&[ms(2); 5]);
         m.wave_finished();
         assert_eq!((m.waves_in_flight(), m.waves_in_flight_max()), (0, 2));
-        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0, 0), 0, PoolStats::default(), None);
         let sched = doc.get("scheduler").unwrap();
         let num = |path: &[&str]| {
             path.iter()
@@ -641,15 +615,15 @@ mod tests {
         let mut report = Report::default();
         report.timings.total = std::time::Duration::from_millis(3);
         report.distance_evals.cost = 40;
-        m.record_solve(&report, Kernel::Scalar, AssignmentMode::Plain);
-        m.record_solve(&report, Kernel::Tiled, AssignmentMode::AdditivelyWeighted);
+        m.record_solve(&report, AssignmentMode::Plain);
+        m.record_solve(&report, AssignmentMode::AdditivelyWeighted);
         m.record_solve_error();
         // A durability document passes through under its key.
         let with_durability = m.to_json(
             0,
             0,
             0,
-            (0, 0),
+            (0, 0, 0),
             0,
             PoolStats::default(),
             Some(Json::obj([("wal_bytes", Json::from(128.0))])),
@@ -661,7 +635,7 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(128.0)
         );
-        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0, 0), 0, PoolStats::default(), None);
         let solves = doc.get("solves").unwrap();
         assert_eq!(solves.get("ok").and_then(Json::as_f64), Some(2.0));
         assert_eq!(solves.get("errors").and_then(Json::as_f64), Some(1.0));
@@ -675,19 +649,6 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((total - 0.006).abs() < 1e-9);
-        // Exactly one slot per kernel, and one solve landed in each.
-        let by_kernel = solves.get("by_kernel").unwrap();
-        let Json::Obj(slots) = by_kernel else {
-            panic!("by_kernel is an object")
-        };
-        let names: Vec<&str> = slots.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["scalar", "tiled"]);
-        for kernel in Kernel::ALL {
-            let entry = by_kernel.get(kernel.name()).unwrap();
-            assert_eq!(entry.get("count").and_then(Json::as_f64), Some(1.0));
-            let seconds = entry.get("seconds").and_then(Json::as_f64).unwrap();
-            assert!((seconds - 0.003).abs() < 1e-9);
-        }
         // One solve landed in each assignment-mode slot.
         let by_assignment = solves.get("by_assignment").unwrap();
         for mode in AssignmentMode::ALL {
@@ -700,7 +661,7 @@ mod tests {
         add(&m.ingest_accepted, 5);
         add(&m.ingest_rejected, 2);
         add(&m.stale_served, 3);
-        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0, 0), 0, PoolStats::default(), None);
         let ingest = doc.get("ingest").unwrap();
         assert_eq!(ingest.get("accepted").and_then(Json::as_f64), Some(5.0));
         assert_eq!(ingest.get("rejected").and_then(Json::as_f64), Some(2.0));
@@ -708,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_solves_feed_their_counters_and_still_count_by_kernel() {
+    fn warm_solves_feed_their_counters_and_still_count_as_solves() {
         use ukc_core::WarmStats;
         let m = Metrics::new();
         let warm_report = Report {
@@ -727,25 +688,20 @@ mod tests {
             }),
             ..Report::default()
         };
-        m.record_solve(&warm_report, Kernel::Tiled, AssignmentMode::Plain);
-        m.record_solve(&fell_back, Kernel::Tiled, AssignmentMode::Plain);
-        m.record_solve(&Report::default(), Kernel::Tiled, AssignmentMode::Plain); // cold
-        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
+        m.record_solve(&warm_report, AssignmentMode::Plain);
+        m.record_solve(&fell_back, AssignmentMode::Plain);
+        m.record_solve(&Report::default(), AssignmentMode::Plain); // cold
+        let doc = m.to_json(0, 0, 0, (0, 0, 0), 0, PoolStats::default(), None);
         let solves = doc.get("solves").unwrap();
         let warm = solves.get("warm").unwrap();
         assert_eq!(warm.get("count").and_then(Json::as_f64), Some(2.0));
         assert_eq!(warm.get("evals_saved").and_then(Json::as_f64), Some(1000.0));
         assert_eq!(warm.get("fallback_cold").and_then(Json::as_f64), Some(1.0));
-        // Warm solves are attributed to the kernel they ran under, just
-        // like cold solves.
-        let tiled = solves
-            .get("by_kernel")
-            .and_then(|b| b.get(Kernel::Tiled.name()))
-            .unwrap();
-        assert_eq!(tiled.get("count").and_then(Json::as_f64), Some(3.0));
+        // Warm solves count as solves, just like cold ones.
+        assert_eq!(solves.get("ok").and_then(Json::as_f64), Some(3.0));
         // The new route label has its counter slot.
         m.record_request(Route::InstanceSolveLoo);
-        let doc = m.to_json(0, 0, 0, (0, 0), 0, PoolStats::default(), None);
+        let doc = m.to_json(0, 0, 0, (0, 0, 0), 0, PoolStats::default(), None);
         assert_eq!(
             doc.get("requests")
                 .and_then(|r| r.get("instances_solve_loo"))

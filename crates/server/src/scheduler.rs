@@ -419,9 +419,7 @@ fn run_wave(jobs: Vec<Job>, shared: &Shared) {
         };
         for slot in &slots {
             match slot.as_ref().expect("every unique job was solved") {
-                Ok(solution) => {
-                    metrics.record_solve(&solution.report, config.kernel(), config.assignment())
-                }
+                Ok(solution) => metrics.record_solve(&solution.report, config.assignment()),
                 Err(_) => metrics.record_solve_error(),
             }
         }

@@ -1464,11 +1464,9 @@ fn handle_instance_solve_loo(state: &AppState, id: &str, request: &Request) -> H
             state.metrics.record_solve_error();
             ApiError::from(e)
         })?;
-    state.metrics.record_solve(
-        &loo.base.report,
-        solve.config.kernel(),
-        solve.config.assignment(),
-    );
+    state
+        .metrics
+        .record_solve(&loo.base.report, solve.config.assignment());
     let mut body = loo_document(&loo, solve_response(&loo.base, stored.digest, false, None));
     if let Json::Obj(pairs) = &mut body {
         let digest = Json::from(digest_hex(stored.digest));

@@ -49,12 +49,16 @@ impl StoredInstance {
     }
 
     /// The solve-ready layouts this instance's problem has built (at most
-    /// two, none before its first solve) and their heap bytes; every
-    /// `with_k` problem it hands out shares them.
-    pub fn prepared_layouts(&self) -> (usize, usize) {
+    /// two, none before its first solve), their heap bytes, and the heap
+    /// bytes of their Gonzalez traversals; every `with_k` problem it
+    /// hands out shares them.
+    pub fn prepared_layouts(&self) -> (usize, usize, usize) {
         match self.validated.get() {
-            Some(Ok(problem)) => problem.prepared_layouts(),
-            _ => (0, 0),
+            Some(Ok(problem)) => {
+                let (sets, bytes) = problem.prepared_layouts();
+                (sets, bytes, problem.prepared_traversal_bytes())
+            }
+            _ => (0, 0, 0),
         }
     }
 
@@ -135,12 +139,14 @@ impl InstanceStore {
     }
 
     /// The prepared layouts of every stored instance, summed: how many,
-    /// and their heap bytes.
-    pub fn prepared_layouts(&self) -> (usize, usize) {
+    /// their heap bytes, and their traversals' heap bytes.
+    pub fn prepared_layouts(&self) -> (usize, usize, usize) {
         let map = self.map.read().expect("instance store lock poisoned");
         map.values()
             .map(|stored| stored.prepared_layouts())
-            .fold((0, 0), |(sets, bytes), (s, b)| (sets + s, bytes + b))
+            .fold((0, 0, 0), |(sets, bytes, walks), (s, b, t)| {
+                (sets + s, bytes + b, walks + t)
+            })
     }
 
     /// Number of stored instances.

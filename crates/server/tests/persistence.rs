@@ -198,6 +198,46 @@ fn restart_recovers_random_prob_instances() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery re-parses every stored stream-create body, so a `"kernel"`
+/// field an older client sent must still parse: streams created with the
+/// retired `"blocked"` and with `"scalar"` come back with the digests
+/// they had, the digest of a stream created without the field.
+#[test]
+fn streams_created_with_a_kernel_field_recover_from_the_wal() {
+    let dir = temp_dir("kernel-field");
+    let bodies = [
+        r#"{"k": 2, "budget": 8, "kernel": "blocked"}"#,
+        r#"{"k": 2, "budget": 8, "kernel": "scalar"}"#,
+        r#"{"k": 2, "budget": 8}"#,
+    ];
+    let mut before = Vec::new();
+    {
+        let server = serve(durable_config(&dir, 0)).unwrap();
+        for body in bodies {
+            let (status, doc) = send(server.addr(), "POST", "/streams", body);
+            assert_eq!(status, 201, "{body}: {}", doc.compact());
+            let id = str_field(&doc, "id");
+            let mut digest = String::new();
+            for epoch in 1..=2 {
+                digest = str_field(&push(server.addr(), &id, epoch), "digest");
+            }
+            before.push((id, digest));
+        }
+        server.shutdown();
+    }
+
+    let server = serve(durable_config(&dir, 0)).unwrap();
+    assert_eq!(f64_field(&recovery_stats(server.addr()), "streams"), 3.0);
+    for (body, (id, digest)) in bodies.iter().zip(&before) {
+        let (status, doc) = get(server.addr(), &format!("/streams/{id}"));
+        assert_eq!(status, 200, "{body}: {}", doc.compact());
+        assert_eq!(&str_field(&doc, "digest"), digest, "{body}");
+        assert_eq!(digest, &before[2].1, "{body}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With snapshots on, recovery replays only the WAL tail past the last
 /// snapshot — `replayed_epochs` must come in under the epoch total.
 #[test]

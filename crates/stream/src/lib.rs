@@ -16,8 +16,7 @@
 //!   coverage (`≤ 4τ`) and separation (`> τ`) invariants, truncation +
 //!   compaction keeping the store at `≤ budget + 1` rows, and a
 //!   canonical [`StreamSummary::digest`] that is **bit-identical across
-//!   pool lane counts and distance kernels** (maintenance pins the
-//!   scalar kernel) — the property serving layers key incremental
+//!   pool lane counts** — the property serving layers key incremental
 //!   re-solve caches on.
 //! * [`StreamSolver`] — the API: [`ukc_core::SolverConfig`]-driven,
 //!   typed [`ukc_core::SolveError`]s, per-epoch [`EpochReport`]s with

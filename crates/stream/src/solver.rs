@@ -77,7 +77,7 @@ pub struct StreamReport {
     /// Working-set high-water mark (summary rows + largest chunk).
     pub memory_peak_points: usize,
     /// The canonical state digest — bit-identical across pool lane
-    /// counts and kernels, see [`StreamSummary::digest`].
+    /// counts, see [`StreamSummary::digest`].
     pub digest: u64,
 }
 
@@ -141,7 +141,7 @@ pub struct StreamSolverBuilder {
 
 impl StreamSolverBuilder {
     /// Sets the solver configuration driving the finalize solve (rule,
-    /// strategy, kernel, pool-lane cap). Defaults to
+    /// strategy, pool-lane cap). Defaults to
     /// [`SolverConfig::default`].
     pub fn config(mut self, config: SolverConfig) -> Self {
         self.config = config;
@@ -391,7 +391,7 @@ impl StreamSolver {
     ///
     /// When the summary holds more than `k` centers, the configured
     /// certain strategy solves k-center on the summary points (honoring
-    /// the configured kernel and pool lanes); otherwise the summary *is*
+    /// the configured pool lanes); otherwise the summary *is*
     /// the solution. Either way the stream keeps accepting points — this
     /// is a snapshot, not a terminal call.
     ///

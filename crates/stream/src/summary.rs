@@ -17,20 +17,18 @@
 //! smaller threshold and a tighter sketch on the same stream.
 //!
 //! Every distance evaluated while maintaining the summary runs through
-//! the batched store kernels with [`Kernel::Scalar`] **pinned**: scalar
-//! batch sweeps are bit-identical to pointwise [`ukc_metric::Point`]
-//! arithmetic, so the evolved state — and therefore [`StreamSummary::digest`]
-//! — is identical whatever kernel the enclosing
-//! [`SolverConfig`](ukc_core::SolverConfig) selects for its finalize
-//! solve, and identical for every pool lane count (the execution-layer
-//! determinism contract). The summary is what makes streams cacheable:
+//! the store's single-center sweep ([`DistanceOracle::dists_to_one`]),
+//! whose scalar loop is bit-identical to pointwise [`ukc_metric::Point`]
+//! arithmetic, so the evolved state — and therefore
+//! [`StreamSummary::digest`] — is identical for every pool lane count
+//! (the execution-layer determinism contract). The summary is what makes streams cacheable:
 //! the serving layer keys incremental re-solves on the digest.
 //!
 //! Memory is bounded by construction: the backing store is truncated
 //! when an arriving point is absorbed and compacted after every merge
 //! phase, so it never holds more than `budget + 1` rows.
 
-use ukc_metric::{DistCounter, DistanceOracle, Kernel, PointId, PointStore, StoreOracle};
+use ukc_metric::{DistCounter, DistanceOracle, PointId, PointStore, StoreOracle};
 use ukc_pool::Exec;
 
 /// 64-bit FNV-1a over the canonical byte stream of the summary state.
@@ -256,11 +254,9 @@ impl StreamSummary {
     }
 
     fn oracle(&self) -> StoreOracle<'_> {
-        // Kernel pinned to Scalar: summary evolution must be identical
-        // whatever kernel the finalize solve uses (digests are part of
-        // the serving cache key). Exec is attached so large budgets get
-        // pooled sweeps — bit-identical for every lane count.
-        StoreOracle::new(&self.store, Kernel::Scalar)
+        // Exec is attached so large budgets get pooled sweeps —
+        // bit-identical for every lane count.
+        StoreOracle::new(&self.store)
             .with_counter(&self.evals)
             .with_exec(Exec::auto(self.threads))
     }
@@ -296,7 +292,7 @@ impl StreamSummary {
             self.scratch_ids.extend((0..m).map(PointId));
             self.scratch_dists.clear();
             self.scratch_dists.resize(m, 0.0);
-            let oracle = StoreOracle::new(&self.store, Kernel::Scalar)
+            let oracle = StoreOracle::new(&self.store)
                 .with_counter(&self.evals)
                 .with_exec(Exec::auto(self.threads));
             oracle.dists_to_one(&self.scratch_ids, &id, &mut self.scratch_dists);
@@ -462,9 +458,7 @@ impl StreamSummary {
     /// Canonical digest of the evolved state: budget, dimension, points
     /// seen, threshold, and every kept `(center, weight)` in order.
     ///
-    /// Bit-identical across pool lane counts and across the scalar and
-    /// tiled kernels (summary maintenance pins the scalar kernel), so
-    /// two replicas that consumed the same stream agree — the property
+    /// Bit-identical across pool lane counts, so two replicas that consumed the same stream agree — the property
     /// the serving layer keys incremental re-solve caching on.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
@@ -497,19 +491,6 @@ mod tests {
             (s >> 11) as f64 / (1u64 << 53) as f64
         };
         (0..n).map(|_| vec![rnd() * 100.0, rnd() * 100.0]).collect()
-    }
-
-    #[test]
-    fn summary_oracle_stays_pinned_to_the_scalar_kernel() {
-        // The summary digest is part of the serving cache key, so its
-        // evolution must not depend on which kernel finalize solves
-        // pick. Both oracle construction sites (the shared helper and
-        // the insert fast path) pin Scalar; this pins the pin.
-        let mut s = StreamSummary::new(4);
-        for p in stream_points(11, 50) {
-            s.insert(&p).unwrap();
-        }
-        assert_eq!(s.oracle().kernel(), Kernel::Scalar);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub mod prelude {
         local_search_kcenter, one_d_kcenter, ExactOptions, GridOptions,
     };
     pub use ukc_metric::{
-        Chebyshev, DistCounter, DistanceOracle, Euclidean, FiniteMetric, Kernel, Manhattan, Metric,
+        Chebyshev, DistCounter, DistanceOracle, Euclidean, FiniteMetric, Manhattan, Metric,
         Minkowski, Point, PointId, PointStore, StoreOracle, TreeMetric, WeightedGraph,
     };
     pub use ukc_onedim::{solve_one_d, OneDimSolution};

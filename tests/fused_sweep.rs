@@ -6,7 +6,8 @@
 //! replaces: `gonzalez_indices`, then a `kcenter_cost` sweep for the
 //! radius, then a `nearest_each` sweep for the assignment. Both must pick
 //! the same centers and produce the same radius bits, nearest indices and
-//! distance bits under every kernel and lane count, with the same counts.
+//! distance bits for every lane count, with the same counts, whichever
+//! kernel the reference's panel sweeps run.
 //!
 //! The tiled kernel screens the two panel sweeps and refines with the
 //! scalar loop; the tie tests feed it the rows its screen cannot decide
@@ -14,7 +15,7 @@
 
 use ukc_pool::{Exec, Pool};
 use uncertain_kcenter::kcenter::{cover_radius, gonzalez_indices, gonzalez_nearest};
-use uncertain_kcenter::metric::batch::{self, tile::TILE_CENTERS, Tracked};
+use uncertain_kcenter::metric::batch::{self, tile::TILE_CENTERS, Kernel, Tracked};
 use uncertain_kcenter::prelude::*;
 
 const SEQ: Exec<'static> = Exec::sequential();
@@ -64,21 +65,25 @@ fn bits(nearest: &[(usize, f64)]) -> Vec<(usize, u64)> {
     nearest.iter().map(|&(i, d)| (i, d.to_bits())).collect()
 }
 
-/// The three sweeps the fused path replaces.
+/// The three sweeps the fused path replaces, its two panel sweeps (the
+/// radius of `kcenter_cost`, then `nearest_each`) under `kernel`.
 fn reference(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
     let counter = DistCounter::new();
-    let oracle = StoreOracle::new(store, kernel)
+    let oracle = StoreOracle::new(store)
         .with_counter(&counter)
         .with_exec(exec);
     let ids = store.ids();
     let idx = gonzalez_indices(&ids, None, k, &oracle, 0);
     let centers: Vec<PointId> = idx.iter().map(|&i| ids[i]).collect();
-    let radius = kcenter_cost(&ids, &centers, None, &oracle);
+    let mut min = vec![f64::INFINITY; ids.len()];
+    batch::dists_to_centers_min(store, &ids, &centers, None, kernel, exec, &mut min);
     let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-    oracle.nearest_each(&ids, &centers, None, &mut nearest);
+    batch::nearest_center_each(store, &ids, &centers, None, kernel, exec, &mut nearest);
+    // Each panel sweep evaluates every point-center pair once.
+    counter.add(2 * (ids.len() * centers.len()) as u64);
     Run {
         centers: idx,
-        radius_bits: radius.to_bits(),
+        radius_bits: min.into_iter().fold(0.0, f64::max).to_bits(),
         nearest: bits(&nearest),
         evals: counter.count(),
         pruned: counter.pruned(),
@@ -86,9 +91,9 @@ fn reference(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Ru
 }
 
 /// The tracked path the expected-point pipeline runs.
-fn fused(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
+fn fused(store: &PointStore, k: usize, exec: Exec<'_>) -> Run {
     let counter = DistCounter::new();
-    let oracle = StoreOracle::new(store, kernel)
+    let oracle = StoreOracle::new(store)
         .with_counter(&counter)
         .with_exec(exec);
     let ids = store.ids();
@@ -102,7 +107,7 @@ fn fused(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Run {
     }
 }
 
-/// Runs both paths over every kernel × lanes {1, 4}
+/// Runs both paths over lanes {1, 4}, the reference under every kernel,
 /// and checks bits, counts, and the fused count: evaluated plus pruned
 /// pairs are `n·|C| + |C|(|C|−1)/2`.
 fn check(name: &str, data: &[Vec<f64>], k: usize) {
@@ -113,7 +118,7 @@ fn check(name: &str, data: &[Vec<f64>], k: usize) {
     for kernel in Kernel::ALL {
         for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
             let want = reference(&store, k, kernel, exec);
-            let got = fused(&store, k, kernel, exec);
+            let got = fused(&store, k, exec);
             let tag = format!("{name} {kernel:?} par={}", exec.is_parallel());
             assert_eq!(got.centers, want.centers, "{tag}: centers");
             assert_eq!(got.radius_bits, want.radius_bits, "{tag}: radius");
@@ -163,7 +168,7 @@ fn fewer_distinct_points_than_k_take_the_early_break() {
     let data: Vec<Vec<f64>> = (0..2500).map(|i| distinct[i % 5].clone()).collect();
     check("5 distinct of 2500, d=8", &data, 12);
     let store = store_of(&data);
-    let run = fused(&store, 12, Kernel::Tiled, Exec::sequential());
+    let run = fused(&store, 12, Exec::sequential());
     assert_eq!(run.centers.len(), 5);
     assert_eq!(f64::from_bits(run.radius_bits), 0.0);
 }

@@ -4,14 +4,16 @@
 //! below half the distance between the new center and the row's nearest
 //! one, less a rounding slack. The rows that matter are the ones at the
 //! threshold: planted rows where `2·min` equals that distance exactly and
-//! one ulp either side must come out with the reference's bits under
-//! every kernel and lane count, and the evaluated and pruned counts must
+//! one ulp either side must come out with the reference's bits for
+//! every lane count, whichever kernel the reference's panel sweeps run,
+//! and the evaluated and pruned counts must
 //! account for every pair. A default solve must keep pruning on, and a
 //! pointwise metric must keep evaluating every pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use ukc_pool::{Exec, Pool};
 use uncertain_kcenter::kcenter::{cover_radius, gonzalez_indices, gonzalez_nearest};
+use uncertain_kcenter::metric::batch::{self, Kernel};
 use uncertain_kcenter::prelude::*;
 
 const DIM: usize = 8;
@@ -116,23 +118,25 @@ fn bits(nearest: &[(usize, f64)]) -> Vec<(usize, u64)> {
 /// Centers, radius bits and nearest-center bits of one run.
 type Picks = (Vec<usize>, u64, Vec<(usize, u64)>);
 
-/// The unpruned three sweeps: `gonzalez_indices`, `kcenter_cost`,
-/// `nearest_each`.
+/// The unpruned three sweeps: `gonzalez_indices`, then the radius of
+/// `kcenter_cost` and `nearest_each` as panel sweeps under `kernel`.
 fn reference(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> Picks {
-    let oracle = StoreOracle::new(store, kernel).with_exec(exec);
+    let oracle = StoreOracle::new(store).with_exec(exec);
     let ids = store.ids();
     let idx = gonzalez_indices(&ids, None, k, &oracle, 0);
     let centers: Vec<PointId> = idx.iter().map(|&i| ids[i]).collect();
-    let radius = kcenter_cost(&ids, &centers, None, &oracle);
+    let mut min = vec![f64::INFINITY; ids.len()];
+    batch::dists_to_centers_min(store, &ids, &centers, None, kernel, exec, &mut min);
     let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-    oracle.nearest_each(&ids, &centers, None, &mut nearest);
+    batch::nearest_center_each(store, &ids, &centers, None, kernel, exec, &mut nearest);
+    let radius = min.into_iter().fold(0.0, f64::max);
     (idx, radius.to_bits(), bits(&nearest))
 }
 
 /// The pruned greedy, with its evaluated and pruned counts.
-fn pruned(store: &PointStore, k: usize, kernel: Kernel, exec: Exec<'_>) -> (Picks, u64, u64) {
+fn pruned(store: &PointStore, k: usize, exec: Exec<'_>) -> (Picks, u64, u64) {
     let counter = DistCounter::new();
-    let oracle = StoreOracle::new(store, kernel)
+    let oracle = StoreOracle::new(store)
         .with_counter(&counter)
         .with_exec(exec);
     let ids = store.ids();
@@ -155,7 +159,7 @@ fn rows_at_the_prune_threshold_keep_the_reference_bits() {
             for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
                 let tag = format!("k={k} {kernel:?} par={}", exec.is_parallel());
                 let want = reference(&store, k, kernel, exec);
-                let (got, evals, skipped) = pruned(&store, k, kernel, exec);
+                let (got, evals, skipped) = pruned(&store, k, exec);
                 assert_eq!(&got.0[..3], &[0, 4500, 3900], "{tag}: forced picks");
                 assert_eq!(got.0, want.0, "{tag}: centers");
                 assert_eq!(got.1, want.1, "{tag}: radius");

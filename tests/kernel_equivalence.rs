@@ -1,34 +1,27 @@
-//! Bit-identity between the distance kernels.
+//! Bit-identity of solves with a pointwise reference.
 //!
-//! The solver pipeline runs its multi-center sweeps under one of two
-//! kernels (`SolverConfig::kernel`): `Scalar`, the per-pair f64
-//! difference-and-square loop, and `Tiled`, the default, which screens
-//! with a norm-factorized register-tiled mini-GEMM over center panels and
-//! refines with the scalar loop. The kernel is a speed hint; this suite
-//! pins that it never changes a result bit:
+//! Every solve runs its multi-center sweeps through the store oracle,
+//! which screens each one with a norm-factorized register-tiled
+//! mini-GEMM over center panels wherever the sweep is large enough for
+//! the screen to pay, and refines with the scalar loop; smaller sweeps
+//! run the scalar loop outright. The choice is made from the sweep's size
+//! alone and picks speed, never bits. This suite pins that:
 //!
-//! * `Scalar` is **bit-identical** to a hand-rolled reference pipeline
-//!   built from the pointwise `Euclidean` metric (exact-equality
-//!   goldens);
-//! * `Tiled` is **bit-identical** to `Scalar` on centers, assignments,
-//!   costs, radii and lower bounds;
-//! * nearest-center ties break toward the lowest index under every
-//!   kernel, including tied centers straddling tile-panel boundaries;
-//! * the per-stage `Report.distance_evals` counters, `pruned` included,
-//!   are **identical** across the kernels.
+//! * a default solve is **bit-identical** to a hand-rolled reference
+//!   pipeline built from the pointwise `Euclidean` metric — centers,
+//!   assignment, expected cost and certain radius — for every rule and
+//!   strategy, on small random instances where every sweep runs the
+//!   scalar loop and on shapes where the panel sweeps run the screen;
+//! * nearest-center ties break toward the lowest index under both batch
+//!   kernels, including tied centers straddling tile-panel boundaries.
 
 use proptest::prelude::*;
+use uncertain_kcenter::metric::batch::{self, Kernel};
 use uncertain_kcenter::prelude::*;
 
-fn cfg(rule: AssignmentRule, strategy: CertainStrategy, kernel: Kernel) -> SolverConfig {
-    SolverConfig::builder()
-        .rule(rule)
-        .strategy(strategy)
-        .kernel(kernel)
-        .eps(0.5)
-        .lower_bound(false)
-        .build()
-        .expect("static test config")
+/// The proptests' base configuration: ε = 0.5, no lower bound.
+fn base() -> SolverConfigBuilder {
+    SolverConfig::builder().eps(0.5).lower_bound(false)
 }
 
 fn rules() -> [AssignmentRule; 3] {
@@ -67,21 +60,119 @@ fn pointwise_cases() -> [(&'static str, CertainStrategy, CandidatePolicy); 5] {
     ]
 }
 
-fn strategies() -> [CertainStrategy; 4] {
-    [
-        CertainStrategy::Gonzalez,
-        CertainStrategy::GonzalezLocalSearch { rounds: 10 },
-        CertainStrategy::Grid,
-        CertainStrategy::ExactDiscrete,
-    ]
+/// What the reference pipeline returns.
+struct Reference {
+    centers: Vec<Point>,
+    assignment: Vec<usize>,
+    ecost: f64,
+    radius: f64,
+}
+
+/// The paper pipeline under `config` over boxed points and the pointwise
+/// Euclidean metric (pre-kernel arithmetic).
+fn reference(set: &UncertainSet<Point>, k: usize, config: &SolverConfig) -> Reference {
+    let rule = config.rule();
+    let reps: Vec<Point> = match rule {
+        AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
+        _ => set.iter().map(expected_point).collect(),
+    };
+    let greedy = || gonzalez(&reps, k, &Euclidean, 0);
+    let certain = match config.strategy() {
+        CertainStrategy::Gonzalez => greedy(),
+        CertainStrategy::GonzalezLocalSearch { rounds } => {
+            let gz = greedy();
+            local_search_kcenter(&reps, &reps, &gz.center_indices, &Euclidean, rounds)
+        }
+        CertainStrategy::Grid => {
+            grid_kcenter(&reps, k, config.grid_options(), Exec::sequential()).unwrap_or_else(greedy)
+        }
+        CertainStrategy::ExactDiscrete => {
+            let pool = match config.candidate_policy() {
+                CandidatePolicy::ProblemPool => reps.clone(),
+                CandidatePolicy::LocationPool => set.location_pool(),
+            };
+            exact_discrete_kcenter(&reps, &pool, k, &Euclidean, config.exact_options())
+                .unwrap_or_else(greedy)
+        }
+    };
+    let assignment = match rule {
+        AssignmentRule::ExpectedDistance => {
+            assign_ed(set, &certain.centers, None, &Euclidean, Exec::sequential())
+        }
+        AssignmentRule::ExpectedPoint => assign_ep(set, &certain.centers, &Euclidean),
+        AssignmentRule::OneCenter => assign_oc(set, &certain.centers, &reps, &Euclidean),
+    };
+    let ecost = ecost_assigned(set, &certain.centers, &assignment, &Euclidean);
+    Reference {
+        centers: certain.centers,
+        assignment,
+        ecost,
+        radius: certain.radius,
+    }
+}
+
+/// `sol` carries the reference's centers, assignment, cost and radius,
+/// bit for bit.
+fn assert_matches_reference(sol: &Solution<Point>, want: &Reference, tag: &str) {
+    assert_eq!(sol.assignment, want.assignment, "assignment ({tag})");
+    assert_eq!(
+        sol.centers.len(),
+        want.centers.len(),
+        "center count ({tag})"
+    );
+    for (a, b) in sol.centers.iter().zip(&want.centers) {
+        let (a, b): (Vec<u64>, Vec<u64>) = (
+            a.coords().iter().map(|x| x.to_bits()).collect(),
+            b.coords().iter().map(|x| x.to_bits()).collect(),
+        );
+        assert_eq!(a, b, "centers ({tag})");
+    }
+    assert_eq!(
+        sol.ecost.to_bits(),
+        want.ecost.to_bits(),
+        "ecost {} vs {} ({tag})",
+        sol.ecost,
+        want.ecost
+    );
+    assert_eq!(
+        sol.certain_radius.to_bits(),
+        want.radius.to_bits(),
+        "radius ({tag})"
+    );
+}
+
+/// Solves `set` at `k` for every rule × strategy (the exact-discrete
+/// one over both candidate pools) on top of `base`, each against the
+/// pointwise reference; a reported lower bound must be the one
+/// `lower_bound_euclidean` certifies.
+fn solves_match_reference(set: &UncertainSet<Point>, k: usize, base: SolverConfigBuilder) {
+    for rule in rules() {
+        for (name, strategy, policy) in pointwise_cases() {
+            let config = base
+                .clone()
+                .rule(rule)
+                .strategy(strategy)
+                .candidate_policy(policy);
+            let config = config.build().unwrap();
+            let sol = Problem::euclidean(set.clone(), k)
+                .unwrap()
+                .solve(&config)
+                .unwrap();
+            let tag = format!("{name} {rule:?}");
+            assert_matches_reference(&sol, &reference(set, k, &config), &tag);
+            if let Some(bound) = sol.report.lower_bound {
+                let want = lower_bound_euclidean(set, k);
+                assert_eq!(bound.to_bits(), want.to_bits(), "{tag}");
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The factorized kernel (Tiled) agrees with Scalar on random
-    /// instances bit for bit: same assignment, center, cost and radius
-    /// bits, identical per-stage eval counts.
+    /// Clustered random instances: a default solve matches the
+    /// pointwise reference bit for bit for every rule and strategy.
     #[test]
     fn factorized_kernels_agree_with_scalar(
         seed in 0u64..1000,
@@ -90,51 +181,14 @@ proptest! {
         dim in 1usize..4,
         k in 1usize..4,
     ) {
-        let k = k.min(n);
         let set = clustered(seed, n, z, dim, 3, 5.0, 1.0, ProbModel::Random);
-        for rule in rules() {
-            for strategy in strategies() {
-                let scalar = Problem::euclidean(set.clone(), k)
-                    .unwrap()
-                    .solve(&cfg(rule, strategy, Kernel::Scalar))
-                    .unwrap();
-                for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
-                    let other = Problem::euclidean(set.clone(), k)
-                        .unwrap()
-                        .solve(&cfg(rule, strategy, kernel))
-                        .unwrap();
-                    prop_assert_eq!(
-                        &scalar.assignment, &other.assignment,
-                        "assignment ({:?}/{:?}/{:?})", rule, strategy, kernel
-                    );
-                    prop_assert_eq!(&scalar.centers, &other.centers);
-                    prop_assert_eq!(
-                        scalar.ecost.to_bits(), other.ecost.to_bits(),
-                        "ecost ({:?}/{:?}/{:?})", rule, strategy, kernel
-                    );
-                    prop_assert_eq!(
-                        scalar.certain_radius.to_bits(), other.certain_radius.to_bits(),
-                        "radius ({:?}/{:?}/{:?})", rule, strategy, kernel
-                    );
-                    // The acceptance bar: switching kernels never changes the
-                    // number of distance evaluations, stage by stage.
-                    let (s, b) = (scalar.report.distance_evals, other.report.distance_evals);
-                    prop_assert_eq!(s.representatives, b.representatives);
-                    prop_assert_eq!(s.certain_solve, b.certain_solve, "{:?}/{:?}", rule, strategy);
-                    prop_assert_eq!(s.assignment, b.assignment);
-                    prop_assert_eq!(s.cost, b.cost);
-                    prop_assert_eq!(s.lower_bound, b.lower_bound);
-                    prop_assert_eq!(s.pruned, b.pruned);
-                }
-            }
-        }
+        solves_match_reference(&set, k.min(n), base());
     }
 
-    /// Exact-equality golden: the Scalar kernel reproduces a hand-rolled
-    /// pointwise-metric pipeline bit for bit — centers, assignment,
-    /// expected cost and certain radius — for every
-    /// assignment rule over every certain strategy, the exact-discrete one
-    /// over both candidate pools.
+    /// Exact-equality golden: a default solve reproduces the pointwise
+    /// pipeline bit for bit — centers, assignment, expected cost and
+    /// certain radius — for every assignment rule over every certain
+    /// strategy, the exact-discrete one over both candidate pools.
     #[test]
     fn scalar_kernel_matches_pointwise_reference_bitwise(
         seed in 0u64..1000,
@@ -143,143 +197,53 @@ proptest! {
         dim in 1usize..4,
         k in 1usize..3,
     ) {
-        let k = k.min(n);
         let set = uniform_box(seed, n, z, dim, 10.0, 2.0, ProbModel::Random);
-        for rule in rules() {
-            for (name, strategy, policy) in pointwise_cases() {
-                let config = SolverConfig::builder()
-                    .rule(rule)
-                    .strategy(strategy)
-                    .candidate_policy(policy)
-                    .kernel(Kernel::Scalar)
-                    .eps(0.5)
-                    .lower_bound(false)
-                    .build()
-                    .expect("static test config");
-                // Reference: the paper pipeline over boxed points and the
-                // pointwise Euclidean metric (pre-kernel arithmetic).
-                let reps: Vec<Point> = match rule {
-                    AssignmentRule::OneCenter => set.iter().map(one_center_euclidean).collect(),
-                    _ => set.iter().map(expected_point).collect(),
-                };
-                let greedy = || gonzalez(&reps, k, &Euclidean, 0);
-                let certain = match strategy {
-                    CertainStrategy::Gonzalez => greedy(),
-                    CertainStrategy::GonzalezLocalSearch { rounds } => {
-                        let gz = greedy();
-                        local_search_kcenter(&reps, &reps, &gz.center_indices, &Euclidean, rounds)
-                    }
-                    CertainStrategy::Grid => {
-                        grid_kcenter(&reps, k, config.grid_options(), Exec::sequential())
-                            .unwrap_or_else(greedy)
-                    }
-                    CertainStrategy::ExactDiscrete => {
-                        let pool = match policy {
-                            CandidatePolicy::ProblemPool => reps.clone(),
-                            CandidatePolicy::LocationPool => set.location_pool(),
-                        };
-                        exact_discrete_kcenter(&reps, &pool, k, &Euclidean, config.exact_options())
-                            .unwrap_or_else(greedy)
-                    }
-                };
-                let assignment = match rule {
-                    AssignmentRule::ExpectedDistance => {
-                        assign_ed(&set, &certain.centers, None, &Euclidean, Exec::sequential())
-                    }
-                    AssignmentRule::ExpectedPoint => assign_ep(&set, &certain.centers, &Euclidean),
-                    AssignmentRule::OneCenter => {
-                        assign_oc(&set, &certain.centers, &reps, &Euclidean)
-                    }
-                };
-                let ecost = ecost_assigned(&set, &certain.centers, &assignment, &Euclidean);
-
-                let sol = Problem::euclidean(set.clone(), k).unwrap().solve(&config).unwrap();
-
-                prop_assert_eq!(&sol.assignment, &assignment, "{} {:?}", name, rule);
-                prop_assert_eq!(sol.centers.len(), certain.centers.len());
-                for (a, b) in sol.centers.iter().zip(certain.centers.iter()) {
-                    let (a, b): (Vec<u64>, Vec<u64>) = (
-                        a.coords().iter().map(|x| x.to_bits()).collect(),
-                        b.coords().iter().map(|x| x.to_bits()).collect(),
-                    );
-                    prop_assert_eq!(a, b, "centers ({} {:?})", name, rule);
-                }
-                prop_assert_eq!(
-                    sol.ecost.to_bits(), ecost.to_bits(),
-                    "ecost {} vs {} ({} {:?})", sol.ecost, ecost, name, rule
-                );
-                prop_assert_eq!(
-                    sol.certain_radius.to_bits(), certain.radius.to_bits(),
-                    "radius ({} {:?})", name, rule
-                );
-            }
-        }
+        solves_match_reference(&set, k.min(n), base());
     }
 
-    /// Batch solving under every kernel stays bit-identical to the
-    /// sequential loop (the kernels are deterministic and thread-free).
+    /// Batch solving stays bit-identical to the sequential loop.
     #[test]
     fn batch_is_bit_identical_under_every_kernel(seed in 0u64..300) {
-        for kernel in Kernel::ALL {
-            let config = cfg(AssignmentRule::ExpectedPoint, CertainStrategy::Gonzalez, kernel);
-            let problems: Vec<Problem<Point>> = (0..4)
-                .map(|i| {
-                    let set = clustered(seed + i, 8, 2, 2, 2, 4.0, 1.0, ProbModel::Random);
-                    Problem::euclidean(set, 2).unwrap()
-                })
-                .collect();
-            let sequential = solve_batch_threads(&problems, &config, 1);
-            let threaded = solve_batch_threads(&problems, &config, 3);
-            for (a, b) in sequential.iter().zip(threaded.iter()) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                prop_assert_eq!(a.ecost.to_bits(), b.ecost.to_bits());
-                prop_assert_eq!(&a.assignment, &b.assignment);
-            }
+        let config = base().build().unwrap();
+        let problems: Vec<Problem<Point>> = (0..4)
+            .map(|i| {
+                let set = clustered(seed + i, 8, 2, 2, 2, 4.0, 1.0, ProbModel::Random);
+                Problem::euclidean(set, 2).unwrap()
+            })
+            .collect();
+        let sequential = solve_batch_threads(&problems, &config, 1);
+        let threaded = solve_batch_threads(&problems, &config, 3);
+        for (a, b) in sequential.iter().zip(threaded.iter()) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            prop_assert_eq!(a.ecost.to_bits(), b.ecost.to_bits());
+            prop_assert_eq!(&a.assignment, &b.assignment);
         }
     }
 }
 
 /// Solves whose panel sweeps run the tiled screen (n·k·d ≥ 16384 at
-/// d = 64) return the scalar kernel's bits for every rule and strategy,
-/// lower bound included.
+/// d = 64) return the pointwise reference's bits for every rule and
+/// strategy, lower bound included.
 #[test]
 fn tiled_solves_match_scalar_bitwise_where_the_screen_engages() {
     let set = clustered(41, 128, 2, 64, 4, 5.0, 1.0, ProbModel::Random);
-    for rule in rules() {
-        for strategy in strategies() {
-            let solve = |kernel| {
-                let config = SolverConfig::builder()
-                    .rule(rule)
-                    .strategy(strategy)
-                    .kernel(kernel)
-                    .build()
-                    .unwrap();
-                Problem::euclidean(set.clone(), 2)
-                    .unwrap()
-                    .solve(&config)
-                    .unwrap()
-            };
-            let (s, t) = (solve(Kernel::Scalar), solve(Kernel::Tiled));
-            let tag = format!("{rule:?}/{strategy:?}");
-            assert_eq!(s.centers, t.centers, "{tag}");
-            assert_eq!(s.assignment, t.assignment, "{tag}");
-            assert_eq!(s.ecost.to_bits(), t.ecost.to_bits(), "{tag}");
-            assert_eq!(
-                s.certain_radius.to_bits(),
-                t.certain_radius.to_bits(),
-                "{tag}"
-            );
-            let bound = |r: &Report| r.lower_bound.map(f64::to_bits);
-            assert_eq!(bound(&s.report), bound(&t.report), "{tag}");
-            let (a, b) = (s.report.distance_evals, t.report.distance_evals);
-            assert_eq!((a.total(), a.pruned), (b.total(), b.pruned), "{tag}");
-        }
-    }
+    solves_match_reference(&set, 2, SolverConfig::builder());
+}
+
+/// The shape `ukc generate --workload clustered --n 600 --dim 8 --seed 5`
+/// writes, solved at k = 8 with `ukc solve`'s defaults: n·k·d = 38400, so
+/// the panel sweeps run the tiled screen. Every rule × strategy, and the
+/// weighted EP/Gonzalez combination in `weighted_equivalence.rs`, must
+/// return the pointwise reference's bits.
+#[test]
+fn default_solves_match_the_pointwise_reference_on_the_cli_smoke_shape() {
+    let set = clustered(5, 600, 4, 8, 3, 5.0, 1.5, ProbModel::Random);
+    let cli = SolverConfig::builder().eps(0.25).seed(0);
+    solves_match_reference(&set, 8, cli);
 }
 
 /// A point's distance to itself, and between duplicates, is exactly
-/// zero, so duplicate-point degeneracies behave identically under every
-/// kernel.
+/// zero, so duplicate-point degeneracies collapse to a zero cost.
 #[test]
 fn duplicate_points_collapse_identically() {
     let set = UncertainSet::new(vec![
@@ -287,18 +251,12 @@ fn duplicate_points_collapse_identically() {
         UncertainPoint::certain(Point::new(vec![0.1, 0.2, 0.3])),
         UncertainPoint::certain(Point::new(vec![0.1, 0.2, 0.3])),
     ]);
-    for kernel in Kernel::ALL {
-        let sol = Problem::euclidean(set.clone(), 2)
-            .unwrap()
-            .solve(&cfg(
-                AssignmentRule::ExpectedPoint,
-                CertainStrategy::Gonzalez,
-                kernel,
-            ))
-            .unwrap();
-        assert_eq!(sol.certain_radius, 0.0, "{kernel:?}");
-        assert_eq!(sol.ecost, 0.0, "{kernel:?}");
-    }
+    let sol = Problem::euclidean(set, 2)
+        .unwrap()
+        .solve(&base().build().unwrap())
+        .unwrap();
+    assert_eq!(sol.certain_radius, 0.0);
+    assert_eq!(sol.ecost, 0.0);
 }
 
 /// Deterministic pseudo-random coordinates in `[0, 1)` (xorshift; no
@@ -323,8 +281,8 @@ fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     store
 }
 
-/// Nearest-center ties break toward the lowest index under every
-/// kernel, including identical centers straddling the tiled kernel's
+/// Nearest-center ties break toward the lowest index under both batch
+/// kernels, including identical centers straddling the tiled kernel's
 /// 4-wide panel boundaries, at a size where the tiled path engages.
 #[test]
 fn nearest_ties_break_low_under_every_kernel() {
@@ -335,9 +293,9 @@ fn nearest_ties_break_low_under_every_kernel() {
     let centers: Vec<PointId> = (0..k).map(|_| store.try_push(&c).unwrap()).collect();
     let queries: Vec<PointId> = (0..n).map(PointId).collect();
     for kernel in Kernel::ALL {
-        let oracle = StoreOracle::new(&store, kernel);
         let mut out = vec![(0usize, 0.0f64); n];
-        oracle.nearest_each(&queries, &centers, None, &mut out);
+        let seq = Exec::sequential();
+        batch::nearest_center_each(&store, &queries, &centers, None, kernel, seq, &mut out);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} under {kernel:?} picked center {idx}");
         }

@@ -157,8 +157,8 @@ fn solve_reports_the_bound_and_counts_its_work() {
 
 /// The certain half at large offsets: certain points (z = 1) at
 /// `offset + j/8` in d = 8, k = n − 1. The optimum merges the closest
-/// pair at its midpoint, so it is half the closest-pair distance; every
-/// kernel hint must report a bound at or below it. At offset 2^26 a
+/// pair at its midpoint, so it is half the closest-pair distance; a
+/// default solve must report a bound at or below it. At offset 2^26 a
 /// norm-factorized radius is off by ~1e-3 relative, so the certain half
 /// must come from scalar distances.
 ///
@@ -192,18 +192,15 @@ fn certain_half_stays_below_the_optimum_at_large_offsets() {
                     .map(|r| UncertainPoint::certain(Point::new(r)))
                     .collect(),
             );
-            for kernel in Kernel::ALL {
-                let config = SolverConfig::builder().kernel(kernel).build().unwrap();
-                let sol = Problem::euclidean(set.clone(), n - 1)
-                    .unwrap()
-                    .solve(&config)
-                    .unwrap();
-                let lb = sol.report.lower_bound.unwrap();
-                assert!(
-                    lb <= opt,
-                    "offset {offset} seed {seed} {kernel:?}: bound {lb} above optimum {opt}"
-                );
-            }
+            let sol = Problem::euclidean(set.clone(), n - 1)
+                .unwrap()
+                .solve(&SolverConfig::default())
+                .unwrap();
+            let lb = sol.report.lower_bound.unwrap();
+            assert!(
+                lb <= opt,
+                "offset {offset} seed {seed}: bound {lb} above optimum {opt}"
+            );
         }
     }
 }

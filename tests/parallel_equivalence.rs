@@ -5,7 +5,7 @@
 //! are functions of input size alone, so solver output must be
 //! **bit-identical** for `threads ∈ {1, 2, ncpu}` — solutions, per-stage
 //! `Report.distance_evals`, certified lower bounds, instance digests,
-//! and the serving layer's cache keys — under both distance kernels.
+//! and the serving layer's cache keys.
 //!
 //! The CI matrix re-runs the whole test suite under `UKC_THREADS=1` and
 //! `UKC_THREADS=4`, so these assertions are exercised both with an empty
@@ -28,16 +28,10 @@ fn thread_grid() -> Vec<usize> {
     grid
 }
 
-fn cfg(
-    rule: AssignmentRule,
-    strategy: CertainStrategy,
-    kernel: Kernel,
-    threads: usize,
-) -> SolverConfig {
+fn cfg(rule: AssignmentRule, strategy: CertainStrategy, threads: usize) -> SolverConfig {
     SolverConfig::builder()
         .rule(rule)
         .strategy(strategy)
-        .kernel(kernel)
         .eps(0.5)
         .threads(threads)
         .build()
@@ -74,7 +68,7 @@ fn assert_identical(a: &Solution<Point>, b: &Solution<Point>, ctx: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random small instances: every rule × kernel over the Gonzalez
+    /// Random small instances: every rule over the Gonzalez
     /// backend is bit-identical across the thread grid (output, eval
     /// counts, lower bounds, digests).
     #[test]
@@ -92,20 +86,14 @@ proptest! {
             AssignmentRule::ExpectedPoint,
             AssignmentRule::OneCenter,
         ] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let strategy = CertainStrategy::Gonzalez;
-                let problem = Problem::euclidean(set.clone(), k).unwrap();
-                let digest = problem.instance_digest();
-                let baseline = problem.solve(&cfg(rule, strategy, kernel, 1)).unwrap();
-                for threads in thread_grid() {
-                    let sol = problem.solve(&cfg(rule, strategy, kernel, threads)).unwrap();
-                    assert_identical(
-                        &baseline,
-                        &sol,
-                        &format!("{rule:?}/{strategy:?}/{kernel:?}/t{threads}"),
-                    );
-                    prop_assert_eq!(problem.instance_digest(), digest);
-                }
+            let strategy = CertainStrategy::Gonzalez;
+            let problem = Problem::euclidean(set.clone(), k).unwrap();
+            let digest = problem.instance_digest();
+            let baseline = problem.solve(&cfg(rule, strategy, 1)).unwrap();
+            for threads in thread_grid() {
+                let sol = problem.solve(&cfg(rule, strategy, threads)).unwrap();
+                assert_identical(&baseline, &sol, &format!("{rule:?}/{strategy:?}/t{threads}"));
+                prop_assert_eq!(problem.instance_digest(), digest);
             }
         }
     }
@@ -120,17 +108,15 @@ proptest! {
             CertainStrategy::GonzalezLocalSearch { rounds: 8 },
             CertainStrategy::ExactDiscrete,
         ] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let problem = Problem::euclidean(set.clone(), 2).unwrap();
-                let baseline = problem
-                    .solve(&cfg(AssignmentRule::ExpectedPoint, strategy, kernel, 1))
+            let problem = Problem::euclidean(set.clone(), 2).unwrap();
+            let baseline = problem
+                .solve(&cfg(AssignmentRule::ExpectedPoint, strategy, 1))
+                .unwrap();
+            for threads in thread_grid() {
+                let sol = problem
+                    .solve(&cfg(AssignmentRule::ExpectedPoint, strategy, threads))
                     .unwrap();
-                for threads in thread_grid() {
-                    let sol = problem
-                        .solve(&cfg(AssignmentRule::ExpectedPoint, strategy, kernel, threads))
-                        .unwrap();
-                    assert_identical(&baseline, &sol, &format!("{strategy:?}/{kernel:?}/t{threads}"));
-                }
+                assert_identical(&baseline, &sol, &format!("{strategy:?}/t{threads}"));
             }
         }
     }
@@ -142,7 +128,6 @@ proptest! {
         let config = cfg(
             AssignmentRule::ExpectedPoint,
             CertainStrategy::Gonzalez,
-            Kernel::Tiled,
             0, // auto lanes inside each solve, on the same pool
         );
         let problems: Vec<Problem<Point>> = (0..6)
@@ -164,7 +149,7 @@ proptest! {
 
 /// A large instance (well past the parallel kernels' row threshold, so
 /// with a populated pool the sweeps really do fan out): Gonzalez, ED and
-/// EP rules, both kernels, pinned bitwise across the thread grid plus a
+/// EP rules, pinned bitwise across the thread grid plus a
 /// wider lane request than the machine has.
 #[test]
 fn large_instance_is_bitwise_identical_across_threads() {
@@ -174,25 +159,19 @@ fn large_instance_is_bitwise_identical_across_threads() {
         AssignmentRule::ExpectedPoint,
         AssignmentRule::ExpectedDistance,
     ] {
-        for kernel in [Kernel::Scalar, Kernel::Tiled] {
-            let problem = Problem::euclidean(set.clone(), 6).unwrap();
-            let baseline = problem
-                .solve(&cfg(rule, CertainStrategy::Gonzalez, kernel, 1))
+        let problem = Problem::euclidean(set.clone(), 6).unwrap();
+        let baseline = problem
+            .solve(&cfg(rule, CertainStrategy::Gonzalez, 1))
+            .unwrap();
+        assert!(baseline.report.distance_evals.total() > 0);
+        let mut grid = thread_grid();
+        grid.push(4);
+        grid.push(3 * ncpu()); // oversubscribed request: capped, not UB
+        for threads in grid {
+            let sol = problem
+                .solve(&cfg(rule, CertainStrategy::Gonzalez, threads))
                 .unwrap();
-            assert!(baseline.report.distance_evals.total() > 0);
-            let mut grid = thread_grid();
-            grid.push(4);
-            grid.push(3 * ncpu()); // oversubscribed request: capped, not UB
-            for threads in grid {
-                let sol = problem
-                    .solve(&cfg(rule, CertainStrategy::Gonzalez, kernel, threads))
-                    .unwrap();
-                assert_identical(
-                    &baseline,
-                    &sol,
-                    &format!("large/{rule:?}/{kernel:?}/t{threads}"),
-                );
-            }
+            assert_identical(&baseline, &sol, &format!("large/{rule:?}/t{threads}"));
         }
     }
 }
@@ -207,7 +186,6 @@ fn large_uncertain_oc_solve_is_thread_invariant() {
         .solve(&cfg(
             AssignmentRule::OneCenter,
             CertainStrategy::Gonzalez,
-            Kernel::Tiled,
             1,
         ))
         .unwrap();
@@ -216,7 +194,6 @@ fn large_uncertain_oc_solve_is_thread_invariant() {
             .solve(&cfg(
                 AssignmentRule::OneCenter,
                 CertainStrategy::Gonzalez,
-                Kernel::Tiled,
                 threads,
             ))
             .unwrap();
@@ -236,18 +213,12 @@ fn cache_keys_and_digests_are_thread_blind() {
     let baseline_key = SolveKey::new(
         digest,
         set_digest,
-        &cfg(
-            AssignmentRule::ExpectedPoint,
-            CertainStrategy::Gonzalez,
-            Kernel::Tiled,
-            1,
-        ),
+        &cfg(AssignmentRule::ExpectedPoint, CertainStrategy::Gonzalez, 1),
     );
     for threads in [0usize, 2, 4, ncpu()] {
         let config = cfg(
             AssignmentRule::ExpectedPoint,
             CertainStrategy::Gonzalez,
-            Kernel::Tiled,
             threads,
         );
         assert_eq!(problem.instance_digest(), digest, "t{threads}");
@@ -262,7 +233,6 @@ fn cache_keys_and_digests_are_thread_blind() {
             .solve(&cfg(
                 AssignmentRule::ExpectedPoint,
                 CertainStrategy::Gonzalez,
-                Kernel::Tiled,
                 1,
             ))
             .unwrap();

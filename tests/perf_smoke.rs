@@ -15,18 +15,20 @@
 //! than the code it replaces. The dispatch cutoffs send the tiled kernel
 //! to the scalar loop below the profitable size, so parity is the true
 //! floor everywhere. The fused-Gonzalez case compares two algorithms
-//! under one kernel instead; the greedy's passes are scalar under every
-//! kernel, and the fused path removes the two panel sweeps of the
+//! through one store oracle instead; the greedy's passes are scalar, and
+//! the fused path removes the two panel sweeps of the
 //! reference, so its floor is 1.2×.
 
 use std::time::Instant;
 
+use uncertain_kcenter::metric::batch::{self, Kernel};
 use uncertain_kcenter::prelude::*;
 
 const N: usize = 10_000;
 const DIM: usize = 32;
 const K: usize = 16;
 const ROUNDS: usize = 5;
+const SEQ: Exec<'static> = Exec::sequential();
 
 fn store(seed: u64, n: usize) -> PointStore {
     let mut s = seed | 1;
@@ -48,12 +50,11 @@ fn store(seed: u64, n: usize) -> PointStore {
 fn best_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let queries = store.ids();
     let centers: Vec<PointId> = (0..K).map(|i| PointId(i * (N / K))).collect();
-    let oracle = StoreOracle::new(store, kernel);
     let mut out = vec![(0usize, 0.0f64); N];
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each(&queries, &centers, None, &mut out);
+        batch::nearest_center_each(store, &queries, &centers, None, kernel, SEQ, &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     // Keep the result observable so the sweep cannot be optimized out.
@@ -67,12 +68,12 @@ fn best_weighted_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let queries = store.ids();
     let centers: Vec<PointId> = (0..K).map(|i| PointId(i * (N / K))).collect();
     let weights: Vec<f64> = (0..K).map(|i| i as f64 * 0.25).collect();
-    let oracle = StoreOracle::new(store, kernel);
     let mut out = vec![(0usize, 0.0f64); N];
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each(&queries, &centers, Some(&weights), &mut out);
+        let weights = Some(weights.as_slice());
+        batch::nearest_center_each(store, &queries, &centers, weights, kernel, SEQ, &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     assert!(out.iter().all(|(i, d)| *i < K && d.is_finite()));
@@ -125,7 +126,7 @@ fn weighted_tiled_assignment_is_not_slower_than_weighted_scalar() {
 fn gonzalez_assign_secs(store: &PointStore, k: usize, fused: bool) -> f64 {
     use uncertain_kcenter::kcenter::{cover_radius, gonzalez_indices, gonzalez_nearest};
     let ids = store.ids();
-    let oracle = StoreOracle::new(store, Kernel::Tiled);
+    let oracle = StoreOracle::new(store);
     let t = Instant::now();
     let (centers, radius, nearest) = if fused {
         let (idx, nearest) = gonzalez_nearest(&ids, k, &oracle, 0);

@@ -119,8 +119,8 @@ fn with_far_location(x: f64) -> UncertainSet<Point> {
     ])
 }
 
-/// Solves `set` under every rule × strategy × kernel with the lower
-/// bound on, plus the weighted pipeline, asserting finite output.
+/// Solves `set` under every rule × strategy with the lower bound on,
+/// plus the weighted pipeline, asserting finite output.
 fn solves_everywhere(set: &UncertainSet<Point>, k: usize, ctx: &str) {
     let problem = Problem::euclidean(set.clone(), k).expect("within the bound");
     let strategies = [
@@ -129,35 +129,29 @@ fn solves_everywhere(set: &UncertainSet<Point>, k: usize, ctx: &str) {
         CertainStrategy::Grid,
         CertainStrategy::ExactDiscrete,
     ];
-    for kernel in Kernel::ALL {
-        let mut configs = Vec::new();
-        for rule in [
-            AssignmentRule::ExpectedDistance,
-            AssignmentRule::ExpectedPoint,
-            AssignmentRule::OneCenter,
-        ] {
-            for strategy in strategies {
-                configs.push(SolverConfig::builder().rule(rule).strategy(strategy));
-            }
+    let mut configs = Vec::new();
+    for rule in [
+        AssignmentRule::ExpectedDistance,
+        AssignmentRule::ExpectedPoint,
+        AssignmentRule::OneCenter,
+    ] {
+        for strategy in strategies {
+            configs.push(SolverConfig::builder().rule(rule).strategy(strategy));
         }
-        configs.push(SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted));
-        for builder in configs {
-            let config = builder.kernel(kernel).build().unwrap();
-            let sol = problem.solve(&config).expect("typed configs are valid");
-            let tag = format!(
-                "{ctx}: {kernel:?} {:?} {:?}",
-                config.rule(),
-                config.strategy()
-            );
-            assert!(sol.ecost.is_finite(), "{tag}: ecost {}", sol.ecost);
-            assert!(sol.certain_radius.is_finite(), "{tag}");
-            let lb = sol.report.lower_bound.expect("bound on");
-            assert!(
-                lb.is_finite() && lb <= sol.ecost,
-                "{tag}: {lb} vs {}",
-                sol.ecost
-            );
-        }
+    }
+    configs.push(SolverConfig::builder().assignment(AssignmentMode::AdditivelyWeighted));
+    for builder in configs {
+        let config = builder.build().unwrap();
+        let sol = problem.solve(&config).expect("typed configs are valid");
+        let tag = format!("{ctx}: {:?} {:?}", config.rule(), config.strategy());
+        assert!(sol.ecost.is_finite(), "{tag}: ecost {}", sol.ecost);
+        assert!(sol.certain_radius.is_finite(), "{tag}");
+        let lb = sol.report.lower_bound.expect("bound on");
+        assert!(
+            lb.is_finite() && lb <= sol.ecost,
+            "{tag}: {lb} vs {}",
+            sol.ecost
+        );
     }
 }
 
@@ -207,20 +201,17 @@ fn coordinates_within_the_norm_bound_solve_everywhere() {
 #[test]
 fn huge_epsilon_grid_solves() {
     let set = uniform_box(4, 12, 3, 2, 10.0, 1.0, ProbModel::Random);
-    for kernel in Kernel::ALL {
-        for eps in [1e300, f64::MAX] {
-            let config = SolverConfig::builder()
-                .strategy(CertainStrategy::Grid)
-                .eps(eps)
-                .kernel(kernel)
-                .build()
-                .unwrap();
-            let sol = Problem::euclidean(set.clone(), 3)
-                .unwrap()
-                .solve(&config)
-                .unwrap();
-            assert!(sol.ecost.is_finite(), "{kernel:?} eps {eps}");
-        }
+    for eps in [1e300, f64::MAX] {
+        let config = SolverConfig::builder()
+            .strategy(CertainStrategy::Grid)
+            .eps(eps)
+            .build()
+            .unwrap();
+        let sol = Problem::euclidean(set.clone(), 3)
+            .unwrap()
+            .solve(&config)
+            .unwrap();
+        assert!(sol.ecost.is_finite(), "eps {eps}");
     }
 }
 

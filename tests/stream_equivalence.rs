@@ -10,11 +10,8 @@
 //!    sublinear in the stream length;
 //! 3. **determinism** — stream digests are bit-identical across pool
 //!    lane counts (`threads` 1 vs 4 — CI additionally re-runs the suite
-//!    under `UKC_THREADS=1` and `4`), across all three distance kernels
-//!    (the summary pins `Kernel::Scalar` internally, so the config's
-//!    kernel must not leak into stream evolution), and across
-//!    chunkings; with the scalar kernel the finalized solution is
-//!    bit-identical too.
+//!    under `UKC_THREADS=1` and `4`) and across chunkings; the
+//!    finalized solution is bit-identical too.
 
 use uncertain_kcenter::prelude::*;
 
@@ -26,11 +23,10 @@ fn big_stream() -> UncertainSet<Point> {
     clustered(4242, N, 2, 2, 10, 40.0, 2.0, ProbModel::Random)
 }
 
-fn config(threads: usize, kernel: Kernel) -> SolverConfig {
+fn config(threads: usize) -> SolverConfig {
     SolverConfig::builder()
         .rule(AssignmentRule::ExpectedPoint)
         .threads(threads)
-        .kernel(kernel)
         .lower_bound(false)
         .build()
         .expect("valid config")
@@ -59,7 +55,7 @@ fn ep_cost(set: &UncertainSet<Point>, centers: &[Point]) -> f64 {
 #[test]
 fn streaming_100k_is_within_the_documented_factor_with_sublinear_memory() {
     let set = big_stream();
-    let cfg = config(0, Kernel::Tiled);
+    let cfg = config(0);
 
     // The batch reference: the paper's pipeline over the full instance.
     let batch = Problem::euclidean(set.clone(), K)
@@ -115,30 +111,24 @@ fn stream_digests_are_bit_identical_across_threads_kernels_and_chunkings() {
     let mut digests = Vec::new();
     let mut summaries = Vec::new();
     for threads in [1usize, 4] {
-        for kernel in Kernel::ALL {
-            let solver = stream_through(&set, 4 * K, &config(threads, kernel));
-            digests.push(solver.digest());
-            summaries.push((threads, kernel, solver.summary().center_points()));
-        }
+        let solver = stream_through(&set, 4 * K, &config(threads));
+        digests.push(solver.digest());
+        summaries.push((threads, solver.summary().center_points()));
     }
     for d in &digests[1..] {
         assert_eq!(*d, digests[0], "digests diverged: {digests:?}");
     }
     // The digest equality is backed by literally identical summaries.
-    for (threads, kernel, centers) in &summaries[1..] {
-        assert_eq!(centers.len(), summaries[0].2.len());
-        for (a, b) in centers.iter().zip(&summaries[0].2) {
-            assert_eq!(
-                a.coords(),
-                b.coords(),
-                "threads {threads} kernel {kernel:?}"
-            );
+    for (threads, centers) in &summaries[1..] {
+        assert_eq!(centers.len(), summaries[0].1.len());
+        for (a, b) in centers.iter().zip(&summaries[0].1) {
+            assert_eq!(a.coords(), b.coords(), "threads {threads}");
         }
     }
 
     // Chunking is ingestion plumbing, not state: any split of the same
     // stream evolves the same summary.
-    let cfg = config(0, Kernel::Tiled);
+    let cfg = config(0);
     let by_487: u64 = {
         let mut solver = StreamSolver::builder(K)
             .config(cfg.clone())
@@ -152,14 +142,10 @@ fn stream_digests_are_bit_identical_across_threads_kernels_and_chunkings() {
     };
     assert_eq!(by_487, digests[0]);
 
-    // With the kernel pinned scalar end to end, the finalized solution
-    // is thread-blind bit for bit (the execution-layer contract).
-    let sol1 = stream_through(&set, 4 * K, &config(1, Kernel::Scalar))
-        .solution()
-        .unwrap();
-    let sol4 = stream_through(&set, 4 * K, &config(4, Kernel::Scalar))
-        .solution()
-        .unwrap();
+    // The finalized solution is thread-blind bit for bit (the
+    // execution-layer contract).
+    let sol1 = stream_through(&set, 4 * K, &config(1)).solution().unwrap();
+    let sol4 = stream_through(&set, 4 * K, &config(4)).solution().unwrap();
     assert_eq!(sol1.certain_radius.to_bits(), sol4.certain_radius.to_bits());
     assert_eq!(sol1.centers.len(), sol4.centers.len());
     for (a, b) in sol1.centers.iter().zip(&sol4.centers) {
@@ -177,7 +163,7 @@ fn stream_solver_agrees_with_streaming_kcenter_at_budget_k() {
     for up in set.iter() {
         reference.insert(expected_point(up), &Euclidean);
     }
-    let solver = stream_through(&set, K, &config(1, Kernel::Scalar));
+    let solver = stream_through(&set, K, &config(1));
     let solution = solver.solution().expect("non-empty");
     assert_eq!(solution.centers.len(), reference.centers().len());
     for (a, b) in solution.centers.iter().zip(reference.centers()) {

@@ -4,16 +4,16 @@
 //! Weighted assignment compares centers by `d(p, cᵢ) − wᵢ` instead of
 //! raw distance. This suite pins its contract against the plain mode:
 //!
-//! * **w = 0 is bit-identical to plain** — for both kernels (`Scalar`,
-//!   `Tiled`), a weighted sweep with all-zero weights produces exactly
-//!   the plain sweep's
-//!   bits, and an all-certain instance (every spread zero) solves to
-//!   exactly the plain solution;
-//! * weighted `Tiled` agrees with weighted `Scalar` bit for bit, on
-//!   distances and argmin indices;
-//! * switching kernels never changes **which pairs are evaluated**: the
-//!   weighted sweeps report identical pair-evaluation counts across
-//!   both kernels, equal to the plain sweeps' counts;
+//! * **w = 0 is bit-identical to plain** — for both batch kernels
+//!   (`Scalar`, `Tiled`), a weighted sweep with all-zero weights
+//!   produces exactly the plain sweep's bits, and an all-certain
+//!   instance (every spread zero) solves to exactly the plain solution;
+//! * the weighted `Tiled` sweeps agree with the weighted `Scalar` loop
+//!   bit for bit, on distances and argmin indices;
+//! * weights never change **which pairs are evaluated**: the weighted
+//!   sweeps report the plain sweeps' pair-evaluation counts;
+//! * a weighted Gonzalez solve matches a pointwise reference pipeline
+//!   bit for bit;
 //! * weighted argmin ties break toward the lowest center index,
 //!   including exact Apollonius ties (`d₁ − w₁ == d₂ − w₂` with
 //!   different distances) and tied centers straddling tile panels;
@@ -22,14 +22,16 @@
 
 use proptest::prelude::*;
 use uncertain_kcenter::core::CountingMetric;
+use uncertain_kcenter::metric::batch::{self, Kernel};
 use uncertain_kcenter::metric::Tracked;
 use uncertain_kcenter::prelude::*;
 
-fn cfg(kernel: Kernel, mode: AssignmentMode, strategy: CertainStrategy) -> SolverConfig {
+const SEQ: Exec<'static> = Exec::sequential();
+
+fn cfg(mode: AssignmentMode, strategy: CertainStrategy) -> SolverConfig {
     SolverConfig::builder()
         .rule(AssignmentRule::ExpectedDistance)
         .strategy(strategy)
-        .kernel(kernel)
         .assignment(mode)
         .eps(0.5)
         .lower_bound(false)
@@ -73,7 +75,7 @@ fn weights_of(seed: u64, k: usize) -> Vec<f64> {
 }
 
 /// Zero-weight sweeps reproduce the plain sweeps bit for bit, under
-/// every kernel, at a size where the factorized paths genuinely engage
+/// both batch kernels, at a size where the factorized paths genuinely engage
 /// (`n·d` well past the factorization threshold, k spanning several
 /// tile panels).
 #[test]
@@ -83,20 +85,21 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
     let points: Vec<PointId> = (0..n - k).map(PointId).collect();
     let centers: Vec<PointId> = (n - k..n).map(PointId).collect();
     let zeros = vec![0.0; k];
+    let zeros = Some(zeros.as_slice());
     for kernel in Kernel::ALL {
-        let oracle = StoreOracle::new(&store, kernel);
         let mut plain = vec![f64::INFINITY; points.len()];
         let mut weighted = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min(&points, &centers, None, &mut plain);
-        oracle.dists_to_centers_min(&points, &centers, Some(&zeros), &mut weighted);
+        batch::dists_to_centers_min(&store, &points, &centers, None, kernel, SEQ, &mut plain);
+        batch::dists_to_centers_min(&store, &points, &centers, zeros, kernel, SEQ, &mut weighted);
         for (i, (p, w)) in plain.iter().zip(&weighted).enumerate() {
             assert_eq!(p.to_bits(), w.to_bits(), "point {i} under {kernel:?}");
         }
 
         let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
         let mut weighted_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
-        oracle.nearest_each(&points, &centers, Some(&zeros), &mut weighted_nearest);
+        let (plain_out, weighted_out) = (&mut plain_nearest, &mut weighted_nearest);
+        batch::nearest_center_each(&store, &points, &centers, None, kernel, SEQ, plain_out);
+        batch::nearest_center_each(&store, &points, &centers, zeros, kernel, SEQ, weighted_out);
         for (i, ((pi, pd), (wi, wd))) in plain_nearest.iter().zip(&weighted_nearest).enumerate() {
             assert_eq!(pi, wi, "argmin for point {i} under {kernel:?}");
             assert_eq!(
@@ -110,8 +113,8 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
 
 /// The six `DistanceOracle` methods as written once for both modes: the
 /// pointwise trait defaults (`Euclidean`, counted through
-/// `CountingMetric`) and the store oracle's batched overrides under
-/// every kernel agree bit for bit on every sweep family, with no
+/// `CountingMetric`) and the store oracle's batched overrides agree bit
+/// for bit on every sweep family, with no
 /// weights, nonzero weights and all-zero weights, and tally the same
 /// number of evaluations.
 #[test]
@@ -127,7 +130,7 @@ fn oracle_defaults_match_scalar_store_oracle_bitwise() {
     let pair_bits =
         |v: &[(usize, f64)]| v.iter().map(|&(i, d)| (i, d.to_bits())).collect::<Vec<_>>();
     let no_weights: Option<&[f64]> = None;
-    for kernel in Kernel::ALL {
+    {
         for (family, weights) in [
             ("set-min", no_weights),
             ("set-min", Some(&w[..])),
@@ -143,7 +146,7 @@ fn oracle_defaults_match_scalar_store_oracle_bitwise() {
         ] {
             let pointwise = CountingMetric::new(&Euclidean);
             let counter = DistCounter::new();
-            let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
+            let oracle = StoreOracle::new(&store).with_counter(&counter);
             let (mut want, mut got) = (vec![f64::INFINITY; n - k], vec![f64::INFINITY; n - k]);
             let (mut want_nearest, mut got_nearest) =
                 (vec![(0, 0.0); n - k], vec![(0, 0.0); n - k]);
@@ -180,7 +183,7 @@ fn oracle_defaults_match_scalar_store_oracle_bitwise() {
                     got_nearest = got_rows.iter().map(|r| (r.nearest, r.min)).collect();
                 }
             }
-            let tag = format!("{kernel:?} {family} {weights:?}");
+            let tag = format!("{family} {weights:?}");
             assert_eq!(bits(&want), bits(&got), "{tag}");
             assert_eq!(pair_bits(&want_nearest), pair_bits(&got_nearest), "{tag}");
             assert_eq!(pointwise.count(), counter.count(), "{tag}");
@@ -190,9 +193,10 @@ fn oracle_defaults_match_scalar_store_oracle_bitwise() {
 }
 
 /// The weighted sweeps evaluate exactly the same point–center pairs as
-/// the plain sweeps, under every kernel: the pair-evaluation tallies are
-/// identical across both kernels and equal to the plain tallies.
-/// Weights must only change arithmetic, never coverage.
+/// the plain sweeps, at a size where the store oracle screens them
+/// (`n·k·d` past the dispatch cutoff): the pair-evaluation tallies equal
+/// the plain tallies. Weights must only change arithmetic, never
+/// coverage.
 #[test]
 fn weighted_pair_evaluation_counts_are_identical() {
     let (n, dim, k) = (500, 6, 7);
@@ -200,30 +204,21 @@ fn weighted_pair_evaluation_counts_are_identical() {
     let points: Vec<PointId> = (0..n - k).map(PointId).collect();
     let centers: Vec<PointId> = (n - k..n).map(PointId).collect();
     let w = weights_of(42, k);
-    let mut counts = Vec::new();
-    for kernel in Kernel::ALL {
-        let counter = DistCounter::new();
-        let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
-        let mut min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut min);
-        let mut nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each(&points, &centers, Some(&w), &mut nearest);
-        counts.push(counter.count());
+    let counter = DistCounter::new();
+    let oracle = StoreOracle::new(&store).with_counter(&counter);
+    let mut min = vec![f64::INFINITY; points.len()];
+    oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut min);
+    let mut nearest = vec![(0usize, 0.0f64); points.len()];
+    oracle.nearest_each(&points, &centers, Some(&w), &mut nearest);
 
-        let plain_counter = DistCounter::new();
-        let plain_oracle = StoreOracle::new(&store, kernel).with_counter(&plain_counter);
-        let mut plain_min = vec![f64::INFINITY; points.len()];
-        plain_oracle.dists_to_centers_min(&points, &centers, None, &mut plain_min);
-        let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
-        plain_oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
-        assert_eq!(
-            counter.count(),
-            plain_counter.count(),
-            "weighted vs plain tally under {kernel:?}"
-        );
-    }
-    assert_eq!(counts[0], counts[1], "Scalar vs Tiled weighted tally");
-    assert_eq!(counts[0], 2 * (points.len() as u64) * (k as u64));
+    let plain_counter = DistCounter::new();
+    let plain_oracle = StoreOracle::new(&store).with_counter(&plain_counter);
+    let mut plain_min = vec![f64::INFINITY; points.len()];
+    plain_oracle.dists_to_centers_min(&points, &centers, None, &mut plain_min);
+    let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
+    plain_oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
+    assert_eq!(counter.count(), plain_counter.count(), "weighted vs plain");
+    assert_eq!(counter.count(), 2 * (points.len() as u64) * (k as u64));
 }
 
 /// Weighted `Tiled` agrees with weighted `Scalar` bit for bit on
@@ -235,15 +230,23 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let points: Vec<PointId> = (0..n - k).map(PointId).collect();
     let centers: Vec<PointId> = (n - k..n).map(PointId).collect();
     let w = weights_of(5, k);
-    let scalar = StoreOracle::new(&store, Kernel::Scalar);
+    let w = Some(w.as_slice());
     let mut want_min = vec![f64::INFINITY; points.len()];
-    scalar.dists_to_centers_min(&points, &centers, Some(&w), &mut want_min);
+    batch::dists_to_centers_min(
+        &store,
+        &points,
+        &centers,
+        w,
+        Kernel::Scalar,
+        SEQ,
+        &mut want_min,
+    );
     let mut want_nearest = vec![(0usize, 0.0f64); points.len()];
-    scalar.nearest_each(&points, &centers, Some(&w), &mut want_nearest);
+    let want_out = &mut want_nearest;
+    batch::nearest_center_each(&store, &points, &centers, w, Kernel::Scalar, SEQ, want_out);
     for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
-        let oracle = StoreOracle::new(&store, kernel);
         let mut got_min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut got_min);
+        batch::dists_to_centers_min(&store, &points, &centers, w, kernel, SEQ, &mut got_min);
         for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -252,7 +255,8 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
             );
         }
         let mut got_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each(&points, &centers, Some(&w), &mut got_nearest);
+        let got_out = &mut got_nearest;
+        batch::nearest_center_each(&store, &points, &centers, w, kernel, SEQ, got_out);
         for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
             assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
             assert_eq!(
@@ -265,7 +269,7 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
 }
 
 /// Weighted argmin ties break toward the lowest center index under
-/// every kernel, with identical centers carrying identical weights
+/// both batch kernels, with identical centers carrying identical weights
 /// straddling the tiled kernel's 4-wide panel boundaries.
 #[test]
 fn weighted_nearest_ties_break_low_under_every_kernel() {
@@ -276,9 +280,9 @@ fn weighted_nearest_ties_break_low_under_every_kernel() {
     let queries: Vec<PointId> = (0..n).map(PointId).collect();
     let w = vec![0.25; k];
     for kernel in Kernel::ALL {
-        let oracle = StoreOracle::new(&store, kernel);
         let mut out = vec![(0usize, 0.0f64); n];
-        oracle.nearest_each(&queries, &centers, Some(&w), &mut out);
+        let w = Some(w.as_slice());
+        batch::nearest_center_each(&store, &queries, &centers, w, kernel, SEQ, &mut out);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} under {kernel:?} picked center {idx}");
         }
@@ -301,7 +305,7 @@ fn exact_apollonius_ties_break_low() {
 
 /// All-certain instances have zero spread everywhere, so the weighted
 /// pipeline must reproduce the plain pipeline **bit for bit** — same
-/// centers, same assignment, same costs — under every kernel.
+/// centers, same assignment, same costs.
 #[test]
 fn all_certain_weighted_solve_is_bit_identical_to_plain() {
     let (n, dim, k) = (60, 3, 4);
@@ -310,43 +314,32 @@ fn all_certain_weighted_solve_is_bit_identical_to_plain() {
         .map(|row| UncertainPoint::certain(Point::new(row)))
         .collect();
     let set = UncertainSet::new(points);
-    for kernel in Kernel::ALL {
-        let plain = Problem::euclidean(set.clone(), k)
+    let solve = |mode| {
+        Problem::euclidean(set.clone(), k)
             .unwrap()
-            .solve(&cfg(
-                kernel,
-                AssignmentMode::Plain,
-                CertainStrategy::Gonzalez,
-            ))
-            .unwrap();
-        let weighted = Problem::euclidean(set.clone(), k)
+            .solve(&cfg(mode, CertainStrategy::Gonzalez))
             .unwrap()
-            .solve(&cfg(
-                kernel,
-                AssignmentMode::AdditivelyWeighted,
-                CertainStrategy::Gonzalez,
-            ))
-            .unwrap();
-        assert_eq!(&plain.assignment, &weighted.assignment, "{kernel:?}");
-        assert_eq!(
-            plain.ecost.to_bits(),
-            weighted.ecost.to_bits(),
-            "{kernel:?}: ecost {} vs {}",
-            plain.ecost,
-            weighted.ecost
-        );
-        assert_eq!(
-            plain.certain_radius.to_bits(),
-            weighted.certain_radius.to_bits(),
-            "{kernel:?}"
-        );
-        assert_eq!(plain.centers.len(), weighted.centers.len());
-        for (a, b) in plain.centers.iter().zip(weighted.centers.iter()) {
-            assert_eq!(a.coords(), b.coords(), "{kernel:?}");
-        }
-        assert!(weighted.report.method.ends_with("/weighted"));
-        assert!(!plain.report.method.ends_with("/weighted"));
+    };
+    let plain = solve(AssignmentMode::Plain);
+    let weighted = solve(AssignmentMode::AdditivelyWeighted);
+    assert_eq!(&plain.assignment, &weighted.assignment);
+    assert_eq!(
+        plain.ecost.to_bits(),
+        weighted.ecost.to_bits(),
+        "ecost {} vs {}",
+        plain.ecost,
+        weighted.ecost
+    );
+    assert_eq!(
+        plain.certain_radius.to_bits(),
+        weighted.certain_radius.to_bits()
+    );
+    assert_eq!(plain.centers.len(), weighted.centers.len());
+    for (a, b) in plain.centers.iter().zip(weighted.centers.iter()) {
+        assert_eq!(a.coords(), b.coords());
     }
+    assert!(weighted.report.method.ends_with("/weighted"));
+    assert!(!plain.report.method.ends_with("/weighted"));
 }
 
 /// Every unsupported weighted combination is a typed
@@ -362,11 +355,7 @@ fn weighted_unsupported_combinations_reject_with_typed_errors() {
     ] {
         let err = Problem::euclidean(set.clone(), 2)
             .unwrap()
-            .solve(&cfg(
-                Kernel::Tiled,
-                AssignmentMode::AdditivelyWeighted,
-                strategy,
-            ))
+            .solve(&cfg(AssignmentMode::AdditivelyWeighted, strategy))
             .unwrap_err();
         assert!(
             matches!(err, SolveError::WeightedUnsupported { .. }),
@@ -378,7 +367,6 @@ fn weighted_unsupported_combinations_reject_with_typed_errors() {
     let err = Problem::in_metric(set, 2, Euclidean, pool)
         .unwrap()
         .solve(&cfg(
-            Kernel::Scalar,
             AssignmentMode::AdditivelyWeighted,
             CertainStrategy::Gonzalez,
         ))
@@ -389,14 +377,71 @@ fn weighted_unsupported_combinations_reject_with_typed_errors() {
     );
 }
 
+/// The weighted Gonzalez pipeline under `rule` (ED or EP) over boxed
+/// points and the pointwise Euclidean metric: spreads, the weighted
+/// greedy, then the weighted argmin per point ([`assign_ed`] with
+/// weights for ED, [`weighted_nearest`] of each expected point for EP).
+/// Returns the assignment, the expected cost and the weighted radius.
+fn weighted_reference(
+    set: &UncertainSet<Point>,
+    k: usize,
+    rule: AssignmentRule,
+) -> (Vec<usize>, f64, f64) {
+    let reps: Vec<Point> = set.iter().map(expected_point).collect();
+    let spreads = expected_spreads(set, &reps, &Euclidean);
+    let idx = gonzalez_indices(&reps, Some(&spreads), k, &Euclidean, 0);
+    let centers: Vec<Point> = idx.iter().map(|&i| reps[i].clone()).collect();
+    let weights: Vec<f64> = idx.iter().map(|&i| spreads[i]).collect();
+    let nearest: Vec<(usize, f64)> = reps
+        .iter()
+        .map(|r| weighted_nearest(r, &centers, &weights))
+        .collect();
+    let radius = nearest.iter().map(|&(_, d)| d).fold(0.0, f64::max);
+    let assignment = match rule {
+        AssignmentRule::ExpectedDistance => {
+            assign_ed(set, &centers, Some(&weights), &Euclidean, SEQ)
+        }
+        AssignmentRule::ExpectedPoint => nearest.iter().map(|&(i, _)| i).collect(),
+        AssignmentRule::OneCenter => unreachable!("weighted OC is not a reference case"),
+    };
+    let ecost = ecost_assigned(set, &centers, &assignment, &Euclidean);
+    (assignment, ecost, radius)
+}
+
+/// A weighted `rule`/Gonzalez solve of `set` at `k` against
+/// [`weighted_reference`], bit for bit.
+fn assert_weighted_matches_reference(set: &UncertainSet<Point>, k: usize, rule: AssignmentRule) {
+    let config = SolverConfig::builder()
+        .rule(rule)
+        .assignment(AssignmentMode::AdditivelyWeighted)
+        .build()
+        .unwrap();
+    let sol = Problem::euclidean(set.clone(), k)
+        .unwrap()
+        .solve(&config)
+        .unwrap();
+    let (assignment, ecost, radius) = weighted_reference(set, k, rule);
+    assert_eq!(sol.assignment, assignment, "{rule:?}");
+    assert_eq!(sol.ecost.to_bits(), ecost.to_bits(), "{rule:?}");
+    assert_eq!(sol.certain_radius.to_bits(), radius.to_bits(), "{rule:?}");
+}
+
+/// The shape `ukc generate --workload clustered --n 600 --dim 8 --seed 5`
+/// writes, at k = 8, where the weighted panel sweeps run the tiled
+/// screen: the weighted EP/Gonzalez solve returns the pointwise
+/// reference's bits.
+#[test]
+fn weighted_ep_gonzalez_matches_the_pointwise_reference_on_the_cli_smoke_shape() {
+    let set = clustered(5, 600, 4, 8, 3, 5.0, 1.5, ProbModel::Random);
+    assert_weighted_matches_reference(&set, 8, AssignmentRule::ExpectedPoint);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On random uncertain instances, the weighted pipeline under the
-    /// tiled kernel agrees with weighted `Scalar`: same
-    /// assignment, cost and radius bits, and identical per-stage
-    /// distance-evaluation counts (weights never change which pairs are
-    /// evaluated, under any kernel).
+    /// On random uncertain instances, the weighted ED and EP Gonzalez
+    /// solves return the pointwise reference's assignment, cost and
+    /// radius bits.
     #[test]
     fn weighted_solve_kernels_agree(
         seed in 0u64..1000,
@@ -407,35 +452,8 @@ proptest! {
     ) {
         let k = k.min(n);
         let set = clustered(seed, n, z, dim, 3, 5.0, 1.0, ProbModel::Random);
-        let scalar = Problem::euclidean(set.clone(), k)
-            .unwrap()
-            .solve(&cfg(
-                Kernel::Scalar,
-                AssignmentMode::AdditivelyWeighted,
-                CertainStrategy::Gonzalez,
-            ))
-            .unwrap();
-        for kernel in Kernel::ALL.into_iter().filter(|&k| k != Kernel::Scalar) {
-            let other = Problem::euclidean(set.clone(), k)
-                .unwrap()
-                .solve(&cfg(
-                    kernel,
-                    AssignmentMode::AdditivelyWeighted,
-                    CertainStrategy::Gonzalez,
-                ))
-                .unwrap();
-            prop_assert_eq!(&scalar.assignment, &other.assignment, "{:?}", kernel);
-            prop_assert_eq!(scalar.ecost.to_bits(), other.ecost.to_bits(), "{:?}", kernel);
-            prop_assert_eq!(
-                scalar.certain_radius.to_bits(),
-                other.certain_radius.to_bits(),
-                "{:?}", kernel
-            );
-            let (s, o) = (scalar.report.distance_evals, other.report.distance_evals);
-            prop_assert_eq!(s.representatives, o.representatives, "{:?}", kernel);
-            prop_assert_eq!(s.certain_solve, o.certain_solve, "{:?}", kernel);
-            prop_assert_eq!(s.assignment, o.assignment, "{:?}", kernel);
-            prop_assert_eq!(s.cost, o.cost, "{:?}", kernel);
+        for rule in [AssignmentRule::ExpectedDistance, AssignmentRule::ExpectedPoint] {
+            assert_weighted_matches_reference(&set, k, rule);
         }
     }
 }
